@@ -622,111 +622,6 @@ func BenchmarkAblation_SegmentVsJSONScan(b *testing.B) {
 	})
 }
 
-// laneScanPath writes (once) an n-row dataset with dictionary-friendly
-// string columns and two untouched padding fields, then pre-ingests its
-// segment sibling. The padding is what column-projection pushdown skips;
-// the low-cardinality strings are what the dictionary lanes compress.
-func laneScanPath(b *testing.B, n int) string {
-	b.Helper()
-	key := fmt.Sprintf("lanescan-%d", n)
-	if p, ok := datasetOnce.Load(key); ok {
-		return p.(string)
-	}
-	dir := filepath.Join(benchBase, key)
-	path := filepath.Join(dir, "data.jsonl")
-	if _, err := os.Stat(path); err != nil {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			b.Fatal(err)
-		}
-		var sb strings.Builder
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(&sb, `{"g": "g%02d", "s": "s%03d", "v": %d, "pad1": "padding-%d-padding", "pad2": %d}`+"\n",
-				i%40, i%97, i, i, i*3)
-		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := segment.OpenDataset(path); err != nil {
-		if err := segment.Ingest(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	datasetOnce.Store(key, path)
-	return path
-}
-
-// BenchmarkAblation_LaneScanVsItemScan measures the lane-native segment
-// scan (decode straight into vector batches, dictionary string lanes,
-// column projection) against the item-at-a-time segment path it replaces
-// (Config.NoLaneScan), both hot in the buffer pool so the comparison is
-// pure decode-and-kernel work. Two shapes from the acceptance criteria: a
-// grouped aggregation over a string key and a string-equality predicate
-// scan, each touching 3 of the dataset's 5 columns. Recorded numbers live
-// in BENCH_lane_scan.json.
-func BenchmarkAblation_LaneScanVsItemScan(b *testing.B) {
-	const rows = 200_000
-	path := laneScanPath(b, rows)
-	groupQ := fmt.Sprintf(`
-		for $o in json-file(%q)
-		group by $g := $o.g
-		return { "g": $g, "n": count($o), "s": sum($o.v) }`, path)
-	predQ := fmt.Sprintf(`
-		for $o in json-file(%q)
-		where $o.s eq "s042"
-		return { "g": $o.g, "v": $o.v }`, path)
-
-	newEng := func(noLane bool) *rumble.Engine {
-		return rumble.New(rumble.Config{Parallelism: 8, Executors: 4, SplitSize: benchSplit,
-			IOLatency: 2 * time.Millisecond, Vectorize: true, Segments: true, NoLaneScan: noLane})
-	}
-	run := func(b *testing.B, eng *rumble.Engine, query string) {
-		b.Helper()
-		st, err := eng.Compile(query)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Mode() != "Vector" {
-			b.Fatalf("mode = %s, want Vector", st.Mode())
-		}
-		n := 0
-		if err := st.Stream(func(rumble.Item) error { n++; return nil }); err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("empty result")
-		}
-	}
-	for _, bc := range []struct {
-		name, query string
-	}{
-		{"group-agg", groupQ},
-		{"string-pred", predQ},
-	} {
-		for _, lane := range []struct {
-			name   string
-			noLane bool
-		}{
-			{"item", true},
-			{"lane", false},
-		} {
-			b.Run(bc.name+"/"+lane.name, func(b *testing.B) {
-				eng := newEng(lane.noLane)
-				run(b, eng, bc.query) // populate the buffer pool
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run(b, eng, bc.query)
-				}
-				b.StopTimer()
-				if m := eng.Metrics(); m.SegmentsRead == 0 {
-					b.Fatal("no segments read — scan never hit the segment store")
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkQueryCompilation isolates the frontend: lexing, parsing, static
 // analysis and iterator construction of a realistic query.
 func BenchmarkQueryCompilation(b *testing.B) {

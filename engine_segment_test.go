@@ -55,21 +55,17 @@ func TestSegmentScanConformance(t *testing.T) {
 		{workers: 8, vectorize: true},
 	}
 	type pair struct {
-		raw, seg, item *Engine
-		workers        int
-		vectorize      bool
+		raw, seg  *Engine
+		workers   int
+		vectorize bool
 	}
 	pairs := make([]pair, len(configs))
 	for i, cfg := range configs {
 		raw := New(Config{Parallelism: 2, Executors: cfg.workers, Vectorize: cfg.vectorize})
 		seg := New(Config{Parallelism: 2, Executors: cfg.workers, Vectorize: cfg.vectorize, Segments: true})
-		// The third engine pins the lane-native scan against the item path
-		// it replaced: same segments, whole-row decode per morsel.
-		itemEng := New(Config{Parallelism: 2, Executors: cfg.workers, Vectorize: cfg.vectorize, Segments: true, NoLaneScan: true})
 		segmentConformanceData(t, raw, dir)
 		segmentConformanceData(t, seg, dir)
-		segmentConformanceData(t, itemEng, dir)
-		pairs[i] = pair{raw: raw, seg: seg, item: itemEng, workers: cfg.workers, vectorize: cfg.vectorize}
+		pairs[i] = pair{raw: raw, seg: seg, workers: cfg.workers, vectorize: cfg.vectorize}
 	}
 
 	for _, tc := range vectorConformanceCases {
@@ -87,19 +83,14 @@ func TestSegmentScanConformance(t *testing.T) {
 				if rm, sm := rs.Mode(), ss.Mode(); rm != sm {
 					t.Fatalf("%s: mode differs: raw %s vs segments %s", label, rm, sm)
 				}
-				is, err := p.item.Compile(tc.query)
-				if err != nil {
-					t.Fatalf("%s: compile (lane-off): %v", label, err)
-				}
 				rItems, rErr := streamAll(rs)
 				sItems, sErr := streamAll(ss)
-				iItems, iErr := streamAll(is)
-				if (rErr == nil) != (sErr == nil) || (rErr == nil) != (iErr == nil) {
-					t.Fatalf("%s: error mismatch: raw %v vs segments %v vs lane-off %v", label, rErr, sErr, iErr)
+				if (rErr == nil) != (sErr == nil) {
+					t.Fatalf("%s: error mismatch: raw %v vs segments %v", label, rErr, sErr)
 				}
 				if rErr != nil {
-					if rErr.Error() != sErr.Error() || rErr.Error() != iErr.Error() {
-						t.Fatalf("%s: error selection differs\nraw:      %s\nsegments: %s\nlane-off: %s", label, rErr, sErr, iErr)
+					if rErr.Error() != sErr.Error() {
+						t.Fatalf("%s: error selection differs\nraw:      %s\nsegments: %s", label, rErr, sErr)
 					}
 					continue
 				}
@@ -107,18 +98,12 @@ func TestSegmentScanConformance(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: streamed results differ\nsegments:\n%s\nraw:\n%s", label, got, want)
 				}
-				if gotItem := item.SerializeSequence(iItems); gotItem != want {
-					t.Fatalf("%s: lane-off results differ\nlane-off:\n%s\nraw:\n%s", label, gotItem, want)
-				}
 			}
 		})
 	}
 
 	for _, p := range pairs {
 		m := p.seg.Metrics()
-		if mi := p.item.Metrics(); p.vectorize && mi.SegmentsRead == 0 {
-			t.Errorf("workers=%d vectorize=%v: lane-off engine never served segments", p.workers, p.vectorize)
-		}
 		if p.vectorize && m.SegmentsRead == 0 {
 			t.Errorf("workers=%d vectorize=%v: SegmentsRead = 0 — the segment path never engaged, the conformance run was vacuous",
 				p.workers, p.vectorize)

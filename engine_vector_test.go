@@ -92,13 +92,21 @@ func vectorConformanceJSON() map[string][]string {
 	// than one morsel) cycling 40 distinct strings, embedded NUL escapes,
 	// and a duplicate-key row mid-stream — segment ingest stores that row
 	// as an exact-item overflow, so projected decodes must reconcile lane
-	// codes with overflow lookups inside one segment.
+	// codes with overflow lookups inside one segment. A non-object row and
+	// rows with their keys in another order (or one short) ride along: a
+	// whole row assembled from lanes must come back as the line was written.
 	dict := make([]string, 1500)
 	for i := range dict {
 		dict[i] = fmt.Sprintf(`{"s":"s%02d","i":%d,"t":"tag\u0000%d"}`, i%40, i, i%5)
 	}
 	dict[700] = `{"s":"dup","s":"later","i":700,"t":"x"}`
+	dict[900] = `[900,"not an object"]`
+	dict[1100] = `{"t":"tag\u00000","i":1100,"s":"s20"}`
+	dict[1101] = `{"i":1101,"s":"s21"}`
 	m["dict"] = dict
+	// Non-object rows only: the one shape whose whole rows are legal
+	// grouping keys.
+	m["atoms"] = []string{`1`, `"a"`, `1.0`, `null`, `"a"`, `2`, `true`, `null`}
 	return m
 }
 
@@ -683,6 +691,111 @@ var vectorConformanceCases = []vectorConformanceCase{
 				where $o.i lt 80
 				order by $o.s descending, $o.i
 				return { "s": $o.s, "i": $o.i }`,
+		wantMode: "Vector",
+	},
+	// Late materialization: the scan variable consumed whole. A
+	// segment-backed engine filters, joins and sorts on lanes and assembles
+	// row items only for what is left when the first operator reads $o —
+	// and must hand back the dup-key row (700), the non-object row (900)
+	// and the reordered and short rows (1100, 1101) exactly as the raw scan
+	// parses them.
+	{
+		name: "whole row after selective filter",
+		query: `for $o in collection("dict")
+				where $o.i ge 698 and $o.i le 702 or $o.i ge 1099 and $o.i le 1102
+				return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name:     "whole row before any filter",
+		query:    `for $o in collection("dict") return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole row read by a filter",
+		query: `for $o in collection("dict")
+				where $o.i ge 699 and { "r": $o }.r.s eq "dup" or { "r": $o }.r.i ge 1100
+				return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name:     "whole atomic rows read by a filter",
+		query:    `for $o in collection("atoms") where string($o) ne "1" return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole row inside a constructor",
+		query: `for $o in collection("dict")
+				where $o.s ge "s38" or $o.s eq "dup"
+				return { "row": $o, "i": $o.i }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole rows as group key",
+		query: `for $o in collection("atoms")
+				let $one := 1
+				group by $o
+				return { "k": $o, "n": sum($one) }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole object rows as group key error",
+		query: `for $o in collection("dict")
+				where $o.i ge 699
+				let $one := 1
+				group by $o
+				return { "k": $o, "n": sum($one) }`,
+		wantMode: "Vector",
+		wantErr:  true,
+	},
+	{
+		name: "whole row as top-k payload",
+		query: `for $o in collection("dict")
+				where $o.i ge 1095
+				order by $o.i ascending
+				count $r where $r le 8
+				return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole row as sort payload",
+		query: `for $o in collection("dict")
+				where $o.i ge 695 and $o.i le 705
+				order by $o.t descending, $o.i
+				return { "row": $o }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "whole rows on both sides of a join",
+		query: `for $a in collection("dict")
+				for $b in collection("dict")
+				where $a.i eq $b.i and $a.i ge 699 and $b.i le 1101 and $a.s ne "s05"
+				return { "l": $a, "r": $b }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "join reading only fields of the probe side",
+		query: `for $a in collection("dict")
+				for $b in collection("dict")
+				where $a.i eq $b.i and $a.i ge 1099
+				return { "s": $a.s, "r": $b }`,
+		wantMode: "Vector",
+	},
+	{
+		name:     "whole row from an in-memory collection",
+		query:    `for $o in collection("edge") where $o.w ge 3 return $o`,
+		wantMode: "Vector",
+	},
+	{
+		name:     "grand count of whole rows",
+		query:    `count(for $o in collection("dict") where $o.s lt "s03" or $o.i eq 1101 return $o)`,
+		wantMode: "Vector",
+	},
+	{
+		name: "let shadows the scan variable",
+		query: `for $o in collection("games")
+				let $o := { "target": $o.guess, "was": $o.target }
+				return $o.target`,
 		wantMode: "Vector",
 	},
 }

@@ -34,9 +34,6 @@ type Env struct {
 	// NoJoin disables the compiler's static equi-join detection, forcing
 	// nested-loop evaluation (for comparison benchmarks).
 	NoJoin bool
-	// NoLaneScan keeps projected vector pipelines on the whole-row item
-	// scan instead of the lane-native segment path (ablation knob).
-	NoLaneScan bool
 	// Vectorize enables the columnar local backend: the compiler annotates
 	// eligible FLWOR pipelines ModeVector and they execute batch-at-a-time
 	// (internal/vector) instead of tuple-at-a-time.

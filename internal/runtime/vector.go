@@ -32,15 +32,19 @@ import (
 // through the tuple path, so results are identical either way.
 
 // vbatch is one batch of rows: the pipeline's variable columns by slot.
-// Unbound slots are nil until a let (or the scan) fills them.
+// Unbound slots are nil until a let (or the scan) fills them. On a segment
+// morsel whose pipeline reads the scan variable whole, src is the segment's
+// decoded lanes: slot 0 stays nil until vscanExpr assembles the rows that
+// are still alive by then.
 type vbatch struct {
 	n    int
 	cols []*vector.Col
+	src  *segment.ColumnSet
 }
 
 // compact restricts every bound column to the kept rows.
 func (b *vbatch) compact(keep []bool, kept int) *vbatch {
-	nb := &vbatch{n: kept, cols: make([]*vector.Col, len(b.cols))}
+	nb := &vbatch{n: kept, cols: make([]*vector.Col, len(b.cols)), src: b.src}
 	for i, c := range b.cols {
 		if c != nil {
 			nb.cols[i] = c.Compact(keep, kept)
@@ -73,6 +77,34 @@ func (v *vlitExpr) eval(*vstate, *vbatch) (*vector.Col, error) { return v.col, n
 type vcolExpr struct{ slot int }
 
 func (v *vcolExpr) eval(_ *vstate, b *vbatch) (*vector.Col, error) { return b.cols[v.slot], nil }
+
+// vscanExpr reads the scan variable whole (slot 0). Raw and in-memory
+// morsels fill the slot from their items up front. A segment morsel leaves
+// it nil and carries each row's index within the segment in rowSlot — a
+// hidden column that rides filter compaction and join expansion like any
+// other — so the first read assembles items from the lanes for just the
+// rows that survived until then.
+type vscanExpr struct{ rowSlot int }
+
+func (v *vscanExpr) eval(_ *vstate, b *vbatch) (*vector.Col, error) {
+	if b.cols[0] == nil {
+		scan := vector.NewCol(b.n)
+		for i := 0; i < b.n; i++ {
+			it, err := b.scanRow(v.rowSlot, i)
+			if err != nil {
+				return nil, err
+			}
+			scan.AppendItem(it)
+		}
+		b.cols[0] = scan
+	}
+	return b.cols[0], nil
+}
+
+// scanRow assembles batch row i of a segment morsel from the lanes.
+func (b *vbatch) scanRow(rowSlot, i int) (item.Item, error) {
+	return b.src.Row(int(b.cols[rowSlot].Ints[i]))
+}
 
 // vextExpr reads a resolved free-variable constant.
 type vextExpr struct{ idx int }
@@ -374,16 +406,18 @@ type vectorIter struct {
 	group   *vgroupExec
 	sort    *vsortExec
 	project vexpr // non-group row projection
-	// fields/fieldSlots is the lane-native projection: when non-nil, the
-	// plan proved every consumption of the scan variable goes through these
-	// top-level fields (VectorPlan.Columns), each compiled to the batch slot
-	// at the same index. Segment morsels then fetch just these columns'
-	// decoded lanes and never materialize row items; raw and item morsels
-	// still decode rows but expand them into the same field lanes. Slot 0
-	// (the scan variable itself) stays nil in every batch — the compiler
-	// rejects any expression that would read it.
+	// fields/fieldSlots are the top-level fields the pipeline reads off the
+	// scan variable by literal key, each compiled to the batch slot at the
+	// same index: segment morsels slice the fields' decoded lanes straight
+	// into the slots, raw and in-memory morsels decode rows and expand them
+	// into the same field lanes. rowSlot is the hidden segment-row-index
+	// slot vscanExpr assembles the scan variable from, and what makes a
+	// segment morsel fetch every column of its segment, not just fields; it
+	// is -1 when no expression reads the variable whole — slot 0 then stays
+	// nil in every batch and no row item is ever built.
 	fields     []string
 	fieldSlots []int
+	rowSlot    int
 
 	// Profiling operator indices, -1 when the stage is absent or not
 	// registered. They name the same operators the tuple pipeline's
@@ -514,28 +548,8 @@ type vmorselResult struct {
 
 // decodeRows turns a raw morsel into its item rows, charging the morsel's
 // simulated storage round trips and record count exactly as an RDD
-// partition task would while scanning. Segment morsels fetch their rows
-// through the buffer pool: the pool's per-segment single-flight makes one
-// worker pay the cold decode (and its storage round trips) while the
-// other morsels of the same segment ride the cached residency for free.
-// Item morsels pass through.
+// partition task would while scanning. Item morsels pass through.
 func (v *vectorIter) decodeRows(m vmorsel) ([]item.Item, error) {
-	if m.ds != nil {
-		rows, coldBlocks, err := m.ds.Fetch(m.seg)
-		if err != nil {
-			return nil, err
-		}
-		if v.sc != nil {
-			if coldBlocks > 0 {
-				v.sc.SimulateIO(coldBlocks)
-				v.sc.AddSegmentCacheMiss(1)
-			} else {
-				v.sc.AddSegmentCacheHits(1)
-			}
-			v.sc.AddRecordsRead(int64(m.n))
-		}
-		return rows[m.off : m.off+m.n], nil
-	}
 	if m.lines == nil {
 		return m.rows, nil
 	}
@@ -554,16 +568,23 @@ func (v *vectorIter) decodeRows(m vmorsel) ([]item.Item, error) {
 	return rows, nil
 }
 
-// morselBatch turns one scan morsel into its initial column batch. On a
-// projected plan a segment morsel fetches only the plan's columns through
-// the buffer pool — decoded lanes slice straight into the field slots, no
-// row item is ever built — while raw and item morsels decode rows and
-// expand them into the same field lanes, so the compiled expressions see
-// one batch shape regardless of the source. Whole-row plans keep the
-// PR-9 item path: rows pack into the scan column at slot 0.
+// morselBatch turns one scan morsel into its initial column batch. A
+// segment morsel fetches its lanes through the buffer pool — the pool's
+// per-segment single-flight makes one worker pay a cold decode and its
+// simulated storage round trips while the segment's other morsels ride the
+// residency for free — slices the plan's fields straight into the field
+// slots and builds no row item: a pipeline that reads the scan variable
+// whole gets the row-index column to assemble it from later. Raw and
+// in-memory morsels decode rows, expand them into the same field lanes and
+// (for a whole reader) pack them into the scan column at slot 0, so the
+// compiled expressions see one batch shape regardless of the source.
 func (v *vectorIter) morselBatch(m vmorsel) (*vbatch, error) {
-	if m.ds != nil && v.fields != nil {
-		cs, coldBlocks, err := m.ds.FetchBatch(m.seg, v.fields)
+	if m.ds != nil {
+		fields := v.fields
+		if v.rowSlot >= 0 {
+			fields = append(m.ds.Meta(m.seg).ColumnNames(), v.fields...)
+		}
+		cs, coldBlocks, err := m.ds.FetchBatch(m.seg, fields)
 		if err != nil {
 			return nil, err
 		}
@@ -580,6 +601,14 @@ func (v *vectorIter) morselBatch(m vmorsel) (*vbatch, error) {
 		for i, f := range v.fields {
 			b.cols[v.fieldSlots[i]] = cs.Col(f).Slice(m.off, m.n)
 		}
+		if v.rowSlot >= 0 {
+			b.src = cs
+			rc := vector.NewCol(m.n)
+			for i := 0; i < m.n; i++ {
+				rc.AppendInt(int64(m.off + i))
+			}
+			b.cols[v.rowSlot] = rc
+		}
 		return b, nil
 	}
 	rows, err := v.decodeRows(m)
@@ -591,13 +620,12 @@ func (v *vectorIter) morselBatch(m vmorsel) (*vbatch, error) {
 		scan.AppendItem(it)
 	}
 	b := &vbatch{n: scan.Len(), cols: make([]*vector.Col, v.nslots)}
-	if v.fields != nil {
-		for i, f := range v.fields {
-			b.cols[v.fieldSlots[i]] = vector.Lookup(scan, f, b.n)
-		}
-		return b, nil
+	for i, f := range v.fields {
+		b.cols[v.fieldSlots[i]] = vector.Lookup(scan, f, b.n)
 	}
-	b.cols[0] = scan
+	if v.rowSlot >= 0 {
+		b.cols[0] = scan
+	}
 	return b, nil
 }
 
@@ -712,7 +740,7 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vbatch) (*vbatch, er
 	if v.sc != nil {
 		v.sc.AddVectorJoinRows(int64(total))
 	}
-	nb := &vbatch{n: total, cols: make([]*vector.Col, len(b.cols))}
+	nb := &vbatch{n: total, cols: make([]*vector.Col, len(b.cols)), src: b.src}
 	for slot, c := range b.cols {
 		if c == nil || slot == j.rightSlot {
 			continue
@@ -758,6 +786,7 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vbatch) (*vmorselResult, error) {
 		}
 		keyCols[ki] = kc
 	}
+	var rowErr error
 	for i := 0; i < b.n; i++ {
 		keys := make([]item.SortKey, len(keyCols))
 		for ki, kc := range keyCols {
@@ -781,6 +810,16 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vbatch) (*vmorselResult, error) {
 					vs[slot] = c.Item(row)
 				}
 			}
+			if b.src != nil && b.cols[0] == nil {
+				// The deferred projection reads the scan variable after the
+				// merge, away from this segment's lanes: assemble the row now —
+				// under a top-k, only once it ranks inside the bound.
+				it, err := b.scanRow(v.rowSlot, row)
+				if err != nil && rowErr == nil {
+					rowErr = err
+				}
+				vs[0] = it
+			}
 			return vs
 		}
 		if s.topK > 0 {
@@ -788,6 +827,9 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vbatch) (*vmorselResult, error) {
 			continue
 		}
 		res.run.Append(keys, vals())
+	}
+	if rowErr != nil {
+		return nil, rowErr
 	}
 	if s.topK == 0 {
 		res.run.Sort()
@@ -1145,7 +1187,7 @@ func (v *vectorIter) streamSerial(dc *DynamicContext, vs *vstate, jr *vjoinRun, 
 var errStopScan = fmt.Errorf("runtime: vector scan stopped")
 
 // vmorsel is one scan morsel awaiting a worker: a segment slice when the
-// source scans segments (the worker fetches the decoded rows through the
+// source scans segments (the worker fetches the decoded lanes through the
 // buffer pool), raw byte records when the source scans raw (the worker
 // decodes them), decoded items otherwise.
 type vmorsel struct {
@@ -1635,18 +1677,26 @@ type vcomp struct {
 	nslots int
 	ext    *vexternals
 
-	// Lane-native projection: when scanVar is non-empty the plan proved
-	// every consumption of the scan variable goes through fieldSlots'
-	// fields, so $scanVar.f compiles to a direct field-slot read and a bare
-	// $scanVar reference is a compile error (the batch never materializes
-	// row items; slot 0 stays nil).
+	// The scan variable (empty on a join's build side, and once a later
+	// clause rebinds the name): $scanVar.f compiles to a direct read of
+	// field f's slot, and a bare $scanVar to a vscanExpr over rowSlot — the
+	// hidden row-index slot, allocated by the first whole read, -1 until
+	// then.
 	scanVar    string
 	fieldSlots map[string]int
 	fields     []string // allocation order, parallel to the slots handed out
 	slotList   []int
+	rowSlot    int
+}
+
+func newVcomp(c *comp, ext *vexternals) *vcomp {
+	return &vcomp{c: c, slots: map[string]int{}, ext: ext, fieldSlots: map[string]int{}, rowSlot: -1}
 }
 
 func (vc *vcomp) bind(name string) int {
+	if name == vc.scanVar {
+		vc.scanVar = "" // shadowed: the name no longer reads the scan
+	}
 	slot := vc.nslots
 	vc.nslots++
 	vc.slots[name] = slot
@@ -1669,13 +1719,39 @@ func (vc *vcomp) bindField(f string) int {
 }
 
 // install copies the compiled environment onto the iterator: slot count,
-// free-variable names, and the lane-native projection (nil fields keeps
-// the whole-row scan).
+// free-variable names, the scan's field slots and its row-index slot.
 func (vc *vcomp) install(it *vectorIter) {
 	it.nslots = vc.nslots
 	it.externals = vc.ext.names
 	it.fields = vc.fields
 	it.fieldSlots = vc.slotList
+	it.rowSlot = vc.rowSlot
+}
+
+// bindScan binds the scan variable at slot 0 and pre-binds the plan's
+// projected fields in their sorted order.
+func (vc *vcomp) bindScan(name string, vp *compiler.VectorPlan) {
+	vc.bind(name)
+	vc.scanVar = name
+	for _, f := range vp.Columns {
+		vc.bindField(f)
+	}
+}
+
+// isScanVar reports whether e is a bare reference to the scan variable.
+func (vc *vcomp) isScanVar(e ast.Expr) bool {
+	vr, ok := e.(*ast.VarRef)
+	return ok && vc.scanVar != "" && vr.Name == vc.scanVar
+}
+
+// scanRows reads the scan variable whole, allocating the hidden row-index
+// slot on first use.
+func (vc *vcomp) scanRows() vexpr {
+	if vc.rowSlot < 0 {
+		vc.rowSlot = vc.nslots
+		vc.nslots++
+	}
+	return &vscanExpr{rowSlot: vc.rowSlot}
 }
 
 // vectorWorkers is the morsel worker pool size: the engine's executor
@@ -1713,7 +1789,7 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 		return nil, Errorf("vector: no plan recorded for this FLWOR")
 	}
 	ext := &vexternals{idx: map[string]int{}}
-	vc := &vcomp{c: c, slots: map[string]int{}, ext: ext}
+	vc := newVcomp(c, ext)
 	pn := c.pn(f)
 	if agg != nil {
 		pn = agg.pn
@@ -1731,14 +1807,14 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 			return nil, err
 		}
 		it.in = in
-		vc.bind(jp.Left.Var) // slot 0: the probe (scan) column
+		vc.bindScan(jp.Left.Var, vp) // slot 0: the probe (scan) column
 		j := &vjoinExec{rightSlot: vc.bind(jp.Right.Var)}
 		rightIn, err := c.compile(jp.Right.In)
 		if err != nil {
 			return nil, err
 		}
 		j.rightIn = rightIn
-		rvc := &vcomp{c: c, slots: map[string]int{}, ext: ext}
+		rvc := newVcomp(c, ext)
 		rvc.bind(jp.Right.Var) // slot 0 of build batches
 		for _, ke := range jp.LeftKeys {
 			e, err := vc.compileExpr(ke)
@@ -1776,19 +1852,7 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 			return nil, err
 		}
 		it.in = in
-		vc.bind(head.Var) // slot 0: the scan column
-		if !vp.AllColumns && !c.env.NoLaneScan {
-			// Lane-native scan: the plan proved the pipeline reads only
-			// these fields off the scan variable, so batches carry one slot
-			// per field (pre-bound here, in the plan's sorted order) and
-			// slot 0 never materializes. Config.NoLaneScan keeps the item
-			// path for ablation.
-			vc.scanVar = head.Var
-			vc.fieldSlots = map[string]int{}
-			for _, f := range vp.Columns {
-				vc.bindField(f)
-			}
-		}
+		vc.bindScan(head.Var, vp) // slot 0: the scan column
 		it.opScan = c.op(head, "for $"+head.Var, c.opOf(in, head.In))
 		if head.PosVar != "" {
 			it.posSlots = append(it.posSlots, vc.bind(head.PosVar))
@@ -1853,9 +1917,15 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 		if group != nil || orderBy != nil {
 			return nil, Errorf("vector: grand aggregate over a grouped pipeline")
 		}
-		proj, err := vc.compileExpr(f.Return)
-		if err != nil {
-			return nil, err
+		var proj vexpr
+		if vc.isScanVar(f.Return) && (agg.name == "count" || agg.name == "exists" || agg.name == "empty") {
+			// Counting scan rows needs their presence, never their contents.
+			proj = onesExpr()
+		} else {
+			var err error
+			if proj, err = vc.compileExpr(f.Return); err != nil {
+				return nil, err
+			}
 		}
 		switch agg.name {
 		case "exists", "empty":
@@ -1924,11 +1994,10 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 			}
 			ke = e
 		} else {
-			slot, ok := vc.slots[spec.Var]
-			if !ok {
+			if _, ok := vc.slots[spec.Var]; !ok {
 				return nil, Errorf("vector: group key $%s is not a pipeline column", spec.Var)
 			}
-			ke = &vcolExpr{slot: slot}
+			ke, _ = vc.compileVarRef(&ast.VarRef{Name: spec.Var})
 		}
 		ge.keyExprs = append(ge.keyExprs, ke)
 		ge.keySlots = append(ge.keySlots, vc.bind(spec.Var))
@@ -1958,8 +2027,8 @@ type vexprEnv interface {
 	// whitelist; handled=false defers to the shared path.
 	compileSpecialCall(n *ast.FunctionCall) (ve vexpr, handled bool, err error)
 	// compileScanField intercepts a literal-key lookup on a variable before
-	// the generic vlookupExpr: on a lane-native plan $scanVar.key reads the
-	// field's decoded lane straight from its batch slot.
+	// the generic vlookupExpr: $scanVar.key reads the field's decoded lane
+	// straight from its batch slot.
 	compileScanField(varName, key string) (vexpr, bool)
 }
 
@@ -2080,11 +2149,8 @@ func (vc *vcomp) compileExpr(e ast.Expr) (vexpr, error) { return compileVExpr(vc
 // compileVarRef implements vexprEnv: pipeline bindings are columns, free
 // variables per-evaluation constants.
 func (vc *vcomp) compileVarRef(n *ast.VarRef) (vexpr, error) {
-	if vc.scanVar != "" && n.Name == vc.scanVar {
-		// The plan promised whole-row consumption never happens on a
-		// lane-native scan; refusing here (rather than reading the nil scan
-		// slot) turns a planner bug into a tuple-path fallback.
-		return nil, Errorf("vector: scan variable $%s consumed whole under a projected scan", n.Name)
+	if vc.isScanVar(n) {
+		return vc.scanRows(), nil
 	}
 	if slot, ok := vc.slots[n.Name]; ok {
 		return &vcolExpr{slot: slot}, nil
@@ -2098,8 +2164,8 @@ func (vc *vcomp) compileSpecialCall(*ast.FunctionCall) (vexpr, bool, error) {
 	return nil, false, nil
 }
 
-// compileScanField implements vexprEnv: on a lane-native plan a field of
-// the scan variable reads its decoded lane's batch slot.
+// compileScanField implements vexprEnv: a field of the scan variable reads
+// its decoded lane's batch slot.
 func (vc *vcomp) compileScanField(varName, key string) (vexpr, bool) {
 	if vc.scanVar == "" || varName != vc.scanVar {
 		return nil, false
@@ -2138,7 +2204,7 @@ func (gc *vgroupComp) compileSpecialCall(n *ast.FunctionCall) (vexpr, bool, erro
 	if base, ok := compiler.CountOfVar(n); ok {
 		if gc.main.scanVar != "" && base == gc.main.scanVar {
 			// Counting the scan variable needs row presence only: fold an
-			// always-present constant instead of touching the nil scan slot.
+			// always-present constant instead of assembling rows.
 			return gc.aggSlot(vector.AggCount, onesExpr()), true, nil
 		}
 		slot, bound := gc.main.slots[base]
@@ -2148,8 +2214,7 @@ func (gc *vgroupComp) compileSpecialCall(n *ast.FunctionCall) (vexpr, bool, erro
 		return gc.aggSlot(vector.AggCount, &vcolExpr{slot: slot}), true, nil
 	}
 	if kind, isAgg := vectorAggKinds[n.Name]; isAgg && len(n.Args) == 1 {
-		if vr, isVar := n.Args[0].(*ast.VarRef); isVar && kind == vector.AggCount &&
-			gc.main.scanVar != "" && vr.Name == gc.main.scanVar {
+		if kind == vector.AggCount && gc.main.isScanVar(n.Args[0]) {
 			return gc.aggSlot(vector.AggCount, onesExpr()), true, nil
 		}
 		arg, err := gc.main.compileExpr(n.Args[0])

@@ -15,8 +15,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"rumble/internal/item"
@@ -243,76 +245,134 @@ func hasDupKeys(o *item.Object) bool {
 	return false
 }
 
-// Decoded is one segment's decoded contents: the materialized rows and
-// the column dictionary.
-type Decoded struct {
-	Rows []item.Item
-	Cols []string
+// ColumnSet is the decoded form of one segment, and the only one: the row
+// shapes (parsed on every decode, so whole rows can be assembled late, for
+// just the rows that survive a pipeline) plus one full-segment-length
+// vector.Col per resident field, built straight from the tag and value
+// lanes without materializing row items. String lanes stay
+// dictionary-encoded (codes in the Ints lane, the shared sorted table in
+// Col.Dict). Overflow rows — non-objects, duplicate-key objects —
+// contribute their field values through the same item lookup rule Row's
+// items answer, so a column is row-for-row identical to vector.Lookup over
+// the assembled rows. A ColumnSet is immutable: grow returns a new snapshot
+// sharing the shapes, the dictionary and every lane already decoded.
+type ColumnSet struct {
+	NumRows int
+	Dict    []string // the segment string table, shared by every lane
+
+	names    []string    // column dictionary, first-seen order
+	shapes   []rowShape  // the distinct plain-object row shapes
+	shapeOf  []int32     // per row: index into shapes, or ^index into overflow
+	overflow []item.Item // whole values of non-object and duplicate-key rows
+	laneOff  int         // payload offset of the first column lane block
+	cols     map[string]*vector.Col
+	byID     []*vector.Col // resident lanes by column id, nil when not resident
+	bytes    int64
 }
 
-// rowShape is one decoded row's shape: either an overflow item (the whole
-// value, for non-object and duplicate-key rows) or a column-id list.
+// rowShape is one distinct plain-object row shape: the column ids in the
+// row's key order, and the key names every row of that shape shares.
 type rowShape struct {
-	overflow item.Item
-	ids      []int
+	ids  []int
+	keys []string
 }
 
-// parsed is the common prefix of a segment image — header, column names,
-// string dictionary, row shapes — with the reader positioned at the first
-// column lane block. Both decode paths (item rows and projected vector
-// lanes) start from it.
-type parsed struct {
-	rows   int
-	cols   []string
-	table  []string
-	shapes []rowShape
-	r      *reader
+// Col returns the lane column of a resident field (never nil for a field
+// that was requested; all-absent when no row of the segment has it).
+func (cs *ColumnSet) Col(name string) *vector.Col { return cs.cols[name] }
+
+// has reports whether every one of fields is resident.
+func (cs *ColumnSet) has(fields []string) bool {
+	if cs == nil {
+		return false
+	}
+	for _, f := range fields {
+		if cs.cols[f] == nil {
+			return false
+		}
+	}
+	return true
 }
 
-// parseSegment validates the header and CRC and parses everything up to
-// the column lane blocks. Every malformation returns a structured error;
-// it never panics on corrupted input (FuzzSegmentDecode enforces this).
-func parseSegment(path string, data []byte) (*parsed, error) {
+// MemBytes estimates the in-memory bytes the column set pins — the row
+// shapes, the dictionary strings, the resident typed lanes and any overflow
+// items — so the buffer pool budget bounds real memory.
+func (cs *ColumnSet) MemBytes() int64 { return cs.bytes }
+
+// Row assembles row i from the lanes: the overflow item for non-object and
+// duplicate-key rows, otherwise an object with the row's original key
+// order. Every column of the segment must be resident; a shape naming a
+// column whose lane holds nothing at that row is a structured error.
+func (cs *ColumnSet) Row(i int) (item.Item, error) {
+	s := cs.shapeOf[i]
+	if s < 0 {
+		return cs.overflow[^s], nil
+	}
+	shape := cs.shapes[s]
+	values := make([]item.Item, len(shape.ids))
+	for k, id := range shape.ids {
+		if c := cs.byID[id]; c != nil {
+			values[k] = c.Item(i)
+		}
+		if values[k] == nil {
+			return nil, errf("", "row %d: shape lists column %q but its lane is absent or not resident", i, cs.names[id])
+		}
+	}
+	return item.NewObject(shape.keys, values), nil
+}
+
+// openImage validates a segment image's header and checksum and returns its
+// row count, column count and payload.
+func openImage(path string, data []byte) (rows, ncols int, payload []byte, err error) {
 	head := len(Magic) + 1 + 4 + 4 + 4
 	if len(data) < head {
-		return nil, errf(path, "truncated header: %d bytes", len(data))
+		return 0, 0, nil, errf(path, "truncated header: %d bytes", len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
-		return nil, errf(path, "bad magic %q", data[:len(Magic)])
+		return 0, 0, nil, errf(path, "bad magic %q", data[:len(Magic)])
 	}
 	if v := data[len(Magic)]; v != Version {
-		return nil, errf(path, "unsupported version %d", v)
+		return 0, 0, nil, errf(path, "unsupported version %d", v)
 	}
-	rows := int(binary.LittleEndian.Uint32(data[len(Magic)+1:]))
-	ncols := int(binary.LittleEndian.Uint32(data[len(Magic)+5:]))
+	rows = int(binary.LittleEndian.Uint32(data[len(Magic)+1:]))
+	ncols = int(binary.LittleEndian.Uint32(data[len(Magic)+5:]))
 	sum := binary.LittleEndian.Uint32(data[len(Magic)+9:])
-	payload := data[head:]
+	payload = data[head:]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, errf(path, "checksum mismatch: header %08x, payload %08x", sum, got)
+		return 0, 0, nil, errf(path, "checksum mismatch: header %08x, payload %08x", sum, got)
 	}
 	if rows < 0 || rows > Rows {
-		return nil, errf(path, "row count %d out of range", rows)
+		return 0, 0, nil, errf(path, "row count %d out of range", rows)
 	}
 	// Every dictionary entry costs at least one payload byte (its length
 	// uvarint), so the column count can never exceed the payload size. This
 	// is the only header bound the format actually implies — anything
 	// tighter falsely rejects sparse/wide data (a short tail segment with
 	// many distinct keys). The CRC above guards corruption and the
-	// dictionary loop below is bounds-checked.
+	// dictionary loop in parsePrefix is bounds-checked.
 	if ncols < 0 || ncols > len(payload) {
-		return nil, errf(path, "column count %d exceeds %d payload bytes", ncols, len(payload))
+		return 0, 0, nil, errf(path, "column count %d exceeds %d payload bytes", ncols, len(payload))
 	}
+	return rows, ncols, payload, nil
+}
+
+// parsePrefix parses a validated payload up to the column lane blocks —
+// column names, string dictionary, row shapes — into a ColumnSet with no
+// lane resident yet; laneOff is where the first lane block starts. Every
+// malformation returns a structured error; it never panics on corrupted
+// input (FuzzSegmentDecode enforces this).
+func parsePrefix(path string, payload []byte, rows, ncols int) (*ColumnSet, error) {
 	r := &reader{path: path, data: payload}
 	gotCols, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if int(gotCols) != ncols {
+	if gotCols != uint64(ncols) {
 		return nil, errf(path, "dictionary lists %d columns, header says %d", gotCols, ncols)
 	}
-	cols := make([]string, ncols)
-	for i := range cols {
-		if cols[i], err = r.str(); err != nil {
+	names := make([]string, ncols)
+	for i := range names {
+		if names[i], err = r.str(); err != nil {
 			return nil, err
 		}
 	}
@@ -331,8 +391,18 @@ func parseSegment(path string, data []byte) (*parsed, error) {
 			return nil, err
 		}
 	}
-	shapes := make([]rowShape, rows)
-	for ri := range shapes {
+	cs := &ColumnSet{
+		NumRows: rows, Dict: table, names: names,
+		shapeOf: make([]int32, rows),
+		cols:    map[string]*vector.Col{},
+		byID:    make([]*vector.Col, ncols),
+	}
+	// Rows of one shape repeat the same id-list bytes, so the distinct
+	// shapes intern by those bytes and a row costs one index.
+	shapeIdx := map[string]int32{}
+	var ids []int
+	for ri := range cs.shapeOf {
+		start := r.off
 		marker, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -350,192 +420,78 @@ func parseSegment(path string, data []byte) (*parsed, error) {
 			if vr.off != len(vr.data) {
 				return nil, errf(path, "overflow row %d: %d trailing bytes", ri, len(vr.data)-vr.off)
 			}
-			shapes[ri].overflow = v
+			cs.shapeOf[ri] = ^int32(len(cs.overflow))
+			cs.overflow = append(cs.overflow, v)
 			continue
 		}
-		n := int(marker - 1)
-		if n > ncols*4+16 {
-			return nil, errf(path, "row %d: implausible column list length %d", ri, n)
+		if marker-1 > uint64(ncols*4+16) {
+			return nil, errf(path, "row %d: implausible column list length %d", ri, marker-1)
 		}
-		ids := make([]int, n)
-		for i := range ids {
+		ids = ids[:0]
+		for n := marker - 1; n > 0; n-- {
 			id, err := r.uvarint()
 			if err != nil {
 				return nil, err
 			}
-			if int(id) >= ncols {
+			if id >= uint64(ncols) {
 				return nil, errf(path, "row %d: column id %d out of range", ri, id)
 			}
-			ids[i] = int(id)
+			ids = append(ids, int(id))
 		}
-		shapes[ri].ids = ids
+		si, seen := shapeIdx[string(payload[start:r.off])]
+		if !seen {
+			shape := rowShape{ids: slices.Clone(ids), keys: make([]string, len(ids))}
+			for k, id := range ids {
+				shape.keys[k] = names[id]
+			}
+			si = int32(len(cs.shapes))
+			shapeIdx[string(payload[start:r.off])] = si
+			cs.shapes = append(cs.shapes, shape)
+		}
+		cs.shapeOf[ri] = si
 	}
-	return &parsed{rows: rows, cols: cols, table: table, shapes: shapes, r: r}, nil
+	cs.laneOff = r.off
+	cs.bytes = int64(len(cs.shapeOf)) * 4
+	for _, s := range table {
+		cs.bytes += stringBytes + int64(len(s))
+	}
+	for _, shape := range cs.shapes {
+		cs.bytes += int64(len(shape.ids)) * (8 + stringBytes)
+	}
+	for _, v := range cs.overflow {
+		cs.bytes += ifaceBytes + itemCost(v)
+	}
+	return cs, nil
 }
 
-// laneBlock reads one column's length-prefixed lane block and returns a
-// bounded reader over it, or skips it entirely when parse is false.
-func (p *parsed) laneBlock(col string, parse bool) (*reader, error) {
-	n, err := p.r.uvarint()
+// laneBlock reads one column's length-prefixed lane block at r and returns
+// a bounded reader over it, or skips it entirely when parse is false.
+func laneBlock(r *reader, col string, parse bool) (*reader, error) {
+	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(len(p.r.data)-p.r.off) {
-		return nil, errf(p.r.path, "column %q: lane block length %d overruns buffer", col, n)
+	if n > uint64(len(r.data)-r.off) {
+		return nil, errf(r.path, "column %q: lane block length %d overruns buffer", col, n)
 	}
-	block := p.r.data[p.r.off : p.r.off+int(n)]
-	p.r.off += int(n)
+	block := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
 	if !parse {
 		return nil, nil
 	}
-	return &reader{path: p.r.path, data: block}, nil
+	return &reader{path: r.path, data: block}, nil
 }
 
-// Decode parses a segment byte image back into rows. Every malformation —
-// truncation, a flipped bit anywhere in the payload (checksum), invalid
-// lane data — returns a structured error; Decode never panics on
-// corrupted input (FuzzSegmentDecode enforces this).
-func Decode(path string, data []byte) (*Decoded, error) {
-	p, err := parseSegment(path, data)
-	if err != nil {
-		return nil, err
+// laneBytes is the in-memory cost of one resident lane.
+func laneBytes(c *vector.Col) int64 {
+	n := int64(len(c.Tags)) * (1 + 8 + 8 + stringBytes) // tag+int+num+str headers
+	for _, s := range c.Strs {
+		n += int64(len(s))
 	}
-	rows, cols, r := p.rows, p.cols, p.r
-	// Lanes: decode each column into a full-length item lane (nil = absent).
-	lanes := make([][]item.Item, len(cols))
-	for ci := range cols {
-		lr, err := p.laneBlock(cols[ci], true)
-		if err != nil {
-			return nil, err
-		}
-		if len(lr.data) < rows {
-			return nil, errf(path, "column %q: truncated tag lane", cols[ci])
-		}
-		tags := lr.data[:rows]
-		lr.off = rows
-		lane := make([]item.Item, rows)
-		for ri := 0; ri < rows; ri++ {
-			switch tags[ri] {
-			case tagAbsent:
-			case tagNull:
-				lane[ri] = item.Null{}
-			case tagFalse:
-				lane[ri] = item.Bool(false)
-			case tagTrue:
-				lane[ri] = item.Bool(true)
-			case tagInt:
-				v, err := lr.varint()
-				if err != nil {
-					return nil, err
-				}
-				lane[ri] = item.Int(v)
-			case tagDouble:
-				if len(lr.data)-lr.off < 8 {
-					return nil, errf(path, "column %q: truncated double lane", cols[ci])
-				}
-				lane[ri] = item.Double(math.Float64frombits(binary.LittleEndian.Uint64(lr.data[lr.off:])))
-				lr.off += 8
-			case tagString:
-				code, err := lr.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if code >= uint64(len(p.table)) {
-					return nil, errf(path, "column %q row %d: string code %d out of range", cols[ci], ri, code)
-				}
-				lane[ri] = item.Str(p.table[code])
-			case tagDec:
-				s, err := lr.str()
-				if err != nil {
-					return nil, err
-				}
-				rat, ok := new(big.Rat).SetString(s)
-				if !ok {
-					return nil, errf(path, "column %q: invalid decimal %q", cols[ci], s)
-				}
-				lane[ri] = item.NewDecimal(rat)
-			case tagItem:
-				raw, err := lr.sized()
-				if err != nil {
-					return nil, err
-				}
-				vr := &reader{path: path, data: raw}
-				v, err := vr.value(0)
-				if err != nil {
-					return nil, err
-				}
-				lane[ri] = v
-			default:
-				return nil, errf(path, "column %q row %d: invalid lane tag %d", cols[ci], ri, tags[ri])
-			}
-		}
-		if lr.off != len(lr.data) {
-			return nil, errf(path, "column %q: %d trailing lane bytes", cols[ci], len(lr.data)-lr.off)
-		}
-		lanes[ci] = lane
-	}
-	if r.off != len(r.data) {
-		return nil, errf(path, "%d trailing payload bytes", len(r.data)-r.off)
-	}
-	out := make([]item.Item, rows)
-	for ri := range p.shapes {
-		if p.shapes[ri].overflow != nil {
-			out[ri] = p.shapes[ri].overflow
-			continue
-		}
-		keys := make([]string, len(p.shapes[ri].ids))
-		values := make([]item.Item, len(p.shapes[ri].ids))
-		for i, id := range p.shapes[ri].ids {
-			keys[i] = cols[id]
-			v := lanes[id][ri]
-			if v == nil {
-				return nil, errf(path, "row %d: shape lists column %q but its lane is absent", ri, cols[id])
-			}
-			values[i] = v
-		}
-		out[ri] = item.NewObject(keys, values)
-	}
-	return &Decoded{Rows: out, Cols: cols}, nil
-}
-
-// ColumnSet is the batch-native decode of one segment restricted to a set
-// of projected fields: one full-segment-length vector.Col per field, built
-// straight from the tag and value lanes without materializing row items.
-// String lanes stay dictionary-encoded (codes in the Ints lane, the shared
-// sorted table in Col.Dict). Overflow rows — non-objects, duplicate-key
-// objects — contribute their field values through the same item lookup
-// rule the row materialization uses, so a ColumnSet column is row-for-row
-// identical to vector.Lookup over the decoded items.
-type ColumnSet struct {
-	NumRows int
-	Fields  []string // projected fields, sorted unique
-	Dict    []string // the segment string table
-	cols    map[string]*vector.Col
-}
-
-// Col returns the lane column of a projected field (never nil for a field
-// that was requested; all-absent when no row of the segment has it).
-func (cs *ColumnSet) Col(name string) *vector.Col { return cs.cols[name] }
-
-// MemBytes estimates the in-memory bytes the column set pins — the typed
-// lanes, the dictionary strings, and any overflow items — so the buffer
-// pool budget bounds real memory under column projection.
-func (cs *ColumnSet) MemBytes() int64 {
-	n := int64(0)
-	for _, s := range cs.Dict {
-		n += stringBytes + int64(len(s))
-	}
-	for _, f := range cs.Fields {
-		c := cs.cols[f]
-		n += int64(len(c.Tags)) * (1 + 8 + 8 + stringBytes) // tag+int+num+str headers
-		for _, s := range c.Strs {
-			n += int64(len(s))
-		}
-		for _, it := range c.Items {
-			n += ifaceBytes
-			if it != nil {
-				n += itemCost(it)
-			}
+	for _, it := range c.Items {
+		n += ifaceBytes
+		if it != nil {
+			n += itemCost(it)
 		}
 	}
 	return n
@@ -684,70 +640,85 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 	return c, nil
 }
 
-// DecodeColumns parses a segment byte image into lane columns for the
-// projected fields only: unprojected columns' lane blocks are skipped via
-// their byte-length prefix without being parsed. The whole payload is
-// still CRC-validated, and the same malformations Decode rejects surface
-// as the same structured errors.
+// DecodeColumns parses a segment byte image into a ColumnSet holding the
+// lanes of fields. Every malformation — truncation, a flipped bit anywhere
+// in the payload (checksum), invalid lane data — returns a structured
+// error, never a panic (FuzzSegmentDecode enforces this).
 func DecodeColumns(path string, data []byte, fields []string) (*ColumnSet, error) {
-	p, err := parseSegment(path, data)
+	return (*ColumnSet)(nil).grow(path, data, fields)
+}
+
+// grow returns a snapshot holding every lane cs holds plus the lanes of
+// fields: the ones not yet resident decode from the segment image in one
+// pass, every other column's lane block skipped via its byte-length prefix
+// without being parsed. A nil cs starts from the image's parsed prefix.
+// The whole payload is CRC-validated either way, and cs is never modified.
+func (cs *ColumnSet) grow(path string, data []byte, fields []string) (*ColumnSet, error) {
+	rows, ncols, payload, err := openImage(path, data)
 	if err != nil {
 		return nil, err
 	}
-	want := append([]string(nil), fields...)
-	sort.Strings(want)
-	uniq := want[:0]
-	for i, f := range want {
-		if i == 0 || f != want[i-1] {
-			uniq = append(uniq, f)
+	if cs == nil {
+		if cs, err = parsePrefix(path, payload, rows, ncols); err != nil {
+			return nil, err
+		}
+	} else if rows != cs.NumRows || cs.laneOff > len(payload) {
+		return nil, errf(path, "segment image changed under its resident lanes")
+	}
+	r := &reader{path: path, data: payload, off: cs.laneOff}
+	next := *cs
+	next.cols = maps.Clone(cs.cols)
+	next.byID = slices.Clone(cs.byID)
+	want := map[string]bool{}
+	var missing []string
+	for _, f := range fields {
+		if cs.cols[f] == nil && !want[f] {
+			want[f] = true
+			missing = append(missing, f)
 		}
 	}
-	want = uniq
-	wantSet := make(map[string]bool, len(want))
-	for _, f := range want {
-		wantSet[f] = true
-	}
-	cs := &ColumnSet{NumRows: p.rows, Fields: want, Dict: p.table, cols: make(map[string]*vector.Col, len(want))}
-	for _, name := range p.cols {
-		lr, err := p.laneBlock(name, wantSet[name])
+	for id, name := range cs.names {
+		lr, err := laneBlock(r, name, want[name])
 		if err != nil {
 			return nil, err
 		}
 		if lr == nil {
 			continue
 		}
-		c, err := decodeLaneCol(path, name, lr, p.rows, p.table)
+		c, err := decodeLaneCol(path, name, lr, cs.NumRows, cs.Dict)
 		if err != nil {
 			return nil, err
 		}
-		cs.cols[name] = c
+		next.cols[name], next.byID[id] = c, c
 	}
-	if p.r.off != len(p.r.data) {
-		return nil, errf(path, "%d trailing payload bytes", len(p.r.data)-p.r.off)
+	if r.off != len(r.data) {
+		return nil, errf(path, "%d trailing payload bytes", len(r.data)-r.off)
 	}
-	// Fields no lane carries are still projected: all-absent columns, which
+	// Fields no lane carries are still resident: all-absent columns, which
 	// overflow rows below may populate.
-	for _, f := range want {
-		if cs.cols[f] == nil {
-			cs.cols[f] = newLaneCol(p.rows, p.table)
+	for _, f := range missing {
+		if next.cols[f] == nil {
+			next.cols[f] = newLaneCol(cs.NumRows, cs.Dict)
 		}
 	}
-	for ri := range p.shapes {
-		v := p.shapes[ri].overflow
-		if v == nil {
+	for ri, s := range cs.shapeOf {
+		if s >= 0 {
 			continue
 		}
-		obj, ok := v.(*item.Object)
+		obj, ok := cs.overflow[^s].(*item.Object)
 		if !ok {
 			continue // non-object rows are absent in every column
 		}
-		for _, f := range want {
+		for _, f := range missing {
 			if fv, found := obj.Get(f); found {
-				setLaneValue(cs.cols[f], ri, fv)
+				setLaneValue(next.cols[f], ri, fv)
 			}
 		}
 	}
-	return cs, nil
+	for _, f := range missing {
+		next.bytes += laneBytes(next.cols[f])
+	}
+	return &next, nil
 }
 
 // --- exact item encoding (overflow rows and nested lane values) ---

@@ -133,6 +133,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		sparse[i] = wideRow(100, i*100) // disjoint keys: 1000 columns, 10 rows
 	}
 	cases["sparse-wide"] = sparse
+	// One column set, three key orders: a row's shape, not the column
+	// dictionary, decides the order its keys come back in.
+	cases["key-order"] = []item.Item{
+		obj("a", item.Int(1), "b", item.Int(2)),
+		obj("b", item.Int(3), "a", item.Int(4)),
+		obj("c", item.Str("x"), "b", item.Int(5), "a", item.Int(6)),
+		obj("a", item.Int(7), "b", item.Int(8)),
+	}
 
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -150,6 +158,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			for i := range rows {
 				if !itemsEqual(rows[i], dec.Rows[i]) {
 					t.Errorf("row %d: decoded %v, want %v", i, dec.Rows[i], rows[i])
+				}
+			}
+			// The engine's path: every column as lanes, rows assembled late
+			// from them — item for item the input, and each lane's recomputed
+			// zone map the one ingest records.
+			zones := ZoneMaps(rows)
+			var fields []string
+			for _, cz := range zones {
+				fields = append(fields, cz.Name)
+			}
+			cs, err := DecodeColumns("t.rseg", data, fields)
+			if err != nil {
+				t.Fatalf("DecodeColumns: %v", err)
+			}
+			for i := range rows {
+				got, err := cs.Row(i)
+				if err != nil {
+					t.Fatalf("Row(%d): %v", i, err)
+				}
+				if !itemsEqual(rows[i], got) {
+					t.Errorf("row %d: assembled %v, want %v", i, got, rows[i])
+				}
+			}
+			for _, cz := range zones {
+				if z := zoneOfLaneCol(cs.Col(cz.Name)); !zoneEqual(z, cz.Zone) {
+					t.Errorf("column %s: lane zone map %+v, ingest recorded %+v", cz.Name, z, cz.Zone)
 				}
 			}
 		})
@@ -363,6 +397,16 @@ func FuzzSegmentDecode(f *testing.F) {
 				if (got == nil) != (want == nil) || (got != nil && !itemsEqual(got, want)) {
 					t.Fatalf("field %s row %d: projected %v, row decode %v", f, i, got, want)
 				}
+			}
+		}
+		// And the rows assembled from those lanes must be the oracle's rows.
+		for i := range dec.Rows {
+			got, err := cs.Row(i)
+			if err != nil {
+				t.Fatalf("Row(%d) failed on an image Decode accepted: %v", i, err)
+			}
+			if !itemsEqual(got, dec.Rows[i]) {
+				t.Fatalf("row %d: assembled %v, row decode %v", i, got, dec.Rows[i])
 			}
 		}
 	})

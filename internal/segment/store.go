@@ -15,7 +15,6 @@ import (
 	"rumble/internal/dfs"
 	"rumble/internal/item"
 	"rumble/internal/jparse"
-	"rumble/internal/vector"
 )
 
 // ManifestName is the dataset manifest file inside a segments directory.
@@ -45,6 +44,16 @@ func (m Meta) Zone(name string) (ZoneMap, bool) {
 	return ZoneMap{}, false
 }
 
+// ColumnNames lists every column some row of the segment has, sorted: the
+// fields a whole-row reader fetches.
+func (m Meta) ColumnNames() []string {
+	names := make([]string, len(m.Cols))
+	for i, cz := range m.Cols {
+		names[i] = cz.Name
+	}
+	return names
+}
+
 // Manifest is the dataset-level metadata: the content hash of the source
 // it was ingested from and the ordered segment list.
 type Manifest struct {
@@ -55,8 +64,9 @@ type Manifest struct {
 	Segments    []Meta `json:"segments"`
 }
 
-// Dataset is an opened, validated segment dataset. Fetch serves decoded
-// segments, through the owning store's buffer pool when there is one.
+// Dataset is an opened, validated segment dataset. FetchBatch serves
+// decoded segments, through the owning store's buffer pool when there is
+// one.
 type Dataset struct {
 	Source   string
 	Dir      string
@@ -70,127 +80,62 @@ func (d *Dataset) NumSegments() int { return len(d.Manifest.Segments) }
 // Meta returns the manifest entry of segment i.
 func (d *Dataset) Meta(i int) Meta { return d.Manifest.Segments[i] }
 
-// key is the buffer-pool residency key of segment i's item rows. It
-// includes the manifest's source hash: a background re-ingest reuses
-// segment file names, and pool entries decoded from the previous
-// generation must never serve the new one.
+// key is the buffer-pool residency key of segment i. It includes the
+// manifest's source hash: a background re-ingest reuses segment file
+// names, and pool entries decoded from the previous generation must never
+// serve the new one.
 func (d *Dataset) key(i int) string {
 	return d.Dir + "\x00" + d.Manifest.SourceHash + "\x00" + d.Manifest.Segments[i].File
 }
 
-// Fetch returns the decoded rows of segment i. coldBlocks is non-zero
-// exactly when this call read and decoded the segment file (a buffer-pool
-// miss, or no pool): it reports the simulated I/O blocks the read
-// charges, rounded by the same shared accounting rules as raw line scans.
-func (d *Dataset) Fetch(i int) (rows []item.Item, coldBlocks int, err error) {
-	if d.pool == nil {
-		v, _, blocks, err := d.loadRows(i)
-		rows, _ = v.([]item.Item)
-		return rows, blocks, err
-	}
-	v, blocks, err := d.pool.get(d.key(i), d.Manifest.Segments[i].Bytes, func() (any, int64, int, error) {
-		return d.loadRows(i)
-	})
-	rows, _ = v.([]item.Item)
-	return rows, blocks, err
-}
-
-// FetchBatch returns segment i decoded straight into vector lanes for the
-// projected fields, skipping every other column's lane bytes. Distinct
-// projections of one segment are distinct pool residencies, each charged
-// only for the lanes it actually pins — so two plans projecting different
-// column sets never double-charge a shared entry, and --segment-cache-bytes
-// keeps bounding real memory.
+// FetchBatch returns segment i decoded into vector lanes for at least the
+// given fields (a whole-row reader passes every column of Meta(i).Cols and
+// assembles rows with ColumnSet.Row). coldBlocks is non-zero exactly when
+// this call read the segment file — no pool, a cold segment, or a resident
+// one that lacked some of the lanes: it reports the simulated I/O blocks
+// the read charges, rounded by the same shared accounting rules as raw line
+// scans. A segment is one pool entry whatever was projected from it, so
+// plans reading {a,b} and {a,c} share lane a, and --segment-cache-bytes
+// bounds distinct decoded bytes.
 func (d *Dataset) FetchBatch(i int, fields []string) (cs *ColumnSet, coldBlocks int, err error) {
 	if d.pool == nil {
-		v, _, blocks, err := d.loadCols(i, fields)
-		cs, _ = v.(*ColumnSet)
-		return cs, blocks, err
+		return d.load(i, nil, fields)
 	}
-	sorted := append([]string(nil), fields...)
-	sort.Strings(sorted)
-	key := d.key(i) + "\x00cols"
-	for _, f := range sorted {
-		key += "\x00" + f
-	}
-	v, blocks, err := d.pool.get(key, d.Manifest.Segments[i].Bytes, func() (any, int64, int, error) {
-		return d.loadCols(i, fields)
+	return d.pool.get(d.key(i), d.Manifest.Segments[i].Bytes, fields, func(cur *ColumnSet) (*ColumnSet, int, error) {
+		return d.load(i, cur, fields)
 	})
-	cs, _ = v.(*ColumnSet)
-	return cs, blocks, err
 }
 
-// readSegment reads segment i's byte image and reports its I/O blocks.
-func (d *Dataset) readSegment(i int) (Meta, string, []byte, int, error) {
+// load reads segment i's file and decodes the lanes of fields that cur (nil
+// when nothing is resident) does not hold yet, reporting the read's I/O
+// blocks. Every newly decoded lane is checked against its manifest zone
+// map: the prunable fields a scan could have skipped on are always among
+// the fields it fetches, so summaries the lane data contradicts are caught
+// before any pruning decision can rest on them.
+func (d *Dataset) load(i int, cur *ColumnSet, fields []string) (*ColumnSet, int, error) {
 	meta := d.Manifest.Segments[i]
 	path := filepath.Join(d.Dir, meta.File)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return meta, path, nil, 0, errf(path, "read: %v", err)
+		return nil, 0, errf(path, "read: %v", err)
 	}
-	return meta, path, data, dfs.BlocksFor(int64(len(data))), nil
-}
-
-// loadRows reads, decodes and validates segment i from disk as item rows,
-// returning the in-memory cost the rows pin.
-func (d *Dataset) loadRows(i int) (any, int64, int, error) {
-	meta, path, data, blocks, err := d.readSegment(i)
+	cs, err := cur.grow(path, data, fields)
 	if err != nil {
-		return nil, 0, 0, err
-	}
-	dec, err := Decode(path, data)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if len(dec.Rows) != meta.Rows {
-		return nil, 0, 0, errf(path, "segment holds %d rows, manifest says %d", len(dec.Rows), meta.Rows)
-	}
-	// Zone-map consistency: recompute from the decoded lanes and compare.
-	// Pruning decisions must never rest on summaries the data contradicts.
-	if !zonesEqual(ZoneMaps(dec.Rows), meta.Cols) {
-		return nil, 0, 0, errf(path, "zone maps inconsistent with lane data")
-	}
-	return dec.Rows, decodedCost(dec.Rows), blocks, nil
-}
-
-// loadCols reads and decodes segment i's projected lanes, returning the
-// lane bytes they pin. The zone-map consistency check runs per projected
-// column: the prunable fields a scan could have skipped on are always a
-// subset of the fields it projects, so summaries the lane data contradicts
-// are still caught before any pruning decision can rest on them.
-func (d *Dataset) loadCols(i int, fields []string) (any, int64, int, error) {
-	meta, path, data, blocks, err := d.readSegment(i)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	cs, err := DecodeColumns(path, data, fields)
-	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	if cs.NumRows != meta.Rows {
-		return nil, 0, 0, errf(path, "segment holds %d rows, manifest says %d", cs.NumRows, meta.Rows)
+		return nil, 0, errf(path, "segment holds %d rows, manifest says %d", cs.NumRows, meta.Rows)
 	}
-	for _, f := range cs.Fields {
-		z := zoneOfLaneCol(cs.Col(f), cs.NumRows)
+	for _, f := range fields {
+		if cur != nil && cur.Col(f) != nil {
+			continue // validated when it was decoded
+		}
 		mz, _ := meta.Zone(f) // zero zone when the manifest lists no rows
-		if !zoneEqual(z, mz) {
-			return nil, 0, 0, errf(path, "zone maps inconsistent with lane data")
+		if !zoneEqual(zoneOfLaneCol(cs.Col(f)), mz) {
+			return nil, 0, errf(path, "zone maps inconsistent with lane data")
 		}
 	}
-	return cs, cs.MemBytes(), blocks, nil
-}
-
-// zoneOfLaneCol recomputes the zone map of one projected lane column; lane
-// values follow lookup semantics exactly like ZoneMaps' per-row rule, so a
-// clean decode reproduces the manifest entry bit for bit.
-func zoneOfLaneCol(c *vector.Col, rows int) ZoneMap {
-	var z ZoneMap
-	for i := 0; i < rows; i++ {
-		if it := c.Item(i); it != nil {
-			z.observe(it)
-		}
-	}
-	return z
+	return cs, dfs.BlocksFor(int64(len(data))), nil
 }
 
 // OpenDataset loads and strictly validates the segment directory of
@@ -471,9 +416,10 @@ func (s *Store) WaitRebuilds() { s.rebuilds.Wait() }
 // --- buffer pool: byte-bounded LRU of decoded segments ---
 
 // pool mirrors the server's compiled-plan cache: a doubly linked list in
-// recency order plus an index, with per-entry sync.Once loading outside
-// the lock (concurrent fetchers of one segment decode it once) and
-// eviction that never removes the entry just inserted.
+// recency order plus an index, one entry per segment, with loading outside
+// the pool lock. The charged bytes never exceed the budget: an entry that
+// alone is larger than the whole pool is served to its fetcher (and to the
+// fetchers already waiting on it) but not retained.
 type pool struct {
 	mu       sync.Mutex
 	capBytes int64
@@ -482,95 +428,82 @@ type pool struct {
 	entries  map[string]*list.Element
 }
 
+// poolEntry is one segment's residency. cost is the bytes the pool charges
+// for it, guarded by pool.mu. load serializes the entry's decodes — it is
+// the single-flight: concurrent fetchers of a cold segment block on it and
+// find the lanes resident — and guards cs, the immutable snapshot that is
+// replaced, never modified, when a fetch adds lanes.
 type poolEntry struct {
 	key  string
 	cost int64
 
-	once   sync.Once
-	val    any
-	actual int64
-	blocks int
-	err    error
+	load sync.Mutex
+	cs   *ColumnSet
 }
 
 func newPool(capBytes int64) *pool {
 	return &pool{capBytes: capBytes, order: list.New(), entries: map[string]*list.Element{}}
 }
 
-// get returns the decoded value under key — item rows or a projected
-// ColumnSet — loading it at most once per residency. The loader reports
-// the bytes the value actually pins in memory, which settles the entry's
-// provisional (file-size) cost: decoded item rows can cost several times
-// the on-disk size, a narrow column projection far less. coldBlocks is
-// non-zero only for the caller whose load actually ran — the one that must
-// charge the simulated I/O. A failed load is returned to every waiter but
-// never cached: the entry is dropped, so the next get retries instead of
-// replaying a possibly transient error until eviction.
-func (p *pool) get(key string, cost int64, load func() (any, int64, int, error)) (any, int, error) {
+// get returns the snapshot under key once it holds every one of fields,
+// calling grow with the current snapshot (nil for a cold entry) when it
+// does not. grow's snapshot settles the entry's cost — provisionally the
+// file size — to the bytes it actually pins: the sum of the resident lanes,
+// each counted once however many projections read it. coldBlocks is
+// non-zero only for the caller whose grow ran — the one that must charge
+// the simulated I/O. A failed grow is never cached: a cold entry is
+// dropped, a resident one keeps its lanes, and the next get retries instead
+// of replaying a possibly transient error until eviction.
+func (p *pool) get(key string, cost int64, fields []string, grow func(cur *ColumnSet) (*ColumnSet, int, error)) (*ColumnSet, int, error) {
 	p.mu.Lock()
 	el, ok := p.entries[key]
 	if ok {
 		p.order.MoveToFront(el)
 	} else {
-		e := &poolEntry{key: key, cost: cost}
-		el = p.order.PushFront(e)
+		el = p.order.PushFront(&poolEntry{key: key, cost: cost})
 		p.entries[key] = el
 		p.bytes += cost
-		p.evictOver(el)
+		p.evict()
 	}
 	e := el.Value.(*poolEntry)
 	p.mu.Unlock()
-	var loaded bool
-	e.once.Do(func() {
-		e.val, e.actual, e.blocks, e.err = load()
-		loaded = true
-	})
-	if !loaded {
-		return e.val, 0, e.err
+
+	e.load.Lock()
+	defer e.load.Unlock()
+	if e.cs.has(fields) {
+		return e.cs, 0, nil
 	}
-	// The loading caller settles the entry's pool accounting: drop it on
-	// error, re-cost to the loader-reported in-memory bytes on success.
+	cs, blocks, err := grow(e.cs)
+	if err == nil {
+		e.cs = cs
+	}
+	// Settle the pool accounting, unless the entry was evicted meanwhile
+	// (the caller still gets its snapshot; nothing stays charged).
 	p.mu.Lock()
-	if cur, ok := p.entries[key]; ok && cur == el {
-		if e.err != nil {
+	if p.entries[key] == el {
+		if e.cs == nil {
 			p.order.Remove(el)
 			delete(p.entries, key)
 			p.bytes -= e.cost
-		} else if e.actual > 0 && e.actual != e.cost {
-			p.bytes += e.actual - e.cost
-			e.cost = e.actual
-			p.evictOver(el)
+		} else if actual := e.cs.MemBytes(); actual != e.cost {
+			p.bytes += actual - e.cost
+			e.cost = actual
+			p.evict()
 		}
 	}
 	p.mu.Unlock()
-	return e.val, e.blocks, e.err
+	return cs, blocks, err
 }
 
-// evictOver removes LRU entries until the pool fits its budget, never
-// removing keep (the entry just inserted or re-costed). Callers hold p.mu.
-func (p *pool) evictOver(keep *list.Element) {
-	for p.bytes > p.capBytes && p.order.Len() > 1 {
-		back := p.order.Back()
-		if back == keep {
-			return
-		}
-		victim := back.Value.(*poolEntry)
-		p.order.Remove(back)
+// evict removes least recently used entries until the pool fits its
+// budget; the entry just used is at the front and goes last. Callers hold
+// p.mu.
+func (p *pool) evict() {
+	for p.bytes > p.capBytes {
+		victim := p.order.Remove(p.order.Back()).(*poolEntry)
 		delete(p.entries, victim.key)
 		p.bytes -= victim.cost
 	}
-}
-
-// decodedCost estimates the in-memory bytes a decoded segment pins, so
-// the pool budget bounds real memory rather than the (much smaller)
-// on-disk file size. Object key bytes are shared with the segment's
-// column dictionary, so keys count header-only.
-func decodedCost(rows []item.Item) int64 {
-	n := int64(len(rows)) * ifaceBytes
-	for _, r := range rows {
-		n += itemCost(r)
-	}
-	return n
 }
 
 const (

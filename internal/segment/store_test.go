@@ -6,9 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rumble/internal/item"
+	"rumble/internal/vector"
 )
 
 // writeSource writes n JSON lines {"g": i % 7, "v": i} and returns the path.
@@ -25,15 +28,23 @@ func writeSource(t *testing.T, n int) string {
 	return path
 }
 
+// fetchAll reads every row of ds the way a whole-row scan does: all of a
+// segment's columns as lanes, rows assembled from them.
 func fetchAll(t *testing.T, ds *Dataset) []item.Item {
 	t.Helper()
 	var rows []item.Item
 	for i := 0; i < ds.NumSegments(); i++ {
-		seg, _, err := ds.Fetch(i)
+		cs, _, err := ds.FetchBatch(i, ds.Meta(i).ColumnNames())
 		if err != nil {
-			t.Fatalf("Fetch(%d): %v", i, err)
+			t.Fatalf("FetchBatch(%d): %v", i, err)
 		}
-		rows = append(rows, seg...)
+		for r := 0; r < cs.NumRows; r++ {
+			row, err := cs.Row(r)
+			if err != nil {
+				t.Fatalf("segment %d: %v", i, err)
+			}
+			rows = append(rows, row)
+		}
 	}
 	return rows
 }
@@ -138,9 +149,9 @@ func TestStoreTorture(t *testing.T) {
 	}
 	wantStructuredFetchError := func(t *testing.T, ds *Dataset, substr string) {
 		t.Helper()
-		_, _, err := ds.Fetch(0)
+		_, _, err := ds.FetchBatch(0, ds.Meta(0).ColumnNames())
 		if err == nil {
-			t.Fatal("Fetch succeeded on corrupted segment")
+			t.Fatal("FetchBatch succeeded on corrupted segment")
 		}
 		if _, ok := err.(*Error); !ok {
 			t.Fatalf("unstructured error %T: %v", err, err)
@@ -256,17 +267,23 @@ func TestStoreOpenFallbackOnUnparseableSource(t *testing.T) {
 	}
 }
 
+// fakeSet is a snapshot holding (empty) lanes for fields and pinning bytes.
+func fakeSet(bytes int64, fields ...string) *ColumnSet {
+	cs := &ColumnSet{cols: map[string]*vector.Col{}, bytes: bytes}
+	for _, f := range fields {
+		cs.cols[f] = &vector.Col{}
+	}
+	return cs
+}
+
 func TestBufferPoolLRU(t *testing.T) {
 	loads := map[string]int{}
-	mkLoad := func(key string, cost int64) func() (any, int64, int, error) {
-		return func() (any, int64, int, error) {
-			loads[key]++
-			return make([]item.Item, 1), cost, 2, nil
-		}
-	}
 	p := newPool(100)
 	get := func(key string, cost int64) int {
-		_, blocks, err := p.get(key, cost, mkLoad(key, cost))
+		_, blocks, err := p.get(key, cost, []string{"v"}, func(*ColumnSet) (*ColumnSet, int, error) {
+			loads[key]++
+			return fakeSet(cost, "v"), 2, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,8 +303,8 @@ func TestBufferPoolLRU(t *testing.T) {
 	if loads["a"] != 2 || loads["b"] != 1 {
 		t.Fatalf("load counts: %v", loads)
 	}
-	// An entry larger than the whole pool still loads (never evict the
-	// entry just inserted) and is evicted by the next insertion.
+	// An entry larger than the whole pool still loads and is served, but
+	// the pool never retains more than its budget.
 	if get("huge", 500) != 2 {
 		t.Fatal("oversized entry must load")
 	}
@@ -296,7 +313,10 @@ func TestBufferPoolLRU(t *testing.T) {
 		t.Fatalf("huge loaded %d times before re-request", loads["huge"])
 	}
 	if get("huge", 500) != 2 {
-		t.Fatal("oversized entry must have been evicted by the next insert")
+		t.Fatal("oversized entry must not have stayed resident")
+	}
+	if p.bytes > 100 {
+		t.Fatalf("pool charges %d bytes against a budget of 100", p.bytes)
 	}
 }
 
@@ -306,65 +326,195 @@ func TestBufferPoolRetriesFailedLoads(t *testing.T) {
 	// and the failed entry's cost does not leak into the pool budget.
 	p := newPool(100)
 	calls := 0
-	load := func() (any, int64, int, error) {
+	load := func(*ColumnSet) (*ColumnSet, int, error) {
 		calls++
 		if calls < 3 {
-			return nil, 0, 0, errf("x.rseg", "read: too many open files")
+			return nil, 0, errf("x.rseg", "read: too many open files")
 		}
-		return make([]item.Item, 1), 10, 2, nil
+		return fakeSet(10, "v"), 2, nil
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := p.get("x", 10, load); err == nil {
+		if _, _, err := p.get("x", 10, []string{"v"}, load); err == nil {
 			t.Fatalf("get %d: want error", i)
 		}
 		if p.bytes != 0 {
 			t.Fatalf("get %d: failed entry left %d bytes accounted", i, p.bytes)
 		}
 	}
-	v, blocks, err := p.get("x", 10, load)
-	rows, _ := v.([]item.Item)
-	if err != nil || len(rows) != 1 || blocks != 2 {
-		t.Fatalf("retry after transient failure: rows=%v blocks=%d err=%v", rows, blocks, err)
+	cs, blocks, err := p.get("x", 10, []string{"v"}, load)
+	if err != nil || cs.Col("v") == nil || blocks != 2 {
+		t.Fatalf("retry after transient failure: cs=%v blocks=%d err=%v", cs, blocks, err)
 	}
 	if calls != 3 {
 		t.Fatalf("load ran %d times, want one per get until success", calls)
 	}
-	if _, blocks, _ := p.get("x", 10, load); blocks != 0 || calls != 3 {
+	if _, blocks, _ := p.get("x", 10, []string{"v"}, load); blocks != 0 || calls != 3 {
 		t.Fatal("successful load must be cached as usual")
+	}
+	// A failed growth keeps what is resident: the lanes already decoded
+	// still serve, stay charged, and the missing one is retried next time.
+	grown := 0
+	grow := func(cur *ColumnSet) (*ColumnSet, int, error) {
+		if grown++; grown == 1 {
+			return nil, 0, errf("x.rseg", "read: too many open files")
+		}
+		return fakeSet(25, "v", "w"), 2, nil
+	}
+	if _, _, err := p.get("x", 10, []string{"v", "w"}, grow); err == nil || p.bytes != 10 {
+		t.Fatalf("failed growth: err=%v bytes=%d, want an error and the resident 10 bytes", err, p.bytes)
+	}
+	if _, blocks, _ := p.get("x", 10, []string{"v"}, grow); blocks != 0 || grown != 1 {
+		t.Fatal("a failed growth must leave the resident lane serving hits")
+	}
+	if _, blocks, err := p.get("x", 10, []string{"v", "w"}, grow); err != nil || blocks != 2 || p.bytes != 25 {
+		t.Fatalf("growth retry: blocks=%d err=%v bytes=%d, want 2/nil/25", blocks, err, p.bytes)
 	}
 }
 
 func TestBufferPoolCostsDecodedSize(t *testing.T) {
-	// Entries are charged by what they pin in memory — the loader-settled
-	// decoded cost — not the (much smaller) on-disk size passed as the
+	// Entries are charged by what they pin in memory — the decoded lanes
+	// and dictionary — not the (much smaller) on-disk size passed as the
 	// provisional cost, so the configured budget bounds real memory.
-	p := newPool(4096)
+	rows := make([]item.Item, 50)
+	for i := range rows {
+		rows[i] = obj("s", item.Str(strings.Repeat("x", 100)+fmt.Sprint(i)))
+	}
+	data, err := Encode(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(12 << 10) // room for one decoded entry, not two
 	loads := map[string]int{}
-	bigLoad := func(key string) func() (any, int64, int, error) {
-		return func() (any, int64, int, error) {
+	get := func(key string) {
+		t.Helper()
+		_, _, err := p.get(key, 10, []string{"s"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
 			loads[key]++
-			rows := make([]item.Item, 50)
-			for i := range rows {
-				rows[i] = item.Str(strings.Repeat("x", 100))
-			}
-			return rows, decodedCost(rows), 1, nil // decoded ≈ 6.6 KiB, nominal cost 10
+			cs, err := cur.grow(key, data, []string{"s"}) // decoded ≈ 7.6 KiB, nominal cost 10
+			return cs, 1, err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, _, err := p.get("a", 10, bigLoad("a")); err != nil {
-		t.Fatal(err)
-	}
+	get("a")
 	if p.bytes <= 4096 {
-		t.Fatalf("pool accounts %d bytes for a ~6.6 KiB entry", p.bytes)
+		t.Fatalf("pool accounts %d bytes for a ~7.6 KiB entry", p.bytes)
 	}
-	if _, _, err := p.get("b", 10, bigLoad("b")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.get("a", 10, bigLoad("a")); err != nil {
-		t.Fatal(err)
-	}
+	get("b")
+	get("a")
 	// With file-size costing (10+10 bytes) nothing would ever be evicted;
 	// with decoded costing, inserting b must push a out of the budget.
 	if loads["a"] != 2 {
 		t.Fatalf("a loaded %d times, want eviction by b's decoded size and a cold reload", loads["a"])
+	}
+}
+
+// writeABC writes n JSON lines with three string fields, so every lane
+// leans on the segment dictionary.
+func writeABC(t *testing.T, n int) string {
+	t.Helper()
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "{\"a\": \"a%d\", \"b\": \"b%d\", \"c\": \"c%d\"}\n", i%11, i%13, i)
+	}
+	path := filepath.Join(t.TempDir(), "abc.jsonl")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestBufferPoolSharesLanes pins per-segment residency: projections {a,b}
+// then {a,c} of one segment leave lanes a, b, c and the dictionary resident
+// once each — the second fetch is a miss that decodes only c and reuses
+// lane a — so the pool charges exactly what one {a,b,c} decode pins.
+func TestBufferPoolSharesLanes(t *testing.T) {
+	path := writeABC(t, 500)
+	s := NewStore(0)
+	ds, err := s.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, blocks, err := ds.FetchBatch(0, []string{"a", "b"})
+	if err != nil || blocks == 0 {
+		t.Fatalf("cold {a,b}: blocks=%d err=%v, want a miss", blocks, err)
+	}
+	ac, blocks, err := ds.FetchBatch(0, []string{"a", "c"})
+	if err != nil || blocks == 0 {
+		t.Fatalf("{a,c} after {a,b}: blocks=%d err=%v, want a miss (lane c was not resident)", blocks, err)
+	}
+	if ac.Col("a") != ab.Col("a") || ac.Col("b") != ab.Col("b") {
+		t.Fatal("the grown snapshot must share the lanes already decoded")
+	}
+	if ab.Col("c") != nil {
+		t.Fatal("growing must not modify the snapshot an earlier fetch returned")
+	}
+	if _, blocks, err := ds.FetchBatch(0, []string{"b", "c"}); err != nil || blocks != 0 {
+		t.Fatalf("{b,c} with a, b, c resident: blocks=%d err=%v, want a hit", blocks, err)
+	}
+	data, err := os.ReadFile(filepath.Join(ds.Dir, ds.Meta(0).File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abc, err := DecodeColumns("abc.rseg", data, []string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.pool.bytes != abc.MemBytes() || ac.MemBytes() != abc.MemBytes() {
+		t.Fatalf("pool charges %d bytes (snapshot %d) for lanes a+b+c and one dictionary, which pin %d",
+			s.pool.bytes, ac.MemBytes(), abc.MemBytes())
+	}
+}
+
+// TestBufferPoolSingleFlight: goroutines fetching overlapping projections
+// of one cold segment decode each lane exactly once — every fetch returns
+// the very lane the final resident snapshot holds.
+func TestBufferPoolSingleFlight(t *testing.T) {
+	path := writeABC(t, 2000)
+	s := NewStore(0)
+	ds, err := s.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projections := [][]string{{"a", "b"}, {"b", "c"}, {"a", "c"}, {"c"}}
+	const n = 16
+	got := make([]*ColumnSet, n)
+	var misses atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			cs, blocks, err := ds.FetchBatch(0, projections[g%len(projections)])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if blocks > 0 {
+				misses.Add(1)
+			}
+			got[g] = cs
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	final, blocks, err := ds.FetchBatch(0, []string{"a", "b", "c"})
+	if err != nil || blocks != 0 {
+		t.Fatalf("all three lanes must be resident: blocks=%d err=%v", blocks, err)
+	}
+	for g, cs := range got {
+		for _, f := range projections[g%len(projections)] {
+			if cs.Col(f) != final.Col(f) {
+				t.Fatalf("goroutine %d holds its own decode of lane %s", g, f)
+			}
+		}
+	}
+	if m := misses.Load(); m < 1 || m > 3 {
+		t.Fatalf("%d fetches read the file, want between 1 and 3 (one per lane at most)", m)
+	}
+	if s.pool.bytes != final.MemBytes() {
+		t.Fatalf("pool charges %d bytes, the resident snapshot pins %d", s.pool.bytes, final.MemBytes())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"rumble/internal/item"
+	"rumble/internal/vector"
 )
 
 // Column kind bits of a zone map: which value kinds the column's present
@@ -103,6 +104,65 @@ func (z *ZoneMap) observe(v item.Item) {
 	}
 }
 
+// zoneOfLaneCol recomputes the zone map of one decoded lane straight from
+// its tags, typed lanes and dictionary codes; lane values follow lookup
+// semantics exactly like ZoneMaps' per-row rule, so a clean decode
+// reproduces the manifest entry bit for bit.
+func zoneOfLaneCol(c *vector.Col) ZoneMap {
+	var z ZoneMap
+	var lo, hi item.SortKey
+	for i, tag := range c.Tags {
+		kind := laneKinds[tag]
+		switch tag {
+		case vector.TagAbsent:
+			continue
+		case vector.TagNull:
+			z.Nulls++
+		case vector.TagItem:
+			if _, isDec := c.Items[i].(item.Dec); isDec {
+				kind = KindDec
+			}
+		}
+		z.Present++
+		z.Kinds |= kind
+		if kind == KindItem {
+			continue // non-atomic: no sort key, min/max unchanged
+		}
+		sk, err := c.SortKey(i)
+		if err != nil {
+			z.Kinds |= KindItem
+			continue
+		}
+		if !z.HasRange {
+			z.HasRange = true
+			lo, hi = sk, sk
+			continue
+		}
+		if sk.Compare(lo) < 0 {
+			lo = sk
+		}
+		if sk.Compare(hi) > 0 {
+			hi = sk
+		}
+	}
+	if z.HasRange {
+		z.Min, z.Max = keyOf(lo), keyOf(hi)
+	}
+	return z
+}
+
+// laneKinds maps a lane tag to its zone-map kind bit (TagItem rows holding a
+// decimal are KindDec instead).
+var laneKinds = [...]uint32{
+	vector.TagNull:   KindNull,
+	vector.TagFalse:  KindFalse,
+	vector.TagTrue:   KindTrue,
+	vector.TagInt:    KindInt,
+	vector.TagDouble: KindDouble,
+	vector.TagString: KindString,
+	vector.TagItem:   KindItem,
+}
+
 // ColZone pairs a column name with its zone map. The manifest stores the
 // list sorted by name, keeping the JSON deterministic.
 type ColZone struct {
@@ -110,10 +170,10 @@ type ColZone struct {
 	Zone ZoneMap `json:"zone"`
 }
 
-// ZoneMaps computes the per-column zone maps of a decoded segment. The
-// decoder re-runs it after every cold read and compares against the
-// manifest: zone maps inconsistent with the lane data are a structured
-// error, never a silently wrong prune.
+// ZoneMaps computes the per-column zone maps of a segment's rows at ingest.
+// Every cold lane decode recomputes its column's map (zoneOfLaneCol) and
+// compares against the manifest: zone maps inconsistent with the lane data
+// are a structured error, never a silently wrong prune.
 func ZoneMaps(rows []item.Item) []ColZone {
 	var order []string
 	maps := map[string]*ZoneMap{}
@@ -148,19 +208,7 @@ func ZoneMaps(rows []item.Item) []ColZone {
 	return out
 }
 
-// zonesEqual compares two zone-map sets for the consistency check.
-func zonesEqual(a, b []ColZone) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || !zoneEqual(a[i].Zone, b[i].Zone) {
-			return false
-		}
-	}
-	return true
-}
-
+// zoneEqual compares two zone maps for the consistency check.
 func zoneEqual(a, b ZoneMap) bool {
 	return a.Present == b.Present && a.Nulls == b.Nulls && a.Kinds == b.Kinds &&
 		a.HasRange == b.HasRange && keyEqual(a.Min, b.Min) && keyEqual(a.Max, b.Max)

@@ -108,10 +108,6 @@ type Config struct {
 	Segments bool
 	// SegmentCacheBytes bounds the segment buffer pool (0 = 64 MiB).
 	SegmentCacheBytes int64
-	// NoLaneScan disables the lane-native segment scan: projected vector
-	// pipelines fall back to materializing whole row items per morsel (the
-	// pre-projection path). The escape hatch for ablation benchmarks.
-	NoLaneScan bool
 }
 
 // Engine compiles and runs JSONiq queries. Engines are safe for concurrent
@@ -146,7 +142,6 @@ func New(cfg Config) *Engine {
 			Vectorize:   cfg.Vectorize,
 			VerifyPlans: cfg.VerifyPlans || os.Getenv("RUMBLE_VERIFY_PLANS") == "1",
 			Segments:    segs,
-			NoLaneScan:  cfg.NoLaneScan,
 		},
 	}
 }
