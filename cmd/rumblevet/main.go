@@ -53,7 +53,7 @@ func suffixIn(suffixes ...string) func(string) bool {
 func everywhere(string) bool { return true }
 
 var suite = []scoped{
-	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment")},
+	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment", "internal/jparse")},
 	{ctxpoll.Analyzer, suffixIn("internal/runtime", "internal/spark")},
 	{itemcmp.Analyzer, everywhere},
 	{metricsreg.Analyzer, everywhere},

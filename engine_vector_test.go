@@ -61,6 +61,16 @@ func vectorConformanceJSON() map[string][]string {
 			`{"n":1,"s":5}`,
 			`{"n":2,"s":"a"}`,
 		},
+		// Key layouts a projecting decoder could get wrong: a duplicate of a
+		// read key after an unread one, the read key again under read and
+		// unread members, a duplicate whole member, a non-object row.
+		"dupread": {
+			`{"x":1,"a":2,"a":3,"b":{"a":9,"a":10}}`,
+			`{"a":1,"x":{"a":5},"b":{"x":1,"a":[1,2]}}`,
+			`{"x":{"a":7},"b":5}`,
+			`{"b":{"a":1},"a":"s","b":{"a":2}}`,
+			`[{"a":1}]`,
+		},
 	}
 	// Multi-morsel collections (5000 rows > 4 × vector.BatchSize), so the
 	// parallel backend actually splits the scan: "wide" is clean, "widebad"

@@ -245,14 +245,12 @@ func (p *explainPrinter) expr(depth int, prefix string, e ast.Expr) {
 				continue
 			}
 			p.clause(depth+1, clauses[ci])
-			if ci == 0 && vp != nil {
-				if _, ok := clauses[ci].(*ast.ForClause); ok {
-					if len(vp.Prune) > 0 {
-						p.line(depth+2, "zone-map prune: "+fmtPrune(vp.Prune), nil)
-					}
-					if !vp.AllColumns && len(vp.Columns) > 0 {
-						p.line(depth+2, "columns: "+strings.Join(vp.Columns, ", "), nil)
-					}
+			if fc, ok := clauses[ci].(*ast.ForClause); ok {
+				if ci == 0 && vp != nil && len(vp.Prune) > 0 {
+					p.line(depth+2, "zone-map prune: "+fmtPrune(vp.Prune), nil)
+				}
+				if cols := p.scanColumns(fc, ci == 0, vp); len(cols) > 0 {
+					p.line(depth+2, "columns: "+strings.Join(cols, ", "), nil)
 				}
 			}
 		}
@@ -261,6 +259,21 @@ func (p *explainPrinter) expr(depth int, prefix string, e ast.Expr) {
 	default:
 		p.line(depth, fmt.Sprintf("%s<%T>", prefix, e), nil)
 	}
+}
+
+// scanColumns returns the column projection to render under a for clause:
+// the scan plan of a storage-backed head scan (any mode), else the vector
+// plan's projection over its head (in-memory and parallelize sources).
+func (p *explainPrinter) scanColumns(fc *ast.ForClause, first bool, vp *VectorPlan) []string {
+	if call, ok := fc.In.(*ast.FunctionCall); ok {
+		if sp := p.info.ScanPlans[call]; sp != nil {
+			return sp.Columns
+		}
+	}
+	if first && vp != nil && !vp.AllColumns {
+		return vp.Columns
+	}
+	return nil
 }
 
 // fmtPrune renders the pushed-down zone-map predicates of a vector scan:

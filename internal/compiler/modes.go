@@ -269,6 +269,11 @@ func (c *checker) annotateCall(n *ast.FunctionCall) Mode {
 	if _, isUDF := c.functions[n.Name]; isUDF {
 		return ModeLocal
 	}
+	if f := presenceOnlyFLWOR(n, c.isUDF); f != nil {
+		// The argument was planned before its consumer was known; a consumer
+		// that only counts lets "return $x" project too.
+		c.planScan(f, true)
+	}
 	switch {
 	case dataSourceFunctions[n.Name]:
 		if c.cluster {
@@ -393,5 +398,8 @@ func (c *checker) annotateFLWOR(f *ast.FLWOR) Mode {
 			c.info.VectorPlans[f] = vp
 		}
 	}
+	// Column projection of a storage-backed head scan applies in every
+	// mode, the vector backend's tuple fallback included.
+	c.planScan(f, false)
 	return mode
 }

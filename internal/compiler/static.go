@@ -104,6 +104,10 @@ type Info struct {
 	// call: the emptiness test folds as an early-exit vector grand
 	// aggregate (like empty(F)) instead of counting the whole scan.
 	VectorCountZero map[*ast.Comparison]*ast.FunctionCall
+	// ScanPlans records, per json-file/collection call heading a FLWOR
+	// that never consumes its variable whole, the column projection the
+	// scan's decoders apply — in every execution mode.
+	ScanPlans map[*ast.FunctionCall]*ScanPlan
 	// VectorWorkers is the executor-pool size morsel-driven vector
 	// execution will use; Explain renders it next to the mode
 	// ("[Vector x4]") when greater than one.
@@ -113,6 +117,20 @@ type Info struct {
 // ModeOf returns the annotated execution mode of e. Unannotated nodes (and
 // nil) are ModeLocal, the degradation default.
 func (i *Info) ModeOf(e ast.Expr) Mode { return i.Modes[e] }
+
+// pipeline returns f's clauses with the leading cluster-bound lets removed,
+// the way the runtime hoists them before building the tuple pipeline.
+func (i *Info) pipeline(f *ast.FLWOR) []ast.Clause {
+	clauses := f.Clauses
+	for len(clauses) > 0 {
+		lc, ok := clauses[0].(*ast.LetClause)
+		if !ok || i.RDDLets[lc] == nil {
+			break
+		}
+		clauses = clauses[1:]
+	}
+	return clauses
+}
 
 // Options configures the static analysis.
 type Options struct {
@@ -184,6 +202,7 @@ func Analyze(m *ast.Module, opts Options) (*Info, error) {
 			VectorPlans:     map[*ast.FLWOR]*VectorPlan{},
 			VectorAggs:      map[*ast.FunctionCall]bool{},
 			VectorCountZero: map[*ast.Comparison]*ast.FunctionCall{},
+			ScanPlans:       map[*ast.FunctionCall]*ScanPlan{},
 			VectorWorkers:   opts.Executors,
 		},
 		functions: map[string][2]int{},

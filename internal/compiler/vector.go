@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"sort"
 	"strings"
 
 	"rumble/internal/ast"
@@ -46,16 +45,20 @@ type VectorPlan struct {
 	Prune []PrunePred
 	// Columns is the column-projection pushdown: the sorted set of
 	// top-level fields the pipeline reads off the scan variable through
-	// literal-key lookups ($x.field...). When AllColumns is false, every
-	// consumption of the scan variable goes through these fields (or a
-	// count aggregate, which needs only row presence), so a segment-backed
-	// scan decodes just these columns' lanes and skips every other lane's
-	// bytes. Meaningful only when AllColumns is false; nil on join plans.
+	// literal-key lookups ($x.field...), by the rule of scanProjection.
+	// When AllColumns is false, every consumption of the scan variable goes
+	// through these fields (or a count aggregate, which needs only row
+	// presence), so a segment-backed scan decodes just these columns' lanes
+	// and skips every other lane's bytes, and a raw-line scan builds just
+	// these members. Meaningful only when AllColumns is false; nil on join
+	// plans.
 	Columns []string
-	// AllColumns reports that some expression consumes the scan variable
-	// whole — a bare $x in a let/return, a join side, a group key binding
-	// $x, an aggregate folding $x itself — so the scan must materialize
-	// full rows and the lane-native path does not apply.
+	// AllColumns reports that the projection rule gave up: some expression
+	// consumes the scan variable whole — a bare $x in a let/return, a join
+	// side, a group key binding $x, an aggregate folding $x itself. It is a
+	// statement about the plan's text, not an order to build rows: the
+	// backend still fetches only the lanes its compiled expressions read,
+	// and assembles a whole row only where one is actually consumed.
 	AllColumns bool
 }
 
@@ -113,14 +116,7 @@ var VectorScalarFunctions = map[string]bool{
 // Cluster-bound lets stay hoisted exactly as in the tuple plan: the vector
 // scan begins after them, streaming the bound RDD through the driver.
 func (c *checker) detectVector(f *ast.FLWOR) *VectorPlan {
-	clauses := f.Clauses
-	for len(clauses) > 0 {
-		lc, ok := clauses[0].(*ast.LetClause)
-		if !ok || c.info.RDDLets[lc] == nil {
-			break
-		}
-		clauses = clauses[1:]
-	}
+	clauses := c.info.pipeline(f)
 	if len(clauses) == 0 {
 		return nil
 	}
@@ -245,119 +241,20 @@ func (c *checker) detectVector(f *ast.FLWOR) *VectorPlan {
 }
 
 // deriveScanColumns fills VectorPlan.Columns/AllColumns for a non-join
-// pipeline by walking every expression that can observe the scan variable:
-// let values, where conditions, sort keys, group key expressions and the
-// return. If every consumption goes through a literal-key field lookup (or
-// a count aggregate, which needs only row presence), the sorted field set
-// becomes the projection a segment scan pushes down; any whole-row
-// consumption — a bare $x, a group key binding $x itself — flips
-// AllColumns instead. Join pipelines always materialize full rows on both
-// sides, so they are AllColumns unconditionally.
+// pipeline from the projection rule every scan shares (scanProjection).
+// Join pipelines are AllColumns unconditionally: the rule follows one scan
+// variable, and a join has two.
 func deriveScanColumns(vp *VectorPlan, head *ast.ForClause, rest []ast.Clause, ret ast.Expr) {
 	if head == nil {
 		vp.AllColumns = true
 		return
 	}
-	cols := map[string]bool{}
-	ok := true
-	visit := func(e ast.Expr) {
-		if ok && e != nil && !scanColumns(e, head.Var, cols) {
-			ok = false
-		}
-	}
-	for _, cl := range rest {
-		switch n := cl.(type) {
-		case *ast.LetClause:
-			visit(n.Value)
-		case *ast.WhereClause:
-			visit(n.Cond)
-		case *ast.CountClause:
-			// binds a scan position; reads nothing off the scan variable
-		case *ast.OrderByClause:
-			for _, spec := range n.Specs {
-				visit(spec.Expr)
-			}
-		case *ast.GroupByClause:
-			for _, spec := range n.Specs {
-				if spec.Expr != nil {
-					visit(spec.Expr)
-				} else if spec.Var == head.Var {
-					ok = false // grouping on the scan variable keys whole rows
-				}
-			}
-		}
-	}
-	visit(ret)
+	cols, ok := scanProjection(head.Var, rest, ret)
 	if !ok {
 		vp.AllColumns = true
 		return
 	}
-	names := make([]string, 0, len(cols))
-	for f := range cols {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	vp.Columns = names
-}
-
-// scanColumns walks e collecting the top-level fields read off scanVar
-// through literal-key lookups into cols. It reports false as soon as any
-// subexpression consumes the variable whole (a bare reference, a
-// non-literal key on it) or falls outside the vector grammar — the caller
-// then marks the plan AllColumns. Count aggregates over the variable are
-// exempt: counting needs row presence, never row contents.
-func scanColumns(e ast.Expr, scanVar string, cols map[string]bool) bool {
-	rec := func(ch ast.Expr) bool { return scanColumns(ch, scanVar, cols) }
-	switch n := e.(type) {
-	case *ast.Literal:
-		return true
-	case *ast.VarRef:
-		return n.Name != scanVar
-	case *ast.ObjectLookup:
-		if vr, ok := n.Input.(*ast.VarRef); ok && vr.Name == scanVar {
-			lit, ok := n.Key.(*ast.Literal)
-			if !ok || lit.Value.Kind() != item.KindString {
-				return false
-			}
-			cols[string(lit.Value.(item.Str))] = true
-			return true
-		}
-		return rec(n.Input) && rec(n.Key)
-	case *ast.Comparison:
-		return rec(n.L) && rec(n.R)
-	case *ast.Arith:
-		return rec(n.L) && rec(n.R)
-	case *ast.Logic:
-		return rec(n.L) && rec(n.R)
-	case *ast.Unary:
-		return rec(n.Operand)
-	case *ast.ObjectConstructor:
-		for i := range n.Keys {
-			if !rec(n.Keys[i]) || !rec(n.Values[i]) {
-				return false
-			}
-		}
-		return true
-	case *ast.ArrayConstructor:
-		return n.Body == nil || rec(n.Body)
-	case *ast.FunctionCall:
-		if base, found := CountOfVar(n); found && base == scanVar {
-			return true
-		}
-		if n.Name == "count" && len(n.Args) == 1 {
-			if vr, ok := n.Args[0].(*ast.VarRef); ok && vr.Name == scanVar {
-				return true
-			}
-		}
-		for _, a := range n.Args {
-			if !rec(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
+	vp.Columns = cols
 }
 
 // prunePredicates extracts VectorPlan.Prune from the clauses after the

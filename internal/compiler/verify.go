@@ -13,6 +13,7 @@ package compiler
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,8 +27,8 @@ type PlanDiagnostic struct {
 	// Code names the invariant, stable across message wording changes:
 	// mode-unannotated, mode-child, mode-dataframe-head, vector-plan-missing,
 	// vector-plan-orphan, vector-operator, vector-topk, vector-agg,
-	// vector-count-zero, join-head, join-keys, join-strategy,
-	// plan-field-coverage.
+	// vector-count-zero, vector-prune, vector-columns, scan-columns,
+	// join-head, join-keys, join-strategy, plan-field-coverage.
 	Code string
 	Pos  lexer.Pos
 	Msg  string
@@ -60,6 +61,9 @@ var verifiedVectorPlanFields = map[string]bool{
 	"Prune": true, "Columns": true, "AllColumns": true,
 }
 
+// verifiedScanPlanFields is the same coverage contract for ScanPlan.
+var verifiedScanPlanFields = map[string]bool{"Columns": true}
+
 // verifiedJoinPlanFields is the same coverage contract for JoinPlan.
 var verifiedJoinPlanFields = map[string]bool{
 	"Left": true, "Right": true, "LeftKeys": true, "RightKeys": true,
@@ -70,7 +74,10 @@ var verifiedJoinPlanFields = map[string]bool{
 // returns a *VerifyError listing every violation, or nil when the plan is
 // consistent.
 func Verify(m *ast.Module, info *Info) error {
-	v := &verifier{info: info}
+	v := &verifier{info: info, udfs: map[string]bool{}, presenceOnly: map[*ast.FLWOR]bool{}, scans: map[*ast.FunctionCall]bool{}}
+	for _, fd := range m.Functions {
+		v.udfs[fd.Name] = true
+	}
 	v.checkFieldCoverage()
 	for _, vd := range m.Vars {
 		v.expr(vd.Init)
@@ -79,6 +86,12 @@ func Verify(m *ast.Module, info *Info) error {
 		v.expr(fd.Body)
 	}
 	v.expr(m.Body)
+	if len(v.scans) != len(info.ScanPlans) {
+		// Every recorded plan matched its FLWOR's derivation, so a surplus
+		// one sits on a call that heads no FLWOR: it would project a scan
+		// whose rows nothing vetted.
+		v.report("scan-columns", lexer.Pos{}, "%d scan plan(s) recorded, but only %d head a FLWOR that derives one", len(info.ScanPlans), len(v.scans))
+	}
 	if len(v.diags) == 0 {
 		return nil
 	}
@@ -95,6 +108,12 @@ func Verify(m *ast.Module, info *Info) error {
 type verifier struct {
 	info  *Info
 	diags []PlanDiagnostic
+	udfs  map[string]bool
+	// presenceOnly marks FLWORs whose consumer only counts them (set when
+	// the walk passes the consumer, before it reaches the FLWOR); scans
+	// collects the scan calls whose recorded plan re-derived.
+	presenceOnly map[*ast.FLWOR]bool
+	scans        map[*ast.FunctionCall]bool
 }
 
 func (v *verifier) report(code string, pos lexer.Pos, format string, args ...any) {
@@ -115,6 +134,7 @@ func (v *verifier) checkFieldCoverage() {
 	}
 	check(reflect.TypeOf(VectorPlan{}), verifiedVectorPlanFields)
 	check(reflect.TypeOf(JoinPlan{}), verifiedJoinPlanFields)
+	check(reflect.TypeOf(ScanPlan{}), verifiedScanPlanFields)
 }
 
 // expr checks one expression node and recurses into its children.
@@ -183,6 +203,9 @@ func (v *verifier) expr(e ast.Expr) {
 		if v.info.VectorAggs[n] {
 			v.checkVectorAgg(n, mode)
 		}
+		if f := presenceOnlyFLWOR(n, v.isUDF); f != nil {
+			v.presenceOnly[f] = true
+		}
 		for _, a := range n.Args {
 			v.expr(a)
 		}
@@ -245,7 +268,7 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 		v.report("vector-plan-orphan", f.Pos(), "FLWOR has a VectorPlan but is annotated %s", mode)
 	}
 	if mode == ModeDataFrame {
-		clauses := v.peel(f)
+		clauses := v.info.pipeline(f)
 		head, ok := firstFor(clauses)
 		switch {
 		case !ok:
@@ -263,6 +286,7 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 	if vp != nil {
 		v.checkVectorPlan(f, vp, jp)
 	}
+	v.checkScanPlan(f)
 
 	for _, cl := range f.Clauses {
 		v.clause(cl)
@@ -270,39 +294,38 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 	v.expr(f.Return)
 }
 
-// clause recurses into the expressions of one FLWOR clause.
-func (v *verifier) clause(cl ast.Clause) {
-	switch n := cl.(type) {
-	case *ast.ForClause:
-		v.expr(n.In)
-	case *ast.LetClause:
-		v.expr(n.Value)
-	case *ast.WhereClause:
-		v.expr(n.Cond)
-	case *ast.GroupByClause:
-		for _, spec := range n.Specs {
-			v.expr(spec.Expr)
-		}
-	case *ast.OrderByClause:
-		for _, spec := range n.Specs {
-			v.expr(spec.Expr)
-		}
-	case *ast.CountClause:
+func (v *verifier) isUDF(name string) bool { return v.udfs[name] }
+
+// checkScanPlan verifies the column projection recorded for f's head scan:
+// it must re-derive exactly from the AST. A missing column would make the
+// scan's decoders skip a member the FLWOR reads; a plan on a FLWOR that
+// consumes its variable whole would hand projected rows to a whole-row
+// consumer. A derivable plan that was not recorded only decodes more, but
+// is reported too: the explain output would lie about what the scan does.
+func (v *verifier) checkScanPlan(f *ast.FLWOR) {
+	call, want := deriveScanPlan(f, v.info, v.isUDF, v.presenceOnly[f])
+	if call == nil {
+		return
+	}
+	got := v.info.ScanPlans[call]
+	switch {
+	case got == nil && want == nil:
+	case got == nil:
+		v.report("scan-columns", f.Pos(), "FLWOR derives the scan projection %v but none is recorded", want.Columns)
+	case want == nil:
+		v.report("scan-columns", f.Pos(), "scan plan projects %v but the FLWOR consumes its scan variable whole", got.Columns)
+	case !slices.Equal(got.Columns, want.Columns):
+		v.report("scan-columns", f.Pos(), "scan plan Columns %v does not re-derive from the AST (%v)", got.Columns, want.Columns)
+	default:
+		v.scans[call] = true
 	}
 }
 
-// peel returns f's clauses with the leading cluster-bound lets removed, the
-// way the runtime hoists them before building the pipeline.
-func (v *verifier) peel(f *ast.FLWOR) []ast.Clause {
-	clauses := f.Clauses
-	for len(clauses) > 0 {
-		lc, ok := clauses[0].(*ast.LetClause)
-		if !ok || v.info.RDDLets[lc] == nil {
-			break
-		}
-		clauses = clauses[1:]
+// clause recurses into the expressions of one FLWOR clause.
+func (v *verifier) clause(cl ast.Clause) {
+	for _, e := range ast.ClauseExprs(cl) {
+		v.expr(e)
 	}
-	return clauses
 }
 
 func firstFor(clauses []ast.Clause) (*ast.ForClause, bool) {
@@ -406,7 +429,7 @@ func (v *verifier) checkCountZero(n *ast.Comparison, call *ast.FunctionCall, mod
 // order-by/top-k must re-derive from the AST, and the join flag must match
 // the join table.
 func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan, jp *JoinPlan) {
-	clauses := v.peel(f)
+	clauses := v.info.pipeline(f)
 	grouped := false
 	positional := false
 	sawOrderBy := false
@@ -556,16 +579,7 @@ func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan, jp *JoinPlan) {
 	if vp.AllColumns != re.AllColumns {
 		v.report("vector-columns", f.Pos(), "vector plan AllColumns=%v but the AST derives %v", vp.AllColumns, re.AllColumns)
 	} else if !vp.AllColumns {
-		match := len(vp.Columns) == len(re.Columns)
-		if match {
-			for i := range vp.Columns {
-				if vp.Columns[i] != re.Columns[i] {
-					match = false
-					break
-				}
-			}
-		}
-		if !match {
+		if !slices.Equal(vp.Columns, re.Columns) {
 			v.report("vector-columns", f.Pos(), "vector plan Columns %v does not re-derive from the AST (%v)", vp.Columns, re.Columns)
 		}
 	}

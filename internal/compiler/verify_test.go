@@ -223,6 +223,55 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 			wantCode: "vector-columns",
 		},
 		{
+			name: "scan column dropped",
+			q:    `for $o in json-file("d.jsonl") where $o.a gt 0 return $o.b`,
+			opts: Options{Cluster: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				sp := info.ScanPlans[scanCall(t, body(t, m))]
+				if sp == nil || len(sp.Columns) != 2 {
+					t.Fatalf("expected a two-column scan plan, got %+v", sp)
+				}
+				sp.Columns = sp.Columns[:1]
+			},
+			wantCode: "scan-columns",
+		},
+		{
+			name: "scan plan on a whole-row consumer",
+			q:    `for $o in json-file("d.jsonl") where $o.a gt 0 return $o`,
+			opts: Options{Cluster: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				call := scanCall(t, body(t, m))
+				if info.ScanPlans[call] != nil {
+					t.Fatal("a FLWOR returning its scan variable must not be projected")
+				}
+				info.ScanPlans[call] = &ScanPlan{Columns: []string{"a"}}
+			},
+			wantCode: "scan-columns",
+		},
+		{
+			name: "scan plan dropped",
+			q:    `count(for $o in json-file("d.jsonl") where $o.a gt 0 return $o)`,
+			opts: Options{},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				call := scanCall(t, m.Body.(*ast.FunctionCall).Args[0].(*ast.FLWOR))
+				if sp := info.ScanPlans[call]; sp == nil || len(sp.Columns) != 1 {
+					t.Fatalf("count over return $o must project on [a], got %+v", sp)
+				}
+				delete(info.ScanPlans, call)
+			},
+			wantCode: "scan-columns",
+		},
+		{
+			name: "scan plan on a scan that heads no FLWOR",
+			q:    `json-file("d.jsonl").a`,
+			opts: Options{Cluster: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				call := m.Body.(*ast.ObjectLookup).Input.(*ast.FunctionCall)
+				info.ScanPlans[call] = &ScanPlan{Columns: []string{"a"}}
+			},
+			wantCode: "scan-columns",
+		},
+		{
 			name: "vector agg over grouped pipeline",
 			q:    `sum(for $x in (1 to 50) where $x gt 10 return $x)`,
 			opts: Options{Vectorize: true},
@@ -262,4 +311,14 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// scanCall returns the json-file/collection call heading f.
+func scanCall(t *testing.T, f *ast.FLWOR) *ast.FunctionCall {
+	t.Helper()
+	call, ok := f.Clauses[0].(*ast.ForClause).In.(*ast.FunctionCall)
+	if !ok {
+		t.Fatalf("FLWOR head is %T, want a scan call", f.Clauses[0].(*ast.ForClause).In)
+	}
+	return call
 }

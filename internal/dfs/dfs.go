@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // DefaultSplitSize is the split granularity for single large files,
@@ -84,6 +85,12 @@ func fileSplits(path string, size, splitSize int64) []Split {
 	return splits
 }
 
+// readerSize is the buffer of the pooled split readers; a line up to this
+// long is yielded as a view of the buffer.
+const readerSize = 256 << 10
+
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
+
 // ReadLines streams the lines belonging to split through yield. Boundary
 // handling follows Hadoop: skip a partial first line unless at offset 0,
 // and read past Length to finish the last line. blockObserver, when
@@ -93,6 +100,11 @@ func fileSplits(path string, size, splitSize int64) []Split {
 // simulated round trip — splits smaller than a block would otherwise never
 // report I/O at all, making latency simulation (and the cluster speedups
 // it demonstrates) silently disappear for fine-grained splits.
+//
+// The line is valid only until yield returns: it is a view of a pooled
+// reader's buffer (of an owned buffer, reused the same way, for a line
+// longer than the reader) that the next line overwrites. A caller that
+// keeps a line past its yield must copy it.
 func ReadLines(split Split, blockObserver func(blocks int), yield func(line []byte) error) (err error) {
 	f, err := os.Open(split.Path)
 	if err != nil {
@@ -104,7 +116,12 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 			return fmt.Errorf("dfs: %w", err)
 		}
 	}
-	r := bufio.NewReaderSize(f, 256<<10)
+	r := readers.Get().(*bufio.Reader)
+	r.Reset(f)
+	defer func() {
+		r.Reset(nil) // an idle reader must not pin the closed file
+		readers.Put(r)
+	}()
 	var consumed int64
 	var acct Accountant
 	defer func() {
@@ -117,28 +134,40 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 			}
 		}
 	}()
-	account := func(n int) error {
+	account := func(n int) {
 		consumed += int64(n)
 		if b := acct.Add(int64(n)); blockObserver != nil && b > 0 {
 			blockObserver(b)
 		}
-		return nil
+	}
+	var long []byte // owned buffer of a line longer than the reader
+	// next reads one line, terminator included, growing long when the line
+	// does not fit the reader.
+	next := func() ([]byte, error) {
+		line, err := r.ReadSlice('\n')
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		long = append(long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		return long, err
 	}
 	if split.Offset > 0 {
 		// Skip the partial line owned by the previous split.
-		skipped, err := r.ReadBytes('\n')
+		skipped, err := next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("dfs: %w", err)
 		}
-		if err := account(len(skipped)); err != nil {
-			return err
-		}
+		account(len(skipped))
 	}
 	for consumed <= split.Length {
-		line, err := r.ReadBytes('\n')
+		line, err := next()
 		if len(line) > 0 {
 			n := len(line)
 			trimmed := line
@@ -153,9 +182,7 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 					return yerr
 				}
 			}
-			if aerr := account(n); aerr != nil {
-				return aerr
-			}
+			account(n)
 		}
 		if err == io.EOF {
 			return nil

@@ -209,3 +209,96 @@ func TestBlockObserverCalled(t *testing.T) {
 		t.Errorf("observer saw %d blocks, want about %d", blocks, wantAtLeast)
 	}
 }
+
+// TestLineLongerThanReader reads lines that do not fit the pooled reader's
+// buffer — alone in the file, between short lines, and as the partial first
+// line a non-zero split skips — and checks content and block accounting.
+func TestLineLongerThanReader(t *testing.T) {
+	long := strings.Repeat("L", readerSize+readerSize/2)
+	huge := strings.Repeat("H", 3*readerSize+7)
+	content := "short\n" + long + "\r\n" + "mid\n" + huge + "\n" + "tail"
+	path := writeTempFile(t, content)
+	want := []string{"short", long, "mid", huge, "tail"}
+
+	var blocks int
+	var got []string
+	if err := ReadLines(Split{Path: path, Length: int64(len(content))}, func(n int) { blocks += n }, func(line []byte) error {
+		got = append(got, string(line))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: %d bytes starting %.8q, want %d bytes starting %.8q", i, len(got[i]), got[i], len(want[i]), want[i])
+		}
+	}
+	if wantBlocks := BlocksFor(int64(len(content))); blocks != wantBlocks {
+		t.Errorf("charged %d blocks, BlocksFor charges %d", blocks, wantBlocks)
+	}
+
+	// A split that starts inside the long line skips its remainder (longer
+	// than the reader) and owns everything after it.
+	got = got[:0]
+	off := int64(len("short\n") + 10)
+	if err := ReadLines(Split{Path: path, Offset: off, Length: int64(len(content)) - off}, nil, func(line []byte) error {
+		got = append(got, string(line))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != strings.Join(want[2:], ",") {
+		t.Errorf("split inside the long line yields %d lines, want mid, huge, tail", len(got))
+	}
+}
+
+// TestLineStraddlingSplitBoundary cuts a file at every byte offset: the line
+// the cut falls into belongs to the first split whole, the second split
+// starts at the next line, CRLF or not.
+func TestLineStraddlingSplitBoundary(t *testing.T) {
+	content := "alpha\r\nbravo\ncharlie\r\n\r\ndelta"
+	all := []string{"alpha", "bravo", "charlie", "delta"}
+	path := writeTempFile(t, content)
+	for cut := int64(1); cut < int64(len(content)); cut++ {
+		first := collectSplit(t, Split{Path: path, Offset: 0, Length: cut})
+		second := collectSplit(t, Split{Path: path, Offset: cut, Length: int64(len(content)) - cut})
+		if got := strings.Join(append(first, second...), ","); got != strings.Join(all, ",") {
+			t.Errorf("cut at %d: %v + %v", cut, first, second)
+		}
+	}
+}
+
+// TestLineIsValidOnlyUntilYieldReturns pins the lifetime contract from the
+// caller's side: a retained line is overwritten by later reads, a copied one
+// is not.
+func TestLineIsValidOnlyUntilYieldReturns(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 4; i++ {
+		sb.WriteString(strings.Repeat(fmt.Sprint(i), readerSize/2-1))
+		sb.WriteByte('\n')
+	}
+	path := writeTempFile(t, sb.String())
+	var retained, copied [][]byte
+	if err := ReadLines(Split{Path: path, Length: int64(sb.Len())}, nil, func(line []byte) error {
+		retained = append(retained, line)
+		copied = append(copied, append([]byte(nil), line...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	aliased := false
+	for i := range copied {
+		if want := strings.Repeat(fmt.Sprint(i), readerSize/2-1); string(copied[i]) != want {
+			t.Errorf("copied line %d corrupted", i)
+		}
+		if string(retained[i]) != string(copied[i]) {
+			aliased = true
+		}
+	}
+	if !aliased {
+		t.Error("four half-buffer lines all survived retention: ReadLines is not yielding views of its reader")
+	}
+}

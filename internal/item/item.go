@@ -230,29 +230,101 @@ func (a *Array) AppendJSON(dst []byte) []byte {
 
 func (a *Array) String() string { return string(a.AppendJSON(nil)) }
 
-// Object maps string keys to items, preserving insertion order. Lookup is
-// O(1) for large objects via a lazily built index, and a linear scan for
-// small ones.
-type Object struct {
-	keys   []string
-	values []Item
-	index  map[string]int // built when len(keys) > smallObjectLimit
+// Shape is the immutable key layout of an object: the keys in insertion
+// order plus, for wide layouts, the lookup index. Objects with the same key
+// sequence share one Shape — the JSON decoder interns them per distinct key
+// order and the segment store per row shape — so the key slice and the index
+// are built once per shape, never per object. A Shape is safe to share
+// across goroutines.
+type Shape struct {
+	keys  []string
+	index map[string]int // first occurrence per key; built when len(keys) > smallObjectLimit
 }
 
 const smallObjectLimit = 8
+
+// NewShape returns the shape of the key sequence keys. The slice is not
+// copied; callers must not mutate it afterwards.
+func NewShape(keys []string) *Shape {
+	s := &Shape{}
+	s.init(keys)
+	return s
+}
+
+func (s *Shape) init(keys []string) {
+	s.keys = keys
+	if len(keys) > smallObjectLimit {
+		s.index = make(map[string]int, len(keys))
+		for i := len(keys) - 1; i >= 0; i-- {
+			s.index[keys[i]] = i
+		}
+	}
+}
+
+// Keys returns the key slice in insertion order. Callers must not mutate it.
+func (s *Shape) Keys() []string { return s.keys }
+
+// HasDupKeys reports whether some key occurs more than once. It is O(1) for
+// indexed shapes and a scan of at most smallObjectLimit keys otherwise;
+// callers that ask per row should ask once per shape instead.
+func (s *Shape) HasDupKeys() bool {
+	if s.index != nil {
+		return len(s.index) < len(s.keys)
+	}
+	for i := 1; i < len(s.keys); i++ {
+		for j := 0; j < i; j++ {
+			if s.keys[i] == s.keys[j] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// find returns the position of the first occurrence of key, or -1.
+func (s *Shape) find(key string) int {
+	if s.index != nil {
+		if i, ok := s.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, k := range s.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// Object maps string keys to items, preserving insertion order: a shape
+// (possibly shared with other objects) plus this object's own values.
+// Lookup is O(1) for wide objects via the shape's index, and a linear scan
+// for small ones.
+type Object struct {
+	shape  *Shape
+	values []Item
+}
 
 // NewObject returns an object item over parallel key/value slices. The
 // slices are not copied; callers must not mutate them afterwards. If a key
 // occurs multiple times, the first occurrence wins on lookup.
 func NewObject(keys []string, values []Item) *Object {
-	o := &Object{keys: keys, values: values}
-	if len(keys) > smallObjectLimit {
-		o.index = make(map[string]int, len(keys))
-		for i := len(keys) - 1; i >= 0; i-- {
-			o.index[keys[i]] = i
-		}
-	}
-	return o
+	// One allocation holds the object and its private shape.
+	b := &struct {
+		o Object
+		s Shape
+	}{}
+	b.s.init(keys)
+	b.o = Object{shape: &b.s, values: values}
+	return &b.o
+}
+
+// NewObjectOfShape returns an object whose keys are shape's and whose i-th
+// value is values[i]. The slice is not copied; callers must not mutate it
+// afterwards, and len(values) must equal len(shape.Keys()).
+func NewObjectOfShape(shape *Shape, values []Item) *Object {
+	return &Object{shape: shape, values: values}
 }
 
 // ObjectFromMap builds an object from a map with keys sorted for
@@ -274,34 +346,40 @@ func ObjectFromMap(m map[string]Item) *Object {
 func (*Object) Kind() Kind { return KindObject }
 
 // Len returns the number of keys.
-func (o *Object) Len() int { return len(o.keys) }
+func (o *Object) Len() int { return len(o.values) }
 
 // Keys returns the key slice in insertion order. Callers must not mutate it.
-func (o *Object) Keys() []string { return o.keys }
+func (o *Object) Keys() []string { return o.shape.keys }
+
+// Shape returns the object's key layout.
+func (o *Object) Shape() *Shape { return o.shape }
 
 // ValueAt returns the value of the i-th key.
 func (o *Object) ValueAt(i int) Item { return o.values[i] }
 
 // Get returns the value bound to key, if any.
 func (o *Object) Get(key string) (Item, bool) {
-	if o.index != nil {
-		if i, ok := o.index[key]; ok {
-			return o.values[i], true
-		}
-		return nil, false
-	}
-	for i, k := range o.keys {
-		if k == key {
-			return o.values[i], true
-		}
+	if i := o.shape.find(key); i >= 0 {
+		return o.values[i], true
 	}
 	return nil, false
+}
+
+// Lookup returns the value bound to key as a sequence: a one-item view of
+// the object's own value slice — no allocation — or nil when the key is
+// absent. The view's capacity is clipped, so an append never reaches the
+// object; callers must not write through it.
+func (o *Object) Lookup(key string) []Item {
+	if i := o.shape.find(key); i >= 0 {
+		return o.values[i : i+1 : i+1]
+	}
+	return nil
 }
 
 // AppendJSON implements Item.
 func (o *Object) AppendJSON(dst []byte) []byte {
 	dst = append(dst, '{')
-	for i, k := range o.keys {
+	for i, k := range o.shape.keys {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}

@@ -90,7 +90,7 @@ func TestObjectLargeUsesIndex(t *testing.T) {
 		vals[i] = Int(i)
 	}
 	o := NewObject(keys, vals)
-	if o.index == nil {
+	if o.shape.index == nil {
 		t.Fatal("large object did not build an index")
 	}
 	for i, k := range keys {

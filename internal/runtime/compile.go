@@ -254,7 +254,7 @@ func (c *comp) profiled(key any, name string, input int, it Iterator) Iterator {
 func (c *comp) compile(e ast.Expr) (Iterator, error) {
 	switch n := e.(type) {
 	case *ast.Literal:
-		return &literalIter{value: n.Value}, nil
+		return newLiteral(n.Value), nil
 	case *ast.VarRef:
 		return &varRefIter{planNode: c.pn(n), name: n.Name}, nil
 	case *ast.ContextItem:
@@ -363,21 +363,36 @@ func (c *comp) compile(e ast.Expr) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		key, err := c.compile(n.Key)
-		if err != nil {
+		ol := &objectLookupIter{planNode: c.pn(n), input: in}
+		if lit, ok := n.Key.(*ast.Literal); ok {
+			// A literal key is part of the plan node, not evaluated per row.
+			if s, err := item.StringValue(lit.Value); err == nil {
+				ol.lit, ol.hasLit = s, true
+				return ol, nil
+			}
+		}
+		if ol.key, err = c.compile(n.Key); err != nil {
 			return nil, err
 		}
-		return &objectLookupIter{planNode: c.pn(n), input: in, key: key}, nil
+		return ol, nil
 	case *ast.ArrayLookup:
 		in, err := c.compile(n.Input)
 		if err != nil {
 			return nil, err
 		}
-		idx, err := c.compile(n.Index)
-		if err != nil {
+		al := &arrayLookupIter{planNode: c.pn(n), input: in}
+		if lit, ok := n.Index.(*ast.Literal); ok {
+			// A literal index that casts to an integer is part of the plan
+			// node; one that does not keeps the dynamic path and its error.
+			if i, err := item.CastToInteger(lit.Value); err == nil {
+				al.lit, al.hasLit = int64(i.(item.Int)), true
+				return al, nil
+			}
+		}
+		if al.index, err = c.compile(n.Index); err != nil {
 			return nil, err
 		}
-		return &arrayLookupIter{planNode: c.pn(n), input: in, index: idx}, nil
+		return al, nil
 	case *ast.ArrayUnbox:
 		in, err := c.compile(n.Input)
 		if err != nil {
@@ -524,7 +539,7 @@ func (c *comp) compileCall(n *ast.FunctionCall) (Iterator, error) {
 	}
 	switch n.Name {
 	case "json-file":
-		ji := &jsonFileIter{planNode: c.pn(n), env: c.env, path: args[0]}
+		ji := &jsonFileIter{planNode: c.pn(n), env: c.env, path: args[0], scan: c.info.ScanPlans[n]}
 		if len(args) == 2 {
 			ji.min = args[1]
 		}
@@ -537,7 +552,7 @@ func (c *comp) compileCall(n *ast.FunctionCall) (Iterator, error) {
 		return c.profiled(n, "parallelize", c.opOf(args[0], n.Args[0]), pi), nil
 	case "collection":
 		return c.profiled(n, "collection", -1,
-			&collectionIter{planNode: c.pn(n), env: c.env, name: args[0]}), nil
+			&collectionIter{planNode: c.pn(n), env: c.env, name: args[0], scan: c.info.ScanPlans[n]}), nil
 	case "distinct-values":
 		return c.profiled(n, "distinct-values", c.opOf(args[0], n.Args[0]),
 			&distinctValuesIter{planNode: c.pn(n), arg: args[0]}), nil

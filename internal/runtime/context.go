@@ -31,14 +31,33 @@ import (
 // after construction, so child contexts can be created per row inside
 // concurrent executor tasks.
 type DynamicContext struct {
-	parent     *DynamicContext
-	vars       map[string][]item.Item
-	rdds       map[string]*spark.RDD[item.Item] // cluster-resident bindings
-	goCtx      context.Context                  // cancellation/deadline, set once at the root
-	prof       *profile.Profile                 // per-query stats, copied down from the root
-	ctxItem    item.Item
-	ctxPos     int64 // 1-based position for positional predicates
-	hasCtxItem bool
+	parent *DynamicContext
+	prof   *profile.Profile // per-query stats, copied down from the root
+	// A slot-bound context (bindTuple, bindRow) carries no map: names is a
+	// frame of variable names and name i resolves to slot i of the context's
+	// own values — vals[i] for a local tuple, row.Seq(i) for a DataFrame row
+	// (whose frame, shared by every row of one clause, names the variable
+	// each cell carries, "" for cells that carry none). The last binding of
+	// a name shadows earlier ones. These are the contexts built per row, so
+	// the struct stays small: the per-call kinds of binding live in named.
+	names []string
+	vals  [][]item.Item
+	row   spark.Row
+	// The context item ($$) and its 1-based position; nil when this context
+	// binds none.
+	ctxItem item.Item
+	ctxPos  int64
+	named   *namedBindings
+}
+
+// namedBindings are the bindings made once per call or per evaluation
+// rather than per row: map-bound variables (globals, function parameters,
+// quantifier and catch variables), cluster-resident variables, and the Go
+// context.
+type namedBindings struct {
+	vars  map[string][]item.Item
+	rdds  map[string]*spark.RDD[item.Item]
+	goCtx context.Context // cancellation/deadline, set once at the root
 }
 
 // NewDynamicContext returns an empty root context.
@@ -49,7 +68,7 @@ func NewDynamicContext() *DynamicContext {
 // BindVars returns a child context with the given variable bindings added.
 // The map is owned by the context afterwards.
 func (dc *DynamicContext) BindVars(vars map[string][]item.Item) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, vars: vars}
+	return &DynamicContext{parent: dc, prof: dc.prof, named: &namedBindings{vars: vars}}
 }
 
 // BindVar returns a child context with one extra binding.
@@ -57,11 +76,39 @@ func (dc *DynamicContext) BindVar(name string, seq []item.Item) *DynamicContext 
 	return dc.BindVars(map[string][]item.Item{name: seq})
 }
 
+// bindTuple returns a child context binding names[i] to vals[i]: the
+// context of one local FLWOR tuple. Neither slice is copied.
+func (dc *DynamicContext) bindTuple(names []string, vals [][]item.Item) *DynamicContext {
+	return &DynamicContext{parent: dc, prof: dc.prof, names: names, vals: vals}
+}
+
+// bindRow returns a child context binding names[i] (when not "") to cell i
+// of row: the context of one DataFrame row. Neither slice is copied.
+func (dc *DynamicContext) bindRow(names []string, row spark.Row) *DynamicContext {
+	return &DynamicContext{parent: dc, prof: dc.prof, names: names, row: row}
+}
+
+// slot resolves name against this context's own frame.
+func (dc *DynamicContext) slot(name string) ([]item.Item, bool) {
+	if name == "" {
+		return nil, false // "" marks a row cell that carries no variable
+	}
+	for i := len(dc.names) - 1; i >= 0; i-- {
+		if dc.names[i] == name {
+			if dc.row != nil {
+				return dc.row.Seq(i), true
+			}
+			return dc.vals[i], true
+		}
+	}
+	return nil, false
+}
+
 // BindRDDVar returns a child context binding name to a cluster-resident
 // sequence. The compiler only emits references that consume such a binding
 // through Resolve, so ordinary Lookup never observes it.
 func (dc *DynamicContext) BindRDDVar(name string, r *spark.RDD[item.Item]) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, rdds: map[string]*spark.RDD[item.Item]{name: r}}
+	return &DynamicContext{parent: dc, prof: dc.prof, named: &namedBindings{rdds: map[string]*spark.RDD[item.Item]{name: r}}}
 }
 
 // WithGoContext returns a child context carrying a Go context. Evaluation
@@ -69,15 +116,15 @@ func (dc *DynamicContext) BindRDDVar(name string, r *spark.RDD[item.Item]) *Dyna
 // iterators check it periodically and cluster actions poll it inside
 // partition tasks.
 func (dc *DynamicContext) WithGoContext(ctx context.Context) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, goCtx: ctx}
+	return &DynamicContext{parent: dc, prof: dc.prof, named: &namedBindings{goCtx: ctx}}
 }
 
 // GoContext resolves the nearest Go context in the chain; nil means the
 // evaluation is not cancellable.
 func (dc *DynamicContext) GoContext() context.Context {
 	for c := dc; c != nil; c = c.parent {
-		if c.goCtx != nil {
-			return c.goCtx
+		if c.named != nil && c.named.goCtx != nil {
+			return c.named.goCtx
 		}
 	}
 	return nil
@@ -109,14 +156,19 @@ func cancelOf(dc *DynamicContext) func() error {
 // WithContextItem returns a child context whose context item ($$) is it,
 // with 1-based position pos.
 func (dc *DynamicContext) WithContextItem(it item.Item, pos int64) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, ctxItem: it, ctxPos: pos, hasCtxItem: true}
+	return &DynamicContext{parent: dc, prof: dc.prof, ctxItem: it, ctxPos: pos}
 }
 
 // Lookup resolves a variable through the context chain.
 func (dc *DynamicContext) Lookup(name string) ([]item.Item, bool) {
 	for c := dc; c != nil; c = c.parent {
-		if c.vars != nil {
-			if seq, ok := c.vars[name]; ok {
+		if c.names != nil {
+			if seq, ok := c.slot(name); ok {
+				return seq, true
+			}
+		}
+		if c.named != nil {
+			if seq, ok := c.named.vars[name]; ok {
 				return seq, true
 			}
 		}
@@ -129,13 +181,16 @@ func (dc *DynamicContext) Lookup(name string) ([]item.Item, bool) {
 // one of seq/rdd is meaningful when found.
 func (dc *DynamicContext) Resolve(name string) (seq []item.Item, rdd *spark.RDD[item.Item], found bool) {
 	for c := dc; c != nil; c = c.parent {
-		if c.vars != nil {
-			if s, ok := c.vars[name]; ok {
+		if c.names != nil {
+			if s, ok := c.slot(name); ok {
 				return s, nil, true
 			}
 		}
-		if c.rdds != nil {
-			if r, ok := c.rdds[name]; ok {
+		if c.named != nil {
+			if s, ok := c.named.vars[name]; ok {
+				return s, nil, true
+			}
+			if r, ok := c.named.rdds[name]; ok {
 				return nil, r, true
 			}
 		}
@@ -146,7 +201,7 @@ func (dc *DynamicContext) Resolve(name string) (seq []item.Item, rdd *spark.RDD[
 // ContextItem resolves $$ through the chain.
 func (dc *DynamicContext) ContextItem() (item.Item, int64, bool) {
 	for c := dc; c != nil; c = c.parent {
-		if c.hasCtxItem {
+		if c.ctxItem != nil {
 			return c.ctxItem, c.ctxPos, true
 		}
 	}
@@ -209,7 +264,25 @@ func (localOnly) RDD(*DynamicContext) (*spark.RDD[item.Item], error) {
 // Materialize evaluates it locally and returns the whole sequence. For
 // RDD-capable iterators this collects the RDD (subject to the context's
 // MaxResultItems cap), mirroring Rumble's local API over Spark results.
+//
+// A literal, a bound variable and a literal-key lookup on one ($v.key) are
+// read in place — no closure, no copy: the result is then a sequence shared
+// with the plan, the binding or the object, capacity-clipped so that an
+// append reallocates instead of writing into it. Callers must not write
+// through any Materialize result.
 func Materialize(it Iterator, dc *DynamicContext) ([]item.Item, error) {
+	switch n := it.(type) {
+	case *literalIter:
+		return n.seq, nil
+	case *varRefIter:
+		if seq, rdd, ok := dc.Resolve(n.name); ok && rdd == nil {
+			return seq[:len(seq):len(seq)], nil
+		}
+	case *objectLookupIter:
+		if seq, handled, err := n.fieldOf(dc); handled {
+			return seq, err
+		}
+	}
 	var out []item.Item
 	if err := it.Stream(dc, func(i item.Item) error {
 		out = append(out, i)

@@ -5,10 +5,17 @@ import (
 	"rumble/internal/spark"
 )
 
-// literalIter yields one constant item.
+// literalIter yields one constant item. seq is the same item as a
+// one-item sequence, built once so Materialize hands it out without
+// allocating (its capacity is 1: an append never writes into it).
 type literalIter struct {
 	localOnly
 	value item.Item
+	seq   []item.Item
+}
+
+func newLiteral(v item.Item) *literalIter {
+	return &literalIter{value: v, seq: []item.Item{v}}
 }
 
 func (l *literalIter) Stream(_ *DynamicContext, yield func(item.Item) error) error {

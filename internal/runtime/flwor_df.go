@@ -39,28 +39,18 @@ func (st *dfState) freshCol() string {
 	return fmt.Sprintf("c%d", st.nextID)
 }
 
-// rowBinder precomputes the column indexes of all bound variables so UDFs
-// can build a dynamic context per row cheaply.
+// rowBinder precomputes the frame of the current schema — which variable
+// each cell of a row carries — so UDFs bind a row with one allocation: the
+// child context, which resolves variables by slot straight off the row.
 func (st *dfState) rowBinder(dc *DynamicContext) func(spark.Row) *DynamicContext {
-	type bind struct {
-		name string
-		idx  int
-	}
 	schema := st.df.Schema()
-	binds := make([]bind, 0, len(st.varCol))
+	names := make([]string, len(schema.Cols))
 	for _, v := range st.varNames() {
-		idx := schema.IndexOf(st.varCol[v])
-		if idx >= 0 {
-			binds = append(binds, bind{name: v, idx: idx})
+		if idx := schema.IndexOf(st.varCol[v]); idx >= 0 {
+			names[idx] = v
 		}
 	}
-	return func(r spark.Row) *DynamicContext {
-		vars := make(map[string][]item.Item, len(binds))
-		for _, b := range binds {
-			vars[b.name] = r.Seq(b.idx)
-		}
-		return dc.BindVars(vars)
-	}
+	return func(r spark.Row) *DynamicContext { return dc.bindRow(names, r) }
 }
 
 // varColumns returns the bound variable names in a deterministic order.

@@ -39,13 +39,11 @@ func (t tuple) extend(name string, seq []item.Item) tuple {
 	return tuple{names: names, values: values}
 }
 
-// context converts the tuple into a child dynamic context of dc.
+// context converts the tuple into a child dynamic context of dc: one
+// allocation, resolving variables by slot off the tuple's own slices (the
+// last binding of a redeclared name shadows, as in lookup).
 func (t tuple) context(dc *DynamicContext) *DynamicContext {
-	vars := make(map[string][]item.Item, len(t.names))
-	for i, n := range t.names {
-		vars[n] = t.values[i] // later (shadowing) bindings overwrite
-	}
-	return dc.BindVars(vars)
+	return dc.bindTuple(t.names, t.values)
 }
 
 // clauseEval streams the tuple output of one FLWOR clause.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"os"
 
+	"rumble/internal/compiler"
 	"rumble/internal/dfs"
 	"rumble/internal/functions"
 	"rumble/internal/item"
@@ -284,11 +285,26 @@ func (d *distinctValuesIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], err
 // jsonFileIter reads a json-lines dataset from the storage layer as an RDD
 // of items, one streaming parse per split (the json-file() function of
 // §5.7). The optional second argument is a minimum partition count.
+//
+// scan is the compiler's column projection (Info.ScanPlans) when the scan
+// heads a FLWOR that reads its variable only through literal-key lookups:
+// the decoders then build just those fields of every record and validate
+// the rest. nil decodes whole records.
 type jsonFileIter struct {
 	planNode
 	env  *Env
 	path Iterator
 	min  Iterator // optional minimum partitions
+	scan *compiler.ScanPlan
+}
+
+// newDecoder returns a decoder for one sequential pass over (a split of)
+// the dataset: one per Stream, one per partition task.
+func (j *jsonFileIter) newDecoder() *jparse.Decoder {
+	if j.scan != nil {
+		return jparse.NewProjectingDecoder(j.scan.Columns)
+	}
+	return jparse.NewDecoder()
 }
 
 func (j *jsonFileIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
@@ -297,6 +313,7 @@ func (j *jsonFileIter) Stream(dc *DynamicContext, yield func(item.Item) error) e
 		return err
 	}
 	ctx := dc.GoContext()
+	dec := j.newDecoder()
 	var n int
 	for _, s := range splits {
 		if err := dfs.ReadLines(s, nil, func(line []byte) error {
@@ -307,7 +324,7 @@ func (j *jsonFileIter) Stream(dc *DynamicContext, yield func(item.Item) error) e
 					}
 				}
 			}
-			it, perr := jparse.Parse(line)
+			it, perr := dec.Decode(line)
 			if perr != nil {
 				return Errorf("json-file: %v", perr)
 			}
@@ -320,7 +337,8 @@ func (j *jsonFileIter) Stream(dc *DynamicContext, yield func(item.Item) error) e
 }
 
 // StreamRaw implements rawScanner: it streams the dataset's raw JSON-Lines
-// records with their byte volume, leaving both the parse and the simulated
+// records (each valid only until its yield returns) with their byte volume,
+// leaving both the parse and the simulated
 // storage round trips to the consumer — the vector backend's morsel
 // workers decode (and charge) them in parallel.
 func (j *jsonFileIter) StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (bool, error) {
@@ -426,6 +444,7 @@ func (j *jsonFileIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 	return spark.NewRDD(sc, len(splits), "json-file", func(p int, yield func(item.Item) error) error {
 		var n int64
 		defer func() { sc.AddRecordsRead(n) }()
+		dec := j.newDecoder()
 		return dfs.ReadLines(splits[p], func(blocks int) { sc.SimulateIO(blocks) }, func(line []byte) error {
 			// Scans dominate task time, so the cancellation checkpoint
 			// lives in the parse loop itself, not just at stage edges.
@@ -434,7 +453,7 @@ func (j *jsonFileIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 					return err
 				}
 			}
-			it, perr := jparse.Parse(line)
+			it, perr := dec.Decode(line)
 			if perr != nil {
 				return Errorf("json-file: %v", perr)
 			}
@@ -488,6 +507,7 @@ type collectionIter struct {
 	planNode
 	env  *Env
 	name Iterator
+	scan *compiler.ScanPlan // column projection, applied when the name resolves to storage
 }
 
 func (c *collectionIter) resolve(dc *DynamicContext) (Iterator, error) {
@@ -505,7 +525,7 @@ func (c *collectionIter) resolve(dc *DynamicContext) (Iterator, error) {
 	}
 	// The resolved source inherits this node's statically assigned mode.
 	if path, ok := c.env.Collections[name]; ok {
-		return &jsonFileIter{planNode: c.planNode, env: c.env, path: &literalIter{value: item.Str(path)}}, nil
+		return &jsonFileIter{planNode: c.planNode, env: c.env, path: newLiteral(item.Str(path)), scan: c.scan}, nil
 	}
 	if seq, ok := c.env.InMemory[name]; ok {
 		return &parallelizeIter{planNode: c.planNode, env: c.env, child: &constSeqIter{seq: seq}}, nil

@@ -8,14 +8,22 @@ import (
 // objectLookupIter implements Input.Key: for every object item in the
 // input, yield the value bound to the key; non-objects and absent keys
 // contribute nothing. RDD execution is a flatMap, as §4.1.2 describes.
+//
+// A literal key is folded into the node at compile time (lit, hasLit); key
+// is the dynamic path, nil when the key is folded.
 type objectLookupIter struct {
 	planNode
-	input Iterator
-	key   Iterator
+	input  Iterator
+	key    Iterator
+	lit    string
+	hasLit bool
 }
 
 // lookupKey evaluates the key expression to a string.
 func (o *objectLookupIter) lookupKey(dc *DynamicContext) (string, error) {
+	if o.hasLit {
+		return o.lit, nil
+	}
 	seq, err := Materialize(o.key, dc)
 	if err != nil {
 		return "", err
@@ -29,6 +37,40 @@ func (o *objectLookupIter) lookupKey(dc *DynamicContext) (string, error) {
 		return "", Errorf("%v", err)
 	}
 	return s, nil
+}
+
+// fieldOf is the closure-free read behind Materialize: a literal key looked
+// up on a bound variable or on another such lookup ($v.a, $v.a.b). For the
+// usual single object the result is a view of the object's own value slice
+// (see item.Object.Lookup); handled=false sends every other shape — a
+// computed key, a streaming input — down the generic path.
+func (o *objectLookupIter) fieldOf(dc *DynamicContext) (seq []item.Item, handled bool, err error) {
+	if !o.hasLit {
+		return nil, false, nil
+	}
+	switch o.input.(type) {
+	case *varRefIter, *objectLookupIter:
+	default:
+		return nil, false, nil
+	}
+	in, err := Materialize(o.input, dc)
+	if err != nil {
+		return nil, true, err
+	}
+	if len(in) == 1 {
+		if obj, ok := in[0].(*item.Object); ok {
+			return obj.Lookup(o.lit), true, nil
+		}
+		return nil, true, nil
+	}
+	for _, it := range in {
+		if obj, ok := it.(*item.Object); ok {
+			if v, found := obj.Get(o.lit); found {
+				seq = append(seq, v)
+			}
+		}
+	}
+	return seq, true, nil
 }
 
 func (o *objectLookupIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
@@ -99,13 +141,20 @@ func (a *arrayUnboxIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) 
 }
 
 // arrayLookupIter implements Input[[Index]] (1-based member access).
+// A literal integer index is folded into the node at compile time (lit,
+// hasLit); index is the dynamic path, nil when the index is folded.
 type arrayLookupIter struct {
 	planNode
-	input Iterator
-	index Iterator
+	input  Iterator
+	index  Iterator
+	lit    int64
+	hasLit bool
 }
 
 func (a *arrayLookupIter) indexValue(dc *DynamicContext) (int64, bool, error) {
+	if a.hasLit {
+		return a.lit, true, nil
+	}
 	seq, err := Materialize(a.index, dc)
 	if err != nil {
 		return 0, false, err

@@ -512,8 +512,9 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 // sequential producer is what lets the scan side of a vector pipeline
 // scale with the worker pool.
 type rawScanner interface {
-	// StreamRaw streams raw records with their consumed byte counts.
-	// handled must be decided before the first yield: false means the
+	// StreamRaw streams raw records with their consumed byte counts; a
+	// record is valid only until its yield returns (dfs.ReadLines hands
+	// out views of its read buffer). handled must be decided before the first yield: false means the
 	// source cannot serve this evaluation raw (an in-memory collection)
 	// and the caller must scan decoded items instead.
 	StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (handled bool, err error)
@@ -546,24 +547,37 @@ type vmorselResult struct {
 	sawNumber []bool
 }
 
+// newDecoder returns the JSON decoder of one morsel worker. When no
+// expression reads the scan variable whole, raw records decode only the
+// fields the pipeline reads (every other member is validated and skipped);
+// otherwise they decode whole. Either way the worker's records share shapes.
+func (v *vectorIter) newDecoder() *jparse.Decoder {
+	if v.rowSlot < 0 {
+		return jparse.NewProjectingDecoder(v.fields)
+	}
+	return jparse.NewDecoder()
+}
+
 // decodeRows turns a raw morsel into its item rows, charging the morsel's
 // simulated storage round trips and record count exactly as an RDD
 // partition task would while scanning. Item morsels pass through.
-func (v *vectorIter) decodeRows(m vmorsel) ([]item.Item, error) {
-	if m.lines == nil {
+func (v *vectorIter) decodeRows(m vmorsel, dec *jparse.Decoder) ([]item.Item, error) {
+	if m.ends == nil {
 		return m.rows, nil
 	}
 	if v.sc != nil {
 		v.sc.SimulateIO(m.blocks)
-		v.sc.AddRecordsRead(int64(len(m.lines)))
+		v.sc.AddRecordsRead(int64(len(m.ends)))
 	}
-	rows := make([]item.Item, 0, len(m.lines))
-	for _, line := range m.lines {
-		it, err := jparse.Parse(line)
+	rows := make([]item.Item, 0, len(m.ends))
+	start := 0
+	for _, end := range m.ends {
+		it, err := dec.Decode(m.raw[start:end])
 		if err != nil {
 			return nil, Errorf("json-file: %v", err)
 		}
 		rows = append(rows, it)
+		start = end
 	}
 	return rows, nil
 }
@@ -578,7 +592,7 @@ func (v *vectorIter) decodeRows(m vmorsel) ([]item.Item, error) {
 // in-memory morsels decode rows, expand them into the same field lanes and
 // (for a whole reader) pack them into the scan column at slot 0, so the
 // compiled expressions see one batch shape regardless of the source.
-func (v *vectorIter) morselBatch(m vmorsel) (*vbatch, error) {
+func (v *vectorIter) morselBatch(m vmorsel, dec *jparse.Decoder) (*vbatch, error) {
 	if m.ds != nil {
 		fields := v.fields
 		if v.rowSlot >= 0 {
@@ -611,7 +625,7 @@ func (v *vectorIter) morselBatch(m vmorsel) (*vbatch, error) {
 		}
 		return b, nil
 	}
-	rows, err := v.decodeRows(m)
+	rows, err := v.decodeRows(m, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -843,7 +857,7 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vbatch) (*vmorselResult, error) {
 // slots, filters compact the batch, and the tail projects the surviving
 // rows, folds them into a fresh partial aggregation table, or sorts them
 // into a run.
-func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel) (*vmorselResult, error) {
+func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jparse.Decoder) (*vmorselResult, error) {
 	if v.sc != nil {
 		v.sc.AddVectorMorsels(1)
 	}
@@ -855,7 +869,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel) (*vmorse
 	if prof != nil {
 		t0 = time.Now()
 	}
-	b, err := v.morselBatch(m)
+	b, err := v.morselBatch(m, dec)
 	if err != nil {
 		return nil, err
 	}
@@ -1154,13 +1168,14 @@ func (v *vectorIter) streamSerial(dc *DynamicContext, vs *vstate, jr *vjoinRun, 
 	vs.prof.SetWorkers(1)
 	st := v.newMergeState()
 	stopped := false
+	dec := v.newDecoder()
 	_, err := v.scanMorsels(dc, nil, func(m vmorsel) error {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		res, err := v.processMorsel(vs, jr, m)
+		res, err := v.processMorsel(vs, jr, m, dec)
 		if err != nil {
 			return err
 		}
@@ -1191,10 +1206,13 @@ var errStopScan = fmt.Errorf("runtime: vector scan stopped")
 // buffer pool), raw byte records when the source scans raw (the worker
 // decodes them), decoded items otherwise.
 type vmorsel struct {
-	idx    int
-	rows   []item.Item
-	lines  [][]byte
-	blocks int // simulated storage blocks behind lines, charged by the worker
+	idx  int
+	rows []item.Item
+	// Raw records: record i is raw[ends[i-1]:ends[i]] — the producer's own
+	// copy, because a scanned line is only valid until its yield returns.
+	raw    []byte
+	ends   []int
+	blocks int // simulated storage blocks behind raw, charged by the worker
 
 	// Segment-backed scan: the morsel is rows [off, off+n) of segment seg
 	// in ds. ds==nil means a raw or item morsel.
@@ -1215,25 +1233,33 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 			return v.scanSegments(ds, rowCheck, emit)
 		}
 	}
-	if raw, ok := v.in.(rawScanner); ok {
-		var lines [][]byte
+	if src, ok := v.in.(rawScanner); ok {
+		var raw []byte
+		var ends []int
+		rawCap := 0
 		// Block accounting is byte-accurate across morsels: each morsel
 		// is charged the whole blocks the cumulative scan position crossed
 		// while it filled, and the trailing partial block rounds up once
 		// per scan — mirroring dfs.ReadLines' accounting rather than
 		// ceiling every morsel to a full block.
 		var cum, prev int64
-		handled, err := raw.StreamRaw(dc, func(line []byte, n int64) error {
+		handled, err := src.StreamRaw(dc, func(line []byte, n int64) error {
 			if rowCheck != nil {
 				if err := rowCheck(); err != nil {
 					return err
 				}
 			}
-			lines = append(lines, line)
+			if ends == nil {
+				// A morsel's records are about as long as the last one's.
+				raw, ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
+			}
+			raw = append(raw, line...)
+			ends = append(ends, len(raw))
 			cum += n
-			if len(lines) >= vector.BatchSize {
-				m := vmorsel{idx: idx, lines: lines, blocks: int(cum/dfs.BlockSize - prev/dfs.BlockSize)}
-				lines, prev = nil, cum
+			if len(ends) >= vector.BatchSize {
+				m := vmorsel{idx: idx, raw: raw, ends: ends, blocks: int(cum/dfs.BlockSize - prev/dfs.BlockSize)}
+				rawCap = len(raw) + len(raw)/8
+				raw, ends, prev = nil, nil, cum
 				if err := emit(m); err != nil {
 					return err
 				}
@@ -1249,8 +1275,8 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 			if cum%dfs.BlockSize > 0 {
 				blocks++ // the residual partial block still costs a round trip
 			}
-			if len(lines) > 0 {
-				if err := emit(vmorsel{idx: idx, lines: lines, blocks: blocks}); err != nil {
+			if len(ends) > 0 {
+				if err := emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks}); err != nil {
 					return idx, err
 				}
 				idx++
@@ -1449,6 +1475,7 @@ func (v *vectorIter) streamParallel(dc *DynamicContext, vs *vstate, jr *vjoinRun
 			if prof != nil {
 				last = time.Now()
 			}
+			dec := v.newDecoder()
 			for m := range work {
 				if prof != nil {
 					now := time.Now()
@@ -1463,7 +1490,7 @@ func (v *vectorIter) streamParallel(dc *DynamicContext, vs *vstate, jr *vjoinRun
 					r.err = ctx.Err()
 					lowerFail(&failIdx, int64(m.idx))
 				default:
-					res, err := v.processMorsel(vs, jr, m)
+					res, err := v.processMorsel(vs, jr, m, dec)
 					if err != nil {
 						r.err = err
 						lowerFail(&failIdx, int64(m.idx))

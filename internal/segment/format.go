@@ -97,6 +97,14 @@ func Encode(rows []item.Item) ([]byte, error) {
 		ids      []int
 	}
 	shapes := make([]rowShape, len(rows))
+	// Rows decoded by one decoder share item.Shapes, so the two questions
+	// that depend only on a row's key sequence — does it repeat a key, and
+	// which column ids does it map to — are answered once per shape.
+	type shapeInfo struct {
+		dup bool
+		ids []int
+	}
+	known := map[*item.Shape]*shapeInfo{}
 	// The per-segment string dictionary: every top-level string a column
 	// lane (or an overflow object row's field, which the projecting decoder
 	// serves through the same code space) can hold, sorted so comparison
@@ -104,7 +112,14 @@ func Encode(rows []item.Item) ([]byte, error) {
 	strSet := map[string]struct{}{}
 	for ri, r := range rows {
 		o, ok := r.(*item.Object)
-		if !ok || hasDupKeys(o) {
+		var info *shapeInfo
+		if ok {
+			if info = known[o.Shape()]; info == nil {
+				info = &shapeInfo{dup: o.Shape().HasDupKeys()}
+				known[o.Shape()] = info
+			}
+		}
+		if !ok || info.dup {
 			shapes[ri].overflow = appendValue(nil, r)
 			if ok {
 				// A dup-key object row still answers field lookups; its
@@ -117,20 +132,24 @@ func Encode(rows []item.Item) ([]byte, error) {
 			}
 			continue
 		}
-		ids := make([]int, o.Len())
-		for ki, k := range o.Keys() {
-			id, seen := colID[k]
-			if !seen {
-				id = len(cols)
-				colID[k] = id
-				cols = append(cols, k)
+		if info.ids == nil {
+			info.ids = make([]int, o.Len())
+			for ki, k := range o.Keys() {
+				id, seen := colID[k]
+				if !seen {
+					id = len(cols)
+					colID[k] = id
+					cols = append(cols, k)
+				}
+				info.ids[ki] = id
 			}
-			ids[ki] = id
+		}
+		for ki := 0; ki < o.Len(); ki++ {
 			if s, isStr := o.ValueAt(ki).(item.Str); isStr {
 				strSet[string(s)] = struct{}{}
 			}
 		}
-		shapes[ri].ids = ids
+		shapes[ri].ids = info.ids
 	}
 	table := make([]string, 0, len(strSet))
 	//rumble:nondeterministic-ok the table is sorted immediately below
@@ -230,21 +249,6 @@ func encodeLaneValue(v item.Item, strCode map[string]uint64) (byte, []byte) {
 	}
 }
 
-func hasDupKeys(o *item.Object) bool {
-	keys := o.Keys()
-	if len(keys) < 2 {
-		return false
-	}
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-	}
-	return false
-}
-
 // ColumnSet is the decoded form of one segment, and the only one: the row
 // shapes (parsed on every decode, so whole rows can be assembled late, for
 // just the rows that survive a pipeline) plus one full-segment-length
@@ -271,10 +275,10 @@ type ColumnSet struct {
 }
 
 // rowShape is one distinct plain-object row shape: the column ids in the
-// row's key order, and the key names every row of that shape shares.
+// row's key order, and the key layout every row of that shape shares.
 type rowShape struct {
 	ids  []int
-	keys []string
+	keys *item.Shape
 }
 
 // Col returns the lane column of a resident field (never nil for a field
@@ -318,7 +322,7 @@ func (cs *ColumnSet) Row(i int) (item.Item, error) {
 			return nil, errf("", "row %d: shape lists column %q but its lane is absent or not resident", i, cs.names[id])
 		}
 	}
-	return item.NewObject(shape.keys, values), nil
+	return item.NewObjectOfShape(shape.keys, values), nil
 }
 
 // openImage validates a segment image's header and checksum and returns its
@@ -440,10 +444,11 @@ func parsePrefix(path string, payload []byte, rows, ncols int) (*ColumnSet, erro
 		}
 		si, seen := shapeIdx[string(payload[start:r.off])]
 		if !seen {
-			shape := rowShape{ids: slices.Clone(ids), keys: make([]string, len(ids))}
+			keys := make([]string, len(ids))
 			for k, id := range ids {
-				shape.keys[k] = names[id]
+				keys[k] = names[id]
 			}
+			shape := rowShape{ids: slices.Clone(ids), keys: item.NewShape(keys)}
 			si = int32(len(cs.shapes))
 			shapeIdx[string(payload[start:r.off])] = si
 			cs.shapes = append(cs.shapes, shape)

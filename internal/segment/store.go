@@ -251,8 +251,11 @@ func Ingest(source string) (retErr error) {
 		return nil
 	}
 	for _, sp := range splits {
+		// One decoder per split: its rows share shapes, which Encode keys
+		// its per-shape work by.
+		dec := jparse.NewDecoder()
 		err := dfs.ReadLines(sp, nil, func(line []byte) error {
-			it, perr := jparse.Parse(line)
+			it, perr := dec.Decode(line)
 			if perr != nil {
 				return errf(sp.Path, "ingest: %v", perr)
 			}
