@@ -12,13 +12,19 @@
 // executes the query and checks the live per-operator annotations —
 // row counts, batch counts, plan shape — with the wall-clock figures
 // masked to ?ms, since only the timings are run-dependent. Analyze
-// queries must therefore be self-contained (no external files).
+// queries must therefore be self-contained (no external files) — except
+// under ```explain analyze segments, which runs the query on a fresh
+// Vectorize+Segments engine with two executors over the collections the
+// document itself defines: every ```jsonl <name> block above it is written
+// to a scratch directory and registered as collection(<name>), so the plan
+// shows the first-touch ingest of storage nobody has read before.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 
@@ -74,7 +80,9 @@ func Process(src string) (string, []Drift, error) {
 	lines := strings.Split(src, "\n")
 	var out []string
 	var drift []Drift
-	var query string // pending jsoniq block, waiting for its explain block
+	var query string   // pending jsoniq block, waiting for its explain block
+	var names []string // collections the document defined so far, and their lines
+	data := map[string]string{}
 	for i := 0; i < len(lines); {
 		line := lines[i]
 		fence := strings.TrimSpace(line)
@@ -87,8 +95,21 @@ func Process(src string) (string, []Drift, error) {
 			query = body
 			out = append(out, lines[i:next]...)
 			i = next
+		case strings.HasPrefix(fence, "```jsonl "):
+			body, next, err := fencedBlock(lines, i)
+			if err != nil {
+				return "", nil, err
+			}
+			name := strings.TrimSpace(strings.TrimPrefix(fence, "```jsonl "))
+			if _, seen := data[name]; !seen {
+				names = append(names, name)
+			}
+			data[name] = body + "\n"
+			out = append(out, lines[i:next]...)
+			i = next
 		case fence == "```explain" || fence == "```explain vectorize",
-			fence == "```explain analyze" || fence == "```explain analyze vectorize":
+			fence == "```explain analyze" || fence == "```explain analyze vectorize",
+			fence == "```explain analyze segments":
 			if query == "" {
 				return "", nil, fmt.Errorf("line %d: explain block without a preceding jsoniq block", i+1)
 			}
@@ -101,7 +122,10 @@ func Process(src string) (string, []Drift, error) {
 				eng = vectorized
 			}
 			var plan string
-			if strings.HasPrefix(fence, "```explain analyze") {
+			if fence == "```explain analyze segments" {
+				plan, err = analyzeOverFiles(query, names, data)
+				plan = maskTimings(plan)
+			} else if strings.HasPrefix(fence, "```explain analyze") {
 				plan, err = eng.ExplainAnalyze(query)
 				plan = maskTimings(plan)
 			} else {
@@ -127,6 +151,25 @@ func Process(src string) (string, []Drift, error) {
 		}
 	}
 	return strings.Join(out, "\n"), drift, nil
+}
+
+// analyzeOverFiles runs explain-analyze on a fresh segment-store engine whose
+// collections are files written just now, so the run pays their first touch.
+func analyzeOverFiles(query string, names []string, data map[string]string) (string, error) {
+	dir, err := os.MkdirTemp("", "docscheck-*")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(dir)
+	eng := rumble.New(rumble.Config{Vectorize: true, Segments: true, Executors: 2})
+	for _, name := range names {
+		path := filepath.Join(dir, name+".jsonl")
+		if err := os.WriteFile(path, []byte(data[name]), 0o644); err != nil {
+			return "", err
+		}
+		eng.RegisterCollection(name, path)
+	}
+	return eng.ExplainAnalyze(query)
 }
 
 // timingRE matches the wall-clock figures explain-analyze renders (the

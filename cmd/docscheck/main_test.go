@@ -27,6 +27,35 @@ func TestCookbookFresh(t *testing.T) {
 	}
 }
 
+// TestObservabilityFresh does the same for the one executed block of
+// docs/observability.md: the first-touch ingest note on a scan line.
+func TestObservabilityFresh(t *testing.T) {
+	data, err := os.ReadFile("../../docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, drift, err := Process(string(data)); err != nil || len(drift) > 0 {
+		t.Fatalf("docs/observability.md: err=%v, %d stale block(s); run `go run ./cmd/docscheck -update docs/observability.md`", err, len(drift))
+	}
+}
+
+// TestProcessSegmentsFence pins the segments fence: the document's jsonl
+// blocks become files no engine has read, so the analyzed run pays — and
+// notes — their first-touch ingest, every time the check runs.
+func TestProcessSegmentsFence(t *testing.T) {
+	doc := "```jsonl d\n{\"v\": 1}\n{\"v\": 2}\n```\n" +
+		"```jsoniq\ncount(for $o in collection(\"d\") where $o.v gt 1 return $o)\n```\n```explain analyze segments\n```\n"
+	for i := 0; i < 2; i++ {
+		out, _, err := Process(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "; ingest=?ms rows=2 segments=1 workers=2)") {
+			t.Fatalf("run %d: no ingest note on the scan line:\n%s", i, out)
+		}
+	}
+}
+
 // TestProcessDetectsDrift pins the checker itself: a stale plan is
 // reported and rewritten, a fresh one passes untouched.
 func TestProcessDetectsDrift(t *testing.T) {

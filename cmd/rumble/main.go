@@ -119,10 +119,7 @@ func ingestMain(args []string) {
 		fatal(fmt.Errorf("usage: rumble ingest <json-lines path>..."))
 	}
 	for _, path := range fs.Args() {
-		if err := segment.Ingest(path); err != nil {
-			fatal(err)
-		}
-		ds, err := segment.OpenDataset(path)
+		ds, err := segment.IngestDataset(path)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,9 +1,11 @@
 package rumble
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -35,6 +37,26 @@ func segmentConformanceData(t *testing.T, eng *Engine, dir string) {
 	registerEdgeCollection(eng)
 }
 
+// segmentFiles reads every file of every `.segments` directory under dir,
+// keyed by its path relative to dir.
+func segmentFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	stores, err := filepath.Glob(filepath.Join(dir, "*.segments", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stores {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(data)
+	}
+	return files
+}
+
 // TestSegmentScanConformance pins the segment store's core contract: a
 // segment-backed scan is observationally identical to the JSON-Lines scan
 // it replaces. For every query of the shared vector corpus, an engine
@@ -59,12 +81,19 @@ func TestSegmentScanConformance(t *testing.T) {
 		workers   int
 		vectorize bool
 	}
+	// Each configuration gets its own copy of the files, so each segment
+	// engine pays the first-touch ingest itself, on its own executor count.
 	pairs := make([]pair, len(configs))
+	dirs := make([]string, len(configs))
 	for i, cfg := range configs {
+		dirs[i] = filepath.Join(dir, fmt.Sprint(i))
+		if err := os.Mkdir(dirs[i], 0o755); err != nil {
+			t.Fatal(err)
+		}
 		raw := New(Config{Parallelism: 2, Executors: cfg.workers, Vectorize: cfg.vectorize})
 		seg := New(Config{Parallelism: 2, Executors: cfg.workers, Vectorize: cfg.vectorize, Segments: true})
-		segmentConformanceData(t, raw, dir)
-		segmentConformanceData(t, seg, dir)
+		segmentConformanceData(t, raw, dirs[i])
+		segmentConformanceData(t, seg, dirs[i])
 		pairs[i] = pair{raw: raw, seg: seg, workers: cfg.workers, vectorize: cfg.vectorize}
 	}
 
@@ -100,6 +129,23 @@ func TestSegmentScanConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// What the engines ingested on 1, 2 and 8 executors is the same bytes.
+	want := segmentFiles(t, dirs[1])
+	if len(want) == 0 {
+		t.Fatal("the one-executor engine ingested nothing")
+	}
+	for i := 2; i < len(dirs); i++ {
+		got := segmentFiles(t, dirs[i])
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d wrote %d segment-store files, workers=%d wrote %d", configs[i].workers, len(got), configs[1].workers, len(want))
+		}
+		for name, data := range want {
+			if got[name] != data {
+				t.Errorf("workers=%d: %s differs from what workers=%d wrote", configs[i].workers, name, configs[1].workers)
+			}
+		}
 	}
 
 	for _, p := range pairs {
@@ -309,5 +355,82 @@ func TestSegmentBufferPoolMetrics(t *testing.T) {
 	if m.SegmentCacheMiss != 0 || m.SegmentCacheHits != 12 {
 		t.Errorf("hot run: miss=%d hits=%d, want 0/12 (every morsel must ride the buffer pool)",
 			m.SegmentCacheMiss, m.SegmentCacheHits)
+	}
+}
+
+// TestFirstTouchIngestIsVisible: the statement whose scan pays a source's
+// first-touch ingest says so — on its scan line in explain-analyze and in its
+// profile snapshot — and no later statement does; the engine's counters
+// record the ingest, its wall time and the source bytes it read, and the
+// ingest ran on the engine's executors.
+func TestFirstTouchIngestIsVisible(t *testing.T) {
+	const rows = 5000
+	var sb strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, `{"g": %d, "v": %d}`+"\n", i%5, i)
+	}
+	path := filepath.Join(t.TempDir(), "fresh.jsonl")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Parallelism: 2, Executors: 3, Vectorize: true, Segments: true})
+	query := fmt.Sprintf(`count(for $o in json-file(%q) where $o.v ge 10 return $o)`, path)
+	note := regexp.MustCompile(`out=5000 batches=\d+ \d+\.\d\dms; ingest=\d+\.\d\dms rows=5000 segments=2 workers=3\)`)
+
+	plan, err := eng.ExplainAnalyze(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !note.MatchString(plan) {
+		t.Fatalf("the paying statement's plan does not note the ingest on its scan line:\n%s", plan)
+	}
+	m := eng.Metrics()
+	if m.SegmentIngests != 1 || m.SegmentIngestBytes != int64(sb.Len()) || m.SegmentIngestSeconds <= 0 {
+		t.Fatalf("after one first touch: ingests=%d bytes=%d (source %d) seconds=%v",
+			m.SegmentIngests, m.SegmentIngestBytes, sb.Len(), m.SegmentIngestSeconds)
+	}
+
+	// The same statement again, and a fresh engine over the segments now on
+	// disk: nothing to pay, nothing noted, nothing counted.
+	for _, e := range []*Engine{eng, New(Config{Parallelism: 2, Executors: 3, Vectorize: true, Segments: true})} {
+		st, err := e.Compile(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := st.NewProfile()
+		if _, err := st.CollectProfiled(context.Background(), 0, prof); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range prof.Snapshot().Ops {
+			if op.Note != "" {
+				t.Fatalf("operator %q of a statement that paid nothing carries the note %q", op.Name, op.Note)
+			}
+		}
+	}
+	if got := eng.Metrics().SegmentIngests; got != 1 {
+		t.Fatalf("SegmentIngests = %d after statements that ingested nothing, want 1", got)
+	}
+
+	// The snapshot of a paying statement carries the note as data.
+	if err := os.RemoveAll(path + ".segments"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Config{Parallelism: 2, Executors: 3, Vectorize: true, Segments: true})
+	st, err := fresh.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := st.NewProfile()
+	if _, err := st.CollectProfiled(context.Background(), 0, prof); err != nil {
+		t.Fatal(err)
+	}
+	var notes []string
+	for _, op := range prof.Snapshot().Ops {
+		if op.Note != "" {
+			notes = append(notes, op.Note)
+		}
+	}
+	if len(notes) != 1 || !strings.HasPrefix(notes[0], "ingest=") || !strings.HasSuffix(notes[0], "rows=5000 segments=2 workers=3") {
+		t.Fatalf("profile snapshot notes = %q", notes)
 	}
 }

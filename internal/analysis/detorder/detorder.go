@@ -5,9 +5,11 @@
 // buckets, and conformance pins results across Executors ∈ {1,2,8}. A
 // `range` over a map silently breaks that guarantee — Go randomizes map
 // iteration order per run — so in the packages that uphold ordered emit
-// (internal/runtime, internal/vector, internal/spark) every map iteration
-// must either follow a recorded deterministic order (first-seen slice,
-// sorted keys) or carry an explicit escape:
+// (internal/runtime, internal/vector, internal/spark, internal/jparse) or
+// byte-deterministic output (internal/segment: the files an ingest writes
+// are identical at every worker count) every map iteration must either
+// follow a recorded deterministic order (first-seen slice, sorted keys) or
+// carry an explicit escape:
 //
 //	//rumble:nondeterministic-ok <why the order cannot be observed>
 //

@@ -117,7 +117,7 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 		}
 	}
 	r := readers.Get().(*bufio.Reader)
-	r.Reset(f)
+	r.Reset(countedFile{f})
 	defer func() {
 		r.Reset(nil) // an idle reader must not pin the closed file
 		readers.Put(r)
@@ -169,20 +169,12 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 	for consumed <= split.Length {
 		line, err := next()
 		if len(line) > 0 {
-			n := len(line)
-			trimmed := line
-			if trimmed[len(trimmed)-1] == '\n' {
-				trimmed = trimmed[:len(trimmed)-1]
-			}
-			if len(trimmed) > 0 && trimmed[len(trimmed)-1] == '\r' {
-				trimmed = trimmed[:len(trimmed)-1]
-			}
-			if len(trimmed) > 0 {
-				if yerr := yield(trimmed); yerr != nil {
+			if record := trimLine(line); len(record) > 0 {
+				if yerr := yield(record); yerr != nil {
 					return yerr
 				}
 			}
-			account(n)
+			account(len(line))
 		}
 		if err == io.EOF {
 			return nil

@@ -32,6 +32,7 @@ type Op struct {
 	rowsOut atomic.Int64
 	batches atomic.Int64
 	wallNS  atomic.Int64
+	note    atomic.Pointer[string]
 }
 
 // AddRows records n output rows (tuples or vector rows).
@@ -57,6 +58,15 @@ func (o *Op) AddWall(d time.Duration) {
 		return
 	}
 	o.wallNS.Add(int64(d))
+}
+
+// SetNote attaches a one-off remark about this evaluation of the operator —
+// the first-touch ingest a scan paid, say — rendered after its counters.
+func (o *Op) SetNote(note string) {
+	if o == nil {
+		return
+	}
+	o.note.Store(&note)
 }
 
 // RowsOut returns the rows recorded so far.
@@ -145,6 +155,7 @@ type OpStats struct {
 	RowsOut int64   `json:"rows_out"`
 	Batches int64   `json:"batches,omitempty"`
 	WallMS  float64 `json:"wall_ms"`
+	Note    string  `json:"note,omitempty"`
 }
 
 // Snapshot is a point-in-time, JSON-ready copy of a Profile. It is
@@ -198,6 +209,10 @@ func (p *Profile) Snapshot() Snapshot {
 			if d.Input >= 0 && d.Input < len(p.ops) {
 				rowsIn = p.ops[d.Input].rowsOut.Load()
 			}
+			var note string
+			if n := p.ops[i].note.Load(); n != nil {
+				note = *n
+			}
 			s.Ops[i] = OpStats{
 				Name:    d.Name,
 				Input:   d.Input,
@@ -205,6 +220,7 @@ func (p *Profile) Snapshot() Snapshot {
 				RowsOut: p.ops[i].rowsOut.Load(),
 				Batches: p.ops[i].batches.Load(),
 				WallMS:  ms(p.ops[i].wallNS.Load()),
+				Note:    note,
 			}
 		}
 	}

@@ -371,19 +371,19 @@ func (j *jsonFileIter) StreamRaw(dc *DynamicContext, yield func(line []byte, byt
 // cannot serve — no store configured, unparseable data — returns nil and
 // the scan falls back to the JSON-Lines paths, which surface the real
 // source error.
-func (j *jsonFileIter) SegmentDataset(dc *DynamicContext) *segment.Dataset {
+func (j *jsonFileIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
 	if j.env.Segments == nil {
-		return nil
+		return nil, nil
 	}
 	path, err := j.resolvePath(dc)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	ds, err := j.env.Segments.Open(path)
+	ds, ingest, err := j.env.Segments.OpenStats(path)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return ds
+	return ds, ingest
 }
 
 func (j *jsonFileIter) resolvePath(dc *DynamicContext) (string, error) {
@@ -558,14 +558,14 @@ func (c *collectionIter) StreamRaw(dc *DynamicContext, yield func(line []byte, b
 
 // SegmentDataset implements segmentSource by delegating to the resolved
 // source; in-memory collections have no segment backing and report nil.
-func (c *collectionIter) SegmentDataset(dc *DynamicContext) *segment.Dataset {
+func (c *collectionIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
 	it, err := c.resolve(dc)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	src, ok := it.(segmentSource)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	return src.SegmentDataset(dc)
 }

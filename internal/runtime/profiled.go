@@ -89,13 +89,13 @@ func (p *profiledIter) StreamRaw(dc *DynamicContext, yield func(line []byte, byt
 // SegmentDataset implements segmentSource by forwarding to the wrapped
 // source, so a segment-backed scan still engages through the wrapper.
 // Scan rows are profiled per batch by the vector backend itself
-// (processMorsel records into the scan operator), so nothing is counted
-// here.
-func (p *profiledIter) SegmentDataset(dc *DynamicContext) *segment.Dataset {
+// (processMorsel records into the scan operator, and scanMorsels notes a
+// first-touch ingest there), so nothing is recorded here.
+func (p *profiledIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
 	if src, ok := p.inner.(segmentSource); ok {
 		return src.SegmentDataset(dc)
 	}
-	return nil
+	return nil, nil
 }
 
 // profiledClause instruments one FLWOR clause of the tuple pipeline,

@@ -531,8 +531,10 @@ type segmentSource interface {
 	// SegmentDataset returns the dataset backing this evaluation, or nil
 	// when the source cannot serve segments (no store configured, an
 	// in-memory collection, or ingest failed — the caller then falls back
-	// to raw/item scanning, which surfaces any real source error).
-	SegmentDataset(dc *DynamicContext) *segment.Dataset
+	// to raw/item scanning, which surfaces any real source error). ingest
+	// is non-nil when this very call built the dataset: what the first
+	// touch cost the evaluation that paid it.
+	SegmentDataset(dc *DynamicContext) (ds *segment.Dataset, ingest *segment.IngestStats)
 }
 
 // vmorselResult is one processed morsel: projected rows in scan order, the
@@ -1229,7 +1231,13 @@ type vmorsel struct {
 func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
 	idx := 0
 	if src, ok := v.in.(segmentSource); ok {
-		if ds := src.SegmentDataset(dc); ds != nil {
+		ds, ingest := src.SegmentDataset(dc)
+		if ingest != nil {
+			// This evaluation paid the source's first touch: say so on its
+			// scan line.
+			dc.Profile().Op(v.opScan).SetNote(ingest.String())
+		}
+		if ds != nil {
 			return v.scanSegments(ds, rowCheck, emit)
 		}
 	}

@@ -1,0 +1,565 @@
+package segment
+
+import (
+	"cmp"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"math/bits"
+	"slices"
+	"strings"
+
+	"rumble/internal/item"
+)
+
+// Encode serializes rows into one segment's byte image and computes the
+// per-column zone maps the manifest records for it, sorted by column name.
+// Rows must not be longer than the segment capacity.
+func Encode(rows []item.Item) ([]byte, []ColZone, error) {
+	if len(rows) > Rows {
+		return nil, nil, errf("", "encode: %d rows exceed segment capacity %d", len(rows), Rows)
+	}
+	b := newBuilder(rows)
+	data, zones := b.finish([]*laneGroup{b.lanes(0, 1)})
+	return data, zones, nil
+}
+
+// builder is the write side of one segment, in three steps. newBuilder
+// resolves every row to its shape — the column ids of its keys — in row
+// order, which fixes the column dictionary. lanes then visits each value of
+// the plain rows exactly once, appending it to its column's tag and value
+// lanes and folding it into the column's zone map; the columns split into
+// any number of groups, one lanes call each, that share nothing and may run
+// concurrently. finish ranks the strings the groups interned into the
+// segment dictionary, patches the string codes in, and lays out the image.
+// The bytes depend on the rows alone, never on the grouping.
+type builder struct {
+	rows   []item.Item
+	shape  []int32     // per row: index into shapes, -1 for an overflow row
+	shapes []shapeCols // the distinct key sequences of the plain rows, first-seen order
+	cols   []string    // column dictionary, first-seen order
+}
+
+// shapeCols is one distinct key sequence: the column id of every key, and
+// the row-shape bytes every row of that shape contributes to the image.
+type shapeCols struct {
+	ids []int
+	enc []byte
+}
+
+func newBuilder(rows []item.Item) *builder {
+	b := &builder{rows: rows, shape: make([]int32, len(rows))}
+	colID := map[string]int{}
+	// Rows decoded by one decoder share item.Shapes, so a row usually costs
+	// one pointer comparison; a shape pointer never seen costs its keys'
+	// lookups, and shapes with the same key sequence (one per decoder that
+	// met it) fold into one entry by their encoded id list.
+	known := map[*item.Shape]int32{}
+	byIDs := map[string]int32{}
+	var last *item.Shape
+	var lastIdx int32
+	for ri, r := range rows {
+		o, ok := r.(*item.Object)
+		if !ok {
+			b.shape[ri] = -1
+			continue
+		}
+		if sh := o.Shape(); sh != last {
+			idx, seen := known[sh]
+			if !seen {
+				idx = -1
+				if !sh.HasDupKeys() {
+					ids := make([]int, len(sh.Keys()))
+					enc := appendUvarint(nil, uint64(len(ids)+1))
+					for ki, k := range sh.Keys() {
+						id, listed := colID[k]
+						if !listed {
+							id = len(b.cols)
+							colID[k] = id
+							b.cols = append(b.cols, k)
+						}
+						ids[ki] = id
+						enc = appendUvarint(enc, uint64(id))
+					}
+					if idx, seen = byIDs[string(enc)]; !seen {
+						idx = int32(len(b.shapes))
+						byIDs[string(enc)] = idx
+						b.shapes = append(b.shapes, shapeCols{ids: ids, enc: enc})
+					}
+				}
+				known[sh] = idx
+			}
+			last, lastIdx = sh, idx
+		}
+		b.shape[ri] = lastIdx
+	}
+	return b
+}
+
+// lane is one column under construction: the dense tag lane, the value
+// bytes of its non-string values in row order, the interned ids of its
+// string values in row order (codes exist only once finish has ranked the
+// dictionary), and the zone map folded from the same value visits.
+type lane struct {
+	tags []byte
+	vals []byte
+	strs []uint32
+	zone zoneAcc
+}
+
+// laneGroup is the output of one lanes call: the lanes of the columns whose
+// id is congruent to g modulo n, and the strings those columns hold, each
+// interned once, with the ids listed in string order.
+type laneGroup struct {
+	lanes  []lane // lanes[i] is column g + i*n
+	intern map[string]uint32
+	strs   []string
+	sorted []uint32
+}
+
+// lanes builds the lanes of column group g of n in one pass over the rows.
+// Overflow rows (non-objects, duplicate-key objects) reconstruct wholesale
+// and stay absent in every lane, exactly like vector.Lookup over them.
+func (b *builder) lanes(g, n int) *laneGroup {
+	lg := &laneGroup{intern: make(map[string]uint32, len(b.rows))}
+	if ncols := len(b.cols); ncols > g {
+		lg.lanes = make([]lane, (ncols-g+n-1)/n)
+	}
+	tags := make([]byte, len(lg.lanes)*len(b.rows))
+	for i := range lg.lanes {
+		lg.lanes[i].tags = tags[i*len(b.rows) : (i+1)*len(b.rows) : (i+1)*len(b.rows)]
+	}
+	// slot is one value of a shape that belongs to this group: the key's
+	// position in the row and the lane it feeds.
+	type slot struct {
+		key  int
+		lane *lane
+	}
+	slots := make([][]slot, len(b.shapes))
+	var scratch []byte
+	for ri, r := range b.rows {
+		si := b.shape[ri]
+		if si < 0 {
+			continue
+		}
+		if slots[si] == nil {
+			slots[si] = []slot{}
+			for ki, id := range b.shapes[si].ids {
+				if id%n == g {
+					slots[si] = append(slots[si], slot{key: ki, lane: &lg.lanes[id/n]})
+				}
+			}
+		}
+		o := r.(*item.Object)
+		for _, s := range slots[si] {
+			l := s.lane
+			l.zone.present++
+			switch v := o.ValueAt(s.key).(type) {
+			case item.Null:
+				l.tags[ri] = tagNull
+				l.zone.nulls++
+				l.zone.kinds |= KindNull
+			case item.Bool:
+				if v {
+					l.tags[ri] = tagTrue
+					l.zone.kinds |= KindTrue
+				} else {
+					l.tags[ri] = tagFalse
+					l.zone.kinds |= KindFalse
+				}
+			case item.Int:
+				l.tags[ri] = tagInt
+				l.vals = binary.AppendVarint(l.vals, int64(v))
+				l.zone.addInt(int64(v))
+			case item.Double:
+				l.tags[ri] = tagDouble
+				l.vals = binary.LittleEndian.AppendUint64(l.vals, math.Float64bits(float64(v)))
+				l.zone.kinds |= KindDouble
+				l.zone.addNumber(item.NumberKey(float64(v)))
+			case item.Str:
+				l.tags[ri] = tagString
+				id, ok := lg.intern[string(v)]
+				if !ok {
+					id = uint32(len(lg.strs))
+					lg.intern[string(v)] = id
+					lg.strs = append(lg.strs, string(v))
+				}
+				l.strs = append(l.strs, id)
+			case item.Dec:
+				l.tags[ri] = tagDec
+				l.vals = appendString(l.vals, v.Rat().RatString())
+				l.zone.kinds |= KindDec
+				l.zone.addNumber(decKey(v))
+			default:
+				l.tags[ri] = tagItem
+				scratch = appendValue(scratch[:0], v)
+				l.vals = appendSized(l.vals, scratch)
+				l.zone.kinds |= KindItem
+			}
+		}
+	}
+	lg.sorted = sortedIDs(lg.strs)
+	return lg
+}
+
+// sortedIDs returns the indexes of strs in string order. Most comparisons
+// are decided by the strings' first eight bytes, held beside the index as one
+// big-endian word, without touching the strings themselves.
+func sortedIDs(strs []string) []uint32 {
+	type entry struct {
+		prefix uint64
+		id     uint32
+	}
+	entries := make([]entry, len(strs))
+	for i, s := range strs {
+		var head [8]byte
+		copy(head[:], s)
+		entries[i] = entry{prefix: binary.BigEndian.Uint64(head[:]), id: uint32(i)}
+	}
+	slices.SortFunc(entries, func(x, y entry) int {
+		if x.prefix != y.prefix {
+			return cmp.Compare(x.prefix, y.prefix)
+		}
+		return strings.Compare(strs[x.id], strs[y.id])
+	})
+	ids := make([]uint32, len(entries))
+	for i, e := range entries {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// decKey is the sort key of a decimal (total over atomics: no error).
+func decKey(d item.Dec) item.SortKey {
+	one := [1]item.Item{d}
+	sk, _ := item.EncodeSortKey(one[:], false)
+	return sk
+}
+
+// finish assembles the segment image and the zone maps from the lane groups
+// of one grouping (groups[g] = lanes(g, len(groups))).
+func (b *builder) finish(groups []*laneGroup) ([]byte, []ColZone) {
+	n := len(groups)
+	laneOf := func(id int) *lane { return &groups[id%n].lanes[id/n] }
+
+	// Overflow rows reconstruct from their exact encoding. A duplicate-key
+	// object among them still answers field lookups, so every top-level
+	// string it holds resolves through the dictionary too, and its first
+	// value per distinct key is what its columns' zone maps observe.
+	var overflow [][]byte
+	var dupRows []*item.Object
+	var dupStrs []string
+	for ri, r := range b.rows {
+		if b.shape[ri] >= 0 {
+			continue
+		}
+		overflow = append(overflow, appendValue(nil, r))
+		if o, ok := r.(*item.Object); ok {
+			dupRows = append(dupRows, o)
+			for i := 0; i < o.Len(); i++ {
+				if s, isStr := o.ValueAt(i).(item.Str); isStr {
+					dupStrs = append(dupStrs, string(s))
+				}
+			}
+		}
+	}
+	table, codes := mergeDictionary(groups, dupStrs)
+
+	// The image's size, to within a few bytes per column: one allocation,
+	// and none of it cleared for nothing.
+	head := len(Magic) + 1 + 4 + 4 + 4
+	size := head + 2*binary.MaxVarintLen64
+	for _, c := range b.cols {
+		size += uvarintLen(len(c)) + len(c)
+	}
+	for _, s := range table {
+		size += uvarintLen(len(s)) + len(s)
+	}
+	for _, si := range b.shape {
+		if si >= 0 {
+			size += len(b.shapes[si].enc)
+		}
+	}
+	for _, raw := range overflow {
+		size += 1 + uvarintLen(len(raw)) + len(raw)
+	}
+	for id := range b.cols {
+		l := laneOf(id)
+		size += binary.MaxVarintLen64 + len(l.tags) + len(l.vals) + len(l.strs)*uvarintLen(len(table))
+	}
+
+	out := make([]byte, head, size)
+	out = appendUvarint(out, uint64(len(b.cols)))
+	for _, c := range b.cols {
+		out = appendString(out, c)
+	}
+	out = appendUvarint(out, uint64(len(table)))
+	for _, s := range table {
+		out = appendString(out, s)
+	}
+	for _, si := range b.shape {
+		if si >= 0 {
+			out = append(out, b.shapes[si].enc...)
+			continue
+		}
+		out = appendUvarint(out, shapeOverflow)
+		out = appendSized(out, overflow[0])
+		overflow = overflow[1:]
+	}
+	// Typed lanes, one column at a time: each column's block is its dense
+	// tag lane followed by the sparse value lane in row order, prefixed by
+	// the block's byte length so a projecting reader skips a whole column
+	// without parsing it.
+	var values []byte
+	for id := range b.cols {
+		l := laneOf(id)
+		values = l.appendValues(values[:0], codes[id%n])
+		out = appendUvarint(out, uint64(len(l.tags)+len(values)))
+		out = append(out, l.tags...)
+		out = append(out, values...)
+	}
+	copy(out, Magic)
+	out[len(Magic)] = Version
+	binary.LittleEndian.PutUint32(out[len(Magic)+1:], uint32(len(b.rows)))
+	binary.LittleEndian.PutUint32(out[len(Magic)+5:], uint32(len(b.cols)))
+	binary.LittleEndian.PutUint32(out[len(Magic)+9:], crc32.ChecksumIEEE(out[head:]))
+
+	// Zone maps, by column name: a lane's own accumulator plus its strings,
+	// now that they have codes, plus what duplicate-key rows hold under that
+	// name (possibly a name no lane has).
+	byName := make(map[string]*zoneAcc, len(b.cols))
+	names := slices.Clone(b.cols)
+	for id, name := range b.cols {
+		l := laneOf(id)
+		l.zone.addStrings(l.strs, codes[id%n], table)
+		byName[name] = &l.zone
+	}
+	for _, o := range dupRows {
+		keys := o.Keys()
+		for i, k := range keys {
+			if slices.Index(keys[:i], k) >= 0 {
+				continue // lookup semantics: the first occurrence wins, once
+			}
+			if byName[k] == nil {
+				byName[k] = &zoneAcc{}
+				names = append(names, k)
+			}
+			byName[k].observe(o.ValueAt(i))
+		}
+	}
+	slices.Sort(names)
+	zones := make([]ColZone, len(names))
+	for i, name := range names {
+		zones[i] = ColZone{Name: name, Zone: byName[name].zoneMap()}
+	}
+	return out, zones
+}
+
+// mergeDictionary builds the segment dictionary — every distinct string of
+// the lane groups and of the duplicate-key rows (extra), sorted, so that
+// comparison kernels can rank a literal against it by binary search — and
+// returns with it the code of every string a group interned, by group and
+// interned id. Each group's strings arrive sorted; one merge ranks them all.
+func mergeDictionary(groups []*laneGroup, extra []string) (table []string, codes [][]uint32) {
+	slices.Sort(extra)
+	n, total := len(groups), len(extra)
+	codes = make([][]uint32, n)
+	for g, lg := range groups {
+		codes[g] = make([]uint32, len(lg.strs))
+		total += len(lg.strs)
+	}
+	table = make([]string, 0, total)
+	heads := make([]int, n) // per group: how many of its sorted strings are merged
+	for {
+		best, from := "", -1
+		for g, lg := range groups {
+			if heads[g] < len(lg.sorted) {
+				if s := lg.strs[lg.sorted[heads[g]]]; from < 0 || s < best {
+					best, from = s, g
+				}
+			}
+		}
+		if len(extra) > 0 && (from < 0 || extra[0] < best) {
+			best, from = extra[0], n
+		}
+		if from < 0 {
+			return table, codes
+		}
+		if len(table) == 0 || table[len(table)-1] != best {
+			table = append(table, best)
+		}
+		if from == n {
+			extra = extra[1:]
+			continue
+		}
+		codes[from][groups[from].sorted[heads[from]]] = uint32(len(table) - 1)
+		heads[from]++
+	}
+}
+
+// uvarintLen is the encoded size of n as a uvarint.
+func uvarintLen(n int) int {
+	return (bits.Len64(uint64(n)|1) + 6) / 7
+}
+
+// appendValues appends the lane's final value bytes: its value bytes with
+// the code of every string value, now that codes exist, spliced in at the
+// string's row position.
+func (l *lane) appendValues(dst []byte, codes []uint32) []byte {
+	if len(l.strs) == 0 {
+		return append(dst, l.vals...)
+	}
+	if len(l.vals) == 0 {
+		// Only strings carry value bytes: no tag walk needed.
+		for _, id := range l.strs {
+			dst = appendUvarint(dst, uint64(codes[id]))
+		}
+		return dst
+	}
+	vals, strs := l.vals, l.strs
+	for _, tag := range l.tags {
+		n := 0
+		switch tag {
+		case tagString:
+			dst = appendUvarint(dst, uint64(codes[strs[0]]))
+			strs = strs[1:]
+		case tagInt:
+			for vals[n]&0x80 != 0 {
+				n++
+			}
+			n++
+		case tagDouble:
+			n = 8
+		case tagDec, tagItem:
+			size, w := binary.Uvarint(vals)
+			n = w + int(size)
+		}
+		dst = append(dst, vals[:n]...)
+		vals = vals[n:]
+	}
+	return dst
+}
+
+// zoneAcc folds one column's values into its zone map. The minimum and
+// maximum are kept per kind of value — integers as integers, other numbers
+// as sort keys, strings as dictionary codes until the dictionary is ranked —
+// and combined once, at the end: a sort key's tag orders null < false <
+// true < strings < numbers, so the column's extremes are the extremes of
+// its lowest and highest kind present.
+type zoneAcc struct {
+	present, nulls int
+	kinds          uint32
+
+	hasInt       bool
+	intLo, intHi int64
+	hasNum       bool
+	numLo, numHi item.SortKey
+	hasStr       bool
+	strLo, strHi string
+}
+
+func (z *zoneAcc) addInt(v int64) {
+	z.kinds |= KindInt
+	if !z.hasInt {
+		z.hasInt, z.intLo, z.intHi = true, v, v
+		return
+	}
+	z.intLo, z.intHi = min(z.intLo, v), max(z.intHi, v)
+}
+
+// addNumber folds the sort key of a double or decimal.
+func (z *zoneAcc) addNumber(sk item.SortKey) {
+	if !z.hasNum {
+		z.hasNum, z.numLo, z.numHi = true, sk, sk
+		return
+	}
+	if sk.Compare(z.numLo) < 0 {
+		z.numLo = sk
+	}
+	if sk.Compare(z.numHi) > 0 {
+		z.numHi = sk
+	}
+}
+
+// addStrings folds a lane's string values, given as interned ids, by their
+// codes: code order is string order, so only the extremes touch the table.
+func (z *zoneAcc) addStrings(ids, codes []uint32, table []string) {
+	if len(ids) == 0 {
+		return
+	}
+	lo, hi := codes[ids[0]], codes[ids[0]]
+	for _, id := range ids[1:] {
+		lo, hi = min(lo, codes[id]), max(hi, codes[id])
+	}
+	z.addString(table[lo])
+	z.addString(table[hi])
+}
+
+func (z *zoneAcc) addString(s string) {
+	z.kinds |= KindString
+	if !z.hasStr {
+		z.hasStr, z.strLo, z.strHi = true, s, s
+		return
+	}
+	z.strLo, z.strHi = min(z.strLo, s), max(z.strHi, s)
+}
+
+// observe folds one value by itself: the path of duplicate-key rows, whose
+// values live in no lane.
+func (z *zoneAcc) observe(v item.Item) {
+	z.present++
+	switch t := v.(type) {
+	case item.Null:
+		z.nulls++
+		z.kinds |= KindNull
+	case item.Bool:
+		if t {
+			z.kinds |= KindTrue
+		} else {
+			z.kinds |= KindFalse
+		}
+	case item.Int:
+		z.addInt(int64(t))
+	case item.Double:
+		z.kinds |= KindDouble
+		z.addNumber(item.NumberKey(float64(t)))
+	case item.Dec:
+		z.kinds |= KindDec
+		z.addNumber(decKey(t))
+	case item.Str:
+		z.addString(string(t))
+	default:
+		z.kinds |= KindItem // non-atomic: no sort key, min/max unchanged
+	}
+}
+
+// zoneMap combines the per-kind extremes into the column's zone map.
+func (z *zoneAcc) zoneMap() ZoneMap {
+	zm := ZoneMap{Present: z.present, Nulls: z.nulls, Kinds: z.kinds}
+	var keys []item.SortKey // the extremes of each kind present, in tag order
+	if z.kinds&KindNull != 0 {
+		keys = append(keys, item.SortKey{Tag: item.TagNull})
+	}
+	if z.kinds&KindFalse != 0 {
+		keys = append(keys, item.SortKey{Tag: item.TagFalse})
+	}
+	if z.kinds&KindTrue != 0 {
+		keys = append(keys, item.SortKey{Tag: item.TagTrue})
+	}
+	if z.hasStr {
+		keys = append(keys, item.SortKey{Tag: item.TagString, Str: z.strLo}, item.SortKey{Tag: item.TagString, Str: z.strHi})
+	}
+	num := *z // integers join the other numbers as sort keys
+	if z.hasInt {
+		num.addNumber(item.IntKey(z.intLo))
+		num.addNumber(item.IntKey(z.intHi))
+	}
+	if num.hasNum {
+		keys = append(keys, num.numLo, num.numHi)
+	}
+	if len(keys) > 0 {
+		zm.HasRange = true
+		zm.Min, zm.Max = keyOf(keys[0]), keyOf(keys[len(keys)-1])
+	}
+	return zm
+}

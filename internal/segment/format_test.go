@@ -144,7 +144,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
-			data, err := Encode(rows)
+			data, zones, err := Encode(rows)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
@@ -163,7 +163,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			// The engine's path: every column as lanes, rows assembled late
 			// from them — item for item the input, and each lane's recomputed
 			// zone map the one ingest records.
-			zones := ZoneMaps(rows)
 			var fields []string
 			for _, cz := range zones {
 				fields = append(fields, cz.Name)
@@ -231,12 +230,12 @@ func TestDecodeColumnsMatchesLookup(t *testing.T) {
 
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) {
-			data, err := Encode(rows)
+			data, zones, err := Encode(rows)
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
 			fields := []string{"definitely-missing"}
-			for _, cz := range ZoneMaps(rows) {
+			for _, cz := range zones {
 				fields = append(fields, cz.Name)
 			}
 			cs, err := DecodeColumns("t.rseg", data, fields)
@@ -268,7 +267,7 @@ func TestEncodeRejectsOverCapacity(t *testing.T) {
 	for i := range rows {
 		rows[i] = obj("v", item.Int(i))
 	}
-	if _, err := Encode(rows); err == nil {
+	if _, _, err := Encode(rows); err == nil {
 		t.Fatal("Encode accepted more than Rows rows")
 	}
 }
@@ -278,7 +277,7 @@ func TestEncodeRejectsOverCapacity(t *testing.T) {
 // bit-identical decode — never a panic, a hang, or silently wrong rows.
 func TestDecodeTorture(t *testing.T) {
 	rows := roundTripRows()
-	data, err := Encode(rows)
+	data, _, err := Encode(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +341,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			obj("s", item.Str("bb"), "v", item.Int(5)),
 		},
 	} {
-		data, err := Encode(rows)
+		data, _, err := Encode(rows)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -368,8 +367,8 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		// A successful decode must be internally consistent: zone maps and
 		// re-encoding must not panic either.
-		zones := ZoneMaps(dec.Rows)
-		if _, err := Encode(dec.Rows); err != nil {
+		_, zones, err := Encode(dec.Rows)
+		if err != nil {
 			t.Fatalf("re-encode of decoded rows failed: %v", err)
 		}
 		// Projected decode of every column (and one the image lacks) must

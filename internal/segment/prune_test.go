@@ -66,11 +66,21 @@ func evalChain(row item.Item, preds []Predicate) chainOutcome {
 	return chainMatched
 }
 
+// zonesOf returns the zone maps ingest records for a segment of rows.
+func zonesOf(t *testing.T, rows []item.Item) []ColZone {
+	t.Helper()
+	_, zones, err := Encode(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zones
+}
+
 // requireSkipSound fails the test when Skip claims a segment is skippable
 // but some row would have matched the chain or errored inside it.
 func requireSkipSound(t *testing.T, rows []item.Item, preds []Predicate) bool {
 	t.Helper()
-	meta := Meta{Rows: len(rows), Cols: ZoneMaps(rows)}
+	meta := Meta{Rows: len(rows), Cols: zonesOf(t, rows)}
 	if !Skip(meta, preds) {
 		return false
 	}
@@ -187,7 +197,7 @@ func TestSkipPinned(t *testing.T) {
 		}
 		return rows
 	}
-	meta := func(rows []item.Item) Meta { return Meta{Rows: len(rows), Cols: ZoneMaps(rows)} }
+	meta := func(rows []item.Item) Meta { return Meta{Rows: len(rows), Cols: zonesOf(t, rows)} }
 	pred := func(op string, lit item.Item) []Predicate {
 		return []Predicate{{Field: "v", Op: op, Lit: lit}}
 	}

@@ -2,11 +2,7 @@ package segment
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,7 +10,6 @@ import (
 
 	"rumble/internal/dfs"
 	"rumble/internal/item"
-	"rumble/internal/jparse"
 )
 
 // ManifestName is the dataset manifest file inside a segments directory.
@@ -168,125 +163,15 @@ func OpenDataset(source string) (*Dataset, error) {
 
 // SourceHash fingerprints a JSON-lines source (file or directory of part
 // files): the sha256 over every data file's name and bytes in scan order,
-// plus the total byte count.
+// plus the total byte count. It reads the source the way an ingest does, so
+// the two cannot disagree about which bytes count.
 func SourceHash(source string) (string, int64, error) {
-	splits, err := dfs.ListSplits(source, 1<<62)
-	if err != nil {
-		return "", 0, errf(source, "hash: %v", err)
-	}
-	h := sha256.New()
-	var total int64
-	for _, sp := range splits {
-		io.WriteString(h, filepath.Base(sp.Path))
-		h.Write([]byte{0})
-		f, err := os.Open(sp.Path)
-		if err != nil {
-			return "", 0, errf(sp.Path, "hash: %v", err)
-		}
-		n, err := io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return "", 0, errf(sp.Path, "hash: %v", err)
-		}
-		total += n
-	}
-	return hex.EncodeToString(h.Sum(nil)), total, nil
+	return readSource(source, "hash", hashChunkSize, nil, func(_ string, chunk []byte) ([]byte, error) { return chunk, nil })
 }
 
-// Ingest builds (or rebuilds) the segment dataset of source: it scans the
-// JSON lines in raw scan order, parses every line, and writes full
-// segments of Rows rows (the final segment may be partial) plus the
-// manifest into the sibling segments directory, atomically via a
-// temporary directory. Any unparseable line aborts the ingest — such a
-// source stays on the raw scan path, which reports the same parse error
-// the tuple backend would.
-func Ingest(source string) (retErr error) {
-	hash, bytes, err := SourceHash(source)
-	if err != nil {
-		return err
-	}
-	splits, err := dfs.ListSplits(source, 1<<62)
-	if err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	dir := Dir(source)
-	tmp, err := os.MkdirTemp(filepath.Dir(dir), filepath.Base(dir)+".tmp-*")
-	if err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	defer func() {
-		if retErr != nil {
-			os.RemoveAll(tmp)
-		}
-	}()
-	// MkdirTemp creates 0700 staging directories; the rename below makes
-	// this the final segments directory, which must stay as readable as
-	// ordinary created files (umask applies), not private to the ingesting
-	// user.
-	if err := os.Chmod(tmp, 0o755); err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	m := Manifest{Version: Version, SourceHash: hash, SourceBytes: bytes}
-	var pending []item.Item
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		data, err := Encode(pending)
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("seg-%05d.rseg", len(m.Segments))
-		if err := os.WriteFile(filepath.Join(tmp, name), data, 0o644); err != nil {
-			return errf(source, "ingest: %v", err)
-		}
-		m.Segments = append(m.Segments, Meta{
-			File:  name,
-			Rows:  len(pending),
-			Bytes: int64(len(data)),
-			Cols:  ZoneMaps(pending),
-		})
-		m.Rows += int64(len(pending))
-		pending = pending[:0]
-		return nil
-	}
-	for _, sp := range splits {
-		// One decoder per split: its rows share shapes, which Encode keys
-		// its per-shape work by.
-		dec := jparse.NewDecoder()
-		err := dfs.ReadLines(sp, nil, func(line []byte) error {
-			it, perr := dec.Decode(line)
-			if perr != nil {
-				return errf(sp.Path, "ingest: %v", perr)
-			}
-			pending = append(pending, it)
-			if len(pending) == Rows {
-				return flush()
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	mdata, err := json.MarshalIndent(m, "", " ")
-	if err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, ManifestName), mdata, 0o644); err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	if err := os.Rename(tmp, dir); err != nil {
-		return errf(source, "ingest: %v", err)
-	}
-	return nil
-}
+// hashChunkSize is the chunk size of a pass that only hashes: nothing fans
+// out, so the buffer stays small enough to be hashed out of cache.
+const hashChunkSize = 64 << 10
 
 // Store serves segment datasets to the engine: one validated (and, when
 // needed, ingested) Dataset per source path, sharing one byte-bounded LRU
@@ -298,9 +183,16 @@ type Store struct {
 	datasets map[string]*datasetEntry
 	rebuilds sync.WaitGroup
 
+	// Workers is the size of the worker set an ingest of this store parses
+	// and encodes on (0 uses every core); set before the store serves
+	// queries. The segments written do not depend on it.
+	Workers int
 	// OnReingest, when set before the store serves queries, is called once
 	// per background re-ingest that completed successfully (metrics hook).
 	OnReingest func()
+	// OnIngest, set the same way, is called once per ingest that completed
+	// successfully, first touch or background rebuild.
+	OnIngest func(IngestStats)
 }
 
 type datasetEntry struct {
@@ -329,12 +221,18 @@ func NewStore(cacheBytes int64) *Store {
 // existing segments are stale (the content hash changed since ingest) or
 // from an older format version is served as (nil, nil) — the raw scan —
 // while a single background goroutine per path rebuilds the segments and
-// swaps them in atomically; later Opens see the fresh dataset. A nil
-// Dataset with a nil error therefore means "scan raw for now"; a non-nil
-// error means the source is not segmentable at all (for example, a line
-// fails to parse) and the raw scan will report the identical error the
-// tuple backend would.
+// swaps them in; later Opens see the fresh dataset. A nil Dataset with a nil
+// error therefore means "scan raw for now"; a non-nil error means the source
+// is not segmentable at all (for example, a line fails to parse) and the raw
+// scan will report the identical error the tuple backend would.
 func (s *Store) Open(path string) (*Dataset, error) {
+	ds, _, err := s.OpenStats(path)
+	return ds, err
+}
+
+// OpenStats is Open that also tells the one caller whose call ran the
+// first-touch ingest what it cost; stats is nil for every other call.
+func (s *Store) OpenStats(path string) (ds *Dataset, stats *IngestStats, err error) {
 	s.mu.Lock()
 	e := s.datasets[path]
 	if e == nil {
@@ -346,70 +244,60 @@ func (s *Store) Open(path string) (*Dataset, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.resolved || e.rebuilding {
-		return e.ds, e.err
-	}
-	ds, err := OpenDataset(path)
-	if err == nil {
-		ds.pool = s.pool
-		e.ds, e.resolved = ds, true
-		return ds, nil
+		return e.ds, nil, e.err
 	}
 	if _, statErr := os.Stat(filepath.Join(Dir(path), ManifestName)); statErr != nil {
 		// First touch: no segments exist yet. Build them synchronously so
-		// the very first scan already reads lanes, not JSON.
-		if err := s.ingestLocked(path, e); err != nil {
-			return nil, err
+		// the very first scan already reads lanes, not JSON. (Should another
+		// engine install them meanwhile, the ingest adopts its directory.)
+		ds, st, err := s.ingest(path)
+		e.ds, e.err, e.resolved = ds, err, true
+		if err != nil {
+			return nil, nil, err
 		}
-		return e.ds, nil
+		return ds, &st, nil
+	}
+	if ds, err = OpenDataset(path); err == nil {
+		ds.pool = s.pool
+		e.ds, e.resolved = ds, true
+		return ds, nil, nil
 	}
 	// A manifest exists but refused to open — stale content hash, older
 	// format version, or corruption. Serve the raw scan immediately and
-	// rebuild in the background, single-flight per path.
+	// rebuild in the background, single-flight per path. On failure the
+	// entry resolves to the error: scans keep falling back to raw lines,
+	// which report the same source problem.
 	e.rebuilding = true
-	s.rebuilds.Add(1)
-	go s.rebuild(path, e)
-	return nil, nil
+	var rebuilt *Dataset
+	launch(&s.rebuilds, path, func() error {
+		hook("rebuild", 0)
+		var err error
+		rebuilt, _, err = s.ingest(path)
+		return err
+	}, func(err error) {
+		e.mu.Lock()
+		e.rebuilding, e.resolved = false, true
+		e.ds, e.err = rebuilt, err
+		e.mu.Unlock()
+		if err == nil && s.OnReingest != nil {
+			s.OnReingest()
+		}
+	})
+	return nil, nil, nil
 }
 
-// ingestLocked ingests path and resolves e; the caller holds e.mu.
-func (s *Store) ingestLocked(path string, e *datasetEntry) error {
-	if err := Ingest(path); err != nil {
-		e.err, e.resolved = err, true
-		return err
-	}
-	ds, err := OpenDataset(path)
+// ingest builds the dataset of path on the store's workers and binds it to
+// the store's pool: the manifest in hand is the dataset, nothing is re-read.
+func (s *Store) ingest(path string) (*Dataset, IngestStats, error) {
+	ds, st, err := ingest(path, s.Workers, ingestChunkSize)
 	if err != nil {
-		e.err, e.resolved = err, true
-		return err
+		return nil, st, err
 	}
 	ds.pool = s.pool
-	e.ds, e.resolved = ds, true
-	return nil
-}
-
-// rebuild re-ingests a stale source off the query path and swaps the new
-// dataset in. On failure the entry resolves to the error: scans keep
-// falling back to raw lines, which report the same source problem.
-func (s *Store) rebuild(path string, e *datasetEntry) {
-	defer s.rebuilds.Done()
-	err := Ingest(path)
-	var ds *Dataset
-	if err == nil {
-		ds, err = OpenDataset(path)
+	if s.OnIngest != nil {
+		s.OnIngest(st)
 	}
-	e.mu.Lock()
-	e.rebuilding = false
-	e.resolved = true
-	if err != nil {
-		e.err = err
-	} else {
-		ds.pool = s.pool
-		e.ds = ds
-	}
-	e.mu.Unlock()
-	if err == nil && s.OnReingest != nil {
-		s.OnReingest()
-	}
+	return ds, st, nil
 }
 
 // WaitRebuilds blocks until every background re-ingest started so far has

@@ -50,6 +50,7 @@ func fetchAll(t *testing.T, ds *Dataset) []item.Item {
 }
 
 func TestIngestAndOpen(t *testing.T) {
+	noLeaks(t)
 	const n = 2*Rows + 123 // two full segments plus a partial tail
 	path := writeSource(t, n)
 	if err := Ingest(path); err != nil {
@@ -90,6 +91,7 @@ func TestIngestAndOpen(t *testing.T) {
 }
 
 func TestOpenDatasetStaleHash(t *testing.T) {
+	noLeaks(t)
 	path := writeSource(t, 100)
 	if err := Ingest(path); err != nil {
 		t.Fatal(err)
@@ -136,6 +138,7 @@ func TestOpenDatasetStaleHash(t *testing.T) {
 }
 
 func TestStoreTorture(t *testing.T) {
+	noLeaks(t)
 	newDataset := func(t *testing.T) (*Dataset, string) {
 		path := writeSource(t, Rows+50)
 		if err := Ingest(path); err != nil {
@@ -248,6 +251,7 @@ func TestStoreTorture(t *testing.T) {
 }
 
 func TestStoreOpenFallbackOnUnparseableSource(t *testing.T) {
+	noLeaks(t)
 	path := filepath.Join(t.TempDir(), "bad.jsonl")
 	if err := os.WriteFile(path, []byte("{\"g\": 1}\nnot json at all\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -372,6 +376,7 @@ func TestBufferPoolRetriesFailedLoads(t *testing.T) {
 }
 
 func TestBufferPoolCostsDecodedSize(t *testing.T) {
+	noLeaks(t)
 	// Entries are charged by what they pin in memory — the decoded lanes
 	// and dictionary — not the (much smaller) on-disk size passed as the
 	// provisional cost, so the configured budget bounds real memory.
@@ -379,7 +384,7 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	for i := range rows {
 		rows[i] = obj("s", item.Str(strings.Repeat("x", 100)+fmt.Sprint(i)))
 	}
-	data, err := Encode(rows)
+	data, _, err := Encode(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +434,7 @@ func writeABC(t *testing.T, n int) string {
 // once each — the second fetch is a miss that decodes only c and reuses
 // lane a — so the pool charges exactly what one {a,b,c} decode pins.
 func TestBufferPoolSharesLanes(t *testing.T) {
+	noLeaks(t)
 	path := writeABC(t, 500)
 	s := NewStore(0)
 	ds, err := s.Open(path)
@@ -470,6 +476,7 @@ func TestBufferPoolSharesLanes(t *testing.T) {
 // of one cold segment decode each lane exactly once — every fetch returns
 // the very lane the final resident snapshot holds.
 func TestBufferPoolSingleFlight(t *testing.T) {
+	noLeaks(t)
 	path := writeABC(t, 2000)
 	s := NewStore(0)
 	ds, err := s.Open(path)

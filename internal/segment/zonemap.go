@@ -2,7 +2,6 @@ package segment
 
 import (
 	"math"
-	"sort"
 
 	"rumble/internal/item"
 	"rumble/internal/vector"
@@ -61,53 +60,10 @@ type ZoneMap struct {
 	Max      Key  `json:"max"`
 }
 
-// observe folds one column value into the zone map.
-func (z *ZoneMap) observe(v item.Item) {
-	z.Present++
-	switch t := v.(type) {
-	case item.Null:
-		z.Kinds |= KindNull
-		z.Nulls++
-	case item.Bool:
-		if bool(t) {
-			z.Kinds |= KindTrue
-		} else {
-			z.Kinds |= KindFalse
-		}
-	case item.Int:
-		z.Kinds |= KindInt
-	case item.Double:
-		z.Kinds |= KindDouble
-	case item.Dec:
-		z.Kinds |= KindDec
-	case item.Str:
-		z.Kinds |= KindString
-	default:
-		z.Kinds |= KindItem
-		return // non-atomic: no sort key, min/max unchanged
-	}
-	sk, err := item.EncodeSortKey([]item.Item{v}, false)
-	if err != nil {
-		z.Kinds |= KindItem
-		return
-	}
-	if !z.HasRange {
-		z.HasRange = true
-		z.Min, z.Max = keyOf(sk), keyOf(sk)
-		return
-	}
-	if sk.Compare(z.Min.SortKey()) < 0 {
-		z.Min = keyOf(sk)
-	}
-	if sk.Compare(z.Max.SortKey()) > 0 {
-		z.Max = keyOf(sk)
-	}
-}
-
 // zoneOfLaneCol recomputes the zone map of one decoded lane straight from
 // its tags, typed lanes and dictionary codes; lane values follow lookup
-// semantics exactly like ZoneMaps' per-row rule, so a clean decode
-// reproduces the manifest entry bit for bit.
+// semantics exactly like the zone maps Encode folds at ingest, so a clean
+// decode reproduces the manifest entry bit for bit.
 func zoneOfLaneCol(c *vector.Col) ZoneMap {
 	var z ZoneMap
 	var lo, hi item.SortKey
@@ -170,44 +126,6 @@ type ColZone struct {
 	Zone ZoneMap `json:"zone"`
 }
 
-// ZoneMaps computes the per-column zone maps of a segment's rows at ingest.
-// Every cold lane decode recomputes its column's map (zoneOfLaneCol) and
-// compares against the manifest: zone maps inconsistent with the lane data
-// are a structured error, never a silently wrong prune.
-func ZoneMaps(rows []item.Item) []ColZone {
-	var order []string
-	maps := map[string]*ZoneMap{}
-	for _, r := range rows {
-		o, ok := r.(*item.Object)
-		if !ok {
-			continue
-		}
-		// Per-column observation follows lookup semantics: duplicate keys
-		// observe the first (winning) value only, once.
-		seen := map[string]bool{}
-		for _, k := range o.Keys() {
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			z := maps[k]
-			if z == nil {
-				z = &ZoneMap{}
-				maps[k] = z
-				order = append(order, k)
-			}
-			v, _ := o.Get(k)
-			z.observe(v)
-		}
-	}
-	sortStrings(order)
-	out := make([]ColZone, len(order))
-	for i, k := range order {
-		out[i] = ColZone{Name: k, Zone: *maps[k]}
-	}
-	return out
-}
-
 // zoneEqual compares two zone maps for the consistency check.
 func zoneEqual(a, b ZoneMap) bool {
 	return a.Present == b.Present && a.Nulls == b.Nulls && a.Kinds == b.Kinds &&
@@ -217,5 +135,3 @@ func zoneEqual(a, b ZoneMap) bool {
 func keyEqual(a, b Key) bool {
 	return a.Tag == b.Tag && string(a.Str) == string(b.Str) && a.Num == b.Num && a.Int == b.Int
 }
-
-func sortStrings(s []string) { sort.Strings(s) }

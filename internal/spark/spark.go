@@ -84,6 +84,9 @@ type Metrics struct {
 	SegmentCacheHits atomic.Int64
 	SegmentCacheMiss atomic.Int64
 	SegmentReingests atomic.Int64
+	SegmentIngests   atomic.Int64
+	SegmentIngestNS  atomic.Int64
+	SegmentIngestB   atomic.Int64
 }
 
 // MetricsSnapshot is a plain-value copy of Metrics.
@@ -118,6 +121,12 @@ type MetricsSnapshot struct {
 	// SegmentReingests counts background dataset rebuilds triggered by a
 	// stale source hash at open time.
 	SegmentReingests int64 `json:"segment_reingests"`
+	// SegmentIngests counts the segment datasets this engine built — first
+	// touches and background rebuilds alike — SegmentIngestSeconds the wall
+	// time they took and SegmentIngestBytes the source bytes they read.
+	SegmentIngests       int64   `json:"segment_ingests_total"`
+	SegmentIngestSeconds float64 `json:"segment_ingest_seconds"`
+	SegmentIngestBytes   int64   `json:"segment_ingest_bytes"`
 }
 
 // Metrics returns a snapshot of the counters.
@@ -140,6 +149,10 @@ func (c *Context) Metrics() MetricsSnapshot {
 		SegmentCacheHits: c.metrics.SegmentCacheHits.Load(),
 		SegmentCacheMiss: c.metrics.SegmentCacheMiss.Load(),
 		SegmentReingests: c.metrics.SegmentReingests.Load(),
+
+		SegmentIngests:       c.metrics.SegmentIngests.Load(),
+		SegmentIngestSeconds: time.Duration(c.metrics.SegmentIngestNS.Load()).Seconds(),
+		SegmentIngestBytes:   c.metrics.SegmentIngestB.Load(),
 	}
 }
 
@@ -162,6 +175,9 @@ func (c *Context) ResetMetrics() {
 	c.metrics.SegmentCacheHits.Store(0)
 	c.metrics.SegmentCacheMiss.Store(0)
 	c.metrics.SegmentReingests.Store(0)
+	c.metrics.SegmentIngests.Store(0)
+	c.metrics.SegmentIngestNS.Store(0)
+	c.metrics.SegmentIngestB.Store(0)
 }
 
 // AddVectorRun counts one vector-backend pipeline evaluation.
@@ -196,6 +212,14 @@ func (c *Context) AddSegmentCacheMiss(n int64) { c.metrics.SegmentCacheMiss.Add(
 
 // AddSegmentReingests counts background re-ingests of stale datasets.
 func (c *Context) AddSegmentReingests(n int64) { c.metrics.SegmentReingests.Add(n) }
+
+// AddSegmentIngest counts one completed segment ingest, its wall time and
+// the source bytes it read.
+func (c *Context) AddSegmentIngest(wall time.Duration, sourceBytes int64) {
+	c.metrics.SegmentIngests.Add(1)
+	c.metrics.SegmentIngestNS.Add(int64(wall))
+	c.metrics.SegmentIngestB.Add(sourceBytes)
+}
 
 // AddRecordsRead is called by input sources when they produce records.
 func (c *Context) AddRecordsRead(n int64) { c.metrics.RecordsRead.Add(n) }

@@ -129,7 +129,9 @@ func New(cfg Config) *Engine {
 	var segs *segment.Store
 	if cfg.Segments {
 		segs = segment.NewStore(cfg.SegmentCacheBytes)
+		segs.Workers = sc.Conf().Executors
 		segs.OnReingest = func() { sc.AddSegmentReingests(1) }
+		segs.OnIngest = func(st segment.IngestStats) { sc.AddSegmentIngest(st.Duration, st.Bytes) }
 	}
 	return &Engine{
 		sc: sc,
@@ -350,7 +352,11 @@ func formatOpStats(op profile.OpStats, showIn bool) string {
 	if op.Batches > 0 {
 		fmt.Fprintf(&b, " batches=%d", op.Batches)
 	}
-	fmt.Fprintf(&b, " %.2fms)", op.WallMS)
+	fmt.Fprintf(&b, " %.2fms", op.WallMS)
+	if op.Note != "" {
+		fmt.Fprintf(&b, "; %s", op.Note)
+	}
+	b.WriteString(")")
 	return b.String()
 }
 
