@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -503,24 +504,58 @@ func TestLocalVsParallelEquivalence(t *testing.T) {
 		`for $o in json-file(%q) let $len := string-length($o.guess) where $len ge 6 count $c return $c`,
 		`for $o at $i in json-file(%q) where $i le 5 return $i`,
 		`for $o in json-file(%q) for $c in $o.choices[] group by $ch := $c order by $ch return { "c": $ch, "n": count($o) }`,
+		// The shapes below exercise the tuples' compile-time frames.
+		// A let shadows the for variable before and after the group-by.
+		`for $o in json-file(%q) let $o := $o.target group by $t := $o let $o := count($o) order by $t return [$t, $o]`,
+		`for $o in json-file(%q) let $o := $o.guess let $o := string-length($o) group by $o order by $o return $o`,
+		// group by $existing next to $k := expr, the second key reading the first.
+		`for $o in json-file(%q) let $t := $o.target group by $t, $k := concat($t, "/", $o.country) order by $k
+		 return { "t": $t, "k": $k, "n": count($o) }`,
+		// One carried variable used whole, one only counted, one unused.
+		`for $o in json-file(%q) let $g := $o.guess let $d := $o.date let $u := $o.choices
+		 group by $t := $o.target order by $t return { "t": $t, "n": count($g), "dates": [subsequence($d, 1, 3)] }`,
+		// Non-initial for clauses: positional, and allowing empty.
+		`for $o in json-file(%q) for $c at $p in $o.choices[] where $p eq 2 return [$o.guess, $c, $p]`,
+		`for $o in json-file(%q) for $c allowing empty at $p in $o.choices[][$$ eq "French"] return [$o.date, $c, $p]`,
+		// count after where; where between group by and order by.
+		`for $o in json-file(%q) where $o.guess eq $o.target count $c where $c mod 50 eq 0 return [$c, $o.date]`,
+		`for $o in json-file(%q) group by $c := $o.country where count($o) gt 100 order by $c descending return [$c, count($o)]`,
+		// Absent ordering keys, least and greatest.
+		`for $o in json-file(%q) order by (if ($o.guess eq $o.target) then () else $o.guess) empty greatest, $o.date return $o.guess`,
+		`for $o in json-file(%q) order by (if ($o.guess eq $o.target) then () else $o.guess) descending, $o.date return $o.guess`,
+		// A detected join followed by a group-by.
+		`for $a in parallelize(1 to 40) for $b in parallelize(1 to 60) where $a mod 7 eq $b mod 5
+		 group by $k := $a mod 7 order by $k return [$k, count($b), sum($a)]`,
+		// A FLWOR under a hoisted cluster-bound let.
+		`let $d := json-file(%q) for $o at $p in $d where $o.guess eq $o.target order by $o.date descending, $p
+		 count $c where $c le 5 return [$c, $p, $o.date, count($d)]`,
+	}
+	// Unordered group-bys compare as multisets: grouping keys of every kind,
+	// the equal ones (0.0/-0.0, 1/1.0) merging and the close ones not.
+	unordered := []string{
+		`for $x in parallelize((0.0, -0.0, 1, 1.0, 9007199254740993, 9007199254740992, "a", null, true,
+		   number("NaN"), number("NaN"), false, "1"))
+		 group by $k := $x return [$k, count($x)]`,
+		`for $x in parallelize(1 to 30) group by $a := $x mod 3, $b := $x mod 2 return [$a, $b, sum($x)]`,
+		`for $o in json-file(%q) group by $t := $o.target, $c := $o.country return [$t, $c, count($o)]`,
 	}
 	parallel := New(Config{Parallelism: 4, Executors: 4, SplitSize: 1024})
 	local := New(Config{})
 	local.env.Spark = nil
+	quoted := strconv.Quote(path)
+	// Every query here must succeed on every backend: an error all three
+	// agree on is still a failure.
+	mustAgree := func(tmpl string, unordered bool) {
+		q := strings.ReplaceAll(tmpl, "%q", quoted)
+		if msg := checkModesAgree(t, parallel, local, q, unordered); msg != "" {
+			t.Fatalf("query failed: %s\nquery: %s", msg, q)
+		}
+	}
 	for _, tmpl := range queries {
-		q := fmt.Sprintf(tmpl, path)
-		pres, err := parallel.QueryJSON(q)
-		if err != nil {
-			t.Fatalf("parallel: %v\nquery: %s", err, q)
-		}
-		lres, err := local.QueryJSON(q)
-		if err != nil {
-			t.Fatalf("local: %v\nquery: %s", err, q)
-		}
-		if !reflect.DeepEqual(pres, lres) {
-			t.Errorf("results diverge for %s:\nparallel %d items: %.200v\nlocal %d items: %.200v",
-				q, len(pres), pres, len(lres), lres)
-		}
+		mustAgree(tmpl, false)
+	}
+	for _, tmpl := range unordered {
+		mustAgree(tmpl, true)
 	}
 }
 

@@ -632,33 +632,55 @@ func (c *comp) compileFLWOR(f *ast.FLWOR) (Iterator, error) {
 // compileFLWORPipeline builds the tuple pipeline (and DataFrame plan) for
 // the clause chain remaining after cluster-bound lets were peeled; hoisted
 // reports whether such lets exist, in which case the chain evaluates under
-// their bindings off a single unit tuple.
+// their bindings off a single unit tuple. The tuple has a compile-time
+// schema, as a DataFrame has: frame tracks the variables bound so far and
+// each binding clause is handed the frame of the tuples it emits.
 func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted bool) (*flworIter, error) {
 	ret, err := c.compile(f.Return)
 	if err != nil {
 		return nil, err
 	}
-	out := &flworIter{planNode: c.pn(f), clauses: f.Clauses, ret: ret}
+	out := &flworIter{planNode: c.pn(f), ret: ret}
 
 	var local clauseEval
-	var steps []dfStep
+	var frame []string
+	// bind returns the running frame extended by names, a fresh slice: the
+	// frames of earlier clauses stay as they are.
+	bind := func(names ...string) []string {
+		frame = append(append(make([]string, 0, len(frame)+len(names)), frame...), names...)
+		return frame
+	}
 	// The mode decision was made statically (§4.4/§4.5): ModeDataFrame
 	// exactly when the initial clause (after any cluster-bound lets) is a
 	// for (without "allowing empty") over a parallel expression on an
-	// available cluster.
-	dfOK := c.info.ModeOf(f) == compiler.ModeDataFrame
+	// available cluster. The plan's steps drive the same evaluators the
+	// local chain links.
 	var plan *dfPlan
+	if c.info.ModeOf(f) == compiler.ModeDataFrame {
+		plan = &dfPlan{ret: ret}
+	}
+	step := func(s dfStep) {
+		if plan != nil {
+			plan.steps = append(plan.steps, s)
+		}
+	}
 
 	// prev tracks the profiling operator of the clause upstream of the
 	// one being compiled, so rows-in derivation chains through the
 	// pipeline. Ops are keyed by clause AST pointers: the vector backend
 	// compiles from the same clauses and shares the same operators.
 	prev := -1
+	// link appends one clause to the local chain under its profiling operator.
+	link := func(ev clauseEval, node any, label string, input int) {
+		prev = c.op(node, label, input)
+		local = &profiledClause{inner: ev, opID: prev}
+	}
 	if hoisted {
 		// The hoisted lets produce exactly one incoming tuple; the
 		// remaining chain (possibly empty) evaluates under their bindings.
 		local = unitEval{}
 	}
+	headDone := false
 	if jp := c.info.Joins[f]; jp != nil {
 		// The compiler replaced the leading for/for/where with an equi-join:
 		// the join heads both the local tuple pipeline and the DataFrame
@@ -667,24 +689,19 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 		if err != nil {
 			return nil, err
 		}
-		local = &joinEval{j: cj}
-		prev = c.op(jp, "join", -1)
-		local = &profiledClause{inner: local, opID: prev}
-		if dfOK {
-			plan = &dfPlan{sc: c.env.Spark, join: cj, ret: ret}
+		frame = cj.frame
+		link(&joinEval{j: cj}, jp, "join", -1)
+		if plan != nil {
+			plan.join = cj
 		}
 		for i, res := range cj.residual {
-			local = &whereEval{parent: local, cond: res}
-			prev = c.op(jp.Residual[i], "where", prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK {
-				steps = append(steps, dfWhereStep(res))
-			}
+			link(&whereEval{parent: local, cond: res}, jp.Residual[i], "where", prev)
+			step(dfWhereStep(res))
 		}
 		clauses = clauses[3:]
+		headDone = true
 	}
 
-	headDone := plan != nil
 	for i, cl := range clauses {
 		switch n := cl.(type) {
 		case *ast.ForClause:
@@ -692,103 +709,77 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 			if err != nil {
 				return nil, err
 			}
-			fe := &forEval{parent: local, varName: n.Var, posVar: n.PosVar, allowEmpty: n.AllowEmpty, in: in}
-			local = fe
+			fe := &forEval{parent: local, frame: bind(n.Var), allowEmpty: n.AllowEmpty, in: in}
+			if n.PosVar != "" {
+				fe.pos, fe.frame = true, bind(n.PosVar)
+			}
 			input := prev
 			if input < 0 {
 				input = c.opOf(in, n.In) // head for: rows in = scan rows out
 			}
-			prev = c.op(n, "for $"+n.Var, input)
-			local = &profiledClause{inner: local, opID: prev}
+			link(fe, n, "for $"+n.Var, input)
 			if i == 0 && !headDone {
-				if dfOK {
-					plan = &dfPlan{sc: c.env.Spark, initVar: n.Var, initPos: n.PosVar, initIn: in, ret: ret}
+				if plan != nil {
+					plan.head = fe
 				}
-			} else if dfOK {
-				steps = append(steps, dfForStep(n.Var, n.PosVar, n.AllowEmpty, in))
+			} else {
+				step(dfForStep(fe))
 			}
 		case *ast.LetClause:
 			val, err := c.compile(n.Value)
 			if err != nil {
 				return nil, err
 			}
-			local = &letEval{parent: local, varName: n.Var, value: val}
-			prev = c.op(n, "let $"+n.Var, prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK && (i > 0 || headDone) {
-				steps = append(steps, dfLetStep(n.Var, val))
-			}
+			le := &letEval{parent: local, frame: bind(n.Var), value: val}
+			link(le, n, "let $"+n.Var, prev)
+			step(dfLetStep(le))
 		case *ast.WhereClause:
 			cond, err := c.compile(n.Cond)
 			if err != nil {
 				return nil, err
 			}
-			local = &whereEval{parent: local, cond: cond}
-			prev = c.op(n, "where", prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK {
-				steps = append(steps, dfWhereStep(cond))
-			}
+			link(&whereEval{parent: local, cond: cond}, n, "where", prev)
+			step(dfWhereStep(cond))
 		case *ast.GroupByClause:
-			gplan := c.info.GroupPlans[n]
-			var lspecs []groupSpecEval
-			var dspecs []dfGroupSpec
-			for _, spec := range n.Specs {
-				var exprIt Iterator
+			specs := make([]groupSpecEval, len(n.Specs))
+			for i, spec := range n.Specs {
+				specs[i].varName = spec.Var
 				if spec.Expr != nil {
-					e, err := c.compile(spec.Expr)
-					if err != nil {
+					if specs[i].expr, err = c.compile(spec.Expr); err != nil {
 						return nil, err
 					}
-					exprIt = e
 				}
-				lspecs = append(lspecs, groupSpecEval{varName: spec.Var, expr: exprIt})
-				dspecs = append(dspecs, dfGroupSpec{varName: spec.Var, expr: exprIt})
 			}
-			usage := map[string]compiler.VarUsage{}
-			if gplan != nil {
+			var usage map[string]compiler.VarUsage
+			if gplan := c.info.GroupPlans[n]; gplan != nil {
 				usage = gplan.Usage
 			}
-			local = &groupByEval{parent: local, specs: lspecs, usage: usage}
-			prev = c.op(n, "group by", prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK {
-				steps = append(steps, dfGroupStep(dspecs, usage))
-			}
+			ge := newGroupByEval(local, frame, specs, usage)
+			frame = ge.frame
+			link(ge, n, "group by", prev)
+			step(dfGroupStep(ge))
 		case *ast.OrderByClause:
-			var lspecs []orderSpecEval
-			var dspecs []dfOrderSpec
+			oe := &orderByEval{parent: local}
 			for _, spec := range n.Specs {
 				e, err := c.compile(spec.Expr)
 				if err != nil {
 					return nil, err
 				}
-				lspecs = append(lspecs, orderSpecEval{expr: e, descending: spec.Descending, emptyGreatest: spec.EmptyGreatest})
-				dspecs = append(dspecs, dfOrderSpec{expr: e, descending: spec.Descending, emptyGreatest: spec.EmptyGreatest})
+				oe.specs = append(oe.specs, orderSpecEval{expr: e, descending: spec.Descending, emptyGreatest: spec.EmptyGreatest})
 			}
-			local = &orderByEval{parent: local, specs: lspecs}
-			prev = c.op(n, "order by", prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK {
-				steps = append(steps, dfOrderStep(dspecs))
-			}
+			link(oe, n, "order by", prev)
+			step(dfOrderStep(oe))
 		case *ast.CountClause:
-			local = &countEval{parent: local, varName: n.Var}
-			prev = c.op(n, "count $"+n.Var, prev)
-			local = &profiledClause{inner: local, opID: prev}
-			if dfOK {
-				steps = append(steps, dfCountStep(n.Var))
-			}
+			ce := &countEval{parent: local, frame: bind(n.Var)}
+			link(ce, n, "count $"+n.Var, prev)
+			step(dfCountStep(ce))
 		default:
 			return nil, Errorf("compile: unknown clause node %T", cl)
 		}
 	}
 	out.local = local
 	out.opRoot = c.op(f, "flwor", prev)
-	if dfOK {
-		plan.steps = steps
-		out.df = plan
-	}
+	out.df = plan
 	return out, nil
 }
 

@@ -1,7 +1,8 @@
 // Package runtime implements Rumble's runtime iterators: each compiled
 // JSONiq expression becomes an iterator that can evaluate (i) locally by
 // streaming items, (ii) on the cluster as an RDD of items, (iii) — for
-// FLWOR clauses — as DataFrames of tuples, and (iv) — for vector-eligible
+// FLWOR clauses — as a tuple stream, the same tuples and clause evaluators
+// streamed locally or moved through an RDD, and (iv) — for vector-eligible
 // FLWOR pipelines under Options.Vectorize — batch-at-a-time over the typed
 // column kernels of internal/vector. The backend choice is the compiler's
 // static mode annotation (compiler.Mode); plan nodes carry it and never
@@ -33,16 +34,14 @@ import (
 type DynamicContext struct {
 	parent *DynamicContext
 	prof   *profile.Profile // per-query stats, copied down from the root
-	// A slot-bound context (bindTuple, bindRow) carries no map: names is a
-	// frame of variable names and name i resolves to slot i of the context's
-	// own values — vals[i] for a local tuple, row.Seq(i) for a DataFrame row
-	// (whose frame, shared by every row of one clause, names the variable
-	// each cell carries, "" for cells that carry none). The last binding of
-	// a name shadows earlier ones. These are the contexts built per row, so
-	// the struct stays small: the per-call kinds of binding live in named.
+	// A slot-bound context (bindTuple) carries no map: names is the frame of
+	// a FLWOR tuple — fixed per clause at compile time and shared by every
+	// tuple of the clause — and name i resolves to vals[i]. The last binding
+	// of a name shadows earlier ones. These are the contexts built per
+	// tuple, so the struct stays small: the per-call kinds of binding live
+	// in named.
 	names []string
 	vals  [][]item.Item
-	row   spark.Row
 	// The context item ($$) and its 1-based position; nil when this context
 	// binds none.
 	ctxItem item.Item
@@ -77,29 +76,26 @@ func (dc *DynamicContext) BindVar(name string, seq []item.Item) *DynamicContext 
 }
 
 // bindTuple returns a child context binding names[i] to vals[i]: the
-// context of one local FLWOR tuple. Neither slice is copied.
+// context of one FLWOR tuple. Neither slice is copied.
 func (dc *DynamicContext) bindTuple(names []string, vals [][]item.Item) *DynamicContext {
 	return &DynamicContext{parent: dc, prof: dc.prof, names: names, vals: vals}
 }
 
-// bindRow returns a child context binding names[i] (when not "") to cell i
-// of row: the context of one DataFrame row. Neither slice is copied.
-func (dc *DynamicContext) bindRow(names []string, row spark.Row) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, names: names, row: row}
+// slotOf returns the slot a frame binds name at — the last one, as a
+// redeclared name shadows — or -1.
+func slotOf(frame []string, name string) int {
+	for i := len(frame) - 1; i >= 0; i-- {
+		if frame[i] == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // slot resolves name against this context's own frame.
 func (dc *DynamicContext) slot(name string) ([]item.Item, bool) {
-	if name == "" {
-		return nil, false // "" marks a row cell that carries no variable
-	}
-	for i := len(dc.names) - 1; i >= 0; i-- {
-		if dc.names[i] == name {
-			if dc.row != nil {
-				return dc.row.Seq(i), true
-			}
-			return dc.vals[i], true
-		}
+	if i := slotOf(dc.names, name); i >= 0 {
+		return dc.vals[i], true
 	}
 	return nil, false
 }

@@ -2,51 +2,43 @@ package runtime
 
 import (
 	"sort"
+	"strconv"
 	"time"
 
-	"rumble/internal/ast"
 	"rumble/internal/compiler"
 	"rumble/internal/item"
 )
 
 // tuple is one assignment of FLWOR variables — part of the dynamic context,
-// not a database tuple (footnote 1 of the paper). Variable order is
-// tracked so tuples convert deterministically to DataFrame rows.
+// not a database tuple (footnote 1 of the paper). It is the one row form of
+// both tuple pipelines: the local one streams tuples, the cluster one moves
+// the same tuples through an RDD. names is the clause's frame, fixed at
+// compile time and shared by every tuple the clause emits, as a DataFrame's
+// schema is; variable i of the frame is bound to values[i], and the last
+// binding of a redeclared name shadows.
 type tuple struct {
 	names  []string
 	values [][]item.Item
 }
 
-func (t tuple) lookup(name string) ([]item.Item, bool) {
-	for i := len(t.names) - 1; i >= 0; i-- {
-		if t.names[i] == name {
-			return t.values[i], true
-		}
-	}
-	return nil, false
-}
-
-// extend returns a copy of the tuple with one more binding. Variable
-// redeclaration shadows: lookup scans from the end, and hidden variables
-// are dropped when materializing contexts.
-func (t tuple) extend(name string, seq []item.Item) tuple {
-	names := make([]string, len(t.names)+1)
-	copy(names, t.names)
-	names[len(t.names)] = name
-	values := make([][]item.Item, len(t.values)+1)
-	copy(values, t.values)
-	values[len(t.values)] = seq
-	return tuple{names: names, values: values}
+// with returns the tuple under frame, which is t's frame followed by one
+// name per sequence in seqs. Only the values are copied.
+func (t tuple) with(frame []string, seqs ...[]item.Item) tuple {
+	values := make([][]item.Item, len(frame))
+	copy(values[copy(values, t.values):], seqs)
+	return tuple{names: frame, values: values}
 }
 
 // context converts the tuple into a child dynamic context of dc: one
-// allocation, resolving variables by slot off the tuple's own slices (the
-// last binding of a redeclared name shadows, as in lookup).
+// allocation, resolving variables by slot off the tuple's own slices.
 func (t tuple) context(dc *DynamicContext) *DynamicContext {
 	return dc.bindTuple(t.names, t.values)
 }
 
-// clauseEval streams the tuple output of one FLWOR clause.
+// clauseEval streams the tuple output of one FLWOR clause. Each clause keeps
+// what it does to one tuple in a method of its own (expand, bind, bindKeys,
+// merge, keysOf, less), which the cluster steps of flwor_df.go call too:
+// the clause semantics exist once.
 type clauseEval interface {
 	streamTuples(dc *DynamicContext, yield func(tuple) error) error
 }
@@ -54,68 +46,84 @@ type clauseEval interface {
 // forEval implements the for clause: one output tuple per item.
 type forEval struct {
 	parent     clauseEval // nil when this is the initial clause
-	varName    string
-	posVar     string
+	frame      []string   // incoming frame, the variable, the positional variable if any
+	pos        bool       // binds a positional variable
 	allowEmpty bool
 	in         Iterator
+}
+
+// bind extends base with the for variable and, when declared, its position.
+func (f *forEval) bind(base tuple, seq []item.Item, pos int64) tuple {
+	if f.pos {
+		return base.with(f.frame, seq, []item.Item{item.Int(pos)})
+	}
+	return base.with(f.frame, seq)
+}
+
+// expand streams the tuples base expands to: one per item of the input
+// sequence evaluated under base, or, when that is empty and the clause
+// allows it, one binding the empty sequence at position 0.
+func (f *forEval) expand(dc *DynamicContext, base tuple, yield func(tuple) error) error {
+	var pos int64
+	err := f.in.Stream(base.context(dc), func(it item.Item) error {
+		pos++
+		return yield(f.bind(base, []item.Item{it}, pos))
+	})
+	if err != nil {
+		return err
+	}
+	if pos == 0 && f.allowEmpty {
+		return yield(f.bind(base, nil, 0))
+	}
+	return nil
 }
 
 func (f *forEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	// Cooperative cancellation: the for clause is the driving loop of
 	// local FLWOR evaluation, so it checks the Go context periodically.
-	ctx := dc.GoContext()
-	var seen int
-	emit := func(base tuple) error {
-		bdc := base.context(dc)
-		var pos int64
-		err := f.in.Stream(bdc, func(it item.Item) error {
-			if ctx != nil {
-				if seen++; seen&63 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
+	if ctx := dc.GoContext(); ctx != nil {
+		emit := yield
+		var seen int
+		yield = func(t tuple) error {
+			if seen++; seen&63 == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
 			}
-			pos++
-			out := base.extend(f.varName, []item.Item{it})
-			if f.posVar != "" {
-				out = out.extend(f.posVar, []item.Item{item.Int(pos)})
-			}
-			return yield(out)
-		})
-		if err != nil {
-			return err
+			return emit(t)
 		}
-		if pos == 0 && f.allowEmpty {
-			out := base.extend(f.varName, nil)
-			if f.posVar != "" {
-				out = out.extend(f.posVar, []item.Item{item.Int(0)})
-			}
-			return yield(out)
-		}
-		return nil
 	}
 	if f.parent == nil {
-		return emit(tuple{})
+		return f.expand(dc, tuple{}, yield)
 	}
-	return f.parent.streamTuples(dc, emit)
+	return f.parent.streamTuples(dc, func(base tuple) error {
+		return f.expand(dc, base, yield)
+	})
 }
 
 // letEval implements the let clause: extend each tuple with the whole
 // sequence.
 type letEval struct {
-	parent  clauseEval // nil when this is the initial clause
-	varName string
-	value   Iterator
+	parent clauseEval // nil when this is the initial clause
+	frame  []string   // incoming frame and the variable
+	value  Iterator
+}
+
+func (l *letEval) bind(dc *DynamicContext, base tuple) (tuple, error) {
+	seq, err := Materialize(l.value, base.context(dc))
+	if err != nil {
+		return tuple{}, err
+	}
+	return base.with(l.frame, seq), nil
 }
 
 func (l *letEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	emit := func(base tuple) error {
-		seq, err := Materialize(l.value, base.context(dc))
+		out, err := l.bind(dc, base)
 		if err != nil {
 			return err
 		}
-		return yield(base.extend(l.varName, seq))
+		return yield(out)
 	}
 	if l.parent == nil {
 		return emit(tuple{})
@@ -145,109 +153,164 @@ func (w *whereEval) streamTuples(dc *DynamicContext, yield func(tuple) error) er
 // groupSpecEval is one compiled grouping key.
 type groupSpecEval struct {
 	varName string
-	expr    Iterator // nil when grouping by an existing variable
+	expr    Iterator // nil when grouping by an existing variable ...
+	src     int      // ... read from this slot of the work frame; -1 when the tuple does not bind it
 }
 
-// groupByEval implements the group-by clause locally: materialize, bucket
-// by encoded keys, emit one tuple per group with non-grouping variables
-// re-bound to the concatenation of their values. The usage analysis mirrors
-// the DataFrame path: count-only variables bind only their pre-aggregated
-// count, and unused variables are not carried at all.
+// groupCarry is one non-grouping variable the clause carries through: slot
+// src of the incoming tuple, reduced to its length when everything
+// downstream only counts it.
+type groupCarry struct {
+	src       int
+	countOnly bool
+}
+
+// groupByEval implements the group-by clause (§4.7): bindKeys projects each
+// incoming tuple onto the output frame — the keys, then the carried
+// variables, count-only ones already reduced to their length and unused ones
+// dropped, so a group holds (and a shuffle ships) no payload the rest of
+// the FLWOR cannot see — and merge folds the members of one group into its
+// output tuple.
 type groupByEval struct {
 	parent clauseEval
 	specs  []groupSpecEval
-	usage  map[string]compiler.VarUsage
+	work   []string // incoming frame, then one name per key: what key expressions see
+	carry  []groupCarry
+	frame  []string // output frame: one name per key, then one per carried variable
+}
+
+// newGroupByEval computes the clause's frames from the incoming one and the
+// compiler's usage analysis.
+func newGroupByEval(parent clauseEval, in []string, specs []groupSpecEval, usage map[string]compiler.VarUsage) *groupByEval {
+	g := &groupByEval{parent: parent, specs: specs, work: in[:len(in):len(in)]}
+	isKey := make(map[string]bool, len(specs))
+	for i := range specs {
+		name := specs[i].varName
+		if specs[i].expr == nil {
+			specs[i].src = slotOf(g.work, name)
+		}
+		g.work = append(g.work, name)
+		g.frame = append(g.frame, name)
+		isKey[name] = true
+	}
+	for i, name := range in {
+		if isKey[name] || usage[name] == compiler.UsageUnused || slotOf(in, name) != i {
+			continue // a key, dropped, or shadowed by a later binding of the name
+		}
+		countOnly := usage[name] == compiler.UsageCountOnly
+		if countOnly {
+			name += compiler.CountMarkerSuffix
+		}
+		g.carry = append(g.carry, groupCarry{src: i, countOnly: countOnly})
+		g.frame = append(g.frame, name)
+	}
+	return g
+}
+
+// bindKeys binds and validates the grouping keys of t and returns the
+// exchange key of its group with t's member tuple.
+func (g *groupByEval) bindKeys(dc *DynamicContext, t tuple) (string, tuple, error) {
+	n := len(t.values)
+	work := make([][]item.Item, n, len(g.work))
+	copy(work, t.values)
+	member := make([][]item.Item, len(g.frame))
+	for i, spec := range g.specs {
+		var seq []item.Item
+		switch {
+		case spec.expr != nil:
+			// A key expression sees the tuple and the keys bound before it.
+			s, err := Materialize(spec.expr, dc.bindTuple(g.work[:n+i], work))
+			if err != nil {
+				return "", tuple{}, err
+			}
+			seq = s
+		case spec.src >= 0:
+			seq = work[spec.src]
+		default:
+			return "", tuple{}, Errorf("group by: variable $%s is not bound", spec.varName)
+		}
+		if len(seq) > 1 {
+			return "", tuple{}, Errorf("group by: key $%s binds a sequence of %d items", spec.varName, len(seq))
+		}
+		work = append(work, seq)
+		member[i] = seq
+	}
+	key := make([]byte, 0, 64) // on the stack unless the keys render longer
+	for _, seq := range member[:len(g.specs)] {
+		sk, err := item.EncodeSortKey(seq, false)
+		if err != nil {
+			return "", tuple{}, Errorf("group by: %v", err)
+		}
+		key = appendNativeKey(key, sk)
+	}
+	for j, c := range g.carry {
+		seq := t.values[c.src]
+		if c.countOnly {
+			seq = []item.Item{item.Int(len(seq))}
+		}
+		member[len(g.specs)+j] = seq
+	}
+	return string(key), tuple{names: g.frame, values: member}, nil
+}
+
+// appendNativeKey renders one grouping key as its four native typed columns
+// (§4.7: type tag, string, double, exact integer), each closed by 0x1f: two
+// keys render to the same bytes exactly when SortKey.Compare calls them
+// equal. The cluster's hash partitioner places groups by these bytes, and
+// with them fixes the order groups are emitted in.
+func appendNativeKey(dst []byte, k item.SortKey) []byte {
+	dst = append(strconv.AppendInt(dst, int64(k.Tag), 10), 0x1f)
+	dst = append(strconv.AppendQuote(dst, k.Str), 0x1f)
+	dst = append(strconv.AppendFloat(dst, k.Num, 'g', -1, 64), 0x1f)
+	return append(strconv.AppendInt(dst, k.Int, 10), 0x1f)
+}
+
+// merge folds the member tuples of one group into the group's tuple: the
+// keys of the first member (all members agree), each carried variable
+// re-bound to the concatenation of its values across the group, or to the
+// sum of the lengths when only its count is consumed.
+func (g *groupByEval) merge(members []tuple) tuple {
+	out := make([][]item.Item, len(g.frame))
+	nk := len(g.specs)
+	copy(out, members[0].values[:nk])
+	for j, c := range g.carry {
+		slot := nk + j
+		if c.countOnly {
+			var n int64
+			for _, m := range members {
+				n += int64(m.values[slot][0].(item.Int))
+			}
+			out[slot] = []item.Item{item.Int(n)}
+			continue
+		}
+		var all []item.Item
+		for _, m := range members {
+			all = append(all, m.values[slot]...)
+		}
+		out[slot] = all
+	}
+	return tuple{names: g.frame, values: out}
 }
 
 func (g *groupByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
-	type group struct {
-		keys   [][]item.Item // singleton or empty sequence per spec
-		tuples []tuple
-	}
-	groups := make(map[string]*group)
-	var order []string
+	groups := make(map[string][]tuple)
+	var order []string // first-seen key order
 	err := g.parent.streamTuples(dc, func(t tuple) error {
-		// Bind / resolve each grouping key on this tuple.
-		keySeqs := make([][]item.Item, len(g.specs))
-		work := t
-		for i, spec := range g.specs {
-			var seq []item.Item
-			if spec.expr != nil {
-				s, err := Materialize(spec.expr, work.context(dc))
-				if err != nil {
-					return err
-				}
-				seq = s
-			} else {
-				s, ok := work.lookup(spec.varName)
-				if !ok {
-					return Errorf("group by: variable $%s is not bound", spec.varName)
-				}
-				seq = s
-			}
-			if len(seq) > 1 {
-				return Errorf("group by: key $%s binds a sequence of %d items", spec.varName, len(seq))
-			}
-			keySeqs[i] = seq
-			work = work.extend(spec.varName, seq)
+		k, member, err := g.bindKeys(dc, t)
+		if err != nil {
+			return err
 		}
-		var keyBuf []byte
-		for _, seq := range keySeqs {
-			sk, err := item.EncodeSortKey(seq, false)
-			if err != nil {
-				return Errorf("group by: %v", err)
-			}
-			keyBuf = item.AppendSortKey(keyBuf, sk)
-		}
-		k := string(keyBuf)
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{keys: keySeqs}
-			groups[k] = grp
+		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
-		grp.tuples = append(grp.tuples, work)
+		groups[k] = append(groups[k], member)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for _, k := range order {
-		grp := groups[k]
-		out := tuple{}
-		isKey := make(map[string]bool, len(g.specs))
-		for i, spec := range g.specs {
-			out = out.extend(spec.varName, grp.keys[i])
-			isKey[spec.varName] = true
-		}
-		// Non-grouping variables: concatenation across the group's tuples,
-		// or just the count / nothing per the usage analysis.
-		seen := map[string]bool{}
-		for _, name := range grp.tuples[0].names {
-			if isKey[name] || seen[name] {
-				continue
-			}
-			seen[name] = true
-			if g.usage[name] == compiler.UsageUnused {
-				continue
-			}
-			var n int64
-			var all []item.Item
-			for _, t := range grp.tuples {
-				if seq, ok := t.lookup(name); ok {
-					n += int64(len(seq))
-					if g.usage[name] != compiler.UsageCountOnly {
-						all = append(all, seq...)
-					}
-				}
-			}
-			if g.usage[name] == compiler.UsageCountOnly {
-				out = out.extend(name+compiler.CountMarkerSuffix, []item.Item{item.Int(n)})
-				continue
-			}
-			out = out.extend(name, all)
-		}
-		if err := yield(out); err != nil {
+		if err := yield(g.merge(groups[k])); err != nil {
 			return err
 		}
 	}
@@ -261,73 +324,105 @@ type orderSpecEval struct {
 	emptyGreatest bool
 }
 
-// orderByEval implements the order-by clause locally: materialize tuples,
-// compute keys (single atomic or empty required; mixed string/number types
-// raise an error per the JSONiq spec), sort stably, re-emit.
+// orderByEval implements the order-by clause (§4.8): compute each tuple's
+// keys (single atomic or empty required), reject a key that is a string on
+// one tuple and a number on another per the JSONiq spec, sort stably.
 type orderByEval struct {
 	parent clauseEval
 	specs  []orderSpecEval
 }
 
-func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
-	type keyed struct {
-		t    tuple
-		keys []item.SortKey
-	}
-	var rows []keyed
-	// Track observed value tags per spec for the compatibility check.
-	sawString := make([]bool, len(o.specs))
-	sawNumber := make([]bool, len(o.specs))
-	err := o.parent.streamTuples(dc, func(t tuple) error {
-		keys := make([]item.SortKey, len(o.specs))
-		tdc := t.context(dc)
-		for i, spec := range o.specs {
-			seq, err := Materialize(spec.expr, tdc)
-			if err != nil {
-				return err
-			}
-			if len(seq) > 1 {
-				return Errorf("order by: key binds a sequence of %d items", len(seq))
-			}
-			if len(seq) == 1 && !item.IsAtomic(seq[0]) {
-				return Errorf("order by: key is a non-atomic %s item", seq[0].Kind())
-			}
-			sk, err := item.EncodeSortKey(seq, spec.emptyGreatest)
-			if err != nil {
-				return Errorf("order by: %v", err)
-			}
-			switch sk.Tag {
-			case item.TagString:
-				sawString[i] = true
-			case item.TagNumber:
-				sawNumber[i] = true
-			}
-			keys[i] = sk
+// keyedTuple is a tuple with its ordering keys: item.SortKey's four fields
+// are the native typed key columns of §4.8, and its Compare their
+// lexicographic order.
+type keyedTuple struct {
+	t    tuple
+	keys []item.SortKey
+}
+
+// keysOf evaluates and validates the ordering keys of t.
+func (o *orderByEval) keysOf(dc *DynamicContext, t tuple) (keyedTuple, error) {
+	keys := make([]item.SortKey, len(o.specs))
+	tdc := t.context(dc)
+	for i, spec := range o.specs {
+		seq, err := Materialize(spec.expr, tdc)
+		if err != nil {
+			return keyedTuple{}, err
 		}
-		rows = append(rows, keyed{t: t, keys: keys})
+		if len(seq) > 1 {
+			return keyedTuple{}, Errorf("order by: key binds a sequence of %d items", len(seq))
+		}
+		if len(seq) == 1 && !item.IsAtomic(seq[0]) {
+			return keyedTuple{}, Errorf("order by: key is a non-atomic %s item", seq[0].Kind())
+		}
+		sk, err := item.EncodeSortKey(seq, spec.emptyGreatest)
+		if err != nil {
+			return keyedTuple{}, Errorf("order by: %v", err)
+		}
+		keys[i] = sk
+	}
+	return keyedTuple{t: t, keys: keys}, nil
+}
+
+// noteMix records in mask, one byte per ordering key, that k's key is a
+// string (bit 0) or a number (bit 1), and returns mask.
+func noteMix(mask []uint8, k keyedTuple) []uint8 {
+	for i, sk := range k.keys {
+		switch sk.Tag {
+		case item.TagString:
+			mask[i] |= 1
+		case item.TagNumber:
+			mask[i] |= 2
+		}
+	}
+	return mask
+}
+
+// checkMix rejects a tuple stream, given what noteMix recorded of it, in
+// which some key was a string on one tuple and a number on another.
+func checkMix(mask []uint8) error {
+	for i, m := range mask {
+		if m == 3 {
+			return Errorf("order by: key %d mixes strings and numbers across the tuple stream", i+1)
+		}
+	}
+	return nil
+}
+
+// less orders two keyed tuples by the clause's keys and directions.
+func (o *orderByEval) less(a, b keyedTuple) bool {
+	for i, spec := range o.specs {
+		c := a.keys[i].Compare(b.keys[i])
+		if c == 0 {
+			continue
+		}
+		if spec.descending {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
+}
+
+func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
+	var rows []keyedTuple
+	mask := make([]uint8, len(o.specs))
+	err := o.parent.streamTuples(dc, func(t tuple) error {
+		k, err := o.keysOf(dc, t)
+		if err != nil {
+			return err
+		}
+		noteMix(mask, k)
+		rows = append(rows, k)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for i := range o.specs {
-		if sawString[i] && sawNumber[i] {
-			return Errorf("order by: key %d mixes strings and numbers across the tuple stream", i+1)
-		}
+	if err := checkMix(mask); err != nil {
+		return err
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for i, spec := range o.specs {
-			c := rows[a].keys[i].Compare(rows[b].keys[i])
-			if c == 0 {
-				continue
-			}
-			if spec.descending {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	sort.SliceStable(rows, func(a, b int) bool { return o.less(rows[a], rows[b]) })
 	for _, r := range rows {
 		if err := yield(r.t); err != nil {
 			return err
@@ -338,15 +433,19 @@ func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) 
 
 // countEval implements the count clause: bind the 1-based tuple position.
 type countEval struct {
-	parent  clauseEval
-	varName string
+	parent clauseEval
+	frame  []string // incoming frame and the variable
+}
+
+func (c *countEval) bind(base tuple, n int64) tuple {
+	return base.with(c.frame, []item.Item{item.Int(n)})
 }
 
 func (c *countEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	var n int64
 	return c.parent.streamTuples(dc, func(t tuple) error {
 		n++
-		return yield(t.extend(c.varName, []item.Item{item.Int(n)}))
+		return yield(c.bind(t, n))
 	})
 }
 
@@ -355,11 +454,10 @@ func (c *countEval) streamTuples(dc *DynamicContext, yield func(tuple) error) er
 // when the node was annotated ModeDataFrame.
 type flworIter struct {
 	planNode
-	clauses []ast.Clause // original clause list (for DataFrame planning)
-	local   clauseEval   // chained local evaluators
-	ret     Iterator
-	df      *dfPlan // non-nil when the static mode is ModeDataFrame
-	opRoot  int     // profiling operator of the whole FLWOR (result rows)
+	local  clauseEval // chained local evaluators
+	ret    Iterator
+	df     *dfPlan // non-nil when the static mode is ModeDataFrame
+	opRoot int     // profiling operator of the whole FLWOR (result rows)
 }
 
 func (f *flworIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {

@@ -15,7 +15,9 @@ import (
 // the local tuple path (joinEval) and the DataFrame path (dfPlan.join);
 // residual conjuncts are applied as ordinary where steps by the compiler.
 type compiledJoin struct {
-	leftVar, rightVar   string
+	// frame names the left then the right variable: the frame of the joined
+	// tuples, and in halves the one-name frame each side's keys bind under.
+	frame               []string
 	leftIn, rightIn     Iterator
 	leftKeys, rightKeys []Iterator
 	residual            []Iterator
@@ -26,8 +28,7 @@ type compiledJoin struct {
 // compileJoin compiles the plan's expressions into iterators.
 func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 	j := &compiledJoin{
-		leftVar:   jp.Left.Var,
-		rightVar:  jp.Right.Var,
+		frame:     []string{jp.Left.Var, jp.Right.Var},
 		strategy:  jp.Strategy,
 		buildLeft: jp.BuildLeft,
 	}
@@ -68,8 +69,8 @@ func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 // empty sequence — "eq" over an empty operand is the empty sequence, whose
 // effective boolean value is false, so the row joins nothing. Encoding
 // stops at the first empty key, mirroring the short-circuit of "and".
-func encodeJoinKeys(keys []Iterator, varName string, it item.Item, dc *DynamicContext) (string, uint64, bool, error) {
-	bdc := dc.BindVar(varName, []item.Item{it})
+func encodeJoinKeys(keys []Iterator, frame []string, it item.Item, dc *DynamicContext) (string, uint64, bool, error) {
+	bdc := dc.bindTuple(frame, [][]item.Item{{it}})
 	var buf []byte
 	var mask uint64
 	for i, k := range keys {
@@ -160,7 +161,7 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 	buildRight := func() error {
 		build = map[string][]item.Item{}
 		return j.rightIn.Stream(dc, func(it item.Item) error {
-			key, mask, ok, err := encodeJoinKeys(j.rightKeys, j.rightVar, it, dc)
+			key, mask, ok, err := encodeJoinKeys(j.rightKeys, j.frame[1:], it, dc)
 			if err != nil {
 				return err
 			}
@@ -177,7 +178,7 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 				return err
 			}
 		}
-		key, mask, ok, err := encodeJoinKeys(j.leftKeys, j.leftVar, it, dc)
+		key, mask, ok, err := encodeJoinKeys(j.leftKeys, j.frame[:1], it, dc)
 		if err != nil {
 			return err
 		}
@@ -189,9 +190,8 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 		if !ok {
 			return nil
 		}
-		base := tuple{}.extend(j.leftVar, []item.Item{it})
 		for _, r := range build[key] {
-			if err := yield(base.extend(j.rightVar, []item.Item{r})); err != nil {
+			if err := yield(j.pair(it, r)); err != nil {
 				return err
 			}
 		}
@@ -199,12 +199,15 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 	})
 }
 
+// pair is the tuple of one matched pair.
+func (j *compiledJoin) pair(left, right item.Item) tuple {
+	return tuple{names: j.frame, values: [][]item.Item{{left}, {right}}}
+}
+
 // --- DataFrame path ---
 
-// joinInit runs the join on the cluster and returns the initial DataFrame
-// state: one ColSeq column per join variable, one row per matched pair.
-func (p *dfPlan) joinInit(dc *DynamicContext) (*dfState, error) {
-	j := p.join
+// pairsRDD runs the join on the cluster: one record per matched pair.
+func (j *compiledJoin) pairsRDD(dc *DynamicContext) (*spark.RDD[spark.Pair[string, spark.Joined[item.Item, item.Item]]], error) {
 	leftRDD, err := j.leftIn.RDD(dc)
 	if err != nil {
 		return nil, err
@@ -217,9 +220,9 @@ func (p *dfPlan) joinInit(dc *DynamicContext) (*dfState, error) {
 	var lmask, rmask atomicMask
 	// encodePairs keys one side's items; perRow, when set, validates each
 	// row's types eagerly against the already-complete other-side mask.
-	encodePairs := func(r *spark.RDD[item.Item], keys []Iterator, varName string, acc *atomicMask, perRow func(mask uint64) error) *spark.RDD[spark.Pair[string, item.Item]] {
+	encodePairs := func(r *spark.RDD[item.Item], keys []Iterator, frame []string, acc *atomicMask, perRow func(mask uint64) error) *spark.RDD[spark.Pair[string, item.Item]] {
 		return spark.FlatMapE(r, func(it item.Item) ([]spark.Pair[string, item.Item], error) {
-			key, mask, ok, err := encodeJoinKeys(keys, varName, it, dc)
+			key, mask, ok, err := encodeJoinKeys(keys, frame, it, dc)
 			if err != nil {
 				return nil, err
 			}
@@ -240,18 +243,18 @@ func (p *dfPlan) joinInit(dc *DynamicContext) (*dfState, error) {
 	case j.strategy == compiler.JoinHash:
 		// Shuffle hash join: both sides exchange; the type check runs once
 		// both sides are fully materialized, before any pair is emitted.
-		lp := encodePairs(leftRDD, j.leftKeys, j.leftVar, &lmask, nil)
-		rp := encodePairs(rightRDD, j.rightKeys, j.rightVar, &rmask, nil)
+		lp := encodePairs(leftRDD, j.leftKeys, j.frame[:1], &lmask, nil)
+		rp := encodePairs(rightRDD, j.rightKeys, j.frame[1:], &rmask, nil)
 		joined = spark.JoinByKey(lp, rp, func() error {
 			return joinKeyTypeConflict(lmask.v.Load(), rmask.v.Load(), numKeys)
 		})
 	case j.buildLeft:
 		// Broadcast the small left side; stream the big right side over it.
-		small, err := spark.Collect(encodePairs(leftRDD, j.leftKeys, j.leftVar, &lmask, nil))
+		small, err := spark.Collect(encodePairs(leftRDD, j.leftKeys, j.frame[:1], &lmask, nil))
 		if err != nil {
 			return nil, err
 		}
-		big := encodePairs(rightRDD, j.rightKeys, j.rightVar, &rmask, func(mask uint64) error {
+		big := encodePairs(rightRDD, j.rightKeys, j.frame[1:], &rmask, func(mask uint64) error {
 			return joinKeyTypeConflict(lmask.v.Load(), mask, numKeys)
 		})
 		bj := spark.BroadcastHashJoin(big, small)
@@ -261,24 +264,14 @@ func (p *dfPlan) joinInit(dc *DynamicContext) (*dfState, error) {
 		})
 	default:
 		// Broadcast the small right side; stream the big left side over it.
-		small, err := spark.Collect(encodePairs(rightRDD, j.rightKeys, j.rightVar, &rmask, nil))
+		small, err := spark.Collect(encodePairs(rightRDD, j.rightKeys, j.frame[1:], &rmask, nil))
 		if err != nil {
 			return nil, err
 		}
-		big := encodePairs(leftRDD, j.leftKeys, j.leftVar, &lmask, func(mask uint64) error {
+		big := encodePairs(leftRDD, j.leftKeys, j.frame[:1], &lmask, func(mask uint64) error {
 			return joinKeyTypeConflict(mask, rmask.v.Load(), numKeys)
 		})
 		joined = spark.BroadcastHashJoin(big, small)
 	}
-	st := &dfState{varCol: map[string]string{}}
-	lcol, rcol := st.freshCol(), st.freshCol()
-	rows := spark.Map(joined, func(kv spark.Pair[string, spark.Joined[item.Item, item.Item]]) spark.Row {
-		return spark.Row{[]item.Item{kv.Value.Left}, []item.Item{kv.Value.Right}}
-	})
-	st.varCol[j.leftVar] = lcol
-	st.varCol[j.rightVar] = rcol
-	st.df = spark.NewDataFrame(spark.Schema{Cols: []spark.Column{
-		{Name: lcol, Type: spark.ColSeq}, {Name: rcol, Type: spark.ColSeq},
-	}}, rows)
-	return st, nil
+	return joined, nil
 }

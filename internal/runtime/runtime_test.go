@@ -73,19 +73,18 @@ func TestContextItemChaining(t *testing.T) {
 }
 
 func TestTupleShadowing(t *testing.T) {
-	tu := tuple{}
-	tu = tu.extend("x", []item.Item{item.Int(1)})
-	tu = tu.extend("y", []item.Item{item.Int(2)})
-	tu2 := tu.extend("x", []item.Item{item.Int(3)})
-	if v, _ := tu2.lookup("x"); int64(v[0].(item.Int)) != 3 {
+	one := func(n int64) []item.Item { return []item.Item{item.Int(n)} }
+	tu := tuple{}.with([]string{"x"}, one(1))
+	tu = tu.with([]string{"x", "y"}, one(2))
+	tu2 := tu.with([]string{"x", "y", "x"}, one(3))
+	if v, _ := tu2.context(NewDynamicContext()).Lookup("x"); int64(v[0].(item.Int)) != 3 {
 		t.Error("tuple redeclaration should shadow")
 	}
-	if v, _ := tu.lookup("x"); int64(v[0].(item.Int)) != 1 {
+	if v, _ := tu.context(NewDynamicContext()).Lookup("x"); int64(v[0].(item.Int)) != 1 {
 		t.Error("tuple extension must not mutate the original")
 	}
-	dc := tu2.context(NewDynamicContext())
-	if v, _ := dc.Lookup("x"); int64(v[0].(item.Int)) != 3 {
-		t.Error("context conversion should expose the shadowing binding")
+	if v, _ := tu2.context(NewDynamicContext()).Lookup("y"); int64(v[0].(item.Int)) != 2 {
+		t.Error("tuple extension should keep the earlier bindings")
 	}
 }
 

@@ -4,66 +4,48 @@ import (
 	"testing"
 
 	"rumble/internal/item"
-	"rumble/internal/spark"
 )
 
-// TestSlotBoundContexts pins the one binding mechanism under FLWOR rows and
-// tuples: names resolve by slot off the row's / tuple's own values, the last
-// binding of a redeclared name shadows, unnamed cells are invisible, outer
-// bindings stay reachable, and binding costs exactly one allocation.
+// TestSlotBoundContexts pins the one binding mechanism under FLWOR tuples:
+// names resolve by slot off the tuple's own values under its clause's frame,
+// the last binding of a redeclared name shadows, outer bindings stay
+// reachable, and binding costs exactly one allocation — as extending a
+// tuple under the next clause's frame does.
 func TestSlotBoundContexts(t *testing.T) {
 	one := func(n int64) []item.Item { return []item.Item{item.Int(n)} }
 	root := NewDynamicContext().BindVar("outer", one(7))
 
-	tup := tuple{}.extend("x", one(1)).extend("y", one(2)).extend("x", one(3))
+	frame := []string{"x", "y", "x", "e"}
+	tup := tuple{}.with(frame[:1], one(1)).with(frame[:2], one(2)).with(frame, one(3), nil)
 	tdc := tup.context(root)
 	for name, want := range map[string]int64{"x": 3, "y": 2, "outer": 7} {
 		if v, ok := tdc.Lookup(name); !ok || len(v) != 1 || v[0] != item.Int(want) {
 			t.Errorf("tuple context: $%s = %v, want %d", name, v, want)
 		}
 	}
+	if v, ok := tdc.Lookup("e"); !ok || len(v) != 0 {
+		t.Errorf("tuple context: $e = %v, %v; want bound to the empty sequence", v, ok)
+	}
 	if _, ok := tdc.Lookup("z"); ok {
 		t.Error("tuple context resolves an unbound name")
 	}
-	if v, ok := tup.lookup("x"); !ok || v[0] != item.Int(3) {
-		t.Errorf("tuple.lookup disagrees with its context: %v", v)
-	}
-
-	// A DataFrame row: cell 0 carries $a, cell 1 a native key column no
-	// variable names, cell 2 carries $b bound to the empty sequence.
-	st := &dfState{
-		df: spark.NewDataFrame(spark.Schema{Cols: []spark.Column{
-			{Name: "c1", Type: spark.ColSeq}, {Name: "c2", Type: spark.ColInt}, {Name: "c3", Type: spark.ColSeq},
-		}}, nil),
-		varCol: map[string]string{"a": "c1", "b": "c3", "gone": "c9"},
-	}
-	bind := st.rowBinder(root)
-	row := spark.Row{one(10), int64(99), nil}
-	rdc := bind(row)
-	if v, ok := rdc.Lookup("a"); !ok || v[0] != item.Int(10) {
-		t.Errorf("row context: $a = %v", v)
-	}
-	if v, ok := rdc.Lookup("b"); !ok || len(v) != 0 {
-		t.Errorf("row context: $b = %v, %v; want bound to the empty sequence", v, ok)
-	}
-	if _, ok := rdc.Lookup("gone"); ok {
-		t.Error("row context resolves a variable whose column left the schema")
-	}
-	if _, ok := rdc.Lookup(""); ok {
-		t.Error("row context resolves the empty name to an unnamed cell")
-	}
-	if v, _, ok := rdc.Resolve("outer"); !ok || v[0] != item.Int(7) {
-		t.Errorf("row context hides the outer binding: %v", v)
+	if v, _, ok := tdc.Resolve("outer"); !ok || v[0] != item.Int(7) {
+		t.Errorf("tuple context hides the outer binding: %v", v)
 	}
 
 	var sink *DynamicContext
-	if n := testing.AllocsPerRun(100, func() { sink = bind(row) }); n != 1 {
-		t.Errorf("binding one DataFrame row: %.0f allocations, want 1", n)
-	}
 	if n := testing.AllocsPerRun(100, func() { sink = tup.context(root) }); n != 1 {
-		t.Errorf("binding one local tuple: %.0f allocations, want 1", n)
+		t.Errorf("binding one tuple: %.0f allocations, want 1", n)
 	}
 	_ = sink
+	wider := append(frame[:len(frame):len(frame)], "w")
+	var next tuple
+	if n := testing.AllocsPerRun(100, func() { next = tup.with(wider, nil) }); n != 1 {
+		t.Errorf("extending one tuple: %.0f allocations, want 1", n)
+	}
+	if len(next.values) != len(wider) || &next.names[0] != &wider[0] {
+		t.Error("tuple.with copied the frame or lost a value")
+	}
 }
 
 // TestMaterializeReadsInPlace pins the closure-free reads: a literal, a

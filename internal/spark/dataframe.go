@@ -11,30 +11,13 @@ import (
 type ColType int
 
 // Column types. ColSeq carries a JSONiq sequence of items — the paper's
-// "List of Items" column type used for FLWOR variables. The native types
-// back the three-column key encoding of §4.7/§4.8 and the count clause.
+// "List of Items" column type; the others are Spark SQL's native types.
 const (
 	ColSeq    ColType = iota // []item.Item
 	ColInt                   // int64
 	ColString                // string
 	ColDouble                // float64
 )
-
-// String returns the type name.
-func (t ColType) String() string {
-	switch t {
-	case ColSeq:
-		return "seq"
-	case ColInt:
-		return "int"
-	case ColString:
-		return "string"
-	case ColDouble:
-		return "double"
-	default:
-		return fmt.Sprintf("coltype(%d)", int(t))
-	}
-}
 
 // Column is a named, typed DataFrame column.
 type Column struct {
@@ -70,8 +53,10 @@ func (r Row) Seq(i int) []item.Item {
 }
 
 // DataFrame is a typed, partitioned table built on an RDD of rows. It
-// stands in for Spark SQL: extended projections with UDFs, EXPLODE,
-// selections, hash aggregation, total-order sort and zip-with-index.
+// stands in for Spark SQL in the paper's Fig. 11 comparator
+// (internal/baselines/sparksql): extended projections with UDFs, selections,
+// hash aggregation and total-order sort over native typed columns. Rumble's
+// own FLWOR tuple streams do not use it; they are RDDs of runtime tuples.
 type DataFrame struct {
 	schema Schema
 	rows   *RDD[Row]
@@ -88,12 +73,8 @@ func (df *DataFrame) Schema() Schema { return df.schema }
 // RDD returns the underlying row RDD.
 func (df *DataFrame) RDD() *RDD[Row] { return df.rows }
 
-// Context returns the owning context.
-func (df *DataFrame) Context() *Context { return df.rows.ctx }
-
-// WithColumn appends a column computed by udf from each input row — the
-// extended projection used to evaluate let-clause expressions
-// (SELECT a, b, EVALUATE_EXPRESSION(a, b) AS c).
+// WithColumn appends a column computed by udf from each input row — an
+// extended projection (SELECT a, b, EVALUATE_EXPRESSION(a, b) AS c).
 func (df *DataFrame) WithColumn(name string, t ColType, udf func(Row) (any, error)) *DataFrame {
 	schema := Schema{Cols: append(append([]Column{}, df.schema.Cols...), Column{Name: name, Type: t})}
 	rows := MapE(df.rows, func(r Row) (Row, error) {
@@ -109,119 +90,9 @@ func (df *DataFrame) WithColumn(name string, t ColType, udf func(Row) (any, erro
 	return NewDataFrame(schema, rows)
 }
 
-// WithColumns appends several columns computed together by udf, which must
-// return one value per added column.
-func (df *DataFrame) WithColumns(cols []Column, udf func(Row) ([]any, error)) *DataFrame {
-	schema := Schema{Cols: append(append([]Column{}, df.schema.Cols...), cols...)}
-	rows := MapE(df.rows, func(r Row) (Row, error) {
-		vs, err := udf(r)
-		if err != nil {
-			return nil, err
-		}
-		if len(vs) != len(cols) {
-			return nil, fmt.Errorf("dataframe: udf returned %d values for %d columns", len(vs), len(cols))
-		}
-		out := make(Row, len(r), len(r)+len(cols))
-		copy(out, r)
-		return append(out, vs...), nil
-	})
-	return NewDataFrame(schema, rows)
-}
-
-// ExplodeColumn computes a sequence with udf for each row and emits one
-// output row per item in it, appending the item as a singleton sequence in
-// a new column: SELECT *, EXPLODE(EVALUATE_EXPRESSION(...)) AS name — the
-// for-clause mapping of §4.4. When keepEmpty is true, rows whose sequence
-// is empty survive with an empty-sequence cell ("allowing empty").
-func (df *DataFrame) ExplodeColumn(name string, udf func(Row) ([]item.Item, error), keepEmpty bool) *DataFrame {
-	schema := Schema{Cols: append(append([]Column{}, df.schema.Cols...), Column{Name: name, Type: ColSeq})}
-	rows := FlatMapE(df.rows, func(r Row) ([]Row, error) {
-		seq, err := udf(r)
-		if err != nil {
-			return nil, err
-		}
-		if len(seq) == 0 {
-			if !keepEmpty {
-				return nil, nil
-			}
-			out := make(Row, len(r)+1)
-			copy(out, r)
-			out[len(r)] = []item.Item(nil)
-			return []Row{out}, nil
-		}
-		outs := make([]Row, 0, len(seq))
-		for _, it := range seq {
-			out := make(Row, len(r)+1)
-			copy(out, r)
-			out[len(r)] = []item.Item{it}
-			outs = append(outs, out)
-		}
-		return outs, nil
-	})
-	return NewDataFrame(schema, rows)
-}
-
-// ExplodeWithPosition is ExplodeColumn plus a second sequence column
-// holding the 1-based position of each exploded item within its source
-// row's sequence — the "for ... at $i" positional binding. Allowing-empty
-// rows bind position 0.
-func (df *DataFrame) ExplodeWithPosition(name, posName string, udf func(Row) ([]item.Item, error), keepEmpty bool) *DataFrame {
-	schema := Schema{Cols: append(append([]Column{}, df.schema.Cols...),
-		Column{Name: name, Type: ColSeq}, Column{Name: posName, Type: ColSeq})}
-	rows := FlatMapE(df.rows, func(r Row) ([]Row, error) {
-		seq, err := udf(r)
-		if err != nil {
-			return nil, err
-		}
-		if len(seq) == 0 {
-			if !keepEmpty {
-				return nil, nil
-			}
-			out := make(Row, len(r)+2)
-			copy(out, r)
-			out[len(r)] = []item.Item(nil)
-			out[len(r)+1] = []item.Item{item.Int(0)}
-			return []Row{out}, nil
-		}
-		outs := make([]Row, 0, len(seq))
-		for i, it := range seq {
-			out := make(Row, len(r)+2)
-			copy(out, r)
-			out[len(r)] = []item.Item{it}
-			out[len(r)+1] = []item.Item{item.Int(int64(i + 1))}
-			outs = append(outs, out)
-		}
-		return outs, nil
-	})
-	return NewDataFrame(schema, rows)
-}
-
-// Where keeps the rows for which pred is true — the where-clause selection
-// of §4.6.
+// Where keeps the rows for which pred is true.
 func (df *DataFrame) Where(pred func(Row) (bool, error)) *DataFrame {
 	return NewDataFrame(df.schema, FilterE(df.rows, pred))
-}
-
-// Select projects the DataFrame onto the named columns, in order.
-func (df *DataFrame) Select(names ...string) (*DataFrame, error) {
-	idx := make([]int, len(names))
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		j := df.schema.IndexOf(n)
-		if j < 0 {
-			return nil, fmt.Errorf("dataframe: unknown column %q", n)
-		}
-		idx[i] = j
-		cols[i] = df.schema.Cols[j]
-	}
-	rows := Map(df.rows, func(r Row) Row {
-		out := make(Row, len(idx))
-		for i, j := range idx {
-			out[i] = r[j]
-		}
-		return out
-	})
-	return NewDataFrame(Schema{Cols: cols}, rows), nil
 }
 
 // SortSpec describes one ORDER BY key over native columns.
@@ -230,9 +101,7 @@ type SortSpec struct {
 	Descending bool
 }
 
-// OrderBy globally sorts the DataFrame by the given native-typed columns —
-// the order-by mapping of §4.8 (the caller encodes JSONiq keys into native
-// tag/string/double columns first).
+// OrderBy globally sorts the DataFrame by the given native-typed columns.
 func (df *DataFrame) OrderBy(specs []SortSpec) (*DataFrame, error) {
 	type colRef struct {
 		idx  int
@@ -296,24 +165,14 @@ func compareNative(t ColType, a, b any) int {
 	return 0
 }
 
-// AggKind selects what GroupBy computes for a non-grouping column.
+// AggKind selects what GroupBy computes for a non-grouping column; GroupBy
+// refuses a kind it does not know.
 type AggKind int
 
-// Aggregations over non-grouping columns: SEQUENCE concatenates all
-// sequences (the default group-by materialization), COUNT counts items
-// without materializing (the paper's count-detection optimization), FIRST
-// keeps the first row's value (used to recover grouping keys), and DROP
-// discards the column (the paper's unused-variable optimization).
-const (
-	AggSequence AggKind = iota
-	AggCount
-	AggFirst
-	AggDrop
-	// AggSumInt sums a native int column — the physical form of COUNT()
-	// pushdown: the map side pre-reduces each row's contribution to one
-	// integer so the shuffle ships no payload data.
-	AggSumInt
-)
+// AggCount counts the items of a sequence column without materializing
+// them: SQL's COUNT(). It is the one aggregation the Spark SQL baseline
+// uses.
+const AggCount AggKind = iota
 
 // Agg describes one aggregation in a GroupBy.
 type Agg struct {
@@ -323,8 +182,8 @@ type Agg struct {
 }
 
 // GroupBy hash-groups rows by the named native-typed key columns and
-// applies the aggregations — the group-by mapping of §4.7. The key columns
-// are preserved in the output; aggregated columns follow in Agg order.
+// counts each aggregated sequence column per group. The key columns are
+// preserved in the output; the counts follow in Agg order.
 func (df *DataFrame) GroupBy(keyCols []string, aggs []Agg) (*DataFrame, error) {
 	keyIdx := make([]int, len(keyCols))
 	keyTypes := make([]ColType, len(keyCols))
@@ -339,18 +198,14 @@ func (df *DataFrame) GroupBy(keyCols []string, aggs []Agg) (*DataFrame, error) {
 		keyIdx[i] = j
 		keyTypes[i] = df.schema.Cols[j].Type
 	}
-	type aggRef struct {
-		idx  int
-		kind AggKind
-	}
 	outCols := make([]Column, 0, len(keyCols)+len(aggs))
 	for i, n := range keyCols {
 		outCols = append(outCols, Column{Name: n, Type: keyTypes[i]})
 	}
-	refs := make([]aggRef, 0, len(aggs))
+	counted := make([]int, 0, len(aggs)) // column index per aggregation
 	for _, a := range aggs {
-		if a.Kind == AggDrop {
-			continue
+		if a.Kind != AggCount {
+			return nil, fmt.Errorf("dataframe: unknown aggregation kind %d on column %q", a.Kind, a.Col)
 		}
 		j := df.schema.IndexOf(a.Col)
 		if j < 0 {
@@ -360,12 +215,8 @@ func (df *DataFrame) GroupBy(keyCols []string, aggs []Agg) (*DataFrame, error) {
 		if name == "" {
 			name = a.Col
 		}
-		t := df.schema.Cols[j].Type
-		if a.Kind == AggCount || a.Kind == AggSumInt {
-			t = ColInt
-		}
-		outCols = append(outCols, Column{Name: name, Type: t})
-		refs = append(refs, aggRef{idx: j, kind: a.Kind})
+		outCols = append(outCols, Column{Name: name, Type: ColInt})
+		counted = append(counted, j)
 	}
 	encodeKey := func(r Row) string {
 		var buf []byte
@@ -386,53 +237,22 @@ func (df *DataFrame) GroupBy(keyCols []string, aggs []Agg) (*DataFrame, error) {
 		return Pair[string, Row]{Key: encodeKey(r), Value: r}
 	})
 	grouped := GroupByKey(pairs)
-	outRows := MapE(grouped, func(kv Pair[string, []Row]) (Row, error) {
+	outRows := Map(grouped, func(kv Pair[string, []Row]) Row {
 		group := kv.Value
-		out := make(Row, 0, len(keyIdx)+len(refs))
+		out := make(Row, 0, len(keyIdx)+len(counted))
 		for _, j := range keyIdx {
 			out = append(out, group[0][j])
 		}
-		for _, ref := range refs {
-			switch ref.kind {
-			case AggFirst:
-				out = append(out, group[0][ref.idx])
-			case AggCount:
-				var n int64
-				for _, r := range group {
-					n += int64(len(r.Seq(ref.idx)))
-				}
-				out = append(out, n)
-			case AggSumInt:
-				var n int64
-				for _, r := range group {
-					n += r[ref.idx].(int64)
-				}
-				out = append(out, n)
-			case AggSequence:
-				var all []item.Item
-				for _, r := range group {
-					all = append(all, r.Seq(ref.idx)...)
-				}
-				out = append(out, all)
+		for _, j := range counted {
+			var n int64
+			for _, r := range group {
+				n += int64(len(r.Seq(j)))
 			}
+			out = append(out, n)
 		}
-		return out, nil
-	})
-	return NewDataFrame(Schema{Cols: outCols}, outRows), nil
-}
-
-// ZipWithIndex appends an int column holding each row's global 0-based
-// position — the count-clause mapping of §4.9.
-func (df *DataFrame) ZipWithIndex(name string) *DataFrame {
-	schema := Schema{Cols: append(append([]Column{}, df.schema.Cols...), Column{Name: name, Type: ColInt})}
-	zipped := ZipWithIndex(df.rows)
-	rows := Map(zipped, func(kv Pair[int64, Row]) Row {
-		out := make(Row, len(kv.Value)+1)
-		copy(out, kv.Value)
-		out[len(kv.Value)] = kv.Key
 		return out
 	})
-	return NewDataFrame(schema, rows)
+	return NewDataFrame(Schema{Cols: outCols}, outRows), nil
 }
 
 // Collect materializes all rows on the driver.

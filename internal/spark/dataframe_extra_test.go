@@ -6,90 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"rumble/internal/item"
 )
-
-func TestExplodeWithPosition(t *testing.T) {
-	ctx := testCtx()
-	rows := []Row{{seq(item.Int(2))}, {seq(item.Int(0))}, {seq(item.Int(3))}}
-	df := NewDataFrame(Schema{Cols: []Column{{Name: "n", Type: ColSeq}}}, Parallelize(ctx, rows, 2))
-	udf := func(r Row) ([]item.Item, error) {
-		n := int64(r.Seq(0)[0].(item.Int))
-		var out []item.Item
-		for i := int64(0); i < n; i++ {
-			out = append(out, item.Str(fmt.Sprintf("v%d", i)))
-		}
-		return out, nil
-	}
-	exploded := df.ExplodeWithPosition("v", "pos", udf, false)
-	got, err := exploded.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 { // 2 + 0 + 3
-		t.Fatalf("%d rows", len(got))
-	}
-	// Position restarts per source row and is 1-based.
-	if p := got[0].Seq(2); int64(p[0].(item.Int)) != 1 {
-		t.Errorf("first position = %v", p)
-	}
-	if p := got[1].Seq(2); int64(p[0].(item.Int)) != 2 {
-		t.Errorf("second position = %v", p)
-	}
-	if p := got[2].Seq(2); int64(p[0].(item.Int)) != 1 {
-		t.Errorf("position should restart per row: %v", p)
-	}
-	// keepEmpty binds position 0
-	kept, err := df.ExplodeWithPosition("v", "pos", udf, true).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 6 {
-		t.Fatalf("keepEmpty rows = %d", len(kept))
-	}
-	foundZero := false
-	for _, r := range kept {
-		if p := r.Seq(2); len(p) == 1 && int64(p[0].(item.Int)) == 0 {
-			foundZero = true
-			if len(r.Seq(1)) != 0 {
-				t.Error("allowing-empty row should bind the empty sequence")
-			}
-		}
-	}
-	if !foundZero {
-		t.Error("allowing-empty row with position 0 missing")
-	}
-}
-
-func TestAggSumInt(t *testing.T) {
-	ctx := testCtx()
-	var rows []Row
-	for i := 0; i < 60; i++ {
-		rows = append(rows, Row{int64(i % 3), int64(2)})
-	}
-	schema := Schema{Cols: []Column{{Name: "k", Type: ColInt}, {Name: "c", Type: ColInt}}}
-	df := NewDataFrame(schema, Parallelize(ctx, rows, 4))
-	grouped, err := df.GroupBy([]string{"k"}, []Agg{{Col: "c", Kind: AggSumInt, As: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := grouped.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("%d groups", len(got))
-	}
-	for _, r := range got {
-		if r[1].(int64) != 40 { // 20 rows per group x 2
-			t.Errorf("group %v total = %v", r[0], r[1])
-		}
-	}
-	if grouped.Schema().Cols[1].Type != ColInt {
-		t.Error("AggSumInt output should be int-typed")
-	}
-}
 
 func TestForeachPartitionSink(t *testing.T) {
 	ctx := testCtx()

@@ -56,55 +56,6 @@ func TestWithColumnUDFErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestExplodeColumn(t *testing.T) {
-	ctx := testCtx()
-	rows := []Row{
-		{seq(item.Int(1))},
-		{seq(item.Int(2))},
-	}
-	df := NewDataFrame(Schema{Cols: []Column{{Name: "a", Type: ColSeq}}}, Parallelize(ctx, rows, 2))
-	// for $d in 1 to $a  — each row explodes into $a rows.
-	df2 := df.ExplodeColumn("d", func(r Row) ([]item.Item, error) {
-		n := int64(r.Seq(0)[0].(item.Int))
-		var out []item.Item
-		for i := int64(1); i <= n; i++ {
-			out = append(out, item.Int(i))
-		}
-		return out, nil
-	}, false)
-	got, err := df2.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 { // 1 + 2
-		t.Fatalf("exploded to %d rows, want 3", len(got))
-	}
-}
-
-func TestExplodeEmptySequence(t *testing.T) {
-	ctx := testCtx()
-	rows := []Row{{seq(item.Int(1))}, {seq(item.Int(2))}}
-	df := NewDataFrame(Schema{Cols: []Column{{Name: "a", Type: ColSeq}}}, Parallelize(ctx, rows, 1))
-	empty := func(r Row) ([]item.Item, error) { return nil, nil }
-	dropped, err := df.ExplodeColumn("d", empty, false).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 0 {
-		t.Errorf("without keepEmpty: %d rows, want 0", len(dropped))
-	}
-	kept, err := df.ExplodeColumn("d", empty, true).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 2 {
-		t.Errorf("with keepEmpty (allowing empty): %d rows, want 2", len(kept))
-	}
-	if len(kept[0].Seq(1)) != 0 {
-		t.Error("allowing-empty row should bind the empty sequence")
-	}
-}
-
 func TestWhere(t *testing.T) {
 	ctx := testCtx()
 	df := makeDF(t, ctx, 100)
@@ -120,35 +71,16 @@ func TestWhere(t *testing.T) {
 	}
 }
 
-func TestSelectProjection(t *testing.T) {
+func TestGroupByCount(t *testing.T) {
 	ctx := testCtx()
-	df := makeDF(t, ctx, 5)
-	sel, err := df.Select("name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Schema().Cols) != 1 || sel.Schema().Cols[0].Name != "name" {
-		t.Errorf("schema = %+v", sel.Schema())
-	}
-	if _, err := df.Select("nope"); err == nil {
-		t.Error("selecting unknown column should error")
-	}
-}
-
-func TestGroupByWithSequenceAndCount(t *testing.T) {
-	ctx := testCtx()
-	// Rows: (tag: int, payload: seq) — group by tag, materialize payloads
-	// and count them.
+	// Rows: (tag: int, payload: seq) — group by tag and count the payloads.
 	var rows []Row
 	for i := 0; i < 90; i++ {
 		rows = append(rows, Row{int64(i % 3), seq(item.Int(int64(i)))})
 	}
 	schema := Schema{Cols: []Column{{Name: "tag", Type: ColInt}, {Name: "p", Type: ColSeq}}}
 	df := NewDataFrame(schema, Parallelize(ctx, rows, 4))
-	grouped, err := df.GroupBy([]string{"tag"}, []Agg{
-		{Col: "p", Kind: AggSequence, As: "all"},
-		{Col: "p", Kind: AggCount, As: "n"},
-	})
+	grouped, err := df.GroupBy([]string{"tag"}, []Agg{{Col: "p", Kind: AggCount, As: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,20 +91,16 @@ func TestGroupByWithSequenceAndCount(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("%d groups", len(got))
 	}
-	gotTotal := 0
 	for _, r := range got {
-		all := r.Seq(1)
-		n := r[2].(int64)
-		if int64(len(all)) != n {
-			t.Fatalf("group %v: len(seq)=%d but count=%d", r[0], len(all), n)
-		}
-		if n != 30 {
+		if n := r[1].(int64); n != 30 {
 			t.Errorf("group %v has %d members", r[0], n)
 		}
-		gotTotal += len(all)
 	}
-	if gotTotal != 90 {
-		t.Errorf("groups cover %d rows", gotTotal)
+	if grouped.Schema().Cols[1] != (Column{Name: "n", Type: ColInt}) {
+		t.Errorf("count column = %+v", grouped.Schema().Cols[1])
+	}
+	if _, err := df.GroupBy([]string{"tag"}, []Agg{{Col: "p", Kind: AggCount + 1}}); err == nil {
+		t.Error("an aggregation kind other than AggCount should error")
 	}
 }
 
@@ -253,43 +181,5 @@ func TestOrderByNativeColumns(t *testing.T) {
 	}
 	if _, err := df.OrderBy([]SortSpec{{Col: "zzz"}}); err == nil {
 		t.Error("unknown sort column should error")
-	}
-}
-
-func TestZipWithIndexColumn(t *testing.T) {
-	ctx := testCtx()
-	df := makeDF(t, ctx, 50)
-	z := df.ZipWithIndex("pos")
-	rows, err := z.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rows {
-		if r[2].(int64) != int64(i) {
-			t.Fatalf("row %d has pos %v", i, r[2])
-		}
-	}
-	if z.Schema().Cols[2].Type != ColInt {
-		t.Error("pos column should be int-typed")
-	}
-}
-
-func TestWithColumnsMultiple(t *testing.T) {
-	ctx := testCtx()
-	df := makeDF(t, ctx, 4)
-	cols := []Column{{Name: "t", Type: ColInt}, {Name: "sv", Type: ColString}}
-	df2 := df.WithColumns(cols, func(r Row) ([]any, error) {
-		return []any{int64(5), "v"}, nil
-	})
-	rows, err := df2.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][2].(int64) != 5 || rows[0][3].(string) != "v" {
-		t.Errorf("row = %v", rows[0])
-	}
-	bad := df.WithColumns(cols, func(r Row) ([]any, error) { return []any{int64(1)}, nil })
-	if _, err := bad.Collect(); err == nil {
-		t.Error("arity mismatch should error")
 	}
 }

@@ -383,41 +383,48 @@ func Take[T any](r *RDD[T], n int) ([]T, error) {
 	return out, nil
 }
 
+// Aggregate folds each partition into an accumulator of its own (zero(),
+// then seq per element) and combines the partition accumulators in
+// partition order, like Spark's aggregate(): no value per element.
+func Aggregate[T, A any](r *RDD[T], zero func() A, seq func(A, T) A, comb func(A, A) A) (A, error) {
+	partials := make([]A, r.parts)
+	err := r.ctx.runStage(r.parts, func(p int) error {
+		acc := zero()
+		e := r.compute(p, func(v T) error {
+			acc = seq(acc, v)
+			return nil
+		})
+		partials[p] = acc
+		return e
+	})
+	acc := zero()
+	if err != nil {
+		return acc, err
+	}
+	for _, pv := range partials {
+		acc = comb(acc, pv)
+	}
+	return acc, nil
+}
+
 // Reduce combines all elements with f. It returns ok=false on an empty RDD.
 func Reduce[T any](r *RDD[T], f func(T, T) T) (zero T, ok bool, err error) {
-	partials := make([]*T, r.parts)
-	err = r.ctx.runStage(r.parts, func(p int) error {
-		var acc *T
-		if e := r.compute(p, func(v T) error {
-			if acc == nil {
-				vv := v
-				acc = &vv
-			} else {
-				*acc = f(*acc, v)
-			}
-			return nil
-		}); e != nil {
-			return e
-		}
-		partials[p] = acc
-		return nil
-	})
-	if err != nil {
-		return zero, false, err
-	}
-	var acc *T
-	for _, pv := range partials {
-		if pv == nil {
-			continue
-		}
+	fold := func(acc *T, v T) *T {
 		if acc == nil {
-			acc = pv
-		} else {
-			*acc = f(*acc, *pv)
+			vv := v
+			return &vv
 		}
+		*acc = f(*acc, v)
+		return acc
 	}
-	if acc == nil {
-		return zero, false, nil
+	acc, err := Aggregate(r, func() *T { return nil }, fold, func(a, b *T) *T {
+		if b == nil {
+			return a
+		}
+		return fold(a, *b)
+	})
+	if err != nil || acc == nil {
+		return zero, false, err
 	}
 	return *acc, true, nil
 }

@@ -1,7 +1,9 @@
 package spark
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -153,6 +155,35 @@ func TestReduce(t *testing.T) {
 	_, ok, err = Reduce(Parallelize[int](ctx, nil, 1), func(a, b int) int { return a + b })
 	if err != nil || ok {
 		t.Error("reduce of empty should report !ok")
+	}
+}
+
+func TestAggregate(t *testing.T) {
+	ctx := testCtx()
+	// One accumulator per partition, combined in partition order: the
+	// strings concatenate to the input order, and zero() runs once per
+	// partition plus once on the driver.
+	var zeros atomic.Int32
+	got, err := Aggregate(Parallelize(ctx, intsUpTo(10), 3),
+		func() []int { zeros.Add(1); return nil },
+		func(acc []int, v int) []int { return append(acc, v) },
+		func(a, b []int) []int { return append(a, b...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, intsUpTo(10)) || zeros.Load() != 4 {
+		t.Errorf("aggregate = %v with %d accumulators", got, zeros.Load())
+	}
+	boom := errors.New("boom")
+	failing := MapE(Parallelize(ctx, intsUpTo(10), 3), func(v int) (int, error) {
+		if v == 7 {
+			return 0, boom
+		}
+		return v, nil
+	})
+	if _, err := Aggregate(failing, func() int { return 0 }, func(a, v int) int { return a + v },
+		func(a, b int) int { return a + b }); !errors.Is(err, boom) {
+		t.Errorf("aggregate over a failing task: err = %v", err)
 	}
 }
 

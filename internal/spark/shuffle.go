@@ -26,9 +26,14 @@ func MapToPair[T any, K comparable, V any](r *RDD[T], f func(T) (K, V)) *RDD[Pai
 func hashKey[K comparable](k K) uint64 {
 	switch v := any(k).(type) {
 	case string:
-		h := fnv.New64a()
-		h.Write([]byte(v))
-		return h.Sum64()
+		// FNV-1a, inlined: hash/fnv would allocate per shuffled record. The
+		// values must stay hash/fnv's — bucket placement fixes the order
+		// groups are emitted in.
+		h := uint64(14695981039346656037)
+		for i := 0; i < len(v); i++ {
+			h = (h ^ uint64(v[i])) * 1099511628211
+		}
+		return h
 	case int:
 		return mix64(uint64(v))
 	case int64:
@@ -37,7 +42,7 @@ func hashKey[K comparable](k K) uint64 {
 		return mix64(v)
 	default:
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%v", v)
+		fmt.Fprintf(h, "%v", k) // k, not v: formatting v would make every key's any(k) escape
 		return h.Sum64()
 	}
 }

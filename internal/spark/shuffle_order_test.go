@@ -2,6 +2,7 @@ package spark
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -63,4 +64,23 @@ func TestGroupByKeyDeterministicOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHashKeyStringsMatchFNV pins the inlined string hash to hash/fnv's
+// FNV-1a: bucket placement — and with it the order a group-by emits its
+// groups in — must not move, and hashing a key must not allocate.
+func TestHashKeyStringsMatchFNV(t *testing.T) {
+	keys := []string{"", "a", "French", "6\x1f\"\"\x1f1\x1f1\x1f", "x\x1f", "\x1fy", "héllo wörld", "日本語", "\x00\xff"}
+	for _, k := range keys {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		if got, want := hashKey(k), h.Sum64(); got != want {
+			t.Errorf("hashKey(%q) = %d, hash/fnv says %d", k, got, want)
+		}
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink += hashKey(keys[3]) }); n != 0 {
+		t.Errorf("hashKey allocates %.0f times per string key", n)
+	}
+	_ = sink
 }

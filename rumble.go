@@ -4,8 +4,9 @@
 //
 // Queries are written in JSONiq and executed over an embedded Spark-like
 // parallel dataflow engine: expressions map to RDD transformations and
-// FLWOR clauses map to DataFrame operations, while the user only ever sees
-// sequences of items.
+// FLWOR clauses to the paper's DataFrame mappings — one set of clause
+// evaluators over one tuple form, streamed locally or moved through RDDs —
+// while the user only ever sees sequences of items.
 //
 //	eng := rumble.New(rumble.Config{})
 //	res, err := eng.Query(`
@@ -92,8 +93,8 @@ type Config struct {
 	// pipelines (scan → filter → project → group/aggregate, order-by
 	// with fused top-k, positional/count clauses, and detected hash
 	// equi-joins) are compiled to Mode=Vector and execute batch-at-a-time
-	// over typed columns instead of tuple-at-a-time or through the
-	// DataFrame machinery.
+	// over typed columns instead of tuple-at-a-time, locally or on the
+	// cluster.
 	Vectorize bool
 	// VerifyPlans checks every compiled plan's invariants (mode
 	// annotations, vector operator whitelist, join legality) before
