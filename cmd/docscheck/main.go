@@ -18,11 +18,17 @@
 // document itself defines: every ```jsonl <name> block above it is written
 // to a scratch directory and registered as collection(<name>), so the plan
 // shows the first-touch ingest of storage nobody has read before.
+//
+// Every check run also verifies the names README.md and docs/*.md cite in
+// backticks: a `Benchmark…` function must be defined by some _test.go and
+// a root-level `*.json` file must exist, so deleted benchmarks and their
+// recorded numbers cannot linger in the prose.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -61,7 +67,103 @@ func main() {
 		fmt.Fprintln(os.Stderr, "\nrun `go run ./cmd/docscheck -update` to refresh")
 		os.Exit(1)
 	}
-	fmt.Printf("docscheck: %s: all explain blocks fresh\n", path)
+	stale, err := staleRefs(".")
+	if err != nil {
+		fatal(err)
+	}
+	for _, s := range stale {
+		fmt.Fprintln(os.Stderr, "docscheck:", s)
+	}
+	if len(stale) > 0 {
+		os.Exit(1)
+	}
+	fmt.Printf("docscheck: %s: all explain blocks fresh, no stale references\n", path)
+}
+
+var (
+	spanRE     = regexp.MustCompile("`([^`]+)`")
+	benchRE    = regexp.MustCompile(`\bBenchmark[A-Z_]\w*`)
+	benchDefRE = regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	jsonRE     = regexp.MustCompile(`^[\w-][\w.-]*\.json$`)
+)
+
+// staleRefs reports every name that README.md or docs/*.md under root
+// cites in backticks and that points at nothing: a Benchmark function no
+// _test.go under root defines, or a root-level .json file that does not
+// exist. Fenced code blocks are not prose and are skipped.
+func staleRefs(root string) ([]string, error) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchDefRE.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		return nil, err
+	}
+	var stale []string
+	for _, doc := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			return nil, err
+		}
+		rel, _ := filepath.Rel(root, doc) // cannot fail: doc was joined onto root
+		text := withoutFences(string(src))
+		for _, m := range spanRE.FindAllStringSubmatchIndex(text, -1) {
+			span := text[m[2]:m[3]]
+			at := fmt.Sprintf("%s:%d:", rel, 1+strings.Count(text[:m[0]], "\n"))
+			for _, name := range benchRE.FindAllString(span, -1) {
+				if !defined[name] {
+					stale = append(stale, fmt.Sprintf("%s %s: no _test.go defines it", at, name))
+				}
+			}
+			for _, word := range strings.Fields(span) {
+				name := strings.Trim(word, "(),;:")
+				if !jsonRE.MatchString(name) {
+					continue
+				}
+				if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+					stale = append(stale, fmt.Sprintf("%s %s: no such file at the repository root", at, name))
+				}
+			}
+		}
+	}
+	return stale, nil
+}
+
+// withoutFences blanks the fenced code blocks of a markdown source,
+// keeping its line count.
+func withoutFences(src string) string {
+	lines := strings.Split(src, "\n")
+	in := false
+	for i, l := range lines {
+		fence := strings.HasPrefix(strings.TrimSpace(l), "```")
+		if fence || in {
+			lines[i] = ""
+		}
+		if fence {
+			in = !in
+		}
+	}
+	return strings.Join(lines, "\n")
 }
 
 // Drift describes one stale explain block.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,5 +127,63 @@ func TestProcessAnalyzeFence(t *testing.T) {
 	}
 	if len(drift2) != 0 || out2 != out {
 		t.Fatalf("regenerated analyze block still drifts: %v", drift2)
+	}
+}
+
+// TestStaleRefs pins the reference check on a scratch tree: a backticked
+// Benchmark name or root-level .json file is stale unless a _test.go
+// defines it or the file exists; fenced blocks and nested paths are not
+// checked.
+func TestStaleRefs(t *testing.T) {
+	for _, tc := range []struct {
+		name, readme, doc string
+		want              []string
+	}{
+		{name: "defined benchmark", readme: "see `BenchmarkKept/plain`\n"},
+		{name: "existing json", doc: "pinned in `BENCHMARK.json`.\n"},
+		{name: "unrelated spans", readme: "`go test -bench=.` and `benchmark/out/run.json`\n"},
+		{name: "fenced block", readme: "```\nBenchmarkGone BENCH_x.json\n`BenchmarkGone`\n```\n"},
+		{name: "deleted benchmark", readme: "x\nmeasured by `BenchmarkGone`\n",
+			want: []string{"README.md:2: BenchmarkGone: no _test.go defines it"}},
+		{name: "missing json across a line break", doc: "recorded in (`BENCH\n`, `BENCH_old.json`)\n",
+			want: []string{"docs/a.md:2: BENCH_old.json: no such file at the repository root"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			files := map[string]string{
+				"README.md":          tc.readme,
+				"docs/a.md":          tc.doc,
+				"BENCHMARK.json":     "{}",
+				"pkg/kept_test.go":   "package pkg\n\nfunc BenchmarkKept(b *testing.B) {}\n",
+				"pkg/helper_test.go": "package pkg\n\n// BenchmarkGone was deleted.\n",
+			}
+			for name, body := range files {
+				path := filepath.Join(root, name)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := staleRefs(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("staleRefs = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestRepoRefsFresh runs the reference check over the repository itself.
+func TestRepoRefsFresh(t *testing.T) {
+	stale, err := staleRefs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stale {
+		t.Error(s)
 	}
 }

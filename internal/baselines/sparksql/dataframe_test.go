@@ -1,44 +1,49 @@
-package spark
+package sparksql
 
 import (
 	"fmt"
 	"testing"
 
 	"rumble/internal/item"
+	"rumble/internal/spark"
 )
 
 func seq(items ...item.Item) []item.Item { return items }
 
-func makeDF(t *testing.T, ctx *Context, n int) *DataFrame {
+func testCtx() *spark.Context {
+	return spark.NewContext(spark.Config{Parallelism: 4, Executors: 4})
+}
+
+func makeDF(t *testing.T, ctx *spark.Context, n int) *dataFrame {
 	t.Helper()
-	rows := make([]Row, n)
+	rows := make([]row, n)
 	for i := range rows {
-		rows[i] = Row{seq(item.Int(int64(i))), seq(item.Str(fmt.Sprintf("name%d", i%3)))}
+		rows[i] = row{seq(item.Int(int64(i))), seq(item.Str(fmt.Sprintf("name%d", i%3)))}
 	}
-	schema := Schema{Cols: []Column{{Name: "x", Type: ColSeq}, {Name: "name", Type: ColSeq}}}
-	return NewDataFrame(schema, Parallelize(ctx, rows, 4))
+	sch := schema{cols: []column{{name: "x", typ: colSeq}, {name: "name", typ: colSeq}}}
+	return &dataFrame{schema: sch, rows: spark.Parallelize(ctx, rows, 4)}
 }
 
 func TestWithColumnExtendedProjection(t *testing.T) {
 	ctx := testCtx()
 	df := makeDF(t, ctx, 10)
-	df2 := df.WithColumn("double", ColSeq, func(r Row) (any, error) {
-		x := r.Seq(0)[0].(item.Int)
+	df2 := df.withColumn("double", colSeq, func(r row) (any, error) {
+		x := r.seq(0)[0].(item.Int)
 		return seq(item.Int(int64(x) * 2)), nil
 	})
-	rows, err := df2.Collect()
+	rows, err := spark.Collect(df2.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if df2.Schema().IndexOf("double") != 2 {
+	if df2.schema.indexOf("double") != 2 {
 		t.Error("new column not appended")
 	}
 	for _, r := range rows {
-		x := int64(r.Seq(0)[0].(item.Int))
-		d := int64(r.Seq(2)[0].(item.Int))
+		x := int64(r.seq(0)[0].(item.Int))
+		d := int64(r.seq(2)[0].(item.Int))
 		if d != 2*x {
 			t.Fatalf("row %d: double = %d", x, d)
 		}
@@ -48,10 +53,10 @@ func TestWithColumnExtendedProjection(t *testing.T) {
 func TestWithColumnUDFErrorPropagates(t *testing.T) {
 	ctx := testCtx()
 	df := makeDF(t, ctx, 10)
-	df2 := df.WithColumn("bad", ColSeq, func(r Row) (any, error) {
+	df2 := df.withColumn("bad", colSeq, func(r row) (any, error) {
 		return nil, fmt.Errorf("udf failure")
 	})
-	if _, err := df2.Collect(); err == nil {
+	if _, err := spark.Collect(df2.rows); err == nil {
 		t.Fatal("expected udf error")
 	}
 }
@@ -59,10 +64,10 @@ func TestWithColumnUDFErrorPropagates(t *testing.T) {
 func TestWhere(t *testing.T) {
 	ctx := testCtx()
 	df := makeDF(t, ctx, 100)
-	df2 := df.Where(func(r Row) (bool, error) {
-		return int64(r.Seq(0)[0].(item.Int))%2 == 0, nil
+	df2 := df.where(func(r row) (bool, error) {
+		return int64(r.seq(0)[0].(item.Int))%2 == 0, nil
 	})
-	n, err := df2.Count()
+	n, err := spark.Count(df2.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +79,17 @@ func TestWhere(t *testing.T) {
 func TestGroupByCount(t *testing.T) {
 	ctx := testCtx()
 	// Rows: (tag: int, payload: seq) — group by tag and count the payloads.
-	var rows []Row
+	var rows []row
 	for i := 0; i < 90; i++ {
-		rows = append(rows, Row{int64(i % 3), seq(item.Int(int64(i)))})
+		rows = append(rows, row{int64(i % 3), seq(item.Int(int64(i)))})
 	}
-	schema := Schema{Cols: []Column{{Name: "tag", Type: ColInt}, {Name: "p", Type: ColSeq}}}
-	df := NewDataFrame(schema, Parallelize(ctx, rows, 4))
-	grouped, err := df.GroupBy([]string{"tag"}, []Agg{{Col: "p", Kind: AggCount, As: "n"}})
+	sch := schema{cols: []column{{name: "tag", typ: colInt}, {name: "p", typ: colSeq}}}
+	df := &dataFrame{schema: sch, rows: spark.Parallelize(ctx, rows, 4)}
+	grouped, err := df.groupBy([]string{"tag"}, []agg{{col: "p", as: "n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := grouped.Collect()
+	got, err := spark.Collect(grouped.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +101,8 @@ func TestGroupByCount(t *testing.T) {
 			t.Errorf("group %v has %d members", r[0], n)
 		}
 	}
-	if grouped.Schema().Cols[1] != (Column{Name: "n", Type: ColInt}) {
-		t.Errorf("count column = %+v", grouped.Schema().Cols[1])
-	}
-	if _, err := df.GroupBy([]string{"tag"}, []Agg{{Col: "p", Kind: AggCount + 1}}); err == nil {
-		t.Error("an aggregation kind other than AggCount should error")
+	if grouped.schema.cols[1] != (column{name: "n", typ: colInt}) {
+		t.Errorf("count column = %+v", grouped.schema.cols[1])
 	}
 }
 
@@ -109,24 +111,24 @@ func TestGroupByHeterogeneousTypedKeys(t *testing.T) {
 	// groups without error, via the (tag, str, num) encoding.
 	ctx := testCtx()
 	keys := []item.Item{item.Str("foo"), item.Int(1), item.Int(1), item.Str("foo"), item.Bool(true)}
-	var rows []Row
+	var rows []row
 	for _, k := range keys {
 		sk, err := item.EncodeSortKey(seq(k), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, Row{int64(sk.Tag), sk.Str, sk.Num, seq(k)})
+		rows = append(rows, row{int64(sk.Tag), sk.Str, sk.Num, seq(k)})
 	}
-	schema := Schema{Cols: []Column{
-		{Name: "k1", Type: ColInt}, {Name: "k2", Type: ColString}, {Name: "k3", Type: ColDouble},
-		{Name: "i", Type: ColSeq},
+	sch := schema{cols: []column{
+		{name: "k1", typ: colInt}, {name: "k2", typ: colString}, {name: "k3", typ: colDouble},
+		{name: "i", typ: colSeq},
 	}}
-	df := NewDataFrame(schema, Parallelize(ctx, rows, 2))
-	grouped, err := df.GroupBy([]string{"k1", "k2", "k3"}, []Agg{{Col: "i", Kind: AggCount, As: "count"}})
+	df := &dataFrame{schema: sch, rows: spark.Parallelize(ctx, rows, 2)}
+	grouped, err := df.groupBy([]string{"k1", "k2", "k3"}, []agg{{col: "i", as: "count"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := grouped.Collect()
+	got, err := spark.Collect(grouped.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,27 +147,27 @@ func TestGroupByHeterogeneousTypedKeys(t *testing.T) {
 func TestGroupByErrors(t *testing.T) {
 	ctx := testCtx()
 	df := makeDF(t, ctx, 4)
-	if _, err := df.GroupBy([]string{"missing"}, nil); err == nil {
+	if _, err := df.groupBy([]string{"missing"}, nil); err == nil {
 		t.Error("unknown key column should error")
 	}
-	if _, err := df.GroupBy([]string{"x"}, nil); err == nil {
+	if _, err := df.groupBy([]string{"x"}, nil); err == nil {
 		t.Error("grouping on a sequence column should error")
 	}
 }
 
 func TestOrderByNativeColumns(t *testing.T) {
 	ctx := testCtx()
-	var rows []Row
+	var rows []row
 	for i := 0; i < 100; i++ {
-		rows = append(rows, Row{int64((i * 37) % 100), fmt.Sprintf("s%02d", i%7)})
+		rows = append(rows, row{int64((i * 37) % 100), fmt.Sprintf("s%02d", i%7)})
 	}
-	schema := Schema{Cols: []Column{{Name: "n", Type: ColInt}, {Name: "s", Type: ColString}}}
-	df := NewDataFrame(schema, Parallelize(ctx, rows, 5))
-	sorted, err := df.OrderBy([]SortSpec{{Col: "s"}, {Col: "n", Descending: true}})
+	sch := schema{cols: []column{{name: "n", typ: colInt}, {name: "s", typ: colString}}}
+	df := &dataFrame{schema: sch, rows: spark.Parallelize(ctx, rows, 5)}
+	sorted, err := df.orderBy([]sortSpec{{col: "s"}, {col: "n", descending: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sorted.Collect()
+	got, err := spark.Collect(sorted.rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +181,7 @@ func TestOrderByNativeColumns(t *testing.T) {
 			t.Fatalf("row %d out of order on n desc", i)
 		}
 	}
-	if _, err := df.OrderBy([]SortSpec{{Col: "zzz"}}); err == nil {
+	if _, err := df.orderBy([]sortSpec{{col: "zzz"}}); err == nil {
 		t.Error("unknown sort column should error")
 	}
 }

@@ -54,7 +54,7 @@ func (e *Engine) Run(q baselines.Query, path string) (baselines.Result, error) {
 // readJSON mimics spark.read.json: a schema inference pass over the data,
 // then a typed scan projecting each record onto native string columns.
 // Values whose type does not match are forced to strings (Figure 6).
-func (e *Engine) readJSON(path string) (*spark.DataFrame, error) {
+func (e *Engine) readJSON(path string) (*dataFrame, error) {
 	items, err := baselines.ItemsRDD(e.sc, path, e.splitSize)
 	if err != nil {
 		return nil, err
@@ -84,26 +84,29 @@ func (e *Engine) readJSON(path string) (*spark.DataFrame, error) {
 		return nil, err
 	}
 	// Typed scan: project onto native string columns.
-	cols := make([]spark.Column, len(inferredColumns))
+	cols := make([]column, len(inferredColumns))
 	for i, c := range inferredColumns {
-		cols[i] = spark.Column{Name: c, Type: spark.ColString}
+		cols[i] = column{name: c, typ: colString}
 	}
-	rows := spark.Map(items, func(it item.Item) spark.Row {
-		row := make(spark.Row, len(inferredColumns))
+	rows := spark.Map(items, func(it item.Item) row {
+		r := make(row, len(inferredColumns))
 		for i, c := range inferredColumns {
-			row[i] = baselines.FieldString(it, c)
+			r[i] = baselines.FieldString(it, c)
 		}
-		return row
+		return r
 	})
-	return spark.NewDataFrame(spark.Schema{Cols: cols}, rows), nil
+	return &dataFrame{schema: schema{cols: cols}, rows: rows}, nil
+}
+
+// guessedRight is the WHERE guess = target predicate of the filter and
+// sort queries.
+func guessedRight(r row) (bool, error) {
+	return r[0].(string) == r[1].(string) && r[0].(string) != "", nil
 }
 
 // filter is SELECT COUNT(*) WHERE guess = target.
-func (e *Engine) filter(df *spark.DataFrame) (baselines.Result, error) {
-	matches := df.Where(func(r spark.Row) (bool, error) {
-		return r[0].(string) == r[1].(string) && r[0].(string) != "", nil
-	})
-	n, err := matches.Count()
+func (e *Engine) filter(df *dataFrame) (baselines.Result, error) {
+	n, err := spark.Count(df.where(guessedRight).rows)
 	if err != nil {
 		return baselines.Result{}, err
 	}
@@ -111,18 +114,16 @@ func (e *Engine) filter(df *spark.DataFrame) (baselines.Result, error) {
 }
 
 // group is SELECT country, target, COUNT(*) GROUP BY country, target.
-func (e *Engine) group(df *spark.DataFrame) (baselines.Result, error) {
-	// COUNT(*) via a constant-1 sequence column aggregated with AggCount.
-	ones := df.WithColumn("one", spark.ColSeq, func(spark.Row) (any, error) {
+func (e *Engine) group(df *dataFrame) (baselines.Result, error) {
+	// COUNT(*) as the count of a constant-1 sequence column.
+	ones := df.withColumn("one", colSeq, func(row) (any, error) {
 		return []item.Item{item.Int(1)}, nil
 	})
-	grouped, err := ones.GroupBy([]string{"country", "target"}, []spark.Agg{
-		{Col: "one", Kind: spark.AggCount, As: "n"},
-	})
+	grouped, err := ones.groupBy([]string{"country", "target"}, []agg{{col: "one", as: "n"}})
 	if err != nil {
 		return baselines.Result{}, err
 	}
-	collected, err := grouped.Collect()
+	collected, err := spark.Collect(grouped.rows)
 	if err != nil {
 		return baselines.Result{}, err
 	}
@@ -136,19 +137,16 @@ func (e *Engine) group(df *spark.DataFrame) (baselines.Result, error) {
 
 // sort is Figure 3: SELECT * WHERE guess = target ORDER BY target ASC,
 // country DESC, date DESC, then take(10).
-func (e *Engine) sort(df *spark.DataFrame) (baselines.Result, error) {
-	matches := df.Where(func(r spark.Row) (bool, error) {
-		return r[0].(string) == r[1].(string) && r[0].(string) != "", nil
-	})
-	sorted, err := matches.OrderBy([]spark.SortSpec{
-		{Col: "target"},
-		{Col: "country", Descending: true},
-		{Col: "date", Descending: true},
+func (e *Engine) sort(df *dataFrame) (baselines.Result, error) {
+	sorted, err := df.where(guessedRight).orderBy([]sortSpec{
+		{col: "target"},
+		{col: "country", descending: true},
+		{col: "date", descending: true},
 	})
 	if err != nil {
 		return baselines.Result{}, err
 	}
-	top, err := spark.Take(sorted.RDD(), baselines.SortTopN)
+	top, err := spark.Take(sorted.rows, baselines.SortTopN)
 	if err != nil {
 		return baselines.Result{}, err
 	}

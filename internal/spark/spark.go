@@ -1,14 +1,15 @@
 // Package spark is a miniature Apache-Spark-like parallel dataflow engine:
 // lazy RDDs computed partition-by-partition on a bounded executor pool,
 // narrow transformations pipelined without materialization, wide
-// transformations (group, sort, zip-with-index) separated by shuffle
-// barriers, and a DataFrame layer with typed columns on top.
+// transformations (group, sort, join, zip-with-index) separated by
+// shuffle barriers.
 //
 // It is the substrate Rumble's runtime iterators compile to, standing in
 // for Apache Spark 2.4 in the paper. The engine preserves Spark's cost
-// structure — per-partition pipelines, shuffle barriers, schema-less rows
-// (RDD) versus columnar typed rows (DataFrame) — which is what the paper's
-// experiments exercise.
+// structure — per-partition pipelines and shuffle barriers — which is what
+// the paper's experiments exercise. It has no DataFrame type: Rumble's
+// DataFrame mode is an RDD of tuples, and the Spark SQL baseline carries
+// its own (internal/baselines/sparksql).
 package spark
 
 import (
