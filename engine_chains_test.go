@@ -65,17 +65,18 @@ func checkModesAgree(t *testing.T, parallel, local *Engine, q string, unordered 
 }
 
 // TestDataFrameGroupEmitOrderPinned pins the order a DataFrame-mode group-by
-// emits its groups in: it follows from the exchange key bytes (the keys'
-// native typed columns), their FNV-1a hash and the partition count, and a
+// emits its groups in: it follows from the exchange key bytes (each key's
+// item.AppendSortKey encoding, the one canonical key encoder joins and the
+// vector backend use too), their FNV-1a hash and the partition count, and a
 // change to any of them must fail here rather than reshuffle user output.
 func TestDataFrameGroupEmitOrderPinned(t *testing.T) {
 	e := New(Config{Parallelism: 4, Executors: 4})
 	cases := []struct{ query, want string }{
 		{`for $x in parallelize((0.0, -0.0, 1, 1.0, 9007199254740993, 9007199254740992, "a", null, true))
 		  group by $k := $x return $k`,
-			`[true 9007199254740993 0 1 9007199254740992 "a" null]`},
+			`[9007199254740992 true "a" 0 1 9007199254740993 null]`},
 		{`for $x in parallelize(1 to 30) group by $a := $x mod 3, $b := $x mod 2 return [$a, $b, sum($x)]`,
-			`[[1, 1, 65] [2, 0, 70] [0, 1, 75] [1, 0, 80] [2, 1, 85] [0, 0, 90]]`},
+			`[[1, 1, 65] [0, 1, 75] [1, 0, 80] [0, 0, 90] [2, 0, 70] [2, 1, 85]]`},
 	}
 	for _, c := range cases {
 		st, err := e.Compile(c.query)

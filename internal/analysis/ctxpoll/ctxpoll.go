@@ -15,8 +15,8 @@
 //   - polling directly: referencing GoContext, cancelOf, WithCancel, or
 //     calling Err on a context;
 //   - delegating to a child that polls: calling a Stream, streamTuples,
-//     StreamRaw, compute, runStage, or runOnce method — the loop drains a
-//     source that checkpoints itself;
+//     compute, runStage, or runOnce method — the loop drains a source that
+//     checkpoints itself;
 //   - materializing through the runtime first: Materialize, MaterializeN,
 //     CollectRDD and RDD Scan all pass through checkpointing streams, and a
 //     loop emitting an already-materialized sequence is bounded by it.
@@ -55,7 +55,6 @@ var checkpointNames = map[string]bool{
 var delegationNames = map[string]bool{
 	"Stream":       true,
 	"streamTuples": true,
-	"StreamRaw":    true,
 	"compute":      true,
 	"runStage":     true,
 	"runOnce":      true, // shuffle exchange: runs a checkpointing stage

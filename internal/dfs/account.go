@@ -2,10 +2,12 @@ package dfs
 
 // Accountant converts a stream of byte counts into simulated block reads
 // at BlockSize granularity. It is the single source of truth for block
-// accounting: ReadLines, the vector raw-morsel scanner and the segment
-// store all charge I/O through it, so every storage path rounds the same
-// way — whole blocks as they are crossed, plus one block for a trailing
-// partial block when the stream finishes.
+// accounting: ReadLines charges each split through it, the vector
+// backend's raw scan charges each morsel the blocks its records crossed
+// (finishing once per scan, on the last morsel), and the segment store
+// charges a cold segment file through BlocksFor — so every storage path
+// rounds the same way: whole blocks as they are crossed, plus one block for
+// a trailing partial block when the stream finishes.
 //
 // The zero value is ready to use.
 type Accountant struct {
@@ -32,9 +34,6 @@ func (a *Accountant) Finish() int {
 	}
 	return 0
 }
-
-// Pending returns the bytes consumed since the last whole-block report.
-func (a *Accountant) Pending() int64 { return a.since }
 
 // BlocksFor returns the simulated block reads a one-shot read of n bytes
 // charges: ceil(n / BlockSize), with 0 bytes charging 0 blocks.

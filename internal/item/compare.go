@@ -346,48 +346,3 @@ func AppendSortKey(dst []byte, k SortKey) []byte {
 	binary.BigEndian.PutUint64(b[:], uint64(k.Int))
 	return append(dst, b[:]...)
 }
-
-// DecodeSortKey reconstructs the original grouping key item from its typed
-// encoding, as the ARRAY_DISTINCT step of §4.7 does. The boolean result is
-// false for the empty sequence.
-func DecodeSortKey(k SortKey) (Item, bool) {
-	switch k.Tag {
-	case TagEmptyLeast, TagEmptyGreatest:
-		return nil, false
-	case TagNull:
-		return Null{}, true
-	case TagTrue:
-		return Bool(true), true
-	case TagFalse:
-		return Bool(false), true
-	case TagString:
-		return Str(k.Str), true
-	case TagNumber:
-		if k.Str == NaNStr {
-			return Double(math.NaN()), true
-		}
-		if k.Num == math.Trunc(k.Num) && k.Num >= -9.223372036854775808e18 && k.Num < 9.223372036854775808e18 {
-			// Integral keys round-trip through the exact Int column, so
-			// Int(2^53+1) comes back unchanged.
-			return Int(k.Int), true
-		}
-		return Double(k.Num), true
-	default:
-		return nil, false
-	}
-}
-
-// Hash returns a 64-bit FNV-1a hash of the item's canonical serialization,
-// used by the shuffle's hash partitioner.
-func Hash(it Item) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range it.AppendJSON(nil) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}

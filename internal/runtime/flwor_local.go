@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"rumble/internal/compiler"
@@ -241,7 +240,7 @@ func (g *groupByEval) bindKeys(dc *DynamicContext, t tuple) (string, tuple, erro
 		if err != nil {
 			return "", tuple{}, Errorf("group by: %v", err)
 		}
-		key = appendNativeKey(key, sk)
+		key = item.AppendSortKey(key, sk)
 	}
 	for j, c := range g.carry {
 		seq := t.values[c.src]
@@ -251,18 +250,6 @@ func (g *groupByEval) bindKeys(dc *DynamicContext, t tuple) (string, tuple, erro
 		member[len(g.specs)+j] = seq
 	}
 	return string(key), tuple{names: g.frame, values: member}, nil
-}
-
-// appendNativeKey renders one grouping key as its four native typed columns
-// (§4.7: type tag, string, double, exact integer), each closed by 0x1f: two
-// keys render to the same bytes exactly when SortKey.Compare calls them
-// equal. The cluster's hash partitioner places groups by these bytes, and
-// with them fixes the order groups are emitted in.
-func appendNativeKey(dst []byte, k item.SortKey) []byte {
-	dst = append(strconv.AppendInt(dst, int64(k.Tag), 10), 0x1f)
-	dst = append(strconv.AppendQuote(dst, k.Str), 0x1f)
-	dst = append(strconv.AppendFloat(dst, k.Num, 'g', -1, 64), 0x1f)
-	return append(strconv.AppendInt(dst, k.Int, 10), 0x1f)
 }
 
 // merge folds the member tuples of one group into the group's tuple: the

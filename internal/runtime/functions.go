@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"os"
 
 	"rumble/internal/compiler"
@@ -8,6 +9,7 @@ import (
 	"rumble/internal/functions"
 	"rumble/internal/item"
 	"rumble/internal/jparse"
+	"rumble/internal/profile"
 	"rumble/internal/segment"
 	"rumble/internal/spark"
 )
@@ -282,6 +284,49 @@ func (d *distinctValuesIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], err
 	}), nil
 }
 
+// scanInput is what one evaluation of a storage scan reads, resolved once:
+// the segment dataset when the store serves the source (ingest is non-nil
+// when this very resolution paid the first touch), otherwise the source's
+// JSON-Lines splits. op is the profiled source's operator, into which the
+// vector backend's raw scan records its rows, one batch and its wall time.
+type scanInput struct {
+	ds     *segment.Dataset
+	ingest *segment.IngestStats
+	splits []dfs.Split
+	op     *profile.Op
+}
+
+// storageScan is implemented by the scans that may read storage —
+// json-file, collection() and the profiling wrapper around either. The
+// vector backend asks once per evaluation; storage=false means the input
+// is not storage this time (an in-memory collection) and its items stream
+// through Stream instead.
+type storageScan interface {
+	resolveScan(dc *DynamicContext) (in scanInput, storage bool, err error)
+}
+
+// readSplits is the one local JSON-Lines read loop: it streams the records
+// of splits in order, polling ctx every 256 records. A record is valid only
+// until its yield returns.
+func readSplits(ctx context.Context, splits []dfs.Split, yield func(line []byte) error) error {
+	var n int
+	for _, s := range splits {
+		if err := dfs.ReadLines(s, nil, func(line []byte) error {
+			if ctx != nil {
+				if n++; n&255 == 0 {
+					if err := ctx.Err(); err != nil {
+						return err
+					}
+				}
+			}
+			return yield(line)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // jsonFileIter reads a json-lines dataset from the storage layer as an RDD
 // of items, one streaming parse per split (the json-file() function of
 // §5.7). The optional second argument is a minimum partition count.
@@ -312,78 +357,34 @@ func (j *jsonFileIter) Stream(dc *DynamicContext, yield func(item.Item) error) e
 	if err != nil {
 		return err
 	}
-	ctx := dc.GoContext()
 	dec := j.newDecoder()
-	var n int
-	for _, s := range splits {
-		if err := dfs.ReadLines(s, nil, func(line []byte) error {
-			if ctx != nil {
-				if n++; n&255 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-			}
-			it, perr := dec.Decode(line)
-			if perr != nil {
-				return Errorf("json-file: %v", perr)
-			}
-			return yield(it)
-		}); err != nil {
-			return err
+	return readSplits(dc.GoContext(), splits, func(line []byte) error {
+		it, perr := dec.Decode(line)
+		if perr != nil {
+			return Errorf("json-file: %v", perr)
 		}
-	}
-	return nil
+		return yield(it)
+	})
 }
 
-// StreamRaw implements rawScanner: it streams the dataset's raw JSON-Lines
-// records (each valid only until its yield returns) with their byte volume,
-// leaving both the parse and the simulated
-// storage round trips to the consumer — the vector backend's morsel
-// workers decode (and charge) them in parallel.
-func (j *jsonFileIter) StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (bool, error) {
-	splits, err := j.splits(dc)
-	if err != nil {
-		return true, err
-	}
-	ctx := dc.GoContext()
-	var n int
-	for _, s := range splits {
-		if err := dfs.ReadLines(s, nil, func(line []byte) error {
-			if ctx != nil {
-				if n++; n&255 == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-			}
-			return yield(line, int64(len(line))+1)
-		}); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
-}
-
-// SegmentDataset implements segmentSource: when the environment carries a
-// segment store, the scan serves decoded column batches from the source's
-// `.segments` sibling (ingesting it on first touch). A source the store
-// cannot serve — no store configured, unparseable data — returns nil and
-// the scan falls back to the JSON-Lines paths, which surface the real
-// source error.
-func (j *jsonFileIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
-	if j.env.Segments == nil {
-		return nil, nil
-	}
+// resolveScan implements storageScan. The path resolves once: when the
+// environment carries a segment store that can serve it, the scan reads
+// the source's `.segments` sibling (ingesting it on first touch); a source
+// the store cannot serve now — unparseable data, or a stale store being
+// rebuilt in the background — scans its splits, whose read surfaces any
+// real source error.
+func (j *jsonFileIter) resolveScan(dc *DynamicContext) (scanInput, bool, error) {
 	path, err := j.resolvePath(dc)
 	if err != nil {
-		return nil, nil
+		return scanInput{}, true, err
 	}
-	ds, ingest, err := j.env.Segments.OpenStats(path)
-	if err != nil {
-		return nil, nil
+	if j.env.Segments != nil {
+		if ds, ingest, err := j.env.Segments.OpenStats(path); err == nil && ds != nil {
+			return scanInput{ds: ds, ingest: ingest}, true, nil
+		}
 	}
-	return ds, ingest
+	splits, err := j.splitsOf(dc, path)
+	return scanInput{splits: splits}, true, err
 }
 
 func (j *jsonFileIter) resolvePath(dc *DynamicContext) (string, error) {
@@ -407,6 +408,12 @@ func (j *jsonFileIter) splits(dc *DynamicContext) ([]dfs.Split, error) {
 	if err != nil {
 		return nil, err
 	}
+	return j.splitsOf(dc, path)
+}
+
+// splitsOf lists the splits of the resolved path, honouring the optional
+// minimum partition count.
+func (j *jsonFileIter) splitsOf(dc *DynamicContext, path string) ([]dfs.Split, error) {
 	splitSize := j.env.SplitSize
 	if j.min != nil {
 		mseq, err := Materialize(j.min, dc)
@@ -541,33 +548,18 @@ func (c *collectionIter) Stream(dc *DynamicContext, yield func(item.Item) error)
 	return it.Stream(dc, yield)
 }
 
-// StreamRaw implements rawScanner for storage-backed collections by
-// delegating to the resolved json-file scan; in-memory collections report
-// handled=false and stream decoded items instead.
-func (c *collectionIter) StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (bool, error) {
+// resolveScan implements storageScan for the source the name resolves to:
+// a registered path scans as json-file does, an in-memory sequence is not
+// storage.
+func (c *collectionIter) resolveScan(dc *DynamicContext) (scanInput, bool, error) {
 	it, err := c.resolve(dc)
 	if err != nil {
-		return true, err
+		return scanInput{}, true, err
 	}
-	raw, ok := it.(rawScanner)
-	if !ok {
-		return false, nil
+	if src, ok := it.(storageScan); ok {
+		return src.resolveScan(dc)
 	}
-	return raw.StreamRaw(dc, yield)
-}
-
-// SegmentDataset implements segmentSource by delegating to the resolved
-// source; in-memory collections have no segment backing and report nil.
-func (c *collectionIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
-	it, err := c.resolve(dc)
-	if err != nil {
-		return nil, nil
-	}
-	src, ok := it.(segmentSource)
-	if !ok {
-		return nil, nil
-	}
-	return src.SegmentDataset(dc)
+	return scanInput{}, false, nil
 }
 
 func (c *collectionIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {

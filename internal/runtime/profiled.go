@@ -5,7 +5,6 @@ import (
 
 	"rumble/internal/compiler"
 	"rumble/internal/item"
-	"rumble/internal/segment"
 	"rumble/internal/spark"
 )
 
@@ -17,8 +16,8 @@ import (
 // The wrapper is transparent to every runtime capability of the wrapped
 // iterator: Mode delegates, RDD wraps the cluster pipeline with
 // spark.Observe (per-partition counts recorded from executor tasks),
-// and StreamRaw forwards to a raw-capable source so the vector
-// backend's byte-level scan handoff still engages through the wrapper.
+// and resolveScan forwards to a storage scan so the vector backend's
+// segment and raw scans still engage through the wrapper.
 type profiledIter struct {
 	inner Iterator
 	opID  int
@@ -59,43 +58,19 @@ func (p *profiledIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 	}), nil
 }
 
-// StreamRaw implements rawScanner by forwarding to the wrapped source.
-// handled=false when the source is not raw-capable for this evaluation,
-// exactly as if the wrapper were absent; raw rows count once here (the
-// decoded-item Stream path is not taken when raw scanning engages).
-func (p *profiledIter) StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (bool, error) {
-	raw, ok := p.inner.(rawScanner)
+// resolveScan implements storageScan by forwarding to the wrapped source
+// and handing over this operator: the vector backend's raw scan records its
+// records, one batch and its wall time there, as Stream would. A segment
+// scan records per morsel on its scan line instead (processMorsel), and an
+// input that is not storage streams through Stream.
+func (p *profiledIter) resolveScan(dc *DynamicContext) (scanInput, bool, error) {
+	src, ok := p.inner.(storageScan)
 	if !ok {
-		return false, nil
+		return scanInput{}, false, nil
 	}
-	op := dc.Profile().Op(p.opID)
-	if op == nil {
-		return raw.StreamRaw(dc, yield)
-	}
-	start := time.Now()
-	var rows int64
-	handled, err := raw.StreamRaw(dc, func(line []byte, n int64) error {
-		rows++
-		return yield(line, n)
-	})
-	if handled {
-		op.AddRows(rows)
-		op.AddBatches(1)
-		op.AddWall(time.Since(start))
-	}
-	return handled, err
-}
-
-// SegmentDataset implements segmentSource by forwarding to the wrapped
-// source, so a segment-backed scan still engages through the wrapper.
-// Scan rows are profiled per batch by the vector backend itself
-// (processMorsel records into the scan operator, and scanMorsels notes a
-// first-touch ingest there), so nothing is recorded here.
-func (p *profiledIter) SegmentDataset(dc *DynamicContext) (*segment.Dataset, *segment.IngestStats) {
-	if src, ok := p.inner.(segmentSource); ok {
-		return src.SegmentDataset(dc)
-	}
-	return nil, nil
+	in, storage, err := src.resolveScan(dc)
+	in.op = dc.Profile().Op(p.opID)
+	return in, storage, err
 }
 
 // profiledClause instruments one FLWOR clause of the tuple pipeline,

@@ -124,3 +124,33 @@ func TestMaterializeReadsInPlace(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeysBindAllocs pins the allocation ceiling of binding one
+// tuple's grouping keys: the work and member slices, one context per key
+// expression and the exchange key string. The key bytes stay in bindKeys'
+// stack buffer, which an encoder reached through a function value would
+// make escape.
+func TestGroupKeysBindAllocs(t *testing.T) {
+	one := func(it item.Item) []item.Item { return []item.Item{it} }
+	frame := []string{"x", "s"}
+	tup := tuple{names: frame, values: [][]item.Item{one(item.Int(7)), one(item.Str("abc"))}}
+	dc := NewDynamicContext()
+	for _, c := range []struct {
+		name  string
+		specs []groupSpecEval
+		max   float64
+	}{
+		{"expression and variable keys", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}, {varName: "s"}}, 4},
+		{"variable key", []groupSpecEval{{varName: "s"}}, 3},
+	} {
+		g := newGroupByEval(nil, frame, c.specs, nil)
+		var err error
+		n := testing.AllocsPerRun(100, func() { _, _, err = g.bindKeys(dc, tup) })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n > c.max {
+			t.Errorf("%s: %.0f allocations per bound tuple, want at most %.0f", c.name, n, c.max)
+		}
+	}
+}

@@ -503,40 +503,6 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 	return v.streamSerial(dc, vs, jr, ctx, yield)
 }
 
-// rawScanner is implemented by scan sources that can stream raw,
-// not-yet-decoded records (JSON-Lines storage). The vector backend prefers
-// it: the producer hands byte records to the morsel workers, which decode
-// them — and incur the simulated storage round trips — in parallel,
-// mirroring how the RDD path's partition tasks own both the read and the
-// decode. Decoding dominates real scan cost, so moving it off the
-// sequential producer is what lets the scan side of a vector pipeline
-// scale with the worker pool.
-type rawScanner interface {
-	// StreamRaw streams raw records with their consumed byte counts; a
-	// record is valid only until its yield returns (dfs.ReadLines hands
-	// out views of its read buffer). handled must be decided before the first yield: false means the
-	// source cannot serve this evaluation raw (an in-memory collection)
-	// and the caller must scan decoded items instead.
-	StreamRaw(dc *DynamicContext, yield func(line []byte, bytes int64) error) (handled bool, err error)
-}
-
-// segmentSource is implemented by scan sources that can serve an
-// evaluation from the columnar segment store. The vector backend prefers
-// it over both raw and item scanning: the producer walks segment metadata
-// only — testing pushed-down predicates against per-segment zone maps to
-// skip segments outright — and the morsel workers fetch decoded column
-// batches through the byte-bounded buffer pool, so a hot segment costs no
-// parse and no simulated storage round trip at all.
-type segmentSource interface {
-	// SegmentDataset returns the dataset backing this evaluation, or nil
-	// when the source cannot serve segments (no store configured, an
-	// in-memory collection, or ingest failed — the caller then falls back
-	// to raw/item scanning, which surfaces any real source error). ingest
-	// is non-nil when this very call built the dataset: what the first
-	// touch cost the evaluation that paid it.
-	SegmentDataset(dc *DynamicContext) (ds *segment.Dataset, ingest *segment.IngestStats)
-}
-
 // vmorselResult is one processed morsel: projected rows in scan order, the
 // morsel's partial aggregation table, or (for an order-by tail) the
 // morsel's sorted run plus the per-spec key type observations the global
@@ -1224,77 +1190,31 @@ type vmorsel struct {
 }
 
 // scanMorsels runs the scan on the calling goroutine, cutting it into
-// BatchSize-record morsels handed to emit in scan-index order. Raw-capable
-// sources stream undecoded records so the workers own the decode; other
-// sources stream items. rowCheck, when non-nil, runs per input record for
-// early abort. Returns the number of morsels emit accepted.
+// BatchSize-record morsels handed to emit in scan-index order. The input is
+// asked once what it reads this evaluation: segments, raw JSON-Lines splits
+// (whose decode the workers own), or neither — then its items stream.
+// rowCheck, when non-nil, runs per input record for early abort. Returns the
+// number of morsels emit accepted.
 func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
-	idx := 0
-	if src, ok := v.in.(segmentSource); ok {
-		ds, ingest := src.SegmentDataset(dc)
-		if ingest != nil {
+	if src, ok := v.in.(storageScan); ok {
+		in, storage, err := src.resolveScan(dc)
+		if err != nil {
+			in.op.AddBatches(1) // a storage scan that failed before reading
+			return 0, err
+		}
+		if in.ingest != nil {
 			// This evaluation paid the source's first touch: say so on its
 			// scan line.
-			dc.Profile().Op(v.opScan).SetNote(ingest.String())
+			dc.Profile().Op(v.opScan).SetNote(in.ingest.String())
 		}
-		if ds != nil {
-			return v.scanSegments(ds, rowCheck, emit)
-		}
-	}
-	if src, ok := v.in.(rawScanner); ok {
-		var raw []byte
-		var ends []int
-		rawCap := 0
-		// Block accounting is byte-accurate across morsels: each morsel
-		// is charged the whole blocks the cumulative scan position crossed
-		// while it filled, and the trailing partial block rounds up once
-		// per scan — mirroring dfs.ReadLines' accounting rather than
-		// ceiling every morsel to a full block.
-		var cum, prev int64
-		handled, err := src.StreamRaw(dc, func(line []byte, n int64) error {
-			if rowCheck != nil {
-				if err := rowCheck(); err != nil {
-					return err
-				}
-			}
-			if ends == nil {
-				// A morsel's records are about as long as the last one's.
-				raw, ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
-			}
-			raw = append(raw, line...)
-			ends = append(ends, len(raw))
-			cum += n
-			if len(ends) >= vector.BatchSize {
-				m := vmorsel{idx: idx, raw: raw, ends: ends, blocks: int(cum/dfs.BlockSize - prev/dfs.BlockSize)}
-				rawCap = len(raw) + len(raw)/8
-				raw, ends, prev = nil, nil, cum
-				if err := emit(m); err != nil {
-					return err
-				}
-				idx++
-			}
-			return nil
-		})
-		if handled {
-			if err != nil {
-				return idx, err
-			}
-			blocks := int(cum/dfs.BlockSize - prev/dfs.BlockSize)
-			if cum%dfs.BlockSize > 0 {
-				blocks++ // the residual partial block still costs a round trip
-			}
-			if len(ends) > 0 {
-				if err := emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks}); err != nil {
-					return idx, err
-				}
-				idx++
-			}
-			return idx, nil
-		}
-		if err != nil {
-			return idx, err
+		switch {
+		case in.ds != nil:
+			return v.scanSegments(in.ds, rowCheck, emit)
+		case storage:
+			return v.scanRaw(dc, in, rowCheck, emit)
 		}
 	}
+	idx := 0
 	var rows []item.Item
 	err := v.in.Stream(dc, func(it item.Item) error {
 		if rowCheck != nil {
@@ -1326,6 +1246,63 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 		idx++
 	}
 	return idx, nil
+}
+
+// scanRaw reads the input's JSON-Lines splits and cuts their records into
+// raw morsels, each the producer's own copy: the workers decode them in
+// parallel and charge each morsel the storage blocks its records crossed
+// while it filled, rounded by dfs.Accountant exactly as dfs.ReadLines
+// rounds a split — the trailing partial block once per scan, on the last
+// morsel. The records read, one batch and the wall time go to the profiled
+// source's operator.
+func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
+	var start time.Time
+	if in.op != nil {
+		start = time.Now()
+	}
+	var (
+		idx, rawCap, blocks int
+		records             int64
+		raw                 []byte
+		ends                []int
+		acct                dfs.Accountant
+	)
+	err := readSplits(dc.GoContext(), in.splits, func(line []byte) error {
+		records++
+		if rowCheck != nil {
+			if err := rowCheck(); err != nil {
+				return err
+			}
+		}
+		if ends == nil {
+			// A morsel's records are about as long as the last one's.
+			raw, ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
+		}
+		raw = append(raw, line...)
+		ends = append(ends, len(raw))
+		blocks += acct.Add(int64(len(line)) + 1)
+		if len(ends) >= vector.BatchSize {
+			m := vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks}
+			rawCap = len(raw) + len(raw)/8
+			raw, ends, blocks = nil, nil, 0
+			if err := emit(m); err != nil {
+				return err
+			}
+			idx++
+		}
+		return nil
+	})
+	if err == nil && len(ends) > 0 {
+		if err = emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks + acct.Finish()}); err == nil {
+			idx++
+		}
+	}
+	if in.op != nil {
+		in.op.AddRows(records)
+		in.op.AddBatches(1)
+		in.op.AddWall(time.Since(start))
+	}
+	return idx, err
 }
 
 // scanSegments cuts a segment-backed dataset into BatchSize-row morsels.

@@ -160,22 +160,6 @@ func FlatMapE[T, U any](r *RDD[T], f func(T) ([]U, error)) *RDD[U] {
 	})
 }
 
-// MapPartitions transforms one whole partition at a time. f receives the
-// partition index and a pull function and pushes results to yield; it is
-// the engine-level hook json-file uses to run a streaming parser per split.
-func MapPartitions[T, U any](r *RDD[T], f func(p int, in []T, yield func(U) error) error) *RDD[U] {
-	return NewRDD(r.ctx, r.parts, "mapPartitions("+r.name+")", func(p int, yield func(U) error) error {
-		var buf []T
-		if err := r.compute(p, func(v T) error {
-			buf = append(buf, v)
-			return nil
-		}); err != nil {
-			return err
-		}
-		return f(p, buf, yield)
-	})
-}
-
 // Union concatenates two RDDs (partitions of a followed by partitions of b).
 func Union[T any](a, b *RDD[T]) *RDD[T] {
 	return NewRDD(a.ctx, a.parts+b.parts, "union", func(p int, yield func(T) error) error {
@@ -183,23 +167,6 @@ func Union[T any](a, b *RDD[T]) *RDD[T] {
 			return a.compute(p, yield)
 		}
 		return b.compute(p-a.parts, yield)
-	})
-}
-
-// Coalesce reduces the partition count to parts by concatenating ranges of
-// parent partitions. It does not shuffle.
-func Coalesce[T any](r *RDD[T], parts int) *RDD[T] {
-	if parts <= 0 || parts >= r.parts {
-		return r
-	}
-	return NewRDD(r.ctx, parts, "coalesce("+r.name+")", func(p int, yield func(T) error) error {
-		lo, hi := sliceRange(r.parts, parts, p)
-		for pp := lo; pp < hi; pp++ {
-			if err := r.compute(pp, yield); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 }
 
@@ -427,21 +394,6 @@ func Reduce[T any](r *RDD[T], f func(T, T) T) (zero T, ok bool, err error) {
 		return zero, false, err
 	}
 	return *acc, true, nil
-}
-
-// Foreach runs f on every element for its side effects.
-func Foreach[T any](r *RDD[T], f func(T) error) error {
-	return r.ctx.runStage(r.parts, func(p int) error {
-		return r.compute(p, f)
-	})
-}
-
-// ForeachPartition streams every partition through f for its side effects;
-// f is called once per element with the partition index.
-func ForeachPartition[T any](r *RDD[T], f func(p int, v T) error) error {
-	return r.ctx.runStage(r.parts, func(p int) error {
-		return r.compute(p, func(v T) error { return f(p, v) })
-	})
 }
 
 // Sink receives one partition's elements during ForeachPartitionSink.

@@ -205,14 +205,6 @@ func TestUnionCoalesce(t *testing.T) {
 			t.Fatalf("union order %v", got)
 		}
 	}
-	c := Coalesce(u, 2)
-	if c.NumPartitions() != 2 {
-		t.Errorf("coalesce partitions = %d", c.NumPartitions())
-	}
-	got2, err := Collect(c)
-	if err != nil || len(got2) != 5 {
-		t.Fatalf("coalesce collect %v %v", got2, err)
-	}
 }
 
 func TestCacheComputesOnce(t *testing.T) {
@@ -322,47 +314,6 @@ func TestMapFusionLaw(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMapPartitions(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, intsUpTo(20), 4)
-	sums := MapPartitions(r, func(p int, in []int, yield func(int) error) error {
-		s := 0
-		for _, v := range in {
-			s += v
-		}
-		return yield(s)
-	})
-	got, err := Collect(sums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("expected one sum per partition, got %d", len(got))
-	}
-	total := 0
-	for _, s := range got {
-		total += s
-	}
-	if total != 190 {
-		t.Errorf("total = %d", total)
-	}
-}
-
-func TestForeachPartition(t *testing.T) {
-	ctx := testCtx()
-	r := Parallelize(ctx, intsUpTo(10), 2)
-	var seen atomic.Int64
-	if err := ForeachPartition(r, func(p int, v int) error {
-		seen.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen.Load() != 10 {
-		t.Errorf("seen = %d", seen.Load())
 	}
 }
 

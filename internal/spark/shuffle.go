@@ -316,11 +316,6 @@ func Distinct[T any, K comparable](r *RDD[T], keyFn func(T) K) *RDD[T] {
 	return Map(dedup, func(kv Pair[K, T]) T { return kv.Value })
 }
 
-// Keys projects a pair RDD to its keys.
-func Keys[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[K] {
-	return Map(r, func(kv Pair[K, V]) K { return kv.Key })
-}
-
 // Values projects a pair RDD to its values.
 func Values[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[V] {
 	return Map(r, func(kv Pair[K, V]) V { return kv.Value })
