@@ -96,8 +96,9 @@ func TestDataFrameGroupEmitOrderPinned(t *testing.T) {
 // internal/datagen from the clause kinds both tuple pipelines implement.
 // It keeps every chain comparable across backends: at most one clause may
 // raise a dynamic error and each such expression raises one fixed text
-// (cluster tasks race, so the first error in time is not the first in
-// stream order); a count clause never follows a group-by whose groups have
+// (a failing cluster stage reports its lowest failing partition's error,
+// and how the rows are partitioned, not the stream order, decides which
+// error that is); a count clause never follows a group-by whose groups have
 // not been put in a total order since; and a chain groups at most once, so
 // grouping keys are single items by construction.
 type chainGen struct {

@@ -89,16 +89,15 @@ func scanCorpus() []vectorConformanceCase {
 }
 
 // sameOutcome compares one evaluation of the file-backed engine against the
-// in-memory one: the same error (or, where which of several failing
-// partitions reports first is a race, just an error on both), else the same
-// items — in order, or as a multiset where the order is the shuffle's.
-func sameOutcome(t *testing.T, label string, fItems, mItems []Item, fErr, mErr error, exactErr, ordered bool) {
+// in-memory one: the same error, else the same items — in order, or as a
+// multiset where the order is the shuffle's.
+func sameOutcome(t *testing.T, label string, fItems, mItems []Item, fErr, mErr error, ordered bool) {
 	t.Helper()
 	if (fErr == nil) != (mErr == nil) {
 		t.Fatalf("%s: error mismatch: file %v vs in-memory %v", label, fErr, mErr)
 	}
 	if fErr != nil {
-		if exactErr && fErr.Error() != mErr.Error() {
+		if fErr.Error() != mErr.Error() {
 			t.Fatalf("%s: error selection differs\nfile:      %s\nin-memory: %s", label, fErr, mErr)
 		}
 		return
@@ -169,15 +168,15 @@ func TestFileScanMatchesInMemory(t *testing.T) {
 				if tc.wantErr && fErr == nil {
 					t.Fatalf("%s: want an error, got none", label)
 				}
-				sameOutcome(t, label+" stream", fItems, mItems, fErr, mErr, true, true)
+				sameOutcome(t, label+" stream", fItems, mItems, fErr, mErr, true)
 				// Collect runs a DataFrame-mode root on the cluster, where
-				// the two sources are partitioned differently: group order
-				// is the shuffle's, and which of two failing partitions
-				// reports first is a race unless there is one executor.
+				// the two sources are partitioned differently, so group
+				// order is the shuffle's. Which error surfaces is not the
+				// schedule's: a failing stage reports its lowest failing
+				// partition, and both sources cut the rows in scan order.
 				fItems, fErr = fs.Collect()
 				mItems, mErr = ms.Collect()
-				local := fs.Mode() != "DataFrame"
-				sameOutcome(t, label+" collect", fItems, mItems, fErr, mErr, local || p.workers == 1, local)
+				sameOutcome(t, label+" collect", fItems, mItems, fErr, mErr, fs.Mode() != "DataFrame")
 			}
 		})
 	}

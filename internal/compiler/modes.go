@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"rumble/internal/ast"
+	"rumble/internal/functions"
 )
 
 // Mode is the physical execution mode the static compiler assigns to every
@@ -51,12 +52,15 @@ func (m Mode) String() string {
 // mode: it executes on the driver, batch-at-a-time.
 func (m Mode) Parallel() bool { return m == ModeRDD || m == ModeDataFrame }
 
-// AggregateFunctions are the builtin aggregations whose evaluation pushes
-// down to a cluster action when their argument is cluster-resident (§5.5:
-// "aggregating iterators invoke a Spark count action on the child RDD").
-var AggregateFunctions = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"exists": true, "empty": true,
+// IsAggregate reports whether name is a builtin aggregation: a fold of the
+// accumulator's kind table (functions.AggregateKind) or the existence test
+// exists/empty. Its evaluation pushes down to a cluster action when the
+// argument is cluster-resident (§5.5: "aggregating iterators invoke a Spark
+// count action on the child RDD"), and folds inside the vector backend
+// when the argument is a vector pipeline.
+func IsAggregate(name string) bool {
+	_, fold := functions.AggregateKind(name)
+	return fold || name == "exists" || name == "empty"
 }
 
 // dataSourceFunctions seed RDD mode when a cluster is available (§5.7).
@@ -283,7 +287,7 @@ func (c *checker) annotateCall(n *ast.FunctionCall) Mode {
 		if c.info.ModeOf(n.Args[0]).Parallel() {
 			return ModeRDD
 		}
-	case AggregateFunctions[n.Name] && len(n.Args) >= 1:
+	case IsAggregate(n.Name) && len(n.Args) >= 1:
 		if c.info.ModeOf(n.Args[0]).Parallel() {
 			c.info.Pushdown[n] = true
 			break
@@ -293,7 +297,7 @@ func (c *checker) annotateCall(n *ast.FunctionCall) Mode {
 		// the accumulator all run morsel-driven, nothing materializes
 		// between the FLWOR and the aggregate. exists and empty fold as
 		// early-exit counts — remaining morsels cancel once decided.
-		if c.vectorize && VectorGrandAggregates[n.Name] && len(n.Args) == 1 {
+		if c.vectorize && len(n.Args) == 1 {
 			if f, isFLWOR := n.Args[0].(*ast.FLWOR); isFLWOR {
 				if vp := c.info.VectorPlans[f]; vp != nil && !vp.Grouped && vp.OrderBy == nil {
 					c.info.VectorAggs[n] = true

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"rumble/internal/ast"
+	"rumble/internal/functions"
 	"rumble/internal/item"
 )
 
@@ -67,20 +68,6 @@ type PrunePred struct {
 	Field string    // top-level field looked up on the scan variable
 	Op    string    // eq, ne, lt, le, gt, ge — normalized to field-on-left
 	Lit   item.Item // Int, Double, Dec or Str literal
-}
-
-// VectorAggregates are the aggregation builtins the vector backend folds
-// with columnar accumulators after a group-by.
-var VectorAggregates = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-}
-
-// VectorGrandAggregates are the builtins the backend folds as grand (no
-// group-by) aggregates over a vector pipeline. exists and empty fold as
-// early-exit counts: the scan cancels as soon as the answer is decided.
-var VectorGrandAggregates = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"exists": true, "empty": true,
 }
 
 // VectorScalarFunctions are the scalar builtins the vector backend
@@ -465,7 +452,8 @@ func (c *checker) vectorizableGroupReturn(e ast.Expr, keys, bound map[string]boo
 		if base, found := CountOfVar(n); found {
 			return true, bound[base] && !keys[base]
 		}
-		if _, isUDF := c.functions[n.Name]; !isUDF && VectorAggregates[n.Name] && len(n.Args) == 1 {
+		_, isUDF := c.functions[n.Name]
+		if _, fold := functions.AggregateKind(n.Name); fold && !isUDF && len(n.Args) == 1 {
 			base, found := aggArgRoot(n.Args[0])
 			return true, found && bound[base] && !keys[base]
 		}

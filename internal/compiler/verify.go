@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"rumble/internal/ast"
+	"rumble/internal/functions"
 	"rumble/internal/item"
 	"rumble/internal/lexer"
 )
@@ -388,7 +389,7 @@ func (v *verifier) checkVectorAgg(n *ast.FunctionCall, mode Mode) {
 	if mode != ModeVector {
 		v.report("vector-agg", n.Pos(), "call is marked VectorAggs but annotated %s", mode)
 	}
-	if !VectorGrandAggregates[n.Name] || len(n.Args) != 1 {
+	if !IsAggregate(n.Name) || len(n.Args) != 1 {
 		v.report("vector-agg", n.Pos(), "call %s/%d is marked VectorAggs but is not a single-argument grand aggregate", n.Name, len(n.Args))
 		return
 	}
@@ -652,7 +653,7 @@ func (v *verifier) vectorScalar(e ast.Expr, groupedReturn bool) {
 			if _, ok := CountOfVar(n); ok {
 				return
 			}
-			if VectorAggregates[n.Name] && len(n.Args) == 1 {
+			if _, fold := functions.AggregateKind(n.Name); fold && len(n.Args) == 1 {
 				return // aggregate arguments fold inside the backend
 			}
 		}

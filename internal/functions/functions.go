@@ -1,7 +1,8 @@
 // Package functions implements the JSONiq builtin function library over
 // materialized argument sequences. Aggregations (count, sum, ...) also live
-// here in their local form; the runtime pushes them down to Spark actions
-// when their argument is physically an RDD.
+// here, with the one accumulator every backend folds them through
+// (fold.go): the runtime pushes them down to Spark actions when their
+// argument is physically an RDD.
 package functions
 
 import (
@@ -251,70 +252,20 @@ func registerAggregateFunctions() {
 		return singleton(item.Int(int64(len(args[0])))), nil
 	})
 	register("sum", 1, 2, func(args [][]item.Item) ([]item.Item, error) {
-		if len(args[0]) == 0 {
-			if len(args) == 2 {
-				return args[1], nil
-			}
-			return singleton(item.Int(0)), nil
+		if len(args[0]) == 0 && len(args) == 2 {
+			return args[1], nil
 		}
-		return Sum(args[0])
+		return foldAll(AggSum, args[0])
 	})
 	register("avg", 1, 1, func(args [][]item.Item) ([]item.Item, error) {
-		if len(args[0]) == 0 {
-			return nil, nil
-		}
-		total, err := Sum(args[0])
-		if err != nil {
-			return nil, err
-		}
-		res, err := item.Arithmetic(item.OpDiv, total[0], item.Int(int64(len(args[0]))))
-		if err != nil {
-			return nil, err
-		}
-		return singleton(res), nil
+		return foldAll(AggAvg, args[0])
 	})
 	register("min", 1, 1, func(args [][]item.Item) ([]item.Item, error) {
-		return extremum(args[0], true)
+		return foldAll(AggMin, args[0])
 	})
 	register("max", 1, 1, func(args [][]item.Item) ([]item.Item, error) {
-		return extremum(args[0], false)
+		return foldAll(AggMax, args[0])
 	})
-}
-
-// Sum adds a sequence of numeric items with JSONiq promotion rules.
-func Sum(seq []item.Item) ([]item.Item, error) {
-	acc := seq[0]
-	if !item.IsNumeric(acc) {
-		return nil, errf("sum: non-numeric item of type %s", acc.Kind())
-	}
-	for _, it := range seq[1:] {
-		if !item.IsNumeric(it) {
-			return nil, errf("sum: non-numeric item of type %s", it.Kind())
-		}
-		var err error
-		acc, err = item.Arithmetic(item.OpAdd, acc, it)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return singleton(acc), nil
-}
-
-func extremum(seq []item.Item, isMin bool) ([]item.Item, error) {
-	if len(seq) == 0 {
-		return nil, nil
-	}
-	best := seq[0]
-	for _, it := range seq[1:] {
-		c, err := item.CompareValues(it, best)
-		if err != nil {
-			return nil, errf("min/max: %v", err)
-		}
-		if (isMin && c < 0) || (!isMin && c > 0) {
-			best = it
-		}
-	}
-	return singleton(best), nil
 }
 
 func registerStringFunctions() {

@@ -557,7 +557,7 @@ func (c *comp) compileCall(n *ast.FunctionCall) (Iterator, error) {
 		return c.profiled(n, "distinct-values", c.opOf(args[0], n.Args[0]),
 			&distinctValuesIter{planNode: c.pn(n), arg: args[0]}), nil
 	}
-	if compiler.AggregateFunctions[n.Name] {
+	if compiler.IsAggregate(n.Name) {
 		// The compiler decided statically whether the aggregation pushes
 		// down to a cluster action or folds the materialized sequence.
 		ai := &aggregateIter{name: n.Name, arg: args[0], pushdown: c.info.Pushdown[n]}

@@ -146,111 +146,51 @@ func (a *aggregateIter) streamFromRDD(dc *DynamicContext, yield func(item.Item) 
 			return err
 		}
 		return yield(item.Bool(len(first) == 0))
-	case "sum":
-		acc, ok, err := reduceItems(rdd, func(x, y item.Item) (item.Item, error) {
-			return item.Arithmetic(item.OpAdd, x, y)
-		})
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if a.dflt != nil {
-				d, err := Materialize(a.dflt, dc)
-				if err != nil {
-					return err
-				}
-				for _, it := range d {
-					if err := yield(it); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return yield(item.Int(0))
-		}
-		return yield(acc)
-	case "avg":
-		// One pass computes both the sum and the count per partition.
-		type sc struct {
-			sum item.Item
-			n   int64
-		}
-		pairRDD := spark.MapE(rdd, func(it item.Item) (sc, error) {
-			if !item.IsNumeric(it) {
-				return sc{}, Errorf("avg: non-numeric item of type %s", it.Kind())
-			}
-			return sc{sum: it, n: 1}, nil
-		})
-		total, ok, err := spark.Reduce(pairRDD, func(x, y sc) sc {
-			s, err := item.Arithmetic(item.OpAdd, x.sum, y.sum)
-			if err != nil {
-				// Numeric inputs cannot fail addition; guard anyway.
-				panic(err)
-			}
-			return sc{sum: s, n: x.n + y.n}
-		})
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		res, err := item.Arithmetic(item.OpDiv, total.sum, item.Int(total.n))
-		if err != nil {
-			return Errorf("%v", err)
-		}
-		return yield(res)
-	case "min", "max":
-		isMin := a.name == "min"
-		best, ok, err := reduceItems(rdd, func(x, y item.Item) (item.Item, error) {
-			c, err := item.CompareValues(y, x)
-			if err != nil {
-				return nil, Errorf("min/max: %v", err)
-			}
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				return y, nil
-			}
-			return x, nil
-		})
-		if err != nil || !ok {
-			return err
-		}
-		return yield(best)
-	default:
-		return Errorf("unknown aggregate %s", a.name)
 	}
-}
-
-// reduceItems folds an RDD of items with an error-returning combiner.
-func reduceItems(rdd *spark.RDD[item.Item], f func(x, y item.Item) (item.Item, error)) (item.Item, bool, error) {
-	type res struct {
-		it  item.Item
-		err error
+	// sum, avg, min and max: every partition folds through the one
+	// accumulator and the partials merge in partition order. A partition
+	// keeps its fold as it stood before its first error and merges that
+	// first, so an error the earlier values provoke wins, as in the
+	// left-to-right fold.
+	kind, _ := functions.AggregateKind(a.name)
+	type partial struct {
+		fold functions.Fold
+		err  error
 	}
-	wrapped := spark.Map(rdd, func(it item.Item) res { return res{it: it} })
-	out, ok, err := spark.Reduce(wrapped, func(x, y res) res {
-		if x.err != nil {
-			return x
-		}
-		if y.err != nil {
-			return y
-		}
-		r, err := f(x.it, y.it)
-		if err != nil {
-			return res{err: err}
-		}
-		return res{it: r}
-	})
+	total, err := spark.Aggregate(rdd,
+		func() *partial { return &partial{fold: functions.Fold{Kind: kind}} },
+		func(p *partial, it item.Item) *partial {
+			if p.err == nil {
+				p.err = p.fold.Add(it)
+			}
+			return p
+		},
+		func(p, later *partial) *partial {
+			if p.err == nil {
+				p.err = p.fold.Merge(&later.fold)
+			}
+			if p.err == nil {
+				p.err = later.err
+			}
+			return p
+		})
 	if err != nil {
-		return nil, false, err
+		return err
 	}
-	if !ok {
-		return nil, false, nil
+	if total.err != nil {
+		return Errorf("%v", total.err)
 	}
-	if out.err != nil {
-		return nil, false, out.err
+	if total.fold.N() == 0 && a.dflt != nil {
+		return a.dflt.Stream(dc, yield)
 	}
-	return out.it, true, nil
+	res, err := total.fold.Result()
+	if err != nil {
+		return Errorf("%v", err)
+	}
+	if res == nil {
+		return nil
+	}
+	return yield(res)
 }
 
 // distinctValuesIter pushes distinct-values down to a shuffle when the

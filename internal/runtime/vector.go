@@ -1651,15 +1651,6 @@ func (v *vectorIter) emitGroups(vs *vstate, groups *vector.Groups, ctx context.C
 	return nil
 }
 
-// vectorAggKinds maps aggregate builtin names to their fold kinds.
-var vectorAggKinds = map[string]vector.AggKind{
-	"count": vector.AggCount,
-	"sum":   vector.AggSum,
-	"avg":   vector.AggAvg,
-	"min":   vector.AggMin,
-	"max":   vector.AggMax,
-}
-
 // vexternals interns the pipeline's free variables. It is shared between
 // the slot environments of one plan (a join's probe and build sides), so a
 // free variable resolves once per evaluation wherever it is referenced.
@@ -1952,7 +1943,7 @@ func (c *comp) compileVector(f *ast.FLWOR, clauses []ast.Clause, fallback Iterat
 				project:   &vcountBoolExpr{wantEmpty: agg.name == "empty"},
 			}
 		default:
-			kind, ok := vectorAggKinds[agg.name]
+			kind, ok := functions.AggregateKind(agg.name)
 			if !ok {
 				return nil, Errorf("vector: unsupported grand aggregate %s", agg.name)
 			}
@@ -2225,7 +2216,7 @@ func (gc *vgroupComp) compileSpecialCall(n *ast.FunctionCall) (vexpr, bool, erro
 		}
 		return gc.aggSlot(vector.AggCount, &vcolExpr{slot: slot}), true, nil
 	}
-	if kind, isAgg := vectorAggKinds[n.Name]; isAgg && len(n.Args) == 1 {
+	if kind, isAgg := functions.AggregateKind(n.Name); isAgg && len(n.Args) == 1 {
 		if kind == vector.AggCount && gc.main.isScanVar(n.Args[0]) {
 			return gc.aggSlot(vector.AggCount, onesExpr()), true, nil
 		}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func testCtx() *Context {
@@ -115,6 +116,37 @@ func TestTaskPanicBecomesError(t *testing.T) {
 	})
 	if _, err := Collect(bad); err == nil {
 		t.Fatal("expected panic to surface as error")
+	}
+}
+
+// TestStageReportsLowestFailingPartition pins deterministic stage errors:
+// when partitions 1 and 3 both fail, the stage reports partition 1's error
+// whatever the schedule. Partition 1 fails only after partition 3 has (or,
+// with one executor, after a timeout), so an error picked by time would be
+// partition 3's.
+func TestStageReportsLowestFailingPartition(t *testing.T) {
+	for _, executors := range []int{1, 2, 8} {
+		ctx := NewContext(Config{Executors: executors})
+		for run := 0; run < 50; run++ {
+			p3failed := make(chan struct{})
+			r := NewRDD(ctx, 6, "failing", func(p int, yield func(int) error) error {
+				switch p {
+				case 1:
+					select {
+					case <-p3failed:
+					case <-time.After(20 * time.Millisecond):
+					}
+					return errors.New("partition 1 failed")
+				case 3:
+					close(p3failed)
+					return errors.New("partition 3 failed")
+				}
+				return yield(p)
+			})
+			if _, err := Count(r); err == nil || err.Error() != "partition 1 failed" {
+				t.Fatalf("executors=%d run %d: err = %v, want partition 1's", executors, run, err)
+			}
+		}
 	}
 }
 

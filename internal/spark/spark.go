@@ -234,9 +234,12 @@ func (c *Context) SimulateIO(blocks int) {
 }
 
 // runStage executes task(p) for p in [0, parts) on at most conf.Executors
-// concurrent goroutines and returns the first error. Each call owns its own
-// worker group, so stages nested inside a running task (a shuffle evaluating
-// its parent) cannot deadlock the pool.
+// concurrent goroutines. When tasks fail it returns the error of the
+// lowest-indexed failing partition, whatever the schedule: partitions are
+// claimed in index order and none past a known failure starts, so every
+// partition below the reported one was already claimed and ran to success.
+// Each call owns its own worker group, so stages nested inside a running
+// task (a shuffle evaluating its parent) cannot deadlock the pool.
 func (c *Context) runStage(parts int, task func(p int) error) error {
 	c.metrics.StagesRun.Add(1)
 	if parts == 0 {
@@ -250,10 +253,11 @@ func (c *Context) runStage(parts int, task func(p int) error) error {
 		workers = parts
 	}
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		err  error
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed = parts // lowest failing partition so far
+		err    error
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -265,15 +269,15 @@ func (c *Context) runStage(parts int, task func(p int) error) error {
 					return
 				}
 				mu.Lock()
-				stop := err != nil
+				stop := p > failed
 				mu.Unlock()
 				if stop {
 					return
 				}
 				if e := c.runTask(p, task); e != nil {
 					mu.Lock()
-					if err == nil {
-						err = e
+					if p < failed {
+						failed, err = p, e
 					}
 					mu.Unlock()
 					return

@@ -3,39 +3,30 @@ package vector
 import (
 	"fmt"
 
+	"rumble/internal/functions"
 	"rumble/internal/item"
 )
 
-// AggKind names an aggregate the grouped pipeline folds columnar-ly.
-type AggKind int
+// AggKind names an aggregate the grouped pipeline folds columnar-ly: the
+// kind of the one accumulator every backend folds through.
+type AggKind = functions.AggKind
 
 // The aggregates the backend folds without materializing groups.
 const (
-	AggCount AggKind = iota
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
+	AggCount = functions.AggCount
+	AggSum   = functions.AggSum
+	AggAvg   = functions.AggAvg
+	AggMin   = functions.AggMin
+	AggMax   = functions.AggMax
 )
-
-// aggState is one running accumulator: n counts present values; sums run
-// in a fast int64 lane while every value is an integer and the running sum
-// fits, then spill into cur via item.Arithmetic (preserving the tuple
-// backend's left-to-right fold, including its overflow promotion).
-type aggState struct {
-	n       int64
-	intSum  int64
-	fastInt bool
-	cur     item.Item
-}
 
 // groupState is one group: the first-seen key values (nil = absent), the
 // canonical key encoding it buckets under (kept so partial tables merge
-// without re-encoding), and the per-aggregate accumulators.
+// without re-encoding), and one accumulator per aggregate.
 type groupState struct {
 	key  string
 	keys []item.Item
-	aggs []aggState
+	aggs []functions.Fold
 }
 
 // Groups is the grouped-aggregation hash table: rows bucket by the
@@ -44,7 +35,6 @@ type groupState struct {
 // would bucket them. Groups emit in first-seen order, matching the tuple
 // backend's output order.
 type Groups struct {
-	isMin  []bool // per aggregate, for AggMin/AggMax
 	kinds  []AggKind
 	m      map[string]*groupState
 	order  []*groupState
@@ -54,12 +44,7 @@ type Groups struct {
 // NewGroups creates a table for nKeys grouping keys and the given
 // aggregate kinds.
 func NewGroups(nKeys int, kinds []AggKind) *Groups {
-	g := &Groups{kinds: kinds, m: map[string]*groupState{}}
-	g.isMin = make([]bool, len(kinds))
-	for i, k := range kinds {
-		g.isMin[i] = k == AggMin
-	}
-	return g
+	return &Groups{kinds: kinds, m: map[string]*groupState{}}
 }
 
 // Update folds one batch of n rows into the table: keyCols are the
@@ -78,19 +63,14 @@ func (g *Groups) Update(keyCols, aggCols []*Col, n int) error {
 		}
 		st, ok := g.m[string(g.keyBuf)]
 		if !ok {
-			st = &groupState{
-				key:  string(g.keyBuf),
-				keys: make([]item.Item, len(keyCols)),
-				aggs: make([]aggState, len(g.kinds)),
-			}
+			keys := make([]item.Item, len(keyCols))
 			for k, kc := range keyCols {
-				st.keys[k] = kc.Item(i)
+				keys[k] = kc.Item(i)
 			}
-			g.m[st.key] = st
-			g.order = append(g.order, st)
+			st = g.add(string(g.keyBuf), keys)
 		}
-		for j := range g.kinds {
-			if err := g.updateAgg(&st.aggs[j], g.kinds[j], g.isMin[j], aggCols[j], i); err != nil {
+		for j, col := range aggCols {
+			if err := foldRow(&st.aggs[j], col, i); err != nil {
 				return err
 			}
 		}
@@ -98,80 +78,42 @@ func (g *Groups) Update(keyCols, aggCols []*Col, n int) error {
 	return nil
 }
 
-// updateAgg folds row i of col into one accumulator. Absent rows
-// contribute nothing to any aggregate, exactly as they are missing from
-// the materialized sequence the tuple backend would fold.
-func (g *Groups) updateAgg(a *aggState, kind AggKind, isMin bool, col *Col, i int) error {
-	j := col.idx(i)
-	tag := col.Tags[j]
-	if tag == TagAbsent {
-		return nil
+// add appends a new group with empty accumulators in first-seen order.
+func (g *Groups) add(key string, keys []item.Item) *groupState {
+	st := &groupState{key: key, keys: keys, aggs: make([]functions.Fold, len(g.kinds))}
+	for j, kind := range g.kinds {
+		st.aggs[j].Kind = kind
 	}
-	switch kind {
-	case AggCount:
-		a.n++
+	g.m[key] = st
+	g.order = append(g.order, st)
+	return st
+}
+
+// foldRow folds row i of col into one accumulator. Absent rows contribute
+// nothing, exactly as they are missing from the materialized sequence the
+// tuple backend folds; integer rows enter unboxed, and a count reads only
+// a row's presence.
+func foldRow(a *functions.Fold, col *Col, i int) error {
+	j := col.idx(i)
+	switch tag := col.Tags[j]; {
+	case tag == TagAbsent:
 		return nil
-	case AggSum, AggAvg:
-		if !numericTag(col, i) {
-			return fmt.Errorf("sum: non-numeric item of type %s", col.Kind(i))
-		}
-		switch {
-		case a.n == 0 && tag == TagInt:
-			a.intSum = col.Ints[j]
-			a.fastInt = true
-		case a.n == 0:
-			a.cur = col.Item(i)
-		case a.fastInt && tag == TagInt:
-			v := col.Ints[j]
-			r := a.intSum + v
-			if (v > 0 && r < a.intSum) || (v < 0 && r > a.intSum) {
-				res, err := item.Arithmetic(item.OpAdd, item.Int(a.intSum), item.Int(v))
-				if err != nil {
-					return err
-				}
-				a.cur = res
-				a.fastInt = false
-			} else {
-				a.intSum = r
-			}
-		default:
-			if a.fastInt {
-				a.cur = item.Int(a.intSum)
-				a.fastInt = false
-			}
-			res, err := item.Arithmetic(item.OpAdd, a.cur, col.Item(i))
-			if err != nil {
-				return err
-			}
-			a.cur = res
-		}
-		a.n++
-		return nil
-	default: // AggMin, AggMax
-		it := col.Item(i)
-		if a.n == 0 {
-			a.cur = it
-		} else {
-			c, err := item.CompareValues(it, a.cur)
-			if err != nil {
-				return fmt.Errorf("min/max: %v", err)
-			}
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				a.cur = it
-			}
-		}
-		a.n++
-		return nil
+	case tag == TagInt:
+		return a.AddInt(col.Ints[j])
+	case a.Kind == AggCount:
+		return a.AddInt(0)
+	default:
+		return a.Add(col.Item(i))
 	}
 }
 
 // Merge folds other's groups into g, preserving global first-seen order
 // when partial tables are merged in morsel index order: other's new groups
 // append after g's in other's own first-seen order, and an existing
-// group's accumulators combine with other's as the later partial. Merging
-// per-morsel partials left to right is the parallel backend's determinism
-// contract — the result depends only on the morsel order, never on which
-// worker processed which morsel.
+// group's accumulators merge other's as the later partial (Fold.Merge).
+// Merging per-morsel partials left to right is the parallel backend's
+// determinism contract — the result depends only on the morsel order,
+// never on which worker processed which morsel.
 func (g *Groups) Merge(other *Groups) error {
 	for _, ost := range other.order {
 		st, ok := g.m[ost.key]
@@ -182,8 +124,8 @@ func (g *Groups) Merge(other *Groups) error {
 			g.order = append(g.order, ost)
 			continue
 		}
-		for j := range g.kinds {
-			if err := mergeAgg(&st.aggs[j], &ost.aggs[j], g.kinds[j], g.isMin[j]); err != nil {
+		for j := range st.aggs {
+			if err := st.aggs[j].Merge(&ost.aggs[j]); err != nil {
 				return err
 			}
 		}
@@ -191,81 +133,12 @@ func (g *Groups) Merge(other *Groups) error {
 	return nil
 }
 
-// mergeAgg combines o (the later partial) into a. The combination mirrors
-// the row-at-a-time fold: counts add, partial sums add through the fast
-// int lane with the same overflow promotion, and min/max keep a on ties so
-// the earlier partial's first-seen extremum survives.
-func mergeAgg(a, o *aggState, kind AggKind, isMin bool) error {
-	if o.n == 0 {
-		return nil
-	}
-	if a.n == 0 {
-		*a = *o
-		return nil
-	}
-	switch kind {
-	case AggCount:
-		a.n += o.n
-		return nil
-	case AggSum, AggAvg:
-		if a.fastInt && o.fastInt {
-			v := o.intSum
-			r := a.intSum + v
-			if (v > 0 && r < a.intSum) || (v < 0 && r > a.intSum) {
-				res, err := item.Arithmetic(item.OpAdd, item.Int(a.intSum), item.Int(v))
-				if err != nil {
-					return err
-				}
-				a.cur = res
-				a.fastInt = false
-			} else {
-				a.intSum = r
-			}
-		} else {
-			res, err := item.Arithmetic(item.OpAdd, a.sum(), o.sum())
-			if err != nil {
-				return err
-			}
-			a.cur = res
-			a.fastInt = false
-		}
-		a.n += o.n
-		return nil
-	default: // AggMin, AggMax
-		c, err := item.CompareValues(o.cur, a.cur)
-		if err != nil {
-			return fmt.Errorf("min/max: %v", err)
-		}
-		if (isMin && c < 0) || (!isMin && c > 0) {
-			a.cur = o.cur
-		}
-		a.n += o.n
-		return nil
-	}
-}
-
 // EnsureGrand guarantees the single group of a grand (no group-by)
 // aggregation exists, so empty input still finalizes to the builtin
 // aggregates' empty-sequence results (count 0, sum 0, empty avg/min/max).
 func (g *Groups) EnsureGrand() {
-	if len(g.order) != 0 {
-		return
-	}
-	st := &groupState{aggs: make([]aggState, len(g.kinds))}
-	g.m[st.key] = st
-	g.order = append(g.order, st)
-}
-
-// numericTag reports whether present row i of col is numeric.
-func numericTag(col *Col, i int) bool {
-	j := col.idx(i)
-	switch col.Tags[j] {
-	case TagInt, TagDouble:
-		return true
-	case TagItem:
-		return item.IsNumeric(col.Items[j])
-	default:
-		return false
+	if len(g.order) == 0 {
+		g.add("", nil)
 	}
 }
 
@@ -280,43 +153,13 @@ func (g *Groups) GrandCount() int64 {
 	if len(g.order) == 0 {
 		return 0
 	}
-	return g.order[0].aggs[0].n
+	return g.order[0].aggs[0].N()
 }
 
 // Key returns grouping key ki of group gi (nil = absent), the first-seen
 // key value exactly as the tuple backend binds it.
 func (g *Groups) Key(gi, ki int) item.Item { return g.order[gi].keys[ki] }
 
-// Agg finalizes aggregate j of group gi. A nil result is the empty
-// sequence (avg/min/max over no present values); sum over no present
-// values is integer zero, count is always present.
-func (g *Groups) Agg(gi, j int) (item.Item, error) {
-	a := &g.order[gi].aggs[j]
-	switch g.kinds[j] {
-	case AggCount:
-		return item.Int(a.n), nil
-	case AggSum:
-		if a.n == 0 {
-			return item.Int(0), nil
-		}
-		return a.sum(), nil
-	case AggAvg:
-		if a.n == 0 {
-			return nil, nil
-		}
-		return item.Arithmetic(item.OpDiv, a.sum(), item.Int(a.n))
-	default: // AggMin, AggMax
-		if a.n == 0 {
-			return nil, nil
-		}
-		return a.cur, nil
-	}
-}
-
-// sum returns the running sum as an item, materializing the fast int lane.
-func (a *aggState) sum() item.Item {
-	if a.fastInt {
-		return item.Int(a.intSum)
-	}
-	return a.cur
-}
+// Agg finalizes aggregate j of group gi through Fold.Result: a nil result
+// is the empty sequence.
+func (g *Groups) Agg(gi, j int) (item.Item, error) { return g.order[gi].aggs[j].Result() }
