@@ -2,7 +2,8 @@
 // module and exits non-zero when any invariant is violated. It is the CI
 // gate behind the engine's semantic guarantees that the Go compiler cannot
 // check: deterministic emit order, cooperative cancellation, JSONiq value
-// equality, metric registry completeness, and exhaustive mode dispatch.
+// equality, metric registry completeness, exhaustive mode dispatch, and
+// goroutines that contain their panics.
 //
 // Usage:
 //
@@ -25,15 +26,17 @@ import (
 	"rumble/internal/analysis"
 	"rumble/internal/analysis/ctxpoll"
 	"rumble/internal/analysis/detorder"
+	"rumble/internal/analysis/gosafe"
 	"rumble/internal/analysis/itemcmp"
 	"rumble/internal/analysis/metricsreg"
 	"rumble/internal/analysis/modecase"
 )
 
 // scoped pairs an analyzer with the packages it gates. Determinism and
-// cancellation are properties of the execution layers; the remaining passes
-// are cheap and safe module-wide (metricsreg no-ops without a Metrics
-// struct, itemcmp skips internal/item itself).
+// cancellation are properties of the execution layers, and gosafe of the
+// engine under internal/; the remaining passes are cheap and safe
+// module-wide (metricsreg no-ops without a Metrics struct, itemcmp skips
+// internal/item itself).
 type scoped struct {
 	analyzer *analysis.Analyzer
 	match    func(path string) bool
@@ -53,8 +56,9 @@ func suffixIn(suffixes ...string) func(string) bool {
 func everywhere(string) bool { return true }
 
 var suite = []scoped{
-	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment", "internal/jparse")},
-	{ctxpoll.Analyzer, suffixIn("internal/runtime", "internal/spark")},
+	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment", "internal/jparse", "internal/sched")},
+	{ctxpoll.Analyzer, suffixIn("internal/runtime", "internal/spark", "internal/sched")},
+	{gosafe.Analyzer, func(path string) bool { return strings.Contains(path, "/internal/") }},
 	{itemcmp.Analyzer, everywhere},
 	{metricsreg.Analyzer, everywhere},
 	{modecase.Analyzer, everywhere},

@@ -2,10 +2,7 @@ package runtime
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rumble/internal/ast"
@@ -15,6 +12,7 @@ import (
 	"rumble/internal/item"
 	"rumble/internal/jparse"
 	"rumble/internal/profile"
+	"rumble/internal/sched"
 	"rumble/internal/segment"
 	"rumble/internal/spark"
 	"rumble/internal/vector"
@@ -496,11 +494,45 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 	if v.join != nil {
 		jr = &vjoinRun{dc: dc}
 	}
-	ctx := dc.GoContext()
-	if v.workers > 1 {
-		return v.streamParallel(dc, vs, jr, ctx, yield)
+	if v.sc != nil {
+		v.sc.AddVectorWorkers(int64(v.workers))
 	}
-	return v.streamSerial(dc, vs, jr, ctx, yield)
+	vs.prof.SetWorkers(v.workers)
+	// Morsel-driven on the ordered runner: the scan produces morsels in
+	// scan-index order, workers process them, and the merge folds them on
+	// this goroutine in index order, as a left-to-right run would.
+	ctx := dc.GoContext()
+	st := v.newMergeState()
+	decs := make([]*jparse.Decoder, v.workers)
+	err = sched.Ordered(ctx, v.workers,
+		func(emit func(vmorsel) error) error {
+			return v.scanMorsels(dc, func(m vmorsel) error {
+				hook("scan", m.idx)
+				return emit(m)
+			})
+		},
+		func(w int, m vmorsel) (*vmorselResult, error) {
+			if decs[w] == nil {
+				decs[w] = v.newDecoder()
+			}
+			return v.processMorsel(vs, jr, m, decs[w])
+		},
+		func(_ int, res *vmorselResult) (bool, error) { return v.mergeResult(st, res, yield) },
+		vs.prof)
+	if err != nil {
+		return err
+	}
+	return v.finish(vs, st, ctx, yield)
+}
+
+// testHook, set only by tests, observes the morsel pipeline: "scan" as the
+// producer hands morsel n to the runner, "morsel" as a worker starts it.
+var testHook func(event string, n int)
+
+func hook(event string, n int) {
+	if testHook != nil {
+		testHook(event, n)
+	}
 }
 
 // vmorselResult is one processed morsel: projected rows in scan order, the
@@ -826,6 +858,7 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vbatch) (*vmorselResult, error) {
 // rows, folds them into a fresh partial aggregation table, or sorts them
 // into a run.
 func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jparse.Decoder) (*vmorselResult, error) {
+	hook("morsel", m.idx)
 	if v.sc != nil {
 		v.sc.AddVectorMorsels(1)
 	}
@@ -1126,49 +1159,6 @@ func (v *vectorIter) finishGroups(vs *vstate, merged *vector.Groups, ctx context
 	return v.emitGroups(vs, merged, ctx, yield)
 }
 
-// streamSerial is the single-worker evaluation: morsels process inline on
-// the calling goroutine, with the same per-morsel partial fold and
-// in-order merge the parallel path uses.
-func (v *vectorIter) streamSerial(dc *DynamicContext, vs *vstate, jr *vjoinRun, ctx context.Context, yield func(item.Item) error) error {
-	if v.sc != nil {
-		v.sc.AddVectorWorkers(1)
-	}
-	vs.prof.SetWorkers(1)
-	st := v.newMergeState()
-	stopped := false
-	dec := v.newDecoder()
-	_, err := v.scanMorsels(dc, nil, func(m vmorsel) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		res, err := v.processMorsel(vs, jr, m, dec)
-		if err != nil {
-			return err
-		}
-		stop, err := v.mergeResult(st, res, yield)
-		if err != nil {
-			return err
-		}
-		if stop {
-			stopped = true
-			return errStopScan
-		}
-		return nil
-	})
-	if err != nil && !(stopped && err == errStopScan) {
-		return err
-	}
-	return v.finish(vs, st, ctx, yield)
-}
-
-// errStopScan aborts the producer's scan when the evaluation no longer
-// needs further morsels (a lower-indexed morsel failed, the consumer
-// stopped, or the context was cancelled). It never escapes the vector
-// backend.
-var errStopScan = fmt.Errorf("runtime: vector scan stopped")
-
 // vmorsel is one scan morsel awaiting a worker: a segment slice when the
 // source scans segments (the worker fetches the decoded lanes through the
 // buffer pool), raw byte records when the source scans raw (the worker
@@ -1193,14 +1183,12 @@ type vmorsel struct {
 // BatchSize-record morsels handed to emit in scan-index order. The input is
 // asked once what it reads this evaluation: segments, raw JSON-Lines splits
 // (whose decode the workers own), or neither — then its items stream.
-// rowCheck, when non-nil, runs per input record for early abort. Returns the
-// number of morsels emit accepted.
-func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
+func (v *vectorIter) scanMorsels(dc *DynamicContext, emit func(m vmorsel) error) error {
 	if src, ok := v.in.(storageScan); ok {
 		in, storage, err := src.resolveScan(dc)
 		if err != nil {
 			in.op.AddBatches(1) // a storage scan that failed before reading
-			return 0, err
+			return err
 		}
 		if in.ingest != nil {
 			// This evaluation paid the source's first touch: say so on its
@@ -1209,19 +1197,14 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 		}
 		switch {
 		case in.ds != nil:
-			return v.scanSegments(in.ds, rowCheck, emit)
+			return v.scanSegments(in.ds, emit)
 		case storage:
-			return v.scanRaw(dc, in, rowCheck, emit)
+			return v.scanRaw(dc, in, emit)
 		}
 	}
 	idx := 0
 	var rows []item.Item
 	err := v.in.Stream(dc, func(it item.Item) error {
-		if rowCheck != nil {
-			if err := rowCheck(); err != nil {
-				return err
-			}
-		}
 		if rows == nil {
 			rows = make([]item.Item, 0, vector.BatchSize)
 		}
@@ -1236,16 +1219,10 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 		}
 		return nil
 	})
-	if err != nil {
-		return idx, err
+	if err == nil && len(rows) > 0 {
+		err = emit(vmorsel{idx: idx, rows: rows})
 	}
-	if len(rows) > 0 {
-		if err := emit(vmorsel{idx: idx, rows: rows}); err != nil {
-			return idx, err
-		}
-		idx++
-	}
-	return idx, nil
+	return err
 }
 
 // scanRaw reads the input's JSON-Lines splits and cuts their records into
@@ -1255,7 +1232,7 @@ func (v *vectorIter) scanMorsels(dc *DynamicContext, rowCheck func() error, emit
 // rounds a split — the trailing partial block once per scan, on the last
 // morsel. The records read, one batch and the wall time go to the profiled
 // source's operator.
-func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
+func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, emit func(m vmorsel) error) error {
 	var start time.Time
 	if in.op != nil {
 		start = time.Now()
@@ -1269,11 +1246,6 @@ func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, rowCheck func() e
 	)
 	err := readSplits(dc.GoContext(), in.splits, func(line []byte) error {
 		records++
-		if rowCheck != nil {
-			if err := rowCheck(); err != nil {
-				return err
-			}
-		}
 		if ends == nil {
 			// A morsel's records are about as long as the last one's.
 			raw, ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
@@ -1293,16 +1265,14 @@ func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, rowCheck func() e
 		return nil
 	})
 	if err == nil && len(ends) > 0 {
-		if err = emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks + acct.Finish()}); err == nil {
-			idx++
-		}
+		err = emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks + acct.Finish()})
 	}
 	if in.op != nil {
 		in.op.AddRows(records)
 		in.op.AddBatches(1)
 		in.op.AddWall(time.Since(start))
 	}
-	return idx, err
+	return err
 }
 
 // scanSegments cuts a segment-backed dataset into BatchSize-row morsels.
@@ -1317,14 +1287,9 @@ func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, rowCheck func() e
 // segment holds segment.Rows = 4*BatchSize rows, so every morsel but the
 // final segment's tail is exactly BatchSize rows, as the positional
 // columns require.
-func (v *vectorIter) scanSegments(ds *segment.Dataset, rowCheck func() error, emit func(m vmorsel) error) (int, error) {
+func (v *vectorIter) scanSegments(ds *segment.Dataset, emit func(m vmorsel) error) error {
 	idx := 0
 	for si := 0; si < ds.NumSegments(); si++ {
-		if rowCheck != nil {
-			if err := rowCheck(); err != nil {
-				return idx, err
-			}
-		}
 		meta := ds.Meta(si)
 		if len(v.prune) > 0 && segment.Skip(meta, v.prune) {
 			if v.sc != nil {
@@ -1341,220 +1306,12 @@ func (v *vectorIter) scanSegments(ds *segment.Dataset, rowCheck func() error, em
 				n = vector.BatchSize
 			}
 			if err := emit(vmorsel{idx: idx, ds: ds, seg: si, off: off, n: n}); err != nil {
-				return idx, err
+				return err
 			}
 			idx++
 		}
 	}
-	return idx, nil
-}
-
-// vresult is one morsel's outcome traveling back to the coordinator.
-type vresult struct {
-	idx     int
-	res     *vmorselResult
-	err     error
-	skipped bool // cancelled: a lower-indexed morsel already failed
-}
-
-// lowerFail lowers f to idx if idx is smaller, so f converges on the
-// lowest-indexed failing morsel whatever order failures are observed in.
-func lowerFail(f *atomic.Int64, idx int64) {
-	for {
-		cur := f.Load()
-		if idx >= cur || f.CompareAndSwap(cur, idx) {
-			return
-		}
-	}
-}
-
-// streamParallel is the morsel-driven evaluation: a producer goroutine
-// runs the scan and packs BatchSize-row morsels tagged with their scan
-// index, v.workers workers pull and process them, and the coordinator (the
-// calling goroutine) merges results strictly in index order — yielding
-// projected rows, merging partial aggregation tables, and surfacing the
-// lowest-indexed morsel error. Workers poll the Go context between morsels
-// exactly as spark.runStage's task loop does, and a failure cancels every
-// higher-indexed morsel (workers skip them, the producer stops scanning).
-func (v *vectorIter) streamParallel(dc *DynamicContext, vs *vstate, jr *vjoinRun, ctx context.Context, yield func(item.Item) error) error {
-	workers := v.workers
-	if v.sc != nil {
-		v.sc.AddVectorWorkers(int64(workers))
-	}
-	vs.prof.SetWorkers(workers)
-	var (
-		work    = make(chan vmorsel, workers)
-		results = make(chan vresult, workers)
-		scanEnd = make(chan vresult, 1) // idx = morsel count, err = scan error
-		done    = make(chan struct{})
-		// pace bounds morsels in flight (queued, processing, or waiting in
-		// the coordinator's reorder buffer): the producer acquires a slot
-		// per morsel, the coordinator releases it when the morsel merges.
-		// Without it one slow morsel would let the scan run ahead and
-		// materialize the rest of the output in the reorder buffer.
-		pace    = make(chan struct{}, 4*workers)
-		failIdx atomic.Int64
-		wg      sync.WaitGroup
-	)
-	failIdx.Store(math.MaxInt64)
-
-	// Producer: run the scan, cut morsels, hand them to the pool. The scan
-	// itself stays sequential — it is the ordered source the morsel
-	// indices are defined by — but raw-capable sources leave the decode to
-	// the workers, so the producer's share of the scan is just the reads.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(work)
-		rowCheck := func() error {
-			select {
-			case <-done:
-				return errStopScan
-			default:
-				return nil
-			}
-		}
-		count, err := v.scanMorsels(dc, rowCheck, func(m vmorsel) error {
-			if int64(m.idx) > failIdx.Load() {
-				return errStopScan // later morsels are cancelled
-			}
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			select {
-			case pace <- struct{}{}:
-			case <-done:
-				return errStopScan
-			}
-			select {
-			case work <- m:
-				return nil
-			case <-done:
-				return errStopScan
-			}
-		})
-		if err == errStopScan {
-			// The coordinator aborted (or cancelled the tail); it already
-			// holds the error that matters.
-			err = nil
-		}
-		scanEnd <- vresult{idx: count, err: err}
-	}()
-
-	// Workers: pull morsels until the producer closes the queue. A morsel
-	// above the lowest known failure is skipped — its output could never
-	// be observed — while lower-indexed morsels still run to completion,
-	// because one of them may fail (and win) or still owe output.
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			// Per-worker busy/wait split: the gap before a morsel arrives is
-			// wait, decode+process is busy; result-send blocking folds into
-			// the next wait. Profile counters are atomics, so the workers
-			// record concurrently without coordination.
-			prof := vs.prof
-			var last time.Time
-			if prof != nil {
-				last = time.Now()
-			}
-			dec := v.newDecoder()
-			for m := range work {
-				if prof != nil {
-					now := time.Now()
-					prof.AddWait(now.Sub(last))
-					last = now
-				}
-				r := vresult{idx: m.idx}
-				switch {
-				case int64(m.idx) > failIdx.Load():
-					r.skipped = true
-				case ctx != nil && ctx.Err() != nil:
-					r.err = ctx.Err()
-					lowerFail(&failIdx, int64(m.idx))
-				default:
-					res, err := v.processMorsel(vs, jr, m, dec)
-					if err != nil {
-						r.err = err
-						lowerFail(&failIdx, int64(m.idx))
-					} else {
-						r.res = res
-					}
-				}
-				if prof != nil {
-					now := time.Now()
-					prof.AddBusy(now.Sub(last))
-					last = now
-				}
-				select {
-				case results <- r:
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-
-	abort := func(err error) error {
-		close(done)
-		wg.Wait()
-		return err
-	}
-
-	// Coordinator: reorder results and merge them strictly in morsel index
-	// order, so emit order and error selection are those of a sequential
-	// left-to-right run.
-	st := v.newMergeState()
-	pending := map[int]vresult{}
-	next, total := 0, -1
-	var scanErr error
-	for total < 0 || next < total {
-		if r, ok := pending[next]; ok {
-			delete(pending, next)
-			<-pace // the morsel left the pipeline; let the scan advance
-			if r.err != nil {
-				return abort(r.err)
-			}
-			if r.skipped {
-				// Unreachable: a skip implies a lower-indexed failure that
-				// returns above. Fail loudly rather than drop rows.
-				return abort(Errorf("vector: morsel %d cancelled without a failing predecessor", r.idx))
-			}
-			stop, err := v.mergeResult(st, r.res, yield)
-			if err != nil {
-				return abort(err)
-			}
-			if stop {
-				// The early-exit decision is made by the merged prefix
-				// alone, so cancelling the scan and discarding the pending
-				// higher-indexed morsels cannot change the result —
-				// whatever the worker count.
-				close(done)
-				wg.Wait()
-				return v.finish(vs, st, ctx, yield)
-			}
-			next++
-			continue
-		}
-		select {
-		case r := <-results:
-			pending[r.idx] = r
-		case se := <-scanEnd:
-			total, scanErr = se.idx, se.err
-			scanEnd = nil
-		}
-	}
-	// Every sent morsel was consumed above, so the pool drains naturally.
-	wg.Wait()
-	if scanErr != nil {
-		// The scan failed after its last complete morsel: everything
-		// before it was already merged, exactly as the sequential path
-		// would have flushed it.
-		return scanErr
-	}
-	return v.finish(vs, st, ctx, yield)
+	return nil
 }
 
 // updateGroups binds the grouping keys (left to right, each visible to the

@@ -19,6 +19,7 @@ import (
 	"rumble/internal/dfs"
 	"rumble/internal/item"
 	"rumble/internal/jparse"
+	"rumble/internal/sched"
 )
 
 // ingestChunkSize is the least number of source bytes one parse task covers:
@@ -59,26 +60,13 @@ func hook(event string, n int) {
 	}
 }
 
-// safely runs fn and returns its error; a panic in fn comes back as a
-// structured error naming the source instead of unwinding further.
-func safely(source string, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = errf(source, "internal error: panic: %v", r)
-		}
-	}()
-	return fn()
-}
-
-// launch is the one place this package starts a goroutine: fn runs under
-// safely, done receives its outcome (a panic as a structured error), and wg
-// counts the goroutine until done has returned.
-func launch(wg *sync.WaitGroup, source string, fn func() error, done func(error)) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		done(safely(source, fn))
-	}()
+// named turns a panic contained by sched.Safely or sched.Go into a
+// structured error naming the source; other errors pass through.
+func named(source string, err error) error {
+	if p, ok := err.(*sched.PanicError); ok {
+		return errf(source, "%v", p)
+	}
+	return err
 }
 
 // Ingest builds (or rebuilds) the segment dataset of source on every core:
@@ -267,7 +255,7 @@ func (p *pipeline) read() error {
 // share item.Shapes, which the segment builder keys its per-shape work by.
 func (p *pipeline) parse(c *chunk) {
 	defer close(c.done)
-	c.err = safely(p.source, func() error {
+	c.err = named(p.source, sched.Safely(func() error {
 		if p.stopped() {
 			return errStopped
 		}
@@ -283,7 +271,7 @@ func (p *pipeline) parse(c *chunk) {
 		})
 		hook("rows", len(c.rows))
 		return err
-	})
+	}))
 	chunkBuffers.Put(c.data[:0])
 	c.data = nil
 }
@@ -339,21 +327,21 @@ func (p *pipeline) dispatch(rows []item.Item) {
 // encode builds lane group g of s; the worker that completes the last group
 // finishes the segment.
 func (p *pipeline) encode(s *segTask, g int) {
-	err := safely(p.source, func() error {
+	err := named(p.source, sched.Safely(func() error {
 		if p.stopped() || s.failed() {
 			return nil
 		}
 		hook("encode", s.idx)
 		s.groups[g] = s.b.lanes(g, len(s.groups))
 		return nil
-	})
+	}))
 	if err != nil {
 		s.fail(err)
 	}
 	if s.pending.Add(-1) > 0 {
 		return
 	}
-	err = safely(p.source, func() error {
+	err = named(p.source, sched.Safely(func() error {
 		if p.stopped() || s.failed() {
 			return nil
 		}
@@ -364,7 +352,7 @@ func (p *pipeline) encode(s *segTask, g int) {
 		}
 		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: int64(len(data)), Cols: zones}
 		return nil
-	})
+	}))
 	if err != nil {
 		s.fail(err)
 	}
@@ -380,11 +368,11 @@ func ingest(source string, workers, chunkSize int) (ds *Dataset, st IngestStats,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err = safely(source, func() error {
+	err = named(source, sched.Safely(func() error {
 		var err error
 		ds, st, err = runIngest(source, workers, chunkSize)
 		return err
-	})
+	}))
 	return ds, st, err
 }
 
@@ -424,23 +412,23 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		launch(&wg, source, func() error {
+		sched.Go(&wg, func() error {
 			for task := range p.tasks {
 				task() // a task contains its own panics: its result must resolve
 			}
 			return nil
 		}, func(error) {})
 	}
-	launch(&wg, source, p.read, func(err error) {
+	sched.Go(&wg, p.read, func(err error) {
 		if err != errStopped {
-			p.readErr = err
+			p.readErr = named(source, err)
 		}
 		close(p.order)
 	})
 
 	// A panic while assembling is one more failure: the reader and the
 	// workers are still joined below.
-	err = safely(source, p.assemble)
+	err = named(source, sched.Safely(p.assemble))
 	if err != nil {
 		close(p.stop)
 		for range p.order {

@@ -10,6 +10,7 @@ import (
 
 	"rumble/internal/dfs"
 	"rumble/internal/item"
+	"rumble/internal/sched"
 )
 
 // ManifestName is the dataset manifest file inside a segments directory.
@@ -269,12 +270,13 @@ func (s *Store) OpenStats(path string) (ds *Dataset, stats *IngestStats, err err
 	// which report the same source problem.
 	e.rebuilding = true
 	var rebuilt *Dataset
-	launch(&s.rebuilds, path, func() error {
+	sched.Go(&s.rebuilds, func() error {
 		hook("rebuild", 0)
 		var err error
 		rebuilt, _, err = s.ingest(path)
 		return err
 	}, func(err error) {
+		err = named(path, err)
 		e.mu.Lock()
 		e.rebuilding, e.resolved = false, true
 		e.ds, e.err = rebuilt, err

@@ -13,10 +13,12 @@
 package spark
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"rumble/internal/sched"
 )
 
 // Config tunes a Context. The zero value is usable: missing fields default
@@ -234,69 +236,32 @@ func (c *Context) SimulateIO(blocks int) {
 }
 
 // runStage executes task(p) for p in [0, parts) on at most conf.Executors
-// concurrent goroutines. When tasks fail it returns the error of the
-// lowest-indexed failing partition, whatever the schedule: partitions are
-// claimed in index order and none past a known failure starts, so every
-// partition below the reported one was already claimed and ran to success.
-// Each call owns its own worker group, so stages nested inside a running
-// task (a shuffle evaluating its parent) cannot deadlock the pool.
+// workers of the ordered runner: when tasks fail it returns the error of the
+// lowest-indexed failing partition, whatever the schedule, and a panicking
+// task fails the stage instead of the process. Each call owns its own
+// worker group, so stages nested inside a running task (a shuffle
+// evaluating its parent) cannot deadlock the pool.
 func (c *Context) runStage(parts int, task func(p int) error) error {
 	c.metrics.StagesRun.Add(1)
-	if parts == 0 {
-		return nil
-	}
-	if parts == 1 {
-		return c.runTask(0, task)
-	}
-	workers := c.conf.Executors
-	if workers > parts {
-		workers = parts
-	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		failed = parts // lowest failing partition so far
-		err    error
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1) - 1)
-				if p >= parts {
-					return
-				}
-				mu.Lock()
-				stop := p > failed
-				mu.Unlock()
-				if stop {
-					return
-				}
-				if e := c.runTask(p, task); e != nil {
-					mu.Lock()
-					if p < failed {
-						failed, err = p, e
-					}
-					mu.Unlock()
-					return
+	return sched.Ordered(context.Background(), min(c.conf.Executors, parts),
+		func(emit func(int) error) error {
+			for p := 0; p < parts; p++ {
+				if err := emit(p); err != nil {
+					return err
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	return err
+			return nil
+		},
+		func(_, p int) (struct{}, error) { return struct{}{}, c.runTask(p, task) },
+		func(int, struct{}) (bool, error) { return false, nil }, nil)
 }
 
-func (c *Context) runTask(p int, task func(p int) error) (err error) {
+// runTask runs one partition task, counting it and its time.
+func (c *Context) runTask(p int, task func(p int) error) error {
 	start := time.Now()
 	defer func() {
 		c.metrics.TasksRun.Add(1)
 		c.metrics.TaskNanos.Add(int64(time.Since(start)))
-		if r := recover(); r != nil {
-			err = fmt.Errorf("task %d panicked: %v", p, r)
-		}
 	}()
 	return task(p)
 }
