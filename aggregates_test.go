@@ -193,3 +193,52 @@ func FuzzAggregatesAgree(f *testing.F) {
 		checkAggregatesAgree(t, engines, writeAggregateInput(t, lines), "$o.x", mixed)
 	})
 }
+
+// TestExistenceAgrees holds exists and empty to one answer on every
+// backend when a row past the first match fails the filter: the first
+// surviving row decides the test, so the failing row must never turn it
+// into an error. The Spark-less fold streams and stops at the first item,
+// the cluster takes one, and a vector existence fold whose morsels fail
+// re-runs through its tuple fallback — whether the failing row shares the
+// first morsel with the match (row 2) or lies in a later one (row 1500),
+// at 1, 2 and 8 workers, over the raw scan and over segments.
+func TestExistenceAgrees(t *testing.T) {
+	local := New(Config{})
+	local.env.Spark = nil
+	engines := []aggregateEngine{{"spark-less", "local", local}}
+	for _, w := range []int{1, 2, 8} {
+		engines = append(engines,
+			aggregateEngine{fmt.Sprintf("cluster x%d", w), "cluster", New(Config{Parallelism: 2, Executors: w})},
+			aggregateEngine{fmt.Sprintf("vector x%d", w), "vector", New(Config{Executors: w, Vectorize: true})},
+			aggregateEngine{fmt.Sprintf("vector+segments x%d", w), "vector",
+				New(Config{Executors: w, Vectorize: true, Segments: true})})
+	}
+	for _, bad := range []int{2, 1500} {
+		lines := make([]string, 3000)
+		for i := range lines {
+			lines[i] = fmt.Sprintf(`{"a":%d}`, i)
+		}
+		lines[bad-1] = `{"a":"x"}`
+		path := writeAggregateInput(t, lines)
+		for _, tc := range []struct{ call, want string }{{"exists", "true"}, {"empty", "false"}} {
+			q := fmt.Sprintf(`%s(for $x in json-file(%q) where $x.a + 1 gt 0 return $x)`, tc.call, path)
+			for _, e := range engines {
+				st, err := e.eng.Compile(q)
+				if err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
+				if e.family == "vector" && st.Mode() != "Vector" {
+					t.Fatalf("%s: mode %s, want Vector", e.name, st.Mode())
+				}
+				items, err := st.Collect()
+				got := item.SerializeSequence(items)
+				if err != nil {
+					got = "error: " + err.Error()
+				}
+				if got != tc.want {
+					t.Errorf("%s: %s with the failing row at %d = %s, want %s", e.name, tc.call, bad, got, tc.want)
+				}
+			}
+		}
+	}
+}

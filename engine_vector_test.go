@@ -801,6 +801,57 @@ var vectorConformanceCases = []vectorConformanceCase{
 		query:    `count(for $o in collection("dict") where $o.s lt "s03" or $o.i eq 1101 return $o)`,
 		wantMode: "Vector",
 	},
+	// Shapes first pinned to build the vector iterator on their own.
+	{
+		name: "filter-project",
+		query: `for $o in collection("games")
+				where $o.score gt 3 and contains($o.country, "C")
+				return { "s": $o.score }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "lets-and-arith",
+		query: `for $o in collection("games")
+				let $b := $o.score * 2
+				where $b gt 3
+				return [ -$b ]`,
+		wantMode: "Vector",
+	},
+	{
+		name: "group-aggregates",
+		query: `for $o in collection("games")
+				group by $t := $o.target
+				return { "t": $t, "n": count($o), "s": sum($o.score),
+					"a": avg($o.score), "lo": min($o.score), "hi": max($o.score) }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "group-by-existing-var",
+		query: `for $o in collection("games")
+				let $t := $o.target
+				group by $t
+				return { "t": $t, "n": count($o) }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "free-variable",
+		query: `declare variable $min := 3;
+				for $o in collection("games") where $o.score ge $min return $o.score`,
+		wantMode: "Vector",
+	},
+	{
+		name: "rdd-let-head",
+		query: `let $d := collection("games")
+				for $x in $d where $x.score ge 5 return $x.guess`,
+		wantMode: "Vector",
+	},
+	{
+		name: "scalar-builtins",
+		query: `for $o in collection("games")
+				where starts-with(upper-case($o.guess), "F") or string-length($o.country) gt 2
+				return string($o.target)`,
+		wantMode: "Vector",
+	},
 	{
 		name: "let shadows the scan variable",
 		query: `for $o in collection("games")
@@ -909,6 +960,62 @@ func TestVectorLocalConformance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVectorCorpusRunsVector pins that every corpus case annotated Vector
+// runs on the vector backend — Metrics().VectorRuns grows — so a plan that
+// shows [Vector] is the plan that runs. The only route from a Vector plan
+// to the tuple pipeline is a free variable bound to several items; the
+// cases that bind one deliberately are exempted by name, and must take it.
+func TestVectorCorpusRunsVector(t *testing.T) {
+	multiItem := map[string]bool{
+		"external sequence variable falls back":           true,
+		"grand count with multi-item external falls back": true,
+	}
+	eng := New(Config{Parallelism: 2, Executors: 2, Vectorize: true})
+	vectorConformanceData(t, eng)
+	for _, tc := range vectorConformanceCases {
+		if tc.wantMode != "Vector" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := eng.Compile(tc.query)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			before := eng.Metrics().VectorRuns
+			_, _ = st.Collect() // the error cases run on the backend too
+			ran := eng.Metrics().VectorRuns > before
+			switch {
+			case multiItem[tc.name] && ran:
+				t.Fatal("a multi-item free variable ran on the vector backend; want the tuple fallback")
+			case !multiItem[tc.name] && !ran:
+				t.Fatalf("mode %s, but no vector run was counted", st.Mode())
+			}
+		})
+	}
+}
+
+// TestVectorKernelErrorsAreCatchable pins that an error a vector kernel
+// raises is the query's dynamic error: try/catch catches it with the
+// description the tuple path gives.
+func TestVectorKernelErrorsAreCatchable(t *testing.T) {
+	q := `try { for $o in collection("strnum") where $o.s eq "a" return $o.n }
+		catch * { $err:description }`
+	for _, vectorize := range []bool{false, true} {
+		eng := New(Config{Parallelism: 2, Executors: 2, Vectorize: vectorize})
+		vectorConformanceData(t, eng)
+		if plan, err := eng.Explain(q); err != nil || strings.Contains(plan, "[Vector") != vectorize {
+			t.Fatalf("vectorize=%v: plan (err %v):\n%s", vectorize, err, plan)
+		}
+		got, err := eng.QueryJSON(q)
+		if err != nil {
+			t.Fatalf("vectorize=%v: %v", vectorize, err)
+		}
+		if want := `"items are not comparable: integer vs string"`; len(got) != 1 || got[0] != want {
+			t.Errorf("vectorize=%v: got %v, want [%s]", vectorize, got, want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ type Mode int
 // to local materialized execution unless the annotation rules below prove a
 // better backend is available. The first three are the paper's modes;
 // Vector is the columnar local backend selected when Options.Vectorize is
-// on and the plan shape is eligible.
+// on and the FLWOR's vector compile (Info.CompileVector) succeeds.
 const (
 	// ModeLocal executes by streaming materialized items on the driver.
 	ModeLocal Mode = iota
@@ -28,7 +28,7 @@ const (
 	// ModeVector executes FLWOR pipelines locally over typed column
 	// batches (scan → filter → project → group/aggregate) instead of
 	// tuple-at-a-time interpretation. Selected statically when
-	// Options.Vectorize is on and the plan is vector-eligible.
+	// Options.Vectorize is on and Info.CompileVector succeeds.
 	ModeVector
 )
 
@@ -267,10 +267,16 @@ func (c *checker) annotate(e ast.Expr) Mode {
 // annotateCall assigns the mode of a function call. User-declared functions
 // shadow builtins, matching the runtime's dispatch order.
 func (c *checker) annotateCall(n *ast.FunctionCall) Mode {
+	_, isUDF := c.functions[n.Name]
+	if c.vectorize && len(n.Args) == 1 && !isUDF && IsAggregate(n.Name) {
+		if f, ok := n.Args[0].(*ast.FLWOR); ok {
+			c.folds[f] = n.Name
+		}
+	}
 	for _, a := range n.Args {
 		c.annotate(a)
 	}
-	if _, isUDF := c.functions[n.Name]; isUDF {
+	if isUDF {
 		return ModeLocal
 	}
 	if f := presenceOnlyFLWOR(n, c.isUDF); f != nil {
@@ -382,24 +388,31 @@ func (c *checker) annotateFLWOR(f *ast.FLWOR) Mode {
 	c.annotate(f.Return)
 	// Join detection runs first: it only fires on DataFrame-shaped FLWORs
 	// (two parallel for clauses plus an equi-where), and a detected join
-	// plan is itself input to vector eligibility — when the keys and the
-	// pipeline tail are vectorizable, the same JoinPlan compiles to a
-	// vector hash join instead of a DataFrame shuffle join.
+	// plan is itself input to the vector compile — when it builds the keys
+	// and the pipeline tail, the same JoinPlan runs as a vector hash join
+	// instead of a DataFrame shuffle join.
 	if mode == ModeDataFrame {
 		if plan := c.detectJoin(f); plan != nil {
 			c.info.Joins[f] = plan
 		}
 	}
 	// The columnar local backend takes precedence over both Local and
-	// DataFrame execution when enabled and the pipeline shape is eligible:
+	// DataFrame execution when enabled and the vector compile succeeds:
 	// a hot scan→filter→sort→project→group pipeline runs faster
 	// batch-at-a-time on the driver than tuple-at-a-time (Local) or through
 	// the exchange machinery (DataFrame). The JoinPlan stays recorded either
 	// way, so the tuple fallback of a vector join keeps hash semantics.
+	// A FLWOR an aggregate folds compiles with that fold as its tail, the
+	// compile the runtime's folds reuse (the plan is the same either way);
+	// one the fold cannot take, being grouped or sorted, compiles alone.
 	if c.vectorize {
-		if vp := c.detectVector(f); vp != nil {
+		k, err := c.info.CompileVector(f, c.folds[f])
+		if err != nil && c.folds[f] != "" {
+			k, err = c.info.CompileVector(f, "")
+		}
+		if err == nil {
 			mode = ModeVector
-			c.info.VectorPlans[f] = vp
+			c.info.VectorPlans[f] = k.Plan
 		}
 	}
 	// Column projection of a storage-backed head scan applies in every

@@ -80,7 +80,7 @@ func scanColumns(e ast.Expr, scanVar string, cols map[string]bool) bool {
 			return true
 		}
 	case *ast.FunctionCall:
-		if base, found := CountOfVar(n); found && base == scanVar {
+		if base, found := countOfVar(n); found && base == scanVar {
 			return true
 		}
 		if n.Name == "count" && len(n.Args) == 1 {

@@ -112,6 +112,18 @@ type Info struct {
 	// execution will use; Explain renders it next to the mode
 	// ("[Vector x4]") when greater than one.
 	VectorWorkers int
+
+	// udfs holds the module's declared functions, which shadow the
+	// builtins CompileVector admits.
+	udfs map[string][2]int
+	// kernels keeps every successful CompileVector.
+	kernels map[vectorTail]*VectorKernels
+}
+
+// isUDF reports whether name is a function the module declares.
+func (i *Info) isUDF(name string) bool {
+	_, ok := i.udfs[name]
+	return ok
 }
 
 // ModeOf returns the annotated execution mode of e. Unannotated nodes (and
@@ -138,7 +150,7 @@ type Options struct {
 	// runtime. Without it every expression is annotated ModeLocal.
 	Cluster bool
 	// NoJoin disables equi-join detection, forcing nested-loop evaluation
-	// of nested for clauses — the escape hatch for comparison benchmarks.
+	// of nested for clauses; only tests set it, to compare the two.
 	NoJoin bool
 	// Vectorize enables the columnar local backend: eligible FLWOR
 	// pipelines (scan → filter → project → group/aggregate) are annotated
@@ -185,6 +197,9 @@ type checker struct {
 	noJoin    bool
 	vectorize bool
 	modeEnv   *modeScope // variable→mode bindings of the annotation phase
+	// folds maps a FLWOR that is the single argument of an aggregate call
+	// to the aggregate's name: its vector compile ends in that fold.
+	folds map[*ast.FLWOR]string
 }
 
 // Analyze checks the module statically and returns the analysis info. It
@@ -209,6 +224,10 @@ func Analyze(m *ast.Module, opts Options) (*Info, error) {
 		cluster:   opts.Cluster,
 		noJoin:    opts.NoJoin,
 		vectorize: opts.Vectorize,
+	}
+	c.info.udfs = c.functions
+	if opts.Vectorize {
+		c.folds = map[*ast.FLWOR]string{}
 	}
 	for _, fd := range m.Functions {
 		if _, dup := c.functions[fd.Name]; dup {

@@ -6,13 +6,12 @@ import (
 	"rumble/internal/ast"
 	"rumble/internal/functions"
 	"rumble/internal/item"
+	"rumble/internal/vector"
 )
 
-// VectorPlan marks a FLWOR the annotation phase proved eligible for the
-// columnar local backend (ModeVector). Eligibility is a pure shape check;
-// the runtime compiles the same clauses into batch operators and falls back
-// to the tuple pipeline if anything unexpected surfaces at run time, so the
-// plan carries no state beyond what Explain wants to show.
+// VectorPlan marks a FLWOR the annotation phase compiled for the columnar
+// local backend (ModeVector): the summary of its VectorKernels that Explain
+// shows and Verify re-derives from the AST.
 type VectorPlan struct {
 	// Grouped reports whether the pipeline ends in a group-by, i.e. the
 	// vector run aggregates instead of projecting row-by-row.
@@ -70,161 +69,373 @@ type PrunePred struct {
 	Lit   item.Item // Int, Double, Dec or Str literal
 }
 
-// VectorScalarFunctions are the scalar builtins the vector backend
+// vectorScalarFunctions are the scalar builtins the vector backend
 // evaluates per row inside filters and projections. All are single-valued
 // over single-valued (or empty) arguments.
-var VectorScalarFunctions = map[string]bool{
+var vectorScalarFunctions = map[string]bool{
 	"contains": true, "starts-with": true, "ends-with": true,
 	"upper-case": true, "lower-case": true, "string": true,
 	"string-length": true,
 }
 
-// detectVector decides whether f runs on the columnar local backend: an
-// unbroken pipeline of
+// VectorKernels is a FLWOR compiled for the columnar backend: the kernel
+// tree of every clause, the pipeline tail, and the batch slot layout they
+// read and write. CompileVector builds it; the runtime only wires inputs,
+// profiling operators and executors around it.
+type VectorKernels struct {
+	// Plan is the summary Explain renders and Verify re-derives.
+	Plan *VectorPlan
+	// Head is the scan's for clause; nil when Join heads the pipeline.
+	Head *ast.ForClause
+	Join *VectorJoin
+	// Ops are the steps after the head, in clause order.
+	Ops []VectorOp
+	// Exactly one tail: Group (a group-by or a grand aggregate), Sort, or
+	// the row projection Project.
+	Group   *VectorGroup
+	Sort    *VectorSort
+	Project vector.Expr
+
+	// Slots is the width of a pipeline batch. Slot 0 is the scan variable;
+	// Fields are the scan variable's top-level fields read by literal key,
+	// each carried in the slot at the same index of FieldSlots. RowSlot is
+	// the hidden slot holding each row's index within its segment, from
+	// which a vector.RowsExpr assembles the scan variable whole; -1 when no
+	// expression reads it whole, so slot 0 stays nil and no row item is
+	// ever built. PosSlots bind the 1-based scan position (at / count).
+	Slots      int
+	Fields     []string
+	FieldSlots []int
+	RowSlot    int
+	PosSlots   []int
+	// Externals are the free variables, in the order vector.ExtExpr
+	// indexes them: each resolves once per evaluation to a constant column.
+	Externals []string
+}
+
+// VectorOp is one pipeline step: a let binding Slot, or a filter (Slot < 0)
+// compacting the batch by its condition. Key is the clause — or the join
+// residual conjunct — the tuple pipeline registers its operator under.
+type VectorOp struct {
+	Key  any
+	Slot int
+	Expr vector.Expr
+}
+
+// VectorJoin is the hash equi-join head: the left side is the scan (slot
+// 0), the right side builds a hash table on RightKeys, evaluated over build
+// batches whose slot 0 is the right variable, and each match binds it at
+// RightSlot of the probe batch.
+type VectorJoin struct {
+	Plan      *JoinPlan
+	RightSlot int
+	LeftKeys  []vector.Expr
+	RightKeys []vector.Expr
+}
+
+// VectorGroup is the aggregating tail. Key expressions evaluate on the
+// pipeline batch, left to right, each rebinding KeySlots[i] for the specs
+// after it; AggArgs evaluate on it after the keys, aligned with Kinds.
+// Project evaluates over group batches: the keys in slots 0..len(KeyExprs)-1,
+// then one finalized aggregate per kind.
+type VectorGroup struct {
+	// Clause is nil for a grand aggregate: one implicit group over the
+	// whole scan, present even when no row is.
+	Clause   *ast.GroupByClause
+	KeyExprs []vector.Expr
+	KeySlots []int
+	Kinds    []vector.AggKind
+	AggArgs  []vector.Expr
+	Project  vector.Expr
+	// EarlyExit marks an existence test (exists/empty/count-eq-zero): the
+	// single grand count only needs to reach one, so the scan can stop as
+	// soon as a merged prefix shows a present row.
+	EarlyExit bool
+}
+
+// VectorSort is the order-by tail: Keys evaluate per pipeline batch, and
+// Project evaluates over the merged order.
+type VectorSort struct {
+	Keys          []vector.Expr
+	Specs         []vector.SortSpec
+	EmptyGreatest []bool
+	Project       vector.Expr
+}
+
+// CompileVector is the one vector compile: the only walk over a pipeline's
+// clauses and scalar grammar. The annotation phase marks a FLWOR Vector
+// exactly when it succeeds, and the runtime builds its batch operators from
+// what it returns. The pipeline it admits is
 //
 //	[cluster-bound lets] for $x [at $p] in <src> (let|where|count)*
 //	    [order by ... [count $c where $c le K]] | [group by] return <e>
 //
 // or a detected equi-join (Info.Joins) followed by the same tail, where
 // every let value, where condition, sort key, join key and the return
-// expression are vector-compilable scalars (literals, variable references,
-// object-field lookups, arithmetic, value comparisons, and/or logic, object
-// and array constructors, and a whitelist of scalar builtins), and — after
-// a group-by — non-key variables are consumed only through aggregates.
+// expression is a single-valued scalar: literals, variable references,
+// literal-key object lookups, arithmetic, value comparisons, and/or logic,
+// object and array constructors, and vectorScalarFunctions. Pipeline
+// bindings become batch slots; free variables (globals, outer FLWOR
+// bindings) become per-evaluation constants — the runtime re-routes an
+// evaluation through the tuple pipeline when one binds a multi-item
+// sequence. After a group-by, non-key variables are consumed only through
+// agg($v), agg($v.path...) or the #count-of($v#count) call the count
+// rewrite produced.
 //
-// Positional variables and count clauses bind scan positions, so a count
-// is eligible only while no preceding filter (or join) has changed the row
+// Positional variables and count clauses bind scan positions, so a count is
+// admitted only while no preceding filter (or join) has changed the row
 // count. An order-by whose tail is "count $c where $c le K" (the count
-// variable unused elsewhere) fuses into a bounded top-k. "allowing empty",
-// a nested for, order-by before group-by, or any non-vectorizable
-// expression declines eligibility and the FLWOR keeps its Local or
-// DataFrame mode.
+// variable unused elsewhere) fuses into a bounded top-k.
 //
-// Cluster-bound lets stay hoisted exactly as in the tuple plan: the vector
-// scan begins after them, streaming the bound RDD through the driver.
-func (c *checker) detectVector(f *ast.FLWOR) *VectorPlan {
-	clauses := c.info.pipeline(f)
+// agg names the grand aggregate the pipeline folds into instead of emitting
+// rows: "" for none, count/sum/avg/min/max, or exists/empty for the
+// early-exit existence tests. Any construct outside the grammar returns an
+// error naming the first one met.
+//
+// A successful compile is kept: the runtime's call for the tail the
+// annotation phase compiled returns the same kernels.
+func (i *Info) CompileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
+	key := vectorTail{f, agg}
+	if k := i.kernels[key]; k != nil {
+		return k, nil
+	}
+	k, err := i.compileVector(f, agg)
+	if err != nil {
+		return nil, err
+	}
+	if i.kernels == nil {
+		i.kernels = map[vectorTail]*VectorKernels{}
+	}
+	i.kernels[key] = k
+	return k, nil
+}
+
+// vectorTail keys the compiles Info keeps: a FLWOR and the grand aggregate
+// it folds into ("" for none).
+type vectorTail struct {
+	f   *ast.FLWOR
+	agg string
+}
+
+func (i *Info) compileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
+	clauses := i.pipeline(f)
 	if len(clauses) == 0 {
-		return nil
+		return nil, errf(f.Pos(), "vector: empty clause list")
 	}
 	vp := &VectorPlan{}
-	bound := map[string]bool{}
-	filtered := false
+	k := &VectorKernels{Plan: vp, RowSlot: -1}
+	s := &vscope{info: i, k: k, slots: map[string]int{}, ext: map[string]int{}}
 	var rest []ast.Clause
-	var pruneHead *ast.ForClause
-	if jp := c.info.Joins[f]; jp != nil {
+	filtered := false
+	if jp := i.Joins[f]; jp != nil {
 		// detectJoin consumed f.Clauses[0:3] (for/for/where); it only fires
 		// on a leading for clause, so no cluster-bound lets were peeled.
-		for _, keys := range [][]ast.Expr{jp.LeftKeys, jp.RightKeys, jp.Residual} {
-			for _, k := range keys {
-				if !c.vectorizableExpr(k) {
-					return nil
-				}
-			}
-		}
 		vp.Join = true
-		bound[jp.Left.Var] = true
-		bound[jp.Right.Var] = true
-		filtered = true // join output positions are not scan positions
 		rest = clauses[3:]
+		deriveScanColumns(vp, nil, rest, f.Return)
+		s.bindScan(jp.Left.Var, nil) // slot 0: the probe (scan) column
+		j := &VectorJoin{Plan: jp, RightSlot: s.bind(jp.Right.Var)}
+		build := s.child()
+		build.bind(jp.Right.Var) // slot 0 of build batches
+		var err error
+		if j.LeftKeys, err = s.exprs(jp.LeftKeys); err != nil {
+			return nil, err
+		}
+		if j.RightKeys, err = build.exprs(jp.RightKeys); err != nil {
+			return nil, err
+		}
+		for _, cond := range jp.Residual {
+			e, err := s.expr(cond)
+			if err != nil {
+				return nil, err
+			}
+			k.Ops = append(k.Ops, VectorOp{Key: cond, Slot: -1, Expr: e})
+		}
+		k.Join = j
+		filtered = true // join output positions are not scan positions
 	} else {
 		head, ok := clauses[0].(*ast.ForClause)
-		if !ok || head.AllowEmpty {
-			return nil
+		if !ok {
+			return nil, errf(clauses[0].Pos(), "vector: pipeline must start with a for clause")
 		}
-		bound[head.Var] = true
-		if head.PosVar != "" {
-			bound[head.PosVar] = true
-			vp.Positional = true
+		if head.AllowEmpty {
+			return nil, errf(head.Pos(), "vector: for clause allows empty")
 		}
+		k.Head = head
 		rest = clauses[1:]
-		pruneHead = head
+		deriveScanColumns(vp, head, rest, f.Return)
+		s.bindScan(head.Var, vp.Columns) // slot 0: the scan column
+		if head.PosVar != "" {
+			vp.Positional = true
+			k.PosSlots = append(k.PosSlots, s.bind(head.PosVar))
+		}
 	}
+
 	var group *ast.GroupByClause
-	for i := 0; i < len(rest); i++ {
-		switch n := rest[i].(type) {
+	for ci := 0; ci < len(rest); ci++ {
+		switch n := rest[ci].(type) {
 		case *ast.LetClause:
-			if !c.vectorizableExpr(n.Value) {
-				return nil
+			e, err := s.expr(n.Value)
+			if err != nil {
+				return nil, err
 			}
-			bound[n.Var] = true
+			k.Ops = append(k.Ops, VectorOp{Key: n, Slot: s.bind(n.Var), Expr: e})
 		case *ast.WhereClause:
-			if !c.vectorizableExpr(n.Cond) {
-				return nil
+			e, err := s.expr(n.Cond)
+			if err != nil {
+				return nil, err
 			}
+			k.Ops = append(k.Ops, VectorOp{Key: n, Slot: -1, Expr: e})
 			filtered = true
 		case *ast.CountClause:
 			if filtered {
-				return nil // count no longer equals the scan position
+				return nil, errf(n.Pos(), "vector: count after a filter no longer counts scan positions")
 			}
-			bound[n.Var] = true
 			vp.Positional = true
+			k.PosSlots = append(k.PosSlots, s.bind(n.Var))
 		case *ast.GroupByClause:
-			if i != len(rest)-1 {
-				return nil // group-by must be the last clause
+			if ci != len(rest)-1 {
+				return nil, errf(n.Pos(), "vector: group by must end the pipeline")
 			}
 			group = n
 		case *ast.OrderByClause:
-			for _, spec := range n.Specs {
-				if spec.Expr == nil || !c.vectorizableExpr(spec.Expr) {
-					return nil
-				}
-			}
-			// The sort must end the pipeline, except for the fused top-k
-			// tail: "count $c where $c le K" with $c unused in the return.
-			tail := rest[i+1:]
-			switch len(tail) {
+			// The sort ends the pipeline, except for the fused top-k tail:
+			// "count $c where $c le K" with $c unused in the return.
+			switch tail := rest[ci+1:]; len(tail) {
 			case 0:
 			case 2:
 				cc, okC := tail[0].(*ast.CountClause)
 				wc, okW := tail[1].(*ast.WhereClause)
 				if !okC || !okW {
-					return nil
+					return nil, errf(n.Pos(), "vector: order by must end the pipeline or fuse a top-k tail")
 				}
-				k, ok := topKBound(wc.Cond, cc.Var)
-				if !ok || k < 1 || exprUsesVar(f.Return, cc.Var) {
-					return nil
+				bound, ok := topKBound(wc.Cond, cc.Var)
+				if !ok || bound < 1 || exprUsesVar(f.Return, cc.Var) {
+					return nil, errf(wc.Pos(), "vector: top-k tail does not bound an unused count variable")
 				}
-				vp.TopK = k
+				vp.TopK = bound
 			default:
-				return nil
+				return nil, errf(n.Pos(), "vector: order by must end the pipeline or fuse a top-k tail")
 			}
 			vp.OrderBy = n
-			i = len(rest) // tail consumed
+			ci = len(rest) // tail consumed
 		default:
-			return nil
+			return nil, errf(rest[ci].Pos(), "vector: unsupported clause %T", rest[ci])
 		}
 	}
-	if pruneHead != nil && !vp.Positional {
-		vp.Prune = prunePredicates(pruneHead.Var, rest)
+	if k.Head != nil && !vp.Positional {
+		vp.Prune = prunePredicates(k.Head.Var, rest)
 	}
-	if group == nil {
-		if !c.vectorizableExpr(f.Return) {
-			return nil
+
+	var err error
+	switch {
+	case agg != "":
+		err = s.grandAggregate(f, agg, group)
+	case vp.OrderBy != nil:
+		err = s.sortTail(f, vp.OrderBy)
+	case group != nil:
+		vp.Grouped = true
+		err = s.groupTail(f, group)
+	default:
+		k.Project, err = s.expr(f.Return)
+	}
+	if err != nil {
+		return nil, err
+	}
+	k.Slots = s.nslots
+	return k, nil
+}
+
+// grandAggregate compiles the tail folding the return projection into the
+// single implicit group of the grand aggregate agg.
+func (s *vscope) grandAggregate(f *ast.FLWOR, agg string, group *ast.GroupByClause) error {
+	if group != nil || s.k.Plan.OrderBy != nil {
+		return errf(f.Pos(), "vector: grand aggregate over a grouped or sorted pipeline")
+	}
+	var proj vector.Expr
+	if s.isScanVar(f.Return) && (agg == "count" || agg == "exists" || agg == "empty") {
+		// Counting scan rows needs their presence, never their contents.
+		proj = ones()
+	} else {
+		var err error
+		if proj, err = s.expr(f.Return); err != nil {
+			return err
 		}
-		deriveScanColumns(vp, pruneHead, rest, f.Return)
-		return vp
 	}
-	// Group keys evaluate left to right, each binding its variable for the
-	// specs after it (mirroring the tuple path's progressive extension).
-	keys := map[string]bool{}
-	for _, spec := range group.Specs {
+	g := &VectorGroup{AggArgs: []vector.Expr{proj}}
+	switch agg {
+	case "exists", "empty":
+		// Fold the projection into a grand count and finalize it to a
+		// boolean; the scan stops once it is positive.
+		g.EarlyExit = true
+		g.Kinds = []vector.AggKind{vector.AggCount}
+		g.Project = &vector.ExistsExpr{Empty: agg == "empty"}
+	default:
+		kind, ok := functions.AggregateKind(agg)
+		if !ok {
+			return errf(f.Pos(), "vector: unsupported grand aggregate %s", agg)
+		}
+		g.Kinds = []vector.AggKind{kind}
+		g.Project = &vector.SlotExpr{Slot: 0}
+	}
+	s.k.Group = g
+	return nil
+}
+
+// sortTail compiles the order-by keys and the return projection the merged
+// order feeds.
+func (s *vscope) sortTail(f *ast.FLWOR, ob *ast.OrderByClause) error {
+	st := &VectorSort{}
+	for _, spec := range ob.Specs {
+		if spec.Expr == nil {
+			return errf(ob.Pos(), "vector: order by spec without a key")
+		}
+		ke, err := s.expr(spec.Expr)
+		if err != nil {
+			return err
+		}
+		st.Keys = append(st.Keys, ke)
+		st.Specs = append(st.Specs, vector.SortSpec{Descending: spec.Descending})
+		st.EmptyGreatest = append(st.EmptyGreatest, spec.EmptyGreatest)
+	}
+	var err error
+	if st.Project, err = s.expr(f.Return); err != nil {
+		return err
+	}
+	s.k.Sort = st
+	return nil
+}
+
+// groupTail compiles the group keys on the pipeline batch — each binding
+// its variable for the specs after it, as the tuple path extends tuples
+// progressively — and the return expression over group batches.
+func (s *vscope) groupTail(f *ast.FLWOR, group *ast.GroupByClause) error {
+	g := &VectorGroup{Clause: group}
+	gs := s.child()
+	gs.main, gs.group = s, g
+	for i, spec := range group.Specs {
+		var ke vector.Expr
+		var err error
 		if spec.Expr != nil {
-			if !c.vectorizableExpr(spec.Expr) {
-				return nil
-			}
-		} else if !bound[spec.Var] {
-			return nil
+			ke, err = s.expr(spec.Expr)
+		} else if _, bound := s.slots[spec.Var]; bound {
+			ke, err = s.varRef(&ast.VarRef{Name: spec.Var})
+		} else {
+			err = errf(group.Pos(), "vector: group key $%s is not a pipeline column", spec.Var)
 		}
-		keys[spec.Var] = true
-		bound[spec.Var] = true
+		if err != nil {
+			return err
+		}
+		g.KeyExprs = append(g.KeyExprs, ke)
+		g.KeySlots = append(g.KeySlots, s.bind(spec.Var))
+		gs.slots[spec.Var] = i
 	}
-	if !c.vectorizableGroupReturn(f.Return, keys, bound) {
-		return nil
+	var err error
+	if g.Project, err = gs.expr(f.Return); err != nil {
+		return err
 	}
-	vp.Grouped = true
-	deriveScanColumns(vp, pruneHead, rest, f.Return)
-	return vp
+	s.k.Group = g
+	return nil
 }
 
 // deriveScanColumns fills VectorPlan.Columns/AllColumns for a non-join
@@ -313,11 +524,7 @@ func pruneLookupField(headVar string, e ast.Expr) (string, bool) {
 	if !ok || vr.Name != headVar {
 		return "", false
 	}
-	lit, ok := ol.Key.(*ast.Literal)
-	if !ok || lit.Value.Kind() != item.KindString {
-		return "", false
-	}
-	return string(lit.Value.(item.Str)), true
+	return stringLiteral(ol.Key)
 }
 
 // pruneLiteral admits the literal kinds the zone-map rules understand.
@@ -427,108 +634,289 @@ func (c *checker) countZeroCall(n *ast.Comparison) *ast.FunctionCall {
 	return fc
 }
 
-// vectorizableExpr reports whether e compiles to a single-valued column
-// expression. Every variable reference is acceptable here: pipeline
-// bindings become columns, and free variables (globals, outer FLWOR
-// bindings) become per-evaluation constants — the runtime falls back to
-// the tuple pipeline if such a binding turns out to be a multi-item
-// sequence.
-func (c *checker) vectorizableExpr(e ast.Expr) bool {
-	return c.vectorizable(e, func(string) bool { return true }, nil)
+// vscope is one slot environment of a vector compile: the pipeline batch,
+// a join's build batch (whose slot 0 is the right variable), or a grouped
+// return's group batch (keys, then aggregate results). All scopes of one
+// compile share its free-variable table, so a free variable resolves once
+// per evaluation wherever it is referenced.
+type vscope struct {
+	info   *Info
+	k      *VectorKernels
+	slots  map[string]int
+	nslots int
+	ext    map[string]int // free variable → index into k.Externals
+
+	// scanVar is the pipeline's scan variable, empty outside the pipeline
+	// scope and once a later clause rebinds the name: $scanVar.f reads field
+	// f's slot, and a bare $scanVar assembles rows through k.RowSlot.
+	scanVar string
+	fields  map[string]int
+
+	// A group scope reads pipeline variables only through the aggregates
+	// of group, whose arguments compile against main.
+	main  *vscope
+	group *VectorGroup
 }
 
-// vectorizableGroupReturn checks the return expression of a grouped
-// pipeline: key variables and free variables behave as in
-// vectorizableExpr, while non-key pipeline variables may be consumed only
-// through aggregates the backend can fold — agg($v), agg($v.path...), or
-// the #count-of($v#count) call the count rewrite produced.
-func (c *checker) vectorizableGroupReturn(e ast.Expr, keys, bound map[string]bool) bool {
-	varOK := func(name string) bool {
-		// A bound non-key variable holds the per-group concatenation; the
-		// backend only materializes it through aggregates.
-		return keys[name] || !bound[name]
-	}
-	aggOK := func(n *ast.FunctionCall) (handled, ok bool) {
-		if base, found := CountOfVar(n); found {
-			return true, bound[base] && !keys[base]
-		}
-		_, isUDF := c.functions[n.Name]
-		if _, fold := functions.AggregateKind(n.Name); fold && !isUDF && len(n.Args) == 1 {
-			base, found := aggArgRoot(n.Args[0])
-			return true, found && bound[base] && !keys[base]
-		}
-		return false, false
-	}
-	return c.vectorizable(e, varOK, aggOK)
+// child returns a fresh slot environment sharing s's free variables.
+func (s *vscope) child() *vscope {
+	return &vscope{info: s.info, k: s.k, slots: map[string]int{}, ext: s.ext}
 }
 
-// vectorizable is the shared walker behind both checks above: the scalar
-// expression grammar is identical, only the treatment of variable
-// references (varOK) and — after a group-by — aggregate calls (aggCall,
-// consulted before the scalar-builtin whitelist; nil outside groups)
-// differs between the pipeline body and a grouped return.
-func (c *checker) vectorizable(e ast.Expr, varOK func(string) bool, aggCall func(*ast.FunctionCall) (handled, ok bool)) bool {
-	rec := func(ch ast.Expr) bool { return c.vectorizable(ch, varOK, aggCall) }
+func (s *vscope) bind(name string) int {
+	if name == s.scanVar {
+		s.scanVar = "" // shadowed: the name no longer reads the scan
+	}
+	slot := s.nslots
+	s.nslots++
+	s.slots[name] = slot
+	return slot
+}
+
+// bindScan binds the scan variable at slot 0 and pre-binds the projected
+// columns in their sorted order.
+func (s *vscope) bindScan(name string, cols []string) {
+	s.bind(name)
+	s.scanVar = name
+	s.fields = map[string]int{}
+	for _, f := range cols {
+		s.field(f)
+	}
+}
+
+// field allocates (or reuses) the slot carrying one top-level field of the
+// scan variable. Fields live outside the variable namespace: the scan
+// fills them, never a let.
+func (s *vscope) field(f string) int {
+	if slot, ok := s.fields[f]; ok {
+		return slot
+	}
+	slot := s.nslots
+	s.nslots++
+	s.fields[f] = slot
+	s.k.Fields = append(s.k.Fields, f)
+	s.k.FieldSlots = append(s.k.FieldSlots, slot)
+	return slot
+}
+
+// isScanVar reports whether e is a bare reference to the scan variable.
+func (s *vscope) isScanVar(e ast.Expr) bool {
+	vr, ok := e.(*ast.VarRef)
+	return ok && s.scanVar != "" && vr.Name == s.scanVar
+}
+
+// varRef compiles a variable reference: the scan variable whole, a slot,
+// or a free-variable constant. In a group scope a bound non-key variable
+// holds the per-group concatenation, readable only through aggregates.
+func (s *vscope) varRef(n *ast.VarRef) (vector.Expr, error) {
+	if s.isScanVar(n) {
+		if s.k.RowSlot < 0 {
+			s.k.RowSlot = s.nslots
+			s.nslots++
+		}
+		return &vector.RowsExpr{RowSlot: s.k.RowSlot}, nil
+	}
+	if slot, ok := s.slots[n.Name]; ok {
+		return &vector.SlotExpr{Slot: slot}, nil
+	}
+	if s.main != nil {
+		if _, bound := s.main.slots[n.Name]; bound {
+			return nil, errf(n.Pos(), "vector: non-key variable $%s outside an aggregate", n.Name)
+		}
+	}
+	idx, ok := s.ext[n.Name]
+	if !ok {
+		idx = len(s.k.Externals)
+		s.k.Externals = append(s.k.Externals, n.Name)
+		s.ext[n.Name] = idx
+	}
+	return &vector.ExtExpr{Idx: idx}, nil
+}
+
+func (s *vscope) exprs(es []ast.Expr) ([]vector.Expr, error) {
+	out := make([]vector.Expr, len(es))
+	for i, e := range es {
+		var err error
+		if out[i], err = s.expr(e); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// expr compiles one scalar expression of the vector grammar.
+func (s *vscope) expr(e ast.Expr) (vector.Expr, error) {
 	switch n := e.(type) {
 	case *ast.Literal:
-		return true
+		return &vector.LitExpr{Col: vector.ConstCol(n.Value)}, nil
 	case *ast.VarRef:
-		return varOK(n.Name)
+		return s.varRef(n)
 	case *ast.ObjectLookup:
-		lit, ok := n.Key.(*ast.Literal)
-		if !ok || lit.Value.Kind() != item.KindString {
-			return false
+		key, ok := stringLiteral(n.Key)
+		if !ok {
+			return nil, errf(n.Pos(), "vector: dynamic object lookup key")
 		}
-		return rec(n.Input)
+		if s.isScanVar(n.Input) {
+			return &vector.SlotExpr{Slot: s.field(key)}, nil
+		}
+		in, err := s.expr(n.Input)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.LookupExpr{In: in, Key: key}, nil
 	case *ast.Comparison:
-		return !n.General && rec(n.L) && rec(n.R)
+		op, ok := vector.ParseCmpOp(string(n.Op))
+		if !ok || n.General {
+			return nil, errf(n.Pos(), "vector: unsupported comparison %s", n.Op)
+		}
+		l, r, err := s.two(n.L, n.R)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.CmpExpr{Op: op, L: l, R: r}, nil
 	case *ast.Arith:
-		return rec(n.L) && rec(n.R)
+		l, r, err := s.two(n.L, n.R)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.ArithExpr{Op: n.Op, L: l, R: r}, nil
 	case *ast.Logic:
-		return rec(n.L) && rec(n.R)
+		l, r, err := s.two(n.L, n.R)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.LogicExpr{And: n.IsAnd, L: l, R: r}, nil
 	case *ast.Unary:
-		return rec(n.Operand)
+		in, err := s.expr(n.Operand)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.UnaryExpr{Minus: n.Minus, In: in}, nil
 	case *ast.ObjectConstructor:
+		oe := &vector.ObjectExpr{}
 		for i := range n.Keys {
-			lit, ok := n.Keys[i].(*ast.Literal)
-			if !ok || lit.Value.Kind() != item.KindString {
-				return false
+			key, ok := stringLiteral(n.Keys[i])
+			if !ok {
+				return nil, errf(n.Pos(), "vector: dynamic object constructor key")
 			}
-			if !rec(n.Values[i]) {
-				return false
+			v, err := s.expr(n.Values[i])
+			if err != nil {
+				return nil, err
 			}
+			oe.Keys = append(oe.Keys, key)
+			oe.Vals = append(oe.Vals, v)
 		}
-		return true
+		return oe, nil
 	case *ast.ArrayConstructor:
-		return n.Body == nil || rec(n.Body)
+		if n.Body == nil {
+			return &vector.ArrayExpr{}, nil
+		}
+		body, err := s.expr(n.Body)
+		if err != nil {
+			return nil, err
+		}
+		return &vector.ArrayExpr{Body: body}, nil
 	case *ast.FunctionCall:
-		if aggCall != nil {
-			if handled, ok := aggCall(n); handled {
-				return ok
+		if s.group != nil {
+			if ve, handled, err := s.aggregate(n); handled {
+				return ve, err
 			}
 		}
-		if _, isUDF := c.functions[n.Name]; isUDF {
-			return false
+		fn, ok := functions.Lookup(n.Name)
+		if !ok || s.info.isUDF(n.Name) || !vectorScalarFunctions[n.Name] {
+			return nil, errf(n.Pos(), "vector: unsupported function %s", n.Name)
 		}
-		if !VectorScalarFunctions[n.Name] {
-			return false
+		args, err := s.exprs(n.Args)
+		if err != nil {
+			return nil, err
 		}
-		for _, a := range n.Args {
-			if !rec(a) {
-				return false
-			}
-		}
-		return true
+		return &vector.CallExpr{Fn: fn, Args: args}, nil
 	default:
-		return false
+		return nil, errf(e.Pos(), "vector: unsupported expression %T", e)
 	}
 }
 
-// CountOfVar recognizes the #count-of($v#count) call the group-by count
-// rewrite produces and returns the base variable name. The runtime's
-// vector compiler resolves the same shape to a count accumulator, so the
-// recognizer is shared rather than duplicated.
-func CountOfVar(n *ast.FunctionCall) (string, bool) {
+func (s *vscope) two(l, r ast.Expr) (vector.Expr, vector.Expr, error) {
+	le, err := s.expr(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	re, err := s.expr(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return le, re, nil
+}
+
+// aggregate compiles, in a group scope, a call that folds a non-key
+// pipeline variable into an accumulator slot: #count-of($v#count), or
+// agg($v) / agg($v.path...) for a foldable aggregate. handled=false leaves
+// the call to the scalar grammar.
+func (s *vscope) aggregate(n *ast.FunctionCall) (ve vector.Expr, handled bool, err error) {
+	m := s.main
+	// nonKey reports whether name is a pipeline variable other than a key.
+	nonKey := func(name string) bool {
+		_, bound := m.slots[name]
+		_, key := s.slots[name]
+		return bound && !key
+	}
+	if base, ok := countOfVar(n); ok {
+		if !nonKey(base) {
+			return nil, true, errf(n.Pos(), "vector: #count-of over $%s, not a non-key pipeline variable", base)
+		}
+		if base == m.scanVar {
+			// Counting the scan variable needs row presence only: fold an
+			// always-present constant instead of assembling rows.
+			return s.aggSlot(vector.AggCount, ones()), true, nil
+		}
+		return s.aggSlot(vector.AggCount, &vector.SlotExpr{Slot: m.slots[base]}), true, nil
+	}
+	kind, isAgg := functions.AggregateKind(n.Name)
+	if !isAgg || s.info.isUDF(n.Name) || len(n.Args) != 1 {
+		return nil, false, nil
+	}
+	if root, ok := aggArgRoot(n.Args[0]); !ok || !nonKey(root) {
+		return nil, true, errf(n.Pos(), "vector: %s argument is not a path over a non-key pipeline variable", n.Name)
+	}
+	if kind == vector.AggCount && m.isScanVar(n.Args[0]) {
+		return s.aggSlot(vector.AggCount, ones()), true, nil
+	}
+	arg, err := m.expr(n.Args[0])
+	if err != nil {
+		return nil, true, err
+	}
+	return s.aggSlot(kind, arg), true, nil
+}
+
+// aggSlot allocates one accumulator and returns the group-batch column
+// reading its finalized value.
+func (s *vscope) aggSlot(kind vector.AggKind, arg vector.Expr) vector.Expr {
+	g := s.group
+	g.Kinds = append(g.Kinds, kind)
+	g.AggArgs = append(g.AggArgs, arg)
+	return &vector.SlotExpr{Slot: len(g.KeyExprs) + len(g.Kinds) - 1}
+}
+
+// ones broadcasts an always-present constant: the count-aggregate argument
+// standing in for "one per row" when the plan never materializes the scan
+// variable itself.
+func ones() vector.Expr {
+	return &vector.LitExpr{Col: vector.ConstCol(item.Bool(true))}
+}
+
+// stringLiteral extracts a compile-time string key.
+func stringLiteral(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.Literal)
+	if !ok {
+		return "", false
+	}
+	s, ok := lit.Value.(item.Str)
+	return string(s), ok
+}
+
+// countOfVar recognizes the #count-of($v#count) call the group-by count
+// rewrite produces and returns the base variable name.
+func countOfVar(n *ast.FunctionCall) (string, bool) {
 	if n.Name != "#count-of" || len(n.Args) != 1 {
 		return "", false
 	}
@@ -547,8 +935,7 @@ func aggArgRoot(e ast.Expr) (string, bool) {
 		case *ast.VarRef:
 			return n.Name, true
 		case *ast.ObjectLookup:
-			lit, ok := n.Key.(*ast.Literal)
-			if !ok || lit.Value.Kind() != item.KindString {
+			if _, ok := stringLiteral(n.Key); !ok {
 				return "", false
 			}
 			e = n.Input

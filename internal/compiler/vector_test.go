@@ -3,6 +3,7 @@ package compiler
 import (
 	"testing"
 
+	"rumble/internal/ast"
 	"rumble/internal/parser"
 )
 
@@ -132,5 +133,49 @@ func TestVectorParallel(t *testing.T) {
 	}
 	if ModeVector.String() != "Vector" {
 		t.Fatalf("ModeVector.String() = %q", ModeVector.String())
+	}
+}
+
+// TestCompileVectorCountsPresence pins that counting the bare scan variable
+// folds a constant and never reads rows whole — no hidden row slot, so a
+// segment scan fetches no lane it does not read — while returning the same
+// variable from an ordinary pipeline does read it whole. The annotation
+// phase compiles a fold's argument with the fold as its tail, and the
+// runtime's call for that tail gets the same kernels back.
+func TestCompileVectorCountsPresence(t *testing.T) {
+	for _, tc := range []struct {
+		name, q, agg string
+		wholeRows    bool
+	}{
+		{"grand count", `count(for $o in json-file("d.jsonl") where $o.a gt 1 return $o)`, "count", false},
+		{"exists", `exists(for $o in json-file("d.jsonl") where $o.a gt 1 return $o)`, "exists", false},
+		{"grouped count", `for $o in json-file("d.jsonl") group by $s := $o.s return { "s": $s, "n": count($o) }`, "", false},
+		{"rows", `for $o in json-file("d.jsonl") where $o.a gt 1 return $o`, "", true},
+		{"sum of rows", `sum(for $o in json-file("d.jsonl") return $o)`, "sum", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := parser.Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := Analyze(m, Options{Vectorize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, ok := m.Body.(*ast.FLWOR)
+			if !ok {
+				f = m.Body.(*ast.FunctionCall).Args[0].(*ast.FLWOR)
+			}
+			k, err := info.CompileVector(f, tc.agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := info.CompileVector(f, tc.agg); again != k || k.Plan != info.VectorPlans[f] {
+				t.Error("the runtime's compile is not the annotation phase's")
+			}
+			if got := k.RowSlot >= 0; got != tc.wholeRows {
+				t.Errorf("reads rows whole = %v (RowSlot %d), want %v", got, k.RowSlot, tc.wholeRows)
+			}
+		})
 	}
 }

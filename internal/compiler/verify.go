@@ -650,14 +650,14 @@ func (v *verifier) vectorScalar(e ast.Expr, groupedReturn bool) {
 		rec(n.Body)
 	case *ast.FunctionCall:
 		if groupedReturn {
-			if _, ok := CountOfVar(n); ok {
+			if _, ok := countOfVar(n); ok {
 				return
 			}
 			if _, fold := functions.AggregateKind(n.Name); fold && len(n.Args) == 1 {
 				return // aggregate arguments fold inside the backend
 			}
 		}
-		if !VectorScalarFunctions[n.Name] {
+		if !vectorScalarFunctions[n.Name] {
 			v.report("vector-operator", n.Pos(), "call %s/%d is not a whitelisted vector scalar function", n.Name, len(n.Args))
 			return
 		}

@@ -134,10 +134,11 @@ func (p *Program) runDC(dc *DynamicContext, max int) ([]item.Item, error) {
 	return Materialize(p.Root, dc)
 }
 
-// Compile analyzes and compiles a parsed module against an environment.
-// The static phase assigns every expression its execution mode; the plan
-// nodes built here carry that annotation and never probe it dynamically.
-func Compile(m *ast.Module, env *Env) (*Program, error) {
+// Analyze runs the static phase a module compiles under in env: the
+// analysis options derive from env, and the plan verifier runs when
+// env.VerifyPlans is set. Compile and Explain both analyze through it, so
+// the plan Explain shows is the plan that runs.
+func Analyze(m *ast.Module, env *Env) (*compiler.Info, error) {
 	executors := 0
 	if env.Spark != nil {
 		executors = env.Spark.Conf().Executors
@@ -151,6 +152,17 @@ func Compile(m *ast.Module, env *Env) (*Program, error) {
 		if err := compiler.Verify(m, info); err != nil {
 			return nil, err
 		}
+	}
+	return info, nil
+}
+
+// Compile analyzes and compiles a parsed module against an environment.
+// The static phase assigns every expression its execution mode; the plan
+// nodes built here carry that annotation and never probe it dynamically.
+func Compile(m *ast.Module, env *Env) (*Program, error) {
+	info, err := Analyze(m, env)
+	if err != nil {
+		return nil, err
 	}
 	c := &comp{env: env, info: info, udfs: map[string]*udf{}, opKeys: map[any]int{}}
 	prog := &Program{}
@@ -324,12 +336,10 @@ func (c *comp) compile(e ast.Expr) (Iterator, error) {
 		}
 		ci := &comparisonIter{op: string(n.Op), general: n.General, l: l, r: r}
 		if call := c.info.VectorCountZero[n]; call != nil {
-			// count(<vector-eligible scan>) eq 0 is an existence test: fold
-			// it as an early-exit vector pipeline that stops scanning at the
-			// first surviving row. A decline keeps the tuple comparison.
-			if vit, err := c.compileVectorCountZero(n, call, ci); err == nil {
-				return vit, nil
-			}
+			// count(<vector scan>) eq 0 is an existence test: fold it as an
+			// early-exit vector pipeline that stops scanning at the first
+			// surviving row.
+			return c.compileVectorCountZero(n, call, ci)
 		}
 		return ci, nil
 	case *ast.Logic:
@@ -512,14 +522,10 @@ func (c *comp) compileTwo(l, r ast.Expr) (Iterator, Iterator, error) {
 
 func (c *comp) compileCall(n *ast.FunctionCall) (Iterator, error) {
 	if c.info.VectorAggs[n] {
-		// The compiler proved the argument a vector-eligible scan: the
-		// whole aggregation folds inside the columnar backend. Tried
-		// before the generic argument compilation below, which would
-		// build (and discard) the same pipelines a second time. A decline
-		// falls through to the ordinary local fold.
-		if vit, err := c.compileVectorAgg(n); err == nil {
-			return vit, nil
-		}
+		// The compiler compiled the argument as a vector pipeline: the
+		// whole aggregation folds inside the columnar backend, and the
+		// generic argument compilation below never runs.
+		return c.compileVectorAgg(n)
 	}
 	args := make([]Iterator, len(n.Args))
 	for i, a := range n.Args {
@@ -615,12 +621,10 @@ func (c *comp) compileFLWOR(f *ast.FLWOR) (Iterator, error) {
 	var result Iterator = out
 	if c.info.VectorPlans[f] != nil {
 		// The compiler chose the columnar backend. The tuple pipeline just
-		// built stays attached as the fallback (multi-item free variables);
-		// if the vector compile itself declines — a shape the eligibility
-		// analysis admitted but the backend cannot build — the tuple
-		// pipeline runs alone, preserving results over raw speed.
-		if vit, err := c.compileVector(f, clauses, out, nil); err == nil {
-			result = vit
+		// built stays attached as the fallback for multi-item free
+		// variables.
+		if result, err = c.compileVector(f, out, "", c.pn(f)); err != nil {
+			return nil, err
 		}
 	}
 	if len(rlets) > 0 {
@@ -789,8 +793,9 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 // return projection into a single mergeable accumulator instead of
 // emitting rows, so a filtered-scan count/sum/avg/min/max runs (and
 // parallelizes) entirely inside the columnar backend. The fallback — used
-// when a free variable binds a multi-item sequence at run time — is the
-// ordinary local aggregate fold over the tuple pipeline.
+// when a free variable binds a multi-item sequence at run time, and when
+// the morsels of an exists/empty fold fail — is the ordinary local
+// aggregate fold over the tuple pipeline.
 func (c *comp) compileVectorAgg(n *ast.FunctionCall) (Iterator, error) {
 	f, ok := n.Args[0].(*ast.FLWOR)
 	if !ok {
@@ -805,7 +810,7 @@ func (c *comp) compileVectorAgg(n *ast.FunctionCall) (Iterator, error) {
 		return nil, err
 	}
 	fallback := &aggregateIter{name: n.Name, arg: tuple}
-	vit, err := c.compileVector(f, clauses, fallback, &vaggSpec{name: n.Name, pn: c.pn(n)})
+	vit, err := c.compileVector(f, fallback, n.Name, c.pn(n))
 	if err != nil {
 		return nil, err
 	}
@@ -820,18 +825,19 @@ func (c *comp) compileVectorAgg(n *ast.FunctionCall) (Iterator, error) {
 // count(...) eq 0 comparison the compiler annotated (Info.VectorCountZero):
 // the count call's FLWOR argument folds as an `empty` existence test, so
 // the scan stops at the first surviving row instead of counting them all.
-// The fallback — a comparison over the ordinary local count — runs when a
-// free variable binds a multi-item sequence at run time.
+// The fallback — a comparison over the ordinary count — runs when a free
+// variable binds a multi-item sequence at run time, and when the morsels
+// fail: the comparison then counts eagerly, as the tuple path does.
 func (c *comp) compileVectorCountZero(n *ast.Comparison, call *ast.FunctionCall, fallback Iterator) (Iterator, error) {
 	f, ok := call.Args[0].(*ast.FLWOR)
 	if !ok {
 		return nil, Errorf("vector: count argument is not a FLWOR")
 	}
-	clauses, rlets, err := c.peelRDDLets(f)
+	_, rlets, err := c.peelRDDLets(f)
 	if err != nil {
 		return nil, err
 	}
-	vit, err := c.compileVector(f, clauses, fallback, &vaggSpec{name: "empty", pn: c.pn(n)})
+	vit, err := c.compileVector(f, fallback, "empty", c.pn(n))
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ type Env struct {
 	// fall back to the JSON-Lines paths unchanged.
 	Segments *segment.Store
 	// NoJoin disables the compiler's static equi-join detection, forcing
-	// nested-loop evaluation (for comparison benchmarks).
+	// nested-loop evaluation; only tests set it, to compare the two.
 	NoJoin bool
 	// Vectorize enables the columnar local backend: the compiler annotates
 	// eligible FLWOR pipelines ModeVector and they execute batch-at-a-time
@@ -93,6 +93,16 @@ type aggregateIter struct {
 func (a *aggregateIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
 	if a.pushdown {
 		return a.streamFromRDD(dc, yield)
+	}
+	if a.name == "exists" || a.name == "empty" {
+		// The first item decides an existence test: stop there, as the
+		// cluster's Take(1) does, so later items — and their errors — are
+		// never evaluated.
+		first, err := MaterializeN(a.arg, dc, 1)
+		if err != nil {
+			return err
+		}
+		return yield(item.Bool((len(first) > 0) == (a.name == "exists")))
 	}
 	seq, err := Materialize(a.arg, dc)
 	if err != nil {

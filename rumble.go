@@ -87,7 +87,7 @@ type Config struct {
 	IOLatency time.Duration
 	// DisableJoin turns off the compiler's static equi-join detection so
 	// nested "for ... for ... where" queries keep their nested-loop
-	// evaluation — the escape hatch for comparison benchmarks.
+	// evaluation; only tests set it, to compare the two.
 	DisableJoin bool
 	// Vectorize enables the columnar local backend: eligible FLWOR
 	// pipelines (scan → filter → project → group/aggregate, order-by
@@ -224,8 +224,7 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	info, err := compiler.Analyze(m, compiler.Options{Cluster: e.env.Spark != nil, NoJoin: e.env.NoJoin,
-		Vectorize: e.env.Vectorize, Executors: e.sc.Conf().Executors})
+	info, err := runtime.Analyze(m, e.env)
 	if err != nil {
 		return "", err
 	}
