@@ -306,11 +306,7 @@ func (v *vectorIter) morselBatch(m vmorsel, dec *jparse.Decoder) (*vector.Batch,
 		}
 		if k.RowSlot >= 0 {
 			b.Src = cs
-			rc := vector.NewCol(m.n)
-			for i := 0; i < m.n; i++ {
-				rc.AppendInt(int64(m.off + i))
-			}
-			b.Cols[k.RowSlot] = rc
+			b.Cols[k.RowSlot] = vector.Sequence(int64(m.off), m.n)
 		}
 		return b, nil
 	}
@@ -590,10 +586,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 		// Every morsel but the last is exactly BatchSize rows, so the
 		// 1-based scan position of row i is idx*BatchSize + i + 1.
 		base := int64(m.idx) * int64(vector.BatchSize)
-		pc := vector.NewCol(b.N)
-		for i := 0; i < b.N; i++ {
-			pc.AppendInt(base + int64(i) + 1)
-		}
+		pc := vector.Sequence(base+1, b.N)
 		for _, slot := range k.PosSlots {
 			b.Cols[slot] = pc
 		}

@@ -320,14 +320,15 @@ func laneBlock(r *reader, col string, parse bool) (*reader, error) {
 	return &reader{path: r.path, data: block}, nil
 }
 
-// laneBytes is the in-memory cost of one resident lane.
+// laneBytes is the in-memory cost of one resident lane: the tag lane and
+// only the typed lanes the column allocated, at their capacity.
 func laneBytes(c *vector.Col) int64 {
-	n := int64(len(c.Tags)) * (1 + 8 + 8 + stringBytes) // tag+int+num+str headers
+	n := int64(len(c.Tags)) + int64(cap(c.Ints))*8 + int64(cap(c.Nums))*8 +
+		int64(cap(c.Strs))*stringBytes + int64(cap(c.Items))*ifaceBytes
 	for _, s := range c.Strs {
 		n += int64(len(s))
 	}
 	for _, it := range c.Items {
-		n += ifaceBytes
 		if it != nil {
 			n += itemCost(it)
 		}
@@ -336,23 +337,9 @@ func laneBytes(c *vector.Col) int64 {
 }
 
 // newLaneCol returns a full-length, all-absent column sharing the segment
-// dictionary.
+// dictionary: only its tag lane is allocated.
 func newLaneCol(rows int, dict []string) *vector.Col {
-	return &vector.Col{
-		Tags: make([]vector.Tag, rows),
-		Ints: make([]int64, rows),
-		Nums: make([]float64, rows),
-		Strs: make([]string, rows),
-		Dict: dict,
-	}
-}
-
-func putLaneItem(c *vector.Col, ri int, v item.Item) {
-	c.Tags[ri] = vector.TagItem
-	for len(c.Items) <= ri {
-		c.Items = append(c.Items, nil)
-	}
-	c.Items[ri] = v
+	return &vector.Col{Tags: make([]vector.Tag, rows), Dict: dict}
 }
 
 // materializeStrings converts a dictionary column to plain strings: every
@@ -360,48 +347,29 @@ func putLaneItem(c *vector.Col, ri int, v item.Item) {
 // when an overflow row carries a string the table does not list (possible
 // in hand-crafted images; Encode always lists them).
 func materializeStrings(c *vector.Col) {
+	dict := c.Dict
+	c.Dict = nil
 	for i, tg := range c.Tags {
 		if tg == vector.TagString {
-			c.Strs[i] = c.Dict[c.Ints[i]]
-			c.Ints[i] = 0
+			c.SetItem(i, item.Str(dict[c.Ints[i]]))
 		}
 	}
-	c.Dict = nil
 }
 
 // setLaneValue overwrites row ri of c with an overflow row's field value,
-// routing it exactly as Col.AppendItem would.
+// routing it exactly as Col.AppendItem would; a string the dictionary
+// lists becomes its code.
 func setLaneValue(c *vector.Col, ri int, v item.Item) {
-	switch t := v.(type) {
-	case item.Null:
-		c.Tags[ri] = vector.TagNull
-	case item.Bool:
-		if t {
-			c.Tags[ri] = vector.TagTrue
-		} else {
-			c.Tags[ri] = vector.TagFalse
+	if t, ok := v.(item.Str); ok && c.Dict != nil {
+		i := sort.SearchStrings(c.Dict, string(t))
+		if i < len(c.Dict) && c.Dict[i] == string(t) {
+			c.SetItem(ri, item.Int(i)) // the code rides the Ints lane
+			c.Tags[ri] = vector.TagString
+			return
 		}
-	case item.Int:
-		c.Tags[ri] = vector.TagInt
-		c.Ints[ri] = int64(t)
-	case item.Double:
-		c.Tags[ri] = vector.TagDouble
-		c.Nums[ri] = float64(t)
-	case item.Str:
-		if c.Dict != nil {
-			i := sort.SearchStrings(c.Dict, string(t))
-			if i < len(c.Dict) && c.Dict[i] == string(t) {
-				c.Tags[ri] = vector.TagString
-				c.Ints[ri] = int64(i)
-				return
-			}
-			materializeStrings(c)
-		}
-		c.Tags[ri] = vector.TagString
-		c.Strs[ri] = string(t)
-	default:
-		putLaneItem(c, ri, v)
+		materializeStrings(c)
 	}
+	c.SetItem(ri, v)
 }
 
 // decodeLaneCol parses one column's lane block into a vector column:
@@ -414,6 +382,28 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 	tags := lr.data[:rows]
 	lr.off = rows
 	c := newLaneCol(rows, table)
+	// Allocate only the lanes some row's tag names (strings are codes in
+	// Ints); an invalid tag fails in the loop below.
+	var ints, nums, items bool
+	for _, tg := range tags {
+		switch tg {
+		case tagInt, tagString:
+			ints = true
+		case tagDouble:
+			nums = true
+		case tagDec, tagItem:
+			items = true
+		}
+	}
+	if ints {
+		c.Ints = make([]int64, rows)
+	}
+	if nums {
+		c.Nums = make([]float64, rows)
+	}
+	if items {
+		c.Items = make([]item.Item, rows)
+	}
 	for ri := 0; ri < rows; ri++ {
 		switch tags[ri] {
 		case tagAbsent:
@@ -456,7 +446,8 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 			if !ok {
 				return nil, errf(path, "column %q: invalid decimal %q", name, s)
 			}
-			putLaneItem(c, ri, item.NewDecimal(rat))
+			c.Tags[ri] = vector.TagItem
+			c.Items[ri] = item.NewDecimal(rat)
 		case tagItem:
 			raw, err := lr.sized()
 			if err != nil {
@@ -467,7 +458,8 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 			if err != nil {
 				return nil, err
 			}
-			putLaneItem(c, ri, v)
+			c.Tags[ri] = vector.TagItem
+			c.Items[ri] = v
 		default:
 			return nil, errf(path, "column %q row %d: invalid lane tag %d", name, ri, tags[ri])
 		}

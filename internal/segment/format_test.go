@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 
 	"rumble/internal/item"
@@ -259,6 +260,53 @@ func TestDecodeColumnsMatchesLookup(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKernelOutputsOwnOnlyTheirLanes pins lanes on demand in the decoder:
+// a decoded column allocates only the lanes its tags name (dictionary
+// codes in Ints), and so does an overflow-only or missing field.
+func TestKernelOutputsOwnOnlyTheirLanes(t *testing.T) {
+	var rows []item.Item
+	for i := 0; i < 40; i++ {
+		rows = append(rows, obj("s", item.Str(fmt.Sprintf("s%d", i%3)), "i", item.Int(int64(i)),
+			"d", item.Double(float64(i)/2), "b", item.Bool(i%2 == 0), "x", dec("1/3")))
+	}
+	// A duplicate-key row overflows; its fields reach the lanes through
+	// the dictionary ("s") or as the only rows of their field ("o").
+	rows[25] = obj("s", item.Str("s1"), "s", item.Str("s2"), "o", item.Int(7))
+	data, _, err := Encode(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []string{"s", "i", "d", "b", "x", "o", "missing"}
+	cs, err := DecodeColumns("t.rseg", data, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"s": "Ints", "i": "Ints", "d": "Nums", "b": "", "x": "Items", "o": "Ints", "missing": ""}
+	for _, f := range fields {
+		c := cs.Col(f)
+		var held []string
+		for _, l := range []struct {
+			name string
+			ok   bool
+		}{{"Ints", c.Ints != nil}, {"Nums", c.Nums != nil}, {"Strs", c.Strs != nil}, {"Items", c.Items != nil}} {
+			if l.ok {
+				held = append(held, l.name)
+			}
+		}
+		if got := strings.Join(held, ","); got != want[f] {
+			t.Errorf("decoded lane %q holds [%s], want [%s]", f, got, want[f])
+		}
+		for i := range rows {
+			if got, w := c.Item(i), expectedField(rows[i], f); (got == nil) != (w == nil) || got != nil && !itemsEqual(got, w) {
+				t.Errorf("field %s row %d: got %v, want %v", f, i, got, w)
+			}
+		}
+	}
+	if cs.Col("s").Dict == nil {
+		t.Error("the string lane must stay a dictionary column")
 	}
 }
 

@@ -394,7 +394,7 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 		t.Helper()
 		_, _, err := p.get(key, 10, []string{"s"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
 			loads[key]++
-			cs, err := cur.grow(key, data, []string{"s"}) // decoded ≈ 7.6 KiB, nominal cost 10
+			cs, err := cur.grow(key, data, []string{"s"}) // decoded ≈ 6.4 KiB, nominal cost 10
 			return cs, 1, err
 		})
 		if err != nil {
@@ -403,7 +403,7 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	}
 	get("a")
 	if p.bytes <= 4096 {
-		t.Fatalf("pool accounts %d bytes for a ~7.6 KiB entry", p.bytes)
+		t.Fatalf("pool accounts %d bytes for a ~6.4 KiB entry", p.bytes)
 	}
 	get("b")
 	get("a")
@@ -411,6 +411,39 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	// with decoded costing, inserting b must push a out of the budget.
 	if loads["a"] != 2 {
 		t.Fatalf("a loaded %d times, want eviction by b's decoded size and a cold reload", loads["a"])
+	}
+}
+
+// TestBufferPoolCostsOnlyHeldLanes: an int column pins its tag lane and
+// 8 bytes per row, not a slot in every typed lane, and the pool charges
+// exactly that on top of the segment's shapes and dictionary.
+func TestBufferPoolCostsOnlyHeldLanes(t *testing.T) {
+	noLeaks(t)
+	const n = 100
+	rows := make([]item.Item, n)
+	for i := range rows {
+		rows[i] = obj("v", item.Int(int64(i)), "s", item.Str(fmt.Sprint(i%7)))
+	}
+	data, _, err := Encode(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := DecodeColumns("x", data, nil) // shapes and dictionary only
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(1 << 20)
+	cs, _, err := p.get("x", 10, []string{"v"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
+		cs, err := cur.grow("x", data, []string{"v"})
+		return cs, 1, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := prefix.MemBytes() + n*(1+8)
+	if cs.MemBytes() != want || p.bytes != want {
+		t.Fatalf("int column costs %d bytes (pool charges %d), want %d: tags + 8 B/row + shapes/dictionary",
+			cs.MemBytes(), p.bytes, want)
 	}
 }
 

@@ -250,24 +250,15 @@ func Arith(l, r *Col, n int, op item.ArithOp) (*Col, error) {
 		}
 		if lt == TagInt && rt == TagInt {
 			if v, ok := intFast(op, l.Ints[li], r.Ints[ri]); ok {
-				j := out.grow()
-				out.Tags[j] = TagInt
-				out.Ints[j] = v
+				out.AppendInt(v)
 				continue
 			}
 		} else if (lt == TagInt || lt == TagDouble) && (rt == TagInt || rt == TagDouble) &&
 			(lt == TagDouble || rt == TagDouble) {
-			a, b := l.Nums[li], r.Nums[ri]
-			if lt == TagInt {
-				a = float64(l.Ints[li])
-			}
-			if rt == TagInt {
-				b = float64(r.Ints[ri])
-			}
-			if v, ok := doubleFast(op, a, b); ok {
-				j := out.grow()
-				out.Tags[j] = TagDouble
-				out.Nums[j] = v
+			// Each operand is read from the lane its own tag names: an int
+			// row need not lie inside the Nums lane.
+			if v, ok := doubleFast(op, l.num(li), r.num(ri)); ok {
+				out.AppendDouble(v)
 				continue
 			}
 		}
@@ -278,6 +269,14 @@ func Arith(l, r *Col, n int, op item.ArithOp) (*Col, error) {
 		out.AppendItem(res)
 	}
 	return out, nil
+}
+
+// num returns physical row i, a TagInt or TagDouble row, as a float64.
+func (c *Col) num(i int) float64 {
+	if c.Tags[i] == TagInt {
+		return float64(c.Ints[i])
+	}
+	return c.Nums[i]
 }
 
 // intFast computes op over int64 operands when the result provably matches
@@ -355,24 +354,18 @@ func Unary(in *Col, n int, minus bool) (*Col, error) {
 			continue
 		case TagInt:
 			if !minus {
-				k := out.grow()
-				out.Tags[k] = TagInt
-				out.Ints[k] = in.Ints[j]
+				out.AppendInt(in.Ints[j])
 				continue
 			}
 			if in.Ints[j] != math.MinInt64 {
-				k := out.grow()
-				out.Tags[k] = TagInt
-				out.Ints[k] = -in.Ints[j]
+				out.AppendInt(-in.Ints[j])
 				continue
 			}
 		case TagDouble:
-			k := out.grow()
-			out.Tags[k] = TagDouble
 			if minus {
-				out.Nums[k] = -in.Nums[j]
+				out.AppendDouble(-in.Nums[j])
 			} else {
-				out.Nums[k] = in.Nums[j]
+				out.AppendDouble(in.Nums[j])
 			}
 			continue
 		}

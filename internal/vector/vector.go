@@ -12,6 +12,13 @@
 // heterogeneous data never forces the batch (or the query) off the
 // columnar path, it just pays scalar cost for the odd row.
 //
+// A column owns only the lanes its rows use. Tags is always present; each
+// typed lane is allocated, at the tag lane's capacity, when the first row
+// of its kind lands, so a boolean column is one byte per row and an int
+// column nine. The lane invariant is: a row of kind K lies inside lane K;
+// a lane may end early (or be nil) after its last row of that kind.
+// Kernels therefore read a lane only at rows whose tag names it.
+//
 // Grouping reuses the typed sort-key column encodings of package item
 // (item.SortKey / item.AppendSortKey): two column rows land in the same
 // group exactly when the tuple backend's group-by would have bucketed
@@ -60,6 +67,12 @@ const (
 // Col is a typed column: one value per row, represented by parallel arrays
 // indexed by row. A Const column holds a single logical value broadcast
 // over the whole batch (row 0 is the value); kernels index it through idx.
+//
+// Tags covers every row. Ints, Nums, Strs and Items are lazy: each is nil
+// until a row of its kind is written and may end before the last row, but
+// always covers every row whose tag names it (TagInt and dictionary
+// TagString rows in Ints, TagDouble in Nums, plain TagString in Strs,
+// TagItem in Items).
 type Col struct {
 	Const bool
 	Tags  []Tag
@@ -78,14 +91,19 @@ type Col struct {
 	Dict []string
 }
 
-// NewCol returns an empty column with capacity for cap rows.
+// NewCol returns an empty column with capacity for cap rows. Only the tag
+// lane is allocated; the typed lanes follow on their first row.
 func NewCol(cap int) *Col {
-	return &Col{
-		Tags: make([]Tag, 0, cap),
-		Ints: make([]int64, 0, cap),
-		Nums: make([]float64, 0, cap),
-		Strs: make([]string, 0, cap),
+	return &Col{Tags: make([]Tag, 0, cap)}
+}
+
+// Sequence returns the int column start, start+1, ..., start+n-1.
+func Sequence(start int64, n int) *Col {
+	c := NewCol(n)
+	for i := 0; i < n; i++ {
+		c.AppendInt(start + int64(i))
 	}
+	return c
 }
 
 // ConstCol returns a broadcast column holding it in every row; a nil item
@@ -103,15 +121,6 @@ func ConstCol(it item.Item) *Col {
 
 // Len returns the physical row count (1 for Const columns).
 func (c *Col) Len() int { return len(c.Tags) }
-
-// Reset truncates the column to zero rows, keeping capacity.
-func (c *Col) Reset() {
-	c.Tags = c.Tags[:0]
-	c.Ints = c.Ints[:0]
-	c.Nums = c.Nums[:0]
-	c.Strs = c.Strs[:0]
-	c.Items = c.Items[:0]
-}
 
 // idx maps a logical row to a physical row (0 for Const columns).
 func (c *Col) idx(i int) int {
@@ -138,44 +147,103 @@ func (c *Col) Slice(off, n int) *Col {
 	if c.Const {
 		return c
 	}
-	out := &Col{
-		Tags: c.Tags[off : off+n : off+n],
-		Ints: c.Ints[off : off+n : off+n],
-		Nums: c.Nums[off : off+n : off+n],
-		Strs: c.Strs[off : off+n : off+n],
-		Dict: c.Dict,
+	return &Col{
+		Tags:  c.Tags[off : off+n : off+n],
+		Ints:  window(c.Ints, off, n),
+		Nums:  window(c.Nums, off, n),
+		Strs:  window(c.Strs, off, n),
+		Items: window(c.Items, off, n),
+		Dict:  c.Dict,
 	}
-	// The item lane is lazy: it may end before off+n (or before off) when
-	// no TagItem row lands that late. Any TagItem row inside the window is
-	// covered, which is the lane's only invariant.
-	if len(c.Items) > off {
-		end := off + n
-		if end > len(c.Items) {
-			end = len(c.Items)
-		}
-		out.Items = c.Items[off:end:end]
-	}
-	return out
 }
 
-// grow appends one zeroed row to the typed lanes. The item overflow lane
-// stays lazy: most columns never see a TagItem row, so Items is only
-// padded (by putItem) when one actually lands — a TagItem row is always
-// covered by Items, later typed rows may leave Items short.
+// window clamps a lazy lane to rows [off, off+n): the lane may end before
+// off+n (or before off), and every row of its kind inside the window stays
+// covered, which is the lane's only invariant.
+func window[T any](s []T, off, n int) []T {
+	if len(s) <= off {
+		return nil
+	}
+	end := min(off+n, len(s))
+	return s[off:end:end]
+}
+
+// lane returns s extended to cover row i: allocated with capacity capHint
+// on the first row of its kind, zero-padded over the rows of other kinds
+// in between.
+func lane[T any](s []T, i, capHint int) []T {
+	if s == nil {
+		s = make([]T, 0, max(capHint, i+1))
+	}
+	var zero T
+	for len(s) <= i {
+		s = append(s, zero)
+	}
+	return s
+}
+
+// grow appends one absent row. Only the tag lane grows; a typed lane grows
+// when a row of its kind is written.
 func (c *Col) grow() int {
 	c.Tags = append(c.Tags, TagAbsent)
-	c.Ints = append(c.Ints, 0)
-	c.Nums = append(c.Nums, 0)
-	c.Strs = append(c.Strs, "")
 	return len(c.Tags) - 1
 }
 
-// putItem stores an overflow value at row i, padding the lazy lane.
-func (c *Col) putItem(i int, it item.Item) {
-	for len(c.Items) <= i {
-		c.Items = append(c.Items, nil)
-	}
+// setInt, setNum, setStr and setItem write row i's tag and its value into
+// the lane that tag names, allocating the lane on first use; setBool
+// writes a tag alone.
+func (c *Col) setInt(i int, v int64) {
+	c.Tags[i] = TagInt
+	c.Ints = lane(c.Ints, i, cap(c.Tags))
+	c.Ints[i] = v
+}
+
+func (c *Col) setNum(i int, v float64) {
+	c.Tags[i] = TagDouble
+	c.Nums = lane(c.Nums, i, cap(c.Tags))
+	c.Nums[i] = v
+}
+
+func (c *Col) setStr(i int, v string) {
+	c.Tags[i] = TagString
+	c.Strs = lane(c.Strs, i, cap(c.Tags))
+	c.Strs[i] = v
+}
+
+func (c *Col) setItem(i int, it item.Item) {
+	c.Tags[i] = TagItem
+	c.Items = lane(c.Items, i, cap(c.Tags))
 	c.Items[i] = it
+}
+
+func (c *Col) setBool(i int, b bool) {
+	if b {
+		c.Tags[i] = TagTrue
+	} else {
+		c.Tags[i] = TagFalse
+	}
+}
+
+// SetItem overwrites existing row i with it, routing it to its typed lane;
+// a nil item makes the row absent. A dictionary column's string rows are
+// codes in Ints, so a string must not be written to one through SetItem.
+func (c *Col) SetItem(i int, it item.Item) {
+	switch v := it.(type) {
+	case nil:
+		c.Tags[i] = TagAbsent
+	case item.Null:
+		c.Tags[i] = TagNull
+	case item.Bool:
+		c.setBool(i, bool(v))
+	case item.Int:
+		c.setInt(i, int64(v))
+	case item.Double:
+		c.setNum(i, float64(v))
+	case item.Str:
+		c.setStr(i, string(v))
+	default:
+		c.setItem(i, it)
+	}
 }
 
 // AppendAbsent appends an empty-sequence row.
@@ -183,51 +251,16 @@ func (c *Col) AppendAbsent() { c.grow() }
 
 // AppendItem appends one item, routing it to its typed lane. A nil item
 // appends the empty sequence.
-func (c *Col) AppendItem(it item.Item) {
-	i := c.grow()
-	if it == nil {
-		return
-	}
-	switch v := it.(type) {
-	case item.Null:
-		c.Tags[i] = TagNull
-	case item.Bool:
-		if v {
-			c.Tags[i] = TagTrue
-		} else {
-			c.Tags[i] = TagFalse
-		}
-	case item.Int:
-		c.Tags[i] = TagInt
-		c.Ints[i] = int64(v)
-	case item.Double:
-		c.Tags[i] = TagDouble
-		c.Nums[i] = float64(v)
-	case item.Str:
-		c.Tags[i] = TagString
-		c.Strs[i] = string(v)
-	default:
-		c.Tags[i] = TagItem
-		c.putItem(i, it)
-	}
-}
+func (c *Col) AppendItem(it item.Item) { c.SetItem(c.grow(), it) }
 
 // AppendInt appends a present integer row.
-func (c *Col) AppendInt(v int64) {
-	i := c.grow()
-	c.Tags[i] = TagInt
-	c.Ints[i] = v
-}
+func (c *Col) AppendInt(v int64) { c.setInt(c.grow(), v) }
+
+// AppendDouble appends a present double row.
+func (c *Col) AppendDouble(v float64) { c.setNum(c.grow(), v) }
 
 // AppendBool appends a present boolean row.
-func (c *Col) AppendBool(b bool) {
-	i := c.grow()
-	if b {
-		c.Tags[i] = TagTrue
-	} else {
-		c.Tags[i] = TagFalse
-	}
-}
+func (c *Col) AppendBool(b bool) { c.setBool(c.grow(), b) }
 
 // Item decodes row i back into an item; nil means the row is absent (the
 // empty sequence). Decoding boxes scalar lanes, so kernels avoid it on hot
@@ -338,18 +371,28 @@ func (c *Col) Compact(keep []bool, kept int) *Col {
 		return c
 	}
 	out := NewCol(kept)
-	out.Dict = c.Dict // codes travel in the Ints lane copied below
+	out.Dict = c.Dict
 	for i, k := range keep {
 		if !k {
 			continue
 		}
 		j := out.grow()
-		out.Tags[j] = c.Tags[i]
-		out.Ints[j] = c.Ints[i]
-		out.Nums[j] = c.Nums[i]
-		out.Strs[j] = c.Strs[i]
-		if c.Tags[i] == TagItem {
-			out.putItem(j, c.Items[i])
+		switch t := c.Tags[i]; t {
+		case TagInt:
+			out.setInt(j, c.Ints[i])
+		case TagDouble:
+			out.setNum(j, c.Nums[i])
+		case TagString:
+			if c.Dict != nil {
+				out.setInt(j, c.Ints[i]) // dictionary codes travel in Ints
+				out.Tags[j] = TagString
+			} else {
+				out.setStr(j, c.Strs[i])
+			}
+		case TagItem:
+			out.setItem(j, c.Items[i])
+		default:
+			out.Tags[j] = t
 		}
 	}
 	return out
