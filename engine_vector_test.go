@@ -45,6 +45,19 @@ func vectorConformanceJSON() map[string][]string {
 			`{"code":null,"name":"nullish"}`,
 			`{"name":"keyless"}`,
 		},
+		// Probe rows for the join expansion: a payload field of every kind
+		// (and absent), most keys hitting both "fr" rows of langs.
+		"probes": {
+			`{"code":"fr","x":1}`,
+			`{"code":"en","x":2.5}`,
+			`{"code":"fr","x":"s"}`,
+			`{"code":"fr","x":null}`,
+			`{"code":"fr","x":{"o":[1]}}`,
+			`{"code":"fr"}`,
+			`{"code":null,"x":true}`,
+			`{"x":4}`,
+			`{"code":"de","x":5}`,
+		},
 		"nulls": {
 			`{"k":null,"v":1}`,
 			`{"k":1,"v":2}`,
@@ -572,6 +585,14 @@ var vectorConformanceCases = []vectorConformanceCase{
 		wantMode: "Vector",
 	},
 	{
+		name: "join expands a mixed-kind probe field over duplicate keys",
+		query: `for $p in collection("probes")
+				for $l in collection("langs")
+				where $p.code eq $l.code
+				return { "x": $p.x, "code": $p.code, "name": $l.name }`,
+		wantMode: "Vector",
+	},
+	{
 		name: "join null matches null and absent drops",
 		query: `for $a in collection("nulls")
 				for $b in collection("nulls")
@@ -789,6 +810,14 @@ var vectorConformanceCases = []vectorConformanceCase{
 				for $b in collection("dict")
 				where $a.i eq $b.i and $a.i ge 1099
 				return { "s": $a.s, "r": $b }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "join expanding a dictionary-coded probe key",
+		query: `for $a in collection("dict")
+				for $b in collection("dict")
+				where $a.s eq $b.s and $a.i ge 1095 and $b.i lt 200
+				return { "s": $a.s, "t": $a.t, "l": $a.i, "r": $b.i }`,
 		wantMode: "Vector",
 	},
 	{

@@ -53,13 +53,16 @@ func (vs *vstate) eval(e vector.Expr, b *vector.Batch) (*vector.Col, error) {
 // lazily on the first non-empty probe morsel (an empty probe side never
 // evaluates the right keys, like the tuple path), guarded by a Once so
 // concurrent workers block until one build finishes. A build error reaches
-// every morsel, so the coordinator surfaces it at the lowest index.
+// every morsel, so the coordinator surfaces it at the lowest index. The
+// table maps an encoded key to its build group: groups[g] holds the build
+// rows with that key, in build order.
 type vjoinRun struct {
-	dc    *DynamicContext
-	once  sync.Once
-	table map[string][]item.Item
-	rmask uint64
-	err   error
+	dc     *DynamicContext
+	once   sync.Once
+	table  map[string]int32
+	groups [][]item.Item
+	rmask  uint64
+	err    error
 }
 
 // vectorIter is a FLWOR compiled to the columnar backend. Stream splits
@@ -351,17 +354,17 @@ func encodeVectorJoinKey(keyCols []*vector.Col, row int, buf []byte) (key []byte
 }
 
 // buildJoinTable materializes the right (build) side once and hashes it by
-// encoded key, pre-sizing the table from the scan cardinality. Rows whose
-// key is absent drop out (an eq against the empty sequence matches
-// nothing); per-bucket rows keep build order so probe expansion reproduces
-// the nested loop's right-input order.
+// encoded key to a build group, pre-sizing the table from the scan
+// cardinality. Rows whose key is absent drop out (an eq against the empty
+// sequence matches nothing); each group keeps build order so probe
+// expansion reproduces the nested loop's right-input order.
 func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 	j := v.k.Join
 	items, err := Materialize(v.rightIn, jr.dc)
 	if err != nil {
 		return err
 	}
-	jr.table = make(map[string][]item.Item, len(items))
+	jr.table = make(map[string]int32, len(items))
 	var buf []byte
 	for start := 0; start < len(items); start += vector.BatchSize {
 		end := start + vector.BatchSize
@@ -384,9 +387,16 @@ func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 				return err
 			}
 			jr.rmask |= mask
-			if ok {
-				jr.table[string(key)] = append(jr.table[string(key)], items[start+i])
+			if !ok {
+				continue
 			}
+			g, seen := jr.table[string(key)]
+			if !seen {
+				g = int32(len(jr.groups))
+				jr.table[string(key)] = g
+				jr.groups = append(jr.groups, nil)
+			}
+			jr.groups[g] = append(jr.groups[g], items[start+i])
 		}
 	}
 	return nil
@@ -394,9 +404,11 @@ func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 
 // probeJoin streams one probe batch through the hash table, expanding each
 // left row into one output row per match (left-major, matches in build
-// order). The build runs lazily on the first non-empty probe batch; the
-// cross-side type comparability check runs per probe row before the
-// missing-key skip, exactly as the tuple path orders them.
+// order): the probe columns are gathered by row index, lane to lane, and
+// only the build rows are appended as items. The build runs lazily on the
+// first non-empty probe batch; the cross-side type comparability check runs
+// per probe row before the missing-key skip, exactly as the tuple path
+// orders them.
 func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vector.Batch, error) {
 	if b.N == 0 {
 		return b, nil
@@ -410,10 +422,11 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 	if err != nil {
 		return nil, err
 	}
-	matches := make([][]item.Item, b.N)
+	group := make([]int32, b.N) // the row's build group, -1 for none
 	total := 0
 	var buf []byte
 	for i := 0; i < b.N; i++ {
+		group[i] = -1
 		key, mask, ok, err := encodeVectorJoinKey(keyCols, i, buf[:0])
 		buf = key
 		if err != nil {
@@ -425,34 +438,29 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 		if !ok {
 			continue
 		}
-		matches[i] = jr.table[string(key)]
-		total += len(matches[i])
+		if g, hit := jr.table[string(key)]; hit {
+			group[i] = g
+			total += len(jr.groups[g])
+		}
 	}
 	if v.sc != nil {
 		v.sc.AddVectorJoinRows(int64(total))
 	}
+	left := make([]int32, 0, total)
+	rcol := vector.NewCol(total)
+	for i, g := range group {
+		if g < 0 {
+			continue
+		}
+		for _, it := range jr.groups[g] {
+			left = append(left, int32(i))
+			rcol.AppendItem(it)
+		}
+	}
 	nb := &vector.Batch{N: total, Cols: make([]*vector.Col, len(b.Cols)), Src: b.Src}
 	for slot, c := range b.Cols {
-		if c == nil || slot == j.RightSlot {
-			continue
-		}
-		if c.Const {
-			nb.Cols[slot] = c
-			continue
-		}
-		oc := vector.NewCol(total)
-		for i := 0; i < b.N; i++ {
-			it := c.Item(i)
-			for range matches[i] {
-				oc.AppendItem(it)
-			}
-		}
-		nb.Cols[slot] = oc
-	}
-	rcol := vector.NewCol(total)
-	for i := 0; i < b.N; i++ {
-		for _, it := range matches[i] {
-			rcol.AppendItem(it)
+		if c != nil && slot != j.RightSlot {
+			nb.Cols[slot] = c.Gather(left)
 		}
 	}
 	nb.Cols[j.RightSlot] = rcol
@@ -473,9 +481,18 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 	if err != nil {
 		return nil, err
 	}
+	// A top-k run copies the keys of the rows it keeps, so one buffer serves
+	// the whole morsel; a full sort keeps every row's keys, carved from one
+	// slab.
+	n, slabRows := len(keyCols), b.N
+	if topK > 0 {
+		slabRows = 1
+	}
+	slab := make([]item.SortKey, slabRows*n)
 	var rowErr error
 	for i := 0; i < b.N; i++ {
-		keys := make([]item.SortKey, len(keyCols))
+		off := (i % slabRows) * n // always 0 under a top-k
+		keys := slab[off : off+n : off+n]
 		for ki, kc := range keyCols {
 			sk, err := kc.OrderKey(i, s.EmptyGreatest[ki])
 			if err != nil {

@@ -175,13 +175,15 @@ func checkOwnsOnlyUsed(t *testing.T, what string, c *Col, want []item.Item) {
 // FuzzColLanes builds columns from a fuzzed sequence of kinds whose first
 // row of each kind lands at a fuzzed offset (pad absent rows, then the
 // sequence), and holds every row of the column, of a column written back
-// to front through SetItem, of a Slice and of a Compact to the items they
-// came from.
+// to front through SetItem, of a Slice, of a Compact and of a Gather to the
+// items they came from. Gather runs over the fuzzed index sequence (two
+// bytes an index, so rows repeat and come in any order), over every row
+// forwards and backwards, and over no row.
 func FuzzColLanes(f *testing.F) {
-	f.Add([]byte{3, 4, 5, 0, 6, 7, 1, 2, 0x1b, 0x0c}, uint16(0), uint16(2), uint16(5), []byte{1, 0, 1})
-	f.Add([]byte{0, 0, 2, 3, 3, 12, 4, 5}, uint16(1500), uint16(1400), uint16(300), []byte{0, 0, 1})
-	f.Add([]byte{7}, uint16(BatchSize-1), uint16(BatchSize), uint16(1), []byte{1})
-	f.Fuzz(func(t *testing.T, kinds []byte, pad, off, n uint16, keep []byte) {
+	f.Add([]byte{3, 4, 5, 0, 6, 7, 1, 2, 0x1b, 0x0c}, uint16(0), uint16(2), uint16(5), []byte{1, 0, 1}, []byte{0, 9, 0, 2, 0, 2, 0, 0})
+	f.Add([]byte{0, 0, 2, 3, 3, 12, 4, 5}, uint16(1500), uint16(1400), uint16(300), []byte{0, 0, 1}, []byte{5, 0xdc, 0, 1, 5, 0xdd})
+	f.Add([]byte{7}, uint16(BatchSize-1), uint16(BatchSize), uint16(1), []byte{1}, []byte{})
+	f.Fuzz(func(t *testing.T, kinds []byte, pad, off, n uint16, keep, gather []byte) {
 		if len(kinds) > 4*BatchSize {
 			kinds = kinds[:4*BatchSize]
 		}
@@ -217,7 +219,103 @@ func FuzzColLanes(f *testing.F) {
 		checkOwnsOnlyUsed(t, "compact", compact, kept)
 		keptSlice := keptOf(rows[o:o+m], mask[o:o+m])
 		checkRows(t, "compacted slice", c.Slice(o, m).Compact(mask[o:o+m], len(keptSlice)), keptSlice)
+
+		var fuzzed []int32
+		if len(rows) > 0 {
+			for j := 0; j+1 < len(gather); j += 2 {
+				fuzzed = append(fuzzed, int32((int(gather[j])<<8|int(gather[j+1]))%len(rows)))
+			}
+		}
+		every := make([]int32, len(rows))
+		backwards := make([]int32, len(rows))
+		for i := range rows {
+			every[i], backwards[len(rows)-1-i] = int32(i), int32(i)
+		}
+		for _, g := range []struct {
+			name string
+			idx  []int32
+		}{{"gather", fuzzed}, {"gather every row", every}, {"gather backwards", backwards}, {"gather no row", []int32{}}} {
+			want := gatheredOf(rows, g.idx)
+			got := c.Gather(g.idx)
+			checkRows(t, g.name, got, want)
+			checkOwnsOnlyUsed(t, g.name, got, want)
+		}
+		var inSlice []int32
+		for _, i := range fuzzed {
+			if m > 0 {
+				inSlice = append(inSlice, i%int32(m))
+			}
+		}
+		checkRows(t, "gathered slice", c.Slice(o, m).Gather(inSlice), gatheredOf(rows[o:o+m], inSlice))
 	})
+}
+
+func gatheredOf(rows []item.Item, idx []int32) []item.Item {
+	out := make([]item.Item, len(idx))
+	for j, i := range idx {
+		out[j] = rows[i]
+	}
+	return out
+}
+
+// TestGatherDictionaryColumn pins Gather on a dictionary column: the
+// result shares Dict, its string rows stay codes in Ints with no Strs lane,
+// and every row reads back as the source row it was gathered from. A
+// Const column passes through.
+func TestGatherDictionaryColumn(t *testing.T) {
+	dict := &Col{
+		Tags: []Tag{TagString, TagInt, TagAbsent, TagString, TagDouble, TagString},
+		Ints: []int64{2, 40, 0, 0, 0, 1},
+		Nums: []float64{0, 0, 0, 0, 0.5},
+		Dict: []string{"a", "b", "c"},
+	}
+	idx := []int32{5, 0, 0, 3, 1, 2, 4, 5}
+	src := make([]item.Item, dict.Len())
+	for i := range src {
+		src[i] = dict.Item(i)
+	}
+	got := dict.Gather(idx)
+	if &got.Dict[0] != &dict.Dict[0] || len(got.Dict) != len(dict.Dict) {
+		t.Fatalf("Gather did not keep the source Dict: %v", got.Dict)
+	}
+	if got.Strs != nil {
+		t.Fatalf("Gather materialized dictionary strings: Strs = %v", got.Strs)
+	}
+	for j, i := range idx {
+		if dict.Tags[i] == TagString && got.Ints[j] != dict.Ints[i] {
+			t.Fatalf("row %d: code %d, want %d", j, got.Ints[j], dict.Ints[i])
+		}
+	}
+	checkRows(t, "gathered dictionary column", got, gatheredOf(src, idx))
+
+	k := ConstCol(item.Str("k"))
+	if k.Gather(idx) != k {
+		t.Fatal("Gather copied a Const column")
+	}
+}
+
+// TestGatherAllocations pins Gather's cost to the column it builds: the Col,
+// its tag lane and the one typed lane its rows use, whatever the row count.
+func TestGatherAllocations(t *testing.T) {
+	for _, rows := range []int{BatchSize, 4 * BatchSize} {
+		idx := make([]int32, rows)
+		ints, strs := NewCol(rows), NewCol(rows)
+		dict := &Col{Tags: make([]Tag, rows), Ints: make([]int64, rows), Dict: []string{"x", "y"}}
+		for i := range idx {
+			idx[i] = int32(rows - 1 - i)
+			ints.AppendInt(int64(i))
+			strs.AppendItem(item.Str("s"))
+			dict.Tags[i], dict.Ints[i] = TagString, int64(i&1)
+		}
+		for _, tc := range []struct {
+			name string
+			col  *Col
+		}{{"int", ints}, {"dictionary", dict}, {"string", strs}} {
+			if got := testing.AllocsPerRun(20, func() { tc.col.Gather(idx) }); got != 3 {
+				t.Errorf("Gather of a %d-row %s column: %v allocations, want 3 (Col, Tags, one lane)", rows, tc.name, got)
+			}
+		}
+	}
 }
 
 func keptOf(rows []item.Item, mask []bool) []item.Item {

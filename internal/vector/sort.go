@@ -3,6 +3,7 @@ package vector
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rumble/internal/item"
@@ -86,10 +87,15 @@ func (r *SortRows) Len() int { return len(r.rows) }
 // called when the row survives, so the tail of the scan is never
 // materialized; the common case once the run saturates is a single
 // comparison against the current k-th row.
+//
+// keys is only read during the call: AppendTopK copies it when the row is
+// kept, so the caller may reuse one key buffer for every row, and a row
+// that ranks outside k costs no allocation.
 func (r *SortRows) AppendTopK(keys []item.SortKey, k int, vals func() []item.Item) {
 	if len(r.rows) >= k && compareKeys(r.specs, keys, r.rows[k-1].keys) >= 0 {
 		return
 	}
+	keys = slices.Clone(keys)
 	lo, hi := 0, len(r.rows)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

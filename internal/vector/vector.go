@@ -10,7 +10,8 @@
 // (TagItem) and are processed row-at-a-time through the same scalar
 // functions the tuple backend uses. That per-row fallback is spill-free:
 // heterogeneous data never forces the batch (or the query) off the
-// columnar path, it just pays scalar cost for the odd row.
+// columnar path, it just pays scalar cost for the odd row. Gather copies
+// rows by index lane to lane, so a join expands without boxing a value.
 //
 // A column owns only the lanes its rows use. Tags is always present; each
 // typed lane is allocated, at the tag lane's capacity, when the first row
@@ -373,29 +374,50 @@ func (c *Col) Compact(keep []bool, kept int) *Col {
 	out := NewCol(kept)
 	out.Dict = c.Dict
 	for i, k := range keep {
-		if !k {
-			continue
-		}
-		j := out.grow()
-		switch t := c.Tags[i]; t {
-		case TagInt:
-			out.setInt(j, c.Ints[i])
-		case TagDouble:
-			out.setNum(j, c.Nums[i])
-		case TagString:
-			if c.Dict != nil {
-				out.setInt(j, c.Ints[i]) // dictionary codes travel in Ints
-				out.Tags[j] = TagString
-			} else {
-				out.setStr(j, c.Strs[i])
-			}
-		case TagItem:
-			out.setItem(j, c.Items[i])
-		default:
-			out.Tags[j] = t
+		if k {
+			out.copyRow(out.grow(), c, i)
 		}
 	}
 	return out
+}
+
+// Gather returns the column whose row j is row idx[j] of c, copied lane to
+// lane so no value is boxed; indices may repeat and come in any order.
+// Dictionary columns keep their Dict. Const columns pass through unchanged,
+// as in Compact.
+func (c *Col) Gather(idx []int32) *Col {
+	if c.Const {
+		return c
+	}
+	out := NewCol(len(idx))
+	out.Dict = c.Dict
+	for _, i := range idx {
+		out.copyRow(out.grow(), c, int(i))
+	}
+	return out
+}
+
+// copyRow writes physical row i of src into existing row j of c, typed
+// lane to typed lane; dictionary codes travel in Ints, so c must share
+// src's Dict.
+func (c *Col) copyRow(j int, src *Col, i int) {
+	switch t := src.Tags[i]; t {
+	case TagInt:
+		c.setInt(j, src.Ints[i])
+	case TagDouble:
+		c.setNum(j, src.Nums[i])
+	case TagString:
+		if src.Dict != nil {
+			c.setInt(j, src.Ints[i])
+			c.Tags[j] = TagString
+		} else {
+			c.setStr(j, src.Strs[i])
+		}
+	case TagItem:
+		c.setItem(j, src.Items[i])
+	default:
+		c.Tags[j] = t
+	}
 }
 
 // errNonAtomic builds the "<context> requires an atomic item" error with
