@@ -25,15 +25,16 @@ type Decoded struct {
 // lane data — returns a structured error; Decode never panics on
 // corrupted input (FuzzSegmentDecode enforces this).
 func Decode(path string, data []byte) (*Decoded, error) {
-	rows, ncols, payload, err := openImage(path, data)
+	img, err := openImage(path, data)
 	if err != nil {
 		return nil, err
 	}
-	p, err := parsePrefix(path, payload, rows, ncols)
+	p, err := parsePrefix(img)
 	if err != nil {
 		return nil, err
 	}
-	cols, r := p.names, &reader{path: path, data: payload, off: p.laneOff}
+	rows := img.rows
+	cols, r := p.names, &reader{path: path, data: img.payload, off: p.laneOff}
 	// Lanes: decode each column into a full-length item lane (nil = absent).
 	lanes := make([][]item.Item, len(cols))
 	for ci := range cols {

@@ -33,12 +33,14 @@ const Rows = 4096
 // Magic opens every segment file.
 const Magic = "RSEG"
 
-// Version is the current format version. Version 2 added the per-segment
-// string dictionary (tagString lane values are codes into a sorted string
-// table), and a byte-length prefix on every column's lane block so a
-// projecting reader skips untouched columns in O(1). Version 1 manifests
-// fail the open-time version check, which re-ingests the source.
-const Version = 2
+// Version is the current format version, of segment images and manifests
+// alike. Version 2 added the per-segment string dictionary (tagString lane
+// values are codes into a sorted string table), and a byte-length prefix on
+// every column's lane block so a projecting reader skips untouched columns
+// in O(1). Version 3 binds each segment's image CRC in the manifest and
+// checksums the manifest itself. Older manifests fail the open-time version
+// check, which re-ingests the source.
+const Version = 3
 
 // Column value tags of the dense per-column tag lane. The layout mirrors
 // internal/vector's column tags, with one extra tag (tagDec) so decimal
@@ -62,10 +64,10 @@ const (
 // objects, which the dictionary cannot express).
 const shapeOverflow = 0
 
-// Error is a structured storage-layer error. Every corruption the decoder
-// detects — truncation, checksum mismatch, lane inconsistencies, zone
-// maps that disagree with the data — surfaces as one of these, never a
-// panic or silently wrong rows.
+// Error is a structured storage-layer error. Every corruption the store
+// detects — truncation, checksum mismatch, lane inconsistencies, a
+// manifest whose checksum or bound image CRCs disagree with what is on
+// disk — surfaces as one of these, never a panic or silently wrong rows.
 type Error struct {
 	Path string // file the error was detected in ("" when not file-bound)
 	Msg  string
@@ -158,28 +160,41 @@ func (cs *ColumnSet) Row(i int) (item.Item, error) {
 	return item.NewObjectOfShape(shape.keys, values), nil
 }
 
-// openImage validates a segment image's header and checksum and returns its
-// row count, column count and payload.
-func openImage(path string, data []byte) (rows, ncols int, payload []byte, err error) {
+// image is a segment file whose header and payload checksum validated.
+type image struct {
+	path        string
+	rows, ncols int
+	crc         uint32 // the header's CRC-32, which the payload matches
+	payload     []byte
+}
+
+// headerCRC reads the payload CRC-32 an image header records.
+func headerCRC(data []byte) uint32 { return binary.LittleEndian.Uint32(data[len(Magic)+9:]) }
+
+// openImage validates a segment image's header and checksum.
+func openImage(path string, data []byte) (image, error) {
 	head := len(Magic) + 1 + 4 + 4 + 4
 	if len(data) < head {
-		return 0, 0, nil, errf(path, "truncated header: %d bytes", len(data))
+		return image{}, errf(path, "truncated header: %d bytes", len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
-		return 0, 0, nil, errf(path, "bad magic %q", data[:len(Magic)])
+		return image{}, errf(path, "bad magic %q", data[:len(Magic)])
 	}
 	if v := data[len(Magic)]; v != Version {
-		return 0, 0, nil, errf(path, "unsupported version %d", v)
+		return image{}, errf(path, "unsupported version %d", v)
 	}
-	rows = int(binary.LittleEndian.Uint32(data[len(Magic)+1:]))
-	ncols = int(binary.LittleEndian.Uint32(data[len(Magic)+5:]))
-	sum := binary.LittleEndian.Uint32(data[len(Magic)+9:])
-	payload = data[head:]
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return 0, 0, nil, errf(path, "checksum mismatch: header %08x, payload %08x", sum, got)
+	img := image{
+		path:    path,
+		rows:    int(binary.LittleEndian.Uint32(data[len(Magic)+1:])),
+		ncols:   int(binary.LittleEndian.Uint32(data[len(Magic)+5:])),
+		crc:     headerCRC(data),
+		payload: data[head:],
 	}
-	if rows < 0 || rows > Rows {
-		return 0, 0, nil, errf(path, "row count %d out of range", rows)
+	if got := crc32.ChecksumIEEE(img.payload); got != img.crc {
+		return image{}, errf(path, "checksum mismatch: header %08x, payload %08x", img.crc, got)
+	}
+	if img.rows < 0 || img.rows > Rows {
+		return image{}, errf(path, "row count %d out of range", img.rows)
 	}
 	// Every dictionary entry costs at least one payload byte (its length
 	// uvarint), so the column count can never exceed the payload size. This
@@ -187,10 +202,10 @@ func openImage(path string, data []byte) (rows, ncols int, payload []byte, err e
 	// tighter falsely rejects sparse/wide data (a short tail segment with
 	// many distinct keys). The CRC above guards corruption and the
 	// dictionary loop in parsePrefix is bounds-checked.
-	if ncols < 0 || ncols > len(payload) {
-		return 0, 0, nil, errf(path, "column count %d exceeds %d payload bytes", ncols, len(payload))
+	if img.ncols < 0 || img.ncols > len(img.payload) {
+		return image{}, errf(path, "column count %d exceeds %d payload bytes", img.ncols, len(img.payload))
 	}
-	return rows, ncols, payload, nil
+	return img, nil
 }
 
 // parsePrefix parses a validated payload up to the column lane blocks —
@@ -198,7 +213,8 @@ func openImage(path string, data []byte) (rows, ncols int, payload []byte, err e
 // lane resident yet; laneOff is where the first lane block starts. Every
 // malformation returns a structured error; it never panics on corrupted
 // input (FuzzSegmentDecode enforces this).
-func parsePrefix(path string, payload []byte, rows, ncols int) (*ColumnSet, error) {
+func parsePrefix(img image) (*ColumnSet, error) {
+	path, payload, rows, ncols := img.path, img.payload, img.rows, img.ncols
 	r := &reader{path: path, data: payload}
 	gotCols, err := r.uvarint()
 	if err != nil {
@@ -473,29 +489,33 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 // DecodeColumns parses a segment byte image into a ColumnSet holding the
 // lanes of fields. Every malformation — truncation, a flipped bit anywhere
 // in the payload (checksum), invalid lane data — returns a structured
-// error, never a panic (FuzzSegmentDecode enforces this).
+// error, never a panic (FuzzSegmentDecode enforces this). The ColumnSet
+// never aliases data: the caller may reuse the buffer once this returns.
 func DecodeColumns(path string, data []byte, fields []string) (*ColumnSet, error) {
-	return (*ColumnSet)(nil).grow(path, data, fields)
+	img, err := openImage(path, data)
+	if err != nil {
+		return nil, err
+	}
+	return (*ColumnSet)(nil).grow(img, fields)
 }
 
 // grow returns a snapshot holding every lane cs holds plus the lanes of
 // fields: the ones not yet resident decode from the segment image in one
 // pass, every other column's lane block skipped via its byte-length prefix
 // without being parsed. A nil cs starts from the image's parsed prefix.
-// The whole payload is CRC-validated either way, and cs is never modified.
-func (cs *ColumnSet) grow(path string, data []byte, fields []string) (*ColumnSet, error) {
-	rows, ncols, payload, err := openImage(path, data)
-	if err != nil {
-		return nil, err
-	}
+// cs is never modified, and nothing the result holds aliases img: strings
+// are copied out of the payload, tags are read in place.
+func (cs *ColumnSet) grow(img image, fields []string) (*ColumnSet, error) {
+	path := img.path
 	if cs == nil {
-		if cs, err = parsePrefix(path, payload, rows, ncols); err != nil {
+		var err error
+		if cs, err = parsePrefix(img); err != nil {
 			return nil, err
 		}
-	} else if rows != cs.NumRows || cs.laneOff > len(payload) {
+	} else if img.rows != cs.NumRows || cs.laneOff > len(img.payload) {
 		return nil, errf(path, "segment image changed under its resident lanes")
 	}
-	r := &reader{path: path, data: payload, off: cs.laneOff}
+	r := &reader{path: path, data: img.payload, off: cs.laneOff}
 	next := *cs
 	next.cols = maps.Clone(cs.cols)
 	next.byID = slices.Clone(cs.byID)

@@ -350,7 +350,7 @@ func (p *pipeline) encode(s *segTask, g int) {
 		if err := os.WriteFile(filepath.Join(p.tmp, name), data, 0o644); err != nil {
 			return errf(p.source, "ingest: %v", err)
 		}
-		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: int64(len(data)), Cols: zones}
+		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: int64(len(data)), CRC: headerCRC(data), Cols: zones}
 		return nil
 	}))
 	if err != nil {
@@ -454,6 +454,7 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 		m.Segments = append(m.Segments, s.meta)
 		m.Rows += int64(s.meta.Rows)
 	}
+	m.Checksum = m.checksum()
 	mdata, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return nil, IngestStats{}, errf(source, "ingest: %v", err)
@@ -479,7 +480,8 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 // manifest changed under this one, or the rename finds a directory in the
 // way — and what it installed validates against this ingest's own hash, the
 // winner's directory is adopted (its bytes are the same: ingest is
-// deterministic) and tmp discarded.
+// deterministic) and tmp discarded. A winner whose manifest fails its
+// checksum is not adopted: OpenDataset would refuse it.
 func swapIn(source, tmp string, m Manifest, before []byte) (Manifest, error) {
 	dir := Dir(source)
 	mpath := filepath.Join(dir, ManifestName)
@@ -489,7 +491,7 @@ func swapIn(source, tmp string, m Manifest, before []byte) (Manifest, error) {
 			return Manifest{}, false
 		}
 		var winner Manifest
-		if json.Unmarshal(now, &winner) != nil || winner.Version != Version ||
+		if json.Unmarshal(now, &winner) != nil || winner.Version != Version || !winner.sealed() ||
 			winner.SourceHash != m.SourceHash || winner.SourceBytes != m.SourceBytes {
 			return Manifest{}, false
 		}

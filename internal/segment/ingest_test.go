@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -87,7 +88,9 @@ func oracleIngest(t *testing.T, source string) map[string][]byte {
 		}
 		name := fmt.Sprintf("seg-%05d.rseg", len(m.Segments))
 		files[name] = data
-		m.Segments = append(m.Segments, Meta{File: name, Rows: len(pending), Bytes: int64(len(data)), Cols: oracleZoneMaps(pending)})
+		// The header is magic, version, rows, columns and the payload CRC.
+		crc := crc32.ChecksumIEEE(data[len(Magic)+13:])
+		m.Segments = append(m.Segments, Meta{File: name, Rows: len(pending), Bytes: int64(len(data)), CRC: crc, Cols: oracleZoneMaps(pending)})
 		m.Rows += int64(len(pending))
 		pending = pending[:0]
 	}
@@ -108,6 +111,11 @@ func oracleIngest(t *testing.T, source string) map[string][]byte {
 		}
 	}
 	flush()
+	canonical, err := json.Marshal(m) // Checksum still zero
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Checksum = crc32.ChecksumIEEE(canonical)
 	if files[ManifestName], err = json.MarshalIndent(m, "", " "); err != nil {
 		t.Fatal(err)
 	}
@@ -491,6 +499,36 @@ func TestIngestSwap(t *testing.T) {
 		}
 		if data, _ := os.ReadFile(filepath.Join(Dir(source), ManifestName)); string(data) != "{}" {
 			t.Fatalf("manifest after replacing: %s", data)
+		}
+	})
+
+	t.Run("refuses a winner whose manifest checksum fails", func(t *testing.T) {
+		source := writeFile(t, filepath.Join(t.TempDir(), "d.jsonl"), numbered(100))
+		winner, err := IngestDataset(source) // got there first...
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmp := Dir(source) + ".tmp-loser" // ...with the same content this ingest staged
+		for name, data := range dirFiles(t, Dir(source)) {
+			writeFile(t, filepath.Join(tmp, name), data)
+		}
+		editManifest(t, Dir(source), func(m *Manifest) { m.Rows++ }) // ...but was hand-edited since
+		m, err := swapIn(source, tmp, winner.Manifest, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.sealed() || m.Rows != 100 {
+			t.Fatalf("swapIn returned %+v, want this ingest's own manifest", m)
+		}
+		if left := siblings(t, source); len(left) != 1 {
+			t.Fatalf("beside the source: %v", left)
+		}
+		ds, err := OpenDataset(source)
+		if err != nil {
+			t.Fatalf("the installed directory does not open: %v", err)
+		}
+		if rows := fetchAll(t, ds); len(rows) != 100 {
+			t.Fatalf("installed dataset holds %d rows, want 100", len(rows))
 		}
 	})
 

@@ -1,8 +1,10 @@
 package segment
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,11 +24,13 @@ const ManifestName = "MANIFEST.json"
 func Dir(source string) string { return source + ".segments" }
 
 // Meta describes one segment in the manifest: its file, row count, file
-// size and per-column zone maps (sorted by column name).
+// size, the CRC-32 its image header records (binding the file to this
+// entry) and per-column zone maps (sorted by column name).
 type Meta struct {
 	File  string    `json:"file"`
 	Rows  int       `json:"rows"`
 	Bytes int64     `json:"bytes"`
+	CRC   uint32    `json:"crc"`
 	Cols  []ColZone `json:"cols"`
 }
 
@@ -51,14 +55,27 @@ func (m Meta) ColumnNames() []string {
 }
 
 // Manifest is the dataset-level metadata: the content hash of the source
-// it was ingested from and the ordered segment list.
+// it was ingested from and the ordered segment list, sealed by a checksum
+// over all of it.
 type Manifest struct {
 	Version     int    `json:"version"`
+	Checksum    uint32 `json:"checksum"`
 	SourceHash  string `json:"source_hash"`
 	SourceBytes int64  `json:"source_bytes"`
 	Rows        int64  `json:"rows"`
 	Segments    []Meta `json:"segments"`
 }
+
+// checksum is the CRC-32 of m's canonical encoding — compact JSON with the
+// Checksum field zeroed — so it covers every field the engine reads.
+func (m Manifest) checksum() uint32 {
+	m.Checksum = 0
+	data, _ := json.Marshal(m) // plain data: cannot fail
+	return crc32.ChecksumIEEE(data)
+}
+
+// sealed reports whether m's recorded checksum matches its content.
+func (m Manifest) sealed() bool { return m.Checksum == m.checksum() }
 
 // Dataset is an opened, validated segment dataset. FetchBatch serves
 // decoded segments, through the owning store's buffer pool when there is
@@ -102,42 +119,62 @@ func (d *Dataset) FetchBatch(i int, fields []string) (cs *ColumnSet, coldBlocks 
 	})
 }
 
+// readBuffers recycles the buffers segment files are read into: a decode
+// never aliases its image, so a buffer is free again once load returns.
+// There is at most one per concurrent load.
+var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // load reads segment i's file and decodes the lanes of fields that cur (nil
 // when nothing is resident) does not hold yet, reporting the read's I/O
-// blocks. Every newly decoded lane is checked against its manifest zone
-// map: the prunable fields a scan could have skipped on are always among
-// the fields it fetches, so summaries the lane data contradicts are caught
-// before any pruning decision can rest on them.
+// blocks. The image must be the one the manifest binds: its header CRC —
+// which the payload was just checked against — equals the manifest's, so
+// the sealed zone maps and row count describe these very lanes.
 func (d *Dataset) load(i int, cur *ColumnSet, fields []string) (*ColumnSet, int, error) {
 	meta := d.Manifest.Segments[i]
 	path := filepath.Join(d.Dir, meta.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	buf := readBuffers.Get().(*bytes.Buffer)
+	defer readBuffers.Put(buf)
+	if err := readFile(buf, path); err != nil {
 		return nil, 0, errf(path, "read: %v", err)
 	}
-	cs, err := cur.grow(path, data, fields)
+	img, err := openImage(path, buf.Bytes())
+	if err != nil {
+		return nil, 0, err
+	}
+	if img.crc != meta.CRC {
+		return nil, 0, errf(path, "CRC mismatch: image %08x, manifest binds %08x (not the segment file ingested)", img.crc, meta.CRC)
+	}
+	cs, err := cur.grow(img, fields)
 	if err != nil {
 		return nil, 0, err
 	}
 	if cs.NumRows != meta.Rows {
 		return nil, 0, errf(path, "segment holds %d rows, manifest says %d", cs.NumRows, meta.Rows)
 	}
-	for _, f := range fields {
-		if cur != nil && cur.Col(f) != nil {
-			continue // validated when it was decoded
-		}
-		mz, _ := meta.Zone(f) // zero zone when the manifest lists no rows
-		if !zoneEqual(zoneOfLaneCol(cs.Col(f)), mz) {
-			return nil, 0, errf(path, "zone maps inconsistent with lane data")
-		}
+	return cs, dfs.BlocksFor(int64(buf.Len())), nil
+}
+
+// readFile replaces buf's contents with the file at path, growing buf at
+// most once, to the file's size.
+func readFile(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
-	return cs, dfs.BlocksFor(int64(len(data))), nil
+	defer f.Close()
+	buf.Reset()
+	if fi, err := f.Stat(); err == nil {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(f)
+	return err
 }
 
 // OpenDataset loads and strictly validates the segment directory of
 // source without re-ingesting: a missing or unreadable manifest, a
-// version mismatch, or a source whose content hash no longer matches the
-// manifest (stale segments) each return a structured error.
+// version mismatch, a manifest whose checksum does not match its content,
+// or a source whose content hash no longer matches the manifest (stale
+// segments) each return a structured error.
 func OpenDataset(source string) (*Dataset, error) {
 	dir := Dir(source)
 	mpath := filepath.Join(dir, ManifestName)
@@ -151,6 +188,9 @@ func OpenDataset(source string) (*Dataset, error) {
 	}
 	if m.Version != Version {
 		return nil, errf(mpath, "manifest version %d, engine supports %d", m.Version, Version)
+	}
+	if !m.sealed() {
+		return nil, errf(mpath, "manifest checksum mismatch: recorded %08x, content %08x", m.Checksum, m.checksum())
 	}
 	hash, bytes, err := SourceHash(source)
 	if err != nil {

@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"rumble/internal/item"
+	"rumble/internal/sched"
 	"rumble/internal/vector"
 )
 
@@ -197,57 +200,192 @@ func TestStoreTorture(t *testing.T) {
 		wantStructuredFetchError(t, ds, "")
 	})
 
-	t.Run("manifest zone maps inconsistent with lanes", func(t *testing.T) {
+	wantStructuredOpenError := func(t *testing.T, ds *Dataset, substr string) {
+		t.Helper()
+		_, err := OpenDataset(ds.Source) // the source hash still matches
+		if err == nil {
+			t.Fatal("OpenDataset accepted a tampered manifest")
+		}
+		if _, ok := err.(*Error); !ok || !strings.Contains(err.Error(), substr) {
+			t.Fatalf("want a structured error mentioning %q, got %T: %v", substr, err, err)
+		}
+	}
+
+	t.Run("manifest zone maps tampered", func(t *testing.T) {
 		ds, _ := newDataset(t)
-		mpath := filepath.Join(ds.Dir, ManifestName)
-		data, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		m.Segments[0].Cols[0].Zone.Nulls++ // claim a null the lanes don't hold
-		tampered, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(mpath, tampered, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ds2, err := OpenDataset(ds.Source)
-		if err != nil {
-			t.Fatal(err) // hash still matches: tampering surfaces at fetch time
-		}
-		wantStructuredFetchError(t, ds2, "zone maps inconsistent")
+		editManifest(t, ds.Dir, func(m *Manifest) {
+			m.Segments[0].Cols[0].Zone.Nulls++ // claim a null the lanes don't hold
+		})
+		wantStructuredOpenError(t, ds, "manifest checksum")
 	})
 
 	t.Run("manifest row count inconsistent", func(t *testing.T) {
 		ds, _ := newDataset(t)
-		mpath := filepath.Join(ds.Dir, ManifestName)
-		data, err := os.ReadFile(mpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		m.Segments[0].Rows--
-		tampered, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(mpath, tampered, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		ds2, err := OpenDataset(ds.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantStructuredFetchError(t, ds2, "manifest says")
+		editManifest(t, ds.Dir, func(m *Manifest) { m.Segments[0].Rows-- })
+		wantStructuredOpenError(t, ds, "manifest checksum")
 	})
+
+	t.Run("segment file swapped from another dataset", func(t *testing.T) {
+		ds, seg := newDataset(t)
+		other := writeABC(t, Rows+50)
+		if err := Ingest(other); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(Dir(other), "seg-00000.rseg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The image itself is valid: only the manifest's binding rejects it.
+		if _, err := DecodeColumns(seg, data, nil); err != nil {
+			t.Fatal(err)
+		}
+		wantStructuredFetchError(t, ds, "CRC mismatch")
+	})
+}
+
+// editManifest rewrites the manifest in dir through edit, leaving its
+// recorded checksum as it was.
+func editManifest(t *testing.T, dir string, edit func(*Manifest)) {
+	t.Helper()
+	mpath := filepath.Join(dir, ManifestName)
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	edit(&m)
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreRebuildsRefusedManifests: a manifest of an older version and a
+// tampered one each make Store.Open serve the raw scan, then rebuild the
+// segments exactly once in the background; the rebuilt dataset serves the
+// source's rows.
+func TestStoreRebuildsRefusedManifests(t *testing.T) {
+	noLeaks(t)
+	for name, edit := range map[string]func(*Manifest){
+		"version 2": func(m *Manifest) {
+			m.Version, m.Checksum = 2, 0
+			for i := range m.Segments {
+				m.Segments[i].CRC = 0
+			}
+		},
+		"tampered": func(m *Manifest) { m.Segments[0].Cols[0].Zone.Present-- },
+	} {
+		t.Run(name, func(t *testing.T) {
+			const n = Rows + 50
+			path := writeSource(t, n)
+			if err := Ingest(path); err != nil {
+				t.Fatal(err)
+			}
+			editManifest(t, Dir(path), edit)
+			reingests := 0
+			s := NewStore(0)
+			s.OnReingest = func() { reingests++ }
+			if ds, err := s.Open(path); ds != nil || err != nil {
+				t.Fatalf("Store.Open: ds=%v err=%v, want nil/nil (raw scan while rebuilding)", ds, err)
+			}
+			s.WaitRebuilds()
+			ds, err := s.Open(path)
+			if err != nil || ds == nil {
+				t.Fatalf("Store.Open after rebuild: ds=%v err=%v", ds, err)
+			}
+			if reingests != 1 {
+				t.Fatalf("background re-ingests = %d, want 1", reingests)
+			}
+			rows := fetchAll(t, ds)
+			if len(rows) != n {
+				t.Fatalf("rebuilt dataset holds %d rows, want %d", len(rows), n)
+			}
+			for i, r := range rows {
+				if want := obj("g", item.Int(i%7), "v", item.Int(i)); !itemsEqual(r, want) {
+					t.Fatalf("row %d: got %v, want %v", i, r, want)
+				}
+			}
+			if _, err := OpenDataset(path); err != nil {
+				t.Fatalf("the rebuilt manifest does not open: %v", err)
+			}
+		})
+	}
+}
+
+// TestColdFetchDoesNotAliasReadBuffer: segment files are read into recycled
+// buffers, so a decoded segment must not point into the buffer it was read
+// from. Cold fetches of two datasets run concurrently and reuse each other's
+// buffers, the pooled buffers are then scribbled over, and every snapshot
+// must still hold its source's rows.
+func TestColdFetchDoesNotAliasReadBuffer(t *testing.T) {
+	noLeaks(t)
+	const n = 2*Rows + 10
+	type fetch struct {
+		ds  *Dataset
+		seg int
+	}
+	var datasets []*Dataset
+	for _, path := range []string{writeSource(t, n), writeABC(t, n)} {
+		if err := Ingest(path); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := OpenDataset(path) // no pool: every fetch reads the file
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasets = append(datasets, ds)
+	}
+	var got []*ColumnSet
+	err := sched.Ordered(context.Background(), 4, func(emit func(fetch) error) error {
+		for round := 0; round < 3; round++ {
+			for seg := 0; seg < datasets[0].NumSegments(); seg++ {
+				for _, ds := range datasets {
+					if err := emit(fetch{ds, seg}); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}, func(_ int, f fetch) (*ColumnSet, error) {
+		cs, _, err := f.ds.FetchBatch(f.seg, f.ds.Meta(f.seg).ColumnNames())
+		return cs, err
+	}, func(_ int, cs *ColumnSet) (bool, error) {
+		got = append(got, cs)
+		return false, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		buf := readBuffers.Get().(*bytes.Buffer)
+		b := buf.Bytes()[:buf.Cap()]
+		for j := range b {
+			b[j] = 0xFF
+		}
+	}
+	for k, cs := range got {
+		ds, seg := datasets[k%2], k/2%datasets[0].NumSegments()
+		for r := 0; r < cs.NumRows; r++ {
+			i := seg*Rows + r
+			want := obj("g", item.Int(int64(i%7)), "v", item.Int(int64(i)))
+			if k%2 == 1 {
+				want = obj("a", item.Str(fmt.Sprintf("a%d", i%11)), "b", item.Str(fmt.Sprintf("b%d", i%13)), "c", item.Str(fmt.Sprintf("c%d", i)))
+			}
+			row, err := cs.Row(r)
+			if err != nil || !itemsEqual(row, want) {
+				t.Fatalf("%s segment %d row %d: got %v (%v), want %v", ds.Source, seg, r, row, err, want)
+			}
+		}
+	}
 }
 
 func TestStoreOpenFallbackOnUnparseableSource(t *testing.T) {
@@ -388,13 +526,17 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := openImage("s.rseg", data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := newPool(12 << 10) // room for one decoded entry, not two
 	loads := map[string]int{}
 	get := func(key string) {
 		t.Helper()
 		_, _, err := p.get(key, 10, []string{"s"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
 			loads[key]++
-			cs, err := cur.grow(key, data, []string{"s"}) // decoded ≈ 6.4 KiB, nominal cost 10
+			cs, err := cur.grow(img, []string{"s"}) // decoded ≈ 6.4 KiB, nominal cost 10
 			return cs, 1, err
 		})
 		if err != nil {
@@ -432,9 +574,13 @@ func TestBufferPoolCostsOnlyHeldLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := openImage("x", data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := newPool(1 << 20)
 	cs, _, err := p.get("x", 10, []string{"v"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
-		cs, err := cur.grow("x", data, []string{"v"})
+		cs, err := cur.grow(img, []string{"v"})
 		return cs, 1, err
 	})
 	if err != nil {
