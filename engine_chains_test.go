@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -326,6 +327,154 @@ func FuzzClauseChainsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		q, unordered := generateChain(seed, path)
 		checkModesAgree(t, parallel, local, q, unordered)
+	})
+}
+
+// joinConjuncts are the extra where conjuncts a generated join draws from,
+// none of which can raise an error: probe-only, build-only and pair
+// predicates over $o (a Reddit object) and $s (a subreddit row).
+var joinConjuncts = []string{
+	`$o.score gt 500`, `$o.edited instance of boolean`, `$o.score mod 3 eq 0`,
+	`string-length($o.body) gt 40`, `exists($o.media)`, `$o.controversiality eq 0`,
+	`empty($o.distinguished)`,
+	`$s.rank gt 3`, `$s.topic ne "topic1"`, `$s.rank mod 2 eq 0`,
+	`$o.score gt $s.rank * 150`, `($o.controversiality + $s.rank) mod 2 eq 0`,
+	`$s.topic eq "topic" || string($o.controversiality)`,
+}
+
+// riskyJoinConjuncts each raise one fixed text on some rows or pairs: a
+// probe-only, a build-only and a pair predicate.
+var riskyJoinConjuncts = []string{
+	`100 idiv ($o.score mod 97) gt 0`,
+	`100 idiv ($s.rank - 3) gt 0`,
+	`($o.score + $s.rank) idiv ($s.rank mod 4) ge 0`,
+}
+
+// generateJoin returns one two-for equi-join of the Reddit file at reddit
+// with the subreddit rows at subs: one eq key on the subreddit name and
+// zero to three extra conjuncts, in random and-spine order, at most one of
+// them risky. A risky conjunct follows every eq over both variables, which
+// the join may take as a key: the nested loop would evaluate it on pairs
+// such a key drops, and a hash join (probe filter or not) never forms them.
+func generateJoin(seed int64, reddit, subs string) string {
+	rng := rand.New(rand.NewSource(seed))
+	pick := func(options []string) string { return options[rng.Intn(len(options))] }
+	conjs := []string{pick([]string{`$o.subreddit eq $s.name`, `$s.name eq $o.subreddit`})}
+	risky := ""
+	for n := rng.Intn(4); n > 0; n-- {
+		if risky == "" && rng.Intn(4) == 0 {
+			risky = pick(riskyJoinConjuncts)
+			continue
+		}
+		conjs = append(conjs, pick(joinConjuncts))
+	}
+	rng.Shuffle(len(conjs), func(i, j int) { conjs[i], conjs[j] = conjs[j], conjs[i] })
+	if risky != "" {
+		after := 0
+		for i, c := range conjs {
+			if strings.Contains(c, " eq ") && strings.Contains(c, "$o") && strings.Contains(c, "$s") {
+				after = i + 1
+			}
+		}
+		conjs = slices.Insert(conjs, after+rng.Intn(len(conjs)-after+1), risky)
+	}
+	return fmt.Sprintf("for $o in json-file(%q) for $s in json-file(%q) where %s return %s",
+		reddit, subs, strings.Join(conjs, " and "),
+		pick([]string{`[$o.id, $s.rank]`, `{"id": $o.id, "topic": $s.topic, "score": $o.score}`, `$o.id`}))
+}
+
+// writeSubredditRows writes the join's build side: eight of the generated
+// subreddits (the other four match nothing) and a second "pics" row.
+func writeSubredditRows(tb testing.TB) string {
+	tb.Helper()
+	var sb strings.Builder
+	for i, name := range append(slices.Clip(datagen.Subreddits[:8]), "pics") {
+		fmt.Fprintf(&sb, "{\"name\": %q, \"rank\": %d, \"topic\": \"topic%d\"}\n", name, i+1, i%3)
+	}
+	path := filepath.Join(tb.TempDir(), "subreddits.jsonl")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// joinEngines returns the nested-loop reference (DisableJoin) and the
+// joined engines a generated join must agree with: the cluster engine,
+// whose statement runs the DataFrame join on Collect and the local join on
+// Stream, and the vector engine over the raw file and over segments.
+func joinEngines() (nested *Engine, joined map[string]*Engine) {
+	cfg := Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10}
+	nested = New(Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10, DisableJoin: true})
+	vcfg, scfg := cfg, cfg
+	vcfg.Vectorize = true
+	scfg.Vectorize, scfg.Segments = true, true
+	return nested, map[string]*Engine{"cluster": New(cfg), "vector": New(vcfg), "vector+segments": New(scfg)}
+}
+
+// checkJoinAgrees runs one generated join on every joined engine and
+// requires the nested loop's items (as a multiset: the shuffle join emits
+// in partition order) or its error text. It returns the nested loop's
+// outcome.
+func checkJoinAgrees(t *testing.T, nested *Engine, joined map[string]*Engine, q string) string {
+	t.Helper()
+	want := joinOutcome(nested.Query(q))
+	for _, name := range []string{"cluster", "vector", "vector+segments"} {
+		st, err := joined[name].Compile(q)
+		if err != nil {
+			t.Fatalf("%s: compile: %v\nquery: %s", name, err, q)
+		}
+		if got := joinOutcome(st.Collect()); got != want {
+			t.Errorf("%s collect:\n%.600s\nnested loop:\n%.600s\nquery: %s", name, got, want, q)
+		}
+		if name == "cluster" {
+			if got := joinOutcome(streamAll(st)); got != want {
+				t.Errorf("%s stream:\n%.600s\nnested loop:\n%.600s\nquery: %s", name, got, want, q)
+			}
+		}
+	}
+	return want
+}
+
+// TestGeneratedJoinsAgree holds a few hundred seeded equi-joins, each with
+// up to three extra conjuncts, to the nested loop on every joined engine.
+// A failure prints the query.
+func TestGeneratedJoinsAgree(t *testing.T) {
+	reddit, subs := writeRedditFile(t, 400), writeSubredditRows(t)
+	nested, joined := joinEngines()
+	probeFilters, vectorJoins, succeeded := 0, 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		q := generateJoin(seed, reddit, subs)
+		plan := mustExplain(t, joined["vector"], q)
+		if !strings.Contains(plan, "Join[hash]") {
+			t.Fatalf("join not detected:\n%s\nquery: %s", plan, q)
+		}
+		if strings.Contains(plan, "probe where: ") {
+			probeFilters++
+		}
+		if strings.HasPrefix(plan, "flwor [Vector") {
+			vectorJoins++
+		}
+		if !strings.HasPrefix(checkJoinAgrees(t, nested, joined, q), "error: ") {
+			succeeded++
+		}
+	}
+	// The suite must exercise the probe filter and the vector join, and
+	// compare items, not only errors.
+	if probeFilters < 40 || vectorJoins < 60 || succeeded < 120 {
+		t.Errorf("of 200 joins, %d have a probe filter, %d run as vector joins and %d returned items",
+			probeFilters, vectorJoins, succeeded)
+	}
+}
+
+// FuzzJoinsAgree lets the fuzzer pick the join seeds.
+func FuzzJoinsAgree(f *testing.F) {
+	reddit, subs := writeRedditFile(f, 200), writeSubredditRows(f)
+	nested, joined := joinEngines()
+	for _, seed := range []int64{1, 7, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkJoinAgrees(t, nested, joined, generateJoin(seed, reddit, subs))
 	})
 }
 

@@ -137,6 +137,10 @@ var vectorExplainGoldens = []struct {
 		for $c in json-file("customers.jsonl")
 		where $o.cust eq $c.cid
 		return { "oid": $o.oid, "name": $c.name }`},
+	{"vector-join-probe-filter", `for $o in json-file("orders.jsonl")
+		for $c in json-file("customers.jsonl")
+		where $o.cust eq $c.cid and $o.amount gt 5 and $c.vip and $o.oid lt 100
+		return { "oid": $o.oid, "name": $c.name }`},
 	{"vector-ineligible-orderby-after-group", `for $o in json-file("confusion.jsonl")
 		group by $t := $o.target
 		order by $t
@@ -162,13 +166,14 @@ func TestExplainVectorGolden(t *testing.T) {
 func TestExplainVectorModesPinned(t *testing.T) {
 	eng := New(Config{Vectorize: true})
 	wantRootMode := map[string]string{
-		"vector-groupby-agg":    "[Vector x4]",
-		"vector-filter-project": "[Vector x4]",
-		"vector-let-rdd-head":   "[Vector x4]",
-		"vector-grand-agg":      "[Vector x4]",
-		"vector-orderby":        "[Vector x4]",
-		"vector-topk":           "[Vector x4]",
-		"vector-join":           "[Vector x4]",
+		"vector-groupby-agg":       "[Vector x4]",
+		"vector-filter-project":    "[Vector x4]",
+		"vector-let-rdd-head":      "[Vector x4]",
+		"vector-grand-agg":         "[Vector x4]",
+		"vector-orderby":           "[Vector x4]",
+		"vector-topk":              "[Vector x4]",
+		"vector-join":              "[Vector x4]",
+		"vector-join-probe-filter": "[Vector x4]",
 		// order-by after group-by stays outside the vector grammar.
 		"vector-ineligible-orderby-after-group": "[DataFrame]",
 		"vector-prune":                          "[Vector x4]",
@@ -191,6 +196,10 @@ func TestExplainVectorModesPinned(t *testing.T) {
 		"vector-orderby": "Sort",
 		"vector-topk":    "TopK(25)",
 		"vector-join":    "Join[hash] for $o, for $c",
+		// Only the leading probe-only conjunct filters probe rows; the one
+		// behind the build-reading conjunct stays residual.
+		"vector-join-probe-filter": "    probe where: compare gt [Local]\n      lookup .amount [Local]\n        $o [Local]\n      literal 5 [Local]\n" +
+			"    residual where: lookup .vip [Local]\n      $c [Local]\n    residual where: compare lt [Local]\n",
 		// The compiler pushes the prunable where prefix onto the scan.
 		"vector-prune": `zone-map prune: ts ge 1700000000 and kind eq "click"`,
 	}

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"rumble/internal/item"
 )
 
 // joinTestEngine returns an engine loaded with two small collections that
@@ -318,5 +320,132 @@ func TestJoinEmptyProbeSideSkipsBuildErrors(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("empty probe side yielded %d rows", n)
+	}
+}
+
+// joinProbeFilterCases pin the join's probe filter — the leading where
+// conjuncts that read only the probe variable, tested once per matched
+// probe row before it expands — to the nested loop's answers and errors.
+// They run in the vector corpus too (vectorConformanceCases).
+var joinProbeFilterCases = []vectorConformanceCase{
+	{
+		name: "join probe filter erring only on an unmatched row",
+		query: `for $p in collection("pfprobe")
+				for $b in collection("pfbuild")
+				where $p.k eq $b.k and 10 idiv $p.u gt 1
+				return { "id": $p.id, "w": $b.w }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "join probe filter erring on a matched row",
+		query: `for $p in collection("pfprobe")
+				for $b in collection("pfbuild")
+				where $p.k eq $b.k and 10 idiv $p.d gt 1
+				return { "id": $p.id, "w": $b.w }`,
+		wantMode:  "Vector",
+		wantErr:   true,
+		wantErrIn: "division by zero",
+	},
+	{
+		name: "join key conflict on a row the probe filter drops",
+		query: `for $p in collection("pfprobe")
+				for $b in collection("pfbuild")
+				where $p.m eq $b.k and $p.flag
+				return { "id": $p.id, "w": $b.w }`,
+		wantMode:  "Vector",
+		wantErr:   true,
+		wantErrIn: "non-comparable",
+	},
+	{
+		name: "join probe-only conjunct behind a build-reading one stays residual",
+		query: `for $p in collection("pfprobe")
+				for $b in collection("pfbuild")
+				where $p.k eq $b.k and $b.z gt 0 and 10 idiv $p.d gt 1
+				return { "id": $p.id, "w": $b.w }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "join probe filter conjunct erring on a row an earlier one drops",
+		query: `for $p in collection("pfprobe")
+				for $b in collection("pfbuild")
+				where $p.k eq $b.k and $p.flag and 10 idiv $p.d gt 1
+				return { "id": $p.id, "w": $b.w }`,
+		wantMode: "Vector",
+	},
+	{
+		name: "multi-morsel join with a two-conjunct probe filter",
+		query: `for $o in collection("wide")
+				for $d in collection("dims")
+				where $o.g eq $d.g and $o.v mod 3 eq 0 and $o.v lt 4000
+				return { "v": $o.v, "name": $d.name }`,
+		wantMode: "Vector",
+	},
+}
+
+// joinOutcome is one evaluation's items as sorted JSON lines, or its error.
+func joinOutcome(items []Item, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return sortedLines(items)
+}
+
+// TestJoinProbeFilterConformance holds every probe-filter case to the
+// nested loop (DisableJoin) on the Spark-less engine and, at Executors 1, 2
+// and 8, the cluster engine (Collect runs the DataFrame join, Stream the
+// local one), the vector engine and the vector engine over segments:
+// the same items, or the same error text. The one rewording is the key
+// type conflict, which the join raises naming the key.
+func TestJoinProbeFilterConformance(t *testing.T) {
+	dir := t.TempDir()
+	engine := func(cfg Config) *Engine {
+		e := New(cfg)
+		segmentConformanceData(t, e, dir)
+		return e
+	}
+	nested := engine(Config{Parallelism: 2, Executors: 2, DisableJoin: true})
+	type named struct {
+		name   string
+		eng    *Engine
+		vector bool
+	}
+	sparkless := engine(Config{})
+	sparkless.env.Spark = nil
+	engines := []named{{"spark-less", sparkless, false}}
+	for _, w := range []int{1, 2, 8} {
+		engines = append(engines,
+			named{fmt.Sprintf("cluster x%d", w), engine(Config{Parallelism: 2, Executors: w}), false},
+			named{fmt.Sprintf("vector x%d", w), engine(Config{Parallelism: 2, Executors: w, Vectorize: true}), true},
+			named{fmt.Sprintf("vector+segments x%d", w), engine(Config{Parallelism: 2, Executors: w, Vectorize: true, Segments: true}), true})
+	}
+	for _, tc := range joinProbeFilterCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if plan := mustExplain(t, nested, tc.query); strings.Contains(plan, "Join[") {
+				t.Fatalf("DisableJoin engine still joins:\n%s", plan)
+			}
+			want := joinOutcome(nested.Query(tc.query))
+			if tc.wantErr != strings.HasPrefix(want, "error: ") || want == "" {
+				t.Fatalf("nested loop: %q", want)
+			}
+			for _, e := range engines {
+				st, err := e.eng.Compile(tc.query)
+				if err != nil {
+					t.Fatalf("%s: compile: %v", e.name, err)
+				}
+				if e.vector && st.Mode() != tc.wantMode {
+					t.Fatalf("%s: mode %s, want %s", e.name, st.Mode(), tc.wantMode)
+				}
+				runs := map[string]string{"collect": joinOutcome(st.Collect())}
+				if !e.vector {
+					runs["stream"] = joinOutcome(streamAll(st))
+				}
+				for how, got := range runs {
+					if got != want && !(tc.wantErrIn == "non-comparable" &&
+						strings.Contains(got, "mixes non-comparable types") && strings.Contains(want, item.ErrNonComparable.Error())) {
+						t.Errorf("%s %s:\n%s\nnested loop:\n%s", e.name, how, got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -278,3 +278,31 @@ func TestProfileSnapshotShape(t *testing.T) {
 		t.Errorf("ring = %+v, want newest-first [c b]", got)
 	}
 }
+
+// TestExplainAnalyzeJoinProbeFilter pins the tuple join's probe-filter
+// rows: under the join line, the probe filter's line reports the matched
+// left rows it passed — orders 2 and 3 of the four with a customer.
+func TestExplainAnalyzeJoinProbeFilter(t *testing.T) {
+	eng := joinTestEngine(t, Config{Parallelism: 2, Executors: 2})
+	// The array constructor consumes the join through the local tuple
+	// pipeline.
+	plan, err := eng.ExplainAnalyze(`[for $o in collection("orders")
+		for $c in collection("customers")
+		where $o.cust eq $c.cid and $o.amount gt 5
+		return $o.oid]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var join, probe string
+	for _, line := range strings.Split(plan, "\n") {
+		switch trimmed := strings.TrimSpace(line); {
+		case strings.HasPrefix(trimmed, "Join[hash]"):
+			join = trimmed
+		case strings.HasPrefix(trimmed, "probe where: "):
+			probe = trimmed
+		}
+	}
+	if !strings.Contains(join, "(out=2 ") || !strings.Contains(probe, "(out=2 batches=1 ") {
+		t.Errorf("join line %q and probe filter line %q, want out=2 on both:\n%s", join, probe, plan)
+	}
+}

@@ -58,6 +58,23 @@ func vectorConformanceJSON() map[string][]string {
 			`{"x":4}`,
 			`{"code":"de","x":5}`,
 		},
+		// Probe-filter rows: u is zero only on a row without a match, d on
+		// the matched row 5 too, flag drops row 5, and m is k but for the
+		// number on row 6 (which matches nothing and flag drops).
+		"pfprobe": {
+			`{"id":1,"k":"a","u":1,"d":2,"flag":true,"m":"a"}`,
+			`{"id":2,"k":"zz","u":0,"d":0,"flag":true,"m":"zz"}`,
+			`{"id":3,"k":"b","u":2,"d":5,"flag":false,"m":"b"}`,
+			`{"id":4,"k":"a","u":5,"d":1,"flag":true,"m":"a"}`,
+			`{"id":5,"k":"c","u":1,"d":0,"flag":false,"m":"c"}`,
+			`{"id":6,"k":"q","u":1,"d":3,"flag":false,"m":7}`,
+		},
+		"pfbuild": {
+			`{"k":"a","w":1,"z":0}`,
+			`{"k":"a","w":2,"z":3}`,
+			`{"k":"b","w":3,"z":0}`,
+			`{"k":"c","w":4,"z":0}`,
+		},
 		"nulls": {
 			`{"k":null,"v":1}`,
 			`{"k":1,"v":2}`,
@@ -181,7 +198,7 @@ type vectorConformanceCase struct {
 
 // vectorConformanceCases is the vector-eligible query corpus over the
 // shared conformance collections.
-var vectorConformanceCases = []vectorConformanceCase{
+var vectorConformanceCases = append([]vectorConformanceCase{
 	{
 		name: "filter project object",
 		query: `for $o in collection("games")
@@ -888,7 +905,7 @@ var vectorConformanceCases = []vectorConformanceCase{
 				return $o.target`,
 		wantMode: "Vector",
 	},
-}
+}, joinProbeFilterCases...)
 
 // TestVectorLocalConformance asserts that every vector-eligible query
 // shape produces identical results with --vectorize on and off, and that

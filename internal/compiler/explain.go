@@ -292,7 +292,8 @@ func fmtPrune(preds []PrunePred) string {
 }
 
 // join renders a statically detected equi-join node: the strategy, both
-// inputs, the key expression pairs and the residual filter.
+// inputs, the key expression pairs, the probe filter and the residual
+// filter.
 func (p *explainPrinter) join(depth int, jp *JoinPlan) {
 	label := fmt.Sprintf("Join[%s] for $%s, for $%s", jp.Strategy, jp.Left.Var, jp.Right.Var)
 	if jp.Strategy == JoinBroadcast {
@@ -309,6 +310,9 @@ func (p *explainPrinter) join(depth int, jp *JoinPlan) {
 		p.line(depth+1, fmt.Sprintf("key %d", i+1), nil)
 		p.expr(depth+2, "left: ", jp.LeftKeys[i])
 		p.expr(depth+2, "right: ", jp.RightKeys[i])
+	}
+	for _, cond := range jp.ProbeFilter {
+		p.expr(depth+1, "probe where: ", cond)
 	}
 	for _, res := range jp.Residual {
 		p.expr(depth+1, "residual where: ", res)

@@ -36,12 +36,17 @@ const MaxJoinKeys = 8
 // JoinPlan describes one statically detected equi-join: the FLWOR's two
 // leading for clauses, the key expression pairs extracted from the where
 // clause (LeftKeys[i] references only the left variable, RightKeys[i] only
-// the right), and the conjuncts that did not split, to be evaluated as a
-// filter after the join. The runtime consumes the plan in place of the
-// first three clauses (for, for, where) of the FLWOR.
+// the right), and the conjuncts that did not split. Of those, the leading
+// run that does not read the right variable is ProbeFilter: the local joins
+// test it once per matched left (probe) row, before the row expands into
+// its pairs. The rest, from the first conjunct that reads the right
+// variable on, is Residual, a filter over the joined pairs. The runtime
+// consumes the plan in place of the first three clauses (for, for, where)
+// of the FLWOR.
 type JoinPlan struct {
 	Left, Right         *ast.ForClause
 	LeftKeys, RightKeys []ast.Expr
+	ProbeFilter         []ast.Expr
 	Residual            []ast.Expr
 	Strategy            JoinStrategy
 	// BuildLeft is set on broadcast joins whose left side is the small,
@@ -61,7 +66,8 @@ type JoinPlan struct {
 //     nested loop is a genuine dependent iteration, not a join);
 //   - the third clause must be a where whose condition contains at least
 //     one conjunct of the form "leftExpr eq rightExpr" splitting cleanly
-//     by variable use. Remaining conjuncts become the residual filter.
+//     by variable use. Remaining conjuncts become the probe filter and the
+//     residual filter (splitProbeFilter).
 func (c *checker) detectJoin(f *ast.FLWOR) *JoinPlan {
 	if !c.cluster || c.noJoin || len(f.Clauses) < 3 {
 		return nil
@@ -97,6 +103,7 @@ func (c *checker) detectJoin(f *ast.FLWOR) *JoinPlan {
 	if len(plan.LeftKeys) == 0 {
 		return nil
 	}
+	plan.ProbeFilter, plan.Residual = splitProbeFilter(plan.Residual, right.Var)
 	switch {
 	case broadcastable(right.In):
 		plan.Strategy = JoinBroadcast
@@ -107,6 +114,20 @@ func (c *checker) detectJoin(f *ast.FLWOR) *JoinPlan {
 		plan.Strategy = JoinHash
 	}
 	return plan
+}
+
+// splitProbeFilter splits the non-key conjuncts, in and-spine order, into
+// the leading run that does not read the right variable and the rest. A
+// nested loop evaluates a matched pair's conjuncts left to right and stops
+// at the first false one, so only a prefix may move ahead of the pair: a
+// probe-only conjunct behind one that reads the right variable may raise
+// an error on a pair that earlier conjunct drops.
+func splitProbeFilter(conjs []ast.Expr, rightVar string) (probe, residual []ast.Expr) {
+	n := 0
+	for n < len(conjs) && !exprUsesVar(conjs[n], rightVar) {
+		n++
+	}
+	return conjs[:n:n], conjs[n:]
 }
 
 // splitConjuncts flattens the and-tree of a where condition.

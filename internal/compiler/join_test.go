@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,8 +100,49 @@ func TestDetectJoinSwappedOperandsAndConjuncts(t *testing.T) {
 			t.Errorf("RightKeys[%d] does not reference only $b", i)
 		}
 	}
-	if len(plan.Residual) != 1 {
-		t.Errorf("residual = %d conjuncts, want 1 ($a.v gt 3)", len(plan.Residual))
+	if len(plan.ProbeFilter) != 1 || len(plan.Residual) != 0 {
+		t.Errorf("probe filter = %d, residual = %d conjuncts, want 1 ($a.v gt 3) and 0",
+			len(plan.ProbeFilter), len(plan.Residual))
+	}
+}
+
+// TestJoinProbeFilterIsLeadingRun pins the split of the non-key conjuncts:
+// the probe filter is their leading run that does not read the right
+// variable, in and-spine order, and everything from the first conjunct
+// that reads it stays residual — a probe-only conjunct there included.
+func TestJoinProbeFilterIsLeadingRun(t *testing.T) {
+	cases := []struct {
+		where               string
+		wantProbe, wantRest []string
+	}{
+		{`$a.x gt 1 and $a.k eq $b.k and $a.y gt 2`, []string{"x", "y"}, nil},
+		{`$a.k eq $b.k and $b.z gt 1 and $a.x gt 2`, nil, []string{"z", "x"}},
+		{`$a.k eq $b.k and $a.x gt 1 and $b.z gt 2 and $a.y gt 3`, []string{"x"}, []string{"z", "y"}},
+		{`$a.k eq $b.k and $a.x lt $b.z`, nil, []string{"x"}},
+		{`$a.k eq $b.k and 1 lt 2`, []string{""}, nil},
+	}
+	field := func(e ast.Expr) string {
+		if l, ok := e.(*ast.Comparison).L.(*ast.ObjectLookup); ok {
+			return strings.Trim(string(l.Key.(*ast.Literal).Value.AppendJSON(nil)), `"`)
+		}
+		return ""
+	}
+	for _, tc := range cases {
+		q := `for $a in json-file("a.jsonl") for $b in json-file("b.jsonl") where ` + tc.where + ` return $a`
+		plan := joinPlanOf(t, q, Options{Cluster: true})
+		if plan == nil {
+			t.Fatalf("join not detected: %s", tc.where)
+		}
+		var probe, rest []string
+		for _, e := range plan.ProbeFilter {
+			probe = append(probe, field(e))
+		}
+		for _, e := range plan.Residual {
+			rest = append(rest, field(e))
+		}
+		if !slices.Equal(probe, tc.wantProbe) || !slices.Equal(rest, tc.wantRest) {
+			t.Errorf("%s: probe %q, residual %q; want %q, %q", tc.where, probe, rest, tc.wantProbe, tc.wantRest)
+		}
 	}
 }
 
@@ -158,14 +200,15 @@ func TestExplainRendersJoinNode(t *testing.T) {
 	q := `
 		for $a in json-file("big.jsonl")
 		for $b in parallelize(({"k": 1}, {"k": 2}))
-		where $a.k eq $b.k and $a.v gt 2
+		where $a.k eq $b.k and $a.v gt 2 and $b.k ne $a.v
 		return $a`
 	m2, info2 := annotateSrc(t, q, true)
 	plan2 := Explain(m2, info2)
 	if !strings.Contains(plan2, "Join[broadcast] for $a, for $b (build: right)") {
 		t.Errorf("explain lacks the Join[broadcast] node:\n%s", plan2)
 	}
-	if !strings.Contains(plan2, "residual where: ") {
-		t.Errorf("explain lacks the residual filter:\n%s", plan2)
+	probe, res := strings.Index(plan2, "probe where: "), strings.Index(plan2, "residual where: ")
+	if probe < 0 || res < probe {
+		t.Errorf("explain lacks the probe filter, or the residual filter after it:\n%s", plan2)
 	}
 }

@@ -125,12 +125,15 @@ type VectorOp struct {
 // VectorJoin is the hash equi-join head: the left side is the scan (slot
 // 0), the right side builds a hash table on RightKeys, evaluated over build
 // batches whose slot 0 is the right variable, and each match binds it at
-// RightSlot of the probe batch.
+// RightSlot of the probe batch. ProbeFilter holds the plan's probe-filter
+// conjuncts, evaluated in order over the matched probe rows before they
+// expand; the residual conjuncts are ordinary filter Ops after the join.
 type VectorJoin struct {
-	Plan      *JoinPlan
-	RightSlot int
-	LeftKeys  []vector.Expr
-	RightKeys []vector.Expr
+	Plan        *JoinPlan
+	RightSlot   int
+	LeftKeys    []vector.Expr
+	RightKeys   []vector.Expr
+	ProbeFilter []vector.Expr
 }
 
 // VectorGroup is the aggregating tail. Key expressions evaluate on the
@@ -242,6 +245,9 @@ func (i *Info) compileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
 			return nil, err
 		}
 		if j.RightKeys, err = build.exprs(jp.RightKeys); err != nil {
+			return nil, err
+		}
+		if j.ProbeFilter, err = s.exprs(jp.ProbeFilter); err != nil {
 			return nil, err
 		}
 		for _, cond := range jp.Residual {

@@ -29,7 +29,7 @@ type PlanDiagnostic struct {
 	// mode-unannotated, mode-child, mode-dataframe-head, vector-plan-missing,
 	// vector-plan-orphan, vector-operator, vector-topk, vector-agg,
 	// vector-count-zero, vector-prune, vector-columns, scan-columns,
-	// join-head, join-keys, join-strategy, plan-field-coverage.
+	// join-head, join-keys, join-strategy, join-split, plan-field-coverage.
 	Code string
 	Pos  lexer.Pos
 	Msg  string
@@ -68,7 +68,7 @@ var verifiedScanPlanFields = map[string]bool{"Columns": true}
 // verifiedJoinPlanFields is the same coverage contract for JoinPlan.
 var verifiedJoinPlanFields = map[string]bool{
 	"Left": true, "Right": true, "LeftKeys": true, "RightKeys": true,
-	"Residual": true, "Strategy": true, "BuildLeft": true,
+	"ProbeFilter": true, "Residual": true, "Strategy": true, "BuildLeft": true,
 }
 
 // Verify checks the invariants of an analyzed module against its Info and
@@ -346,7 +346,7 @@ func (v *verifier) checkJoin(f *ast.FLWOR, jp *JoinPlan) {
 	}
 	left, lok := f.Clauses[0].(*ast.ForClause)
 	right, rok := f.Clauses[1].(*ast.ForClause)
-	_, wok := f.Clauses[2].(*ast.WhereClause)
+	where, wok := f.Clauses[2].(*ast.WhereClause)
 	if !lok || !rok || !wok {
 		v.report("join-head", f.Pos(), "join plan FLWOR must start for/for/where")
 		return
@@ -379,8 +379,39 @@ func (v *verifier) checkJoin(f *ast.FLWOR, jp *JoinPlan) {
 	default:
 		v.report("join-strategy", f.Pos(), "unknown join strategy %d", int(jp.Strategy))
 	}
-	// Residual conjuncts ride along as post-join filters; any expression is
-	// legal there, so Residual is covered by being allowed to be anything.
+	v.checkJoinSplit(f, jp, where, right.Var)
+}
+
+// checkJoinSplit re-derives how the where clause's non-key conjuncts split
+// between the probe filter and the residual filter: in and-spine order, the
+// probe filter is the leading run that does not read the right variable,
+// and the residual filter the rest. Any expression is legal in either; only
+// the split point is an invariant, since evaluating a conjunct before the
+// pair is formed changes which pairs can raise its errors.
+func (v *verifier) checkJoinSplit(f *ast.FLWOR, jp *JoinPlan, where *ast.WhereClause, rightVar string) {
+	for _, cond := range jp.ProbeFilter {
+		if exprUsesVar(cond, rightVar) {
+			v.report("join-split", cond.Pos(), "probe filter conjunct reads the build variable $%s", rightVar)
+		}
+	}
+	if len(jp.Residual) > 0 && !exprUsesVar(jp.Residual[0], rightVar) {
+		v.report("join-split", jp.Residual[0].Pos(), "probe-only conjunct left in the residual filter ahead of any conjunct reading $%s", rightVar)
+	}
+	keys := map[ast.Expr]bool{}
+	for _, k := range jp.LeftKeys {
+		keys[k] = true
+	}
+	var want []ast.Expr
+	for _, conj := range splitConjuncts(where.Cond) {
+		if cmp, ok := conj.(*ast.Comparison); ok && (keys[cmp.L] || keys[cmp.R]) {
+			continue
+		}
+		want = append(want, conj)
+	}
+	if got := append(slices.Clip(jp.ProbeFilter), jp.Residual...); !slices.Equal(got, want) {
+		v.report("join-split", f.Pos(), "probe filter and residual filter (%d+%d conjuncts) are not the where clause's %d non-key conjuncts in order",
+			len(jp.ProbeFilter), len(jp.Residual), len(want))
+	}
 }
 
 // checkVectorAgg verifies an Info.VectorAggs mark: the call must be
@@ -450,7 +481,7 @@ func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan, jp *JoinPlan) {
 		if len(clauses) < 3 {
 			return // join-head already reported
 		}
-		for _, keys := range [][]ast.Expr{jp.LeftKeys, jp.RightKeys, jp.Residual} {
+		for _, keys := range [][]ast.Expr{jp.LeftKeys, jp.RightKeys, jp.ProbeFilter, jp.Residual} {
 			for _, k := range keys {
 				v.vectorScalar(k, false)
 			}

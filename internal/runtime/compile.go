@@ -263,6 +263,19 @@ func (c *comp) profiled(key any, name string, input int, it Iterator) Iterator {
 	return &profiledIter{inner: it, opID: c.op(key, name, input)}
 }
 
+// compileAll compiles each expression, in order.
+func (c *comp) compileAll(es []ast.Expr) ([]Iterator, error) {
+	its := make([]Iterator, len(es))
+	for i, e := range es {
+		it, err := c.compile(e)
+		if err != nil {
+			return nil, err
+		}
+		its[i] = it
+	}
+	return its, nil
+}
+
 func (c *comp) compile(e ast.Expr) (Iterator, error) {
 	switch n := e.(type) {
 	case *ast.Literal:
@@ -272,13 +285,9 @@ func (c *comp) compile(e ast.Expr) (Iterator, error) {
 	case *ast.ContextItem:
 		return contextItemIter{}, nil
 	case *ast.CommaExpr:
-		children := make([]Iterator, len(n.Exprs))
-		for i, ch := range n.Exprs {
-			it, err := c.compile(ch)
-			if err != nil {
-				return nil, err
-			}
-			children[i] = it
+		children, err := c.compileAll(n.Exprs)
+		if err != nil {
+			return nil, err
 		}
 		return &commaIter{planNode: c.pn(n), children: children}, nil
 	case *ast.ObjectConstructor:
@@ -527,13 +536,9 @@ func (c *comp) compileCall(n *ast.FunctionCall) (Iterator, error) {
 		// generic argument compilation below never runs.
 		return c.compileVectorAgg(n)
 	}
-	args := make([]Iterator, len(n.Args))
-	for i, a := range n.Args {
-		it, err := c.compile(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = it
+	args, err := c.compileAll(n.Args)
+	if err != nil {
+		return nil, err
 	}
 	// The compiler's group-by rewrite turns count($v) into #count-of($v#count),
 	// whose value is the pre-aggregated singleton integer.
@@ -688,15 +693,24 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 	if jp := c.info.Joins[f]; jp != nil {
 		// The compiler replaced the leading for/for/where with an equi-join:
 		// the join heads both the local tuple pipeline and the DataFrame
-		// plan, and residual conjuncts become ordinary where steps.
+		// plan. The local join tests the probe filter itself, recording
+		// each conjunct's surviving probe rows; on the DataFrame plan it
+		// becomes where steps after the join, ahead of the residual ones.
 		cj, err := c.compileJoin(jp)
 		if err != nil {
 			return nil, err
 		}
 		frame = cj.frame
-		link(&joinEval{j: cj}, jp, "join", -1)
+		je := &joinEval{j: cj, filterOps: make([]int, len(jp.ProbeFilter))}
+		for i, cond := range jp.ProbeFilter {
+			je.filterOps[i] = c.op(cond, "where", -1)
+		}
+		link(je, jp, "join", -1)
 		if plan != nil {
 			plan.join = cj
+		}
+		for _, cond := range cj.probeFilter {
+			step(dfWhereStep(cond))
 		}
 		for i, res := range cj.residual {
 			link(&whereEval{parent: local, cond: res}, jp.Residual[i], "where", prev)

@@ -3,26 +3,30 @@ package runtime
 import (
 	"math/bits"
 	"sync/atomic"
+	"time"
 
 	"rumble/internal/compiler"
 	"rumble/internal/item"
+	"rumble/internal/profile"
 	"rumble/internal/spark"
 )
 
 // compiledJoin is the runtime form of a compiler.JoinPlan: the two join
 // inputs, the compiled key expression pairs, and the statically chosen
 // strategy. It replaces the FLWOR's leading for/for/where clauses on both
-// the local tuple path (joinEval) and the DataFrame path (dfPlan.join);
-// residual conjuncts are applied as ordinary where steps by the compiler.
+// the local tuple path (joinEval) and the DataFrame path (dfPlan.join). The
+// local join tests the probe filter per matched left row; the DataFrame
+// plan applies it, then the residual conjuncts, as ordinary where steps,
+// and the local pipeline the residual ones.
 type compiledJoin struct {
 	// frame names the left then the right variable: the frame of the joined
 	// tuples, and in halves the one-name frame each side's keys bind under.
-	frame               []string
-	leftIn, rightIn     Iterator
-	leftKeys, rightKeys []Iterator
-	residual            []Iterator
-	strategy            compiler.JoinStrategy
-	buildLeft           bool
+	frame                 []string
+	leftIn, rightIn       Iterator
+	leftKeys, rightKeys   []Iterator
+	probeFilter, residual []Iterator
+	strategy              compiler.JoinStrategy
+	buildLeft             bool
 }
 
 // compileJoin compiles the plan's expressions into iterators.
@@ -51,12 +55,11 @@ func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 		j.leftKeys = append(j.leftKeys, lk)
 		j.rightKeys = append(j.rightKeys, rk)
 	}
-	for _, res := range jp.Residual {
-		ri, err := c.compile(res)
-		if err != nil {
-			return nil, err
-		}
-		j.residual = append(j.residual, ri)
+	if j.probeFilter, err = c.compileAll(jp.ProbeFilter); err != nil {
+		return nil, err
+	}
+	if j.residual, err = c.compileAll(jp.Residual); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -145,9 +148,12 @@ func (m *atomicMask) or(bits uint64) {
 // builds a hash table over the right input keyed by encoded join keys,
 // then probes it while streaming the left input. Output order is exactly
 // the nested loop's (left-major, right input order within a key), so local
-// results are bit-identical to the fallback.
+// results are bit-identical to the fallback. filterOps are the profiling
+// operators of the probe-filter conjuncts, which record the probe rows
+// each one passes.
 type joinEval struct {
-	j *compiledJoin
+	j         *compiledJoin
+	filterOps []int
 }
 
 func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
@@ -172,6 +178,11 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 			return nil
 		})
 	}
+	filterOps := make([]*profile.Op, len(e.filterOps))
+	for i, id := range e.filterOps {
+		filterOps[i] = dc.Profile().Op(id)
+		filterOps[i].AddBatches(1)
+	}
 	return j.leftIn.Stream(dc, func(it item.Item) error {
 		if build == nil {
 			if err := buildRight(); err != nil {
@@ -190,13 +201,49 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 		if !ok {
 			return nil
 		}
-		for _, r := range build[key] {
+		matches := build[key]
+		if len(matches) == 0 {
+			return nil
+		}
+		// The loop reaches the probe filter only on a pair whose keys are
+		// equal, and its verdict is the same for every such pair.
+		if len(j.probeFilter) > 0 {
+			if pass, err := e.probeFilter(dc, filterOps, it); !pass || err != nil {
+				return err
+			}
+		}
+		for _, r := range matches {
 			if err := yield(j.pair(it, r)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// probeFilter reports whether the left row it passes every probe-filter
+// conjunct, stopping at the first that fails, as "and" does. Each
+// conjunct's operator (nil without a profile) records the rows the
+// conjunct passes and the time spent in it.
+func (e *joinEval) probeFilter(dc *DynamicContext, ops []*profile.Op, it item.Item) (bool, error) {
+	bdc := dc.bindTuple(e.j.frame[:1], [][]item.Item{{it}})
+	for i, cond := range e.j.probeFilter {
+		var start time.Time
+		if ops[i] != nil {
+			start = time.Now()
+		}
+		pass, err := ebvOf(cond, bdc)
+		if ops[i] != nil {
+			ops[i].AddWall(time.Since(start))
+			if pass {
+				ops[i].AddRows(1)
+			}
+		}
+		if !pass || err != nil {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // pair is the tuple of one matched pair.

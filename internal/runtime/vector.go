@@ -408,7 +408,8 @@ func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 // only the build rows are appended as items. The build runs lazily on the
 // first non-empty probe batch; the cross-side type comparability check runs
 // per probe row before the missing-key skip, exactly as the tuple path
-// orders them.
+// orders them. The probe filter runs after the lookup, over the matched
+// rows only, and a row it drops never expands.
 func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vector.Batch, error) {
 	if b.N == 0 {
 		return b, nil
@@ -423,7 +424,7 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 		return nil, err
 	}
 	group := make([]int32, b.N) // the row's build group, -1 for none
-	total := 0
+	matched := 0
 	var buf []byte
 	for i := 0; i < b.N; i++ {
 		group[i] = -1
@@ -440,6 +441,17 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 		}
 		if g, hit := jr.table[string(key)]; hit {
 			group[i] = g
+			matched++
+		}
+	}
+	if len(j.ProbeFilter) > 0 && matched > 0 {
+		if err := filterProbe(vs, j.ProbeFilter, b, group, matched); err != nil {
+			return nil, err
+		}
+	}
+	total := 0
+	for _, g := range group {
+		if g >= 0 {
 			total += len(jr.groups[g])
 		}
 	}
@@ -465,6 +477,57 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 	}
 	nb.Cols[j.RightSlot] = rcol
 	return nb, nil
+}
+
+// filterProbe evaluates the join's probe filter over the matched rows of b
+// (group[i] >= 0, matched of them) and unmatches each row a conjunct drops.
+// The conjuncts run in order over a batch compacted to the rows still in,
+// so none sees a row an earlier one dropped, or one without a match: a
+// nested loop reaches them only on a pair whose keys are equal.
+func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int32, matched int) error {
+	// fb holds exactly the rows of b whose group is >= 0, in order.
+	fb := b
+	var keep []bool
+	if matched < b.N {
+		keep = make([]bool, b.N)
+		for i, g := range group {
+			keep[i] = g >= 0
+		}
+		fb = b.Compact(keep, matched)
+	}
+	for ci, e := range filter {
+		col, err := vs.eval(e, fb)
+		if err != nil {
+			return err
+		}
+		more := ci < len(filter)-1
+		if more && keep == nil {
+			keep = make([]bool, b.N)
+		}
+		kept, j := 0, 0
+		for i, g := range group {
+			if g < 0 {
+				continue
+			}
+			pass := col.EBV(j)
+			if more {
+				keep[j] = pass
+			}
+			if pass {
+				kept++
+			} else {
+				group[i] = -1
+			}
+			j++
+		}
+		if kept == 0 {
+			break
+		}
+		if more && kept < fb.N {
+			fb = fb.Compact(keep[:fb.N], kept)
+		}
+	}
+	return nil
 }
 
 // sortMorsel encodes the batch's order-by keys and produces this morsel's

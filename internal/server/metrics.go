@@ -280,7 +280,7 @@ func writePrometheus(w io.Writer, srv MetricsSnapshot, eng spark.MetricsSnapshot
 	counter("rumble_engine_vector_workers_total", "Worker tasks launched by the vector backend.", eng.VectorWorkers)
 	counter("rumble_engine_vector_sort_runs_total", "Vector pipeline evaluations that ran a columnar sort.", eng.VectorSortRuns)
 	counter("rumble_engine_vector_topk_runs_total", "Vector pipeline evaluations that ran a fused top-k.", eng.VectorTopKRuns)
-	counter("rumble_engine_vector_join_rows_total", "Rows emitted by vector hash-join probes.", eng.VectorJoinRows)
+	counter("rumble_engine_vector_join_rows_total", "Rows emitted by vector hash-join probes, counted after the probe filter.", eng.VectorJoinRows)
 	counter("rumble_engine_segments_read_total", "Columnar segments scanned by the vector backend.", eng.SegmentsRead)
 	counter("rumble_engine_segments_skipped_total", "Segments skipped wholesale by zone-map pruning.", eng.SegmentsSkipped)
 	counter("rumble_engine_segment_cache_hits_total", "Segment buffer-pool hits.", eng.SegmentCacheHits)
