@@ -324,8 +324,9 @@ func TestJoinEmptyProbeSideSkipsBuildErrors(t *testing.T) {
 }
 
 // joinProbeFilterCases pin the join's probe filter — the leading where
-// conjuncts that read only the probe variable, tested once per matched
-// probe row before it expands — to the nested loop's answers and errors.
+// conjuncts that read only the probe variable, which the vector probe tests
+// once per matched probe row before it expands — to the nested loop's
+// answers and errors.
 // They run in the vector corpus too (vectorConformanceCases).
 var joinProbeFilterCases = []vectorConformanceCase{
 	{

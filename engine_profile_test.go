@@ -280,8 +280,9 @@ func TestProfileSnapshotShape(t *testing.T) {
 }
 
 // TestExplainAnalyzeJoinProbeFilter pins the tuple join's probe-filter
-// rows: under the join line, the probe filter's line reports the matched
-// left rows it passed — orders 2 and 3 of the four with a customer.
+// rows: the join emits the four orders with a customer, and the probe
+// filter's line under it reports the two of them it passed — orders 2
+// and 3.
 func TestExplainAnalyzeJoinProbeFilter(t *testing.T) {
 	eng := joinTestEngine(t, Config{Parallelism: 2, Executors: 2})
 	// The array constructor consumes the join through the local tuple
@@ -302,7 +303,7 @@ func TestExplainAnalyzeJoinProbeFilter(t *testing.T) {
 			probe = trimmed
 		}
 	}
-	if !strings.Contains(join, "(out=2 ") || !strings.Contains(probe, "(out=2 batches=1 ") {
-		t.Errorf("join line %q and probe filter line %q, want out=2 on both:\n%s", join, probe, plan)
+	if !strings.Contains(join, "(out=4 ") || !strings.Contains(probe, "(in=4 out=2 ") {
+		t.Errorf("join line %q and probe filter line %q, want out=4 and in=4 out=2:\n%s", join, probe, plan)
 	}
 }

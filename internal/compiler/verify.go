@@ -383,20 +383,11 @@ func (v *verifier) checkJoin(f *ast.FLWOR, jp *JoinPlan) {
 }
 
 // checkJoinSplit re-derives how the where clause's non-key conjuncts split
-// between the probe filter and the residual filter: in and-spine order, the
-// probe filter is the leading run that does not read the right variable,
-// and the residual filter the rest. Any expression is legal in either; only
-// the split point is an invariant, since evaluating a conjunct before the
-// pair is formed changes which pairs can raise its errors.
+// between the probe filter and the residual filter (splitProbeFilter). Any
+// expression is legal in either; only the split point is an invariant,
+// since evaluating a conjunct before the pair is formed changes which pairs
+// can raise its errors.
 func (v *verifier) checkJoinSplit(f *ast.FLWOR, jp *JoinPlan, where *ast.WhereClause, rightVar string) {
-	for _, cond := range jp.ProbeFilter {
-		if exprUsesVar(cond, rightVar) {
-			v.report("join-split", cond.Pos(), "probe filter conjunct reads the build variable $%s", rightVar)
-		}
-	}
-	if len(jp.Residual) > 0 && !exprUsesVar(jp.Residual[0], rightVar) {
-		v.report("join-split", jp.Residual[0].Pos(), "probe-only conjunct left in the residual filter ahead of any conjunct reading $%s", rightVar)
-	}
 	keys := map[ast.Expr]bool{}
 	for _, k := range jp.LeftKeys {
 		keys[k] = true
@@ -408,9 +399,10 @@ func (v *verifier) checkJoinSplit(f *ast.FLWOR, jp *JoinPlan, where *ast.WhereCl
 		}
 		want = append(want, conj)
 	}
-	if got := append(slices.Clip(jp.ProbeFilter), jp.Residual...); !slices.Equal(got, want) {
-		v.report("join-split", f.Pos(), "probe filter and residual filter (%d+%d conjuncts) are not the where clause's %d non-key conjuncts in order",
-			len(jp.ProbeFilter), len(jp.Residual), len(want))
+	wp, wr := splitProbeFilter(want, rightVar)
+	if !slices.Equal(jp.ProbeFilter, wp) || !slices.Equal(jp.Residual, wr) {
+		v.report("join-split", f.Pos(), "probe filter and residual filter (%d+%d conjuncts) are not the where clause's non-key conjuncts split at the first reading $%s (%d+%d)",
+			len(jp.ProbeFilter), len(jp.Residual), rightVar, len(wp), len(wr))
 	}
 }
 

@@ -693,23 +693,20 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 	if jp := c.info.Joins[f]; jp != nil {
 		// The compiler replaced the leading for/for/where with an equi-join:
 		// the join heads both the local tuple pipeline and the DataFrame
-		// plan. The local join tests the probe filter itself, recording
-		// each conjunct's surviving probe rows; on the DataFrame plan it
-		// becomes where steps after the join, ahead of the residual ones.
+		// plan, and the probe-filter then residual conjuncts become
+		// ordinary where steps (only the vector probe runs the probe filter
+		// before the join expands).
 		cj, err := c.compileJoin(jp)
 		if err != nil {
 			return nil, err
 		}
 		frame = cj.frame
-		je := &joinEval{j: cj, filterOps: make([]int, len(jp.ProbeFilter))}
-		for i, cond := range jp.ProbeFilter {
-			je.filterOps[i] = c.op(cond, "where", -1)
-		}
-		link(je, jp, "join", -1)
+		link(&joinEval{j: cj}, jp, "join", -1)
 		if plan != nil {
 			plan.join = cj
 		}
-		for _, cond := range cj.probeFilter {
+		for i, cond := range cj.probeFilter {
+			link(&whereEval{parent: local, cond: cond}, jp.ProbeFilter[i], "where", prev)
 			step(dfWhereStep(cond))
 		}
 		for i, res := range cj.residual {

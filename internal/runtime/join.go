@@ -3,21 +3,18 @@ package runtime
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"rumble/internal/compiler"
 	"rumble/internal/item"
-	"rumble/internal/profile"
 	"rumble/internal/spark"
 )
 
 // compiledJoin is the runtime form of a compiler.JoinPlan: the two join
 // inputs, the compiled key expression pairs, and the statically chosen
 // strategy. It replaces the FLWOR's leading for/for/where clauses on both
-// the local tuple path (joinEval) and the DataFrame path (dfPlan.join). The
-// local join tests the probe filter per matched left row; the DataFrame
-// plan applies it, then the residual conjuncts, as ordinary where steps,
-// and the local pipeline the residual ones.
+// the local tuple path (joinEval) and the DataFrame path (dfPlan.join);
+// probe-filter then residual conjuncts are applied as ordinary where steps
+// by the compiler.
 type compiledJoin struct {
 	// frame names the left then the right variable: the frame of the joined
 	// tuples, and in halves the one-name frame each side's keys bind under.
@@ -148,12 +145,9 @@ func (m *atomicMask) or(bits uint64) {
 // builds a hash table over the right input keyed by encoded join keys,
 // then probes it while streaming the left input. Output order is exactly
 // the nested loop's (left-major, right input order within a key), so local
-// results are bit-identical to the fallback. filterOps are the profiling
-// operators of the probe-filter conjuncts, which record the probe rows
-// each one passes.
+// results are bit-identical to the fallback.
 type joinEval struct {
-	j         *compiledJoin
-	filterOps []int
+	j *compiledJoin
 }
 
 func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
@@ -178,11 +172,6 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 			return nil
 		})
 	}
-	filterOps := make([]*profile.Op, len(e.filterOps))
-	for i, id := range e.filterOps {
-		filterOps[i] = dc.Profile().Op(id)
-		filterOps[i].AddBatches(1)
-	}
 	return j.leftIn.Stream(dc, func(it item.Item) error {
 		if build == nil {
 			if err := buildRight(); err != nil {
@@ -201,49 +190,13 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 		if !ok {
 			return nil
 		}
-		matches := build[key]
-		if len(matches) == 0 {
-			return nil
-		}
-		// The loop reaches the probe filter only on a pair whose keys are
-		// equal, and its verdict is the same for every such pair.
-		if len(j.probeFilter) > 0 {
-			if pass, err := e.probeFilter(dc, filterOps, it); !pass || err != nil {
-				return err
-			}
-		}
-		for _, r := range matches {
+		for _, r := range build[key] {
 			if err := yield(j.pair(it, r)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// probeFilter reports whether the left row it passes every probe-filter
-// conjunct, stopping at the first that fails, as "and" does. Each
-// conjunct's operator (nil without a profile) records the rows the
-// conjunct passes and the time spent in it.
-func (e *joinEval) probeFilter(dc *DynamicContext, ops []*profile.Op, it item.Item) (bool, error) {
-	bdc := dc.bindTuple(e.j.frame[:1], [][]item.Item{{it}})
-	for i, cond := range e.j.probeFilter {
-		var start time.Time
-		if ops[i] != nil {
-			start = time.Now()
-		}
-		pass, err := ebvOf(cond, bdc)
-		if ops[i] != nil {
-			ops[i].AddWall(time.Since(start))
-			if pass {
-				ops[i].AddRows(1)
-			}
-		}
-		if !pass || err != nil {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // pair is the tuple of one matched pair.
