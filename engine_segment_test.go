@@ -2,6 +2,7 @@ package rumble
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"rumble/internal/item"
+	"rumble/internal/segment"
 )
 
 // segmentConformanceData registers the shared conformance collections
@@ -38,7 +40,9 @@ func segmentConformanceData(t *testing.T, eng *Engine, dir string) {
 }
 
 // segmentFiles reads every file of every `.segments` directory under dir,
-// keyed by its path relative to dir.
+// keyed by its path relative to dir — all but SOURCE.json, the stat
+// fingerprint of the source, which differs between copies of the same
+// bytes (checkSourceRecords checks it).
 func segmentFiles(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	files := map[string]string{}
@@ -47,6 +51,9 @@ func segmentFiles(t *testing.T, dir string) map[string]string {
 		t.Fatal(err)
 	}
 	for _, path := range stores {
+		if filepath.Base(path) == segment.SourceName {
+			continue
+		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -55,6 +62,61 @@ func segmentFiles(t *testing.T, dir string) map[string]string {
 		files[rel] = string(data)
 	}
 	return files
+}
+
+// checkSourceRecords checks the SOURCE.json of every `.segments` directory
+// under dir: it parses, names the checksum of the manifest beside it, and
+// matches a fresh stat of its source file — name, size and mtime here, and
+// change time and inode through a fresh segments engine, which opens every
+// source without hashing one.
+func checkSourceRecords(t *testing.T, dir string) {
+	t.Helper()
+	stores, err := filepath.Glob(filepath.Join(dir, "*.segments"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Executors: 2, Vectorize: true, Segments: true})
+	for _, store := range stores {
+		var manifest struct {
+			Checksum uint32 `json:"checksum"`
+		}
+		var record struct {
+			Manifest uint32 `json:"manifest_checksum"`
+			Parts    []struct {
+				Name  string `json:"name"`
+				Size  int64  `json:"size"`
+				Mtime int64  `json:"mtime_ns"`
+			} `json:"parts"`
+		}
+		for name, v := range map[string]any{segment.ManifestName: &manifest, segment.SourceName: &record} {
+			data, err := os.ReadFile(filepath.Join(store, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, v); err != nil {
+				t.Fatalf("%s/%s does not parse: %v", store, name, err)
+			}
+		}
+		if record.Manifest != manifest.Checksum {
+			t.Fatalf("%s: %s names manifest %08x, the manifest is %08x", store, segment.SourceName, record.Manifest, manifest.Checksum)
+		}
+		source := strings.TrimSuffix(store, ".segments")
+		fi, err := os.Stat(source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := record.Parts; len(p) != 1 || p[0].Name != fi.Name() || p[0].Size != fi.Size() || p[0].Mtime != fi.ModTime().UnixNano() {
+			t.Fatalf("%s: %s records %+v, a fresh stat gives %s, %d bytes, mtime %d",
+				store, segment.SourceName, p, fi.Name(), fi.Size(), fi.ModTime().UnixNano())
+		}
+		if _, err := eng.Query(fmt.Sprintf(`count(for $o in json-file(%q) return $o)`, source)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := eng.Metrics(); m.SegmentsRead == 0 || m.SegmentSourceHashes != 0 || m.SegmentIngests != 0 {
+		t.Fatalf("a fresh engine opening %d sources read %d segments, hashed %d sources and ingested %d, want no hash and no ingest",
+			len(stores), m.SegmentsRead, m.SegmentSourceHashes, m.SegmentIngests)
+	}
 }
 
 // TestSegmentScanConformance pins the segment store's core contract: a
@@ -131,7 +193,11 @@ func TestSegmentScanConformance(t *testing.T) {
 		})
 	}
 
-	// What the engines ingested on 1, 2 and 8 executors is the same bytes.
+	// What the engines ingested on 1, 2 and 8 executors is the same bytes
+	// (the vectorize-off engine ingests nothing), each bound to its source.
+	for _, dir := range dirs[1:] {
+		checkSourceRecords(t, dir)
+	}
 	want := segmentFiles(t, dirs[1])
 	if len(want) == 0 {
 		t.Fatal("the one-executor engine ingested nothing")

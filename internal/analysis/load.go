@@ -141,8 +141,9 @@ func (l *Loader) Load(dir, path string) (*Package, error) {
 	}, nil
 }
 
-// check parses the non-test Go files of dir and type-checks them as package
-// path. When info/filesOut are non-nil they receive the detailed results.
+// check parses the non-test Go files of dir that build on the host platform
+// and type-checks them as package path. When info/filesOut are non-nil they
+// receive the detailed results.
 func (l *Loader) check(dir, path string, info *types.Info, filesOut *[]*ast.File) (*types.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -152,6 +153,16 @@ func (l *Loader) check(dir, path string, info *types.Info, filesOut *[]*ast.File
 	for _, e := range entries {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		// Select files as the go tool does: a file built only on other
+		// platforms (a //go:build line, a _GOOS suffix) is not part of the
+		// package here, and would redeclare what the host's file declares.
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", path, err)
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, n)

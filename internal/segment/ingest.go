@@ -398,6 +398,16 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 	if err := os.Chmod(tmp, 0o755); err != nil {
 		return nil, IngestStats{}, errf(source, "ingest: %v", err)
 	}
+	// Fingerprint the source before a byte of it is read, settled against
+	// the clock of a file created in the staging directory: the SOURCE.json
+	// it becomes lets later opens trust the manifest without hashing.
+	record := filepath.Join(tmp, SourceName)
+	probe, err := os.Create(record)
+	if err != nil {
+		return nil, IngestStats{}, errf(source, "ingest: %v", err)
+	}
+	fp := settle(statSource(source), probe)
+	probe.Close()
 
 	p := &pipeline{
 		source: source, tmp: tmp, workers: workers, chunkSize: chunkSize,
@@ -462,12 +472,20 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 	if err := os.WriteFile(filepath.Join(tmp, ManifestName), mdata, 0o644); err != nil {
 		return nil, IngestStats{}, errf(source, "ingest: %v", err)
 	}
+	if fp != nil {
+		err = writeRecord(record, m.Checksum, fp)
+	} else {
+		err = os.Remove(record) // racy: every open hashes until one records it
+	}
+	if err != nil {
+		return nil, IngestStats{}, errf(source, "ingest: %v", err)
+	}
 	if m, err = swapIn(source, tmp, m, before); err != nil {
 		return nil, IngestStats{}, err
 	}
 	installed = true
 	st := IngestStats{Duration: time.Since(start), Rows: m.Rows, Segments: len(m.Segments), Workers: workers, Bytes: m.SourceBytes}
-	return &Dataset{Source: source, Dir: dir, Manifest: m}, st, nil
+	return &Dataset{Source: source, Dir: dir, Manifest: m, fp: fp}, st, nil
 }
 
 // swapIn makes the staged directory tmp, holding manifest m, the segments

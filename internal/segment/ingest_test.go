@@ -140,6 +140,39 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
+// checkSourceRecord checks the SOURCE.json among an ingest's files: it
+// parses, names the checksum of the manifest beside it, and equals a fresh
+// stat of the source's parts. Where the platform gives no fingerprint,
+// there must be none.
+func checkSourceRecord(t *testing.T, source string, files map[string][]byte) {
+	t.Helper()
+	now := statSource(source)
+	data, ok := files[SourceName]
+	if now == nil {
+		if ok {
+			t.Fatalf("%s: %s recorded where the platform gives no fingerprint", source, SourceName)
+		}
+		return
+	}
+	if !ok {
+		t.Fatalf("%s: no %s beside the manifest (the source never settled?)", source, SourceName)
+	}
+	var m Manifest
+	if err := json.Unmarshal(files[ManifestName], &m); err != nil {
+		t.Fatal(err)
+	}
+	var rec sourceRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("%s: %s does not parse: %v", source, SourceName, err)
+	}
+	if rec.Manifest != m.Checksum {
+		t.Fatalf("%s: %s names manifest %08x, the manifest is %08x", source, SourceName, rec.Manifest, m.Checksum)
+	}
+	if !now.matches(&fingerprint{Parts: rec.Parts}) {
+		t.Fatalf("%s: %s records %+v, a fresh stat gives %+v", source, SourceName, rec.Parts, now.Parts)
+	}
+}
+
 // siblings lists what sits next to source, besides source itself.
 func siblings(t *testing.T, source string) []string {
 	t.Helper()
@@ -238,6 +271,8 @@ func TestIngestMatchesOracle(t *testing.T) {
 					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
 				}
 				got := dirFiles(t, Dir(source))
+				checkSourceRecord(t, source, got)
+				delete(got, SourceName) // stat data: differs between copies of the same bytes
 				if len(got) != len(want) {
 					t.Fatalf("%s workers=%d chunk=%d: %d files, oracle wrote %d", name, workers, chunk, len(got), len(want))
 				}

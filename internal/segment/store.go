@@ -85,6 +85,7 @@ type Dataset struct {
 	Dir      string
 	Manifest Manifest
 	pool     *pool
+	fp       *fingerprint // the source fingerprint it was validated against
 }
 
 // NumSegments returns the segment count.
@@ -173,9 +174,22 @@ func readFile(buf *bytes.Buffer, path string) error {
 // OpenDataset loads and strictly validates the segment directory of
 // source without re-ingesting: a missing or unreadable manifest, a
 // version mismatch, a manifest whose checksum does not match its content,
-// or a source whose content hash no longer matches the manifest (stale
-// segments) each return a structured error.
+// or a source whose content no longer matches the manifest (stale
+// segments) each return a structured error. The source is hashed only when
+// its stat fingerprint differs from the settled one SOURCE.json records.
 func OpenDataset(source string) (*Dataset, error) {
+	return openDataset(source, statSource(source), nil)
+}
+
+// openDataset is OpenDataset given now, the source's fingerprint taken
+// before the call; onHash, when set, is called once per hash of the source.
+// A source that hashes to the manifest's content hash gets a settled
+// SOURCE.json recorded for it, so a touched but unchanged source costs one
+// hash, not one per open; failing to record it only costs the next open a
+// hash. The dataset returned carries the fingerprint it was validated
+// against: now when SOURCE.json vouched for it, else the settled one
+// recorded (nil when the source would not settle).
+func openDataset(source string, now *fingerprint, onHash func()) (*Dataset, error) {
 	dir := Dir(source)
 	mpath := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(mpath)
@@ -192,6 +206,22 @@ func OpenDataset(source string) (*Dataset, error) {
 	if !m.sealed() {
 		return nil, errf(mpath, "manifest checksum mismatch: recorded %08x, content %08x", m.Checksum, m.checksum())
 	}
+	ds := &Dataset{Source: source, Dir: dir, Manifest: m}
+	if now.matches(recordedSource(dir, m.Checksum)) {
+		ds.fp = now
+		return ds, nil
+	}
+	// The fingerprint does not vouch for the bytes: hash them, settling the
+	// fingerprint first — it must be settled before a byte is read.
+	probe, err := os.CreateTemp(dir, SourceName+".tmp-*")
+	if err == nil {
+		defer os.Remove(probe.Name()) // a no-op once renamed into place
+		ds.fp = settle(now, probe)
+		probe.Close()
+	}
+	if onHash != nil {
+		onHash()
+	}
 	hash, bytes, err := SourceHash(source)
 	if err != nil {
 		return nil, err
@@ -199,7 +229,10 @@ func OpenDataset(source string) (*Dataset, error) {
 	if hash != m.SourceHash || bytes != m.SourceBytes {
 		return nil, errf(mpath, "stale segments: source content hash changed since ingest (re-ingest required)")
 	}
-	return &Dataset{Source: source, Dir: dir, Manifest: m}, nil
+	if ds.fp != nil && writeRecord(probe.Name(), m.Checksum, ds.fp) == nil {
+		os.Rename(probe.Name(), filepath.Join(dir, SourceName))
+	}
+	return ds, nil
 }
 
 // SourceHash fingerprints a JSON-lines source (file or directory of part
@@ -216,7 +249,9 @@ const hashChunkSize = 64 << 10
 
 // Store serves segment datasets to the engine: one validated (and, when
 // needed, ingested) Dataset per source path, sharing one byte-bounded LRU
-// buffer pool of decoded segments across all of them.
+// buffer pool of decoded segments across all of them. Every open re-stats
+// the source, so a source that changes under a long-lived store is never
+// answered from its old segments.
 type Store struct {
 	pool *pool
 
@@ -234,14 +269,32 @@ type Store struct {
 	// OnIngest, set the same way, is called once per ingest that completed
 	// successfully, first touch or background rebuild.
 	OnIngest func(IngestStats)
+	// OnSourceHash, set the same way, is called once per full hash of a
+	// source that an open ran to validate existing segments.
+	OnSourceHash func()
 }
 
+// datasetEntry is what a store serves for one path — a dataset, or the
+// error that made the path unsegmentable — and the source fingerprint that
+// holds for: while the source still stats the same, the entry is served as
+// is; once it does not, the next open revalidates it.
 type datasetEntry struct {
 	mu         sync.Mutex
-	resolved   bool
 	rebuilding bool
+	fp         *fingerprint
 	ds         *Dataset
 	err        error
+}
+
+// set records an open's outcome. A dataset holds for the fingerprint it was
+// validated against. An error holds for now, the stat taken before the
+// attempt, settled or not: an unsegmentable source is scanned raw, which
+// reads the current bytes, so a stale error can only postpone a retry.
+func (e *datasetEntry) set(ds *Dataset, now *fingerprint, err error) {
+	e.ds, e.err, e.fp = ds, err, now
+	if ds != nil {
+		e.fp = ds.fp
+	}
 }
 
 // DefaultCacheBytes is the buffer-pool budget when none is configured.
@@ -256,16 +309,19 @@ func NewStore(cacheBytes int64) *Store {
 	return &Store{pool: newPool(cacheBytes), datasets: map[string]*datasetEntry{}}
 }
 
-// Open returns the segment dataset of the JSON-lines source at path. A
+// Open returns the segment dataset of the JSON-lines source at path. Every
+// call stats the source's part files; while they match what the path was
+// last validated against, the dataset (or error) in hand is served. A
 // source never ingested before (no manifest) ingests synchronously — the
-// first touch pays the build, exactly once per store. A source whose
-// existing segments are stale (the content hash changed since ingest) or
-// from an older format version is served as (nil, nil) — the raw scan —
-// while a single background goroutine per path rebuilds the segments and
-// swaps them in; later Opens see the fresh dataset. A nil Dataset with a nil
-// error therefore means "scan raw for now"; a non-nil error means the source
-// is not segmentable at all (for example, a line fails to parse) and the raw
-// scan will report the identical error the tuple backend would.
+// first touch pays the build. A source whose existing segments are stale
+// (the content hash changed since ingest) or from an older format version
+// is served as (nil, nil) — the raw scan — while a single background
+// goroutine per path rebuilds the segments and swaps them in; later Opens
+// see the fresh dataset. A nil Dataset with a nil error therefore means
+// "scan raw for now"; a non-nil error means the source is not segmentable
+// (for example, a line fails to parse) and the raw scan will report the
+// identical error the tuple backend would. Such a source is retried once
+// its files change.
 func (s *Store) Open(path string) (*Dataset, error) {
 	ds, _, err := s.OpenStats(path)
 	return ds, err
@@ -284,23 +340,28 @@ func (s *Store) OpenStats(path string) (ds *Dataset, stats *IngestStats, err err
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.resolved || e.rebuilding {
+	if e.rebuilding {
+		return nil, nil, nil
+	}
+	now := statSource(path)
+	if e.fp.matches(now) {
 		return e.ds, nil, e.err
 	}
 	if _, statErr := os.Stat(filepath.Join(Dir(path), ManifestName)); statErr != nil {
-		// First touch: no segments exist yet. Build them synchronously so
+		// First touch — or a retry of a source that failed to ingest and has
+		// changed since: no segments exist yet. Build them synchronously so
 		// the very first scan already reads lanes, not JSON. (Should another
 		// engine install them meanwhile, the ingest adopts its directory.)
 		ds, st, err := s.ingest(path)
-		e.ds, e.err, e.resolved = ds, err, true
+		e.set(ds, now, err)
 		if err != nil {
 			return nil, nil, err
 		}
 		return ds, &st, nil
 	}
-	if ds, err = OpenDataset(path); err == nil {
+	if ds, err = openDataset(path, now, s.OnSourceHash); err == nil {
 		ds.pool = s.pool
-		e.ds, e.resolved = ds, true
+		e.set(ds, now, nil)
 		return ds, nil, nil
 	}
 	// A manifest exists but refused to open — stale content hash, older
@@ -318,8 +379,8 @@ func (s *Store) OpenStats(path string) (ds *Dataset, stats *IngestStats, err err
 	}, func(err error) {
 		err = named(path, err)
 		e.mu.Lock()
-		e.rebuilding, e.resolved = false, true
-		e.ds, e.err = rebuilt, err
+		e.rebuilding = false
+		e.set(rebuilt, now, err)
 		e.mu.Unlock()
 		if err == nil && s.OnReingest != nil {
 			s.OnReingest()

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rumble/internal/item"
 	"rumble/internal/sched"
@@ -406,6 +407,114 @@ func TestStoreOpenFallbackOnUnparseableSource(t *testing.T) {
 	ds2, err2 := s.Open(path)
 	if ds2 != nil || err2 == nil {
 		t.Fatalf("second Open: ds=%v err=%v", ds2, err2)
+	}
+	// Until the source changes: fixed, it ingests on the next open.
+	if err := os.WriteFile(path, []byte("{\"g\": 1}\n{\"g\": 2}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err = s.Open(path)
+	if err != nil || ds == nil {
+		t.Fatalf("Open of the fixed source: ds=%v err=%v", ds, err)
+	}
+	if rows := fetchAll(t, ds); len(rows) != 2 || !itemsEqual(rows[1], obj("g", item.Int(2))) {
+		t.Fatalf("fixed source rows: %v", rows)
+	}
+}
+
+// TestStoreRevalidatesOnEveryOpen: a store serves the dataset it validated,
+// without hashing, while the source stats the same, and a rewrite that kept
+// the source's size, mtime and inode is caught by its change time. Each
+// part of the stat fingerprint — size, mtime, change time, inode, the part
+// list — is covered against the raw answer by TestLiveEngineSeesSourceChange.
+func TestStoreRevalidatesOnEveryOpen(t *testing.T) {
+	noLeaks(t)
+	path := writeSource(t, 100)
+	past := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0)
+	hashes := 0
+	s.OnSourceHash = func() { hashes++ }
+	ds, err := s.Open(path) // first touch
+	if err != nil || ds == nil {
+		t.Fatalf("first touch: ds=%v err=%v", ds, err)
+	}
+	checkSourceRecord(t, path, dirFiles(t, Dir(path)))
+	if again, err := s.Open(path); again != ds || err != nil || hashes != 0 {
+		t.Fatalf("reopen: ds=%p (first %p) err=%v hashes=%d, want the same dataset and no hash", again, ds, err, hashes)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.ReplaceAll(data, []byte(`"g": 0`), []byte(`"g": 9`)) // same size
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := s.Open(path); ds != nil || err != nil || hashes != 1 {
+		t.Fatalf("Open of the rewritten source: ds=%v err=%v hashes=%d, want one hash and the raw scan while rebuilding", ds, err, hashes)
+	}
+	s.WaitRebuilds()
+	ds, err = s.Open(path)
+	if err != nil || ds == nil {
+		t.Fatalf("Open after the rebuild: ds=%v err=%v", ds, err)
+	}
+	if rows := fetchAll(t, ds); len(rows) != 100 || !itemsEqual(rows[0], obj("g", item.Int(9), "v", item.Int(0))) {
+		t.Fatalf("rebuilt dataset: %d rows, first %v", len(rows), rows[0])
+	}
+	checkSourceRecord(t, path, dirFiles(t, Dir(path)))
+
+	// A lost SOURCE.json costs one hash, which records it again.
+	if err := os.Remove(filepath.Join(Dir(path), SourceName)); err != nil {
+		t.Fatal(err)
+	}
+	before := hashes
+	for i := 0; i < 2; i++ { // the first open hashes and records, the second trusts the record
+		if _, err := openDataset(path, statSource(path), func() { hashes++ }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hashes != before+1 {
+		t.Fatalf("two opens after SOURCE.json was lost hashed %d times, want 1", hashes-before)
+	}
+	checkSourceRecord(t, path, dirFiles(t, Dir(path)))
+}
+
+// TestUnsettledSourceIsHashed: a source stamped ahead of the file system
+// clock cannot settle. Its ingest records no SOURCE.json, without waiting
+// for a clock tick that would not come in time, and every open — of a
+// fresh store or of one that opened it before — validates it by hash.
+func TestUnsettledSourceIsHashed(t *testing.T) {
+	noLeaks(t)
+	path := writeSource(t, 100)
+	future := time.Now().Add(time.Hour)
+	if err := os.Chtimes(path, future, future); err != nil {
+		t.Fatal(err)
+	}
+	if err := Ingest(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(Dir(path), SourceName)); !os.IsNotExist(err) {
+		t.Fatalf("an unsettled source got a %s: %v", SourceName, err)
+	}
+	s := NewStore(0)
+	hashes := 0
+	s.OnSourceHash = func() { hashes++ }
+	for i := 1; i <= 2; i++ {
+		if ds, err := s.Open(path); ds == nil || err != nil || hashes != i {
+			t.Fatalf("open %d: ds=%v err=%v hashes=%d, want a dataset validated by hash", i, ds, err, hashes)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(Dir(path), SourceName)); !os.IsNotExist(err) {
+		t.Fatalf("an open recorded a %s for an unsettled source: %v", SourceName, err)
+	}
+	if left := dirFiles(t, Dir(path)); len(left) != 2 {
+		t.Fatalf("segments directory holds %d files, want the manifest and one segment", len(left))
 	}
 }
 

@@ -286,6 +286,7 @@ func writePrometheus(w io.Writer, srv MetricsSnapshot, eng spark.MetricsSnapshot
 	counter("rumble_engine_segment_cache_hits_total", "Segment buffer-pool hits.", eng.SegmentCacheHits)
 	counter("rumble_engine_segment_cache_miss_total", "Cold segment reads that decoded from disk.", eng.SegmentCacheMiss)
 	counter("rumble_engine_segment_reingests_total", "Background segment rebuilds completed after a stale content hash.", eng.SegmentReingests)
+	counter("rumble_engine_segment_source_hashes_total", "Full source hashes run at open to validate existing segments.", eng.SegmentSourceHashes)
 	counter("rumble_engine_segment_ingests_total", "Segment datasets built, first touches and rebuilds.", eng.SegmentIngests)
 	fmt.Fprintf(w, "# HELP rumble_engine_segment_ingest_seconds_total Wall time spent building segment datasets.\n# TYPE rumble_engine_segment_ingest_seconds_total counter\nrumble_engine_segment_ingest_seconds_total %s\n",
 		formatLE(eng.SegmentIngestSeconds))

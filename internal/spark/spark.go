@@ -87,6 +87,7 @@ type Metrics struct {
 	SegmentCacheHits atomic.Int64
 	SegmentCacheMiss atomic.Int64
 	SegmentReingests atomic.Int64
+	SegmentHashes    atomic.Int64
 	SegmentIngests   atomic.Int64
 	SegmentIngestNS  atomic.Int64
 	SegmentIngestB   atomic.Int64
@@ -124,6 +125,10 @@ type MetricsSnapshot struct {
 	// SegmentReingests counts background dataset rebuilds triggered by a
 	// stale source hash at open time.
 	SegmentReingests int64 `json:"segment_reingests"`
+	// SegmentSourceHashes counts the full sha256 passes over a source that
+	// opens ran to validate existing segments: zero while every source
+	// still matches the stat fingerprint its segments recorded.
+	SegmentSourceHashes int64 `json:"segment_source_hashes"`
 	// SegmentIngests counts the segment datasets this engine built — first
 	// touches and background rebuilds alike — SegmentIngestSeconds the wall
 	// time they took and SegmentIngestBytes the source bytes they read.
@@ -153,6 +158,7 @@ func (c *Context) Metrics() MetricsSnapshot {
 		SegmentCacheMiss: c.metrics.SegmentCacheMiss.Load(),
 		SegmentReingests: c.metrics.SegmentReingests.Load(),
 
+		SegmentSourceHashes:  c.metrics.SegmentHashes.Load(),
 		SegmentIngests:       c.metrics.SegmentIngests.Load(),
 		SegmentIngestSeconds: time.Duration(c.metrics.SegmentIngestNS.Load()).Seconds(),
 		SegmentIngestBytes:   c.metrics.SegmentIngestB.Load(),
@@ -178,6 +184,7 @@ func (c *Context) ResetMetrics() {
 	c.metrics.SegmentCacheHits.Store(0)
 	c.metrics.SegmentCacheMiss.Store(0)
 	c.metrics.SegmentReingests.Store(0)
+	c.metrics.SegmentHashes.Store(0)
 	c.metrics.SegmentIngests.Store(0)
 	c.metrics.SegmentIngestNS.Store(0)
 	c.metrics.SegmentIngestB.Store(0)
@@ -215,6 +222,9 @@ func (c *Context) AddSegmentCacheMiss(n int64) { c.metrics.SegmentCacheMiss.Add(
 
 // AddSegmentReingests counts background re-ingests of stale datasets.
 func (c *Context) AddSegmentReingests(n int64) { c.metrics.SegmentReingests.Add(n) }
+
+// AddSegmentSourceHashes counts source hashes run to validate segments.
+func (c *Context) AddSegmentSourceHashes(n int64) { c.metrics.SegmentHashes.Add(n) }
 
 // AddSegmentIngest counts one completed segment ingest, its wall time and
 // the source bytes it read.

@@ -133,6 +133,7 @@ func New(cfg Config) *Engine {
 		segs.Workers = sc.Conf().Executors
 		segs.OnReingest = func() { sc.AddSegmentReingests(1) }
 		segs.OnIngest = func(st segment.IngestStats) { sc.AddSegmentIngest(st.Duration, st.Bytes) }
+		segs.OnSourceHash = func() { sc.AddSegmentSourceHashes(1) }
 	}
 	return &Engine{
 		sc: sc,
