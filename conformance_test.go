@@ -42,6 +42,15 @@ var conformanceCases = map[string]conformanceCase{
 	"string number not comparable":      {query: `"1" eq 1`, wantErr: true},
 	"general string number no match":    {query: `("1", "2") = 1`, want: "false"},
 
+	// --- comparisons and and/or as conditions ---
+	"where over an empty operand is false": {query: `count(for $o in ({"a": 1}, {"b": 2}, {"a": 2}) where $o.a eq 1 or not($o.a eq 2) return $o)`, want: "2"},
+	"where general comparison skips incomparable pairs": {
+		query: `for $x in (1, "a", true, [1], {"a": 1}, null, 2) where $x = (1, "a") return $x`, want: "1\n\"a\""},
+	"and short-circuits before an error":    {query: `false and (1 idiv 0 eq 1)`, want: "false"},
+	"or short-circuits before an error":     {query: `true or (1 idiv 0 eq 1)`, want: "true"},
+	"and evaluates its left operand first":  {query: `(1 idiv 0 eq 1) and false`, wantErr: true},
+	"where raises the left operand's error": {query: `for $x in (0, 1) where (1 idiv $x eq 1) and false return $x`, wantErr: true},
+
 	// --- null semantics ---
 	"null equals null":       {query: `null eq null`, want: "true"},
 	"null less than number":  {query: `null lt -999999`, want: "true"},

@@ -102,6 +102,14 @@ func TestRandomizedLocalVsParallelEquivalence(t *testing.T) {
 		`for $o in json-file(%q) where not($o.k instance of array) and not($o.k instance of string)
 		 order by $o.k descending empty greatest, $o.v return [$o.k, $o.v]`,
 		`for $o in json-file(%q) let $k := $o.k[[1]] group by $k order by $k empty greatest return [$k, count($o), $o[1].v]`,
+		// Conditions read as booleans: an empty operand is false, a general
+		// comparison skips incomparable pairs, and/or short-circuit before
+		// an error, and an error in the left operand is raised first.
+		`for $o in json-file(%q) where $o.missing eq 1 or (not($o.missing eq 1) and $o.v lt 20) return $o.v`,
+		`for $o in json-file(%q) where $o.k = ("s1", 2, null) return [$o.k, $o.v]`,
+		`for $o in json-file(%q) where $o.v lt 30 or (false and ($o.v idiv 0 eq 1)) return $o.v`,
+		`for $o in json-file(%q) where $o.v ge 90 and (true or ($o.v idiv 0 eq 1)) return $o.v`,
+		`for $o in json-file(%q) where ($o.v idiv 0 eq 1) and false return $o.v`,
 	}
 	// Group-bys whose emit order is the backend's: compared as multisets.
 	unordered := []string{

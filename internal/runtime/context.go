@@ -29,17 +29,19 @@ import (
 
 // DynamicContext carries variable bindings and the optional context item
 // ($$) during evaluation. Contexts chain to their parent and never mutate
-// after construction, so child contexts can be created per row inside
-// concurrent executor tasks.
+// after construction — with one exception, the tuple scope (tupleScope),
+// which its owning loop re-points at each row. A scope is private to that
+// loop (one per clause evaluation, one per partition task on the cluster)
+// and no evaluation keeps a context past the call it was handed, so the
+// contexts concurrent executor tasks share are never written.
 type DynamicContext struct {
 	parent *DynamicContext
 	prof   *profile.Profile // per-query stats, copied down from the root
-	// A slot-bound context (bindTuple) carries no map: names is the frame of
-	// a FLWOR tuple — fixed per clause at compile time and shared by every
-	// tuple of the clause — and name i resolves to vals[i]. The last binding
-	// of a name shadows earlier ones. These are the contexts built per
-	// tuple, so the struct stays small: the per-call kinds of binding live
-	// in named.
+	// A slot-bound context (a tuple scope) carries no map: names is the
+	// frame of a FLWOR tuple — fixed per clause at compile time and shared
+	// by every tuple of the clause — and name i resolves to vals[i]. The
+	// last binding of a name shadows earlier ones. The per-call kinds of
+	// binding live in named.
 	names []string
 	vals  [][]item.Item
 	// The context item ($$) and its 1-based position; nil when this context
@@ -75,10 +77,34 @@ func (dc *DynamicContext) BindVar(name string, seq []item.Item) *DynamicContext 
 	return dc.BindVars(map[string][]item.Item{name: seq})
 }
 
-// bindTuple returns a child context binding names[i] to vals[i]: the
-// context of one FLWOR tuple. Neither slice is copied.
-func (dc *DynamicContext) bindTuple(names []string, vals [][]item.Item) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, names: names, vals: vals}
+// tupleScope returns a child context that one loop re-points at each of
+// its rows — a FLWOR tuple (rebind) or a context item (rebindItem) — so
+// binding a row costs no allocation.
+//
+// Lifetime rule: a scope is rebound only by the loop that owns it, and
+// only after the evaluation it was last passed to has returned; so no
+// evaluation may keep a *DynamicContext past the call it was handed. This
+// holds because items hold no contexts; an RDD built under a context (a
+// hoisted cluster let, an aggregate pushed down to the cluster) is consumed
+// by a synchronous action inside the call that built it; a vector join's
+// vjoinRun lives for one Stream; and a recursive function that re-enters a
+// FLWOR starts a new clause evaluation, which makes scopes of its own.
+func (dc *DynamicContext) tupleScope() *DynamicContext {
+	return &DynamicContext{parent: dc, prof: dc.prof}
+}
+
+// rebind points the scope at one tuple: names[i] binds to vals[i].
+// Neither slice is copied.
+func (dc *DynamicContext) rebind(names []string, vals [][]item.Item) *DynamicContext {
+	dc.names, dc.vals = names, vals
+	return dc
+}
+
+// rebindItem points the scope at one context item ($$) with its 1-based
+// position.
+func (dc *DynamicContext) rebindItem(it item.Item, pos int64) *DynamicContext {
+	dc.ctxItem, dc.ctxPos = it, pos
+	return dc
 }
 
 // slotOf returns the slot a frame binds name at — the last one, as a
@@ -147,12 +173,6 @@ func cancelOf(dc *DynamicContext) func() error {
 		return nil
 	}
 	return ctx.Err
-}
-
-// WithContextItem returns a child context whose context item ($$) is it,
-// with 1-based position pos.
-func (dc *DynamicContext) WithContextItem(it item.Item, pos int64) *DynamicContext {
-	return &DynamicContext{parent: dc, prof: dc.prof, ctxItem: it, ctxPos: pos}
 }
 
 // Lookup resolves a variable through the context chain.
@@ -257,26 +277,41 @@ func (localOnly) RDD(*DynamicContext) (*spark.RDD[item.Item], error) {
 	return nil, Errorf("expression does not support RDD execution")
 }
 
+// readInPlace is Materialize's closure-free, copy-free read of a literal, a
+// bound variable and a literal-key lookup on one ($v.key): the result is a
+// sequence shared with the plan, the binding or the object,
+// capacity-clipped so that an append reallocates instead of writing into
+// it. ok=false declines every other shape.
+func readInPlace(it Iterator, dc *DynamicContext) (seq []item.Item, ok bool, err error) {
+	switch n := it.(type) {
+	case *literalIter:
+		return n.seq, true, nil
+	case *varRefIter:
+		if seq, rdd, ok := dc.Resolve(n.name); ok && rdd == nil {
+			return seq[:len(seq):len(seq)], true, nil
+		}
+	case *objectLookupIter:
+		if seq, handled, err := n.fieldOf(dc); handled {
+			return seq, true, err
+		}
+	}
+	return nil, false, nil
+}
+
 // Materialize evaluates it locally and returns the whole sequence. For
 // RDD-capable iterators this collects the RDD (subject to the context's
 // MaxResultItems cap), mirroring Rumble's local API over Spark results.
 //
-// A literal, a bound variable and a literal-key lookup on one ($v.key) are
-// read in place — no closure, no copy: the result is then a sequence shared
-// with the plan, the binding or the object, capacity-clipped so that an
-// append reallocates instead of writing into it. Callers must not write
+// What readInPlace reads is returned as it reads it, and $$ as a one-item
+// sequence of its own, neither through a closure. Callers must not write
 // through any Materialize result.
 func Materialize(it Iterator, dc *DynamicContext) ([]item.Item, error) {
-	switch n := it.(type) {
-	case *literalIter:
-		return n.seq, nil
-	case *varRefIter:
-		if seq, rdd, ok := dc.Resolve(n.name); ok && rdd == nil {
-			return seq[:len(seq):len(seq)], nil
-		}
-	case *objectLookupIter:
-		if seq, handled, err := n.fieldOf(dc); handled {
-			return seq, err
+	if seq, ok, err := readInPlace(it, dc); ok {
+		return seq, err
+	}
+	if _, ok := it.(contextItemIter); ok {
+		if ci, _, ok := dc.ContextItem(); ok {
+			return []item.Item{ci}, nil
 		}
 	}
 	var out []item.Item

@@ -205,12 +205,21 @@ func matchesSequenceType(seq []item.Item, st ast.SequenceType) bool {
 	return true
 }
 
-func (i *instanceOfIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+// eval computes the test as a Go boolean. Stream and ebvOf both call it.
+func (i *instanceOfIter) eval(dc *DynamicContext) (bool, error) {
 	seq, err := Materialize(i.input, dc)
+	if err != nil {
+		return false, err
+	}
+	return matchesSequenceType(seq, i.typ), nil
+}
+
+func (i *instanceOfIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	b, err := i.eval(dc)
 	if err != nil {
 		return err
 	}
-	return yield(item.Bool(matchesSequenceType(seq, i.typ)))
+	return yield(item.Bool(b))
 }
 
 // treatIter implements "treat as": identity with a runtime type check.

@@ -288,14 +288,17 @@ func matchesOp(op string, c int) bool {
 	}
 }
 
-func (cmp *comparisonIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+// eval computes the comparison as a Go boolean; empty reports the empty
+// sequence a value comparison yields over an empty operand. Stream and
+// ebvOf both call it, so the two agree on every result and error.
+func (cmp *comparisonIter) eval(dc *DynamicContext) (result, empty bool, err error) {
 	ls, err := Materialize(cmp.l, dc)
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	rs, err := Materialize(cmp.r, dc)
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	if cmp.general {
 		// Existential: true if any pair matches. Non-comparable pairs are
@@ -307,29 +310,37 @@ func (cmp *comparisonIter) Stream(dc *DynamicContext, yield func(item.Item) erro
 					continue
 				}
 				if matchesOp(cmp.op, c) {
-					return yield(item.Bool(true))
+					return true, false, nil
 				}
 			}
 		}
-		return yield(item.Bool(false))
+		return false, false, nil
 	}
 	// Value comparison: empty operands yield the empty sequence.
 	if len(ls) == 0 || len(rs) == 0 {
-		return nil
+		return false, true, nil
 	}
 	a, err := exactlyOneAtomic(ls, "comparison operand")
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	b, err := exactlyOneAtomic(rs, "comparison operand")
 	if err != nil {
-		return err
+		return false, false, err
 	}
 	c, err := item.CompareValues(a, b)
 	if err != nil {
-		return Errorf("%v", err)
+		return false, false, Errorf("%v", err)
 	}
-	return yield(item.Bool(matchesOp(cmp.op, c)))
+	return matchesOp(cmp.op, c), false, nil
+}
+
+func (cmp *comparisonIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	b, empty, err := cmp.eval(dc)
+	if err != nil || empty {
+		return err
+	}
+	return yield(item.Bool(b))
 }
 
 // logicIter is and/or over effective boolean values, with short-circuiting.
@@ -339,7 +350,20 @@ type logicIter struct {
 	l, r  Iterator
 }
 
+// ebvOf computes the effective boolean value of it. A comparison, an
+// and/or and an instance-of test are read as Go booleans, without building
+// their one-item sequence — the in-place idiom of Materialize; everything
+// else materializes.
 func ebvOf(it Iterator, dc *DynamicContext) (bool, error) {
+	switch n := it.(type) {
+	case *comparisonIter:
+		b, empty, err := n.eval(dc)
+		return b && !empty, err // the empty sequence's EBV is false
+	case *logicIter:
+		return n.eval(dc)
+	case *instanceOfIter:
+		return n.eval(dc)
+	}
 	seq, err := Materialize(it, dc)
 	if err != nil {
 		return false, err
@@ -351,22 +375,28 @@ func ebvOf(it Iterator, dc *DynamicContext) (bool, error) {
 	return b, nil
 }
 
-func (l *logicIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+// eval computes the and/or as a Go boolean, short-circuiting left to
+// right. Stream and ebvOf both call it.
+func (l *logicIter) eval(dc *DynamicContext) (bool, error) {
 	lb, err := ebvOf(l.l, dc)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if l.isAnd && !lb {
-		return yield(item.Bool(false))
+		return false, nil
 	}
 	if !l.isAnd && lb {
-		return yield(item.Bool(true))
+		return true, nil
 	}
-	rb, err := ebvOf(l.r, dc)
+	return ebvOf(l.r, dc)
+}
+
+func (l *logicIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	b, err := l.eval(dc)
 	if err != nil {
 		return err
 	}
-	return yield(item.Bool(rb))
+	return yield(item.Bool(b))
 }
 
 // objectConstructorIter builds an object from key and value expressions.

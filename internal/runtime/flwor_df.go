@@ -13,7 +13,9 @@ import (
 // with one "sequence of items" column per variable (§4.3), held as an RDD of
 // the very tuples the local pipeline streams: the clause's frame is the
 // schema, and each step applies the §4.4-§4.9 mapping by driving the
-// clause's local evaluator from an RDD transformation.
+// clause's local evaluator from an RDD transformation. A step that
+// evaluates expressions per tuple runs through spark.MapPartitions and
+// makes its tuple scope once per partition task.
 type dfPlan struct {
 	join  *compiledJoin // non-nil when the head is a detected equi-join
 	head  *forEval      // otherwise the initial for clause
@@ -87,24 +89,54 @@ func (f *flworIter) rddPlan(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 			return nil, err
 		}
 	}
-	return spark.FlatMapE(tuples, func(t tuple) ([]item.Item, error) {
-		return Materialize(p.ret, t.context(dc))
+	// Each tuple's results are evaluated in full before the first is
+	// yielded: a later error still fails the job before a Take downstream
+	// can stop it.
+	return spark.MapPartitions(tuples, func(each func(func(tuple) error) error, yield func(item.Item) error) error {
+		sc := dc.tupleScope()
+		return each(func(t tuple) error {
+			out, err := Materialize(p.ret, t.in(sc))
+			if err != nil {
+				return err
+			}
+			for _, it := range out {
+				if err := yield(it); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}), nil
 }
 
 // --- step builders, one per clause type ---
 
 // dfForStep maps a non-initial for clause to an extended projection plus
-// EXPLODE (§4.4).
+// EXPLODE (§4.4). A tuple expands in full before its first output is
+// yielded: an error later in the expansion fails the job even when a Take
+// downstream would stop at the earlier outputs.
 func dfForStep(f *forEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		return spark.FlatMapE(in, func(t tuple) ([]tuple, error) {
+		return spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(tuple) error) error {
+			sc := dc.tupleScope()
 			var out []tuple
-			err := f.expand(dc, t, func(o tuple) error {
+			collect := func(o tuple) error {
 				out = append(out, o)
 				return nil
+			}
+			return each(func(t tuple) error {
+				out = out[:0]
+				if err := f.expand(sc, t, collect); err != nil {
+					return err
+				}
+				//rumble:ctxpoll-ok emits one tuple's expansion, already drained from f.in's checkpointing Stream
+				for _, o := range out {
+					if err := yield(o); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
-			return out, err
 		}), nil
 	}
 }
@@ -112,14 +144,32 @@ func dfForStep(f *forEval) dfStep {
 // dfLetStep maps a let clause to an extended projection (§4.5).
 func dfLetStep(l *letEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		return spark.MapE(in, func(t tuple) (tuple, error) { return l.bind(dc, t) }), nil
+		return spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(tuple) error) error {
+			sc := dc.tupleScope()
+			return each(func(t tuple) error {
+				out, err := l.bind(sc, t)
+				if err != nil {
+					return err
+				}
+				return yield(out)
+			})
+		}), nil
 	}
 }
 
 // dfWhereStep maps a where clause to a selection (§4.6).
 func dfWhereStep(cond Iterator) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		return spark.FilterE(in, func(t tuple) (bool, error) { return ebvOf(cond, t.context(dc)) }), nil
+		return spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(tuple) error) error {
+			sc := dc.tupleScope()
+			return each(func(t tuple) error {
+				ok, err := ebvOf(cond, t.in(sc))
+				if err != nil || !ok {
+					return err
+				}
+				return yield(t)
+			})
+		}), nil
 	}
 }
 
@@ -128,9 +178,15 @@ func dfWhereStep(cond Iterator) dfStep {
 // into one tuple.
 func dfGroupStep(g *groupByEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		members := spark.MapE(in, func(t tuple) (spark.Pair[string, tuple], error) {
-			k, member, err := g.bindKeys(dc, t)
-			return spark.Pair[string, tuple]{Key: k, Value: member}, err
+		members := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(spark.Pair[string, tuple]) error) error {
+			ks := g.newKeyScope(dc)
+			return each(func(t tuple) error {
+				k, member, err := g.bindKeys(ks, t)
+				if err != nil {
+					return err
+				}
+				return yield(spark.Pair[string, tuple]{Key: k, Value: member})
+			})
 		})
 		return spark.Map(spark.GroupByKey(members), func(kv spark.Pair[string, []tuple]) tuple {
 			return g.merge(kv.Value)
@@ -146,7 +202,16 @@ func dfOrderStep(o *orderByEval) dfStep {
 		// Cache the keyed tuples: the type-check pass and the sort both
 		// consume them, and recomputing would replay the whole upstream
 		// pipeline (including the input parse) a second time.
-		keyed := spark.Cache(spark.MapE(in, func(t tuple) (keyedTuple, error) { return o.keysOf(dc, t) }))
+		keyed := spark.Cache(spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(keyedTuple) error) error {
+			sc := dc.tupleScope()
+			return each(func(t tuple) error {
+				k, err := o.keysOf(sc, t)
+				if err != nil {
+					return err
+				}
+				return yield(k)
+			})
+		}))
 		newMask := func() []uint8 { return make([]uint8, len(o.specs)) }
 		mask, err := spark.Aggregate(keyed, newMask, noteMix, func(a, b []uint8) []uint8 {
 			for i := range a {

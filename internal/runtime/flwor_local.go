@@ -28,16 +28,18 @@ func (t tuple) with(frame []string, seqs ...[]item.Item) tuple {
 	return tuple{names: frame, values: values}
 }
 
-// context converts the tuple into a child dynamic context of dc: one
-// allocation, resolving variables by slot off the tuple's own slices.
-func (t tuple) context(dc *DynamicContext) *DynamicContext {
-	return dc.bindTuple(t.names, t.values)
+// in points the tuple scope sc at t and returns it: variables resolve by
+// slot off the tuple's own slices, and nothing is allocated.
+func (t tuple) in(sc *DynamicContext) *DynamicContext {
+	return sc.rebind(t.names, t.values)
 }
 
 // clauseEval streams the tuple output of one FLWOR clause. Each clause keeps
 // what it does to one tuple in a method of its own (expand, bind, bindKeys,
 // merge, keysOf, less), which the cluster steps of flwor_df.go call too:
-// the clause semantics exist once.
+// the clause semantics exist once. Those methods take the tuple scope (see
+// tupleScope) of the loop calling them — one per streamTuples call here,
+// one per partition task in flwor_df.go.
 type clauseEval interface {
 	streamTuples(dc *DynamicContext, yield func(tuple) error) error
 }
@@ -60,15 +62,27 @@ func (f *forEval) bind(base tuple, seq []item.Item, pos int64) tuple {
 }
 
 // expand streams the tuples base expands to: one per item of the input
-// sequence evaluated under base, or, when that is empty and the clause
-// allows it, one binding the empty sequence at position 0.
-func (f *forEval) expand(dc *DynamicContext, base tuple, yield func(tuple) error) error {
+// sequence evaluated under base (bound in the scope sc), or, when that is
+// empty and the clause allows it, one binding the empty sequence at
+// position 0.
+func (f *forEval) expand(sc *DynamicContext, base tuple, yield func(tuple) error) error {
 	var pos int64
-	err := f.in.Stream(base.context(dc), func(it item.Item) error {
+	bdc := base.in(sc)
+	if seq, ok, err := readInPlace(f.in, bdc); ok {
+		// A sequence already held: each tuple binds a one-item view of it.
+		if err != nil {
+			return err
+		}
+		for i := range seq {
+			pos++
+			if err := yield(f.bind(base, seq[i:i+1:i+1], pos)); err != nil {
+				return err
+			}
+		}
+	} else if err := f.in.Stream(bdc, func(it item.Item) error {
 		pos++
 		return yield(f.bind(base, []item.Item{it}, pos))
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	if pos == 0 && f.allowEmpty {
@@ -92,11 +106,12 @@ func (f *forEval) streamTuples(dc *DynamicContext, yield func(tuple) error) erro
 			return emit(t)
 		}
 	}
+	sc := dc.tupleScope()
 	if f.parent == nil {
-		return f.expand(dc, tuple{}, yield)
+		return f.expand(sc, tuple{}, yield)
 	}
 	return f.parent.streamTuples(dc, func(base tuple) error {
-		return f.expand(dc, base, yield)
+		return f.expand(sc, base, yield)
 	})
 }
 
@@ -108,8 +123,10 @@ type letEval struct {
 	value  Iterator
 }
 
-func (l *letEval) bind(dc *DynamicContext, base tuple) (tuple, error) {
-	seq, err := Materialize(l.value, base.context(dc))
+// bind extends base with the let variable, evaluated under base bound in
+// the scope sc.
+func (l *letEval) bind(sc *DynamicContext, base tuple) (tuple, error) {
+	seq, err := Materialize(l.value, base.in(sc))
 	if err != nil {
 		return tuple{}, err
 	}
@@ -117,8 +134,9 @@ func (l *letEval) bind(dc *DynamicContext, base tuple) (tuple, error) {
 }
 
 func (l *letEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
+	sc := dc.tupleScope()
 	emit := func(base tuple) error {
-		out, err := l.bind(dc, base)
+		out, err := l.bind(sc, base)
 		if err != nil {
 			return err
 		}
@@ -137,8 +155,9 @@ type whereEval struct {
 }
 
 func (w *whereEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
+	sc := dc.tupleScope()
 	return w.parent.streamTuples(dc, func(t tuple) error {
-		b, err := ebvOf(w.cond, t.context(dc))
+		b, err := ebvOf(w.cond, t.in(sc))
 		if err != nil {
 			return err
 		}
@@ -206,19 +225,34 @@ func newGroupByEval(parent clauseEval, in []string, specs []groupSpecEval, usage
 	return g
 }
 
+// keyScope is what binding the grouping keys of a tuple stream reuses from
+// one tuple to the next: the tuple scope key expressions run under, and
+// the values of the work frame, dead once the previous tuple's keys are
+// read.
+type keyScope struct {
+	sc   *DynamicContext
+	work [][]item.Item
+}
+
+// newKeyScope returns the key scope of one clause evaluation (locally) or
+// of one partition task (on the cluster).
+func (g *groupByEval) newKeyScope(dc *DynamicContext) *keyScope {
+	return &keyScope{sc: dc.tupleScope(), work: make([][]item.Item, 0, len(g.work))}
+}
+
 // bindKeys binds and validates the grouping keys of t and returns the
 // exchange key of its group with t's member tuple.
-func (g *groupByEval) bindKeys(dc *DynamicContext, t tuple) (string, tuple, error) {
+func (g *groupByEval) bindKeys(ks *keyScope, t tuple) (string, tuple, error) {
 	n := len(t.values)
-	work := make([][]item.Item, n, len(g.work))
-	copy(work, t.values)
+	work := append(ks.work[:0], t.values...) // capacity len(g.work): never regrows
+	ks.work = work
 	member := make([][]item.Item, len(g.frame))
 	for i, spec := range g.specs {
 		var seq []item.Item
 		switch {
 		case spec.expr != nil:
 			// A key expression sees the tuple and the keys bound before it.
-			s, err := Materialize(spec.expr, dc.bindTuple(g.work[:n+i], work))
+			s, err := Materialize(spec.expr, ks.sc.rebind(g.work[:n+i], work))
 			if err != nil {
 				return "", tuple{}, err
 			}
@@ -282,8 +316,9 @@ func (g *groupByEval) merge(members []tuple) tuple {
 func (g *groupByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	groups := make(map[string][]tuple)
 	var order []string // first-seen key order
+	ks := g.newKeyScope(dc)
 	err := g.parent.streamTuples(dc, func(t tuple) error {
-		k, member, err := g.bindKeys(dc, t)
+		k, member, err := g.bindKeys(ks, t)
 		if err != nil {
 			return err
 		}
@@ -327,10 +362,11 @@ type keyedTuple struct {
 	keys []item.SortKey
 }
 
-// keysOf evaluates and validates the ordering keys of t.
-func (o *orderByEval) keysOf(dc *DynamicContext, t tuple) (keyedTuple, error) {
+// keysOf evaluates and validates the ordering keys of t, bound in the
+// scope sc.
+func (o *orderByEval) keysOf(sc *DynamicContext, t tuple) (keyedTuple, error) {
 	keys := make([]item.SortKey, len(o.specs))
-	tdc := t.context(dc)
+	tdc := t.in(sc)
 	for i, spec := range o.specs {
 		seq, err := Materialize(spec.expr, tdc)
 		if err != nil {
@@ -394,8 +430,9 @@ func (o *orderByEval) less(a, b keyedTuple) bool {
 func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	var rows []keyedTuple
 	mask := make([]uint8, len(o.specs))
+	sc := dc.tupleScope()
 	err := o.parent.streamTuples(dc, func(t tuple) error {
-		k, err := o.keysOf(dc, t)
+		k, err := o.keysOf(sc, t)
 		if err != nil {
 			return err
 		}
@@ -449,15 +486,16 @@ type flworIter struct {
 
 func (f *flworIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
 	op := dc.Profile().Op(f.opRoot)
+	sc := dc.tupleScope()
 	if op == nil {
 		return f.local.streamTuples(dc, func(t tuple) error {
-			return f.ret.Stream(t.context(dc), yield)
+			return f.ret.Stream(t.in(sc), yield)
 		})
 	}
 	start := time.Now()
 	var rows int64
 	err := f.local.streamTuples(dc, func(t tuple) error {
-		return f.ret.Stream(t.context(dc), func(it item.Item) error {
+		return f.ret.Stream(t.in(sc), func(it item.Item) error {
 			rows++
 			return yield(it)
 		})

@@ -61,6 +61,22 @@ func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 	return j, nil
 }
 
+// joinKeyScope binds the items of one join side, one at a time, under the
+// side's one-name frame for its key expressions: a tuple scope pointed once
+// at a one-slot binding whose item is overwritten per row. Nothing a key
+// expression returns outlives encodeJoinKeys, so the slot is dead once a
+// row's keys are encoded. One scope serves one stream locally and one
+// partition task on the cluster.
+type joinKeyScope struct {
+	sc  *DynamicContext
+	row []item.Item // the bound sequence: always exactly one item
+}
+
+func newJoinKeyScope(dc *DynamicContext, frame []string) *joinKeyScope {
+	row := make([]item.Item, 1)
+	return &joinKeyScope{sc: dc.tupleScope().rebind(frame, [][]item.Item{row}), row: row}
+}
+
 // encodeJoinKeys evaluates one side's key expressions for one item and
 // returns the canonical composite key bytes (via item.AppendSortKey, so
 // keys match exactly when every SortKey pair compares equal, the same
@@ -69,12 +85,12 @@ func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 // empty sequence — "eq" over an empty operand is the empty sequence, whose
 // effective boolean value is false, so the row joins nothing. Encoding
 // stops at the first empty key, mirroring the short-circuit of "and".
-func encodeJoinKeys(keys []Iterator, frame []string, it item.Item, dc *DynamicContext) (string, uint64, bool, error) {
-	bdc := dc.bindTuple(frame, [][]item.Item{{it}})
+func encodeJoinKeys(keys []Iterator, ks *joinKeyScope, it item.Item) (string, uint64, bool, error) {
+	ks.row[0] = it
 	var buf []byte
 	var mask uint64
 	for i, k := range keys {
-		seq, err := Materialize(k, bdc)
+		seq, err := Materialize(k, ks.sc)
 		if err != nil {
 			return "", 0, false, err
 		}
@@ -160,8 +176,9 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 	// query whose probe side is empty).
 	buildRight := func() error {
 		build = map[string][]item.Item{}
+		ks := newJoinKeyScope(dc, j.frame[1:])
 		return j.rightIn.Stream(dc, func(it item.Item) error {
-			key, mask, ok, err := encodeJoinKeys(j.rightKeys, j.frame[1:], it, dc)
+			key, mask, ok, err := encodeJoinKeys(j.rightKeys, ks, it)
 			if err != nil {
 				return err
 			}
@@ -172,13 +189,14 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 			return nil
 		})
 	}
+	probe := newJoinKeyScope(dc, j.frame[:1])
 	return j.leftIn.Stream(dc, func(it item.Item) error {
 		if build == nil {
 			if err := buildRight(); err != nil {
 				return err
 			}
 		}
-		key, mask, ok, err := encodeJoinKeys(j.leftKeys, j.frame[:1], it, dc)
+		key, mask, ok, err := encodeJoinKeys(j.leftKeys, probe, it)
 		if err != nil {
 			return err
 		}
@@ -221,21 +239,24 @@ func (j *compiledJoin) pairsRDD(dc *DynamicContext) (*spark.RDD[spark.Pair[strin
 	// encodePairs keys one side's items; perRow, when set, validates each
 	// row's types eagerly against the already-complete other-side mask.
 	encodePairs := func(r *spark.RDD[item.Item], keys []Iterator, frame []string, acc *atomicMask, perRow func(mask uint64) error) *spark.RDD[spark.Pair[string, item.Item]] {
-		return spark.FlatMapE(r, func(it item.Item) ([]spark.Pair[string, item.Item], error) {
-			key, mask, ok, err := encodeJoinKeys(keys, frame, it, dc)
-			if err != nil {
-				return nil, err
-			}
-			acc.or(mask)
-			if perRow != nil {
-				if err := perRow(mask); err != nil {
-					return nil, err
+		return spark.MapPartitions(r, func(each func(func(item.Item) error) error, yield func(spark.Pair[string, item.Item]) error) error {
+			ks := newJoinKeyScope(dc, frame)
+			return each(func(it item.Item) error {
+				key, mask, ok, err := encodeJoinKeys(keys, ks, it)
+				if err != nil {
+					return err
 				}
-			}
-			if !ok {
-				return nil, nil
-			}
-			return []spark.Pair[string, item.Item]{{Key: key, Value: it}}, nil
+				acc.or(mask)
+				if perRow != nil {
+					if err := perRow(mask); err != nil {
+						return err
+					}
+				}
+				if !ok {
+					return nil
+				}
+				return yield(spark.Pair[string, item.Item]{Key: key, Value: it})
+			})
 		})
 	}
 	var joined *spark.RDD[spark.Pair[string, spark.Joined[item.Item, item.Item]]]

@@ -225,21 +225,36 @@ type simpleMapIter struct {
 }
 
 func (s *simpleMapIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	sc := dc.tupleScope()
 	var pos int64
 	return s.input.Stream(dc, func(it item.Item) error {
 		pos++
-		return s.mapping.Stream(dc.WithContextItem(it, pos), yield)
+		return s.mapping.Stream(sc.rebindItem(it, pos), yield)
 	})
 }
 
+// RDD evaluates the mapping once per item in a scope per partition task,
+// each item's results in full before the first is yielded.
 func (s *simpleMapIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 	in, err := s.input.RDD(dc)
 	if err != nil {
 		return nil, err
 	}
 	indexed := spark.ZipWithIndex(in)
-	return spark.FlatMapE(indexed, func(kv spark.Pair[int64, item.Item]) ([]item.Item, error) {
-		return Materialize(s.mapping, dc.WithContextItem(kv.Value, kv.Key+1))
+	return spark.MapPartitions(indexed, func(each func(func(spark.Pair[int64, item.Item]) error) error, yield func(item.Item) error) error {
+		sc := dc.tupleScope()
+		return each(func(kv spark.Pair[int64, item.Item]) error {
+			out, err := Materialize(s.mapping, sc.rebindItem(kv.Value, kv.Key+1))
+			if err != nil {
+				return err
+			}
+			for _, it := range out {
+				if err := yield(it); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}), nil
 }
 
@@ -255,9 +270,15 @@ type predicateIter struct {
 	pred  Iterator
 }
 
-// keep decides whether the item at position pos (1-based) passes.
-func (p *predicateIter) keep(dc *DynamicContext, it item.Item, pos int64) (bool, error) {
-	pdc := dc.WithContextItem(it, pos)
+// keep decides whether the item at position pos (1-based) passes, binding
+// it in the scope sc.
+func (p *predicateIter) keep(sc *DynamicContext, it item.Item, pos int64) (bool, error) {
+	pdc := sc.rebindItem(it, pos)
+	switch p.pred.(type) {
+	case *comparisonIter, *logicIter, *instanceOfIter:
+		// A boolean or the empty sequence, never a position.
+		return ebvOf(p.pred, pdc)
+	}
 	seq, err := Materialize(p.pred, pdc)
 	if err != nil {
 		return false, err
@@ -273,10 +294,11 @@ func (p *predicateIter) keep(dc *DynamicContext, it item.Item, pos int64) (bool,
 }
 
 func (p *predicateIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	sc := dc.tupleScope()
 	var pos int64
 	return p.input.Stream(dc, func(it item.Item) error {
 		pos++
-		ok, err := p.keep(dc, it, pos)
+		ok, err := p.keep(sc, it, pos)
 		if err != nil {
 			return err
 		}
@@ -293,8 +315,14 @@ func (p *predicateIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 		return nil, err
 	}
 	indexed := spark.ZipWithIndex(in)
-	filtered := spark.FilterE(indexed, func(kv spark.Pair[int64, item.Item]) (bool, error) {
-		return p.keep(dc, kv.Value, kv.Key+1)
-	})
-	return spark.Values(filtered), nil
+	return spark.MapPartitions(indexed, func(each func(func(spark.Pair[int64, item.Item]) error) error, yield func(item.Item) error) error {
+		sc := dc.tupleScope()
+		return each(func(kv spark.Pair[int64, item.Item]) error {
+			ok, err := p.keep(sc, kv.Value, kv.Key+1)
+			if err != nil || !ok {
+				return err
+			}
+			return yield(kv.Value)
+		})
+	}), nil
 }

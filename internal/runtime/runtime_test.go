@@ -59,13 +59,13 @@ func TestContextItemChaining(t *testing.T) {
 	if _, _, ok := root.ContextItem(); ok {
 		t.Error("root should have no context item")
 	}
-	c1 := root.WithContextItem(item.Str("outer"), 1)
+	c1 := root.tupleScope().rebindItem(item.Str("outer"), 1)
 	c2 := c1.BindVar("v", nil)
 	it, pos, ok := c2.ContextItem()
 	if !ok || string(it.(item.Str)) != "outer" || pos != 1 {
 		t.Error("context item should be visible through variable frames")
 	}
-	c3 := c2.WithContextItem(item.Str("inner"), 5)
+	c3 := c2.tupleScope().rebindItem(item.Str("inner"), 5)
 	it, pos, _ = c3.ContextItem()
 	if string(it.(item.Str)) != "inner" || pos != 5 {
 		t.Error("inner context item should shadow")
@@ -77,13 +77,14 @@ func TestTupleShadowing(t *testing.T) {
 	tu := tuple{}.with([]string{"x"}, one(1))
 	tu = tu.with([]string{"x", "y"}, one(2))
 	tu2 := tu.with([]string{"x", "y", "x"}, one(3))
-	if v, _ := tu2.context(NewDynamicContext()).Lookup("x"); int64(v[0].(item.Int)) != 3 {
+	sc := NewDynamicContext().tupleScope()
+	if v, _ := tu2.in(sc).Lookup("x"); int64(v[0].(item.Int)) != 3 {
 		t.Error("tuple redeclaration should shadow")
 	}
-	if v, _ := tu.context(NewDynamicContext()).Lookup("x"); int64(v[0].(item.Int)) != 1 {
+	if v, _ := tu.in(sc).Lookup("x"); int64(v[0].(item.Int)) != 1 {
 		t.Error("tuple extension must not mutate the original")
 	}
-	if v, _ := tu2.context(NewDynamicContext()).Lookup("y"); int64(v[0].(item.Int)) != 2 {
+	if v, _ := tu2.in(sc).Lookup("y"); int64(v[0].(item.Int)) != 2 {
 		t.Error("tuple extension should keep the earlier bindings")
 	}
 }

@@ -1,23 +1,27 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
+	"rumble/internal/ast"
 	"rumble/internal/item"
 )
 
 // TestSlotBoundContexts pins the one binding mechanism under FLWOR tuples:
 // names resolve by slot off the tuple's own values under its clause's frame,
 // the last binding of a redeclared name shadows, outer bindings stay
-// reachable, and binding costs exactly one allocation — as extending a
-// tuple under the next clause's frame does.
+// reachable, rebinding a tuple scope re-points it without touching the
+// tuple it was bound to, and binding costs no allocation while extending a
+// tuple under the next clause's frame costs one.
 func TestSlotBoundContexts(t *testing.T) {
 	one := func(n int64) []item.Item { return []item.Item{item.Int(n)} }
 	root := NewDynamicContext().BindVar("outer", one(7))
 
 	frame := []string{"x", "y", "x", "e"}
 	tup := tuple{}.with(frame[:1], one(1)).with(frame[:2], one(2)).with(frame, one(3), nil)
-	tdc := tup.context(root)
+	sc := root.tupleScope()
+	tdc := tup.in(sc)
 	for name, want := range map[string]int64{"x": 3, "y": 2, "outer": 7} {
 		if v, ok := tdc.Lookup(name); !ok || len(v) != 1 || v[0] != item.Int(want) {
 			t.Errorf("tuple context: $%s = %v, want %d", name, v, want)
@@ -33,9 +37,20 @@ func TestSlotBoundContexts(t *testing.T) {
 		t.Errorf("tuple context hides the outer binding: %v", v)
 	}
 
+	other := tuple{}.with(frame[:1], one(5))
+	if v, _ := other.in(sc).Lookup("x"); v[0] != item.Int(5) {
+		t.Errorf("rebound scope: $x = %v, want 5", v)
+	}
+	if _, ok := sc.Lookup("y"); ok {
+		t.Error("rebound scope still resolves the previous tuple's $y")
+	}
+	if v, _ := tup.in(sc).Lookup("y"); v[0] != item.Int(2) || tup.values[1][0] != item.Int(2) {
+		t.Error("rebinding changed a tuple the scope was bound to before")
+	}
+
 	var sink *DynamicContext
-	if n := testing.AllocsPerRun(100, func() { sink = tup.context(root) }); n != 1 {
-		t.Errorf("binding one tuple: %.0f allocations, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { sink = tup.in(sc) }); n != 0 {
+		t.Errorf("binding one tuple: %.0f allocations, want 0", n)
 	}
 	_ = sink
 	wider := append(frame[:len(frame):len(frame)], "w")
@@ -58,7 +73,7 @@ func TestMaterializeReadsInPlace(t *testing.T) {
 	multi := []item.Item{obj, item.Int(4), item.NewObject([]string{"a"}, []item.Item{item.Int(8)})}
 	shared := make([]item.Item, 2, 8)
 	shared[0], shared[1] = item.Int(1), item.Int(2)
-	dc := NewDynamicContext().bindTuple(
+	dc := NewDynamicContext().tupleScope().rebind(
 		[]string{"o", "m", "s", "e"},
 		[][]item.Item{{obj}, multi, shared, nil})
 
@@ -126,10 +141,11 @@ func TestMaterializeReadsInPlace(t *testing.T) {
 }
 
 // TestGroupKeysBindAllocs pins the allocation ceiling of binding one
-// tuple's grouping keys: the work and member slices, one context per key
-// expression and the exchange key string. The key bytes stay in bindKeys'
-// stack buffer, which an encoder reached through a function value would
-// make escape.
+// tuple's grouping keys: the member slice and the exchange key string.
+// Key expressions run in the key scope and the work frame's values reuse
+// its buffer, so neither costs an allocation per tuple. The key bytes stay
+// in bindKeys' stack buffer, which an encoder reached through a function
+// value would make escape.
 func TestGroupKeysBindAllocs(t *testing.T) {
 	one := func(it item.Item) []item.Item { return []item.Item{it} }
 	frame := []string{"x", "s"}
@@ -140,17 +156,104 @@ func TestGroupKeysBindAllocs(t *testing.T) {
 		specs []groupSpecEval
 		max   float64
 	}{
-		{"expression and variable keys", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}, {varName: "s"}}, 4},
-		{"variable key", []groupSpecEval{{varName: "s"}}, 3},
+		{"expression and variable keys", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}, {varName: "s"}}, 2},
+		{"variable key", []groupSpecEval{{varName: "s"}}, 2},
 	} {
 		g := newGroupByEval(nil, frame, c.specs, nil)
+		ks := g.newKeyScope(dc)
 		var err error
-		n := testing.AllocsPerRun(100, func() { _, _, err = g.bindKeys(dc, tup) })
+		n := testing.AllocsPerRun(100, func() { _, _, err = g.bindKeys(ks, tup) })
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if n > c.max {
 			t.Errorf("%s: %.0f allocations per bound tuple, want at most %.0f", c.name, n, c.max)
 		}
+		// The reused work buffer is dead once a tuple's keys are read: the
+		// member of one tuple survives binding the next.
+		k1, m1, _ := g.bindKeys(ks, tup)
+		next := tuple{names: frame, values: [][]item.Item{one(item.Int(8)), one(item.Str("xyz"))}}
+		k2, m2, _ := g.bindKeys(ks, next)
+		if k1 == k2 || item.SerializeSequence(m1.values[0]) == item.SerializeSequence(m2.values[0]) {
+			t.Errorf("%s: keys of two tuples agree (%q): the key scope leaked a binding", c.name, k1)
+		}
+		if got := item.SerializeSequence(m1.values[len(c.specs)-1]); got != `"abc"` {
+			t.Errorf("%s: first member's last key is %s after binding the next tuple, want \"abc\"", c.name, got)
+		}
+	}
+}
+
+// TestEbvOfReadsBooleans pins that a comparison, an and/or and an
+// instance-of test reach ebvOf as Go booleans: deciding `$x eq 7 and $x eq 7` under a tuple scope
+// allocates nothing, and ebvOf agrees with the effective boolean value of
+// what Stream yields, the empty operand included.
+func TestEbvOfReadsBooleans(t *testing.T) {
+	eq := func(name string, v item.Item) *comparisonIter {
+		return &comparisonIter{op: "eq", l: &varRefIter{name: name}, r: newLiteral(v)}
+	}
+	both := &logicIter{isAnd: true, l: eq("x", item.Int(7)), r: eq("x", item.Int(7))}
+	dc := NewDynamicContext().tupleScope().rebind([]string{"x", "e"}, [][]item.Item{{item.Int(7)}, nil})
+	var b bool
+	var err error
+	if n := testing.AllocsPerRun(100, func() { b, err = ebvOf(both, dc) }); n != 0 {
+		t.Errorf("ebvOf($x eq 7 and $x eq 7): %.0f allocations, want 0", n)
+	}
+	if err != nil || !b {
+		t.Fatalf("ebvOf($x eq 7 and $x eq 7) = %v, %v; want true", b, err)
+	}
+	for _, it := range []Iterator{
+		both,
+		eq("x", item.Int(8)),
+		eq("e", item.Int(1)), // the empty sequence: false
+		&comparisonIter{op: "=", general: true, l: &varRefIter{name: "x"}, r: newLiteral(item.Str("7"))},
+		&logicIter{l: eq("e", item.Int(1)), r: eq("x", item.Int(7))},
+		&instanceOfIter{input: &varRefIter{name: "x"}, typ: ast.SequenceType{ItemType: "integer"}},
+		&instanceOfIter{input: &varRefIter{name: "e"}, typ: ast.SequenceType{ItemType: "integer", Occurrence: "+"}},
+	} {
+		seq, err := Materialize(it, dc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := item.EffectiveBoolean(seq)
+		if got, err := ebvOf(it, dc); err != nil || got != want {
+			t.Errorf("ebvOf = %v, %v; Stream yields %v", got, err, seq)
+		}
+	}
+}
+
+// localAllocs compiles a query over $seq, bound by the prolog to the
+// sequence seqExpr builds from n, for a Spark-less engine, and returns the
+// allocations of one evaluation of its body.
+func localAllocs(t *testing.T, seqExpr, body string, n int) float64 {
+	t.Helper()
+	prog := compileQuery(t, testEnv(nil), fmt.Sprintf("declare variable $seq := %s; %s", fmt.Sprintf(seqExpr, n), body))
+	dc := prog.GlobalContext()
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		err = prog.Root.Stream(dc, func(item.Item) error { return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// TestPerItemBindingAllocs pins that binding a row allocates no context:
+// $$ per item of a predicate or a simple map, and a FLWOR's tuple per
+// clause. What remains per item of `$seq[$$ gt 1]` and `$seq ! ($$ + 1)` is
+// $$'s one-item sequence; per tuple of the FLWOR, the values slice that
+// extends it (tuple.with), the bound items being read in place.
+func TestPerItemBindingAllocs(t *testing.T) {
+	for _, body := range []string{`$seq[$$ gt 1]`, `$seq ! ($$ + 1)`} {
+		perItem := (localAllocs(t, "1 to %d", body, 200) - localAllocs(t, "1 to %d", body, 100)) / 100
+		if perItem > 1 {
+			t.Errorf("%s: %.2f allocations per item, want at most 1 (no context)", body, perItem)
+		}
+	}
+	const n = 1000
+	objects := `for $i in 1 to %d return {"a": $i mod 3}`
+	flwor := `for $o in $seq where $o.a eq 1 return $o`
+	if got := localAllocs(t, objects, flwor, n); got > n+16 {
+		t.Errorf("%s over %d items: %.0f allocations, want at most one per tuple plus 16", flwor, n, got)
 	}
 }

@@ -142,21 +142,14 @@ func FlatMap[T, U any](r *RDD[T], f func(T) []U) *RDD[U] {
 	})
 }
 
-// FlatMapE is FlatMap with an error-returning function.
-func FlatMapE[T, U any](r *RDD[T], f func(T) ([]U, error)) *RDD[U] {
-	return NewRDD(r.ctx, r.parts, "flatMap("+r.name+")", func(p int, yield func(U) error) error {
-		return r.compute(p, func(v T) error {
-			us, err := f(v)
-			if err != nil {
-				return err
-			}
-			for _, u := range us {
-				if err := yield(u); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+// MapPartitions runs f once per computation of each partition, like
+// Spark's mapPartitions: each streams the partition's elements to the
+// function it is given, and f pushes its results to yield. State f makes
+// before calling each — a per-task scratch buffer or binding scope — lives
+// for that one partition task and is never shared with another.
+func MapPartitions[T, U any](r *RDD[T], f func(each func(func(T) error) error, yield func(U) error) error) *RDD[U] {
+	return NewRDD(r.ctx, r.parts, "mapPartitions("+r.name+")", func(p int, yield func(U) error) error {
+		return f(func(g func(T) error) error { return r.compute(p, g) }, yield)
 	})
 }
 

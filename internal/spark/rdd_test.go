@@ -105,6 +105,55 @@ func TestMapEErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestMapPartitionsPerTaskState pins MapPartitions' contract: f runs once
+// per partition computation, so state made before each is per task, and the
+// partition count, element order and error propagation are those of MapE.
+func TestMapPartitionsPerTaskState(t *testing.T) {
+	ctx := testCtx()
+	r := Parallelize(ctx, intsUpTo(100), 4)
+	var calls atomic.Int64
+	tagged := MapPartitions(r, func(each func(func(int) error) error, yield func([2]int) error) error {
+		task := int(calls.Add(1))
+		seen := 0 // per-task state: never shared between partitions
+		return each(func(x int) error {
+			seen++
+			return yield([2]int{x, task*1000 + seen})
+		})
+	})
+	if tagged.NumPartitions() != 4 {
+		t.Fatalf("partitions = %d, want 4", tagged.NumPartitions())
+	}
+	got, err := Collect(tagged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != 4 {
+		t.Errorf("f ran %d times, want once per partition (4)", calls.Load())
+	}
+	perTask := map[int]int{}
+	for i, g := range got {
+		if g[0] != i {
+			t.Fatalf("element %d is %d: order not preserved", i, g[0])
+		}
+		task, n := g[1]/1000, g[1]%1000
+		if perTask[task]+1 != n {
+			t.Fatalf("task %d: counter %d after %d: state leaked between tasks", task, n, perTask[task])
+		}
+		perTask[task] = n
+	}
+	bad := MapPartitions(r, func(each func(func(int) error) error, yield func(int) error) error {
+		return each(func(x int) error {
+			if x == 57 {
+				return fmt.Errorf("boom at %d", x)
+			}
+			return yield(x)
+		})
+	})
+	if _, err := Collect(bad); err == nil || err.Error() != "boom at 57" {
+		t.Fatalf("error = %v, want boom at 57", err)
+	}
+}
+
 func TestTaskPanicBecomesError(t *testing.T) {
 	ctx := testCtx()
 	r := Parallelize(ctx, intsUpTo(10), 2)
