@@ -6,11 +6,13 @@ import (
 )
 
 // conformanceCase is one spec-behaviour check: a query and either its
-// expected serialized output lines (joined with \n) or wantErr.
+// expected serialized output lines (joined with \n) or wantErr, with the
+// error's text in errText when that is pinned too.
 type conformanceCase struct {
 	query   string
 	want    string
 	wantErr bool
+	errText string
 }
 
 // conformanceCases is the JSONiq-spec conformance table. It is package
@@ -106,6 +108,17 @@ var conformanceCases = map[string]conformanceCase{
 	"allowing empty binds empty":      {query: `for $x allowing empty in () return count($x)`, want: "0"},
 	"positional at starts at one":     {query: `for $x at $i in ("z") return $i`, want: "1"},
 	"nested flwor independent":        {query: `for $x in (1, 2) return count(for $y in (1 to $x) return $y)`, want: "1\n2"},
+	// order by over partitions: a key that is a number in one partition
+	// and a string in another fails; a key error in a later partition wins.
+	"order by mix across partitions errors": {
+		query:   `for $x in parallelize((1, 2, 3, "a", "b", "c"), 3) order by $x return $x`,
+		wantErr: true, errText: "order by: key 1 mixes strings and numbers across the tuple stream"},
+	"order by key error wins over a mix": {
+		query:   `for $x in parallelize((1, 2, "a", "b", [1], 3), 3) order by $x return $x`,
+		wantErr: true, errText: "order by: key is a non-atomic array item"},
+	"order by then count then where": {
+		query: `for $x at $i in parallelize((3, 1, 2, 1, 3, 2, 1), 3) order by $x descending count $c where $c le 4 return [$c, $x, $i]`,
+		want:  "[1, 3, 1]\n[2, 3, 5]\n[3, 2, 3]\n[4, 2, 6]"},
 
 	// --- statically detected equi-joins (broadcast: both sides are
 	// parallelize literals; output keeps the nested loop's left-major
@@ -213,6 +226,9 @@ func TestConformance(t *testing.T) {
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("query %s should fail, got %v", c.query, out)
+				}
+				if c.errText != "" && err.Error() != c.errText {
+					t.Errorf("error %q, want %q\nquery: %s", err, c.errText, c.query)
 				}
 				return
 			}

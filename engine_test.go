@@ -557,6 +557,68 @@ func TestLocalVsParallelEquivalence(t *testing.T) {
 	for _, tmpl := range unordered {
 		mustAgree(tmpl, true)
 	}
+	// Order-by answers and errors pinned as literals, on 1, 2 and 8
+	// executors against the Spark-less engine, collected and streamed
+	// (%m is a file whose key is a number in its first splits and a string
+	// in its last). A mix fails before any tuple leaves the sort however
+	// the result is consumed; a key error in one split wins over a mix
+	// across others.
+	mixed := strconv.Quote(writeOrderMixFile(t))
+	mixErr := "order by: key 1 mixes strings and numbers across the tuple stream"
+	pinned := []struct{ tmpl, want string }{
+		{`for $o in json-file(%m) order by $o.k return $o.id`, mixErr},
+		{`(for $o in json-file(%m) order by $o.k return $o.id)[1]`, mixErr},
+		{`count(for $o in json-file(%m) order by $o.k return $o.id)`, mixErr},
+		{`for $o in json-file(%m) order by $o.k descending count $c where $c le 3 return $c`, mixErr},
+		{`for $o in json-file(%m) order by (if ($o.id eq 190) then (1, 2) else $o.k) return $o.id`,
+			"order by: key binds a sequence of 2 items"},
+		{`for $o at $i in json-file(%q) where $o.guess eq $o.target
+		  order by $o.target ascending, $o.country descending, $o.date descending
+		  count $c where $c le 10 return $o.target || "," || $o.country || "," || $o.date || "," || $i`,
+			`"French,AU,2013-09-25,81"
+"French,AU,2013-09-25,249"
+"French,AU,2013-09-25,417"
+"French,AU,2013-09-25,585"
+"French,AU,2013-09-21,105"
+"French,AU,2013-09-21,273"
+"French,AU,2013-09-21,441"
+"French,AU,2013-09-17,129"
+"French,AU,2013-09-17,297"
+"French,AU,2013-09-17,465"`},
+	}
+	for _, c := range pinned {
+		q := strings.NewReplacer("%q", quoted, "%m", mixed).Replace(c.tmpl)
+		for _, executors := range []int{1, 2, 8} {
+			e := New(Config{Parallelism: 4, Executors: executors, SplitSize: 1024})
+			got := checkModesAgree(t, e, local, q, false)
+			if got == "" {
+				got = strings.Join(run(t, e, q), "\n")
+			}
+			if got != c.want {
+				t.Errorf("%d executors: got\n%s\nwant\n%s\nquery: %s", executors, got, c.want, q)
+			}
+		}
+	}
+}
+
+// writeOrderMixFile writes 200 objects whose "k" is a small integer in the
+// first 100 and a string in the last 100, and returns the path. At a 1 KiB
+// split size the two halves fall in different splits.
+func writeOrderMixFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "mix.jsonl")
+	var sb strings.Builder
+	for i := 0; i < 200; i++ {
+		if i < 100 {
+			fmt.Fprintf(&sb, `{"id": %d, "k": %d}`+"\n", i, i%7)
+		} else {
+			fmt.Fprintf(&sb, `{"id": %d, "k": "s%d"}`+"\n", i, i%7)
+		}
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestGroupByCountOptimization(t *testing.T) {

@@ -201,7 +201,7 @@ func (e *Engine) Run(q baselines.Query, path string) (baselines.Result, error) {
 				return ac > bc
 			}
 			return pyGetString(a, "date") > pyGetString(b, "date")
-		})
+		}, nil)
 		top, err := spark.Take(sorted, baselines.SortTopN)
 		if err != nil {
 			return baselines.Result{}, err

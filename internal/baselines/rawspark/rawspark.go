@@ -99,7 +99,7 @@ func (e *Engine) sort(items *spark.RDD[item.Item]) (baselines.Result, error) {
 			return ac > bc
 		}
 		return baselines.FieldString(a, "date") > baselines.FieldString(b, "date")
-	})
+	}, nil)
 	top, err := spark.Take(sorted, baselines.SortTopN)
 	if err != nil {
 		return baselines.Result{}, err

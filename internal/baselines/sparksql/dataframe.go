@@ -119,7 +119,7 @@ func (df *dataFrame) orderBy(specs []sortSpec) (*dataFrame, error) {
 		}
 		return false
 	}
-	return &dataFrame{schema: df.schema, rows: spark.SortBy(df.rows, less)}, nil
+	return &dataFrame{schema: df.schema, rows: spark.SortBy(df.rows, less, nil)}, nil
 }
 
 // compareNative orders two cells of the same native column type.

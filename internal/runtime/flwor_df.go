@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"sync"
 	"time"
 
 	"rumble/internal/item"
@@ -194,38 +195,40 @@ func dfGroupStep(g *groupByEval) dfStep {
 	}
 }
 
-// dfOrderStep maps an order-by clause (§4.8): a first pass discovers the
-// key types and rejects incompatible mixes, then the native keys feed a
-// range-partitioned sort.
+// dfOrderStep maps an order-by clause (§4.8): the native keys feed a
+// range-partitioned sort that reads the keyed tuples once. The keying tasks
+// note which keys were strings and which numbers; the sort checks that
+// mask after it has keyed every tuple and before it emits the first, so an
+// incompatible mix fails the step whatever consumes it — and a key error,
+// raised while keying, wins over a mix.
 func dfOrderStep(o *orderByEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		// Cache the keyed tuples: the type-check pass and the sort both
-		// consume them, and recomputing would replay the whole upstream
-		// pipeline (including the input parse) a second time.
-		keyed := spark.Cache(spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(keyedTuple) error) error {
+		var mu sync.Mutex
+		mask := make([]uint8, len(o.specs))
+		keyed := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(keyedTuple) error) error {
 			sc := dc.tupleScope()
-			return each(func(t tuple) error {
+			local := make([]uint8, len(o.specs))
+			err := each(func(t tuple) error {
 				k, err := o.keysOf(sc, t)
 				if err != nil {
 					return err
 				}
+				noteMix(local, k)
 				return yield(k)
 			})
-		}))
-		newMask := func() []uint8 { return make([]uint8, len(o.specs)) }
-		mask, err := spark.Aggregate(keyed, newMask, noteMix, func(a, b []uint8) []uint8 {
-			for i := range a {
-				a[i] |= b[i]
+			mu.Lock()
+			for i, m := range local {
+				mask[i] |= m
 			}
-			return a
+			mu.Unlock()
+			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		if err := checkMix(mask); err != nil {
-			return nil, err
-		}
-		return spark.Map(spark.SortBy(keyed, o.less), func(k keyedTuple) tuple { return k.t }), nil
+		sorted := spark.SortBy(keyed, o.less, func() error {
+			mu.Lock()
+			defer mu.Unlock()
+			return checkMix(mask)
+		})
+		return spark.Map(sorted, func(k keyedTuple) tuple { return k.t }), nil
 	}
 }
 

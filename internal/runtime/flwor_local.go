@@ -388,8 +388,8 @@ func (o *orderByEval) keysOf(sc *DynamicContext, t tuple) (keyedTuple, error) {
 }
 
 // noteMix records in mask, one byte per ordering key, that k's key is a
-// string (bit 0) or a number (bit 1), and returns mask.
-func noteMix(mask []uint8, k keyedTuple) []uint8 {
+// string (bit 0) or a number (bit 1).
+func noteMix(mask []uint8, k keyedTuple) {
 	for i, sk := range k.keys {
 		switch sk.Tag {
 		case item.TagString:
@@ -398,7 +398,6 @@ func noteMix(mask []uint8, k keyedTuple) []uint8 {
 			mask[i] |= 2
 		}
 	}
-	return mask
 }
 
 // checkMix rejects a tuple stream, given what noteMix recorded of it, in

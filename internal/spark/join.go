@@ -39,13 +39,17 @@ func JoinByKey[K comparable, V, W any](left *RDD[Pair[K, V]], right *RDD[Pair[K,
 			}
 		}
 		build := make(map[K][]W)
-		for _, kv := range exR.buckets[p] {
-			build[kv.Key] = append(build[kv.Key], kv.Value)
+		for _, local := range exR.runs {
+			for _, kv := range local[p] {
+				build[kv.Key] = append(build[kv.Key], kv.Value)
+			}
 		}
-		for _, kv := range exL.buckets[p] {
-			for _, w := range build[kv.Key] {
-				if err := yield(Pair[K, Joined[V, W]]{Key: kv.Key, Value: Joined[V, W]{Left: kv.Value, Right: w}}); err != nil {
-					return err
+		for _, local := range exL.runs {
+			for _, kv := range local[p] {
+				for _, w := range build[kv.Key] {
+					if err := yield(Pair[K, Joined[V, W]]{Key: kv.Key, Value: Joined[V, W]{Left: kv.Value, Right: w}}); err != nil {
+						return err
+					}
 				}
 			}
 		}

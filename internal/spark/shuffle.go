@@ -58,18 +58,22 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// shuffleExchange materializes the parent pair RDD once, bucketing records
-// by hash of key into numOut buckets. Concurrent consumers share one
-// exchange via sync.Once, matching Spark's write-once shuffle files.
+// shuffleExchange materializes the parent pair RDD once: each map task
+// buckets its partition's records by hash of key into numOut slices, and
+// the exchange keeps those slices where the tasks wrote them. Output
+// partition b reads runs[0][b], runs[1][b], ... in map-partition order —
+// the order concatenating the buckets would give — and copies nothing.
+// Concurrent consumers share one exchange via sync.Once, matching Spark's
+// write-once shuffle files.
 type shuffleExchange[K comparable, V any] struct {
-	once    sync.Once
-	err     error
-	buckets [][]Pair[K, V]
+	once sync.Once
+	err  error
+	runs [][][]Pair[K, V] // [map partition][output partition]
 }
 
 func (ex *shuffleExchange[K, V]) runOnce(r *RDD[Pair[K, V]], numOut int) {
 	ex.once.Do(func() {
-		perPart := make([][][]Pair[K, V], r.parts)
+		runs := make([][][]Pair[K, V], r.parts)
 		err := r.ctx.runStage(r.parts, func(p int) error {
 			local := make([][]Pair[K, V], numOut)
 			e := r.compute(p, func(kv Pair[K, V]) error {
@@ -77,21 +81,20 @@ func (ex *shuffleExchange[K, V]) runOnce(r *RDD[Pair[K, V]], numOut int) {
 				local[b] = append(local[b], kv)
 				return nil
 			})
-			perPart[p] = local
+			runs[p] = local
 			return e
 		})
 		if err != nil {
 			ex.err = err
 			return
 		}
-		ex.buckets = make([][]Pair[K, V], numOut)
 		var n int64
-		for _, local := range perPart {
-			for b, recs := range local {
-				ex.buckets[b] = append(ex.buckets[b], recs...)
+		for _, local := range runs {
+			for _, recs := range local {
 				n += int64(len(recs))
 			}
 		}
+		ex.runs = runs
 		r.ctx.metrics.ShuffleRecords.Add(n)
 	})
 }
@@ -130,13 +133,15 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], combine func(V, V) V) 
 			return ex.err
 		}
 		acc := make(map[K]V)
-		var order []K // bucket replay order is deterministic, so this is too
-		for _, kv := range ex.buckets[p] {
-			if cur, ok := acc[kv.Key]; ok {
-				acc[kv.Key] = combine(cur, kv.Value)
-			} else {
-				acc[kv.Key] = kv.Value
-				order = append(order, kv.Key)
+		var order []K // run replay order is deterministic, so this is too
+		for _, local := range ex.runs {
+			for _, kv := range local[p] {
+				if cur, ok := acc[kv.Key]; ok {
+					acc[kv.Key] = combine(cur, kv.Value)
+				} else {
+					acc[kv.Key] = kv.Value
+					order = append(order, kv.Key)
+				}
 			}
 		}
 		for _, k := range order {
@@ -148,7 +153,12 @@ func ReduceByKey[K comparable, V any](r *RDD[Pair[K, V]], combine func(V, V) V) 
 	})
 }
 
-// GroupByKey gathers all values of each key into a slice.
+// GroupByKey gathers all values of each key into a slice, emitting the
+// groups in first-seen key order. Each output partition cuts its groups
+// from one backing array: a first pass over the exchange runs counts each
+// key's values, a second drops every value into its group's place. A
+// group's slice has cap == len, so appending to it cannot overwrite the
+// next group.
 func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 	numOut := r.ctx.conf.Parallelism
 	var ex shuffleExchange[K, V]
@@ -157,112 +167,226 @@ func GroupByKey[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, []V]] {
 		if ex.err != nil {
 			return ex.err
 		}
-		groups := make(map[K][]V)
-		var order []K // first-seen key order keeps the emit deterministic
-		for _, kv := range ex.buckets[p] {
-			if _, ok := groups[kv.Key]; !ok {
-				order = append(order, kv.Key)
+		ids := make(map[K]int)
+		var keys []K
+		var next []int // per group: its value count, then its fill position
+		for _, local := range ex.runs {
+			for _, kv := range local[p] {
+				id, ok := ids[kv.Key]
+				if !ok {
+					id = len(keys)
+					ids[kv.Key] = id
+					keys = append(keys, kv.Key)
+					next = append(next, 0)
+				}
+				next[id]++
 			}
-			groups[kv.Key] = append(groups[kv.Key], kv.Value)
 		}
-		for _, k := range order {
-			if err := yield(Pair[K, []V]{k, groups[k]}); err != nil {
+		start := 0
+		for id, c := range next {
+			next[id] = start
+			start += c
+		}
+		vals := make([]V, start)
+		for _, local := range ex.runs {
+			for _, kv := range local[p] {
+				id := ids[kv.Key]
+				vals[next[id]] = kv.Value
+				next[id]++
+			}
+		}
+		start = 0
+		for id, k := range keys {
+			end := next[id]
+			if err := yield(Pair[K, []V]{k, vals[start:end:end]}); err != nil {
 				return err
 			}
+			start = end
 		}
 		return nil
 	})
 }
 
-// SortBy produces a globally sorted RDD using sampled range boundaries, a
-// range-partitioning shuffle and a per-partition sort — Spark's sortByKey
-// strategy. less must be a strict weak ordering.
-func SortBy[T any](r *RDD[T], less func(a, b T) bool) *RDD[T] {
+// SortBy produces a globally sorted RDD the way Spark's sortByKey does:
+// range bounds drawn from a sample of the input split the order into one
+// range per output partition, and partition b emits range b in order.
+// Every record is materialized once. Stage 1 collects each input partition
+// into a run; the bounds come from a stride sample of the runs; each run is
+// stable-sorted in place; and output partition b merges, per run, the slice
+// that lies between its bounds. Of equal records the lower run's goes
+// first, so the output is row for row what bucketing the records in
+// partition order and stable-sorting each bucket gives. less must be a
+// strict weak ordering.
+//
+// check, when non-nil, runs in every output partition after stage 1 and
+// before the first record is emitted; a non-nil error fails the partition.
+// Engine layers use it, as with JoinByKey, for validation that needs the
+// whole input observed (e.g. key type compatibility).
+func SortBy[T any](r *RDD[T], less func(a, b T) bool, check func() error) *RDD[T] {
 	numOut := r.ctx.conf.Parallelism
-	type state struct {
-		once    sync.Once
-		err     error
-		buckets [][]T
-	}
-	st := &state{}
-	run := func() {
-		st.once.Do(func() {
-			// Stage 1: materialize partitions (also serves as the sample).
-			parts := make([][]T, r.parts)
-			st.err = r.ctx.runStage(r.parts, func(p int) error {
-				var buf []T
-				e := r.compute(p, func(v T) error {
-					buf = append(buf, v)
-					return nil
-				})
-				parts[p] = buf
-				return e
-			})
-			if st.err != nil {
-				return
-			}
-			var total int
-			for _, p := range parts {
-				total += len(p)
-			}
-			// Choose numOut-1 boundaries from a deterministic stride sample.
-			var sample []T
-			stride := total/1024 + 1
-			i := 0
-			for _, p := range parts {
-				for _, v := range p {
-					if i%stride == 0 {
-						sample = append(sample, v)
-					}
-					i++
-				}
-			}
-			sort.SliceStable(sample, func(i, j int) bool { return less(sample[i], sample[j]) })
-			bounds := make([]T, 0, numOut-1)
-			for b := 1; b < numOut; b++ {
-				idx := b * len(sample) / numOut
-				if idx < len(sample) {
-					bounds = append(bounds, sample[idx])
-				}
-			}
-			// Stage 2: range-partition and sort each bucket.
-			st.buckets = make([][]T, numOut)
-			for _, p := range parts {
-				for _, v := range p {
-					b := sort.Search(len(bounds), func(i int) bool { return less(v, bounds[i]) })
-					st.buckets[b] = append(st.buckets[b], v)
-				}
-			}
-			serr := r.ctx.runStage(numOut, func(p int) error {
-				sort.SliceStable(st.buckets[p], func(i, j int) bool {
-					return less(st.buckets[p][i], st.buckets[p][j])
-				})
+	var (
+		once   sync.Once
+		err    error
+		runs   [][]T
+		bounds []T
+	)
+	prepare := func() {
+		runs = make([][]T, r.parts)
+		if err = r.ctx.runStage(r.parts, func(p int) error {
+			var run []T
+			e := r.compute(p, func(v T) error {
+				run = append(run, v)
 				return nil
 			})
-			if serr != nil {
-				st.err = serr
-				return
-			}
-			var n int64
-			for _, b := range st.buckets {
-				n += int64(len(b))
-			}
-			r.ctx.metrics.ShuffleRecords.Add(n)
-		})
+			runs[p] = run
+			return e
+		}); err != nil {
+			return
+		}
+		// The sample must see the runs in input order: sort them only after.
+		bounds = rangeBounds(runs, numOut, less)
+		if err = r.ctx.runStage(r.parts, func(p int) error {
+			stableSort(runs[p], less)
+			return nil
+		}); err != nil {
+			return
+		}
+		var n int64
+		for _, run := range runs {
+			n += int64(len(run))
+		}
+		r.ctx.metrics.ShuffleRecords.Add(n)
 	}
 	return NewRDD(r.ctx, numOut, "sortBy("+r.name+")", func(p int, yield func(T) error) error {
-		run()
-		if st.err != nil {
-			return st.err
+		once.Do(prepare)
+		if err != nil {
+			return err
 		}
-		for _, v := range st.buckets[p] {
+		if check != nil {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+		// Range p of a sorted run: the records not below bound p-1 and
+		// below bound p. No bound past the last: every record is below it.
+		cut := func(run []T, b int) int {
+			if b < 0 {
+				return 0
+			}
+			if b >= len(bounds) {
+				return len(run)
+			}
+			return sort.Search(len(run), func(j int) bool { return !less(run[j], bounds[b]) })
+		}
+		heads := make([][]T, len(runs))
+		for i, run := range runs {
+			heads[i] = run[cut(run, p-1):cut(run, p)]
+		}
+		return mergeRuns(heads, less, yield)
+	})
+}
+
+// rangeBounds picks up to numOut-1 range bounds from a deterministic stride
+// sample of the records, taken in partition order: about 1,024 records,
+// every one below that. The sample holds positions, not copies.
+func rangeBounds[T any](runs [][]T, numOut int, less func(a, b T) bool) []T {
+	type pos struct{ run, i int32 }
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	stride := total/1024 + 1
+	sample := make([]pos, 0, (total+stride-1)/stride)
+	g := 0 // global index of run[0]
+	for r, run := range runs {
+		for i := (stride - g%stride) % stride; i < len(run); i += stride {
+			sample = append(sample, pos{int32(r), int32(i)})
+		}
+		g += len(run)
+	}
+	at := func(s pos) T { return runs[s.run][s.i] }
+	stableSort(sample, func(a, b pos) bool { return less(at(a), at(b)) })
+	bounds := make([]T, 0, numOut-1)
+	for b := 1; b < numOut; b++ {
+		if idx := b * len(sample) / numOut; idx < len(sample) {
+			bounds = append(bounds, at(sample[idx]))
+		}
+	}
+	return bounds
+}
+
+// mergeRuns yields the records of the sorted runs in order: a k-way merge
+// over a heap keyed on (head, run index), so of equal heads the lower run's
+// goes first and the merge is stable. It consumes heads.
+func mergeRuns[T any](heads [][]T, less func(a, b T) bool, yield func(T) error) error {
+	h := make([]int, 0, len(heads))
+	for i, run := range heads {
+		if len(run) > 0 {
+			h = append(h, i)
+		}
+	}
+	before := func(a, b int) bool {
+		x, y := heads[a][0], heads[b][0]
+		if less(x, y) {
+			return true
+		}
+		return !less(y, x) && a < b
+	}
+	down := func(i int) {
+		for {
+			m := 2*i + 1
+			if m >= len(h) {
+				return
+			}
+			if r := m + 1; r < len(h) && before(h[r], h[m]) {
+				m = r
+			}
+			if !before(h[m], h[i]) {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	//rumble:ctxpoll-ok emits runs SortBy's stage 1 materialized through compute; a WithCancel sink's yield error aborts it
+	for len(h) > 1 {
+		top := h[0]
+		if err := yield(heads[top][0]); err != nil {
+			return err
+		}
+		if heads[top] = heads[top][1:]; len(heads[top]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	if len(h) == 1 {
+		//rumble:ctxpoll-ok the rest of one materialized run, as above
+		for _, v := range heads[h[0]] {
 			if err := yield(v); err != nil {
 				return err
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
+
+// stableSort sorts s in place by less, keeping equal elements in order.
+func stableSort[E any](s []E, less func(a, b E) bool) {
+	sort.Stable(byLess[E]{s, less})
+}
+
+type byLess[E any] struct {
+	s    []E
+	less func(a, b E) bool
+}
+
+func (x byLess[E]) Len() int           { return len(x.s) }
+func (x byLess[E]) Less(i, j int) bool { return x.less(x.s[i], x.s[j]) }
+func (x byLess[E]) Swap(i, j int)      { x.s[i], x.s[j] = x.s[j], x.s[i] }
 
 // ZipWithIndex pairs each element with its global 0-based index. It runs a
 // counting stage first (like Spark), then streams each partition with the

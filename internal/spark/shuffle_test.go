@@ -73,7 +73,7 @@ func TestSortByGlobalOrder(t *testing.T) {
 		data[i] = rng.Intn(1 << 20)
 	}
 	r := Parallelize(ctx, data, 8)
-	sorted := SortBy(r, func(a, b int) bool { return a < b })
+	sorted := SortBy(r, func(a, b int) bool { return a < b }, nil)
 	got, err := Collect(sorted)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSortByGlobalOrder(t *testing.T) {
 func TestSortByDescendingAndDuplicates(t *testing.T) {
 	ctx := testCtx()
 	data := []int{5, 3, 5, 1, 3, 3, 9, 0}
-	sorted := SortBy(Parallelize(ctx, data, 3), func(a, b int) bool { return a > b })
+	sorted := SortBy(Parallelize(ctx, data, 3), func(a, b int) bool { return a > b }, nil)
 	got, err := Collect(sorted)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSortByStability(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		data = append(data, rec{k: i % 7, seq: i})
 	}
-	sorted := SortBy(Parallelize(ctx, data, 5), func(a, b rec) bool { return a.k < b.k })
+	sorted := SortBy(Parallelize(ctx, data, 5), func(a, b rec) bool { return a.k < b.k }, nil)
 	got, err := Collect(sorted)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestSortByPreservesMultiset(t *testing.T) {
 		for i, v := range data {
 			ints[i] = int(v)
 		}
-		got, err := Collect(SortBy(Parallelize(ctx, ints, 4), func(a, b int) bool { return a < b }))
+		got, err := Collect(SortBy(Parallelize(ctx, ints, 4), func(a, b int) bool { return a < b }, nil))
 		if err != nil {
 			return false
 		}
