@@ -56,8 +56,8 @@ func suffixIn(suffixes ...string) func(string) bool {
 func everywhere(string) bool { return true }
 
 var suite = []scoped{
-	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment", "internal/jparse", "internal/sched")},
-	{ctxpoll.Analyzer, suffixIn("internal/runtime", "internal/spark", "internal/sched")},
+	{detorder.Analyzer, suffixIn("internal/runtime", "internal/vector", "internal/spark", "internal/segment", "internal/jparse", "internal/sched", "internal/orderby")},
+	{ctxpoll.Analyzer, suffixIn("internal/runtime", "internal/spark", "internal/sched", "internal/orderby")},
 	{gosafe.Analyzer, func(path string) bool { return strings.Contains(path, "/internal/") }},
 	{itemcmp.Analyzer, everywhere},
 	{metricsreg.Analyzer, everywhere},

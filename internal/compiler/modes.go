@@ -174,12 +174,6 @@ func (c *checker) annotate(e ast.Expr) Mode {
 	case *ast.Comparison:
 		c.annotate(n.L)
 		c.annotate(n.R)
-		// "count(F) eq 0" over a vector pipeline is an emptiness test: fold
-		// it as an early-exit grand aggregate instead of counting the scan.
-		if call := c.countZeroCall(n); call != nil {
-			c.info.VectorCountZero[n] = call
-			mode = ModeVector
-		}
 	case *ast.Logic:
 		c.annotate(n.L)
 		c.annotate(n.R)

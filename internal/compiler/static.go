@@ -100,10 +100,6 @@ type Info struct {
 	// aggregation folds inside the columnar backend as a grand (no
 	// group-by) aggregate with mergeable accumulators.
 	VectorAggs map[*ast.FunctionCall]bool
-	// VectorCountZero maps a "count(F) eq 0" comparison to its inner count
-	// call: the emptiness test folds as an early-exit vector grand
-	// aggregate (like empty(F)) instead of counting the whole scan.
-	VectorCountZero map[*ast.Comparison]*ast.FunctionCall
 	// ScanPlans records, per json-file/collection call heading a FLWOR
 	// that never consumes its variable whole, the column projection the
 	// scan's decoders apply — in every execution mode.
@@ -209,16 +205,15 @@ type checker struct {
 func Analyze(m *ast.Module, opts Options) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			GroupPlans:      map[*ast.GroupByClause]*GroupPlan{},
-			Modes:           map[ast.Expr]Mode{},
-			Pushdown:        map[*ast.FunctionCall]bool{},
-			Joins:           map[*ast.FLWOR]*JoinPlan{},
-			RDDLets:         map[*ast.LetClause]*RDDLetPlan{},
-			VectorPlans:     map[*ast.FLWOR]*VectorPlan{},
-			VectorAggs:      map[*ast.FunctionCall]bool{},
-			VectorCountZero: map[*ast.Comparison]*ast.FunctionCall{},
-			ScanPlans:       map[*ast.FunctionCall]*ScanPlan{},
-			VectorWorkers:   opts.Executors,
+			GroupPlans:    map[*ast.GroupByClause]*GroupPlan{},
+			Modes:         map[ast.Expr]Mode{},
+			Pushdown:      map[*ast.FunctionCall]bool{},
+			Joins:         map[*ast.FLWOR]*JoinPlan{},
+			RDDLets:       map[*ast.LetClause]*RDDLetPlan{},
+			VectorPlans:   map[*ast.FLWOR]*VectorPlan{},
+			VectorAggs:    map[*ast.FunctionCall]bool{},
+			ScanPlans:     map[*ast.FunctionCall]*ScanPlan{},
+			VectorWorkers: opts.Executors,
 		},
 		functions: map[string][2]int{},
 		cluster:   opts.Cluster,

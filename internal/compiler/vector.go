@@ -150,7 +150,7 @@ type VectorGroup struct {
 	Kinds    []vector.AggKind
 	AggArgs  []vector.Expr
 	Project  vector.Expr
-	// EarlyExit marks an existence test (exists/empty/count-eq-zero): the
+	// EarlyExit marks an existence test (exists/empty): the
 	// single grand count only needs to reach one, so the scan can stop as
 	// soon as a merged prefix shows a present row.
 	EarlyExit bool
@@ -160,7 +160,7 @@ type VectorGroup struct {
 // Project evaluates over the merged order.
 type VectorSort struct {
 	Keys          []vector.Expr
-	Specs         []vector.SortSpec
+	Descending    []bool
 	EmptyGreatest []bool
 	Project       vector.Expr
 }
@@ -401,7 +401,7 @@ func (s *vscope) sortTail(f *ast.FLWOR, ob *ast.OrderByClause) error {
 			return err
 		}
 		st.Keys = append(st.Keys, ke)
-		st.Specs = append(st.Specs, vector.SortSpec{Descending: spec.Descending})
+		st.Descending = append(st.Descending, spec.Descending)
 		st.EmptyGreatest = append(st.EmptyGreatest, spec.EmptyGreatest)
 	}
 	var err error
@@ -602,42 +602,6 @@ func literalInt(e ast.Expr) (int64, bool) {
 	}
 	v, ok := lit.Value.(item.Int)
 	return int64(v), ok
-}
-
-// countZeroCall recognizes "count(F) eq 0" (either operand order, value
-// comparison) over a vector-eligible non-grouped, non-sorted pipeline: the
-// emptiness test folds as an early-exit grand aggregate, like empty(F).
-// Returns the inner count call, or nil.
-func (c *checker) countZeroCall(n *ast.Comparison) *ast.FunctionCall {
-	if !c.vectorize || n.General || n.Op != "eq" {
-		return nil
-	}
-	call, lit := n.L, n.R
-	if _, ok := call.(*ast.Literal); ok {
-		call, lit = lit, call
-	}
-	if v, ok := literalInt(lit); !ok || v != 0 {
-		return nil
-	}
-	fc, ok := call.(*ast.FunctionCall)
-	if !ok || fc.Name != "count" || len(fc.Args) != 1 {
-		return nil
-	}
-	if _, isUDF := c.functions[fc.Name]; isUDF {
-		return nil
-	}
-	if c.info.Pushdown[fc] {
-		return nil // the cluster count action already short-circuits costs
-	}
-	f, ok := fc.Args[0].(*ast.FLWOR)
-	if !ok {
-		return nil
-	}
-	vp := c.info.VectorPlans[f]
-	if vp == nil || vp.Grouped || vp.OrderBy != nil {
-		return nil
-	}
-	return fc
 }
 
 // vscope is one slot environment of a vector compile: the pipeline batch,

@@ -28,7 +28,7 @@ type PlanDiagnostic struct {
 	// Code names the invariant, stable across message wording changes:
 	// mode-unannotated, mode-child, mode-dataframe-head, vector-plan-missing,
 	// vector-plan-orphan, vector-operator, vector-topk, vector-agg,
-	// vector-count-zero, vector-prune, vector-columns, scan-columns,
+	// vector-prune, vector-columns, scan-columns,
 	// join-head, join-keys, join-strategy, join-split, plan-field-coverage.
 	Code string
 	Pos  lexer.Pos
@@ -175,9 +175,6 @@ func (v *verifier) expr(e ast.Expr) {
 	case *ast.Comparison:
 		v.expr(n.L)
 		v.expr(n.R)
-		if call := v.info.VectorCountZero[n]; call != nil {
-			v.checkCountZero(n, call, mode)
-		}
 	case *ast.Logic:
 		v.expr(n.L)
 		v.expr(n.R)
@@ -424,26 +421,6 @@ func (v *verifier) checkVectorAgg(n *ast.FunctionCall, mode Mode) {
 	vp := v.info.VectorPlans[f]
 	if vp == nil || vp.Grouped || vp.OrderBy != nil {
 		v.report("vector-agg", n.Pos(), "VectorAggs argument pipeline must be a non-grouped, non-sorted vector plan")
-	}
-}
-
-// checkCountZero verifies an Info.VectorCountZero mark.
-func (v *verifier) checkCountZero(n *ast.Comparison, call *ast.FunctionCall, mode Mode) {
-	if mode != ModeVector {
-		v.report("vector-count-zero", n.Pos(), "comparison is marked VectorCountZero but annotated %s", mode)
-	}
-	if call.Name != "count" || len(call.Args) != 1 {
-		v.report("vector-count-zero", n.Pos(), "VectorCountZero target must be count/1, got %s/%d", call.Name, len(call.Args))
-		return
-	}
-	f, ok := call.Args[0].(*ast.FLWOR)
-	if !ok {
-		v.report("vector-count-zero", n.Pos(), "VectorCountZero count argument is not a FLWOR")
-		return
-	}
-	vp := v.info.VectorPlans[f]
-	if vp == nil || vp.Grouped || vp.OrderBy != nil {
-		v.report("vector-count-zero", n.Pos(), "VectorCountZero pipeline must be a non-grouped, non-sorted vector plan")
 	}
 }
 

@@ -343,14 +343,7 @@ func (c *comp) compile(e ast.Expr) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		ci := &comparisonIter{op: string(n.Op), general: n.General, l: l, r: r}
-		if call := c.info.VectorCountZero[n]; call != nil {
-			// count(<vector scan>) eq 0 is an existence test: fold it as an
-			// early-exit vector pipeline that stops scanning at the first
-			// surviving row.
-			return c.compileVectorCountZero(n, call, ci)
-		}
-		return ci, nil
+		return &comparisonIter{op: string(n.Op), general: n.General, l: l, r: r}, nil
 	case *ast.Logic:
 		l, r, err := c.compileTwo(n.L, n.R)
 		if err != nil {
@@ -780,7 +773,8 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 				if err != nil {
 					return nil, err
 				}
-				oe.specs = append(oe.specs, orderSpecEval{expr: e, descending: spec.Descending, emptyGreatest: spec.EmptyGreatest})
+				oe.specs = append(oe.specs, orderSpecEval{expr: e, emptyGreatest: spec.EmptyGreatest})
+				oe.desc = append(oe.desc, spec.Descending)
 			}
 			link(oe, n, "order by", prev)
 			step(dfOrderStep(oe))
@@ -826,33 +820,6 @@ func (c *comp) compileVectorAgg(n *ast.FunctionCall) (Iterator, error) {
 		return nil, err
 	}
 	out := c.profiled(n, n.Name, c.opOf(nil, f), vit)
-	if len(rlets) > 0 {
-		return &rddLetIter{planNode: c.pn(n), lets: rlets, inner: out}, nil
-	}
-	return out, nil
-}
-
-// compileVectorCountZero builds the early-exit vector pipeline of a
-// count(...) eq 0 comparison the compiler annotated (Info.VectorCountZero):
-// the count call's FLWOR argument folds as an `empty` existence test, so
-// the scan stops at the first surviving row instead of counting them all.
-// The fallback — a comparison over the ordinary count — runs when a free
-// variable binds a multi-item sequence at run time, and when the morsels
-// fail: the comparison then counts eagerly, as the tuple path does.
-func (c *comp) compileVectorCountZero(n *ast.Comparison, call *ast.FunctionCall, fallback Iterator) (Iterator, error) {
-	f, ok := call.Args[0].(*ast.FLWOR)
-	if !ok {
-		return nil, Errorf("vector: count argument is not a FLWOR")
-	}
-	_, rlets, err := c.peelRDDLets(f)
-	if err != nil {
-		return nil, err
-	}
-	vit, err := c.compileVector(f, fallback, "empty", c.pn(n))
-	if err != nil {
-		return nil, err
-	}
-	out := c.profiled(n, "count-eq-zero", c.opOf(nil, f), vit)
 	if len(rlets) > 0 {
 		return &rddLetIter{planNode: c.pn(n), lets: rlets, inner: out}, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rumble/internal/item"
+	"rumble/internal/orderby"
 	"rumble/internal/spark"
 )
 
@@ -198,35 +199,36 @@ func dfGroupStep(g *groupByEval) dfStep {
 // dfOrderStep maps an order-by clause (§4.8): the native keys feed a
 // range-partitioned sort that reads the keyed tuples once. The keying tasks
 // note which keys were strings and which numbers; the sort checks that
-// mask after it has keyed every tuple and before it emits the first, so an
+// mix after it has keyed every tuple and before it emits the first, so an
 // incompatible mix fails the step whatever consumes it — and a key error,
 // raised while keying, wins over a mix.
 func dfOrderStep(o *orderByEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
 		var mu sync.Mutex
-		mask := make([]uint8, len(o.specs))
+		mix := make(orderby.Mix, len(o.specs))
 		keyed := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(keyedTuple) error) error {
 			sc := dc.tupleScope()
-			local := make([]uint8, len(o.specs))
+			local := make(orderby.Mix, len(o.specs))
 			err := each(func(t tuple) error {
 				k, err := o.keysOf(sc, t)
 				if err != nil {
 					return err
 				}
-				noteMix(local, k)
+				local.Note(k.keys)
 				return yield(k)
 			})
 			mu.Lock()
-			for i, m := range local {
-				mask[i] |= m
-			}
+			mix.Add(local)
 			mu.Unlock()
 			return err
 		})
 		sorted := spark.SortBy(keyed, o.less, func() error {
 			mu.Lock()
 			defer mu.Unlock()
-			return checkMix(mask)
+			if err := mix.Err(); err != nil {
+				return Errorf("%v", err)
+			}
+			return nil
 		})
 		return spark.Map(sorted, func(k keyedTuple) tuple { return k.t }), nil
 	}

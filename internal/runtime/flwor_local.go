@@ -1,11 +1,11 @@
 package runtime
 
 import (
-	"sort"
 	"time"
 
 	"rumble/internal/compiler"
 	"rumble/internal/item"
+	"rumble/internal/orderby"
 )
 
 // tuple is one assignment of FLWOR variables — part of the dynamic context,
@@ -342,16 +342,16 @@ func (g *groupByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) 
 // orderSpecEval is one compiled ordering key.
 type orderSpecEval struct {
 	expr          Iterator
-	descending    bool
 	emptyGreatest bool
 }
 
-// orderByEval implements the order-by clause (§4.8): compute each tuple's
-// keys (single atomic or empty required), reject a key that is a string on
-// one tuple and a number on another per the JSONiq spec, sort stably.
+// orderByEval implements the order-by clause (§4.8) under the rules of
+// package orderby: compute each tuple's keys, reject a key that is a
+// string on one tuple and a number on another, sort stably.
 type orderByEval struct {
 	parent clauseEval
 	specs  []orderSpecEval
+	desc   []bool // per key: descending
 }
 
 // keyedTuple is a tuple with its ordering keys: item.SortKey's four fields
@@ -372,80 +372,38 @@ func (o *orderByEval) keysOf(sc *DynamicContext, t tuple) (keyedTuple, error) {
 		if err != nil {
 			return keyedTuple{}, err
 		}
-		if len(seq) > 1 {
-			return keyedTuple{}, Errorf("order by: key binds a sequence of %d items", len(seq))
+		if keys[i], err = orderby.Key(seq, spec.emptyGreatest); err != nil {
+			return keyedTuple{}, Errorf("%v", err)
 		}
-		if len(seq) == 1 && !item.IsAtomic(seq[0]) {
-			return keyedTuple{}, Errorf("order by: key is a non-atomic %s item", seq[0].Kind())
-		}
-		sk, err := item.EncodeSortKey(seq, spec.emptyGreatest)
-		if err != nil {
-			return keyedTuple{}, Errorf("order by: %v", err)
-		}
-		keys[i] = sk
 	}
 	return keyedTuple{t: t, keys: keys}, nil
 }
 
-// noteMix records in mask, one byte per ordering key, that k's key is a
-// string (bit 0) or a number (bit 1).
-func noteMix(mask []uint8, k keyedTuple) {
-	for i, sk := range k.keys {
-		switch sk.Tag {
-		case item.TagString:
-			mask[i] |= 1
-		case item.TagNumber:
-			mask[i] |= 2
-		}
-	}
-}
-
-// checkMix rejects a tuple stream, given what noteMix recorded of it, in
-// which some key was a string on one tuple and a number on another.
-func checkMix(mask []uint8) error {
-	for i, m := range mask {
-		if m == 3 {
-			return Errorf("order by: key %d mixes strings and numbers across the tuple stream", i+1)
-		}
-	}
-	return nil
-}
-
 // less orders two keyed tuples by the clause's keys and directions.
 func (o *orderByEval) less(a, b keyedTuple) bool {
-	for i, spec := range o.specs {
-		c := a.keys[i].Compare(b.keys[i])
-		if c == 0 {
-			continue
-		}
-		if spec.descending {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
+	return orderby.Compare(o.desc, a.keys, b.keys) < 0
 }
 
 func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	var rows []keyedTuple
-	mask := make([]uint8, len(o.specs))
+	mix := make(orderby.Mix, len(o.specs))
 	sc := dc.tupleScope()
 	err := o.parent.streamTuples(dc, func(t tuple) error {
 		k, err := o.keysOf(sc, t)
 		if err != nil {
 			return err
 		}
-		noteMix(mask, k)
+		mix.Note(k.keys)
 		rows = append(rows, k)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if err := checkMix(mask); err != nil {
-		return err
+	if err := mix.Err(); err != nil {
+		return Errorf("%v", err)
 	}
-	sort.SliceStable(rows, func(a, b int) bool { return o.less(rows[a], rows[b]) })
+	orderby.Stable(rows, o.less)
 	for _, r := range rows {
 		if err := yield(r.t); err != nil {
 			return err

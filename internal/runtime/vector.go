@@ -11,6 +11,7 @@ import (
 	"rumble/internal/dfs"
 	"rumble/internal/item"
 	"rumble/internal/jparse"
+	"rumble/internal/orderby"
 	"rumble/internal/profile"
 	"rumble/internal/sched"
 	"rumble/internal/segment"
@@ -228,14 +229,12 @@ func hook(event string, n int) {
 
 // vmorselResult is one processed morsel: projected rows in scan order, the
 // morsel's partial aggregation table, or (for an order-by tail) the
-// morsel's sorted run plus the per-spec key type observations the global
-// string/number mix check needs.
+// morsel's sorted run plus what its keys add to the string/number mix.
 type vmorselResult struct {
-	items     []item.Item
-	groups    *vector.Groups
-	run       *vector.SortRows
-	sawString []bool
-	sawNumber []bool
+	items  []item.Item
+	groups *vector.Groups
+	run    *vector.SortRows
+	mix    orderby.Mix
 }
 
 // newDecoder returns the JSON decoder of one morsel worker. When no
@@ -536,9 +535,8 @@ func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int3
 func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, error) {
 	s, topK := v.k.Sort, v.k.Plan.TopK
 	res := &vmorselResult{
-		run:       vector.NewSortRows(s.Specs),
-		sawString: make([]bool, len(s.Keys)),
-		sawNumber: make([]bool, len(s.Keys)),
+		run: vector.NewSortRows(s.Descending),
+		mix: make(orderby.Mix, len(s.Keys)),
 	}
 	keyCols, err := vs.evalAll(s.Keys, b)
 	if err != nil {
@@ -559,16 +557,11 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 		for ki, kc := range keyCols {
 			sk, err := kc.OrderKey(i, s.EmptyGreatest[ki])
 			if err != nil {
-				return nil, Errorf("order by: %v", err)
+				return nil, Errorf("%v", err)
 			}
 			keys[ki] = sk
-			switch sk.Tag {
-			case item.TagString:
-				res.sawString[ki] = true
-			case item.TagNumber:
-				res.sawNumber[ki] = true
-			}
 		}
+		res.mix.Note(keys)
 		row := i
 		vals := func() []item.Item {
 			vs := make([]item.Item, len(b.Cols))
@@ -743,20 +736,18 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 
 // vmergeState is the coordinator's running evaluation state: the merged
 // aggregation table, the collected (or running top-k merged) sorted runs,
-// and the per-spec key type observations feeding the global mix check.
+// and the string/number mix of every morsel's keys.
 type vmergeState struct {
-	groups    *vector.Groups
-	runs      []*vector.SortRows
-	topk      *vector.SortRows
-	sawString []bool
-	sawNumber []bool
+	groups *vector.Groups
+	runs   []*vector.SortRows
+	topk   *vector.SortRows
+	mix    orderby.Mix
 }
 
 func (v *vectorIter) newMergeState() *vmergeState {
 	st := &vmergeState{}
 	if s := v.k.Sort; s != nil {
-		st.sawString = make([]bool, len(s.Keys))
-		st.sawNumber = make([]bool, len(s.Keys))
+		st.mix = make(orderby.Mix, len(s.Keys))
 	}
 	return st
 }
@@ -768,10 +759,7 @@ func (v *vectorIter) newMergeState() *vmergeState {
 // cancel the remaining scan: an early-exit existence test is decided.
 func (v *vectorIter) mergeResult(st *vmergeState, res *vmorselResult, yield func(item.Item) error) (stop bool, err error) {
 	if v.k.Sort != nil {
-		for ki := range st.sawString {
-			st.sawString[ki] = st.sawString[ki] || res.sawString[ki]
-			st.sawNumber[ki] = st.sawNumber[ki] || res.sawNumber[ki]
-		}
+		st.mix.Add(res.mix)
 		if topK := v.k.Plan.TopK; topK > 0 {
 			if st.topk == nil {
 				st.topk = res.run
@@ -814,14 +802,12 @@ func (v *vectorIter) finish(vs *vstate, st *vmergeState, ctx context.Context, yi
 	return v.finishGroups(vs, st.groups, ctx, yield)
 }
 
-// finishSort runs the global string/number mix check the tuple path applies
-// after seeing the whole stream, then k-way merges the per-morsel runs and
-// projects the return expression over the merged order in batches.
+// finishSort runs the string/number mix check over the whole stream, then
+// k-way merges the per-morsel runs and projects the return expression over
+// the merged order in batches.
 func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context, yield func(item.Item) error) error {
-	for ki := range st.sawString {
-		if st.sawString[ki] && st.sawNumber[ki] {
-			return Errorf("order by: key %d mixes strings and numbers across the tuple stream", ki+1)
-		}
+	if err := st.mix.Err(); err != nil {
+		return Errorf("%v", err)
 	}
 	runs := st.runs
 	if v.k.Plan.TopK > 0 {

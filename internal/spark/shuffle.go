@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+
+	"rumble/internal/orderby"
 )
 
 // Pair is a key-value record for the pair-RDD operations.
@@ -246,7 +248,7 @@ func SortBy[T any](r *RDD[T], less func(a, b T) bool, check func() error) *RDD[T
 		// The sample must see the runs in input order: sort them only after.
 		bounds = rangeBounds(runs, numOut, less)
 		if err = r.ctx.runStage(r.parts, func(p int) error {
-			stableSort(runs[p], less)
+			orderby.Stable(runs[p], less)
 			return nil
 		}); err != nil {
 			return
@@ -282,7 +284,7 @@ func SortBy[T any](r *RDD[T], less func(a, b T) bool, check func() error) *RDD[T
 		for i, run := range runs {
 			heads[i] = run[cut(run, p-1):cut(run, p)]
 		}
-		return mergeRuns(heads, less, yield)
+		return orderby.Merge(heads, less, yield)
 	})
 }
 
@@ -305,7 +307,7 @@ func rangeBounds[T any](runs [][]T, numOut int, less func(a, b T) bool) []T {
 		g += len(run)
 	}
 	at := func(s pos) T { return runs[s.run][s.i] }
-	stableSort(sample, func(a, b pos) bool { return less(at(a), at(b)) })
+	orderby.Stable(sample, func(a, b pos) bool { return less(at(a), at(b)) })
 	bounds := make([]T, 0, numOut-1)
 	for b := 1; b < numOut; b++ {
 		if idx := b * len(sample) / numOut; idx < len(sample) {
@@ -314,79 +316,6 @@ func rangeBounds[T any](runs [][]T, numOut int, less func(a, b T) bool) []T {
 	}
 	return bounds
 }
-
-// mergeRuns yields the records of the sorted runs in order: a k-way merge
-// over a heap keyed on (head, run index), so of equal heads the lower run's
-// goes first and the merge is stable. It consumes heads.
-func mergeRuns[T any](heads [][]T, less func(a, b T) bool, yield func(T) error) error {
-	h := make([]int, 0, len(heads))
-	for i, run := range heads {
-		if len(run) > 0 {
-			h = append(h, i)
-		}
-	}
-	before := func(a, b int) bool {
-		x, y := heads[a][0], heads[b][0]
-		if less(x, y) {
-			return true
-		}
-		return !less(y, x) && a < b
-	}
-	down := func(i int) {
-		for {
-			m := 2*i + 1
-			if m >= len(h) {
-				return
-			}
-			if r := m + 1; r < len(h) && before(h[r], h[m]) {
-				m = r
-			}
-			if !before(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	//rumble:ctxpoll-ok emits runs SortBy's stage 1 materialized through compute; a WithCancel sink's yield error aborts it
-	for len(h) > 1 {
-		top := h[0]
-		if err := yield(heads[top][0]); err != nil {
-			return err
-		}
-		if heads[top] = heads[top][1:]; len(heads[top]) == 0 {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
-	}
-	if len(h) == 1 {
-		//rumble:ctxpoll-ok the rest of one materialized run, as above
-		for _, v := range heads[h[0]] {
-			if err := yield(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// stableSort sorts s in place by less, keeping equal elements in order.
-func stableSort[E any](s []E, less func(a, b E) bool) {
-	sort.Stable(byLess[E]{s, less})
-}
-
-type byLess[E any] struct {
-	s    []E
-	less func(a, b E) bool
-}
-
-func (x byLess[E]) Len() int           { return len(x.s) }
-func (x byLess[E]) Less(i, j int) bool { return x.less(x.s[i], x.s[j]) }
-func (x byLess[E]) Swap(i, j int)      { x.s[i], x.s[j] = x.s[j], x.s[i] }
 
 // ZipWithIndex pairs each element with its global 0-based index. It runs a
 // counting stage first (like Spark), then streams each partition with the

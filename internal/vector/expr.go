@@ -275,7 +275,7 @@ func (e *CallExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 }
 
 // ExistsExpr finalizes an existence test over the grand count in slot 0:
-// Bool(n == 0) for empty (and count-eq-zero), Bool(n > 0) for exists.
+// Bool(n == 0) for empty, Bool(n > 0) for exists.
 type ExistsExpr struct{ Empty bool }
 
 func (e *ExistsExpr) Eval(_ []*Col, b *Batch) (*Col, error) {

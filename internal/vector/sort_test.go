@@ -49,21 +49,22 @@ func rowIndexes(r *SortRows) []int64 {
 }
 
 // FuzzTopKMatchesSort holds the bounded top-k run to the first k rows of
-// Append + Sort + Truncate over fuzzed multi-key tuples (ties, NaN, -0.0,
-// empty-least or -greatest keys, strings among numbers, mixed directions),
-// and MergeTopK of the input split at a fuzzed point to the same rows. The
-// caller fills one key buffer for every AppendTopK call, so a kept row must
-// not alias it.
+// Append + Sort over fuzzed multi-key tuples (ties, NaN, -0.0, empty-least
+// or -greatest keys, strings among numbers, mixed directions), and MergeTopK
+// of the input split at a fuzzed point to the same rows. MergeRuns of the
+// two halves, each sorted, must give the whole stable sort. The caller
+// fills one key buffer for every AppendTopK call, so a kept row must not
+// alias it.
 func FuzzTopKMatchesSort(f *testing.F) {
 	f.Add([]byte{3, 11, 19, 3, 5, 13, 0, 6, 7, 1, 2, 27}, uint8(0), uint8(2), uint16(5), uint8(0))
 	f.Add([]byte{5, 3, 13, 11, 5, 3, 6, 0, 7, 4, 21, 12}, uint8(1), uint8(3), uint16(2), uint8(0x12))
 	f.Add([]byte{0, 0, 8, 16, 24, 6, 7, 4, 1, 9}, uint8(2), uint8(0), uint16(9), uint8(0x35))
 	f.Fuzz(func(t *testing.T, data []byte, nkeys, k uint8, split uint16, dirs uint8) {
 		nk := 1 + int(nkeys)%3
-		specs := make([]SortSpec, nk)
+		desc := make([]bool, nk)
 		emptyGreatest := make([]bool, nk)
-		for s := range specs {
-			specs[s].Descending = dirs>>s&1 == 1
+		for s := range desc {
+			desc[s] = dirs>>s&1 == 1
 			emptyGreatest[s] = dirs>>(s+4)&1 == 1
 		}
 		tuples := make([][]item.SortKey, len(data)/nk)
@@ -74,17 +75,21 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			}
 		}
 		kk := 1 + int(k)%(len(tuples)+2)
+		p := int(split) % (len(tuples) + 1)
 
-		full := NewSortRows(specs)
-		for i, keys := range tuples {
-			full.Append(slices.Clone(keys), []item.Item{item.Int(i)})
+		sorted := func(from, to int) *SortRows {
+			r := NewSortRows(desc)
+			for i := from; i < to; i++ {
+				r.Append(slices.Clone(tuples[i]), []item.Item{item.Int(i)})
+			}
+			r.Sort()
+			return r
 		}
-		full.Sort()
-		full.Truncate(kk)
+		full := sorted(0, len(tuples))
 
 		buf := make([]item.SortKey, nk)
 		bounded := func(from, to int) *SortRows {
-			r := NewSortRows(specs)
+			r := NewSortRows(desc)
 			for i := from; i < to; i++ {
 				copy(buf, tuples[i])
 				r.AppendTopK(buf, kk, func() []item.Item { return []item.Item{item.Int(i)} })
@@ -92,20 +97,29 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			}
 			return r
 		}
-		check := func(what string, got *SortRows) {
+		check := func(what string, got *SortRows, n int) {
 			t.Helper()
-			if g, w := rowIndexes(got), rowIndexes(full); !slices.Equal(g, w) {
+			want := &SortRows{rows: full.rows[:min(n, len(full.rows))]}
+			if g, w := rowIndexes(got), rowIndexes(want); !slices.Equal(g, w) {
 				t.Fatalf("%s (k=%d): rows %v, want %v", what, kk, g, w)
 			}
 			for i, row := range got.rows {
-				if !slices.Equal(row.keys, full.rows[i].keys) {
-					t.Fatalf("%s (k=%d): row %d keys %v, want %v", what, kk, i, row.keys, full.rows[i].keys)
+				if !slices.Equal(row.keys, want.rows[i].keys) {
+					t.Fatalf("%s (k=%d): row %d keys %v, want %v", what, kk, i, row.keys, want.rows[i].keys)
 				}
 			}
 		}
-		check("AppendTopK", bounded(0, len(tuples)))
-		p := int(split) % (len(tuples) + 1)
-		check("MergeTopK", MergeTopK(bounded(0, p), bounded(p, len(tuples)), kk))
+		check("AppendTopK", bounded(0, len(tuples)), kk)
+		check("MergeTopK", MergeTopK(bounded(0, p), bounded(p, len(tuples)), kk), kk)
+
+		merged := NewSortRows(desc)
+		if err := MergeRuns([]*SortRows{sorted(0, p), sorted(p, len(tuples))}, func(vals []item.Item) error {
+			merged.Append(tuples[vals[0].(item.Int)], vals)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("MergeRuns", merged, len(tuples))
 	})
 }
 
@@ -113,7 +127,7 @@ func FuzzTopKMatchesSort(f *testing.F) {
 // row that ranks outside k costs one comparison, no allocation, and never
 // materializes its values.
 func TestAppendTopKRejectsWithoutAllocating(t *testing.T) {
-	r := NewSortRows([]SortSpec{{}, {Descending: true}})
+	r := NewSortRows([]bool{false, true})
 	keys := make([]item.SortKey, 2)
 	for i := range 4 {
 		keys[0], keys[1] = item.IntKey(int64(i)), item.SortKey{Tag: item.TagString, Str: "m"}
