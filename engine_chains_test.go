@@ -204,6 +204,13 @@ func (g *chainGen) clause() {
 			}
 			w.WriteString(key + g.pick("", " descending", " empty greatest", " ascending empty least"))
 		}
+		if g.rng.Intn(3) == 0 {
+			// A bounded sort (compiler.Info.TopK) on the tuple and
+			// DataFrame paths, its count readable by the return.
+			v := fmt.Sprintf("$l%d", len(g.lets))
+			fmt.Fprintf(w, " count %s where %s le %s", v, v, g.pick("0", "1", "3", "1000000000000000"))
+			g.lets = append(g.lets, v)
+		}
 	default:
 		// Group once: by an existing variable, by fresh keys, or both, the
 		// second fresh key reading the first.

@@ -32,6 +32,12 @@ var explainGoldens = []struct {
 		order by $x descending
 		count $c
 		return ($c, $x, $i)`},
+	{"df-orderby-topk", `for $o in json-file("confusion.jsonl")
+		where $o.guess eq $o.target
+		order by $o.target, $o.date descending
+		count $c
+		where $c le 10
+		return { "rank": $c, "t": $o.target }`},
 	{"leading-let-local", `let $min := 100 return
 		for $c in json-file("reddit.jsonl")
 		where $c.score ge $min
@@ -237,6 +243,7 @@ func TestExplainModesPinned(t *testing.T) {
 		"aggregate-pushdown":        "[Local]", // scalar result; pushdown marked
 		"df-groupby-count":          "[DataFrame]",
 		"df-orderby-count-clause":   "[DataFrame]",
+		"df-orderby-topk":           "[DataFrame]",
 		"leading-let-local":         "[Local]",
 		"let-rdd-cached":            "[Local]", // scalar envelope; the let binds an RDD
 		"let-rdd-df-head":           "[DataFrame]",
@@ -266,6 +273,12 @@ func TestExplainModesPinned(t *testing.T) {
 	}
 	if !strings.Contains(mustExplain(t, eng, explainGoldens[6].query), "(cluster pushdown)") {
 		t.Error("aggregate pushdown not marked in plan")
+	}
+	// A bounded sort keeps its count and where clauses: the return reads
+	// the count, and the where still runs over the rows the sort keeps.
+	if plan := mustExplain(t, eng, explainGoldens[9].query); !strings.Contains(plan, "order by (top 10)\n") ||
+		!strings.Contains(plan, "count $c\n") {
+		t.Errorf("df-orderby-topk: bounded sort or its count not rendered:\n%s", plan)
 	}
 }
 

@@ -356,7 +356,11 @@ func (p *explainPrinter) clause(depth int, cl ast.Clause) {
 			p.expr(depth+1, "$"+spec.Var+" := ", spec.Expr)
 		}
 	case *ast.OrderByClause:
-		p.line(depth, p.tag("order by", n), nil)
+		label := "order by"
+		if k, ok := p.info.TopK[n]; ok {
+			label = fmt.Sprintf("order by (top %d)", k)
+		}
+		p.line(depth, p.tag(label, n), nil)
 		p.orderKeys(depth+1, n)
 	case *ast.CountClause:
 		p.line(depth, p.tag("count $"+n.Var, n), nil)

@@ -92,6 +92,11 @@ type Info struct {
 	Joins map[*ast.FLWOR]*JoinPlan
 	// RDDLets marks leading let clauses whose variables bind to RDDs.
 	RDDLets map[*ast.LetClause]*RDDLetPlan
+	// TopK records, per order-by clause directly followed by "count $c
+	// where $c le K" (or lt, or the flipped ge/gt form), the number of rows
+	// that where can keep, 0 for a bound below 1. Every backend sorts such
+	// a clause bounded (orderby.Bounded) and emits at most that many rows.
+	TopK map[*ast.OrderByClause]int64
 	// VectorPlans marks FLWORs annotated ModeVector: pipelines the
 	// columnar local backend executes batch-at-a-time.
 	VectorPlans map[*ast.FLWOR]*VectorPlan
@@ -210,6 +215,7 @@ func Analyze(m *ast.Module, opts Options) (*Info, error) {
 			Pushdown:      map[*ast.FunctionCall]bool{},
 			Joins:         map[*ast.FLWOR]*JoinPlan{},
 			RDDLets:       map[*ast.LetClause]*RDDLetPlan{},
+			TopK:          map[*ast.OrderByClause]int64{},
 			VectorPlans:   map[*ast.FLWOR]*VectorPlan{},
 			VectorAggs:    map[*ast.FunctionCall]bool{},
 			ScanPlans:     map[*ast.FunctionCall]*ScanPlan{},
@@ -457,6 +463,9 @@ func (c *checker) checkFLWOR(f *ast.FLWOR, outer *scope) error {
 				if err := c.checkExpr(spec.Expr, sc); err != nil {
 					return err
 				}
+			}
+			if k, ok := topKTail(f.Clauses, ci); ok {
+				c.info.TopK[n] = k
 			}
 		case *ast.GroupByClause:
 			plan := &GroupPlan{Usage: map[string]VarUsage{}}

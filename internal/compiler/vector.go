@@ -20,10 +20,10 @@ type VectorPlan struct {
 	// (each morsel worker sorts a run, the coordinator k-way-merges them);
 	// nil when the pipeline has none.
 	OrderBy *ast.OrderByClause
-	// TopK, when positive, bounds the sort: the clause tail was
-	// "count $c where $c le/lt K" (or the flipped ge/gt form), so the
-	// backend keeps a bounded top-k per morsel and never materializes the
-	// tail. The count variable itself is fused away.
+	// TopK, when positive, bounds the sort: the clause tail is the one
+	// Info.TopK records for OrderBy, so the backend keeps a bounded top-k
+	// per morsel and never materializes the tail. The count variable
+	// itself is fused away.
 	TopK int64
 	// Join reports that the FLWOR's detected equi-join (Info.Joins) runs as
 	// a vector hash join: the right side builds a pre-sized hash table, the
@@ -305,19 +305,16 @@ func (i *Info) compileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
 			}
 			group = n
 		case *ast.OrderByClause:
-			// The sort ends the pipeline, except for the fused top-k tail:
-			// "count $c where $c le K" with $c unused in the return.
-			switch tail := rest[ci+1:]; len(tail) {
-			case 0:
-			case 2:
-				cc, okC := tail[0].(*ast.CountClause)
-				wc, okW := tail[1].(*ast.WhereClause)
-				if !okC || !okW {
-					return nil, errf(n.Pos(), "vector: order by must end the pipeline or fuse a top-k tail")
-				}
-				bound, ok := topKBound(wc.Cond, cc.Var)
-				if !ok || bound < 1 || exprUsesVar(f.Return, cc.Var) {
-					return nil, errf(wc.Pos(), "vector: top-k tail does not bound an unused count variable")
+			// The sort ends the pipeline, except for the fused top-k tail
+			// the static phase recorded (Info.TopK), with $c unused in the
+			// return and at least one row kept.
+			bound, bounded := s.info.TopK[n]
+			switch tail := rest[ci+1:]; {
+			case len(tail) == 0:
+			case len(tail) == 2 && bounded:
+				cc := tail[0].(*ast.CountClause)
+				if bound < 1 || exprUsesVar(f.Return, cc.Var) {
+					return nil, errf(tail[1].Pos(), "vector: top-k tail does not bound an unused count variable")
 				}
 				vp.TopK = bound
 			default:
@@ -559,49 +556,6 @@ func flipCompareOp(op string) string {
 		return "le"
 	}
 	return op // eq and ne are symmetric
-}
-
-// topKBound recognizes a where condition that bounds the count variable of
-// an order-by tail to a static rank: "$c le K" / "$c lt K" or the flipped
-// "K ge $c" / "K gt $c" (value comparisons with an integer literal K),
-// returning the inclusive bound.
-func topKBound(cond ast.Expr, countVar string) (int64, bool) {
-	cmp, ok := cond.(*ast.Comparison)
-	if !ok || cmp.General {
-		return 0, false
-	}
-	if vr, ok := cmp.L.(*ast.VarRef); ok && vr.Name == countVar {
-		if k, ok := literalInt(cmp.R); ok {
-			switch cmp.Op {
-			case "le":
-				return k, true
-			case "lt":
-				return k - 1, true
-			}
-		}
-		return 0, false
-	}
-	if vr, ok := cmp.R.(*ast.VarRef); ok && vr.Name == countVar {
-		if k, ok := literalInt(cmp.L); ok {
-			switch cmp.Op {
-			case "ge":
-				return k, true
-			case "gt":
-				return k - 1, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// literalInt unwraps an integer literal.
-func literalInt(e ast.Expr) (int64, bool) {
-	lit, ok := e.(*ast.Literal)
-	if !ok {
-		return 0, false
-	}
-	v, ok := lit.Value.(item.Int)
-	return int64(v), ok
 }
 
 // vscope is one slot environment of a vector compile: the pipeline batch,

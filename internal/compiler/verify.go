@@ -28,7 +28,7 @@ type PlanDiagnostic struct {
 	// Code names the invariant, stable across message wording changes:
 	// mode-unannotated, mode-child, mode-dataframe-head, vector-plan-missing,
 	// vector-plan-orphan, vector-operator, vector-topk, vector-agg,
-	// vector-prune, vector-columns, scan-columns,
+	// vector-prune, vector-columns, scan-columns, topk,
 	// join-head, join-keys, join-strategy, join-split, plan-field-coverage.
 	Code string
 	Pos  lexer.Pos
@@ -93,6 +93,9 @@ func Verify(m *ast.Module, info *Info) error {
 		// whose rows nothing vetted.
 		v.report("scan-columns", lexer.Pos{}, "%d scan plan(s) recorded, but only %d head a FLWOR that derives one", len(info.ScanPlans), len(v.scans))
 	}
+	if v.topKs != len(info.TopK) {
+		v.report("topk", lexer.Pos{}, "%d top-k bound(s) recorded, but only %d sit on an order-by clause of the module", len(info.TopK), v.topKs)
+	}
 	if len(v.diags) == 0 {
 		return nil
 	}
@@ -115,6 +118,7 @@ type verifier struct {
 	// collects the scan calls whose recorded plan re-derived.
 	presenceOnly map[*ast.FLWOR]bool
 	scans        map[*ast.FunctionCall]bool
+	topKs        int // Info.TopK entries met on an order-by clause
 }
 
 func (v *verifier) report(code string, pos lexer.Pos, format string, args ...any) {
@@ -281,6 +285,7 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 	if jp != nil {
 		v.checkJoin(f, jp)
 	}
+	v.checkTopK(f)
 	if vp != nil {
 		v.checkVectorPlan(f, vp, jp)
 	}
@@ -293,6 +298,32 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 }
 
 func (v *verifier) isUDF(name string) bool { return v.udfs[name] }
+
+// checkTopK re-derives the bound of every order-by clause of f: Info.TopK
+// must hold exactly the clauses followed by a count and a where bounding
+// it, each with the bound that where keeps. A missing entry only sorts
+// more; a surplus or larger one drops rows the where would keep.
+func (v *verifier) checkTopK(f *ast.FLWOR) {
+	for i, cl := range f.Clauses {
+		ob, ok := cl.(*ast.OrderByClause)
+		if !ok {
+			continue
+		}
+		want, bounded := topKTail(f.Clauses, i)
+		got, recorded := v.info.TopK[ob]
+		switch {
+		case bounded && !recorded:
+			v.report("topk", ob.Pos(), "order by is followed by a count bound to %d rows but records no top-k", want)
+		case !bounded && recorded:
+			v.report("topk", ob.Pos(), "order by records a top-k of %d but no count and where bound it", got)
+		case got != want:
+			v.report("topk", ob.Pos(), "order by records a top-k of %d but the AST derives %d", got, want)
+		}
+		if recorded {
+			v.topKs++
+		}
+	}
+}
 
 // checkScanPlan verifies the column projection recorded for f's head scan:
 // it must re-derive exactly from the AST. A missing column would make the
@@ -501,15 +532,16 @@ func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan, jp *JoinPlan) {
 			switch len(tail) {
 			case 0:
 			case 2:
-				cc, okC := tail[0].(*ast.CountClause)
-				wc, okW := tail[1].(*ast.WhereClause)
+				_, okC := tail[0].(*ast.CountClause)
+				_, okW := tail[1].(*ast.WhereClause)
 				if !okC || !okW {
 					v.report("vector-operator", n.Pos(), "vector order-by is followed by non-top-k clauses")
 					break
 				}
-				k, ok := topKBound(wc.Cond, cc.Var)
+				// checkTopK has held Info.TopK to the AST.
+				k, ok := v.info.TopK[n]
 				if !ok {
-					v.report("vector-topk", wc.Pos(), "vector top-k tail does not bound the count variable with a literal rank")
+					v.report("vector-topk", tail[1].Pos(), "vector top-k tail does not bound the count variable with a literal rank")
 					break
 				}
 				topK = k

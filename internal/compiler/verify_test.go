@@ -34,6 +34,22 @@ func body(t *testing.T, m *ast.Module) *ast.FLWOR {
 
 const vectorTopKQuery = `for $x in (1 to 100) order by $x descending count $c where $c le 10 return $x`
 
+// topKQuery is a bounded sort whose return reads the count, so no backend
+// fuses the count away.
+const topKQuery = `for $x in (1 to 100) order by $x descending count $c where $c lt 11 return ($c, $x)`
+
+// orderBy returns the order-by clause of f.
+func orderBy(t *testing.T, f *ast.FLWOR) *ast.OrderByClause {
+	t.Helper()
+	for _, cl := range f.Clauses {
+		if ob, ok := cl.(*ast.OrderByClause); ok {
+			return ob
+		}
+	}
+	t.Fatal("FLWOR has no order-by clause")
+	return nil
+}
+
 const joinQuery = `for $a in parallelize(({"k": 1, "v": "x"}, {"k": 2, "v": "y"}))
 for $b in parallelize(({"k": 2, "w": "p"}))
 where $a.k eq $b.k
@@ -55,6 +71,8 @@ func TestVerifyCleanPlans(t *testing.T) {
 		{"vector pipeline", `for $x in (1 to 50) where $x mod 2 eq 0 return {"v": $x}`, Options{Vectorize: true}},
 		{"vector group", `for $x in (1 to 50) group by $k := $x mod 3 return count($x)`, Options{Vectorize: true}},
 		{"vector topk", vectorTopKQuery, Options{Vectorize: true}},
+		{"topk", topKQuery, Options{}},
+		{"topk nested in a udf", `declare function local:top($n) { for $x in (1 to $n) order by $x count $c where 3 gt $c return $x }; local:top(9)`, Options{}},
 		{"vector grand aggregate", `sum(for $x in (1 to 50) where $x gt 10 return $x)`, Options{Vectorize: true}},
 		{"vector count zero", `count(for $x in (1 to 50) where $x gt 100 return $x) eq 0`, Options{Vectorize: true}},
 		{"vector join", joinQuery, Options{Cluster: true, Vectorize: true}},
@@ -159,6 +177,41 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 				info.VectorPlans[body(t, m)].TopK = 3
 			},
 			wantCode: "vector-topk",
+		},
+		{
+			name: "top-k bound disagrees with AST",
+			q:    topKQuery,
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				if k := info.TopK[orderBy(t, body(t, m))]; k != 10 {
+					t.Fatalf("recorded top-k %d, want 10", k)
+				}
+				info.TopK[orderBy(t, body(t, m))] = 3
+			},
+			wantCode: "topk",
+		},
+		{
+			name: "top-k bound dropped",
+			q:    topKQuery,
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				delete(info.TopK, orderBy(t, body(t, m)))
+			},
+			wantCode: "topk",
+		},
+		{
+			name: "top-k bound on an unbounded order by",
+			q:    `for $x in (1 to 100) order by $x count $c where $c le 10 and true return $x`,
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				info.TopK[orderBy(t, body(t, m))] = 10
+			},
+			wantCode: "topk",
+		},
+		{
+			name: "top-k bound on a clause outside the module",
+			q:    topKQuery,
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				info.TopK[&ast.OrderByClause{}] = 1
+			},
+			wantCode: "topk",
 		},
 		{
 			name: "join with no key pairs",

@@ -767,7 +767,10 @@ func (c *comp) compileFLWORPipeline(f *ast.FLWOR, clauses []ast.Clause, hoisted 
 			link(ge, n, "group by", prev)
 			step(dfGroupStep(ge))
 		case *ast.OrderByClause:
-			oe := &orderByEval{parent: local}
+			oe := &orderByEval{parent: local, topK: -1}
+			if k, ok := c.info.TopK[n]; ok {
+				oe.topK = k
+			}
 			for _, spec := range n.Specs {
 				e, err := c.compile(spec.Expr)
 				if err != nil {

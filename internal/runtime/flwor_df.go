@@ -201,7 +201,9 @@ func dfGroupStep(g *groupByEval) dfStep {
 // note which keys were strings and which numbers; the sort checks that
 // mix after it has keyed every tuple and before it emits the first, so an
 // incompatible mix fails the step whatever consumes it — and a key error,
-// raised while keying, wins over a mix.
+// raised while keying, wins over a mix. Under a top-k bound each keying
+// task keeps its partition's first topK tuples (Spark's takeOrdered), so
+// the sort sees at most topK per partition.
 func dfOrderStep(o *orderByEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
 		var mu sync.Mutex
@@ -209,18 +211,29 @@ func dfOrderStep(o *orderByEval) dfStep {
 		keyed := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(keyedTuple) error) error {
 			sc := dc.tupleScope()
 			local := make(orderby.Mix, len(o.specs))
-			err := each(func(t tuple) error {
-				k, err := o.keysOf(sc, t)
-				if err != nil {
-					return err
-				}
-				local.Note(k.keys)
-				return yield(k)
-			})
+			var top *orderby.Bounded[tuple]
+			var err error
+			if o.topK >= 0 {
+				top, err = o.top(sc, local, each)
+			} else {
+				err = each(func(t tuple) error {
+					k, err := o.keysOf(sc, t)
+					if err != nil {
+						return err
+					}
+					local.Note(k.keys)
+					return yield(k)
+				})
+			}
 			mu.Lock()
 			mix.Add(local)
 			mu.Unlock()
-			return err
+			if err != nil || top == nil {
+				return err
+			}
+			return top.Sorted(func(keys []item.SortKey, t tuple) error {
+				return yield(keyedTuple{t: t, keys: keys})
+			})
 		})
 		sorted := spark.SortBy(keyed, o.less, func() error {
 			mu.Lock()

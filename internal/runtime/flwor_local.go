@@ -36,7 +36,7 @@ func (t tuple) in(sc *DynamicContext) *DynamicContext {
 
 // clauseEval streams the tuple output of one FLWOR clause. Each clause keeps
 // what it does to one tuple in a method of its own (expand, bind, bindKeys,
-// merge, keysOf, less), which the cluster steps of flwor_df.go call too:
+// merge, keysOf, top, less), which the cluster steps of flwor_df.go call too:
 // the clause semantics exist once. Those methods take the tuple scope (see
 // tupleScope) of the loop calling them — one per streamTuples call here,
 // one per partition task in flwor_df.go.
@@ -347,11 +347,15 @@ type orderSpecEval struct {
 
 // orderByEval implements the order-by clause (§4.8) under the rules of
 // package orderby: compute each tuple's keys, reject a key that is a
-// string on one tuple and a number on another, sort stably.
+// string on one tuple and a number on another, sort stably. Under a
+// recorded top-k bound (compiler.Info.TopK) the sort keeps only the first
+// topK tuples; every tuple is still keyed, so key errors and the mix check
+// see the whole stream.
 type orderByEval struct {
 	parent clauseEval
 	specs  []orderSpecEval
 	desc   []bool // per key: descending
+	topK   int64  // the bound, or -1 for a full sort
 }
 
 // keyedTuple is a tuple with its ordering keys: item.SortKey's four fields
@@ -366,17 +370,25 @@ type keyedTuple struct {
 // scope sc.
 func (o *orderByEval) keysOf(sc *DynamicContext, t tuple) (keyedTuple, error) {
 	keys := make([]item.SortKey, len(o.specs))
+	if err := o.keyInto(keys, sc, t); err != nil {
+		return keyedTuple{}, err
+	}
+	return keyedTuple{t: t, keys: keys}, nil
+}
+
+// keyInto is keysOf into a buffer the caller owns.
+func (o *orderByEval) keyInto(keys []item.SortKey, sc *DynamicContext, t tuple) error {
 	tdc := t.in(sc)
 	for i, spec := range o.specs {
 		seq, err := Materialize(spec.expr, tdc)
 		if err != nil {
-			return keyedTuple{}, err
+			return err
 		}
 		if keys[i], err = orderby.Key(seq, spec.emptyGreatest); err != nil {
-			return keyedTuple{}, Errorf("%v", err)
+			return Errorf("%v", err)
 		}
 	}
-	return keyedTuple{t: t, keys: keys}, nil
+	return nil
 }
 
 // less orders two keyed tuples by the clause's keys and directions.
@@ -384,10 +396,38 @@ func (o *orderByEval) less(a, b keyedTuple) bool {
 	return orderby.Compare(o.desc, a.keys, b.keys) < 0
 }
 
+// top keys every tuple each streams into one buffer, notes its kinds in
+// mix and offers it to a bounded sort of topK tuples.
+func (o *orderByEval) top(sc *DynamicContext, mix orderby.Mix, each func(func(tuple) error) error) (*orderby.Bounded[tuple], error) {
+	top := orderby.NewBounded[tuple](o.topK, o.desc)
+	keys := make([]item.SortKey, len(o.specs))
+	err := each(func(t tuple) error {
+		if err := o.keyInto(keys, sc, t); err != nil {
+			return err
+		}
+		mix.Note(keys)
+		if p := top.Offer(keys); p != nil {
+			*p = t
+		}
+		return nil
+	})
+	return top, err
+}
+
 func (o *orderByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
-	var rows []keyedTuple
 	mix := make(orderby.Mix, len(o.specs))
 	sc := dc.tupleScope()
+	if o.topK >= 0 {
+		top, err := o.top(sc, mix, func(f func(tuple) error) error { return o.parent.streamTuples(dc, f) })
+		if err != nil {
+			return err
+		}
+		if err := mix.Err(); err != nil {
+			return Errorf("%v", err)
+		}
+		return top.Sorted(func(_ []item.SortKey, t tuple) error { return yield(t) })
+	}
+	var rows []keyedTuple
 	err := o.parent.streamTuples(dc, func(t tuple) error {
 		k, err := o.keysOf(sc, t)
 		if err != nil {

@@ -234,6 +234,7 @@ type vmorselResult struct {
 	items  []item.Item
 	groups *vector.Groups
 	run    *vector.SortRows
+	top    *orderby.Bounded[[]item.Item] // run's place under a fused top-k
 	mix    orderby.Mix
 }
 
@@ -530,27 +531,46 @@ func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int3
 }
 
 // sortMorsel encodes the batch's order-by keys and produces this morsel's
-// stably sorted run (truncated to k for a fused top-k), carrying each
+// stably sorted run (its first k rows under a fused top-k), carrying each
 // surviving row's bound column values for the deferred projection.
 func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, error) {
 	s, topK := v.k.Sort, v.k.Plan.TopK
-	res := &vmorselResult{
-		run: vector.NewSortRows(s.Descending),
-		mix: make(orderby.Mix, len(s.Keys)),
-	}
+	res := &vmorselResult{mix: make(orderby.Mix, len(s.Keys))}
 	keyCols, err := vs.evalAll(s.Keys, b)
 	if err != nil {
 		return nil, err
 	}
-	// A top-k run copies the keys of the rows it keeps, so one buffer serves
+	// A top-k copies the keys of the rows it keeps, so one buffer serves
 	// the whole morsel; a full sort keeps every row's keys, carved from one
 	// slab.
 	n, slabRows := len(keyCols), b.N
 	if topK > 0 {
 		slabRows = 1
+		res.top = orderby.NewBounded[[]item.Item](topK, s.Descending)
+	} else {
+		res.run = vector.NewSortRows(s.Descending)
 	}
 	slab := make([]item.SortKey, slabRows*n)
 	var rowErr error
+	vals := func(row int) []item.Item {
+		vs := make([]item.Item, len(b.Cols))
+		for slot, c := range b.Cols {
+			if c != nil {
+				vs[slot] = c.Item(row)
+			}
+		}
+		if b.Src != nil && b.Cols[0] == nil {
+			// The deferred projection reads the scan variable after the
+			// merge, away from this segment's lanes: assemble the row now —
+			// under a top-k, only once it ranks inside the bound.
+			it, err := b.ScanRow(v.k.RowSlot, row)
+			if err != nil && rowErr == nil {
+				rowErr = err
+			}
+			vs[0] = it
+		}
+		return vs
+	}
 	for i := 0; i < b.N; i++ {
 		off := (i % slabRows) * n // always 0 under a top-k
 		keys := slab[off : off+n : off+n]
@@ -562,36 +582,16 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 			keys[ki] = sk
 		}
 		res.mix.Note(keys)
-		row := i
-		vals := func() []item.Item {
-			vs := make([]item.Item, len(b.Cols))
-			for slot, c := range b.Cols {
-				if c != nil {
-					vs[slot] = c.Item(row)
-				}
-			}
-			if b.Src != nil && b.Cols[0] == nil {
-				// The deferred projection reads the scan variable after the
-				// merge, away from this segment's lanes: assemble the row now —
-				// under a top-k, only once it ranks inside the bound.
-				it, err := b.ScanRow(v.k.RowSlot, row)
-				if err != nil && rowErr == nil {
-					rowErr = err
-				}
-				vs[0] = it
-			}
-			return vs
+		if res.top == nil {
+			res.run.Append(keys, vals(i))
+		} else if p := res.top.Offer(keys); p != nil {
+			*p = vals(i)
 		}
-		if topK > 0 {
-			res.run.AppendTopK(keys, int(topK), vals)
-			continue
-		}
-		res.run.Append(keys, vals())
 	}
 	if rowErr != nil {
 		return nil, rowErr
 	}
-	if topK == 0 {
+	if res.run != nil {
 		res.run.Sort()
 	}
 	return res, nil
@@ -740,7 +740,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 type vmergeState struct {
 	groups *vector.Groups
 	runs   []*vector.SortRows
-	topk   *vector.SortRows
+	top    *orderby.Bounded[[]item.Item]
 	mix    orderby.Mix
 }
 
@@ -754,19 +754,26 @@ func (v *vectorIter) newMergeState() *vmergeState {
 
 // mergeResult folds one morsel's result — in morsel index order — into the
 // evaluation: non-group rows yield immediately, partial aggregation tables
-// merge into the running table, sorted runs collect (or two-way merge into
-// the running top-k, bounding memory to k). stop=true asks the caller to
-// cancel the remaining scan: an early-exit existence test is decided.
+// merge into the running table, sorted runs collect (or offer their rows,
+// in morsel order, to the running top-k, bounding memory to k). stop=true
+// asks the caller to cancel the remaining scan: an early-exit existence
+// test is decided.
 func (v *vectorIter) mergeResult(st *vmergeState, res *vmorselResult, yield func(item.Item) error) (stop bool, err error) {
 	if v.k.Sort != nil {
 		st.mix.Add(res.mix)
-		if topK := v.k.Plan.TopK; topK > 0 {
-			if st.topk == nil {
-				st.topk = res.run
-			} else {
-				st.topk = vector.MergeTopK(st.topk, res.run, int(topK))
+		if res.top != nil {
+			if st.top == nil {
+				st.top = res.top // the first morsel's rows are offered first
+				return false, nil
 			}
-			return false, nil
+			// Offered after every earlier morsel's rows, a row loses its
+			// ties to them, as in the stable sort of the whole scan.
+			return false, res.top.Sorted(func(keys []item.SortKey, vals []item.Item) error {
+				if p := st.top.Offer(keys); p != nil {
+					*p = vals
+				}
+				return nil
+			})
 		}
 		st.runs = append(st.runs, res.run)
 		return false, nil
@@ -809,13 +816,6 @@ func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context
 	if err := st.mix.Err(); err != nil {
 		return Errorf("%v", err)
 	}
-	runs := st.runs
-	if v.k.Plan.TopK > 0 {
-		if st.topk == nil {
-			return nil
-		}
-		runs = []*vector.SortRows{st.topk}
-	}
 	clk := newStageClock(vs.prof)
 	var rootRows int64
 	newBatch := func() *vector.Batch {
@@ -850,7 +850,7 @@ func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context
 		b = newBatch()
 		return nil
 	}
-	err := vector.MergeRuns(runs, func(vals []item.Item) error {
+	emit := func(vals []item.Item) error {
 		for slot, c := range b.Cols {
 			c.AppendItem(vals[slot])
 		}
@@ -859,7 +859,13 @@ func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context
 			return flush()
 		}
 		return nil
-	})
+	}
+	var err error
+	if st.top != nil {
+		err = st.top.Sorted(func(_ []item.SortKey, vals []item.Item) error { return emit(vals) })
+	} else {
+		err = vector.MergeRuns(st.runs, emit) // no runs under a top-k of no morsels
+	}
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,6 @@
 package vector
 
 import (
-	"slices"
-
 	"rumble/internal/item"
 	"rumble/internal/orderby"
 )
@@ -65,68 +63,9 @@ func (r *SortRows) Append(keys []item.SortKey, vals []item.Item) {
 	r.rows = append(r.rows, sortRow{keys: keys, vals: vals})
 }
 
-// AppendTopK inserts one row into a run kept sorted and bounded at k rows —
-// the fused top-k morsel path. Insertion is stable (a row ties after the
-// equal rows already present, preserving scan order), so the bounded run is
-// exactly the first k rows of Append-all + Sort. vals is only
-// called when the row survives, so the tail of the scan is never
-// materialized; the common case once the run saturates is a single
-// comparison against the current k-th row.
-//
-// keys is only read during the call: AppendTopK copies it when the row is
-// kept, so the caller may reuse one key buffer for every row, and a row
-// that ranks outside k costs no allocation.
-func (r *SortRows) AppendTopK(keys []item.SortKey, k int, vals func() []item.Item) {
-	if len(r.rows) >= k && orderby.Compare(r.desc, keys, r.rows[k-1].keys) >= 0 {
-		return
-	}
-	keys = slices.Clone(keys)
-	lo, hi := 0, len(r.rows)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if orderby.Compare(r.desc, r.rows[mid].keys, keys) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	r.rows = append(r.rows, sortRow{})
-	copy(r.rows[lo+1:], r.rows[lo:])
-	r.rows[lo] = sortRow{keys: keys, vals: vals()}
-	if len(r.rows) > k {
-		r.rows = r.rows[:k]
-	}
-}
-
 // Sort stably sorts the run; equal keys keep their append (scan) order.
 func (r *SortRows) Sort() {
 	orderby.Stable(r.rows, r.less)
-}
-
-// MergeTopK merges a later sorted run into the accumulated top-k, keeping
-// at most k rows. acc wins ties: its rows come from earlier morsels, so the
-// bounded result is exactly the first k rows of the full stable sort.
-func MergeTopK(acc, run *SortRows, k int) *SortRows {
-	out := NewSortRows(acc.desc)
-	out.rows = make([]sortRow, 0, k)
-	i, j := 0, 0
-	for len(out.rows) < k && (i < len(acc.rows) || j < len(run.rows)) {
-		switch {
-		case j >= len(run.rows):
-			out.rows = append(out.rows, acc.rows[i])
-			i++
-		case i >= len(acc.rows):
-			out.rows = append(out.rows, run.rows[j])
-			j++
-		case orderby.Compare(acc.desc, acc.rows[i].keys, run.rows[j].keys) <= 0:
-			out.rows = append(out.rows, acc.rows[i])
-			i++
-		default:
-			out.rows = append(out.rows, run.rows[j])
-			j++
-		}
-	}
-	return out
 }
 
 // MergeRuns k-way-merges sorted runs (indexed in morsel order) and calls

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rumble/internal/item"
+	"rumble/internal/orderby"
 )
 
 // topKKey maps one fuzz byte to an order-by key: the low three bits pick
@@ -48,13 +49,15 @@ func rowIndexes(r *SortRows) []int64 {
 	return out
 }
 
-// FuzzTopKMatchesSort holds the bounded top-k run to the first k rows of
-// Append + Sort over fuzzed multi-key tuples (ties, NaN, -0.0, empty-least
-// or -greatest keys, strings among numbers, mixed directions), and MergeTopK
-// of the input split at a fuzzed point to the same rows. MergeRuns of the
-// two halves, each sorted, must give the whole stable sort. The caller
-// fills one key buffer for every AppendTopK call, so a kept row must not
-// alias it.
+// FuzzTopKMatchesSort holds the vector backend's two routes through an
+// order-by to one answer over fuzzed multi-key tuples (ties, NaN, -0.0,
+// empty-least or -greatest keys, strings among numbers, mixed directions)
+// cut into two morsels at a fuzzed point. The sort route stably sorts each
+// morsel's SortRows and MergeRuns them; it must give the whole stable
+// sort. The top-k route keeps each morsel's first k rows in an
+// orderby.Bounded, fed through one reused key buffer, and offers them in
+// morsel order to the coordinator's; it must give the sort route's first k
+// rows, keys included.
 func FuzzTopKMatchesSort(f *testing.F) {
 	f.Add([]byte{3, 11, 19, 3, 5, 13, 0, 6, 7, 1, 2, 27}, uint8(0), uint8(2), uint16(5), uint8(0))
 	f.Add([]byte{5, 3, 13, 11, 5, 3, 6, 0, 7, 4, 21, 12}, uint8(1), uint8(3), uint16(2), uint8(0x12))
@@ -74,8 +77,9 @@ func FuzzTopKMatchesSort(f *testing.F) {
 				tuples[i][s] = topKKey(data[i*nk+s], emptyGreatest[s])
 			}
 		}
-		kk := 1 + int(k)%(len(tuples)+2)
+		kk := 1 + int64(k)%int64(len(tuples)+2)
 		p := int(split) % (len(tuples) + 1)
+		morsels := [][2]int{{0, p}, {p, len(tuples)}}
 
 		sorted := func(from, to int) *SortRows {
 			r := NewSortRows(desc)
@@ -86,17 +90,6 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			return r
 		}
 		full := sorted(0, len(tuples))
-
-		buf := make([]item.SortKey, nk)
-		bounded := func(from, to int) *SortRows {
-			r := NewSortRows(desc)
-			for i := from; i < to; i++ {
-				copy(buf, tuples[i])
-				r.AppendTopK(buf, kk, func() []item.Item { return []item.Item{item.Int(i)} })
-				clear(buf)
-			}
-			return r
-		}
 		check := func(what string, got *SortRows, n int) {
 			t.Helper()
 			want := &SortRows{rows: full.rows[:min(n, len(full.rows))]}
@@ -109,39 +102,48 @@ func FuzzTopKMatchesSort(f *testing.F) {
 				}
 			}
 		}
-		check("AppendTopK", bounded(0, len(tuples)), kk)
-		check("MergeTopK", MergeTopK(bounded(0, p), bounded(p, len(tuples)), kk), kk)
 
 		merged := NewSortRows(desc)
-		if err := MergeRuns([]*SortRows{sorted(0, p), sorted(p, len(tuples))}, func(vals []item.Item) error {
+		runs := []*SortRows{sorted(morsels[0][0], morsels[0][1]), sorted(morsels[1][0], morsels[1][1])}
+		if err := MergeRuns(runs, func(vals []item.Item) error {
 			merged.Append(tuples[vals[0].(item.Int)], vals)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		check("MergeRuns", merged, len(tuples))
-	})
-}
 
-// TestAppendTopKRejectsWithoutAllocating pins the saturated top-k path: a
-// row that ranks outside k costs one comparison, no allocation, and never
-// materializes its values.
-func TestAppendTopKRejectsWithoutAllocating(t *testing.T) {
-	r := NewSortRows([]bool{false, true})
-	keys := make([]item.SortKey, 2)
-	for i := range 4 {
-		keys[0], keys[1] = item.IntKey(int64(i)), item.SortKey{Tag: item.TagString, Str: "m"}
-		r.AppendTopK(keys, 3, func() []item.Item { return []item.Item{item.Int(i)} })
-	}
-	keys[0], keys[1] = item.IntKey(2), item.SortKey{Tag: item.TagString, Str: "a"}
-	called := false
-	allocs := testing.AllocsPerRun(100, func() {
-		r.AppendTopK(keys, 3, func() []item.Item { called = true; return nil })
+		var top *orderby.Bounded[[]item.Item]
+		buf := make([]item.SortKey, nk)
+		for _, m := range morsels {
+			run := orderby.NewBounded[[]item.Item](kk, desc)
+			for i := m[0]; i < m[1]; i++ {
+				copy(buf, tuples[i])
+				if s := run.Offer(buf); s != nil {
+					*s = []item.Item{item.Int(i)}
+				}
+				clear(buf)
+			}
+			if top == nil {
+				top = run
+				continue
+			}
+			if err := run.Sorted(func(keys []item.SortKey, vals []item.Item) error {
+				if s := top.Offer(keys); s != nil {
+					*s = vals
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bounded := NewSortRows(desc)
+		if err := top.Sorted(func(keys []item.SortKey, vals []item.Item) error {
+			bounded.Append(keys, vals)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("top-k", bounded, int(kk))
 	})
-	if allocs != 0 || called {
-		t.Fatalf("rejected row: %v allocations, vals called = %v; want 0, false", allocs, called)
-	}
-	if got := rowIndexes(r); !slices.Equal(got, []int64{0, 1, 2}) {
-		t.Fatalf("run rows %v, want [0 1 2]", got)
-	}
 }
