@@ -175,23 +175,31 @@ func dfWhereStep(cond Iterator) dfStep {
 	}
 }
 
-// dfGroupStep maps a group-by clause (§4.7): the keys' native typed columns
-// key a hash exchange of the projected member tuples, and each group merges
-// into one tuple.
+// dfGroupStep maps a group-by clause (§4.7) the way Spark combines before
+// a shuffle: each map task folds its partition into one partial group per
+// key (the keys' native typed columns are the exchange key), a hash
+// exchange sends each key's partials to one reduce task in map-partition
+// order, and that task folds them into the group's tuple.
 func dfGroupStep(g *groupByEval) dfStep {
 	return func(in *spark.RDD[tuple], dc *DynamicContext) (*spark.RDD[tuple], error) {
-		members := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(spark.Pair[string, tuple]) error) error {
-			ks := g.newKeyScope(dc)
-			return each(func(t tuple) error {
-				k, member, err := g.bindKeys(ks, t)
-				if err != nil {
-					return err
-				}
-				return yield(spark.Pair[string, tuple]{Key: k, Value: member})
+		partials := spark.MapPartitions(in, func(each func(func(tuple) error) error, yield func(spark.Pair[string, tuple]) error) error {
+			tb := g.newTable(dc)
+			if err := each(tb.foldRow); err != nil {
+				return err
+			}
+			return tb.emit(func(key string, t tuple) error {
+				return yield(spark.Pair[string, tuple]{Key: key, Value: t})
 			})
 		})
-		return spark.Map(spark.GroupByKey(members), func(kv spark.Pair[string, []tuple]) tuple {
-			return g.merge(kv.Value)
+		return spark.MapPartitions(spark.PartitionBy(partials), func(each func(func(spark.Pair[string, tuple]) error) error, yield func(tuple) error) error {
+			tb := g.newTable(nil)
+			if err := each(func(kv spark.Pair[string, tuple]) error {
+				tb.foldPartial(kv.Key, kv.Value)
+				return nil
+			}); err != nil {
+				return err
+			}
+			return tb.emit(func(_ string, t tuple) error { return yield(t) })
 		}), nil
 	}
 }

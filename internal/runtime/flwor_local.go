@@ -35,11 +35,11 @@ func (t tuple) in(sc *DynamicContext) *DynamicContext {
 }
 
 // clauseEval streams the tuple output of one FLWOR clause. Each clause keeps
-// what it does to one tuple in a method of its own (expand, bind, bindKeys,
-// merge, keysOf, top, less), which the cluster steps of flwor_df.go call too:
-// the clause semantics exist once. Those methods take the tuple scope (see
-// tupleScope) of the loop calling them — one per streamTuples call here,
-// one per partition task in flwor_df.go.
+// what it does to one tuple in a method of its own (expand, bind, keysOf,
+// top, less, and the group table's folds), which the cluster steps of
+// flwor_df.go call too: the clause semantics exist once. Those methods take
+// the tuple scope (see tupleScope) of the loop calling them — one per
+// streamTuples call here, one per partition task in flwor_df.go.
 type clauseEval interface {
 	streamTuples(dc *DynamicContext, yield func(tuple) error) error
 }
@@ -183,12 +183,11 @@ type groupCarry struct {
 	countOnly bool
 }
 
-// groupByEval implements the group-by clause (§4.7): bindKeys projects each
-// incoming tuple onto the output frame — the keys, then the carried
-// variables, count-only ones already reduced to their length and unused ones
-// dropped, so a group holds (and a shuffle ships) no payload the rest of
-// the FLWOR cannot see — and merge folds the members of one group into its
-// output tuple.
+// groupByEval implements the group-by clause (§4.7) through a groupTable,
+// which folds each incoming tuple into its group under the output frame —
+// the keys, then the carried variables, count-only ones reduced to their
+// summed length and unused ones dropped, so a group holds (and a shuffle
+// ships) no payload the rest of the FLWOR cannot see.
 type groupByEval struct {
 	parent clauseEval
 	specs  []groupSpecEval
@@ -225,118 +224,12 @@ func newGroupByEval(parent clauseEval, in []string, specs []groupSpecEval, usage
 	return g
 }
 
-// keyScope is what binding the grouping keys of a tuple stream reuses from
-// one tuple to the next: the tuple scope key expressions run under, and
-// the values of the work frame, dead once the previous tuple's keys are
-// read.
-type keyScope struct {
-	sc   *DynamicContext
-	work [][]item.Item
-}
-
-// newKeyScope returns the key scope of one clause evaluation (locally) or
-// of one partition task (on the cluster).
-func (g *groupByEval) newKeyScope(dc *DynamicContext) *keyScope {
-	return &keyScope{sc: dc.tupleScope(), work: make([][]item.Item, 0, len(g.work))}
-}
-
-// bindKeys binds and validates the grouping keys of t and returns the
-// exchange key of its group with t's member tuple.
-func (g *groupByEval) bindKeys(ks *keyScope, t tuple) (string, tuple, error) {
-	n := len(t.values)
-	work := append(ks.work[:0], t.values...) // capacity len(g.work): never regrows
-	ks.work = work
-	member := make([][]item.Item, len(g.frame))
-	for i, spec := range g.specs {
-		var seq []item.Item
-		switch {
-		case spec.expr != nil:
-			// A key expression sees the tuple and the keys bound before it.
-			s, err := Materialize(spec.expr, ks.sc.rebind(g.work[:n+i], work))
-			if err != nil {
-				return "", tuple{}, err
-			}
-			seq = s
-		case spec.src >= 0:
-			seq = work[spec.src]
-		default:
-			return "", tuple{}, Errorf("group by: variable $%s is not bound", spec.varName)
-		}
-		if len(seq) > 1 {
-			return "", tuple{}, Errorf("group by: key $%s binds a sequence of %d items", spec.varName, len(seq))
-		}
-		work = append(work, seq)
-		member[i] = seq
-	}
-	key := make([]byte, 0, 64) // on the stack unless the keys render longer
-	for _, seq := range member[:len(g.specs)] {
-		sk, err := item.EncodeSortKey(seq, false)
-		if err != nil {
-			return "", tuple{}, Errorf("group by: %v", err)
-		}
-		key = item.AppendSortKey(key, sk)
-	}
-	for j, c := range g.carry {
-		seq := t.values[c.src]
-		if c.countOnly {
-			seq = []item.Item{item.Int(len(seq))}
-		}
-		member[len(g.specs)+j] = seq
-	}
-	return string(key), tuple{names: g.frame, values: member}, nil
-}
-
-// merge folds the member tuples of one group into the group's tuple: the
-// keys of the first member (all members agree), each carried variable
-// re-bound to the concatenation of its values across the group, or to the
-// sum of the lengths when only its count is consumed.
-func (g *groupByEval) merge(members []tuple) tuple {
-	out := make([][]item.Item, len(g.frame))
-	nk := len(g.specs)
-	copy(out, members[0].values[:nk])
-	for j, c := range g.carry {
-		slot := nk + j
-		if c.countOnly {
-			var n int64
-			for _, m := range members {
-				n += int64(m.values[slot][0].(item.Int))
-			}
-			out[slot] = []item.Item{item.Int(n)}
-			continue
-		}
-		var all []item.Item
-		for _, m := range members {
-			all = append(all, m.values[slot]...)
-		}
-		out[slot] = all
-	}
-	return tuple{names: g.frame, values: out}
-}
-
 func (g *groupByEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
-	groups := make(map[string][]tuple)
-	var order []string // first-seen key order
-	ks := g.newKeyScope(dc)
-	err := g.parent.streamTuples(dc, func(t tuple) error {
-		k, member, err := g.bindKeys(ks, t)
-		if err != nil {
-			return err
-		}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], member)
-		return nil
-	})
-	if err != nil {
+	tb := g.newTable(dc)
+	if err := g.parent.streamTuples(dc, tb.foldRow); err != nil {
 		return err
 	}
-	for _, k := range order {
-		if err := yield(g.merge(groups[k])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tb.emit(func(_ string, t tuple) error { return yield(t) })
 }
 
 // orderSpecEval is one compiled ordering key.

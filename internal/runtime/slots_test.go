@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rumble/internal/ast"
+	"rumble/internal/compiler"
 	"rumble/internal/item"
 )
 
@@ -140,45 +142,59 @@ func TestMaterializeReadsInPlace(t *testing.T) {
 	}
 }
 
-// TestGroupKeysBindAllocs pins the allocation ceiling of binding one
-// tuple's grouping keys: the member slice and the exchange key string.
-// Key expressions run in the key scope and the work frame's values reuse
-// its buffer, so neither costs an allocation per tuple. The key bytes stay
-// in bindKeys' stack buffer, which an encoder reached through a function
-// value would make escape.
-func TestGroupKeysBindAllocs(t *testing.T) {
+// TestGroupTableAllocs pins that a row folding into an existing group
+// allocates nothing: key expressions run in the table's scope, the work
+// frame and the key bytes reuse the table's buffers, the group lookup
+// reads the key bytes in place and a count-only carry adds to an int64.
+// Only a new group allocates. The reused buffers are dead once a row is
+// folded: the keys of one group survive folding the next row.
+func TestGroupTableAllocs(t *testing.T) {
 	one := func(it item.Item) []item.Item { return []item.Item{it} }
 	frame := []string{"x", "s"}
 	tup := tuple{names: frame, values: [][]item.Item{one(item.Int(7)), one(item.Str("abc"))}}
+	next := tuple{names: frame, values: [][]item.Item{one(item.Int(8)), {item.Str("x"), item.Str("y")}}}
+	countS := map[string]compiler.VarUsage{"x": compiler.UsageUnused, "s": compiler.UsageCountOnly}
 	dc := NewDynamicContext()
 	for _, c := range []struct {
 		name  string
 		specs []groupSpecEval
-		max   float64
+		want  string // the two groups, first-seen order; 102 = the first fold, AllocsPerRun's warm-up and its 100 runs
 	}{
-		{"expression and variable keys", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}, {varName: "s"}}, 2},
-		{"variable key", []groupSpecEval{{varName: "s"}}, 2},
+		{"expression key, count-only carry", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}},
+			"[7 102] [8 2]"},
+		{"expression and variable keys, count-only carry", []groupSpecEval{{varName: "k", expr: &varRefIter{name: "x"}}, {varName: "x"}},
+			"[7 7 102] [8 8 2]"},
+		{"variable key, count-only carry", []groupSpecEval{{varName: "x"}},
+			"[7 102] [8 2]"},
 	} {
-		g := newGroupByEval(nil, frame, c.specs, nil)
-		ks := g.newKeyScope(dc)
+		g := newGroupByEval(nil, frame, c.specs, countS)
+		tb := g.newTable(dc)
+		if err := tb.foldRow(tup); err != nil { // makes the group
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		var err error
-		n := testing.AllocsPerRun(100, func() { _, _, err = g.bindKeys(ks, tup) })
+		if n := testing.AllocsPerRun(100, func() { err = tb.foldRow(tup) }); n != 0 {
+			t.Errorf("%s: %.0f allocations per row folded into an existing group, want 0", c.name, n)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if n > c.max {
-			t.Errorf("%s: %.0f allocations per bound tuple, want at most %.0f", c.name, n, c.max)
+		if err := tb.foldRow(next); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		// The reused work buffer is dead once a tuple's keys are read: the
-		// member of one tuple survives binding the next.
-		k1, m1, _ := g.bindKeys(ks, tup)
-		next := tuple{names: frame, values: [][]item.Item{one(item.Int(8)), one(item.Str("xyz"))}}
-		k2, m2, _ := g.bindKeys(ks, next)
-		if k1 == k2 || item.SerializeSequence(m1.values[0]) == item.SerializeSequence(m2.values[0]) {
-			t.Errorf("%s: keys of two tuples agree (%q): the key scope leaked a binding", c.name, k1)
+		var got []string
+		if err := tb.emit(func(_ string, t tuple) error {
+			var vals []string
+			for _, v := range t.values {
+				vals = append(vals, item.SerializeSequence(v))
+			}
+			got = append(got, fmt.Sprint(vals))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		if got := item.SerializeSequence(m1.values[len(c.specs)-1]); got != `"abc"` {
-			t.Errorf("%s: first member's last key is %s after binding the next tuple, want \"abc\"", c.name, got)
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s: groups %s, want %s", c.name, s, c.want)
 		}
 	}
 }

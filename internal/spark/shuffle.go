@@ -61,43 +61,103 @@ func mix64(x uint64) uint64 {
 }
 
 // shuffleExchange materializes the parent pair RDD once: each map task
-// buckets its partition's records by hash of key into numOut slices, and
-// the exchange keeps those slices where the tasks wrote them. Output
-// partition b reads runs[0][b], runs[1][b], ... in map-partition order —
-// the order concatenating the buckets would give — and copies nothing.
-// Concurrent consumers share one exchange via sync.Once, matching Spark's
-// write-once shuffle files.
+// buckets its partition's records by hash of key into numOut buckets, and
+// the exchange keeps them where the task wrote them. A bucket is a list of
+// chunks that never regrow (bucketRows), and runs holds every map task's
+// chunk rows in map-partition order, so output partition b reads
+// runs[0][b], runs[1][b], ... — each map task's bucket b in write order,
+// the map tasks in partition order, the order concatenating the buckets
+// would give — and copies nothing. Concurrent consumers share one exchange
+// via sync.Once, matching Spark's write-once shuffle files.
 type shuffleExchange[K comparable, V any] struct {
 	once sync.Once
 	err  error
-	runs [][][]Pair[K, V] // [map partition][output partition]
+	runs [][][]Pair[K, V] // [chunk row][output partition]
 }
 
 func (ex *shuffleExchange[K, V]) runOnce(r *RDD[Pair[K, V]], numOut int) {
 	ex.once.Do(func() {
-		runs := make([][][]Pair[K, V], r.parts)
+		rows := make([][][][]Pair[K, V], r.parts)
 		err := r.ctx.runStage(r.parts, func(p int) error {
-			local := make([][]Pair[K, V], numOut)
+			w := bucketRows[K, V]{chunks: make([]int, numOut), n: make([]int, numOut)}
 			e := r.compute(p, func(kv Pair[K, V]) error {
-				b := int(hashKey(kv.Key) % uint64(numOut))
-				local[b] = append(local[b], kv)
+				w.add(int(hashKey(kv.Key)%uint64(numOut)), kv)
 				return nil
 			})
-			runs[p] = local
+			rows[p] = w.rows
 			return e
 		})
 		if err != nil {
 			ex.err = err
 			return
 		}
+		total := 0
+		for _, local := range rows {
+			total += len(local)
+		}
+		runs := make([][][]Pair[K, V], 0, total)
 		var n int64
-		for _, local := range runs {
-			for _, recs := range local {
-				n += int64(len(recs))
+		for _, local := range rows {
+			runs = append(runs, local...)
+			for _, row := range local {
+				for _, recs := range row {
+					n += int64(len(recs))
+				}
 			}
 		}
 		ex.runs = runs
 		r.ctx.metrics.ShuffleRecords.Add(n)
+	})
+}
+
+// bucketRows collects one map task's records into its buckets. A bucket
+// grows by chunks: a full chunk stays where it is and a new one, half as
+// long as the bucket so far (at least 4), takes the next records, so
+// growing copies nothing and allocates at most half again the records'
+// size, plus 4. rows[i][b] is chunk i of bucket b: reading the rows in
+// order, slot b of each, reads bucket b in write order.
+type bucketRows[K comparable, V any] struct {
+	rows   [][][]Pair[K, V]
+	chunks []int // per bucket: chunks started
+	n      []int // per bucket: records written
+}
+
+func (w *bucketRows[K, V]) add(b int, kv Pair[K, V]) {
+	i := w.chunks[b] - 1
+	if i < 0 || len(w.rows[i][b]) == cap(w.rows[i][b]) {
+		i++
+		if i == len(w.rows) {
+			w.rows = append(w.rows, make([][]Pair[K, V], len(w.chunks)))
+		}
+		w.rows[i][b] = make([]Pair[K, V], 0, max(4, w.n[b]/2))
+		w.chunks[b]++
+	}
+	w.rows[i][b] = append(w.rows[i][b], kv)
+	w.n[b]++
+}
+
+// PartitionBy hash-partitions a pair RDD into Parallelism output
+// partitions, as Spark's partitionBy does: output partition p yields the
+// records whose key hashes to p, in map-partition order and, within a map
+// partition, in the order it produced them. The records are the exchange's,
+// materialized once and shared by every computation of the output; a
+// consumer must not write them.
+func PartitionBy[K comparable, V any](r *RDD[Pair[K, V]]) *RDD[Pair[K, V]] {
+	numOut := r.ctx.conf.Parallelism
+	var ex shuffleExchange[K, V]
+	return NewRDD(r.ctx, numOut, "partitionBy("+r.name+")", func(p int, yield func(Pair[K, V]) error) error {
+		ex.runOnce(r, numOut)
+		if ex.err != nil {
+			return ex.err
+		}
+		for _, local := range ex.runs {
+			for _, kv := range local[p] {
+				if err := yield(kv); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
 }
 

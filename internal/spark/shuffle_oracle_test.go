@@ -9,8 +9,8 @@ import (
 // and merged them, kept word for word, and a sequential replay of the hash
 // exchange that concatenates each output partition's buckets in map
 // partition order before reading them. FuzzSortByMatchesBuckets and
-// TestExchangeReadersKeepOrder hold SortBy, GroupByKey, ReduceByKey and
-// JoinByKey to these partitions, contents and order.
+// TestExchangeReadersKeepOrder hold SortBy, GroupByKey, ReduceByKey,
+// JoinByKey and PartitionBy to these partitions, contents and order.
 
 // oracleSortBy produces a globally sorted RDD using sampled range
 // boundaries, a range-partitioning shuffle and a per-partition sort —

@@ -155,9 +155,9 @@ func randomPairs(ctx *Context, rng *rand.Rand) *RDD[Pair[string, int]] {
 	return splitRDD(ctx, data, randomSizes(rng, n, parts))
 }
 
-// TestExchangeReadersKeepOrder holds GroupByKey, ReduceByKey and JoinByKey,
-// which read the exchange's runs in place, to readers of the concatenated
-// buckets: the same records in every output partition, emitted in the same
+// TestExchangeReadersKeepOrder holds GroupByKey, ReduceByKey, JoinByKey and
+// PartitionBy, which read the exchange's chunked runs in place, to readers
+// of the concatenated buckets: the same records in every output partition, emitted in the same
 // order. Groups are cut from one array with cap == len, so appending to
 // one leaves its neighbour alone.
 func TestExchangeReadersKeepOrder(t *testing.T) {
@@ -200,6 +200,7 @@ func TestExchangeReadersKeepOrder(t *testing.T) {
 		}
 
 		samePartitions(t, "JoinByKey "+what, partitionsOf(t, JoinByKey(left, right, nil)), wantJoin)
+		samePartitions(t, "PartitionBy "+what, partitionsOf(t, PartitionBy(left)), bl)
 
 		// A combine that keeps its operands' order shows any reordering.
 		strs := Map(left, func(kv Pair[string, int]) Pair[string, string] {
@@ -248,11 +249,12 @@ type record64 struct {
 	pad [7]int64
 }
 
-// TestShuffleAllocCeilings bounds what SortBy and GroupByKey allocate per
-// byte of the records they shuffle. Each materializes its records once on
-// the map side and reads slices of that copy: a sort that copied its runs
-// into range buckets, or a group-by that concatenated the exchange and grew
-// per-key slices by appending, allocates well past these bounds.
+// TestShuffleAllocCeilings bounds what SortBy, GroupByKey and PartitionBy
+// allocate per byte of the records they shuffle. Each materializes its
+// records once on the map side and reads slices of that copy: a sort that
+// copied its runs into range buckets, a group-by that concatenated the
+// exchange and grew per-key slices by appending, or an exchange whose
+// buckets regrew by appending, allocates well past these bounds.
 func TestShuffleAllocCeilings(t *testing.T) {
 	recs := make([]record64, 8192)
 	pairs := make([]Pair[int64, [7]int64], len(recs))
@@ -270,8 +272,14 @@ func TestShuffleAllocCeilings(t *testing.T) {
 	groupRatio := allocRatio(t, pairs, func(in *RDD[Pair[int64, [7]int64]]) (int64, error) {
 		return Count(GroupByKey(in))
 	})
-	if groupRatio > 4.5 {
-		t.Errorf("GroupByKey allocates %.2f× its records' bytes, want at most 4.5×", groupRatio)
+	if groupRatio > 3.0 {
+		t.Errorf("GroupByKey allocates %.2f× its records' bytes, want at most 3.0×", groupRatio)
 	}
-	t.Logf("SortBy %.2f×, GroupByKey %.2f×", sortRatio, groupRatio)
+	partRatio := allocRatio(t, pairs, func(in *RDD[Pair[int64, [7]int64]]) (int64, error) {
+		return Count(PartitionBy(in))
+	})
+	if partRatio > 2.0 {
+		t.Errorf("PartitionBy allocates %.2f× its records' bytes, want at most 2.0×", partRatio)
+	}
+	t.Logf("SortBy %.2f×, GroupByKey %.2f×, PartitionBy %.2f×", sortRatio, groupRatio, partRatio)
 }
