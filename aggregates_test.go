@@ -258,3 +258,34 @@ func TestExistenceAgrees(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeyErrorsAgree holds a non-atomic grouping key to one error text,
+// naming the key's variable, on every backend: the Spark-less fold, the
+// cluster's map-side group tables at Executors 1, 2 and 8, and the vector
+// hash table over the raw scan and over segments.
+func TestGroupKeyErrorsAgree(t *testing.T) {
+	engines := aggregateEngines()
+	for _, c := range []struct{ bad, kind string }{{`{"a":1}`, "object"}, {`[1]`, "array"}} {
+		path := writeAggregateInput(t, []string{`{"x":1}`, `{"x":"a"}`, `{"x":` + c.bad + `}`, `{"x":2}`})
+		for _, q := range []struct{ text, want string }{
+			{`for $o in json-file(%q) group by $k := $o.x return count($o)`,
+				"error: group by: key $k binds a non-atomic " + c.kind + " item"},
+			{`for $o in json-file(%q) group by $g := true, $key2 := $o.x return count($o)`,
+				"error: group by: key $key2 binds a non-atomic " + c.kind + " item"},
+		} {
+			query := fmt.Sprintf(q.text, path)
+			for _, e := range engines {
+				st, err := e.eng.Compile(query)
+				if err != nil {
+					t.Fatalf("%s: %v\nquery: %s", e.name, err, query)
+				}
+				if want := map[string]string{"cluster": "DataFrame", "vector": "Vector"}[e.family]; want != "" && st.Mode() != want {
+					t.Fatalf("%s: mode %s, want %s\nquery: %s", e.name, st.Mode(), want, query)
+				}
+				if got := answer(e.eng, query); got != q.want {
+					t.Errorf("%s: %s\nwant: %s\nquery: %s", e.name, got, q.want, query)
+				}
+			}
+		}
+	}
+}

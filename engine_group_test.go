@@ -117,7 +117,7 @@ func TestGroupPartialsAgree(t *testing.T) {
 		{fmt.Sprintf(`for $o in json-file(%q) group by $k := ($o.k, $o.extra) return count($o)`, b),
 			`error: group by: key $k binds a sequence of 2 items`},
 		{fmt.Sprintf(`for $o in json-file(%q) group by $k := $o.k return count($o)`, b),
-			`error: group by: key binds a non-atomic object item`},
+			`error: group by: key $k binds a non-atomic object item`},
 	}
 	for _, c := range cases {
 		for _, e := range engines {

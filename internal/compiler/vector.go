@@ -147,6 +147,7 @@ type VectorGroup struct {
 	Clause   *ast.GroupByClause
 	KeyExprs []vector.Expr
 	KeySlots []int
+	KeyVars  []string // the variable each key binds
 	Kinds    []vector.AggKind
 	AggArgs  []vector.Expr
 	Project  vector.Expr
@@ -431,6 +432,7 @@ func (s *vscope) groupTail(f *ast.FLWOR, group *ast.GroupByClause) error {
 		}
 		g.KeyExprs = append(g.KeyExprs, ke)
 		g.KeySlots = append(g.KeySlots, s.bind(spec.Var))
+		g.KeyVars = append(g.KeyVars, spec.Var)
 		gs.slots[spec.Var] = i
 	}
 	var err error

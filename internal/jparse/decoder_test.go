@@ -3,6 +3,7 @@ package jparse
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"strings"
 	"testing"
 
@@ -184,6 +185,14 @@ func FuzzDecoderMatchesOracle(f *testing.F) {
 	for _, s := range oracleSeeds {
 		f.Add([]byte(s.doc), s.fields)
 	}
+	// Each byte the word scan stops at, at every offset of the first word
+	// and a half, in a kept value, a skipped value and a key.
+	for off := 0; off <= 16; off++ {
+		for _, c := range []string{`"`, `\n`, "\x01", "\xff"} {
+			s := strings.Repeat("x", off) + c + strings.Repeat("y", 9)
+			f.Add([]byte(`{"k":"`+s+`","skip":"`+s+`","`+s+`":1}`), "k")
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, fields string) {
 		var fs []string
 		if fields != "" {
@@ -257,20 +266,25 @@ func TestShapesAreShared(t *testing.T) {
 // confusionDoc is a confusion-dataset record with the median four choices.
 const confusionDoc = `{"guess": "French", "target": "Danish", "country": "AU", "choices": ["Danish", "French", "Maltese", "Welsh"], "sample": "92f9e1c17e6df988780527341fdb471d", "date": "2013-08-19"}`
 
-// TestDecodeAllocCeilings pins what the shape cache and projection buy on a
-// warm decoder: a full confusion record costs its values (two allocations
-// per string, the array, its members, the object and its value slice) and
-// nothing for keys or an index; projected on two of its six fields it costs
-// those two strings and the object.
+// redditDoc is a Reddit comment whose long body a projection on subreddit
+// and score skips.
+const redditDoc = `{"id": "t1_5x1qz9", "author": "user48213", "subreddit": "programming", "body": "the quick brown fox jumps over the lazy dog data query json nested heterogeneous spark scale comment thread upvote karma repost original source the quick brown fox jumps", "score": 1204, "created_utc": 1366213402, "edited": false, "score_hidden": true, "controversiality": 0}`
+
+// TestDecodeAllocCeilings pins what the shape trie, projection and string
+// cache buy on a warm decoder. A full confusion record costs its values
+// (the array, its members, the object and its value slice) and nothing for
+// keys, an index or its strings, each of which the decoder has boxed
+// before; projected on two of its six fields it costs the object and its
+// value slice.
 func TestDecodeAllocCeilings(t *testing.T) {
 	doc := []byte(confusionDoc)
 	full := NewDecoder()
-	if n := testing.AllocsPerRun(200, func() { full.Decode(doc) }); n > 24 {
-		t.Errorf("full decode: %.0f allocs per object, ceiling 24", n)
+	if n := testing.AllocsPerRun(200, func() { full.Decode(doc) }); n > 4 {
+		t.Errorf("full decode: %.0f allocs per object, ceiling 4", n)
 	}
 	proj := NewProjectingDecoder([]string{"guess", "target"})
-	if n := testing.AllocsPerRun(200, func() { proj.Decode(doc) }); n > 8 {
-		t.Errorf("decode projected on 2 of 6 fields: %.0f allocs per object, ceiling 8", n)
+	if n := testing.AllocsPerRun(200, func() { proj.Decode(doc) }); n > 2 {
+		t.Errorf("decode projected on 2 of 6 fields: %.0f allocs per object, ceiling 2", n)
 	}
 	none := NewProjectingDecoder(nil)
 	if n := testing.AllocsPerRun(200, func() { none.Decode(doc) }); n > 1 {
@@ -298,14 +312,16 @@ func TestEscapedStringSizedToItself(t *testing.T) {
 }
 
 func BenchmarkDecodeConfusion(b *testing.B) {
-	doc := []byte(confusionDoc)
 	for _, c := range []struct {
 		name string
+		doc  string
 		d    *Decoder
 	}{
-		{"full", NewDecoder()},
-		{"two-of-six", NewProjectingDecoder([]string{"guess", "target"})},
+		{"full", confusionDoc, NewDecoder()},
+		{"two-of-six", confusionDoc, NewProjectingDecoder([]string{"guess", "target"})},
+		{"reddit-skip-body", redditDoc, NewProjectingDecoder([]string{"subreddit", "score"})},
 	} {
+		doc := []byte(c.doc)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(doc)))
@@ -315,5 +331,130 @@ func BenchmarkDecodeConfusion(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// bytewiseStrBytes is strBytes as it was before the word scan: the
+// reference FuzzStrBytesMatchesBytewise holds it to.
+func (d *Decoder) bytewiseStrBytes() ([]byte, error) {
+	d.pos++ // opening quote
+	start := d.pos
+	for i := d.pos; i < len(d.data); i++ {
+		c := d.data[i]
+		if c == '"' {
+			d.pos = i + 1
+			return d.data[start:i], nil
+		}
+		if c == '\\' || c < 0x20 {
+			return d.strBytesSlow(start, i)
+		}
+	}
+	return nil, d.errorf("unterminated string")
+}
+
+// FuzzStrBytesMatchesBytewise holds the word-at-a-time string scan to the
+// bytewise one: from every start offset of the input (so at every
+// alignment of the eight-byte loads and every length of the bytewise
+// tail), special finds the first quote, backslash or control byte the
+// bytewise loop finds, and strBytes returns the same bytes, error text and
+// end offset.
+func FuzzStrBytesMatchesBytewise(f *testing.F) {
+	f.Add([]byte(`"plain" and "esc\"aped\\" then "é😀"`))
+	f.Add([]byte("\"ctl\x01\" \"\xff\xfe non-UTF-8\" \"unterminated"))
+	f.Add([]byte(strings.Repeat(`abcdefg"`, 4) + `\\\\\\\\` + "\x1f\x20\x7f\x80"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		word, byteWise := NewDecoder(), NewDecoder()
+		for start := 0; start < len(data); start++ {
+			want := len(data)
+			for i := start; i < len(data); i++ {
+				if c := data[i]; c == '"' || c == '\\' || c < 0x20 {
+					want = i
+					break
+				}
+			}
+			if got := special(data, start); got != want {
+				t.Fatalf("special(%q, %d) = %d, bytewise %d", data, start, got, want)
+			}
+			word.data, word.pos = data, start
+			byteWise.data, byteWise.pos = data, start
+			got, err := word.strBytes()
+			ref, refErr := byteWise.bytewiseStrBytes()
+			if !bytes.Equal(got, ref) || errText(err) != errText(refErr) || (err == nil && word.pos != byteWise.pos) {
+				t.Fatalf("strBytes of %q from %d: %q, %q, end %d; bytewise %q, %q, end %d",
+					data, start, got, errText(err), word.pos, ref, errText(refErr), byteWise.pos)
+			}
+		}
+	})
+}
+
+// TestStringCacheOverflow decodes more distinct short strings than the
+// cache has slots, among them strings that share a slot, taking turns so
+// that every slot is overwritten again and again, plus strings on either
+// side of the length bound: every value decodes to itself, and a string
+// that stays in its slot is boxed once.
+func TestStringCacheOverflow(t *testing.T) {
+	d := NewProjectingDecoder([]string{"v"})
+	slotOf := func(s string) uint64 { return maphash.String(strSeed, s) % strSlots }
+	var values []string
+	for i := 0; i < 3*strSlots; i++ {
+		values = append(values, fmt.Sprintf("v%d", i))
+	}
+	// Two more strings in the slot of values[0].
+	for i, n := 0, 0; n < 2; i++ {
+		if s := fmt.Sprintf("c%d", i); slotOf(s) == slotOf(values[0]) {
+			values, n = append(values, s), n+1
+		}
+	}
+	values = append(values, strings.Repeat("m", strMaxLen), strings.Repeat("l", strMaxLen+1), "", `esc"aped`)
+	for round := 0; round < 3; round++ {
+		for i, v := range values {
+			if round == 1 {
+				v = values[len(values)-1-i]
+			}
+			doc := append(append([]byte(`{"skip":"x","v":`), item.Str(v).AppendJSON(nil)...), '}')
+			got, err := d.Decode(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, _ := got.(*item.Object).Get("v"); g != item.Str(v) {
+				t.Fatalf("round %d: %s decoded to %v", round, doc, g)
+			}
+		}
+	}
+	doc := []byte(`{"v":"steady"}`)
+	d.Decode(doc)
+	if n := testing.AllocsPerRun(100, func() { d.Decode(doc) }); n > 2 {
+		t.Errorf("a cached string: %.0f allocs per object, ceiling 2 (object and values)", n)
+	}
+}
+
+// TestDecodedValuesDoNotAliasInput overwrites the input of every decode,
+// whole and projected, fresh and warm: keys, short (cached) and long
+// strings, escaped ones, numbers and the keys of objects off the shape
+// trie must serialize as they did before.
+func TestDecodedValuesDoNotAliasInput(t *testing.T) {
+	docs := []string{
+		confusionDoc,
+		redditDoc,
+		`{"esc\"key":"a\nb","n":12345678901234567890,"d":1.25,"e":3e2,"s":["x","` + strings.Repeat("y", 40) + `"]}`,
+		wideObject(maxShapeNodes + 10), // leaves the trie: its keys are copied per object
+	}
+	for _, d := range []*Decoder{NewDecoder(), NewProjectingDecoder([]string{"guess", "subreddit", "esc\"key", "s", "k4100"})} {
+		for pass := 0; pass < 2; pass++ {
+			for _, doc := range docs {
+				buf := []byte(doc)
+				got, err := d.Decode(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := got.AppendJSON(nil)
+				for i := range buf {
+					buf[i] = '#'
+				}
+				if after := got.AppendJSON(nil); !bytes.Equal(before, after) {
+					t.Fatalf("pass %d: decoded value changed with its input:\n%s\n%s", pass, before, after)
+				}
+			}
+		}
 	}
 }

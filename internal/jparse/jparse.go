@@ -9,8 +9,12 @@
 // shape, never per object), and it can project: given a field list, every
 // other top-level member is validated and skipped by the same state machine
 // that decodes, so a malformed byte in an unread field raises exactly the
-// error a full decode would. Parse is the one-shot entry over a pooled
-// Decoder; there is no second JSON grammar.
+// error a full decode would. Values repeat across records too: a Decoder
+// boxes the short strings it keeps through a fixed, direct-mapped cache, so
+// a value seen before returns the item boxed then and allocates nothing.
+// Strings are scanned for their end a word (eight bytes) at a time. Parse
+// is the one-shot entry over a pooled Decoder; there is no second JSON
+// grammar.
 //
 // Number typing follows JSONiq: an integer literal becomes an integer item,
 // a literal with a fraction part becomes a decimal, and a literal with an
@@ -18,7 +22,10 @@
 package jparse
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"strconv"
 	"sync"
 	"unicode/utf16"
@@ -43,7 +50,7 @@ const linearKids = 8
 
 // Decoder decodes JSON values, sharing object shapes across them. It is not
 // safe for concurrent use: give each partition task, morsel worker or ingest
-// its own. The items it returns are immutable and outlive it.
+// parse worker its own. The items it returns are immutable and outlive it.
 type Decoder struct {
 	data []byte
 	pos  int
@@ -55,7 +62,20 @@ type Decoder struct {
 	top    *node // trie of projected top-level objects; nil when decoding whole
 	fields []string
 	nodes  int
+
+	strs *[strSlots]item.Item // boxed short strings; nil until the first is kept
 }
+
+// strSlots is the size of a decoder's direct-mapped cache of boxed string
+// items, strMaxLen the longest string it holds. The cache never grows: a
+// decoder pins at most strSlots strings of strMaxLen bytes.
+const (
+	strSlots  = 128
+	strMaxLen = 32
+)
+
+// strSeed keys the slot hash of every decoder's string cache.
+var strSeed = maphash.MakeSeed()
 
 // node is one key of a key sequence in the shape trie. The path from the
 // root spells the keys of an object in member order; keep marks the members
@@ -172,7 +192,7 @@ func (d *Decoder) value(depth int, keep bool) (item.Item, error) {
 		if err != nil || !keep {
 			return nil, err
 		}
-		return item.Str(b), nil
+		return d.str(b), nil
 	case 't':
 		if err := d.expect("true"); err != nil {
 			return nil, err
@@ -399,24 +419,69 @@ func (d *Decoder) finishArray(keep bool, base int) item.Item {
 	return item.NewArray(d.pop(base))
 }
 
+// str returns b as a string item. A string of at most strMaxLen bytes goes
+// through the decoder's cache: a hit returns the item boxed before (items
+// are immutable, so values that repeat across records share one), a miss
+// copies and boxes b and takes over its slot.
+func (d *Decoder) str(b []byte) item.Item {
+	if len(b) > strMaxLen {
+		return item.Str(b)
+	}
+	if d.strs == nil {
+		d.strs = new([strSlots]item.Item)
+	}
+	slot := &d.strs[maphash.Bytes(strSeed, b)%strSlots]
+	if s, ok := (*slot).(item.Str); !ok || string(s) != string(b) {
+		*slot = item.Str(b)
+	}
+	return *slot
+}
+
 // strBytes decodes the string at pos and returns its bytes: a view of the
 // input when it has no escapes, of the scratch buffer otherwise — valid
 // until the next string is decoded.
 func (d *Decoder) strBytes() ([]byte, error) {
 	d.pos++ // opening quote
 	start := d.pos
-	// Fast path: scan for a quote with no escapes or control characters.
-	for i := d.pos; i < len(d.data); i++ {
-		c := d.data[i]
-		if c == '"' {
-			d.pos = i + 1
-			return d.data[start:i], nil
-		}
-		if c == '\\' || c < 0x20 {
-			return d.strBytesSlow(start, i)
+	// Fast path: a quote with no escape or control character before it.
+	i := special(d.data, start)
+	if i == len(d.data) {
+		return nil, d.errorf("unterminated string")
+	}
+	if d.data[i] == '"' {
+		d.pos = i + 1
+		return d.data[start:i], nil
+	}
+	return d.strBytesSlow(start, i)
+}
+
+// Byte-lane masks of the word scan: 0x01 and 0x80 in every byte.
+const (
+	lows  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// special returns the index of the first '"', '\\' or byte below 0x20 in
+// data at or after i, or len(data) when there is none. It tests eight bytes
+// per load: in v := x^(c*lows) a byte of x equal to c is zero, and
+// (v-lows)&^v&highs flags the zero bytes of v, as (x-0x20*lows)&^x&highs
+// flags the bytes of x below 0x20. A borrow can flag a byte only above a
+// truly flagged one, so the lowest flag is exact.
+func special(data []byte, i int) int {
+	for ; i+8 <= len(data); i += 8 {
+		x := binary.LittleEndian.Uint64(data[i:])
+		q := x ^ ('"' * lows)
+		b := x ^ ('\\' * lows)
+		if m := ((q-lows)&^q | (b-lows)&^b | (x-0x20*lows)&^x) & highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
 		}
 	}
-	return nil, d.errorf("unterminated string")
+	for ; i < len(data); i++ {
+		if c := data[i]; c == '"' || c == '\\' || c < 0x20 {
+			return i
+		}
+	}
+	return len(data)
 }
 
 func (d *Decoder) strBytesSlow(start, firstSpecial int) ([]byte, error) {

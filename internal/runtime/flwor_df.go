@@ -93,11 +93,24 @@ func (f *flworIter) rddPlan(dc *DynamicContext) (*spark.RDD[item.Item], error) {
 	}
 	// Each tuple's results are evaluated in full before the first is
 	// yielded: a later error still fails the job before a Take downstream
-	// can stop it.
+	// can stop it. They are read in place or collected into one buffer per
+	// task, so a one-item return allocates no sequence of its own.
 	return spark.MapPartitions(tuples, func(each func(func(tuple) error) error, yield func(item.Item) error) error {
 		sc := dc.tupleScope()
+		var buf []item.Item
+		collect := func(it item.Item) error {
+			buf = append(buf, it)
+			return nil
+		}
 		return each(func(t tuple) error {
-			out, err := Materialize(p.ret, t.in(sc))
+			tc := t.in(sc)
+			out, ok, err := readInPlace(p.ret, tc)
+			if !ok {
+				clear(buf)
+				buf = buf[:0]
+				err = p.ret.Stream(tc, collect)
+				out = buf
+			}
 			if err != nil {
 				return err
 			}

@@ -81,10 +81,10 @@ func (tb *groupTable) foldRow(t tuple) error {
 	}
 	keys := work[n:]
 	key := tb.key[:0]
-	for _, seq := range keys {
+	for i, seq := range keys {
 		sk, err := item.EncodeSortKey(seq, false)
-		if err != nil {
-			return Errorf("group by: %v", err)
+		if err != nil { // seq holds one item, and it is not atomic
+			return Errorf("group by: key $%s binds a non-atomic %s item", g.specs[i].varName, seq[0].Kind())
 		}
 		key = item.AppendSortKey(key, sk)
 	}

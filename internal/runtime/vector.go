@@ -705,7 +705,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 	}
 	res := &vmorselResult{}
 	if g := k.Group; g != nil {
-		res.groups = vector.NewGroups(len(g.KeyExprs), g.Kinds)
+		res.groups = vector.NewGroups(len(g.KeyExprs), g.Kinds).Named(g.KeyVars)
 		if b.N > 0 {
 			if err := v.updateGroups(vs, b, res.groups); err != nil {
 				return nil, err
@@ -884,7 +884,7 @@ func (v *vectorIter) finishGroups(vs *vstate, merged *vector.Groups, ctx context
 		return nil
 	}
 	if merged == nil {
-		merged = vector.NewGroups(len(g.KeyExprs), g.Kinds)
+		merged = vector.NewGroups(len(g.KeyExprs), g.Kinds).Named(g.KeyVars)
 	}
 	if g.Clause == nil {
 		merged.EnsureGrand()

@@ -23,8 +23,8 @@ import (
 )
 
 // ingestChunkSize is the least number of source bytes one parse task covers:
-// large enough that a task amortizes its decoder and its hand-offs, small
-// enough that a source of a few megabytes already fans out.
+// large enough that a task amortizes its hand-offs, small enough that a
+// source of a few megabytes already fans out.
 const ingestChunkSize = 256 << 10
 
 // staleAfter is the age past which a staging or set-aside directory next to
@@ -148,6 +148,12 @@ type pipeline struct {
 	chunkSlots chan struct{} // held from a chunk's read until its rows are assembled
 	segSlots   chan struct{} // held from a segment's dispatch until it is written
 
+	// decoders holds one JSON decoder per worker, taken by a parse task for
+	// its chunk: a worker's rows share shapes and boxed strings across its
+	// chunks. No more parse tasks run than there are workers, so a take
+	// never waits.
+	decoders chan *jparse.Decoder
+
 	segs []*segTask
 
 	// The reader's results, valid once order is closed.
@@ -251,7 +257,7 @@ func (p *pipeline) read() error {
 	return err
 }
 
-// parse decodes the lines of c, one decoder per chunk: the rows of a chunk
+// parse decodes the lines of c with a worker's decoder: the rows it decodes
 // share item.Shapes, which the segment builder keys its per-shape work by.
 func (p *pipeline) parse(c *chunk) {
 	defer close(c.done)
@@ -260,7 +266,8 @@ func (p *pipeline) parse(c *chunk) {
 			return errStopped
 		}
 		hook("parse", c.idx)
-		dec := jparse.NewDecoder()
+		dec := <-p.decoders
+		defer func() { p.decoders <- dec }()
 		err := dfs.Lines(c.data, func(line []byte) error {
 			it, err := dec.Decode(line)
 			if err != nil {
@@ -419,6 +426,10 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 		stop:       make(chan struct{}),
 		chunkSlots: make(chan struct{}, workers+1),
 		segSlots:   make(chan struct{}, workers),
+		decoders:   make(chan *jparse.Decoder, workers),
+	}
+	for i := 0; i < workers; i++ {
+		p.decoders <- jparse.NewDecoder()
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {

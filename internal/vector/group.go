@@ -35,6 +35,7 @@ type groupState struct {
 // would bucket them. Groups emit in first-seen order, matching the tuple
 // backend's output order.
 type Groups struct {
+	names  []string // the key variables, for errors
 	kinds  []AggKind
 	m      map[string]*groupState
 	order  []*groupState
@@ -47,17 +48,29 @@ func NewGroups(nKeys int, kinds []AggKind) *Groups {
 	return &Groups{kinds: kinds, m: map[string]*groupState{}}
 }
 
+// Named names the variables the keys bind, in key order, for Update's
+// errors, and returns g. An unnamed key is named by its position.
+func (g *Groups) Named(names []string) *Groups {
+	g.names = names
+	return g
+}
+
 // Update folds one batch of n rows into the table: keyCols are the
 // grouping key columns (already in spec order), aggCols the per-aggregate
 // argument columns (aligned with the kinds passed to NewGroups).
 func (g *Groups) Update(keyCols, aggCols []*Col, n int) error {
 	for i := 0; i < n; i++ {
 		g.keyBuf = g.keyBuf[:0]
-		for _, kc := range keyCols {
+		for k, kc := range keyCols {
 			sk, err := kc.SortKey(i)
 			if err != nil {
-				// Same wording as the tuple backend's group-by encoding.
-				return fmt.Errorf("group by: %v", err)
+				// A key row holds one item, and it is not atomic: the
+				// tuple backend's group-by wording.
+				name := fmt.Sprintf("%d", k+1)
+				if k < len(g.names) {
+					name = "$" + g.names[k]
+				}
+				return fmt.Errorf("group by: key %s binds a non-atomic %s item", name, kc.Item(i).Kind())
 			}
 			g.keyBuf = item.AppendSortKey(g.keyBuf, sk)
 		}

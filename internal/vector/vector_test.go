@@ -370,3 +370,21 @@ func TestCompactAndConst(t *testing.T) {
 		t.Fatal("const column must broadcast to any row")
 	}
 }
+
+// TestGroupsNameNonAtomicKeys pins Update's error for a non-atomic key row:
+// the tuple backend's wording, naming the key's variable, or its position
+// in a table whose keys are unnamed.
+func TestGroupsNameNonAtomicKeys(t *testing.T) {
+	keys := []*Col{ConstCol(item.Str("k")), colOf(item.NewArray(nil))}
+	for _, c := range []struct {
+		g    *Groups
+		want string
+	}{
+		{NewGroups(2, nil).Named([]string{"a", "b"}), "group by: key $b binds a non-atomic array item"},
+		{NewGroups(2, nil), "group by: key 2 binds a non-atomic array item"},
+	} {
+		if err := c.g.Update(keys, nil, 1); err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
+	}
+}
