@@ -47,7 +47,7 @@ type aggregateEngine struct {
 // at Executors 1, 2 and 8, where an aggregate over the file pushes down to
 // a spark.Aggregate and 4-byte splits cut every input line into a
 // partition of its own; then the vector backend over the raw scan and over
-// segments.
+// segments, also at 1, 2 and 8 morsel workers.
 func aggregateEngines() []aggregateEngine {
 	local := New(Config{})
 	local.env.Spark = nil
@@ -56,9 +56,12 @@ func aggregateEngines() []aggregateEngine {
 		engines = append(engines, aggregateEngine{fmt.Sprintf("cluster x%d", w), "cluster",
 			New(Config{Parallelism: 2, Executors: w, SplitSize: 4})})
 	}
-	return append(engines,
-		aggregateEngine{"vector", "vector", New(Config{Executors: 2, Vectorize: true})},
-		aggregateEngine{"vector+segments", "vector", New(Config{Executors: 2, Vectorize: true, Segments: true})})
+	for _, w := range []int{1, 2, 8} {
+		engines = append(engines,
+			aggregateEngine{fmt.Sprintf("vector x%d", w), "vector", New(Config{Executors: w, Vectorize: true})},
+			aggregateEngine{fmt.Sprintf("vector+segments x%d", w), "vector", New(Config{Executors: w, Vectorize: true, Segments: true})})
+	}
+	return engines
 }
 
 // writeAggregateInput writes lines as a JSON-Lines file in a fresh

@@ -405,17 +405,25 @@ func writeSubredditRows(tb testing.TB) string {
 	return path
 }
 
+// joinedEngines names the engines of joinEngines in the order a join is
+// checked on them.
+var joinedEngines = []string{"cluster", "vector", "vector x1", "vector x8", "vector+segments"}
+
 // joinEngines returns the nested-loop reference (DisableJoin) and the
 // joined engines a generated join must agree with: the cluster engine,
 // whose statement runs the DataFrame join on Collect and the local join on
-// Stream, and the vector engine over the raw file and over segments.
+// Stream, and the vector engine over the raw file (at 4, 1 and 8 morsel
+// workers) and over segments.
 func joinEngines() (nested *Engine, joined map[string]*Engine) {
 	cfg := Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10}
 	nested = New(Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10, DisableJoin: true})
 	vcfg, scfg := cfg, cfg
 	vcfg.Vectorize = true
 	scfg.Vectorize, scfg.Segments = true, true
-	return nested, map[string]*Engine{"cluster": New(cfg), "vector": New(vcfg), "vector+segments": New(scfg)}
+	v1, v8 := vcfg, vcfg
+	v1.Executors, v8.Executors = 1, 8
+	return nested, map[string]*Engine{"cluster": New(cfg), "vector": New(vcfg), "vector x1": New(v1),
+		"vector x8": New(v8), "vector+segments": New(scfg)}
 }
 
 // checkJoinAgrees runs one generated join on every joined engine and
@@ -425,7 +433,7 @@ func joinEngines() (nested *Engine, joined map[string]*Engine) {
 func checkJoinAgrees(t *testing.T, nested *Engine, joined map[string]*Engine, q string) string {
 	t.Helper()
 	want := joinOutcome(nested.Query(q))
-	for _, name := range []string{"cluster", "vector", "vector+segments"} {
+	for _, name := range joinedEngines {
 		st, err := joined[name].Compile(q)
 		if err != nil {
 			t.Fatalf("%s: compile: %v\nquery: %s", name, err, q)

@@ -56,8 +56,8 @@ func TestVectorScanExplainAnalyzeRawSource(t *testing.T) {
 // its input — a json-file path bound by let or by a declared variable,
 // collection() of a file, of an in-memory sequence or of an unregistered
 // name, a path that is not a string, and a source that does not parse — in
-// vector mode with segments on and off at one and two workers. Each answer
-// must equal the tuple pipeline's items, or its exact error text; a
+// vector mode with segments on and off at one, two and eight workers. Each
+// answer must equal the tuple pipeline's items, or its exact error text; a
 // segment-enabled engine must read segments exactly when the source is a
 // parseable file.
 func TestVectorScanSourcesAgree(t *testing.T) {
@@ -93,7 +93,7 @@ func TestVectorScanSourcesAgree(t *testing.T) {
 	tuple := New(Config{Parallelism: 2, Executors: 2})
 	register(tuple)
 	for _, segs := range []bool{false, true} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 8} {
 			eng := New(Config{Parallelism: 2, Executors: workers, Vectorize: true, Segments: segs})
 			register(eng)
 			for _, tc := range cases {

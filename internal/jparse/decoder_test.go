@@ -3,7 +3,6 @@ package jparse
 import (
 	"bytes"
 	"fmt"
-	"hash/maphash"
 	"strings"
 	"testing"
 
@@ -394,7 +393,7 @@ func FuzzStrBytesMatchesBytewise(f *testing.F) {
 // that stays in its slot is boxed once.
 func TestStringCacheOverflow(t *testing.T) {
 	d := NewProjectingDecoder([]string{"v"})
-	slotOf := func(s string) uint64 { return maphash.String(strSeed, s) % strSlots }
+	slotOf := func(s string) uint32 { return strSlot([]byte(s)) }
 	var values []string
 	for i := 0; i < 3*strSlots; i++ {
 		values = append(values, fmt.Sprintf("v%d", i))

@@ -24,7 +24,6 @@ package jparse
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"strconv"
 	"sync"
@@ -74,8 +73,16 @@ const (
 	strMaxLen = 32
 )
 
-// strSeed keys the slot hash of every decoder's string cache.
-var strSeed = maphash.MakeSeed()
+// strSlot is the cache slot of string b: FNV-1a, so that which strings
+// share a slot, and so what a decode allocates, is the same in every
+// process.
+func strSlot(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h % strSlots
+}
 
 // node is one key of a key sequence in the shape trie. The path from the
 // root spells the keys of an object in member order; keep marks the members
@@ -430,7 +437,7 @@ func (d *Decoder) str(b []byte) item.Item {
 	if d.strs == nil {
 		d.strs = new([strSlots]item.Item)
 	}
-	slot := &d.strs[maphash.Bytes(strSeed, b)%strSlots]
+	slot := &d.strs[strSlot(b)]
 	if s, ok := (*slot).(item.Str); !ok || string(s) != string(b) {
 		*slot = item.Str(b)
 	}

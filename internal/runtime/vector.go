@@ -180,7 +180,11 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 	// this goroutine in index order, as a left-to-right run would.
 	ctx := dc.GoContext()
 	st := v.newMergeState()
+	// Each worker owns a scratch, taken on its first morsel, and a decoder,
+	// made on its first raw one. The scratch resets as the worker starts
+	// each morsel: nothing a morsel's result holds points into its lanes.
 	decs := make([]*jparse.Decoder, v.workers)
+	scratch := make([]*vector.Scratch, v.workers)
 	err = sched.Ordered(ctx, v.workers,
 		func(emit func(vmorsel) error) error {
 			return v.scanMorsels(dc, func(m vmorsel) error {
@@ -189,13 +193,22 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 			})
 		},
 		func(w int, m vmorsel) (*vmorselResult, error) {
-			if decs[w] == nil {
+			if scratch[w] == nil {
+				scratch[w] = vector.GetScratch()
+			}
+			if decs[w] == nil && m.rec != nil {
 				decs[w] = v.newDecoder()
 			}
-			return v.processMorsel(vs, jr, m, decs[w])
+			scratch[w].Reset()
+			return v.processMorsel(vs, jr, m, decs[w], scratch[w])
 		},
 		func(_ int, res *vmorselResult) (bool, error) { return v.mergeResult(st, res, yield) },
 		vs.prof)
+	for _, s := range scratch {
+		if s != nil {
+			s.Release() // every worker has returned
+		}
+	}
 	if err != nil {
 		if g := v.k.Group; g != nil && g.EarlyExit && !cancelled(ctx, err) {
 			// An existence test is decided by its first surviving row, as
@@ -249,28 +262,32 @@ func (v *vectorIter) newDecoder() *jparse.Decoder {
 	return jparse.NewDecoder()
 }
 
-// decodeRows turns a raw morsel into its item rows, charging the morsel's
+// decodeRows appends a raw morsel's rows to scan, charging the morsel's
 // simulated storage round trips and record count exactly as an RDD
-// partition task would while scanning. Item morsels pass through.
-func (v *vectorIter) decodeRows(m vmorsel, dec *jparse.Decoder) ([]item.Item, error) {
-	if m.ends == nil {
-		return m.rows, nil
+// partition task would while scanning. Item morsels' rows append as they
+// are.
+func (v *vectorIter) decodeRows(m vmorsel, dec *jparse.Decoder, scan *vector.Col) error {
+	if m.rec == nil {
+		for _, it := range m.rows {
+			scan.AppendItem(it)
+		}
+		return nil
 	}
 	if v.sc != nil {
 		v.sc.SimulateIO(m.blocks)
-		v.sc.AddRecordsRead(int64(len(m.ends)))
+		v.sc.AddRecordsRead(int64(len(m.rec.ends)))
 	}
-	rows := make([]item.Item, 0, len(m.ends))
+	defer m.rec.release() // the decoder copies every value it keeps
 	start := 0
-	for _, end := range m.ends {
-		it, err := dec.Decode(m.raw[start:end])
+	for _, end := range m.rec.ends {
+		it, err := dec.Decode(m.rec.raw[start:end])
 		if err != nil {
-			return nil, Errorf("json-file: %v", err)
+			return Errorf("json-file: %v", err)
 		}
-		rows = append(rows, it)
+		scan.AppendItem(it)
 		start = end
 	}
-	return rows, nil
+	return nil
 }
 
 // morselBatch turns one scan morsel into its initial column batch. A
@@ -283,7 +300,7 @@ func (v *vectorIter) decodeRows(m vmorsel, dec *jparse.Decoder) ([]item.Item, er
 // in-memory morsels decode rows, expand them into the same field lanes and
 // (for a whole reader) pack them into the scan column at slot 0, so the
 // compiled expressions see one batch shape regardless of the source.
-func (v *vectorIter) morselBatch(m vmorsel, dec *jparse.Decoder) (*vector.Batch, error) {
+func (v *vectorIter) morselBatch(m vmorsel, dec *jparse.Decoder, s *vector.Scratch) (*vector.Batch, error) {
 	k := v.k
 	if m.ds != nil {
 		fields := k.Fields
@@ -303,27 +320,27 @@ func (v *vectorIter) morselBatch(m vmorsel, dec *jparse.Decoder) (*vector.Batch,
 			}
 			v.sc.AddRecordsRead(int64(m.n))
 		}
-		b := &vector.Batch{N: m.n, Cols: make([]*vector.Col, k.Slots)}
+		b := s.Batch(m.n, k.Slots)
 		for i, f := range k.Fields {
-			b.Cols[k.FieldSlots[i]] = cs.Col(f).Slice(m.off, m.n)
+			b.Cols[k.FieldSlots[i]] = s.Slice(cs.Col(f), m.off, m.n)
 		}
 		if k.RowSlot >= 0 {
 			b.Src = cs
-			b.Cols[k.RowSlot] = vector.Sequence(int64(m.off), m.n)
+			b.Cols[k.RowSlot] = s.Sequence(int64(m.off), m.n)
 		}
 		return b, nil
 	}
-	rows, err := v.decodeRows(m, dec)
-	if err != nil {
+	n := len(m.rows)
+	if m.rec != nil {
+		n = len(m.rec.ends)
+	}
+	scan := s.NewCol(n)
+	if err := v.decodeRows(m, dec, scan); err != nil {
 		return nil, err
 	}
-	scan := vector.NewCol(len(rows))
-	for _, it := range rows {
-		scan.AppendItem(it)
-	}
-	b := &vector.Batch{N: scan.Len(), Cols: make([]*vector.Col, k.Slots)}
+	b := s.Batch(scan.Len(), k.Slots)
 	for i, f := range k.Fields {
-		b.Cols[k.FieldSlots[i]] = vector.Lookup(scan, f, b.N)
+		b.Cols[k.FieldSlots[i]] = s.Lookup(scan, f, b.N)
 	}
 	if k.RowSlot >= 0 {
 		b.Cols[0] = scan
@@ -423,7 +440,8 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 	if err != nil {
 		return nil, err
 	}
-	group := make([]int32, b.N) // the row's build group, -1 for none
+	s := b.Scratch
+	group := s.Int32s(b.N)[:b.N] // the row's build group, -1 for none
 	matched := 0
 	var buf []byte
 	for i := 0; i < b.N; i++ {
@@ -458,8 +476,8 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 	if v.sc != nil {
 		v.sc.AddVectorJoinRows(int64(total))
 	}
-	left := make([]int32, 0, total)
-	rcol := vector.NewCol(total)
+	left := s.Int32s(total)
+	rcol := s.NewCol(total)
 	for i, g := range group {
 		if g < 0 {
 			continue
@@ -469,10 +487,11 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 			rcol.AppendItem(it)
 		}
 	}
-	nb := &vector.Batch{N: total, Cols: make([]*vector.Col, len(b.Cols)), Src: b.Src}
+	nb := s.Batch(total, len(b.Cols))
+	nb.Src = b.Src
 	for slot, c := range b.Cols {
 		if c != nil && slot != j.RightSlot {
-			nb.Cols[slot] = c.Gather(left)
+			nb.Cols[slot] = s.Gather(c, left)
 		}
 	}
 	nb.Cols[j.RightSlot] = rcol
@@ -489,7 +508,7 @@ func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int3
 	fb := b
 	var keep []bool
 	if matched < b.N {
-		keep = make([]bool, b.N)
+		keep = b.Scratch.Bools(b.N)
 		for i, g := range group {
 			keep[i] = g >= 0
 		}
@@ -502,7 +521,7 @@ func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int3
 		}
 		more := ci < len(filter)-1
 		if more && keep == nil {
-			keep = make([]bool, b.N)
+			keep = b.Scratch.Bools(b.N)
 		}
 		kept, j := 0, 0
 		for i, g := range group {
@@ -599,7 +618,7 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 
 // evalAll evaluates each expression over b.
 func (vs *vstate) evalAll(es []vector.Expr, b *vector.Batch) ([]*vector.Col, error) {
-	cols := make([]*vector.Col, len(es))
+	cols := b.Scratch.Cols(len(es))
 	for i, e := range es {
 		col, err := vs.eval(e, b)
 		if err != nil {
@@ -644,14 +663,14 @@ func (c *stageClock) done(op int, rows int64) {
 // slots, filters compact the batch, and the tail projects the surviving
 // rows, folds them into a fresh partial aggregation table, or sorts them
 // into a run.
-func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jparse.Decoder) (*vmorselResult, error) {
+func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jparse.Decoder, s *vector.Scratch) (*vmorselResult, error) {
 	hook("morsel", m.idx)
 	if v.sc != nil {
 		v.sc.AddVectorMorsels(1)
 	}
 	k := v.k
 	clk := newStageClock(vs.prof)
-	b, err := v.morselBatch(m, dec)
+	b, err := v.morselBatch(m, dec, s)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +678,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 		// Every morsel but the last is exactly BatchSize rows, so the
 		// 1-based scan position of row i is idx*BatchSize + i + 1.
 		base := int64(m.idx) * int64(vector.BatchSize)
-		pc := vector.Sequence(base+1, b.N)
+		pc := s.Sequence(base+1, b.N)
 		for _, slot := range k.PosSlots {
 			b.Cols[slot] = pc
 		}
@@ -679,7 +698,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 		if op.Slot >= 0 {
 			b.Cols[op.Slot] = col
 		} else {
-			keep := make([]bool, b.N)
+			keep := s.Bools(b.N)
 			kept := 0
 			for i := 0; i < b.N; i++ {
 				if col.EBV(i) {
@@ -811,17 +830,21 @@ func (v *vectorIter) finish(vs *vstate, st *vmergeState, ctx context.Context, yi
 
 // finishSort runs the string/number mix check over the whole stream, then
 // k-way merges the per-morsel runs and projects the return expression over
-// the merged order in batches.
+// the merged order in batches, each cut from one scratch that resets
+// between them.
 func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context, yield func(item.Item) error) error {
 	if err := st.mix.Err(); err != nil {
 		return Errorf("%v", err)
 	}
 	clk := newStageClock(vs.prof)
 	var rootRows int64
+	s := vector.GetScratch()
+	defer s.Release()
 	newBatch := func() *vector.Batch {
-		b := &vector.Batch{Cols: make([]*vector.Col, v.k.Slots)}
+		s.Reset()
+		b := s.Batch(0, v.k.Slots)
 		for i := range b.Cols {
-			b.Cols[i] = vector.NewCol(vector.BatchSize)
+			b.Cols[i] = s.NewCol(vector.BatchSize)
 		}
 		return b
 	}
@@ -899,17 +922,48 @@ func (v *vectorIter) finishGroups(vs *vstate, merged *vector.Groups, ctx context
 type vmorsel struct {
 	idx  int
 	rows []item.Item
-	// Raw records: record i is raw[ends[i-1]:ends[i]] — the producer's own
-	// copy, because a scanned line is only valid until its yield returns.
-	raw    []byte
-	ends   []int
-	blocks int // simulated storage blocks behind raw, charged by the worker
+	// Raw records: the producer's own copy, because a scanned line is only
+	// valid until its yield returns.
+	rec    *rawRecords
+	blocks int // simulated storage blocks behind rec, charged by the worker
 
 	// Segment-backed scan: the morsel is rows [off, off+n) of segment seg
 	// in ds. ds==nil means a raw or item morsel.
 	ds     *segment.Dataset
 	seg    int
 	off, n int
+}
+
+// rawRecords holds one raw morsel's records: record i is
+// raw[ends[i-1]:ends[i]].
+type rawRecords struct {
+	raw  []byte
+	ends []int
+}
+
+// rawBuffers recycles raw morsels' record buffers, as the segment store
+// recycles the buffers it reads files into: a worker hands a morsel's back
+// once its rows are decoded, and the producer cuts its next morsel into one
+// before it allocates. A scan has at most the runner's in-flight window of
+// them out, plus the one filling; the pool keeps them warm across
+// evaluations.
+var rawBuffers = sync.Pool{New: func() any { return new(rawRecords) }}
+
+// scribbleRecycled overwrites every record buffer handed back with garbage
+// first, so a decoded row that aliased its morsel's bytes would show. It is
+// on in poison builds and in the test that pins it.
+var scribbleRecycled = vector.Poison
+
+// release hands r back to rawBuffers; r must not be read again.
+func (r *rawRecords) release() {
+	if scribbleRecycled {
+		raw := r.raw[:cap(r.raw)]
+		for i := range raw {
+			raw[i] = '"'
+		}
+	}
+	r.raw, r.ends = r.raw[:0], r.ends[:0]
+	rawBuffers.Put(r)
 }
 
 // scanMorsels runs the scan on the calling goroutine, cutting it into
@@ -973,23 +1027,25 @@ func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, emit func(m vmors
 	var (
 		idx, rawCap, blocks int
 		records             int64
-		raw                 []byte
-		ends                []int
+		rec                 *rawRecords
 		acct                dfs.Accountant
 	)
 	err := readSplits(dc.GoContext(), in.splits, func(line []byte) error {
 		records++
-		if ends == nil {
-			// A morsel's records are about as long as the last one's.
-			raw, ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
+		if rec == nil {
+			rec = rawBuffers.Get().(*rawRecords)
+			if rec.ends == nil {
+				// A morsel's records are about as long as the last one's.
+				rec.raw, rec.ends = make([]byte, 0, rawCap), make([]int, 0, vector.BatchSize)
+			}
 		}
-		raw = append(raw, line...)
-		ends = append(ends, len(raw))
+		rec.raw = append(rec.raw, line...)
+		rec.ends = append(rec.ends, len(rec.raw))
 		blocks += acct.Add(int64(len(line)) + 1)
-		if len(ends) >= vector.BatchSize {
-			m := vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks}
-			rawCap = len(raw) + len(raw)/8
-			raw, ends, blocks = nil, nil, 0
+		if len(rec.ends) >= vector.BatchSize {
+			m := vmorsel{idx: idx, rec: rec, blocks: blocks}
+			rawCap = len(rec.raw) + len(rec.raw)/8
+			rec, blocks = nil, 0
 			if err := emit(m); err != nil {
 				return err
 			}
@@ -997,8 +1053,8 @@ func (v *vectorIter) scanRaw(dc *DynamicContext, in scanInput, emit func(m vmors
 		}
 		return nil
 	})
-	if err == nil && len(ends) > 0 {
-		err = emit(vmorsel{idx: idx, raw: raw, ends: ends, blocks: blocks + acct.Finish()})
+	if err == nil && rec != nil {
+		err = emit(vmorsel{idx: idx, rec: rec, blocks: blocks + acct.Finish()})
 	}
 	if in.op != nil {
 		in.op.AddRows(records)
@@ -1052,7 +1108,7 @@ func (v *vectorIter) scanSegments(ds *segment.Dataset, emit func(m vmorsel) erro
 // into the hash table.
 func (v *vectorIter) updateGroups(vs *vstate, b *vector.Batch, groups *vector.Groups) error {
 	g := v.k.Group
-	keyCols := make([]*vector.Col, len(g.KeyExprs))
+	keyCols := b.Scratch.Cols(len(g.KeyExprs))
 	for i, ke := range g.KeyExprs {
 		col, err := vs.eval(ke, b)
 		if err != nil {
@@ -1072,7 +1128,8 @@ func (v *vectorIter) updateGroups(vs *vstate, b *vector.Batch, groups *vector.Gr
 }
 
 // emitGroups builds group batches (keys plus finalized aggregates) in
-// first-seen order and projects the return expression over them.
+// first-seen order, each cut from one scratch that resets between them,
+// and projects the return expression over them.
 func (v *vectorIter) emitGroups(vs *vstate, groups *vector.Groups, ctx context.Context, yield func(item.Item) error) error {
 	g := v.k.Group
 	nk := len(g.KeyExprs)
@@ -1081,6 +1138,8 @@ func (v *vectorIter) emitGroups(vs *vstate, groups *vector.Groups, ctx context.C
 	vs.prof.Op(v.opGroup).AddRows(int64(groups.Len()))
 	clk := newStageClock(vs.prof)
 	var rootRows int64
+	s := vector.GetScratch()
+	defer s.Release()
 	for start := 0; start < groups.Len(); start += vector.BatchSize {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -1091,16 +1150,17 @@ func (v *vectorIter) emitGroups(vs *vstate, groups *vector.Groups, ctx context.C
 		if end > groups.Len() {
 			end = groups.Len()
 		}
-		gb := &vector.Batch{N: end - start, Cols: make([]*vector.Col, nk+len(g.Kinds))}
+		s.Reset()
+		gb := s.Batch(end-start, nk+len(g.Kinds))
 		for ki := 0; ki < nk; ki++ {
-			col := vector.NewCol(gb.N)
+			col := s.NewCol(gb.N)
 			for gi := start; gi < end; gi++ {
 				col.AppendItem(groups.Key(gi, ki))
 			}
 			gb.Cols[ki] = col
 		}
 		for j := range g.Kinds {
-			col := vector.NewCol(gb.N)
+			col := s.NewCol(gb.N)
 			for gi := start; gi < end; gi++ {
 				res, err := groups.Agg(gi, j)
 				if err != nil {

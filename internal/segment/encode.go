@@ -119,7 +119,7 @@ type laneGroup struct {
 
 // lanes builds the lanes of column group g of n in one pass over the rows.
 // Overflow rows (non-objects, duplicate-key objects) reconstruct wholesale
-// and stay absent in every lane, exactly like vector.Lookup over them.
+// and stay absent in every lane, exactly like vector's Lookup over them.
 func (b *builder) lanes(g, n int) *laneGroup {
 	lg := &laneGroup{intern: make(map[string]uint32, len(b.rows))}
 	if ncols := len(b.cols); ncols > g {

@@ -125,7 +125,7 @@ func oracleEncode(rows []item.Item) ([]byte, error) {
 			o, ok := r.(*item.Object)
 			if !ok || shapes[ri].overflow != nil {
 				// Overflow rows reconstruct wholesale; non-objects yield
-				// absent for every column, exactly like vector.Lookup.
+				// absent for every column, exactly like vector's Lookup.
 				continue
 			}
 			v, present := o.Get(cols[ci])

@@ -92,7 +92,7 @@ func errf(path, format string, args ...any) error {
 // dictionary-encoded (codes in the Ints lane, the shared sorted table in
 // Col.Dict). Overflow rows — non-objects, duplicate-key objects —
 // contribute their field values through the same item lookup rule Row's
-// items answer, so a column is row-for-row identical to vector.Lookup over
+// items answer, so a column is row-for-row identical to vector's Lookup over
 // the assembled rows. A ColumnSet is immutable: grow returns a new snapshot
 // sharing the shapes, the dictionary and every lane already decoded.
 type ColumnSet struct {

@@ -496,7 +496,7 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 	}
 	installed = true
 	st := IngestStats{Duration: time.Since(start), Rows: m.Rows, Segments: len(m.Segments), Workers: workers, Bytes: m.SourceBytes}
-	return &Dataset{Source: source, Dir: dir, Manifest: m, fp: fp}, st, nil
+	return newDataset(source, dir, m, fp), st, nil
 }
 
 // swapIn makes the staged directory tmp, holding manifest m, the segments

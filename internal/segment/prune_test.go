@@ -9,7 +9,7 @@ import (
 )
 
 // evalPredicate is the reference semantics a skip decision must respect:
-// field lookup with vector.Lookup behavior (non-objects and missing keys
+// field lookup with vector's Lookup behavior (non-objects and missing keys
 // yield absent, which a value comparison absorbs to false), then
 // item.CompareValues — the engine's single source of comparison truth.
 func evalPredicate(row item.Item, p Predicate) (matched, errored bool) {

@@ -86,6 +86,16 @@ type Dataset struct {
 	Manifest Manifest
 	pool     *pool
 	fp       *fingerprint // the source fingerprint it was validated against
+	keys     []string     // keys[i] is segment i's buffer-pool key
+}
+
+// newDataset returns the dataset of manifest m, validated against fp.
+func newDataset(source, dir string, m Manifest, fp *fingerprint) *Dataset {
+	d := &Dataset{Source: source, Dir: dir, Manifest: m, fp: fp, keys: make([]string, len(m.Segments))}
+	for i, seg := range m.Segments {
+		d.keys[i] = dir + "\x00" + m.SourceHash + "\x00" + seg.File
+	}
+	return d
 }
 
 // NumSegments returns the segment count.
@@ -94,13 +104,11 @@ func (d *Dataset) NumSegments() int { return len(d.Manifest.Segments) }
 // Meta returns the manifest entry of segment i.
 func (d *Dataset) Meta(i int) Meta { return d.Manifest.Segments[i] }
 
-// key is the buffer-pool residency key of segment i. It includes the
-// manifest's source hash: a background re-ingest reuses segment file
-// names, and pool entries decoded from the previous generation must never
-// serve the new one.
-func (d *Dataset) key(i int) string {
-	return d.Dir + "\x00" + d.Manifest.SourceHash + "\x00" + d.Manifest.Segments[i].File
-}
+// key is the buffer-pool residency key of segment i, built once per
+// dataset. It includes the manifest's source hash: a background re-ingest
+// reuses segment file names, and pool entries decoded from the previous
+// generation must never serve the new one.
+func (d *Dataset) key(i int) string { return d.keys[i] }
 
 // FetchBatch returns segment i decoded into vector lanes for at least the
 // given fields (a whole-row reader passes every column of Meta(i).Cols and
@@ -206,7 +214,7 @@ func openDataset(source string, now *fingerprint, onHash func()) (*Dataset, erro
 	if !m.sealed() {
 		return nil, errf(mpath, "manifest checksum mismatch: recorded %08x, content %08x", m.Checksum, m.checksum())
 	}
-	ds := &Dataset{Source: source, Dir: dir, Manifest: m}
+	ds := newDataset(source, dir, m, nil)
 	if now.matches(recordedSource(dir, m.Checksum)) {
 		ds.fp = now
 		return ds, nil

@@ -44,7 +44,7 @@ func keyOf(sk item.SortKey) Key {
 }
 
 // ZoneMap summarizes one column of one segment: how many rows yield a
-// value (vector.Lookup semantics: non-object rows and missing keys yield
+// value (vector's Lookup semantics: non-object rows and missing keys yield
 // absent), how many of those are null, the set of value kinds, and the
 // min/max sort key over the keyable (atomic) values. Missing rows are
 // Rows - Present at the segment level.

@@ -9,11 +9,14 @@ import (
 // slot. Unbound slots are nil until a let (or the scan) fills them. On a
 // segment morsel whose pipeline reads the scan variable whole, Src holds
 // the segment's decoded lanes: slot 0 stays nil until a RowsExpr assembles
-// the rows that are still alive by then.
+// the rows that are still alive by then. Scratch is where the columns
+// evaluated over the batch, and the batches compacted from it, come from
+// (nil: the heap).
 type Batch struct {
-	N    int
-	Cols []*Col
-	Src  RowSource
+	N       int
+	Cols    []*Col
+	Src     RowSource
+	Scratch *Scratch
 }
 
 // RowSource assembles whole scan rows from decoded lanes, by row index
@@ -24,10 +27,11 @@ type RowSource interface {
 
 // Compact restricts every bound column to the kept rows.
 func (b *Batch) Compact(keep []bool, kept int) *Batch {
-	nb := &Batch{N: kept, Cols: make([]*Col, len(b.Cols)), Src: b.Src}
+	nb := b.Scratch.Batch(kept, len(b.Cols))
+	nb.Src = b.Src
 	for i, c := range b.Cols {
 		if c != nil {
-			nb.Cols[i] = c.Compact(keep, kept)
+			nb.Cols[i] = b.Scratch.Compact(c, keep, kept)
 		}
 	}
 	return nb
@@ -81,7 +85,7 @@ type RowsExpr struct{ RowSlot int }
 
 func (e *RowsExpr) Eval(_ []*Col, b *Batch) (*Col, error) {
 	if b.Cols[0] == nil {
-		scan := NewCol(b.N)
+		scan := b.Scratch.NewCol(b.N)
 		for i := 0; i < b.N; i++ {
 			it, err := b.ScanRow(e.RowSlot, i)
 			if err != nil {
@@ -110,7 +114,7 @@ func (e *LookupExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Lookup(in, e.Key, b.N), nil
+	return b.Scratch.Lookup(in, e.Key, b.N), nil
 }
 
 // CmpExpr is a value comparison.
@@ -124,7 +128,7 @@ func (e *CmpExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := Compare(l, r, b.N, e.Op)
+	out, err := b.Scratch.compare(l, r, b.N, e.Op)
 	return out, kernelErr(err)
 }
 
@@ -139,7 +143,7 @@ func (e *ArithExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := Arith(l, r, b.N, e.Op)
+	out, err := b.Scratch.arith(l, r, b.N, e.Op)
 	return out, kernelErr(err)
 }
 
@@ -166,7 +170,7 @@ func (e *UnaryExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := Unary(in, b.N, e.Minus)
+	out, err := b.Scratch.unary(in, b.N, e.Minus)
 	return out, kernelErr(err)
 }
 
@@ -184,8 +188,7 @@ func (e *LogicExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	lb := make([]bool, b.N)
-	keep := make([]bool, b.N)
+	lb, keep := b.Scratch.Bools(b.N), b.Scratch.Bools(b.N)
 	kept := 0
 	for i := 0; i < b.N; i++ {
 		lb[i] = lc.EBV(i)
@@ -196,7 +199,7 @@ func (e *LogicExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 		keep[i] = true
 		kept++
 	}
-	out := NewCol(b.N)
+	out := b.Scratch.NewCol(b.N)
 	if kept == 0 {
 		for i := 0; i < b.N; i++ {
 			out.AppendBool(lb[i])
@@ -230,11 +233,11 @@ func (e *ObjectExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MakeObjects(e.Keys, cols, b.N), nil
+	return b.Scratch.makeObjects(e.Keys, cols, b.N), nil
 }
 
 func evalAll(ext []*Col, b *Batch, es []Expr) ([]*Col, error) {
-	cols := make([]*Col, len(es))
+	cols := b.Scratch.Cols(len(es))
 	for i, e := range es {
 		c, err := e.Eval(ext, b)
 		if err != nil {
@@ -250,13 +253,13 @@ type ArrayExpr struct{ Body Expr }
 
 func (e *ArrayExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if e.Body == nil {
-		return MakeArrays(nil, b.N), nil
+		return b.Scratch.makeArrays(nil, b.N), nil
 	}
 	c, err := e.Body.Eval(ext, b)
 	if err != nil {
 		return nil, err
 	}
-	return MakeArrays(c, b.N), nil
+	return b.Scratch.makeArrays(c, b.N), nil
 }
 
 // CallExpr is a whitelisted scalar builtin.
@@ -270,7 +273,7 @@ func (e *CallExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := Call(e.Fn, cols, b.N)
+	out, err := b.Scratch.call(e.Fn, cols, b.N)
 	return out, kernelErr(err)
 }
 
@@ -280,7 +283,7 @@ type ExistsExpr struct{ Empty bool }
 
 func (e *ExistsExpr) Eval(_ []*Col, b *Batch) (*Col, error) {
 	in := b.Cols[0]
-	out := NewCol(b.N)
+	out := b.Scratch.NewCol(b.N)
 	for i := 0; i < b.N; i++ {
 		n, _ := in.Item(i).(item.Int)
 		out.AppendBool((n == 0) == e.Empty)

@@ -65,8 +65,8 @@ func (op CmpOp) matches(c int) bool {
 // Lookup extracts the key field of every object row of in: non-objects and
 // absent keys contribute the empty sequence, mirroring the tuple backend's
 // object lookup.
-func Lookup(in *Col, key string, n int) *Col {
-	out := NewCol(n)
+func (s *Scratch) Lookup(in *Col, key string, n int) *Col {
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		j := in.idx(i)
 		if in.Tags[j] == TagItem {
@@ -127,8 +127,13 @@ func constString(c *Col) (string, bool) {
 // an error, and mixed-type rows fall back to item.CompareValues so cross-
 // type exactness (and its error cases) match exactly. A dictionary column
 // compared against a constant string literal translates the literal into
-// the dictionary once and compares codes.
+// the dictionary once and compares codes. The output is on the heap.
 func Compare(l, r *Col, n int, op CmpOp) (*Col, error) {
+	return (*Scratch)(nil).compare(l, r, n, op)
+}
+
+// compare is Compare with its output from s.
+func (s *Scratch) compare(l, r *Col, n int, op CmpOp) (*Col, error) {
 	var lProbe, rProbe *dictProbe
 	if l.Dict != nil {
 		if lit, ok := constString(r); ok {
@@ -140,7 +145,7 @@ func Compare(l, r *Col, n int, op CmpOp) (*Col, error) {
 			rProbe = probeDict(r.Dict, lit)
 		}
 	}
-	out := NewCol(n)
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		li, ri := l.idx(i), r.idx(i)
 		lt, rt := l.Tags[li], r.Tags[ri]
@@ -229,12 +234,12 @@ func cmpString(a, b string) int {
 	}
 }
 
-// Arith applies a binary arithmetic operator row-by-row: absent operands
+// arith applies a binary arithmetic operator row-by-row: absent operands
 // absorb, int/int and double rows run in typed loops, and anything else —
 // decimals, overflow, division promotion, non-numeric operands — falls
 // back to item.Arithmetic so results and errors match the tuple backend.
-func Arith(l, r *Col, n int, op item.ArithOp) (*Col, error) {
-	out := NewCol(n)
+func (s *Scratch) arith(l, r *Col, n int, op item.ArithOp) (*Col, error) {
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		li, ri := l.idx(i), r.idx(i)
 		lt, rt := l.Tags[li], r.Tags[ri]
@@ -341,11 +346,11 @@ func doubleFast(op item.ArithOp, a, b float64) (float64, bool) {
 	}
 }
 
-// Unary applies unary plus/minus row-by-row with the tuple backend's
+// unary applies unary plus/minus row-by-row with the tuple backend's
 // semantics: absent absorbs, plus requires (and passes through) a numeric,
 // minus negates via item.Negate on the slow path.
-func Unary(in *Col, n int, minus bool) (*Col, error) {
-	out := NewCol(n)
+func (s *Scratch) unary(in *Col, n int, minus bool) (*Col, error) {
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		j := in.idx(i)
 		switch in.Tags[j] {
@@ -389,11 +394,11 @@ func Unary(in *Col, n int, minus bool) (*Col, error) {
 	return out, nil
 }
 
-// MakeObjects builds one object per row from parallel value columns with
+// makeObjects builds one object per row from parallel value columns with
 // fixed keys; absent values become null, as in the tuple backend's object
 // constructor. The key slice is shared across all built objects.
-func MakeObjects(keys []string, vals []*Col, n int) *Col {
-	out := NewCol(n)
+func (s *Scratch) makeObjects(keys []string, vals []*Col, n int) *Col {
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		values := make([]item.Item, len(vals))
 		for k, v := range vals {
@@ -408,11 +413,11 @@ func MakeObjects(keys []string, vals []*Col, n int) *Col {
 	return out
 }
 
-// MakeArrays builds one array per row from the body column (nil body means
+// makeArrays builds one array per row from the body column (nil body means
 // the constant empty array): an absent body row yields an empty array, a
 // present one a singleton, mirroring [ expr ] over single-valued bodies.
-func MakeArrays(body *Col, n int) *Col {
-	out := NewCol(n)
+func (s *Scratch) makeArrays(body *Col, n int) *Col {
+	out := s.NewCol(n)
 	for i := 0; i < n; i++ {
 		if body == nil {
 			out.AppendItem(item.NewArray(nil))
@@ -427,12 +432,12 @@ func MakeArrays(body *Col, n int) *Col {
 	return out
 }
 
-// Call evaluates a scalar builtin row-by-row over single-valued argument
+// call evaluates a scalar builtin row-by-row over single-valued argument
 // columns, the generic bridge for whitelisted functions (contains,
 // lower-case, ...). Absent argument rows pass the empty sequence, as the
 // tuple backend's call iterator does after materialization.
-func Call(fn functions.Func, args []*Col, n int) (*Col, error) {
-	out := NewCol(n)
+func (s *Scratch) call(fn functions.Func, args []*Col, n int) (*Col, error) {
+	out := s.NewCol(n)
 	argSeqs := make([][]item.Item, len(args))
 	argBufs := make([][1]item.Item, len(args))
 	for i := 0; i < n; i++ {

@@ -31,7 +31,7 @@ func lanesHeld(c *Col) string {
 // allocates exactly the lanes its output rows use, so a boolean column is
 // its tag lane alone and an int column its tags plus Ints.
 func TestKernelOutputsOwnOnlyTheirLanes(t *testing.T) {
-	ints := Sequence(0, 4)
+	ints := heap.Sequence(0, 4)
 	b := &Batch{N: 4, Cols: []*Col{ints, colOf(item.Bool(true), item.Bool(false), item.Bool(true), nil)}}
 	cmp, err := Compare(ints, ConstCol(item.Int(2)), 4, CmpLt)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestKernelOutputsOwnOnlyTheirLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Arith(ints, ConstCol(item.Int(10)), 4, item.OpAdd)
+	sum, err := heap.arith(ints, ConstCol(item.Int(10)), 4, item.OpAdd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestKernelOutputsOwnOnlyTheirLanes(t *testing.T) {
 	l := []item.Item{item.Int(3), item.Double(1.5), item.Int(2), item.Int(-4)}
 	r := []item.Item{item.Int(4), item.Int(2), item.Double(0.25), item.Double(0.5)}
 	for _, op := range []item.ArithOp{item.OpAdd, item.OpSub, item.OpMul, item.OpDiv} {
-		got, err := Arith(colOf(l...), colOf(r...), len(l), op)
+		got, err := heap.arith(colOf(l...), colOf(r...), len(l), op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,9 @@ func checkOwnsOnlyUsed(t *testing.T, what string, c *Col, want []item.Item) {
 // to front through SetItem, of a Slice, of a Compact and of a Gather to the
 // items they came from. Gather runs over the fuzzed index sequence (two
 // bytes an index, so rows repeat and come in any order), over every row
-// forwards and backwards, and over no row.
+// forwards and backwards, and over no row. Slices, Compacts and Gathers are
+// cut from the heap, from a scratch, and from the scratch again after a
+// Reset recycled its lanes.
 func FuzzColLanes(f *testing.F) {
 	f.Add([]byte{3, 4, 5, 0, 6, 7, 1, 2, 0x1b, 0x0c}, uint16(0), uint16(2), uint16(5), []byte{1, 0, 1}, []byte{0, 9, 0, 2, 0, 2, 0, 0})
 	f.Add([]byte{0, 0, 2, 3, 3, 12, 4, 5}, uint16(1500), uint16(1400), uint16(300), []byte{0, 0, 1}, []byte{5, 0xdc, 0, 1, 5, 0xdd})
@@ -207,19 +209,12 @@ func FuzzColLanes(f *testing.F) {
 
 		o := int(off) % (len(rows) + 1)
 		m := int(n) % (len(rows) - o + 1)
-		checkRows(t, "slice", c.Slice(o, m), rows[o:o+m])
-
 		mask := make([]bool, len(rows))
 		for i := range mask {
 			mask[i] = len(keep) > 0 && keep[i%len(keep)]&1 == 1
 		}
 		kept := keptOf(rows, mask)
-		compact := c.Compact(mask, len(kept))
-		checkRows(t, "compact", compact, kept)
-		checkOwnsOnlyUsed(t, "compact", compact, kept)
 		keptSlice := keptOf(rows[o:o+m], mask[o:o+m])
-		checkRows(t, "compacted slice", c.Slice(o, m).Compact(mask[o:o+m], len(keptSlice)), keptSlice)
-
 		var fuzzed []int32
 		if len(rows) > 0 {
 			for j := 0; j+1 < len(gather); j += 2 {
@@ -231,22 +226,40 @@ func FuzzColLanes(f *testing.F) {
 		for i := range rows {
 			every[i], backwards[len(rows)-1-i] = int32(i), int32(i)
 		}
-		for _, g := range []struct {
-			name string
-			idx  []int32
-		}{{"gather", fuzzed}, {"gather every row", every}, {"gather backwards", backwards}, {"gather no row", []int32{}}} {
-			want := gatheredOf(rows, g.idx)
-			got := c.Gather(g.idx)
-			checkRows(t, g.name, got, want)
-			checkOwnsOnlyUsed(t, g.name, got, want)
-		}
 		var inSlice []int32
 		for _, i := range fuzzed {
 			if m > 0 {
 				inSlice = append(inSlice, i%int32(m))
 			}
 		}
-		checkRows(t, "gathered slice", c.Slice(o, m).Gather(inSlice), gatheredOf(rows[o:o+m], inSlice))
+
+		// The heap, then a scratch, then the same scratch after a Reset,
+		// whose outputs land in the lanes the first pass left behind.
+		sc := GetScratch()
+		defer sc.Release()
+		for _, a := range []struct {
+			name string
+			s    *Scratch
+		}{{"", heap}, {"scratch ", sc}, {"recycled scratch ", sc}} {
+			if a.s != nil {
+				a.s.Reset()
+			}
+			checkRows(t, a.name+"slice", a.s.Slice(c, o, m), rows[o:o+m])
+			compact := a.s.Compact(c, mask, len(kept))
+			checkRows(t, a.name+"compact", compact, kept)
+			checkOwnsOnlyUsed(t, a.name+"compact", compact, kept)
+			checkRows(t, a.name+"compacted slice", a.s.Compact(a.s.Slice(c, o, m), mask[o:o+m], len(keptSlice)), keptSlice)
+			for _, g := range []struct {
+				name string
+				idx  []int32
+			}{{"gather", fuzzed}, {"gather every row", every}, {"gather backwards", backwards}, {"gather no row", []int32{}}} {
+				want := gatheredOf(rows, g.idx)
+				got := a.s.Gather(c, g.idx)
+				checkRows(t, a.name+g.name, got, want)
+				checkOwnsOnlyUsed(t, a.name+g.name, got, want)
+			}
+			checkRows(t, a.name+"gathered slice", a.s.Gather(a.s.Slice(c, o, m), inSlice), gatheredOf(rows[o:o+m], inSlice))
+		}
 	})
 }
 
@@ -274,7 +287,7 @@ func TestGatherDictionaryColumn(t *testing.T) {
 	for i := range src {
 		src[i] = dict.Item(i)
 	}
-	got := dict.Gather(idx)
+	got := heap.Gather(dict, idx)
 	if &got.Dict[0] != &dict.Dict[0] || len(got.Dict) != len(dict.Dict) {
 		t.Fatalf("Gather did not keep the source Dict: %v", got.Dict)
 	}
@@ -289,7 +302,7 @@ func TestGatherDictionaryColumn(t *testing.T) {
 	checkRows(t, "gathered dictionary column", got, gatheredOf(src, idx))
 
 	k := ConstCol(item.Str("k"))
-	if k.Gather(idx) != k {
+	if heap.Gather(k, idx) != k {
 		t.Fatal("Gather copied a Const column")
 	}
 }
@@ -311,7 +324,7 @@ func TestGatherAllocations(t *testing.T) {
 			name string
 			col  *Col
 		}{{"int", ints}, {"dictionary", dict}, {"string", strs}} {
-			if got := testing.AllocsPerRun(20, func() { tc.col.Gather(idx) }); got != 3 {
+			if got := testing.AllocsPerRun(20, func() { heap.Gather(tc.col, idx) }); got != 3 {
 				t.Errorf("Gather of a %d-row %s column: %v allocations, want 3 (Col, Tags, one lane)", rows, tc.name, got)
 			}
 		}

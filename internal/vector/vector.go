@@ -25,6 +25,25 @@
 // group exactly when the tuple backend's group-by would have bucketed
 // them together, so results are identical across backends — including
 // NaN keys, -0.0, and integers beyond the float64-exact range.
+//
+// Ownership and lifetime. Each morsel worker allocates from one Scratch:
+// the columns, lanes, slice-view headers, batches, masks and index
+// vectors of a morsel. A batch carries its scratch (Batch.Scratch; nil is
+// the heap), so every Expr.Eval, Compact and Gather over it builds on the
+// same one. The scratch resets as its worker starts the next morsel, and
+// goes back to a package pool when the evaluation's runner returns. Two
+// rules make that safe:
+//   - A scratch reuses only lanes it allocated itself. It never writes
+//     into or recycles the lanes a Slice view reads (pooled segment lanes),
+//     LitExpr constants or the runtime's free-variable constant columns:
+//     kernels only read their inputs, and Const columns pass through.
+//   - Nothing that outlives the morsel points into a lane: rows leave
+//     boxed (Col.Item), group keys as items and encoded strings, sort keys
+//     as item.SortKey values over immutable strings.
+//
+// Every kernel is one function whose scratch may be nil: Compare, the
+// heap entry point other packages call, is the comparison kernel through a
+// nil scratch, not a copy of it.
 package vector
 
 import (
@@ -90,21 +109,15 @@ type Col struct {
 	// read-only views produced by the segment decoder; append methods must
 	// not be used on them.
 	Dict []string
+
+	// s is the scratch the column's lanes come from, nil for the heap.
+	s *Scratch
 }
 
 // NewCol returns an empty column with capacity for cap rows. Only the tag
 // lane is allocated; the typed lanes follow on their first row.
 func NewCol(cap int) *Col {
 	return &Col{Tags: make([]Tag, 0, cap)}
-}
-
-// Sequence returns the int column start, start+1, ..., start+n-1.
-func Sequence(start int64, n int) *Col {
-	c := NewCol(n)
-	for i := 0; i < n; i++ {
-		c.AppendInt(start + int64(i))
-	}
-	return c
 }
 
 // ConstCol returns a broadcast column holding it in every row; a nil item
@@ -141,23 +154,6 @@ func (c *Col) str(i int) string {
 	return c.Strs[i]
 }
 
-// Slice returns a view of rows [off, off+n) sharing the underlying lanes
-// (and dictionary). Const columns pass through: they broadcast over any
-// row range. The view must be treated as read-only.
-func (c *Col) Slice(off, n int) *Col {
-	if c.Const {
-		return c
-	}
-	return &Col{
-		Tags:  c.Tags[off : off+n : off+n],
-		Ints:  window(c.Ints, off, n),
-		Nums:  window(c.Nums, off, n),
-		Strs:  window(c.Strs, off, n),
-		Items: window(c.Items, off, n),
-		Dict:  c.Dict,
-	}
-}
-
 // window clamps a lazy lane to rows [off, off+n): the lane may end before
 // off+n (or before off), and every row of its kind inside the window stays
 // covered, which is the lane's only invariant.
@@ -169,12 +165,12 @@ func window[T any](s []T, off, n int) []T {
 	return s[off:end:end]
 }
 
-// lane returns s extended to cover row i: allocated with capacity capHint
-// on the first row of its kind, zero-padded over the rows of other kinds
-// in between.
-func lane[T any](s []T, i, capHint int) []T {
+// lane returns s extended to cover row i: taken from free with capacity
+// capHint on the first row of its kind, zero-padded over the rows of other
+// kinds in between.
+func lane[T any](s []T, free *lanes[T], i, capHint int) []T {
 	if s == nil {
-		s = make([]T, 0, max(capHint, i+1))
+		s = free.get(max(capHint, i+1))
 	}
 	var zero T
 	for len(s) <= i {
@@ -195,25 +191,25 @@ func (c *Col) grow() int {
 // writes a tag alone.
 func (c *Col) setInt(i int, v int64) {
 	c.Tags[i] = TagInt
-	c.Ints = lane(c.Ints, i, cap(c.Tags))
+	c.Ints = lane(c.Ints, c.s.intLanes(), i, cap(c.Tags))
 	c.Ints[i] = v
 }
 
 func (c *Col) setNum(i int, v float64) {
 	c.Tags[i] = TagDouble
-	c.Nums = lane(c.Nums, i, cap(c.Tags))
+	c.Nums = lane(c.Nums, c.s.numLanes(), i, cap(c.Tags))
 	c.Nums[i] = v
 }
 
 func (c *Col) setStr(i int, v string) {
 	c.Tags[i] = TagString
-	c.Strs = lane(c.Strs, i, cap(c.Tags))
+	c.Strs = lane(c.Strs, c.s.strLanes(), i, cap(c.Tags))
 	c.Strs[i] = v
 }
 
 func (c *Col) setItem(i int, it item.Item) {
 	c.Tags[i] = TagItem
-	c.Items = lane(c.Items, i, cap(c.Tags))
+	c.Items = lane(c.Items, c.s.itemLanes(), i, cap(c.Tags))
 	c.Items[i] = it
 }
 
@@ -362,39 +358,6 @@ func (c *Col) EBV(i int) bool {
 		b, _ := item.EffectiveBoolean([]item.Item{c.Items[i]})
 		return b
 	}
-}
-
-// Compact returns the column restricted to rows where keep is true (kept
-// rows, in order). Const columns pass through unchanged: they broadcast
-// over whatever batch length remains.
-func (c *Col) Compact(keep []bool, kept int) *Col {
-	if c.Const {
-		return c
-	}
-	out := NewCol(kept)
-	out.Dict = c.Dict
-	for i, k := range keep {
-		if k {
-			out.copyRow(out.grow(), c, i)
-		}
-	}
-	return out
-}
-
-// Gather returns the column whose row j is row idx[j] of c, copied lane to
-// lane so no value is boxed; indices may repeat and come in any order.
-// Dictionary columns keep their Dict. Const columns pass through unchanged,
-// as in Compact.
-func (c *Col) Gather(idx []int32) *Col {
-	if c.Const {
-		return c
-	}
-	out := NewCol(len(idx))
-	out.Dict = c.Dict
-	for _, i := range idx {
-		out.copyRow(out.grow(), c, int(i))
-	}
-	return out
 }
 
 // copyRow writes physical row i of src into existing row j of c, typed

@@ -8,6 +8,10 @@ import (
 	"rumble/internal/item"
 )
 
+// heap is the nil scratch: kernels called through it allocate their
+// outputs on the heap.
+var heap *Scratch
+
 func colOf(items ...item.Item) *Col {
 	c := NewCol(len(items))
 	for _, it := range items {
@@ -132,7 +136,7 @@ func TestArithMirrorsArithmetic(t *testing.T) {
 	ops := []item.ArithOp{item.OpAdd, item.OpSub, item.OpMul, item.OpDiv, item.OpIDiv, item.OpMod}
 	for _, p := range pairs {
 		for _, op := range ops {
-			got, gotErr := Arith(colOf(p.a), colOf(p.b), 1, op)
+			got, gotErr := heap.arith(colOf(p.a), colOf(p.b), 1, op)
 			want, wantErr := item.Arithmetic(op, p.a, p.b)
 			if (gotErr != nil) != (wantErr != nil) {
 				t.Fatalf("%s %s %s: err=%v want-err=%v", p.a, op, p.b, gotErr, wantErr)
@@ -148,14 +152,14 @@ func TestArithMirrorsArithmetic(t *testing.T) {
 		}
 	}
 	// Division by zero errors on both paths.
-	if _, err := Arith(colOf(item.Int(1)), colOf(item.Int(0)), 1, item.OpIDiv); err == nil {
+	if _, err := heap.arith(colOf(item.Int(1)), colOf(item.Int(0)), 1, item.OpIDiv); err == nil {
 		t.Fatal("idiv by zero must error")
 	}
-	if _, err := Arith(colOf(item.Int(1)), colOf(item.Int(0)), 1, item.OpMod); err == nil {
+	if _, err := heap.arith(colOf(item.Int(1)), colOf(item.Int(0)), 1, item.OpMod); err == nil {
 		t.Fatal("mod by zero must error")
 	}
 	// Non-numeric operands error like item.Arithmetic.
-	if _, err := Arith(colOf(item.Str("x")), colOf(item.Int(1)), 1, item.OpAdd); err == nil {
+	if _, err := heap.arith(colOf(item.Str("x")), colOf(item.Int(1)), 1, item.OpAdd); err == nil {
 		t.Fatal("string operand must error")
 	}
 }
@@ -358,12 +362,12 @@ func TestGroupsMergeGrand(t *testing.T) {
 
 func TestCompactAndConst(t *testing.T) {
 	c := colOf(item.Int(1), item.Int(2), item.Int(3))
-	out := c.Compact([]bool{true, false, true}, 2)
+	out := heap.Compact(c, []bool{true, false, true}, 2)
 	if out.Len() != 2 || out.Ints[0] != 1 || out.Ints[1] != 3 {
 		t.Fatalf("compact = %v", out.Ints)
 	}
 	k := ConstCol(item.Str("x"))
-	if got := k.Compact([]bool{false}, 0); got != k {
+	if got := heap.Compact(k, []bool{false}, 0); got != k {
 		t.Fatal("const columns must pass through compaction")
 	}
 	if k.Item(5).String() != "x" {
