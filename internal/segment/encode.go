@@ -3,7 +3,10 @@ package segment
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"hash/maphash"
+	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -14,25 +17,31 @@ import (
 
 // Encode serializes rows into one segment's byte image and computes the
 // per-column zone maps the manifest records for it, sorted by column name.
-// Rows must not be longer than the segment capacity.
+// Rows must not be longer than the segment capacity. It is ingest's encoder
+// writing into memory instead of a file.
 func Encode(rows []item.Item) ([]byte, []ColZone, error) {
 	if len(rows) > Rows {
 		return nil, nil, errf("", "encode: %d rows exceed segment capacity %d", len(rows), Rows)
 	}
 	b := newBuilder(rows)
-	data, zones := b.finish([]*laneGroup{b.lanes(0, 1)})
-	return data, zones, nil
+	var img memImage
+	_, _, zones, err := b.finish([]*laneGroup{b.lanes(0, 1)}, &img)
+	if err != nil {
+		return nil, nil, err
+	}
+	return img, zones, nil
 }
 
 // builder is the write side of one segment, in three steps. newBuilder
 // resolves every row to its shape — the column ids of its keys — in row
 // order, which fixes the column dictionary. lanes then visits each value of
-// the plain rows exactly once, appending it to its column's tag and value
-// lanes and folding it into the column's zone map; the columns split into
-// any number of groups, one lanes call each, that share nothing and may run
-// concurrently. finish ranks the strings the groups interned into the
-// segment dictionary, patches the string codes in, and lays out the image.
-// The bytes depend on the rows alone, never on the grouping.
+// the plain rows, appending it to its column's tag and value lanes and
+// folding it into the column's zone map; each string value becomes the id of
+// its first occurrence in the lane group. The columns split into any number
+// of groups, one lanes call each, that share nothing and may run
+// concurrently. finish ranks the strings the groups collected into the
+// segment dictionary and streams the image, string codes patched in, to its
+// writer. The bytes depend on the rows alone, never on the grouping.
 type builder struct {
 	rows   []item.Item
 	shape  []int32     // per row: index into shapes, -1 for an overflow row
@@ -97,9 +106,9 @@ func newBuilder(rows []item.Item) *builder {
 }
 
 // lane is one column under construction: the dense tag lane, the value
-// bytes of its non-string values in row order, the interned ids of its
-// string values in row order (codes exist only once finish has ranked the
-// dictionary), and the zone map folded from the same value visits.
+// bytes of its non-string values in row order, the ids of its string values
+// in row order (codes exist only once finish has ranked the dictionary),
+// and the zone map folded from the same value visits.
 type lane struct {
 	tags []byte
 	vals []byte
@@ -108,20 +117,23 @@ type lane struct {
 }
 
 // laneGroup is the output of one lanes call: the lanes of the columns whose
-// id is congruent to g modulo n, and the strings those columns hold, each
-// interned once, with the ids listed in string order.
+// id is congruent to g modulo n, the distinct strings those columns hold in
+// first-seen order (a string's id is its index), and the ids listed in
+// string order.
 type laneGroup struct {
 	lanes  []lane // lanes[i] is column g + i*n
-	intern map[string]uint32
 	strs   []string
 	sorted []uint32
 }
 
-// lanes builds the lanes of column group g of n in one pass over the rows.
-// Overflow rows (non-objects, duplicate-key objects) reconstruct wholesale
-// and stay absent in every lane, exactly like vector's Lookup over them.
+// lanes builds the lanes of column group g of n in two passes over the
+// rows' values. The first counts each lane's string values, so every id
+// lane and the group's id table are allocated once, at their final size;
+// the second fills the lanes. Overflow rows (non-objects, duplicate-key
+// objects) reconstruct wholesale and stay absent in every lane, exactly like
+// vector's Lookup over them.
 func (b *builder) lanes(g, n int) *laneGroup {
-	lg := &laneGroup{intern: make(map[string]uint32, len(b.rows))}
+	lg := &laneGroup{}
 	if ncols := len(b.cols); ncols > g {
 		lg.lanes = make([]lane, (ncols-g+n-1)/n)
 	}
@@ -130,13 +142,13 @@ func (b *builder) lanes(g, n int) *laneGroup {
 		lg.lanes[i].tags = tags[i*len(b.rows) : (i+1)*len(b.rows) : (i+1)*len(b.rows)]
 	}
 	// slot is one value of a shape that belongs to this group: the key's
-	// position in the row and the lane it feeds.
+	// position in the row and the index of the lane it feeds.
 	type slot struct {
-		key  int
-		lane *lane
+		key, lane int
 	}
 	slots := make([][]slot, len(b.shapes))
-	var scratch []byte
+	counts := make([]int, len(lg.lanes))
+	total := 0 // string values in the group
 	for ri, r := range b.rows {
 		si := b.shape[ri]
 		if si < 0 {
@@ -146,13 +158,33 @@ func (b *builder) lanes(g, n int) *laneGroup {
 			slots[si] = []slot{}
 			for ki, id := range b.shapes[si].ids {
 				if id%n == g {
-					slots[si] = append(slots[si], slot{key: ki, lane: &lg.lanes[id/n]})
+					slots[si] = append(slots[si], slot{key: ki, lane: id / n})
 				}
 			}
 		}
 		o := r.(*item.Object)
 		for _, s := range slots[si] {
-			l := s.lane
+			if _, ok := o.ValueAt(s.key).(item.Str); ok {
+				counts[s.lane]++
+				total++
+			}
+		}
+	}
+	ids := make([]uint32, total)
+	for i, c := range counts {
+		lg.lanes[i].strs, ids = ids[:0:c], ids[c:]
+	}
+	strIDs := newStringIDs(total)
+
+	var scratch []byte
+	for ri, r := range b.rows {
+		si := b.shape[ri]
+		if si < 0 {
+			continue
+		}
+		o := r.(*item.Object)
+		for _, s := range slots[si] {
+			l := &lg.lanes[s.lane]
 			l.zone.present++
 			switch v := o.ValueAt(s.key).(type) {
 			case item.Null:
@@ -178,13 +210,7 @@ func (b *builder) lanes(g, n int) *laneGroup {
 				l.zone.addNumber(item.NumberKey(float64(v)))
 			case item.Str:
 				l.tags[ri] = tagString
-				id, ok := lg.intern[string(v)]
-				if !ok {
-					id = uint32(len(lg.strs))
-					lg.intern[string(v)] = id
-					lg.strs = append(lg.strs, string(v))
-				}
-				l.strs = append(l.strs, id)
+				l.strs = append(l.strs, strIDs.id(string(v)))
 			case item.Dec:
 				l.tags[ri] = tagDec
 				l.vals = appendString(l.vals, v.Rat().RatString())
@@ -198,8 +224,59 @@ func (b *builder) lanes(g, n int) *laneGroup {
 			}
 		}
 	}
+	lg.strs = strIDs.strs
 	lg.sorted = sortedIDs(lg.strs)
 	return lg
+}
+
+// stringIDs numbers the distinct strings of one lane group in order of
+// first occurrence. Its table is open addressing with linear probes, sized
+// once to twice the number of string values to come, so that it is at most
+// half full however many of them are distinct; an entry is a string's id
+// plus one, zero when free. A hit is confirmed against the string the id
+// names.
+type stringIDs struct {
+	table []uint32
+	strs  []string // by id
+	total int      // string values to come: the most strs can hold
+}
+
+// stringSeed hashes strings into id tables. Ids follow first occurrence, so
+// the seed never shows in an image.
+var stringSeed = maphash.MakeSeed()
+
+// minStrings is the smallest id table, and the first capacity of its strs.
+const minStrings = 16
+
+func newStringIDs(total int) *stringIDs {
+	return &stringIDs{
+		table: make([]uint32, max(minStrings, 2*total)),
+		strs:  make([]string, 0, min(minStrings, total)),
+		total: total,
+	}
+}
+
+// id returns the id of s, numbering it when it is new.
+func (t *stringIDs) id(s string) uint32 {
+	// The hash's high bits scaled to the table: a slot for any table size.
+	i, _ := bits.Mul64(maphash.String(stringSeed, s), uint64(len(t.table)))
+	for t.table[i] != 0 {
+		if id := t.table[i] - 1; t.strs[id] == s {
+			return id
+		}
+		if i++; i == uint64(len(t.table)) {
+			i = 0
+		}
+	}
+	if len(t.strs) == cap(t.strs) {
+		// Double, up to the bound: never more than twice what is kept.
+		grown := make([]string, len(t.strs), min(2*cap(t.strs), t.total))
+		copy(grown, t.strs)
+		t.strs = grown
+	}
+	t.strs = append(t.strs, s)
+	t.table[i] = uint32(len(t.strs))
+	return t.table[i] - 1
 }
 
 // sortedIDs returns the indexes of strs in string order. Most comparisons
@@ -236,9 +313,27 @@ func decKey(d item.Dec) item.SortKey {
 	return sk
 }
 
-// finish assembles the segment image and the zone maps from the lane groups
-// of one grouping (groups[g] = lanes(g, len(groups))).
-func (b *builder) finish(groups []*laneGroup) ([]byte, []ColZone) {
+// imageWriter is where finish streams a segment image: the body in order
+// through Write, then the header in place through WriteAt. An *os.File is
+// one.
+type imageWriter interface {
+	io.Writer
+	io.WriterAt
+}
+
+// imageBuffer bounds the bytes finish holds before they go to the writer.
+const imageBuffer = 64 << 10
+
+// headerSize is the image header's size: magic, version, rows, columns and
+// the payload CRC-32.
+const headerSize = len(Magic) + 1 + 4 + 4 + 4
+
+// finish streams the segment image built from the lane groups of one
+// grouping (groups[g] = lanes(g, len(groups))) to w, and returns its size,
+// its payload CRC and the zone maps. The body goes out through one bounded
+// buffer, its CRC accumulating as it goes; the header, which records that
+// CRC, is written last, in place. The first error of w is returned.
+func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc uint32, zones []ColZone, err error) {
 	n := len(groups)
 	laneOf := func(id int) *lane { return &groups[id%n].lanes[id/n] }
 
@@ -265,64 +360,49 @@ func (b *builder) finish(groups []*laneGroup) ([]byte, []ColZone) {
 	}
 	table, codes := mergeDictionary(groups, dupStrs)
 
-	// The image's size, to within a few bytes per column: one allocation,
-	// and none of it cleared for nothing.
-	head := len(Magic) + 1 + 4 + 4 + 4
-	size := head + 2*binary.MaxVarintLen64
+	out := &stream{w: w, buf: make([]byte, headerSize, imageBuffer), body: headerSize}
+	out.uvarint(uint64(len(b.cols)))
 	for _, c := range b.cols {
-		size += uvarintLen(len(c)) + len(c)
+		out.str(c)
 	}
+	out.uvarint(uint64(len(table)))
 	for _, s := range table {
-		size += uvarintLen(len(s)) + len(s)
+		out.str(s)
 	}
 	for _, si := range b.shape {
 		if si >= 0 {
-			size += len(b.shapes[si].enc)
-		}
-	}
-	for _, raw := range overflow {
-		size += 1 + uvarintLen(len(raw)) + len(raw)
-	}
-	for id := range b.cols {
-		l := laneOf(id)
-		size += binary.MaxVarintLen64 + len(l.tags) + len(l.vals) + len(l.strs)*uvarintLen(len(table))
-	}
-
-	out := make([]byte, head, size)
-	out = appendUvarint(out, uint64(len(b.cols)))
-	for _, c := range b.cols {
-		out = appendString(out, c)
-	}
-	out = appendUvarint(out, uint64(len(table)))
-	for _, s := range table {
-		out = appendString(out, s)
-	}
-	for _, si := range b.shape {
-		if si >= 0 {
-			out = append(out, b.shapes[si].enc...)
+			out.write(b.shapes[si].enc)
 			continue
 		}
-		out = appendUvarint(out, shapeOverflow)
-		out = appendSized(out, overflow[0])
+		out.uvarint(shapeOverflow)
+		out.uvarint(uint64(len(overflow[0])))
+		out.write(overflow[0])
 		overflow = overflow[1:]
 	}
 	// Typed lanes, one column at a time: each column's block is its dense
 	// tag lane followed by the sparse value lane in row order, prefixed by
 	// the block's byte length so a projecting reader skips a whole column
 	// without parsing it.
-	var values []byte
 	for id := range b.cols {
 		l := laneOf(id)
-		values = l.appendValues(values[:0], codes[id%n])
-		out = appendUvarint(out, uint64(len(l.tags)+len(values)))
-		out = append(out, l.tags...)
-		out = append(out, values...)
+		c := codes[id%n]
+		out.uvarint(uint64(len(l.tags) + l.valuesLen(c)))
+		out.write(l.tags)
+		l.writeValues(out, c)
 	}
-	copy(out, Magic)
-	out[len(Magic)] = Version
-	binary.LittleEndian.PutUint32(out[len(Magic)+1:], uint32(len(b.rows)))
-	binary.LittleEndian.PutUint32(out[len(Magic)+5:], uint32(len(b.cols)))
-	binary.LittleEndian.PutUint32(out[len(Magic)+9:], crc32.ChecksumIEEE(out[head:]))
+	out.flush()
+	if out.err != nil {
+		return 0, 0, nil, out.err
+	}
+	var head [headerSize]byte
+	copy(head[:], Magic)
+	head[len(Magic)] = Version
+	binary.LittleEndian.PutUint32(head[len(Magic)+1:], uint32(len(b.rows)))
+	binary.LittleEndian.PutUint32(head[len(Magic)+5:], uint32(len(b.cols)))
+	binary.LittleEndian.PutUint32(head[len(Magic)+9:], out.crc)
+	if _, err := w.WriteAt(head[:], 0); err != nil {
+		return 0, 0, nil, err
+	}
 
 	// Zone maps, by column name: a lane's own accumulator plus its strings,
 	// now that they have codes, plus what duplicate-key rows hold under that
@@ -348,11 +428,11 @@ func (b *builder) finish(groups []*laneGroup) ([]byte, []ColZone) {
 		}
 	}
 	slices.Sort(names)
-	zones := make([]ColZone, len(names))
+	zones = make([]ColZone, len(names))
 	for i, name := range names {
 		zones[i] = ColZone{Name: name, Zone: byName[name].zoneMap()}
 	}
-	return out, zones
+	return out.n, out.crc, zones, nil
 }
 
 // mergeDictionary builds the segment dictionary — every distinct string of
@@ -402,42 +482,115 @@ func uvarintLen(n int) int {
 	return (bits.Len64(uint64(n)|1) + 6) / 7
 }
 
-// appendValues appends the lane's final value bytes: its value bytes with
-// the code of every string value, now that codes exist, spliced in at the
+// valuesLen is the size of the lane's final value bytes: its value bytes
+// plus the code of every string value.
+func (l *lane) valuesLen(codes []uint32) int {
+	n := len(l.vals)
+	for _, id := range l.strs {
+		n += uvarintLen(int(codes[id]))
+	}
+	return n
+}
+
+// writeValues writes the lane's final value bytes: its value bytes with the
+// code of every string value, now that codes exist, spliced in at the
 // string's row position.
-func (l *lane) appendValues(dst []byte, codes []uint32) []byte {
+func (l *lane) writeValues(out *stream, codes []uint32) {
 	if len(l.strs) == 0 {
-		return append(dst, l.vals...)
+		out.write(l.vals)
+		return
 	}
 	if len(l.vals) == 0 {
 		// Only strings carry value bytes: no tag walk needed.
 		for _, id := range l.strs {
-			dst = appendUvarint(dst, uint64(codes[id]))
+			out.uvarint(uint64(codes[id]))
 		}
-		return dst
+		return
 	}
-	vals, strs := l.vals, l.strs
+	// Value bytes go out in runs, each ended by a string's code.
+	vals, strs, run := l.vals, l.strs, 0
 	for _, tag := range l.tags {
-		n := 0
 		switch tag {
 		case tagString:
-			dst = appendUvarint(dst, uint64(codes[strs[0]]))
-			strs = strs[1:]
+			out.write(vals[:run])
+			out.uvarint(uint64(codes[strs[0]]))
+			vals, strs, run = vals[run:], strs[1:], 0
 		case tagInt:
-			for vals[n]&0x80 != 0 {
-				n++
+			for vals[run]&0x80 != 0 {
+				run++
 			}
-			n++
+			run++
 		case tagDouble:
-			n = 8
+			run += 8
 		case tagDec, tagItem:
-			size, w := binary.Uvarint(vals)
-			n = w + int(size)
+			size, w := binary.Uvarint(vals[run:])
+			run += w + int(size)
 		}
-		dst = append(dst, vals[:n]...)
-		vals = vals[n:]
 	}
-	return dst
+	out.write(vals)
+}
+
+// stream is finish's bounded buffer in front of an imageWriter. It counts
+// the bytes it passes on and folds those from body on into crc. A write
+// error sticks: later writes are dropped.
+type stream struct {
+	w    imageWriter
+	buf  []byte
+	body int // bytes at the start of buf not covered by crc: the header's room
+	n    int64
+	crc  uint32
+	err  error
+}
+
+// flush passes the buffered bytes on and empties the buffer.
+func (s *stream) flush() {
+	if s.err == nil && len(s.buf) > 0 {
+		s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf[s.body:])
+		_, s.err = s.w.Write(s.buf)
+		s.n += int64(len(s.buf))
+	}
+	s.buf, s.body = s.buf[:0], 0
+}
+
+func (s *stream) uvarint(v uint64) {
+	if cap(s.buf)-len(s.buf) < binary.MaxVarintLen64 {
+		s.flush()
+	}
+	s.buf = binary.AppendUvarint(s.buf, v)
+}
+
+func (s *stream) write(p []byte) { put(s, p) }
+
+func (s *stream) str(p string) {
+	s.uvarint(uint64(len(p)))
+	put(s, p)
+}
+
+// put buffers p, flushing each time the buffer fills.
+func put[T string | []byte](s *stream, p T) {
+	for len(p) > 0 {
+		if len(s.buf) == cap(s.buf) {
+			s.flush()
+		}
+		k := min(len(p), cap(s.buf)-len(s.buf))
+		s.buf = append(s.buf, p[:k]...)
+		p = p[k:]
+	}
+}
+
+// memImage is an imageWriter over memory.
+type memImage []byte
+
+func (m *memImage) Write(p []byte) (int, error) {
+	*m = append(*m, p...)
+	return len(p), nil
+}
+
+func (m *memImage) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || off+int64(len(p)) > int64(len(*m)) {
+		return 0, errors.New("memImage: write outside the image")
+	}
+	return copy((*m)[off:], p), nil
 }
 
 // zoneAcc folds one column's values into its zone map. The minimum and

@@ -60,6 +60,10 @@ func hook(event string, n int) {
 	}
 }
 
+// testWriter, set only by tests, wraps the file each segment image is
+// written to.
+var testWriter func(imageWriter) imageWriter
+
 // named turns a panic contained by sched.Safely or sched.Go into a
 // structured error naming the source; other errors pass through.
 func named(source string, err error) error {
@@ -352,12 +356,24 @@ func (p *pipeline) encode(s *segTask, g int) {
 		if p.stopped() || s.failed() {
 			return nil
 		}
-		data, zones := s.b.finish(s.groups)
 		name := fmt.Sprintf("seg-%05d.rseg", s.idx)
-		if err := os.WriteFile(filepath.Join(p.tmp, name), data, 0o644); err != nil {
+		f, err := os.OpenFile(filepath.Join(p.tmp, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
 			return errf(p.source, "ingest: %v", err)
 		}
-		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: int64(len(data)), CRC: headerCRC(data), Cols: zones}
+		defer f.Close() // after a panic; the checked Close is below
+		var w imageWriter = f
+		if testWriter != nil {
+			w = testWriter(f)
+		}
+		size, crc, zones, err := s.b.finish(s.groups, w)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return errf(p.source, "ingest: %v", err)
+		}
+		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: size, CRC: crc, Cols: zones}
 		return nil
 	}))
 	if err != nil {

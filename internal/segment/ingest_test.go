@@ -49,6 +49,13 @@ func setHook(t *testing.T, h func(event string, n int)) {
 	t.Cleanup(func() { testHook = nil })
 }
 
+// setWriter installs the segment-file wrapper for the duration of the test.
+func setWriter(t *testing.T, wrap func(imageWriter) imageWriter) {
+	t.Helper()
+	testWriter = wrap
+	t.Cleanup(func() { testWriter = nil })
+}
+
 // oracleIngest is the serial ingest the pipeline replaced: hash the source
 // (whole-file copies), read it again line by line with one decoder per file,
 // encode every 4096 rows with the oracle encoder and walk them again for
@@ -313,6 +320,15 @@ func FuzzEncodeMatchesOracle(f *testing.F) {
 	f.Add(generated(datagen.NewConfusionGenerator(4), 3))
 	f.Add([]byte("{\"a\":1,\"a\":\"s\"}\n{\"a\":\"s\"}\n{\"a\":\"r\",\"z\":[\"s\"]}\n7\n"))
 	f.Add([]byte("{\"n\":1}\n{\"n\":1.0}\n{\"n\":1e0}\n{\"n\":NaN}\n{\"n\":-0.0}\n{\"n\":9223372036854775807}\n"))
+	// The string id table: one string in every row of a column, one string
+	// in columns of different lane groups, in a lane and in a duplicate-key
+	// row, empty and NUL-bearing strings, and more distinct strings than
+	// the smallest table holds.
+	f.Add([]byte(strings.Repeat("{\"s\":\"same\",\"n\":1}\n", 20)))
+	f.Add([]byte("{\"a\":\"x\",\"b\":\"x\",\"c\":\"x\"}\n{\"c\":\"x\",\"a\":\"y\"}\n"))
+	f.Add([]byte("{\"a\":\"x\"}\n{\"b\":\"x\",\"b\":\"w\",\"a\":\"x\"}\n{\"a\":\"w\"}\n"))
+	f.Add([]byte("{\"a\":\"\",\"b\":\"\\u0000\",\"c\":\"a\\u0000b\"}\n{\"a\":\"\\u0000\",\"b\":\"\",\"c\":\"a\"}\n"))
+	f.Add(numbered(3 * minStrings))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rows []item.Item
 		dec := jparse.NewDecoder()
@@ -342,8 +358,10 @@ func FuzzEncodeMatchesOracle(f *testing.F) {
 			t.Fatalf("zone maps differ:\n got %s\nwant %s", gotZones, wantZones)
 		}
 		b := newBuilder(rows)
-		split, splitZones := b.finish([]*laneGroup{b.lanes(0, 3), b.lanes(1, 3), b.lanes(2, 3)})
-		if gz, _ := json.Marshal(splitZones); !bytes.Equal(split, want) || !bytes.Equal(gz, wantZones) {
+		var split memImage
+		if _, _, splitZones, err := b.finish([]*laneGroup{b.lanes(0, 3), b.lanes(1, 3), b.lanes(2, 3)}, &split); err != nil {
+			t.Fatal(err)
+		} else if gz, _ := json.Marshal(splitZones); !bytes.Equal(split, want) || !bytes.Equal(gz, wantZones) {
 			t.Fatalf("three lane groups produce a different image or zone maps than one")
 		}
 		meta := Meta{Cols: zones}
@@ -596,6 +614,36 @@ func TestIngestSwap(t *testing.T) {
 	})
 }
 
+// TestIngestWriteFailure: a segment file that cannot be written, in its
+// body or its header, fails the ingest with an error naming the source and
+// leaves nothing beside the source: no staging directory, no segments.
+func TestIngestWriteFailure(t *testing.T) {
+	noLeaks(t)
+	source := writeFile(t, filepath.Join(t.TempDir(), "w.jsonl"), numbered(3*Rows+10)) // four segments
+	for _, header := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			var files atomic.Int32
+			setWriter(t, func(w imageWriter) imageWriter {
+				if files.Add(1) != 2 {
+					return w
+				}
+				if header {
+					return &failingWriter{imageWriter: w, okWrites: -1, failWriteAt: true}
+				}
+				return &failingWriter{imageWriter: w, okWrites: 0}
+			})
+			ds, _, err := ingest(source, workers, 64<<10)
+			serr, ok := err.(*Error)
+			if ds != nil || !ok || serr.Path != source || serr.Msg != "ingest: "+errDiskFull.Error() {
+				t.Fatalf("header=%v workers=%d: ds=%v err=%v, want the write error naming %s", header, workers, ds, err, source)
+			}
+			if left := siblings(t, source); len(left) != 0 {
+				t.Fatalf("header=%v workers=%d: beside the source: %v", header, workers, left)
+			}
+		}
+	}
+}
+
 // TestIngestContainsPanics: a panic in a parse task, in the assembler, in an
 // encode task or in the background rebuild resolves the store entry to a structured error naming
 // the source — the scan falls back to raw lines — and leaves no goroutine,
@@ -657,19 +705,29 @@ func TestIngestContainsPanics(t *testing.T) {
 	})
 }
 
+// BenchmarkIngest ingests Reddit sources, whose strings are nearly all
+// distinct, at three sizes, and a confusion source, whose strings repeat.
 func BenchmarkIngest(b *testing.B) {
+	type source struct {
+		name string
+		data []byte
+	}
+	var sources []source
 	for _, rows := range []int{Rows, 5 * Rows / 4, 8 * Rows} {
-		source := filepath.Join(b.TempDir(), "bench.jsonl")
-		data := generated(datagen.NewRedditGenerator(9), rows)
-		if err := os.WriteFile(source, data, 0o644); err != nil {
+		sources = append(sources, source{fmt.Sprintf("rows=%d", rows), generated(datagen.NewRedditGenerator(9), rows)})
+	}
+	sources = append(sources, source{fmt.Sprintf("confusion/rows=%d", 5*Rows/4), generated(datagen.NewConfusionGenerator(9), 5*Rows/4)})
+	for _, src := range sources {
+		path := filepath.Join(b.TempDir(), "bench.jsonl")
+		if err := os.WriteFile(path, src.data, 0o644); err != nil {
 			b.Fatal(err)
 		}
 		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("rows=%d/workers=%d", rows, workers), func(b *testing.B) {
-				b.SetBytes(int64(len(data)))
+			b.Run(fmt.Sprintf("%s/workers=%d", src.name, workers), func(b *testing.B) {
+				b.SetBytes(int64(len(src.data)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := ingest(source, workers, ingestChunkSize); err != nil {
+					if _, _, err := ingest(path, workers, ingestChunkSize); err != nil {
 						b.Fatal(err)
 					}
 				}
