@@ -529,7 +529,7 @@ func pruneLookupField(headVar string, e ast.Expr) (string, bool) {
 	if !ok || vr.Name != headVar {
 		return "", false
 	}
-	return stringLiteral(ol.Key)
+	return StringLiteral(ol.Key)
 }
 
 // pruneLiteral admits the literal kinds the zone-map rules understand.
@@ -678,7 +678,7 @@ func (s *vscope) expr(e ast.Expr) (vector.Expr, error) {
 	case *ast.VarRef:
 		return s.varRef(n)
 	case *ast.ObjectLookup:
-		key, ok := stringLiteral(n.Key)
+		key, ok := StringLiteral(n.Key)
 		if !ok {
 			return nil, errf(n.Pos(), "vector: dynamic object lookup key")
 		}
@@ -720,8 +720,9 @@ func (s *vscope) expr(e ast.Expr) (vector.Expr, error) {
 		return &vector.UnaryExpr{Minus: n.Minus, In: in}, nil
 	case *ast.ObjectConstructor:
 		oe := &vector.ObjectExpr{}
+		var keys []string
 		for i := range n.Keys {
-			key, ok := stringLiteral(n.Keys[i])
+			key, ok := StringLiteral(n.Keys[i])
 			if !ok {
 				return nil, errf(n.Pos(), "vector: dynamic object constructor key")
 			}
@@ -729,9 +730,10 @@ func (s *vscope) expr(e ast.Expr) (vector.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			oe.Keys = append(oe.Keys, key)
+			keys = append(keys, key)
 			oe.Vals = append(oe.Vals, v)
 		}
+		oe.Shape = item.NewShape(keys)
 		return oe, nil
 	case *ast.ArrayConstructor:
 		if n.Body == nil {
@@ -830,8 +832,9 @@ func ones() vector.Expr {
 	return &vector.LitExpr{Col: vector.ConstCol(item.Bool(true))}
 }
 
-// stringLiteral extracts a compile-time string key.
-func stringLiteral(e ast.Expr) (string, bool) {
+// StringLiteral returns the value of a string literal expression, the
+// form a compile-time object key or lookup key takes.
+func StringLiteral(e ast.Expr) (string, bool) {
 	lit, ok := e.(*ast.Literal)
 	if !ok {
 		return "", false
@@ -861,7 +864,7 @@ func aggArgRoot(e ast.Expr) (string, bool) {
 		case *ast.VarRef:
 			return n.Name, true
 		case *ast.ObjectLookup:
-			if _, ok := stringLiteral(n.Key); !ok {
+			if _, ok := StringLiteral(n.Key); !ok {
 				return "", false
 			}
 			e = n.Input

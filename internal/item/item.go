@@ -327,6 +327,19 @@ func NewObjectOfShape(shape *Shape, values []Item) *Object {
 	return &Object{shape: shape, values: values}
 }
 
+// ObjectsOfShape returns n objects of shape carved from one slab, the i-th
+// over values[i*k : (i+1)*k] where k is the shape's key count. The value
+// slab is not copied; callers must not mutate it afterwards, and
+// len(values) must be n*k.
+func ObjectsOfShape(shape *Shape, values []Item, n int) []Object {
+	k := len(shape.keys)
+	objs := make([]Object, n)
+	for i := range objs {
+		objs[i] = Object{shape: shape, values: values[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return objs
+}
+
 // ObjectFromMap builds an object from a map with keys sorted for
 // determinism. Intended for tests and small literals.
 func ObjectFromMap(m map[string]Item) *Object {

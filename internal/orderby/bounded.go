@@ -49,13 +49,21 @@ func (b *Bounded[E]) after(x, y *ranked[E]) bool {
 // are copied, into the storage of the row it evicts when there is one, so
 // callers may key every row into one buffer. It returns nil when the row
 // ranks outside the first k, else the slot to store the row in, valid until
-// the next Offer. Offer must not follow Sorted.
+// the next Offer. Offer must not follow Sorted, until a Reset.
 func (b *Bounded[E]) Offer(keys []item.SortKey) *E {
 	seq := b.seq
 	b.seq++
-	if int64(len(b.heap)) < b.k {
-		b.heap = append(b.heap, ranked[E]{keys: b.carve(keys), seq: seq})
-		return &b.heap[b.up(len(b.heap)-1)].row
+	if n := len(b.heap); int64(n) < b.k {
+		var kept []item.SortKey
+		if n < cap(b.heap) && len(b.heap[:n+1][n].keys) == len(keys) {
+			// A row kept before the last Reset left its key storage here.
+			kept = b.heap[:n+1][n].keys
+			copy(kept, keys)
+		} else {
+			kept = b.carve(keys)
+		}
+		b.heap = append(b.heap, ranked[E]{keys: kept, seq: seq})
+		return &b.heap[b.up(n)].row
 	}
 	// A row equal to the last kept one was offered after it, so it ranks
 	// after it too.
@@ -68,6 +76,19 @@ func (b *Bounded[E]) Offer(keys []item.SortKey) *E {
 	var zero E
 	root.row = zero
 	return &b.heap[b.down(0, len(b.heap))].row
+}
+
+// Len returns the number of rows kept.
+func (b *Bounded[E]) Len() int { return len(b.heap) }
+
+// Reset empties b for a new stream, keeping its storage: once b has held
+// n rows, its next n kept rows allocate nothing.
+func (b *Bounded[E]) Reset() {
+	var zero E
+	for i := range b.heap {
+		b.heap[i].row = zero
+	}
+	b.heap, b.seq, b.sorted = b.heap[:0], 0, false
 }
 
 // carve copies keys into storage that grows with the rows kept.

@@ -248,3 +248,35 @@ func TestBoundedNeverAllocatesByK(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedResetReusesStorage pins Reset: a Bounded that has held k rows
+// keeps and evicts its next rows after a Reset without allocating, and
+// keeps the same rows in the same order as a fresh one would.
+func TestBoundedResetReusesStorage(t *testing.T) {
+	const k = 16
+	rows := make([]keyedRow, 2*k)
+	for i := range rows {
+		rows[i] = keyedRow{[]item.SortKey{item.IntKey(int64(i*7) % 11), item.SortKey{Tag: item.TagString, Str: "s"}}, i}
+	}
+	desc := []bool{true, false}
+	b := NewBounded[int](k, desc)
+	offerAll(b, rows, k, 2*k) // fills the storage with other rows first
+	collect(b)
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.Reset()
+		offerAll(b, rows, 0, 2*k)
+	}); allocs > 1 { // offerAll's key buffer
+		t.Fatalf("a reset Bounded keeping %d of %d rows made %v allocations, want at most 1", k, 2*k, allocs)
+	}
+	fresh := NewBounded[int](k, desc)
+	offerAll(fresh, rows, 0, 2*k)
+	got, want := collect(b), collect(fresh)
+	if len(got) != len(want) {
+		t.Fatalf("reset kept %d rows, fresh %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].i != want[i].i || !slices.Equal(got[i].keys, want[i].keys) {
+			t.Fatalf("row %d: reset kept %v, fresh %v", i, got[i], want[i])
+		}
+	}
+}

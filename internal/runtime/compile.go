@@ -292,16 +292,21 @@ func (c *comp) compile(e ast.Expr) (Iterator, error) {
 		return &commaIter{planNode: c.pn(n), children: children}, nil
 	case *ast.ObjectConstructor:
 		oc := &objectConstructorIter{}
+		if keys, ok := literalKeys(n.Keys); ok {
+			oc.shape = item.NewShape(keys)
+		}
 		for i := range n.Keys {
-			k, err := c.compile(n.Keys[i])
-			if err != nil {
-				return nil, err
+			if oc.shape == nil {
+				k, err := c.compile(n.Keys[i])
+				if err != nil {
+					return nil, err
+				}
+				oc.keys = append(oc.keys, k)
 			}
 			v, err := c.compile(n.Values[i])
 			if err != nil {
 				return nil, err
 			}
-			oc.keys = append(oc.keys, k)
 			oc.values = append(oc.values, v)
 		}
 		return oc, nil
@@ -827,4 +832,16 @@ func (c *comp) compileVectorAgg(n *ast.FunctionCall) (Iterator, error) {
 		return &rddLetIter{planNode: c.pn(n), lets: rlets, inner: out}, nil
 	}
 	return out, nil
+}
+
+// literalKeys returns the keys of an object constructor whose every key is
+// a string literal; ok=false when some key is computed.
+func literalKeys(keys []ast.Expr) (out []string, ok bool) {
+	out = make([]string, len(keys))
+	for i, k := range keys {
+		if out[i], ok = compiler.StringLiteral(k); !ok {
+			return nil, false
+		}
+	}
+	return out, true
 }

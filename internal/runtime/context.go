@@ -302,17 +302,21 @@ func readInPlace(it Iterator, dc *DynamicContext) (seq []item.Item, ok bool, err
 // RDD-capable iterators this collects the RDD (subject to the context's
 // MaxResultItems cap), mirroring Rumble's local API over Spark results.
 //
-// What readInPlace reads is returned as it reads it, and $$ as a one-item
-// sequence of its own, neither through a closure. Callers must not write
-// through any Materialize result.
+// What readInPlace reads is returned as it reads it, $$ as a one-item
+// sequence of its own, and a vector plan's morsel results taken over
+// whole, none through a per-item closure. Callers must not write through
+// any Materialize result.
 func Materialize(it Iterator, dc *DynamicContext) ([]item.Item, error) {
 	if seq, ok, err := readInPlace(it, dc); ok {
 		return seq, err
 	}
-	if _, ok := it.(contextItemIter); ok {
+	switch n := it.(type) {
+	case contextItemIter:
 		if ci, _, ok := dc.ContextItem(); ok {
 			return []item.Item{ci}, nil
 		}
+	case *vectorIter:
+		return n.collect(dc)
 	}
 	var out []item.Item
 	if err := it.Stream(dc, func(i item.Item) error {

@@ -403,29 +403,29 @@ func (l *logicIter) Stream(dc *DynamicContext, yield func(item.Item) error) erro
 // Each key must evaluate to a single string-castable atomic; each value
 // expression contributes its whole sequence (empty becomes null, a
 // multi-item sequence becomes an array, matching JSONiq object semantics).
+// When every key is a string literal, shape holds them, built once at
+// compile time, and keys is nil.
 type objectConstructorIter struct {
 	localOnly
+	shape  *item.Shape
 	keys   []Iterator
 	values []Iterator
 }
 
 func (o *objectConstructorIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
-	keys := make([]string, len(o.keys))
 	values := make([]item.Item, len(o.values))
-	for i := range o.keys {
-		kseq, err := Materialize(o.keys[i], dc)
-		if err != nil {
-			return err
+	var keys []string
+	if o.shape == nil {
+		keys = make([]string, len(o.keys))
+	}
+	for i := range o.values {
+		if o.shape == nil {
+			ks, err := objectKey(o.keys[i], dc)
+			if err != nil {
+				return err
+			}
+			keys[i] = ks
 		}
-		kit, err := exactlyOneAtomic(kseq, "object key")
-		if err != nil {
-			return err
-		}
-		ks, err := item.StringValue(kit)
-		if err != nil {
-			return Errorf("%v", err)
-		}
-		keys[i] = ks
 		vseq, err := Materialize(o.values[i], dc)
 		if err != nil {
 			return err
@@ -439,7 +439,27 @@ func (o *objectConstructorIter) Stream(dc *DynamicContext, yield func(item.Item)
 			values[i] = item.NewArray(vseq)
 		}
 	}
+	if o.shape != nil {
+		return yield(item.NewObjectOfShape(o.shape, values))
+	}
 	return yield(item.NewObject(keys, values))
+}
+
+// objectKey evaluates one dynamic object constructor key.
+func objectKey(key Iterator, dc *DynamicContext) (string, error) {
+	kseq, err := Materialize(key, dc)
+	if err != nil {
+		return "", err
+	}
+	kit, err := exactlyOneAtomic(kseq, "object key")
+	if err != nil {
+		return "", err
+	}
+	ks, err := item.StringValue(kit)
+	if err != nil {
+		return "", Errorf("%v", err)
+	}
+	return ks, nil
 }
 
 // arrayConstructorIter builds an array from the whole sequence of its body.

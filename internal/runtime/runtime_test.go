@@ -358,3 +358,36 @@ func TestLeadingLetKeepsLocalExecution(t *testing.T) {
 		t.Errorf("%d items", len(out))
 	}
 }
+
+// TestLiteralKeyObjectsShareShape pins the tuple path's object
+// constructor: with every key a string literal, the objects it builds share
+// the one Shape made at compile time; a computed key still builds a shape
+// per object, and its errors are unchanged.
+func TestLiteralKeyObjectsShareShape(t *testing.T) {
+	shapes := func(q string) []*item.Shape {
+		t.Helper()
+		items, err := compileQuery(t, &Env{Collections: map[string]string{}}, q).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*item.Shape
+		for _, it := range items {
+			out = append(out, it.(*item.Object).Shape())
+		}
+		return out
+	}
+	lit := shapes(`for $i in 1 to 3 return {"a": $i, "b": (), "a": ($i, $i)}`)
+	if len(lit) != 3 || lit[0] != lit[1] || lit[1] != lit[2] {
+		t.Errorf("literal keys: shapes %p, want one shared", lit)
+	}
+	if got := fmt.Sprint(lit[0].Keys()); got != "[a b a]" {
+		t.Errorf("literal keys: %s, want [a b a]", got)
+	}
+	if dyn := shapes(`for $i in 1 to 2 return {"a" || $i: $i}`); dyn[0] == dyn[1] {
+		t.Error("computed keys share a shape")
+	}
+	_, err := compileQuery(t, &Env{Collections: map[string]string{}}, `{"a": 1, (1, 2): 2}`).Run()
+	if want := "object key requires a single item, got a sequence of 2"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a sequence key: %v, want %q", err, want)
+	}
+}

@@ -147,6 +147,57 @@ func (v *vectorIter) resolveExternals(dc *DynamicContext) (vs *vstate, fellBack 
 }
 
 func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) error {
+	return v.run(dc, yield, nil)
+}
+
+// collect is Materialize of a vector plan. It takes over each morsel's
+// projected rows whole: a single morsel's slice comes back as it is, and
+// several are copied once into one slice of their summed length. A sort or
+// group tail, and the tuple fallback, yield their rows one by one.
+func (v *vectorIter) collect(dc *DynamicContext) ([]item.Item, error) {
+	var (
+		parts [][]item.Item
+		n     int
+		out   []item.Item
+	)
+	err := v.run(dc, func(it item.Item) error {
+		out = append(out, it)
+		return nil
+	}, func(rows []item.Item) error {
+		if len(rows) > 0 {
+			parts = append(parts, rows)
+			n += len(rows)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	switch len(parts) {
+	case 0:
+		return out, nil
+	case 1:
+		return parts[0], nil
+	}
+	out = make([]item.Item, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
+}
+
+// vworker is one morsel worker's own state, kept for the whole evaluation
+// and readied for each morsel by worker.
+type vworker struct {
+	scratch *vector.Scratch
+	dec     *jparse.Decoder
+	top     *orderby.Bounded[int32]
+}
+
+// run evaluates the plan. A morsel's projected rows go to rows whole when
+// it is not nil and to yield one by one otherwise; every other row goes to
+// yield.
+func (v *vectorIter) run(dc *DynamicContext, yield func(item.Item) error, rows func([]item.Item) error) error {
 	vs, fellBack, err := v.resolveExternals(dc)
 	if err != nil {
 		return err
@@ -180,11 +231,7 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 	// this goroutine in index order, as a left-to-right run would.
 	ctx := dc.GoContext()
 	st := v.newMergeState()
-	// Each worker owns a scratch, taken on its first morsel, and a decoder,
-	// made on its first raw one. The scratch resets as the worker starts
-	// each morsel: nothing a morsel's result holds points into its lanes.
-	decs := make([]*jparse.Decoder, v.workers)
-	scratch := make([]*vector.Scratch, v.workers)
+	workers := make([]vworker, v.workers)
 	err = sched.Ordered(ctx, v.workers,
 		func(emit func(vmorsel) error) error {
 			return v.scanMorsels(dc, func(m vmorsel) error {
@@ -193,20 +240,13 @@ func (v *vectorIter) Stream(dc *DynamicContext, yield func(item.Item) error) err
 			})
 		},
 		func(w int, m vmorsel) (*vmorselResult, error) {
-			if scratch[w] == nil {
-				scratch[w] = vector.GetScratch()
-			}
-			if decs[w] == nil && m.rec != nil {
-				decs[w] = v.newDecoder()
-			}
-			scratch[w].Reset()
-			return v.processMorsel(vs, jr, m, decs[w], scratch[w])
+			return v.processMorsel(vs, jr, m, v.worker(&workers[w], m))
 		},
-		func(_ int, res *vmorselResult) (bool, error) { return v.mergeResult(st, res, yield) },
+		func(_ int, res *vmorselResult) (bool, error) { return v.mergeResult(st, res, yield, rows) },
 		vs.prof)
-	for _, s := range scratch {
-		if s != nil {
-			s.Release() // every worker has returned
+	for _, w := range workers {
+		if w.scratch != nil {
+			w.scratch.Release() // every worker has returned
 		}
 	}
 	if err != nil {
@@ -242,13 +282,34 @@ func hook(event string, n int) {
 
 // vmorselResult is one processed morsel: projected rows in scan order, the
 // morsel's partial aggregation table, or (for an order-by tail) the
-// morsel's sorted run plus what its keys add to the string/number mix.
+// morsel's sorted run — under a fused top-k, its first k rows only — plus
+// what its keys add to the string/number mix.
 type vmorselResult struct {
 	items  []item.Item
 	groups *vector.Groups
 	run    *vector.SortRows
-	top    *orderby.Bounded[[]item.Item] // run's place under a fused top-k
 	mix    orderby.Mix
+}
+
+// worker readies w for morsel m: its scratch, taken on its first morsel,
+// and its bounded sort under a fused top-k, made on its first, reset on
+// each (nothing a morsel's result holds points into either), and its
+// decoder, made on its first raw morsel.
+func (v *vectorIter) worker(w *vworker, m vmorsel) *vworker {
+	if w.scratch == nil {
+		w.scratch = vector.GetScratch()
+	}
+	w.scratch.Reset()
+	if w.dec == nil && m.rec != nil {
+		w.dec = v.newDecoder()
+	}
+	if k := v.k.Plan.TopK; k > 0 && v.k.Sort != nil {
+		if w.top == nil {
+			w.top = orderby.NewBounded[int32](k, v.k.Sort.Descending)
+		}
+		w.top.Reset()
+	}
+	return w
 }
 
 // newDecoder returns the JSON decoder of one morsel worker. When no
@@ -550,10 +611,12 @@ func filterProbe(vs *vstate, filter []vector.Expr, b *vector.Batch, group []int3
 }
 
 // sortMorsel encodes the batch's order-by keys and produces this morsel's
-// stably sorted run (its first k rows under a fused top-k), carrying each
-// surviving row's bound column values for the deferred projection.
-func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, error) {
-	s, topK := v.k.Sort, v.k.Plan.TopK
+// stably sorted run, carrying each row's bound column values for the
+// deferred projection. Under a fused top-k, every row is keyed and offered
+// to the worker's top by row index, and only the rows it keeps are
+// assembled, in order, into the run.
+func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch, top *orderby.Bounded[int32]) (*vmorselResult, error) {
+	s := v.k.Sort
 	res := &vmorselResult{mix: make(orderby.Mix, len(s.Keys))}
 	keyCols, err := vs.evalAll(s.Keys, b)
 	if err != nil {
@@ -563,33 +626,13 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 	// the whole morsel; a full sort keeps every row's keys, carved from one
 	// slab.
 	n, slabRows := len(keyCols), b.N
-	if topK > 0 {
+	if top != nil {
 		slabRows = 1
-		res.top = orderby.NewBounded[[]item.Item](topK, s.Descending)
 	} else {
 		res.run = vector.NewSortRows(s.Descending)
 	}
 	slab := make([]item.SortKey, slabRows*n)
-	var rowErr error
-	vals := func(row int) []item.Item {
-		vs := make([]item.Item, len(b.Cols))
-		for slot, c := range b.Cols {
-			if c != nil {
-				vs[slot] = c.Item(row)
-			}
-		}
-		if b.Src != nil && b.Cols[0] == nil {
-			// The deferred projection reads the scan variable after the
-			// merge, away from this segment's lanes: assemble the row now —
-			// under a top-k, only once it ranks inside the bound.
-			it, err := b.ScanRow(v.k.RowSlot, row)
-			if err != nil && rowErr == nil {
-				rowErr = err
-			}
-			vs[0] = it
-		}
-		return vs
-	}
+	var rowErr error // a key error on a later row wins over it
 	for i := 0; i < b.N; i++ {
 		off := (i % slabRows) * n // always 0 under a top-k
 		keys := slab[off : off+n : off+n]
@@ -601,19 +644,48 @@ func (v *vectorIter) sortMorsel(vs *vstate, b *vector.Batch) (*vmorselResult, er
 			keys[ki] = sk
 		}
 		res.mix.Note(keys)
-		if res.top == nil {
-			res.run.Append(keys, vals(i))
-		} else if p := res.top.Offer(keys); p != nil {
-			*p = vals(i)
+		if top != nil {
+			if p := top.Offer(keys); p != nil {
+				*p = int32(i)
+			}
+			continue
 		}
+		row := make([]item.Item, len(b.Cols))
+		if err := v.sortVals(b, i, row); err != nil && rowErr == nil {
+			rowErr = err
+		}
+		res.run.Append(keys, row)
 	}
 	if rowErr != nil {
 		return nil, rowErr
 	}
-	if res.run != nil {
-		res.run.Sort()
+	if top != nil {
+		res.run, err = vector.TopRows(top, s.Descending, len(b.Cols), func(row int32, dst []item.Item) error {
+			return v.sortVals(b, int(row), dst)
+		})
+		return res, err
 	}
+	res.run.Sort()
 	return res, nil
+}
+
+// sortVals fills dst with batch row i's slot values for the projection
+// after the merge. That runs away from this segment's lanes, so a scan
+// variable still unassembled is assembled now.
+func (v *vectorIter) sortVals(b *vector.Batch, i int, dst []item.Item) error {
+	for slot, c := range b.Cols {
+		if c != nil {
+			dst[slot] = c.Item(i)
+		}
+	}
+	if b.Src != nil && b.Cols[0] == nil {
+		it, err := b.ScanRow(v.k.RowSlot, i)
+		if err != nil {
+			return err
+		}
+		dst[0] = it
+	}
+	return nil
 }
 
 // evalAll evaluates each expression over b.
@@ -657,20 +729,21 @@ func (c *stageClock) done(op int, rows int64) {
 	c.t0 = now
 }
 
-// processMorsel decodes one morsel into a column batch and runs it through
-// the pipeline: a join head expands rows against the build table,
-// positional slots fill from the morsel's scan indices, lets bind their
-// slots, filters compact the batch, and the tail projects the surviving
-// rows, folds them into a fresh partial aggregation table, or sorts them
-// into a run.
-func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jparse.Decoder, s *vector.Scratch) (*vmorselResult, error) {
+// processMorsel decodes one morsel into a column batch on worker w and runs
+// it through the pipeline: a join head expands rows against the build
+// table, positional slots fill from the morsel's scan indices, lets bind
+// their slots, filters compact the batch, and the tail projects the
+// surviving rows, folds them into a fresh partial aggregation table, or
+// sorts them into a run.
+func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, w *vworker) (*vmorselResult, error) {
 	hook("morsel", m.idx)
 	if v.sc != nil {
 		v.sc.AddVectorMorsels(1)
 	}
 	k := v.k
 	clk := newStageClock(vs.prof)
-	b, err := v.morselBatch(m, dec, s)
+	s := w.scratch
+	b, err := v.morselBatch(m, w.dec, s)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +789,7 @@ func (v *vectorIter) processMorsel(vs *vstate, jr *vjoinRun, m vmorsel, dec *jpa
 		}
 	}
 	if k.Sort != nil {
-		res, err := v.sortMorsel(vs, b)
+		res, err := v.sortMorsel(vs, b, w.top)
 		if err == nil {
 			clk.done(v.opSort, int64(b.N))
 		}
@@ -767,32 +840,27 @@ func (v *vectorIter) newMergeState() *vmergeState {
 	st := &vmergeState{}
 	if s := v.k.Sort; s != nil {
 		st.mix = make(orderby.Mix, len(s.Keys))
+		if k := v.k.Plan.TopK; k > 0 {
+			st.top = orderby.NewBounded[[]item.Item](k, s.Descending)
+		}
 	}
 	return st
 }
 
 // mergeResult folds one morsel's result — in morsel index order — into the
-// evaluation: non-group rows yield immediately, partial aggregation tables
-// merge into the running table, sorted runs collect (or offer their rows,
-// in morsel order, to the running top-k, bounding memory to k). stop=true
-// asks the caller to cancel the remaining scan: an early-exit existence
-// test is decided.
-func (v *vectorIter) mergeResult(st *vmergeState, res *vmorselResult, yield func(item.Item) error) (stop bool, err error) {
+// evaluation: non-group rows go to rows whole, or yield one by one when
+// rows is nil; partial aggregation tables merge into the running table;
+// sorted runs collect (or offer their rows, in morsel order, to the running
+// top-k, bounding memory to k). stop=true asks the caller to cancel the
+// remaining scan: an early-exit existence test is decided.
+func (v *vectorIter) mergeResult(st *vmergeState, res *vmorselResult, yield func(item.Item) error, rows func([]item.Item) error) (stop bool, err error) {
 	if v.k.Sort != nil {
 		st.mix.Add(res.mix)
-		if res.top != nil {
-			if st.top == nil {
-				st.top = res.top // the first morsel's rows are offered first
-				return false, nil
-			}
+		if st.top != nil {
 			// Offered after every earlier morsel's rows, a row loses its
 			// ties to them, as in the stable sort of the whole scan.
-			return false, res.top.Sorted(func(keys []item.SortKey, vals []item.Item) error {
-				if p := st.top.Offer(keys); p != nil {
-					*p = vals
-				}
-				return nil
-			})
+			res.run.OfferTo(st.top)
+			return false, nil
 		}
 		st.runs = append(st.runs, res.run)
 		return false, nil
@@ -809,6 +877,9 @@ func (v *vectorIter) mergeResult(st *vmergeState, res *vmorselResult, yield func
 			return true, nil
 		}
 		return false, nil
+	}
+	if rows != nil {
+		return false, rows(res.items)
 	}
 	//rumble:ctxpoll-ok bounded: emits one morsel's batch; the morsel driver polls GoContext between morsels
 	for _, it := range res.items {
@@ -887,7 +958,7 @@ func (v *vectorIter) finishSort(vs *vstate, st *vmergeState, ctx context.Context
 	if st.top != nil {
 		err = st.top.Sorted(func(_ []item.SortKey, vals []item.Item) error { return emit(vals) })
 	} else {
-		err = vector.MergeRuns(st.runs, emit) // no runs under a top-k of no morsels
+		err = vector.MergeRuns(st.runs, emit)
 	}
 	if err != nil {
 		return err

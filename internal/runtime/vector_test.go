@@ -113,12 +113,12 @@ func TestMorselScratchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, dec := vector.GetScratch(), vit.newDecoder()
-	defer s.Release()
+	w := &vworker{scratch: vector.GetScratch(), dec: vit.newDecoder()}
+	defer w.scratch.Release()
 	var kept int
 	morsel := func() {
-		s.Reset()
-		res, err := vit.processMorsel(vs, nil, vmorsel{idx: 1, ds: ds, off: vector.BatchSize, n: vector.BatchSize}, dec, s)
+		w.scratch.Reset()
+		res, err := vit.processMorsel(vs, nil, vmorsel{idx: 1, ds: ds, off: vector.BatchSize, n: vector.BatchSize}, w)
 		if err != nil {
 			t.Fatal(err)
 		}

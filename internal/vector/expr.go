@@ -222,10 +222,11 @@ func (e *LogicExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	return out, nil
 }
 
-// ObjectExpr is an object constructor with literal keys.
+// ObjectExpr is an object constructor with literal keys: every object it
+// builds shares Shape, whose i-th key Vals[i] gives the value of.
 type ObjectExpr struct {
-	Keys []string
-	Vals []Expr
+	Shape *item.Shape
+	Vals  []Expr
 }
 
 func (e *ObjectExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
@@ -233,7 +234,7 @@ func (e *ObjectExpr) Eval(ext []*Col, b *Batch) (*Col, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.Scratch.makeObjects(e.Keys, cols, b.N), nil
+	return b.Scratch.makeObjects(e.Shape, cols, b.N), nil
 }
 
 func evalAll(ext []*Col, b *Batch, es []Expr) ([]*Col, error) {

@@ -394,21 +394,26 @@ func (s *Scratch) unary(in *Col, n int, minus bool) (*Col, error) {
 	return out, nil
 }
 
-// makeObjects builds one object per row from parallel value columns with
-// fixed keys; absent values become null, as in the tuple backend's object
-// constructor. The key slice is shared across all built objects.
-func (s *Scratch) makeObjects(keys []string, vals []*Col, n int) *Col {
-	out := s.NewCol(n)
-	for i := 0; i < n; i++ {
-		values := make([]item.Item, len(vals))
-		for k, v := range vals {
+// makeObjects builds one object of shape per row from parallel value
+// columns; absent values become null, as in the tuple backend's object
+// constructor. The objects and their values come from two heap slabs,
+// never from s: results outlive the morsel.
+func (s *Scratch) makeObjects(shape *item.Shape, vals []*Col, n int) *Col {
+	k := len(vals)
+	values := make([]item.Item, n*k)
+	for j, v := range vals {
+		for i := 0; i < n; i++ {
 			if it := v.Item(i); it != nil {
-				values[k] = it
+				values[i*k+j] = it
 			} else {
-				values[k] = item.Null{}
+				values[i*k+j] = item.Null{}
 			}
 		}
-		out.AppendItem(item.NewObject(keys, values))
+	}
+	objs := item.ObjectsOfShape(shape, values, n)
+	out := s.NewCol(n)
+	for i := range objs {
+		out.AppendItem(&objs[i])
 	}
 	return out
 }

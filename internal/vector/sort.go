@@ -68,6 +68,42 @@ func (r *SortRows) Sort() {
 	orderby.Stable(r.rows, r.less)
 }
 
+// TopRows assembles the rows a morsel's bounded sort kept into a run that
+// is already sorted: its rows first to last, each with a copy of its keys
+// and the slot values vals fills for its row index. Keys and values come
+// from one heap slab each, sized by the rows kept, since the run outlives
+// the morsel and top is reset for the next one. The first vals error
+// stops the assembly.
+func TopRows(top *orderby.Bounded[int32], desc []bool, width int, vals func(row int32, dst []item.Item) error) (*SortRows, error) {
+	n, nk := top.Len(), len(desc)
+	r := &SortRows{desc: desc, rows: make([]sortRow, 0, n)}
+	keySlab, valSlab := make([]item.SortKey, n*nk), make([]item.Item, n*width)
+	err := top.Sorted(func(keys []item.SortKey, row int32) error {
+		i := len(r.rows)
+		ks := keySlab[i*nk : (i+1)*nk : (i+1)*nk]
+		vs := valSlab[i*width : (i+1)*width : (i+1)*width]
+		copy(ks, keys)
+		r.rows = append(r.rows, sortRow{keys: ks, vals: vs})
+		return vals(row, vs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// OfferTo offers the rows of a sorted run to top in order, stopping at the
+// first row top declines: every later row ranks after it.
+func (r *SortRows) OfferTo(top *orderby.Bounded[[]item.Item]) {
+	for _, row := range r.rows {
+		p := top.Offer(row.keys)
+		if p == nil {
+			return
+		}
+		*p = row.vals
+	}
+}
+
 // MergeRuns k-way-merges sorted runs (indexed in morsel order) and calls
 // emit once per row with its slot values, in globally sorted order; of
 // equal rows the earlier morsel's goes first.

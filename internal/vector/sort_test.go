@@ -54,10 +54,12 @@ func rowIndexes(r *SortRows) []int64 {
 // empty-least or -greatest keys, strings among numbers, mixed directions)
 // cut into two morsels at a fuzzed point. The sort route stably sorts each
 // morsel's SortRows and MergeRuns them; it must give the whole stable
-// sort. The top-k route keeps each morsel's first k rows in an
-// orderby.Bounded, fed through one reused key buffer, and offers them in
-// morsel order to the coordinator's; it must give the sort route's first k
-// rows, keys included.
+// sort. The top-k route keeps each morsel's first k row indexes in one
+// orderby.Bounded, reset between morsels and fed through one reused key
+// buffer; TopRows hands each morsel's survivors over as a sorted run, which
+// must be the first k rows of the morsel's stable sort, and OfferTo offers
+// them in morsel order to the coordinator's Bounded. That must give the
+// sort route's first k rows, keys included.
 func FuzzTopKMatchesSort(f *testing.F) {
 	f.Add([]byte{3, 11, 19, 3, 5, 13, 0, 6, 7, 1, 2, 27}, uint8(0), uint8(2), uint16(5), uint8(0))
 	f.Add([]byte{5, 3, 13, 11, 5, 3, 6, 0, 7, 4, 21, 12}, uint8(1), uint8(3), uint16(2), uint8(0x12))
@@ -90,9 +92,9 @@ func FuzzTopKMatchesSort(f *testing.F) {
 			return r
 		}
 		full := sorted(0, len(tuples))
-		check := func(what string, got *SortRows, n int) {
+		check := func(what string, got, of *SortRows, n int) {
 			t.Helper()
-			want := &SortRows{rows: full.rows[:min(n, len(full.rows))]}
+			want := &SortRows{rows: of.rows[:min(n, len(of.rows))]}
 			if g, w := rowIndexes(got), rowIndexes(want); !slices.Equal(g, w) {
 				t.Fatalf("%s (k=%d): rows %v, want %v", what, kk, g, w)
 			}
@@ -111,31 +113,32 @@ func FuzzTopKMatchesSort(f *testing.F) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		check("MergeRuns", merged, len(tuples))
+		check("MergeRuns", merged, full, len(tuples))
 
-		var top *orderby.Bounded[[]item.Item]
+		// Each morsel runs through one worker's Bounded, reset in between,
+		// by row index; its survivors leave as a sorted run, offered in
+		// morsel order to the coordinator's Bounded.
+		top := orderby.NewBounded[[]item.Item](kk, desc)
+		worker := orderby.NewBounded[int32](kk, desc)
 		buf := make([]item.SortKey, nk)
 		for _, m := range morsels {
-			run := orderby.NewBounded[[]item.Item](kk, desc)
+			worker.Reset()
 			for i := m[0]; i < m[1]; i++ {
 				copy(buf, tuples[i])
-				if s := run.Offer(buf); s != nil {
-					*s = []item.Item{item.Int(i)}
+				if s := worker.Offer(buf); s != nil {
+					*s = int32(i - m[0])
 				}
 				clear(buf)
 			}
-			if top == nil {
-				top = run
-				continue
-			}
-			if err := run.Sorted(func(keys []item.SortKey, vals []item.Item) error {
-				if s := top.Offer(keys); s != nil {
-					*s = vals
-				}
+			run, err := TopRows(worker, desc, 1, func(row int32, dst []item.Item) error {
+				dst[0] = item.Int(m[0] + int(row))
 				return nil
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			check("morsel survivors", run, sorted(m[0], m[1]), int(kk))
+			run.OfferTo(top)
 		}
 		bounded := NewSortRows(desc)
 		if err := top.Sorted(func(keys []item.SortKey, vals []item.Item) error {
@@ -144,6 +147,6 @@ func FuzzTopKMatchesSort(f *testing.F) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		check("top-k", bounded, int(kk))
+		check("top-k", bounded, full, int(kk))
 	})
 }
