@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -225,6 +226,45 @@ func TestSequenceFunctions(t *testing.T) {
 		got := strings.Join(run(t, e, q), "\n")
 		if got != want {
 			t.Errorf("%s = %s, want %s", q, got, want)
+		}
+	}
+}
+
+// TestDistinctValuesAgree: distinct-values tells atomics apart by eq, and
+// other items by kind and JSON, on every path — a Spark-less engine, and
+// locally and over parallelize's RDD at Parallelism 1 and 4. 2^53+1 and
+// 2^53 stay two values; 1e21 and the integer 10^21 are one, as are 0 and
+// -0e0.
+func TestDistinctValuesAgree(t *testing.T) {
+	engines := []struct {
+		name string
+		e    *Engine
+	}{
+		{"Spark-less", New(Config{})},
+		{"Parallelism 1", New(Config{Parallelism: 1, Executors: 1})},
+		{"Parallelism 4", New(Config{Parallelism: 4, Executors: 2})},
+	}
+	for args, want := range map[string]int{
+		`9007199254740993, 9007199254740992`: 2,
+		`1e21, 1000000000000000000000`:       1,
+		`0, -0e0`:                            1,
+		`1, 1.0, 1e0, "1", null, true, [1], [1], {"a": 1}, "1"`: 6,
+	} {
+		var first []string
+		for _, eng := range engines {
+			for _, q := range []string{"distinct-values((%s))", "distinct-values(parallelize((%s)))"} {
+				q = fmt.Sprintf(q, args)
+				got := run(t, eng.e, q)
+				sort.Strings(got)
+				if len(got) != want {
+					t.Errorf("%s: %s = %v, want %d items", eng.name, q, got, want)
+				}
+				if first == nil {
+					first = got
+				} else if !reflect.DeepEqual(got, first) {
+					t.Errorf("%s: %s = %v, want %v", eng.name, q, got, first)
+				}
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"rumble/internal/ast"
 	"rumble/internal/functions"
 	"rumble/internal/item"
+	"rumble/internal/keytab"
 	"rumble/internal/vector"
 )
 
@@ -228,7 +229,7 @@ func (i *Info) compileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
 	}
 	vp := &VectorPlan{}
 	k := &VectorKernels{Plan: vp, RowSlot: -1}
-	s := &vscope{info: i, k: k, slots: map[string]int{}, ext: map[string]int{}}
+	s := &vscope{info: i, k: k, slots: map[string]int{}, ext: keytab.New(0)}
 	var rest []ast.Clause
 	filtered := false
 	if jp := i.Joins[f]; jp != nil {
@@ -570,13 +571,13 @@ type vscope struct {
 	k      *VectorKernels
 	slots  map[string]int
 	nslots int
-	ext    map[string]int // free variable → index into k.Externals
+	ext    *keytab.Table // the free variables, numbered as k.Externals lists them
 
 	// scanVar is the pipeline's scan variable, empty outside the pipeline
 	// scope and once a later clause rebinds the name: $scanVar.f reads field
 	// f's slot, and a bare $scanVar assembles rows through k.RowSlot.
 	scanVar string
-	fields  map[string]int
+	fields  *keytab.Table // numbered as k.Fields lists them
 
 	// A group scope reads pipeline variables only through the aggregates
 	// of group, whose arguments compile against main.
@@ -604,7 +605,7 @@ func (s *vscope) bind(name string) int {
 func (s *vscope) bindScan(name string, cols []string) {
 	s.bind(name)
 	s.scanVar = name
-	s.fields = map[string]int{}
+	s.fields = keytab.New(0)
 	for _, f := range cols {
 		s.field(f)
 	}
@@ -614,15 +615,13 @@ func (s *vscope) bindScan(name string, cols []string) {
 // scan variable. Fields live outside the variable namespace: the scan
 // fills them, never a let.
 func (s *vscope) field(f string) int {
-	if slot, ok := s.fields[f]; ok {
-		return slot
+	if id, fresh := s.fields.ID(f); !fresh {
+		return s.k.FieldSlots[id]
 	}
-	slot := s.nslots
+	s.k.Fields = s.fields.Keys()
+	s.k.FieldSlots = append(s.k.FieldSlots, s.nslots)
 	s.nslots++
-	s.fields[f] = slot
-	s.k.Fields = append(s.k.Fields, f)
-	s.k.FieldSlots = append(s.k.FieldSlots, slot)
-	return slot
+	return s.nslots - 1
 }
 
 // isScanVar reports whether e is a bare reference to the scan variable.
@@ -650,13 +649,9 @@ func (s *vscope) varRef(n *ast.VarRef) (vector.Expr, error) {
 			return nil, errf(n.Pos(), "vector: non-key variable $%s outside an aggregate", n.Name)
 		}
 	}
-	idx, ok := s.ext[n.Name]
-	if !ok {
-		idx = len(s.k.Externals)
-		s.k.Externals = append(s.k.Externals, n.Name)
-		s.ext[n.Name] = idx
-	}
-	return &vector.ExtExpr{Idx: idx}, nil
+	idx, _ := s.ext.ID(n.Name)
+	s.k.Externals = s.ext.Keys()
+	return &vector.ExtExpr{Idx: int(idx)}, nil
 }
 
 func (s *vscope) exprs(es []ast.Expr) ([]vector.Expr, error) {

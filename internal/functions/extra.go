@@ -226,12 +226,12 @@ func registerSetFunctions() {
 	register("intersect", 2, 2, func(args [][]item.Item) ([]item.Item, error) {
 		inB := make(map[string]bool, len(args[1]))
 		for _, it := range args[1] {
-			inB[distinctKey(it)] = true
+			inB[DistinctKey(it)] = true
 		}
 		var out []item.Item
 		seen := map[string]bool{}
 		for _, it := range args[0] {
-			k := distinctKey(it)
+			k := DistinctKey(it)
 			if inB[k] && !seen[k] {
 				seen[k] = true
 				out = append(out, it)
@@ -242,12 +242,12 @@ func registerSetFunctions() {
 	register("except", 2, 2, func(args [][]item.Item) ([]item.Item, error) {
 		inB := make(map[string]bool, len(args[1]))
 		for _, it := range args[1] {
-			inB[distinctKey(it)] = true
+			inB[DistinctKey(it)] = true
 		}
 		var out []item.Item
 		seen := map[string]bool{}
 		for _, it := range args[0] {
-			k := distinctKey(it)
+			k := DistinctKey(it)
 			if !inB[k] && !seen[k] {
 				seen[k] = true
 				out = append(out, it)

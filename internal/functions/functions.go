@@ -13,6 +13,7 @@ import (
 
 	"rumble/internal/item"
 	"rumble/internal/jparse"
+	"rumble/internal/keytab"
 )
 
 // Func is one builtin: an arity range and the local implementation over
@@ -225,26 +226,27 @@ func registerSequenceFunctions() {
 }
 
 // DistinctValues returns the first occurrence of each distinct value in
-// sequence order, using serialization equality (numerics normalized).
+// sequence order, each value keyed by DistinctKey.
 func DistinctValues(seq []item.Item) []item.Item {
-	seen := make(map[string]bool, len(seq))
+	seen := keytab.New(len(seq))
 	var out []item.Item
 	for _, it := range seq {
-		key := distinctKey(it)
-		if !seen[key] {
-			seen[key] = true
+		if _, fresh := seen.ID(DistinctKey(it)); fresh {
 			out = append(out, it)
 		}
 	}
 	return out
 }
 
-// distinctKey normalizes cross-type numeric equality (2 == 2.0).
-func distinctKey(it item.Item) string {
-	if item.IsNumeric(it) {
-		return fmt.Sprintf("n:%g", item.Float64Value(it))
+// DistinctKey tells values apart for distinct-values on every path: atomics
+// by their sort-key bytes, equal exactly when eq holds (and for NaN and
+// NaN), other items by their kind and JSON.
+func DistinctKey(it item.Item) string {
+	one := [1]item.Item{it}
+	if sk, err := item.EncodeSortKey(one[:], false); err == nil {
+		return string(item.AppendSortKey(nil, sk))
 	}
-	return string(it.Kind().String()[0]) + ":" + string(it.AppendJSON(nil))
+	return string(it.AppendJSON([]byte{it.Kind().String()[0], ':'}))
 }
 
 func registerAggregateFunctions() {

@@ -229,9 +229,7 @@ func (d *distinctValuesIter) RDD(dc *DynamicContext) (*spark.RDD[item.Item], err
 	if err != nil {
 		return nil, err
 	}
-	return spark.Distinct(rdd, func(it item.Item) string {
-		return string(it.AppendJSON(nil))
-	}), nil
+	return spark.Distinct(rdd, functions.DistinctKey), nil
 }
 
 // scanInput is what one evaluation of a storage scan reads, resolved once:

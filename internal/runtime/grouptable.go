@@ -1,6 +1,9 @@
 package runtime
 
-import "rumble/internal/item"
+import (
+	"rumble/internal/item"
+	"rumble/internal/keytab"
+)
 
 // groupTable folds the tuples of one group-by evaluation into their groups
 // and keeps the groups in first-seen key order. It is the one place the
@@ -13,40 +16,27 @@ import "rumble/internal/item"
 //
 // Each row is keyed into one reused buffer, and a row that folds into an
 // existing group allocates nothing when its carries are count-only: the
-// counts sum into int64s and are boxed once, at emit. Groups, their values
-// and their counts are cut from storage that never copies as it grows.
+// counts sum into int64s and are boxed once, at emit. Group id, numbered by
+// ids, has its output values (its first member's keys, then one slot per
+// carry) at vals[id*len(g.frame):] and its counts at counts[id*len(g.carry):].
 type groupTable struct {
 	g      *groupByEval
 	sc     *DynamicContext // the tuple scope key expressions run under; nil on the reduce side
 	work   [][]item.Item   // the work frame's values, dead once a row's keys are read
 	key    []byte          // the current row's exchange key
-	index  map[string]*group
-	groups chunks[group]     // first-seen order
-	vals   slab[[]item.Item] // group values, len(g.frame) each
-	counts slab[int64]       // count-only sums, len(g.carry) each
-	boxes  slab[item.Item]   // emitted counts
-}
-
-// group is the state of one group: its exchange key and its output values,
-// the keys of its first member and then one slot per carried variable. A
-// count-only slot is filled from counts at emit. A shared group holds a
-// partial as it came off the exchange, read in place until the first fold
-// into it copies it.
-type group struct {
-	key    string
-	values [][]item.Item
-	counts []int64 // per carry; the sum of a count-only one
-	shared bool
+	ids    *keytab.Table
+	vals   [][]item.Item
+	counts []int64
 }
 
 // newTable returns the table of one clause evaluation (locally) or of one
 // partition task (on the cluster). dc is nil on the reduce side, which
 // folds partials and evaluates no key.
 func (g *groupByEval) newTable(dc *DynamicContext) *groupTable {
-	tb := &groupTable{g: g, index: make(map[string]*group)}
+	tb := &groupTable{g: g, ids: keytab.New(0)}
 	if dc != nil {
 		tb.sc = dc.tupleScope()
-		tb.work = make([][]item.Item, 0, len(g.work))
+		tb.work = make([][]item.Item, 0, len(g.work)+len(g.carry))
 	}
 	return tb
 }
@@ -57,7 +47,7 @@ func (g *groupByEval) newTable(dc *DynamicContext) *groupTable {
 func (tb *groupTable) foldRow(t tuple) error {
 	g := tb.g
 	n := len(t.values)
-	work := append(tb.work[:0], t.values...) // capacity len(g.work): never regrows
+	work := append(tb.work[:0], t.values...) // room for the keys and carries: never regrows
 	tb.work = work
 	for i, spec := range g.specs {
 		var seq []item.Item
@@ -89,61 +79,47 @@ func (tb *groupTable) foldRow(t tuple) error {
 		key = item.AppendSortKey(key, sk)
 	}
 	tb.key = key
-	gr := tb.index[string(key)]
-	fresh := gr == nil
-	if fresh {
-		gr = tb.groups.push(group{key: string(key), values: tb.vals.cut(len(g.frame)), counts: tb.counts.cut(len(g.carry))})
-		tb.index[gr.key] = gr
-		copy(gr.values, keys)
+	for _, c := range g.carry {
+		work = append(work, t.values[c.src])
 	}
-	nk := len(g.specs)
-	for j, c := range g.carry {
-		seq := t.values[c.src]
-		switch {
-		case c.countOnly:
-			gr.counts[j] += int64(len(seq))
-		case fresh:
-			// Capped at its length, an adopted sequence is copied by the
-			// first append, never appended to in place.
-			gr.values[nk+j] = seq[:len(seq):len(seq)]
-		default:
-			gr.values[nk+j] = append(gr.values[nk+j], seq...)
-		}
-	}
+	id, fresh := tb.ids.IDBytes(key)
+	tb.fold(id, fresh, work[n:], false)
 	return nil
 }
 
 // foldPartial folds one partial group, as emitted by a map-side table, into
-// the group of key. The first partial of a key is adopted as it is; the
-// first fold into it copies it, so the records the exchange holds are
-// never written and a recomputed partition reads them unchanged.
+// the group of key. The partial's values are read, never written, so the
+// records the exchange holds stay as they are and a recomputed partition
+// reads them unchanged.
 func (tb *groupTable) foldPartial(key string, t tuple) {
+	id, fresh := tb.ids.ID(key)
+	tb.fold(id, fresh, t.values, true)
+}
+
+// fold folds one member of group id into it: member holds its key values,
+// then its carried sequences, a count-only one reduced to its count when
+// the member is a partial. A fresh group takes the member's keys.
+func (tb *groupTable) fold(id int32, fresh bool, member [][]item.Item, partial bool) {
 	g := tb.g
-	gr := tb.index[key]
-	if gr == nil {
-		tb.index[key] = tb.groups.push(group{key: key, values: t.values, shared: true})
-		return
+	nk, nf, nc := len(g.specs), len(g.frame), len(g.carry)
+	if fresh {
+		tb.vals = append(append(keytab.Grow(tb.vals, nf), member[:nk]...), make([][]item.Item, nc)...)
+		tb.counts = append(keytab.Grow(tb.counts, nc), make([]int64, nc)...)
 	}
-	nk := len(g.specs)
-	if gr.shared {
-		vals := tb.vals.cut(len(g.frame))
-		copy(vals, gr.values)
-		gr.counts = tb.counts.cut(len(g.carry))
-		for j, c := range g.carry {
-			if s := vals[nk+j]; c.countOnly {
-				gr.counts[j] = int64(s[0].(item.Int))
-			} else {
-				vals[nk+j] = s[:len(s):len(s)]
-			}
-		}
-		gr.values, gr.shared = vals, false
-	}
+	vals, counts := tb.vals[int(id)*nf+nk:], tb.counts[int(id)*nc:]
 	for j, c := range g.carry {
-		seq := t.values[nk+j]
-		if c.countOnly {
-			gr.counts[j] += int64(seq[0].(item.Int))
-		} else {
-			gr.values[nk+j] = append(gr.values[nk+j], seq...)
+		seq := member[nk+j]
+		switch {
+		case c.countOnly && partial:
+			counts[j] += int64(seq[0].(item.Int))
+		case c.countOnly:
+			counts[j] += int64(len(seq))
+		case fresh:
+			// Capped at its length, an adopted sequence is copied by the
+			// first append, never appended to in place.
+			vals[j] = seq[:len(seq):len(seq)]
+		default:
+			vals[j] = append(vals[j], seq...)
 		}
 	}
 }
@@ -152,62 +128,21 @@ func (tb *groupTable) foldPartial(key string, t tuple) {
 // and its tuple under the clause's output frame.
 func (tb *groupTable) emit(yield func(key string, t tuple) error) error {
 	g := tb.g
-	nk := len(g.specs)
+	nf, nk, nc := len(g.frame), len(g.specs), len(g.carry)
+	boxes := make([]item.Item, len(tb.counts)) // the count-only sums, boxed
 	//rumble:ctxpoll-ok emits the groups folded from checkpointing sources, at most one per row; a cancelled sink's yield error aborts it
-	for _, chunk := range tb.groups.list {
-		for i := range chunk {
-			gr := &chunk[i]
-			if !gr.shared {
-				for j, c := range g.carry {
-					if c.countOnly {
-						box := tb.boxes.cut(1)
-						box[0] = item.Int(gr.counts[j])
-						gr.values[nk+j] = box
-					}
-				}
+	for id, key := range tb.ids.Keys() {
+		vals := tb.vals[id*nf : (id+1)*nf : (id+1)*nf]
+		for j, c := range g.carry {
+			if c.countOnly {
+				b := id*nc + j
+				boxes[b] = item.Int(tb.counts[b])
+				vals[nk+j] = boxes[b : b+1 : b+1]
 			}
-			if err := yield(gr.key, tuple{names: g.frame, values: gr.values}); err != nil {
-				return err
-			}
+		}
+		if err := yield(key, tuple{names: g.frame, values: vals}); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// chunks is an append-only list whose elements never move: it grows by a
-// chunk twice the size of the last and copies nothing, so a pointer to an
-// element stays valid.
-type chunks[T any] struct {
-	list [][]T
-}
-
-// push appends v and returns its place.
-func (c *chunks[T]) push(v T) *T {
-	n := len(c.list)
-	if n == 0 || len(c.list[n-1]) == cap(c.list[n-1]) {
-		c.list = append(c.list, make([]T, 0, 4<<min(n, 16)))
-		n++
-	}
-	last := &c.list[n-1]
-	*last = append(*last, v)
-	return &(*last)[len(*last)-1]
-}
-
-// slab cuts runs of T out of blocks that never move: a spent block stays
-// with the runs cut from it, and a new one twice as large takes over.
-type slab[T any] struct {
-	free  []T
-	block int
-}
-
-// cut returns n zero elements, capped at n so that appending to them
-// cannot reach the next run.
-func (s *slab[T]) cut(n int) []T {
-	if len(s.free) < n {
-		s.block = max(2*s.block, 4*n)
-		s.free = make([]T, s.block)
-	}
-	r := s.free[:n:n]
-	s.free = s.free[n:]
-	return r
 }

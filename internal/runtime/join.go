@@ -6,6 +6,7 @@ import (
 
 	"rumble/internal/compiler"
 	"rumble/internal/item"
+	"rumble/internal/keytab"
 	"rumble/internal/spark"
 )
 
@@ -70,6 +71,7 @@ func (c *comp) compileJoin(jp *compiler.JoinPlan) (*compiledJoin, error) {
 type joinKeyScope struct {
 	sc  *DynamicContext
 	row []item.Item // the bound sequence: always exactly one item
+	key []byte      // the key bytes encodeJoinKeys returns, until its next call
 }
 
 func newJoinKeyScope(dc *DynamicContext, frame []string) *joinKeyScope {
@@ -85,29 +87,29 @@ func newJoinKeyScope(dc *DynamicContext, frame []string) *joinKeyScope {
 // empty sequence — "eq" over an empty operand is the empty sequence, whose
 // effective boolean value is false, so the row joins nothing. Encoding
 // stops at the first empty key, mirroring the short-circuit of "and".
-func encodeJoinKeys(keys []Iterator, ks *joinKeyScope, it item.Item) (string, uint64, bool, error) {
+func encodeJoinKeys(keys []Iterator, ks *joinKeyScope, it item.Item) ([]byte, uint64, bool, error) {
 	ks.row[0] = it
-	var buf []byte
+	ks.key = ks.key[:0]
 	var mask uint64
 	for i, k := range keys {
 		seq, err := Materialize(k, ks.sc)
 		if err != nil {
-			return "", 0, false, err
+			return nil, 0, false, err
 		}
 		if len(seq) > 1 {
-			return "", 0, false, Errorf("join key %d binds a sequence of %d items; eq requires a single item", i+1, len(seq))
+			return nil, 0, false, Errorf("join key %d binds a sequence of %d items; eq requires a single item", i+1, len(seq))
 		}
 		sk, err := item.EncodeSortKey(seq, false)
 		if err != nil {
-			return "", 0, false, Errorf("join key %d: %v", i+1, err)
+			return nil, 0, false, Errorf("join key %d: %v", i+1, err)
 		}
 		if len(seq) == 0 {
-			return "", mask, false, nil
+			return nil, mask, false, nil
 		}
 		mask |= (1 << uint(sk.Tag)) << (8 * uint(i))
-		buf = item.AppendSortKey(buf, sk)
+		ks.key = item.AppendSortKey(ks.key, sk)
 	}
-	return string(buf), mask, true, nil
+	return ks.key, mask, true, nil
 }
 
 // keyCats folds one key's tag bits into comparable categories: booleans,
@@ -158,8 +160,8 @@ func (m *atomicMask) or(bits uint64) {
 // --- local path ---
 
 // joinEval is the local hash-join head of a FLWOR's tuple pipeline: it
-// builds a hash table over the right input keyed by encoded join keys,
-// then probes it while streaming the left input. Output order is exactly
+// numbers the right input's encoded join keys, listing each key's rows,
+// then probes them while streaming the left input. Output order is exactly
 // the nested loop's (left-major, right input order within a key), so local
 // results are bit-identical to the fallback.
 type joinEval struct {
@@ -168,14 +170,15 @@ type joinEval struct {
 
 func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) error {
 	j := e.j
-	var build map[string][]item.Item
+	var build *keytab.Table
+	var rows [][]item.Item // per key id: its right rows, in input order
 	var rmask uint64
 	// The hash table is built lazily on the first left row: a nested loop
 	// over an empty left input never evaluates the right side's keys, so
 	// neither may the join (a malformed right-side key must not abort a
 	// query whose probe side is empty).
 	buildRight := func() error {
-		build = map[string][]item.Item{}
+		build = keytab.New(0)
 		ks := newJoinKeyScope(dc, j.frame[1:])
 		return j.rightIn.Stream(dc, func(it item.Item) error {
 			key, mask, ok, err := encodeJoinKeys(j.rightKeys, ks, it)
@@ -184,7 +187,11 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 			}
 			rmask |= mask
 			if ok {
-				build[key] = append(build[key], it)
+				id, fresh := build.IDBytes(key)
+				if fresh {
+					rows = append(rows, nil)
+				}
+				rows[id] = append(rows[id], it)
 			}
 			return nil
 		})
@@ -208,9 +215,11 @@ func (e *joinEval) streamTuples(dc *DynamicContext, yield func(tuple) error) err
 		if !ok {
 			return nil
 		}
-		for _, r := range build[key] {
-			if err := yield(j.pair(it, r)); err != nil {
-				return err
+		if id := build.Find(key); id >= 0 {
+			for _, r := range rows[id] {
+				if err := yield(j.pair(it, r)); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
@@ -255,7 +264,7 @@ func (j *compiledJoin) pairsRDD(dc *DynamicContext) (*spark.RDD[spark.Pair[strin
 				if !ok {
 					return nil
 				}
-				return yield(spark.Pair[string, item.Item]{Key: key, Value: it})
+				return yield(spark.Pair[string, item.Item]{Key: string(key), Value: it})
 			})
 		})
 	}

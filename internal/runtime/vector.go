@@ -11,6 +11,7 @@ import (
 	"rumble/internal/dfs"
 	"rumble/internal/item"
 	"rumble/internal/jparse"
+	"rumble/internal/keytab"
 	"rumble/internal/orderby"
 	"rumble/internal/profile"
 	"rumble/internal/sched"
@@ -55,12 +56,12 @@ func (vs *vstate) eval(e vector.Expr, b *vector.Batch) (*vector.Col, error) {
 // evaluates the right keys, like the tuple path), guarded by a Once so
 // concurrent workers block until one build finishes. A build error reaches
 // every morsel, so the coordinator surfaces it at the lowest index. The
-// table maps an encoded key to its build group: groups[g] holds the build
-// rows with that key, in build order.
+// table numbers the encoded keys: groups[id] holds the build rows of key
+// id, in build order.
 type vjoinRun struct {
 	dc     *DynamicContext
 	once   sync.Once
-	table  map[string]int32
+	table  *keytab.Table
 	groups [][]item.Item
 	rmask  uint64
 	err    error
@@ -442,7 +443,7 @@ func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 	if err != nil {
 		return err
 	}
-	jr.table = make(map[string]int32, len(items))
+	jr.table = keytab.New(len(items))
 	var buf []byte
 	for start := 0; start < len(items); start += vector.BatchSize {
 		end := start + vector.BatchSize
@@ -468,10 +469,8 @@ func (v *vectorIter) buildJoinTable(vs *vstate, jr *vjoinRun) error {
 			if !ok {
 				continue
 			}
-			g, seen := jr.table[string(key)]
-			if !seen {
-				g = int32(len(jr.groups))
-				jr.table[string(key)] = g
+			g, fresh := jr.table.IDBytes(key)
+			if fresh {
 				jr.groups = append(jr.groups, nil)
 			}
 			jr.groups[g] = append(jr.groups[g], items[start+i])
@@ -518,7 +517,7 @@ func (v *vectorIter) probeJoin(vs *vstate, jr *vjoinRun, b *vector.Batch) (*vect
 		if !ok {
 			continue
 		}
-		if g, hit := jr.table[string(key)]; hit {
+		if g := jr.table.Find(key); g >= 0 {
 			group[i] = g
 			matched++
 		}
@@ -980,6 +979,7 @@ func (v *vectorIter) finishGroups(vs *vstate, merged *vector.Groups, ctx context
 	if merged == nil {
 		merged = vector.NewGroups(len(g.KeyExprs), g.Kinds).Named(g.KeyVars)
 	}
+	defer merged.Release()
 	if g.Clause == nil {
 		merged.EnsureGrand()
 	}

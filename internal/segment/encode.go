@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"hash/maphash"
 	"io"
 	"math"
 	"math/bits"
@@ -13,6 +12,7 @@ import (
 	"strings"
 
 	"rumble/internal/item"
+	"rumble/internal/keytab"
 )
 
 // Encode serializes rows into one segment's byte image and computes the
@@ -44,27 +44,20 @@ func Encode(rows []item.Item) ([]byte, []ColZone, error) {
 // writer. The bytes depend on the rows alone, never on the grouping.
 type builder struct {
 	rows   []item.Item
-	shape  []int32     // per row: index into shapes, -1 for an overflow row
-	shapes []shapeCols // the distinct key sequences of the plain rows, first-seen order
-	cols   []string    // column dictionary, first-seen order
-}
-
-// shapeCols is one distinct key sequence: the column id of every key, and
-// the row-shape bytes every row of that shape contributes to the image.
-type shapeCols struct {
-	ids []int
-	enc []byte
+	shape  []int32       // per row: index into shapes, -1 for an overflow row
+	shapes *keytab.Table // the row-shape bytes of the plain rows' distinct key sequences
+	keyIDs [][]int       // per shape: the column id of every key
+	cols   []string      // column dictionary, first-seen order
 }
 
 func newBuilder(rows []item.Item) *builder {
-	b := &builder{rows: rows, shape: make([]int32, len(rows))}
-	colID := map[string]int{}
+	b := &builder{rows: rows, shape: make([]int32, len(rows)), shapes: keytab.New(0)}
 	// Rows decoded by one decoder share item.Shapes, so a row usually costs
 	// one pointer comparison; a shape pointer never seen costs its keys'
 	// lookups, and shapes with the same key sequence (one per decoder that
 	// met it) fold into one entry by their encoded id list.
+	colIDs := keytab.New(0)
 	known := map[*item.Shape]int32{}
-	byIDs := map[string]int32{}
 	var last *item.Shape
 	var lastIdx int32
 	for ri, r := range rows {
@@ -81,19 +74,13 @@ func newBuilder(rows []item.Item) *builder {
 					ids := make([]int, len(sh.Keys()))
 					enc := appendUvarint(nil, uint64(len(ids)+1))
 					for ki, k := range sh.Keys() {
-						id, listed := colID[k]
-						if !listed {
-							id = len(b.cols)
-							colID[k] = id
-							b.cols = append(b.cols, k)
-						}
-						ids[ki] = id
+						id, _ := colIDs.ID(k)
+						ids[ki] = int(id)
 						enc = appendUvarint(enc, uint64(id))
 					}
-					if idx, seen = byIDs[string(enc)]; !seen {
-						idx = int32(len(b.shapes))
-						byIDs[string(enc)] = idx
-						b.shapes = append(b.shapes, shapeCols{ids: ids, enc: enc})
+					var fresh bool
+					if idx, fresh = b.shapes.IDBytes(enc); fresh {
+						b.keyIDs = append(b.keyIDs, ids)
 					}
 				}
 				known[sh] = idx
@@ -102,6 +89,7 @@ func newBuilder(rows []item.Item) *builder {
 		}
 		b.shape[ri] = lastIdx
 	}
+	b.cols = colIDs.Keys()
 	return b
 }
 
@@ -146,7 +134,7 @@ func (b *builder) lanes(g, n int) *laneGroup {
 	type slot struct {
 		key, lane int
 	}
-	slots := make([][]slot, len(b.shapes))
+	slots := make([][]slot, b.shapes.Len())
 	counts := make([]int, len(lg.lanes))
 	total := 0 // string values in the group
 	for ri, r := range b.rows {
@@ -156,7 +144,7 @@ func (b *builder) lanes(g, n int) *laneGroup {
 		}
 		if slots[si] == nil {
 			slots[si] = []slot{}
-			for ki, id := range b.shapes[si].ids {
+			for ki, id := range b.keyIDs[si] {
 				if id%n == g {
 					slots[si] = append(slots[si], slot{key: ki, lane: id / n})
 				}
@@ -174,7 +162,7 @@ func (b *builder) lanes(g, n int) *laneGroup {
 	for i, c := range counts {
 		lg.lanes[i].strs, ids = ids[:0:c], ids[c:]
 	}
-	strIDs := newStringIDs(total)
+	strIDs := keytab.New(total)
 
 	var scratch []byte
 	for ri, r := range b.rows {
@@ -210,7 +198,8 @@ func (b *builder) lanes(g, n int) *laneGroup {
 				l.zone.addNumber(item.NumberKey(float64(v)))
 			case item.Str:
 				l.tags[ri] = tagString
-				l.strs = append(l.strs, strIDs.id(string(v)))
+				id, _ := strIDs.ID(string(v))
+				l.strs = append(l.strs, uint32(id))
 			case item.Dec:
 				l.tags[ri] = tagDec
 				l.vals = appendString(l.vals, v.Rat().RatString())
@@ -224,59 +213,9 @@ func (b *builder) lanes(g, n int) *laneGroup {
 			}
 		}
 	}
-	lg.strs = strIDs.strs
+	lg.strs = strIDs.Keys()
 	lg.sorted = sortedIDs(lg.strs)
 	return lg
-}
-
-// stringIDs numbers the distinct strings of one lane group in order of
-// first occurrence. Its table is open addressing with linear probes, sized
-// once to twice the number of string values to come, so that it is at most
-// half full however many of them are distinct; an entry is a string's id
-// plus one, zero when free. A hit is confirmed against the string the id
-// names.
-type stringIDs struct {
-	table []uint32
-	strs  []string // by id
-	total int      // string values to come: the most strs can hold
-}
-
-// stringSeed hashes strings into id tables. Ids follow first occurrence, so
-// the seed never shows in an image.
-var stringSeed = maphash.MakeSeed()
-
-// minStrings is the smallest id table, and the first capacity of its strs.
-const minStrings = 16
-
-func newStringIDs(total int) *stringIDs {
-	return &stringIDs{
-		table: make([]uint32, max(minStrings, 2*total)),
-		strs:  make([]string, 0, min(minStrings, total)),
-		total: total,
-	}
-}
-
-// id returns the id of s, numbering it when it is new.
-func (t *stringIDs) id(s string) uint32 {
-	// The hash's high bits scaled to the table: a slot for any table size.
-	i, _ := bits.Mul64(maphash.String(stringSeed, s), uint64(len(t.table)))
-	for t.table[i] != 0 {
-		if id := t.table[i] - 1; t.strs[id] == s {
-			return id
-		}
-		if i++; i == uint64(len(t.table)) {
-			i = 0
-		}
-	}
-	if len(t.strs) == cap(t.strs) {
-		// Double, up to the bound: never more than twice what is kept.
-		grown := make([]string, len(t.strs), min(2*cap(t.strs), t.total))
-		copy(grown, t.strs)
-		t.strs = grown
-	}
-	t.strs = append(t.strs, s)
-	t.table[i] = uint32(len(t.strs))
-	return t.table[i] - 1
 }
 
 // sortedIDs returns the indexes of strs in string order. Most comparisons
@@ -371,7 +310,7 @@ func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc ui
 	}
 	for _, si := range b.shape {
 		if si >= 0 {
-			out.write(b.shapes[si].enc)
+			put(out, b.shapes.Key(si))
 			continue
 		}
 		out.uvarint(shapeOverflow)

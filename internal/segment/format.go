@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"rumble/internal/item"
+	"rumble/internal/keytab"
 	"rumble/internal/vector"
 )
 
@@ -252,7 +253,7 @@ func parsePrefix(img image) (*ColumnSet, error) {
 	}
 	// Rows of one shape repeat the same id-list bytes, so the distinct
 	// shapes intern by those bytes and a row costs one index.
-	shapeIdx := map[string]int32{}
+	shapeIDs := keytab.New(0)
 	var ids []int
 	for ri := range cs.shapeOf {
 		start := r.off
@@ -291,16 +292,13 @@ func parsePrefix(img image) (*ColumnSet, error) {
 			}
 			ids = append(ids, int(id))
 		}
-		si, seen := shapeIdx[string(payload[start:r.off])]
-		if !seen {
+		si, fresh := shapeIDs.IDBytes(payload[start:r.off])
+		if fresh {
 			keys := make([]string, len(ids))
 			for k, id := range ids {
 				keys[k] = names[id]
 			}
-			shape := rowShape{ids: slices.Clone(ids), keys: item.NewShape(keys)}
-			si = int32(len(cs.shapes))
-			shapeIdx[string(payload[start:r.off])] = si
-			cs.shapes = append(cs.shapes, shape)
+			cs.shapes = append(cs.shapes, rowShape{ids: slices.Clone(ids), keys: item.NewShape(keys)})
 		}
 		cs.shapeOf[ri] = si
 	}

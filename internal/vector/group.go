@@ -2,9 +2,11 @@ package vector
 
 import (
 	"fmt"
+	"sync"
 
 	"rumble/internal/functions"
 	"rumble/internal/item"
+	"rumble/internal/keytab"
 )
 
 // AggKind names an aggregate the grouped pipeline folds columnar-ly: the
@@ -20,32 +22,57 @@ const (
 	AggMax   = functions.AggMax
 )
 
-// groupState is one group: the first-seen key values (nil = absent), the
-// canonical key encoding it buckets under (kept so partial tables merge
-// without re-encoding), and one accumulator per aggregate.
-type groupState struct {
-	key  string
-	keys []item.Item
-	aggs []functions.Fold
-}
-
 // Groups is the grouped-aggregation hash table: rows bucket by the
 // canonical sort-key encoding of their key columns (item.AppendSortKey),
 // so two rows group together exactly when the tuple backend's group-by
 // would bucket them. Groups emit in first-seen order, matching the tuple
 // backend's output order.
+//
+// Group gi's key values are keys[gi*nKeys:], its accumulators
+// aggs[gi*len(kinds):]. A pooled table keeps its key numbering, so a key
+// it met in an earlier use costs no copy when a later morsel meets it.
 type Groups struct {
 	names  []string // the key variables, for errors
+	nKeys  int
 	kinds  []AggKind
-	m      map[string]*groupState
-	order  []*groupState
+	ids    *keytab.Table    // canonical keys, kept across the table's uses
+	group  []int32          // per key id: 1 + its group in this use, 0 for none
+	keyIDs []int32          // per group: its key id
+	keys   []item.Item      // first-seen key values, nKeys per group (nil = absent)
+	aggs   []functions.Fold // len(kinds) per group
 	keyBuf []byte
 }
 
-// NewGroups creates a table for nKeys grouping keys and the given
-// aggregate kinds.
+// groupsPool keeps released tables, as GetScratch keeps scratches; a table
+// that has numbered more than 4*BatchSize keys is left to the collector.
+var groupsPool = sync.Pool{New: func() any { return &Groups{ids: keytab.New(0)} }}
+
+// NewGroups returns an empty table, from the pool, for nKeys grouping keys
+// and the given aggregate kinds.
 func NewGroups(nKeys int, kinds []AggKind) *Groups {
-	return &Groups{kinds: kinds, m: map[string]*groupState{}}
+	g := groupsPool.Get().(*Groups)
+	g.names, g.nKeys, g.kinds = nil, nKeys, kinds
+	return g
+}
+
+// Release empties g and returns it to the pool: g must not be used after.
+// Under vectorpoison its keys and accumulators are overwritten first, so a
+// table that still shares them fails loudly.
+func (g *Groups) Release() {
+	for _, id := range g.keyIDs {
+		g.group[id] = 0
+	}
+	if Poison {
+		fillCap(g.keys, item.Item(item.Str(poisonStr)))
+		fillCap(g.aggs, functions.Fold{Kind: 255}) // finalizes to (), as no count does
+	} else {
+		clear(g.keys)
+		clear(g.aggs)
+	}
+	g.keyIDs, g.keys, g.aggs = g.keyIDs[:0], g.keys[:0], g.aggs[:0]
+	if g.ids.Len() <= 4*BatchSize {
+		groupsPool.Put(g)
+	}
 }
 
 // Named names the variables the keys bind, in key order, for Update's
@@ -74,16 +101,16 @@ func (g *Groups) Update(keyCols, aggCols []*Col, n int) error {
 			}
 			g.keyBuf = item.AppendSortKey(g.keyBuf, sk)
 		}
-		st, ok := g.m[string(g.keyBuf)]
-		if !ok {
-			keys := make([]item.Item, len(keyCols))
-			for k, kc := range keyCols {
-				keys[k] = kc.Item(i)
+		id, _ := g.ids.IDBytes(g.keyBuf)
+		gi, fresh := g.groupOf(id)
+		if fresh {
+			for _, kc := range keyCols {
+				g.keys = append(g.keys, kc.Item(i))
 			}
-			st = g.add(string(g.keyBuf), keys)
 		}
+		aggs := g.aggs[gi*len(g.kinds):]
 		for j, col := range aggCols {
-			if err := foldRow(&st.aggs[j], col, i); err != nil {
+			if err := foldRow(&aggs[j], col, i); err != nil {
 				return err
 			}
 		}
@@ -91,15 +118,21 @@ func (g *Groups) Update(keyCols, aggCols []*Col, n int) error {
 	return nil
 }
 
-// add appends a new group with empty accumulators in first-seen order.
-func (g *Groups) add(key string, keys []item.Item) *groupState {
-	st := &groupState{key: key, keys: keys, aggs: make([]functions.Fold, len(g.kinds))}
-	for j, kind := range g.kinds {
-		st.aggs[j].Kind = kind
+// groupOf returns the group of key id, opening it with empty accumulators
+// (its key values are the caller's to append) when this use has none.
+func (g *Groups) groupOf(id int32) (gi int, fresh bool) {
+	if int(id) >= len(g.group) {
+		g.group = append(g.group, make([]int32, int(id)+1-len(g.group))...)
 	}
-	g.m[key] = st
-	g.order = append(g.order, st)
-	return st
+	if gi := g.group[id]; gi > 0 {
+		return int(gi - 1), false
+	}
+	g.keyIDs = append(g.keyIDs, id)
+	g.group[id] = int32(len(g.keyIDs))
+	for _, kind := range g.kinds {
+		g.aggs = append(g.aggs, functions.Fold{Kind: kind})
+	}
+	return len(g.keyIDs) - 1, true
 }
 
 // foldRow folds row i of col into one accumulator. Absent rows contribute
@@ -126,19 +159,19 @@ func foldRow(a *functions.Fold, col *Col, i int) error {
 // group's accumulators merge other's as the later partial (Fold.Merge).
 // Merging per-morsel partials left to right is the parallel backend's
 // determinism contract — the result depends only on the morsel order,
-// never on which worker processed which morsel.
+// never on which worker processed which morsel. g copies what it takes,
+// and other is released.
 func (g *Groups) Merge(other *Groups) error {
-	for _, ost := range other.order {
-		st, ok := g.m[ost.key]
-		if !ok {
-			// Adopt the partial state wholesale: first-seen keys and
-			// accumulators travel as-is.
-			g.m[ost.key] = ost
-			g.order = append(g.order, ost)
-			continue
+	defer other.Release()
+	na := len(g.kinds)
+	for oi, oid := range other.keyIDs {
+		id, _ := g.ids.ID(other.ids.Key(oid))
+		gi, fresh := g.groupOf(id)
+		if fresh {
+			g.keys = append(g.keys, other.keys[oi*g.nKeys:(oi+1)*g.nKeys]...)
 		}
-		for j := range st.aggs {
-			if err := st.aggs[j].Merge(&ost.aggs[j]); err != nil {
+		for j := range g.kinds {
+			if err := g.aggs[gi*na+j].Merge(&other.aggs[oi*na+j]); err != nil {
 				return err
 			}
 		}
@@ -150,29 +183,30 @@ func (g *Groups) Merge(other *Groups) error {
 // aggregation exists, so empty input still finalizes to the builtin
 // aggregates' empty-sequence results (count 0, sum 0, empty avg/min/max).
 func (g *Groups) EnsureGrand() {
-	if len(g.order) == 0 {
-		g.add("", nil)
+	if g.Len() == 0 {
+		id, _ := g.ids.ID("")
+		g.groupOf(id)
 	}
 }
 
 // Len returns the number of groups, in first-seen order.
-func (g *Groups) Len() int { return len(g.order) }
+func (g *Groups) Len() int { return len(g.keyIDs) }
 
 // GrandCount returns the running count accumulator of a grand (no group-by)
 // aggregation whose first aggregate is AggCount — 0 when no present value
 // has been folded yet. Early-exit aggregates (exists/empty) poll it to stop
 // scanning as soon as the answer is decided.
 func (g *Groups) GrandCount() int64 {
-	if len(g.order) == 0 {
+	if g.Len() == 0 {
 		return 0
 	}
-	return g.order[0].aggs[0].N()
+	return g.aggs[0].N()
 }
 
 // Key returns grouping key ki of group gi (nil = absent), the first-seen
 // key value exactly as the tuple backend binds it.
-func (g *Groups) Key(gi, ki int) item.Item { return g.order[gi].keys[ki] }
+func (g *Groups) Key(gi, ki int) item.Item { return g.keys[gi*g.nKeys+ki] }
 
 // Agg finalizes aggregate j of group gi through Fold.Result: a nil result
 // is the empty sequence.
-func (g *Groups) Agg(gi, j int) (item.Item, error) { return g.order[gi].aggs[j].Result() }
+func (g *Groups) Agg(gi, j int) (item.Item, error) { return g.aggs[gi*len(g.kinds)+j].Result() }

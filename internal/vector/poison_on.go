@@ -4,6 +4,6 @@ package vector
 
 // Poison is set by the vectorpoison build tag, a test-only mode in which
 // everything recycled is overwritten before its next use: Scratch.Reset
-// fills freed lanes with sentinels, and the runtime scribbles over the raw
-// scan's returned record buffers. A stale read then fails loudly.
+// fills freed lanes with sentinels, Groups.Release its groups, and the
+// runtime scribbles over raw record buffers. A stale read then fails loudly.
 const Poison = true
