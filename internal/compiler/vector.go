@@ -314,8 +314,8 @@ func (i *Info) compileVector(f *ast.FLWOR, agg string) (*VectorKernels, error) {
 			switch tail := rest[ci+1:]; {
 			case len(tail) == 0:
 			case len(tail) == 2 && bounded:
-				cc := tail[0].(*ast.CountClause)
-				if bound < 1 || exprUsesVar(f.Return, cc.Var) {
+				cc, ok := tail[0].(*ast.CountClause)
+				if !ok || bound < 1 || exprUsesVar(f.Return, cc.Var) {
 					return nil, errf(tail[1].Pos(), "vector: top-k tail does not bound an unused count variable")
 				}
 				vp.TopK = bound

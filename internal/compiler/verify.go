@@ -11,6 +11,7 @@
 package compiler
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -18,7 +19,6 @@ import (
 	"strings"
 
 	"rumble/internal/ast"
-	"rumble/internal/functions"
 	"rumble/internal/item"
 	"rumble/internal/lexer"
 )
@@ -75,7 +75,7 @@ var verifiedJoinPlanFields = map[string]bool{
 // returns a *VerifyError listing every violation, or nil when the plan is
 // consistent.
 func Verify(m *ast.Module, info *Info) error {
-	v := &verifier{info: info, udfs: map[string]bool{}, presenceOnly: map[*ast.FLWOR]bool{}, scans: map[*ast.FunctionCall]bool{}}
+	v := &verifier{info: info, udfs: map[string]bool{}, presenceOnly: map[*ast.FLWOR]bool{}, folds: map[*ast.FLWOR]string{}, scans: map[*ast.FunctionCall]bool{}}
 	for _, fd := range m.Functions {
 		v.udfs[fd.Name] = true
 	}
@@ -113,10 +113,12 @@ type verifier struct {
 	info  *Info
 	diags []PlanDiagnostic
 	udfs  map[string]bool
-	// presenceOnly marks FLWORs whose consumer only counts them (set when
-	// the walk passes the consumer, before it reaches the FLWOR); scans
-	// collects the scan calls whose recorded plan re-derived.
+	// presenceOnly marks FLWORs whose consumer only counts them and folds
+	// the vector FLWORs a VectorAggs call folds, by aggregate name (both
+	// set when the walk passes the consumer, before it reaches the FLWOR);
+	// scans collects the scan calls whose recorded plan re-derived.
 	presenceOnly map[*ast.FLWOR]bool
+	folds        map[*ast.FLWOR]string
 	scans        map[*ast.FunctionCall]bool
 	topKs        int // Info.TopK entries met on an order-by clause
 }
@@ -287,7 +289,7 @@ func (v *verifier) checkFLWOR(f *ast.FLWOR, mode Mode) {
 	}
 	v.checkTopK(f)
 	if vp != nil {
-		v.checkVectorPlan(f, vp, jp)
+		v.checkVectorPlan(f, vp)
 	}
 	v.checkScanPlan(f)
 
@@ -435,7 +437,8 @@ func (v *verifier) checkJoinSplit(f *ast.FLWOR, jp *JoinPlan, where *ast.WhereCl
 }
 
 // checkVectorAgg verifies an Info.VectorAggs mark: the call must be
-// annotated Vector and wrap a non-grouped, non-sorted vector pipeline.
+// annotated Vector and wrap a non-grouped, non-sorted vector pipeline,
+// whose plan checkVectorPlan re-derives with this call as its tail.
 func (v *verifier) checkVectorAgg(n *ast.FunctionCall, mode Mode) {
 	if mode != ModeVector {
 		v.report("vector-agg", n.Pos(), "call is marked VectorAggs but annotated %s", mode)
@@ -449,254 +452,59 @@ func (v *verifier) checkVectorAgg(n *ast.FunctionCall, mode Mode) {
 		v.report("vector-agg", n.Pos(), "VectorAggs argument is not a FLWOR")
 		return
 	}
+	v.folds[f] = n.Name
 	vp := v.info.VectorPlans[f]
 	if vp == nil || vp.Grouped || vp.OrderBy != nil {
 		v.report("vector-agg", n.Pos(), "VectorAggs argument pipeline must be a non-grouped, non-sorted vector plan")
 	}
 }
 
-// checkVectorPlan verifies one vector plan against the FLWOR it annotates:
-// the clause chain must contain only whitelisted vector operators, every
-// embedded expression must be a vector-compilable scalar, the recorded
-// order-by/top-k must re-derive from the AST, and the join flag must match
-// the join table.
-func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan, jp *JoinPlan) {
-	clauses := v.info.pipeline(f)
-	grouped := false
-	positional := false
-	sawOrderBy := false
-	var topK int64
-	var pruneHead *ast.ForClause
-	var pruneRest []ast.Clause
-
-	if vp.Join {
-		if jp == nil {
-			v.report("vector-operator", f.Pos(), "vector plan sets Join but the FLWOR has no join plan")
-			return
-		}
-		if len(clauses) != len(f.Clauses) {
-			v.report("vector-operator", f.Pos(), "vector join plan cannot follow cluster-bound lets")
-			return
-		}
-		if len(clauses) < 3 {
-			return // join-head already reported
-		}
-		for _, keys := range [][]ast.Expr{jp.LeftKeys, jp.RightKeys, jp.ProbeFilter, jp.Residual} {
-			for _, k := range keys {
-				v.vectorScalar(k, false)
-			}
-		}
-		positional = true // join output positions are not scan positions
-		clauses = clauses[3:]
-	} else {
-		head, ok := firstFor(clauses)
-		if !ok {
-			v.report("vector-operator", f.Pos(), "vector plan head is not a for clause")
-			return
-		}
-		if head.AllowEmpty {
-			v.report("vector-operator", head.Pos(), "vector scan head allows empty; the backend has no outer-scan operator")
-		}
-		clauses = clauses[1:]
-		pruneHead, pruneRest = head, clauses
-	}
-
-	for i := 0; i < len(clauses); i++ {
-		switch n := clauses[i].(type) {
-		case *ast.LetClause:
-			v.vectorScalar(n.Value, false)
-		case *ast.WhereClause:
-			v.vectorScalar(n.Cond, false)
-		case *ast.CountClause:
-			positional = true
-		case *ast.GroupByClause:
-			if i != len(clauses)-1 {
-				v.report("vector-operator", n.Pos(), "vector group-by must be the final operator")
-			}
-			for _, spec := range n.Specs {
-				if spec.Expr != nil {
-					v.vectorScalar(spec.Expr, false)
-				}
-			}
-			grouped = true
-		case *ast.OrderByClause:
-			sawOrderBy = true
-			if vp.OrderBy != n {
-				v.report("vector-topk", n.Pos(), "vector plan's OrderBy does not reference the pipeline's order-by clause")
-			}
-			for _, spec := range n.Specs {
-				v.vectorScalar(spec.Expr, false)
-			}
-			// The sort ends the pipeline except for the fused top-k tail.
-			tail := clauses[i+1:]
-			switch len(tail) {
-			case 0:
-			case 2:
-				_, okC := tail[0].(*ast.CountClause)
-				_, okW := tail[1].(*ast.WhereClause)
-				if !okC || !okW {
-					v.report("vector-operator", n.Pos(), "vector order-by is followed by non-top-k clauses")
-					break
-				}
-				// checkTopK has held Info.TopK to the AST.
-				k, ok := v.info.TopK[n]
-				if !ok {
-					v.report("vector-topk", tail[1].Pos(), "vector top-k tail does not bound the count variable with a literal rank")
-					break
-				}
-				topK = k
-			default:
-				v.report("vector-operator", n.Pos(), "vector order-by must end the pipeline (or fuse a count/where top-k tail)")
-			}
-			i = len(clauses)
-		default:
-			v.report("vector-operator", clauses[i].Pos(),
-				"clause %T is not a whitelisted vector operator (let/where/count/order-by/group-by)", clauses[i])
-		}
-	}
-	v.vectorScalar(f.Return, grouped)
-
-	if vp.Grouped != grouped {
-		v.report("vector-operator", f.Pos(), "vector plan Grouped=%v but the pipeline's group-by presence is %v", vp.Grouped, grouped)
-	}
-	if vp.OrderBy != nil && !sawOrderBy {
-		v.report("vector-topk", f.Pos(), "vector plan records an order-by the pipeline does not contain")
-	}
-	if vp.TopK != 0 || topK != 0 {
-		if vp.TopK < 1 {
-			v.report("vector-topk", f.Pos(), "vector top-k bound is %d; a fused top-k must keep at least one row", vp.TopK)
-		} else if vp.TopK != topK {
-			v.report("vector-topk", f.Pos(), "vector plan TopK=%d but the AST derives %d", vp.TopK, topK)
-		}
-	}
-	if vp.Join && jp == nil {
-		v.report("vector-operator", f.Pos(), "vector plan sets Join without a join plan")
-	}
-	if vp.Positional && !positionalEligible(f, vp) {
-		v.report("vector-operator", f.Pos(), "vector plan sets Positional but the pipeline binds no scan positions")
-	}
-	_ = positional
-
-	if len(vp.Prune) > 0 {
-		switch {
-		case vp.Join || vp.Positional:
-			// Skipping segments renumbers scan positions and bypasses the
-			// join's consumed where clause: pruning there changes results.
-			v.report("vector-prune", f.Pos(), "vector plan pushes prune predicates into a join or positional pipeline")
-		case pruneHead == nil:
-		default:
-			// The recorded predicates must be a prefix of what the AST
-			// derives: a shorter prefix only prunes less, but any extra or
-			// altered predicate could skip rows the query would keep.
-			derived := prunePredicates(pruneHead.Var, pruneRest)
-			if len(vp.Prune) > len(derived) {
-				v.report("vector-prune", f.Pos(), "vector plan records %d prune predicates but the AST derives only %d", len(vp.Prune), len(derived))
-			} else {
-				for i, p := range vp.Prune {
-					d := derived[i]
-					if p.Field != d.Field || p.Op != d.Op ||
-						p.Lit == nil || p.Lit.Kind() != d.Lit.Kind() || !item.DeepEqual(p.Lit, d.Lit) {
-						v.report("vector-prune", f.Pos(), "prune predicate %d (%s %s) does not re-derive from the AST", i, p.Field, p.Op)
-					}
-				}
-			}
-		}
-	}
-
-	// The recorded projection must re-derive exactly from the AST: a
-	// missing column would make the lane scan skip lanes the pipeline
-	// reads, and a spuriously clear AllColumns would run whole-row
-	// consumers against projected batches.
-	re := &VectorPlan{}
-	deriveScanColumns(re, pruneHead, pruneRest, f.Return)
-	if vp.AllColumns != re.AllColumns {
-		v.report("vector-columns", f.Pos(), "vector plan AllColumns=%v but the AST derives %v", vp.AllColumns, re.AllColumns)
-	} else if !vp.AllColumns {
-		if !slices.Equal(vp.Columns, re.Columns) {
-			v.report("vector-columns", f.Pos(), "vector plan Columns %v does not re-derive from the AST (%v)", vp.Columns, re.Columns)
-		}
-	}
-}
-
-// positionalEligible reports whether the pipeline binds scan positions: a
-// positional for variable, a count clause, or a join (whose output
-// positions the backend derives from probe order).
-func positionalEligible(f *ast.FLWOR, vp *VectorPlan) bool {
-	if vp.Join {
-		return true
-	}
-	for _, cl := range f.Clauses {
-		switch n := cl.(type) {
-		case *ast.ForClause:
-			if n.PosVar != "" {
-				return true
-			}
-		case *ast.CountClause:
-			return true
-		}
-	}
-	return false
-}
-
-// vectorScalar checks that e stays inside the vector backend's scalar
-// expression whitelist: literals, variable references, literal-key object
-// lookups and constructors, arithmetic, value comparisons, and/or logic,
-// and whitelisted scalar builtins — plus, in a grouped return position,
-// the foldable aggregates. Anything else is an operator the columnar
-// backend does not implement.
-func (v *verifier) vectorScalar(e ast.Expr, groupedReturn bool) {
-	if e == nil {
+// checkVectorPlan re-derives one vector plan through the vector compile
+// itself, uncached, with the tail the annotation phase compiled it for: the
+// grand aggregate that folds f (Info.VectorAggs), or none. A FLWOR that no
+// longer compiles is reported at the construct the compile rejects; one
+// that does must reproduce the recorded plan field by field.
+func (v *verifier) checkVectorPlan(f *ast.FLWOR, vp *VectorPlan) {
+	// The compile takes a join's sides from its plan: one whose sides are
+	// not the FLWOR's leading for clauses, already a join-head diagnostic,
+	// cannot be recompiled.
+	if jp := v.info.Joins[f]; jp != nil && (len(f.Clauses) < 3 || jp.Left != f.Clauses[0] || jp.Right != f.Clauses[1]) {
 		return
 	}
-	rec := func(ch ast.Expr) { v.vectorScalar(ch, groupedReturn) }
-	switch n := e.(type) {
-	case *ast.Literal:
-	case *ast.VarRef:
-	case *ast.ObjectLookup:
-		if _, ok := n.Key.(*ast.Literal); !ok {
-			v.report("vector-operator", n.Pos(), "vector object lookup key must be a literal")
+	k, err := v.info.compileVector(f, v.folds[f])
+	if err != nil {
+		pos, msg := f.Pos(), err.Error()
+		var ce *Error
+		if errors.As(err, &ce) {
+			pos, msg = ce.Pos, ce.Msg
 		}
-		rec(n.Input)
-	case *ast.Comparison:
-		if n.General {
-			v.report("vector-operator", n.Pos(), "general comparison is not a vector operator; only value comparisons vectorize")
-		}
-		rec(n.L)
-		rec(n.R)
-	case *ast.Arith:
-		rec(n.L)
-		rec(n.R)
-	case *ast.Logic:
-		rec(n.L)
-		rec(n.R)
-	case *ast.Unary:
-		rec(n.Operand)
-	case *ast.ObjectConstructor:
-		for i := range n.Keys {
-			if _, ok := n.Keys[i].(*ast.Literal); !ok {
-				v.report("vector-operator", n.Pos(), "vector object constructor keys must be literals")
-			}
-			rec(n.Values[i])
-		}
-	case *ast.ArrayConstructor:
-		rec(n.Body)
-	case *ast.FunctionCall:
-		if groupedReturn {
-			if _, ok := countOfVar(n); ok {
-				return
-			}
-			if _, fold := functions.AggregateKind(n.Name); fold && len(n.Args) == 1 {
-				return // aggregate arguments fold inside the backend
-			}
-		}
-		if !vectorScalarFunctions[n.Name] {
-			v.report("vector-operator", n.Pos(), "call %s/%d is not a whitelisted vector scalar function", n.Name, len(n.Args))
-			return
-		}
-		for _, a := range n.Args {
-			rec(a)
-		}
-	default:
-		v.report("vector-operator", e.Pos(), "%T is not a vector-compilable expression", e)
+		v.report("vector-operator", pos, "vector FLWOR does not recompile: %s", msg)
+		return
+	}
+	re := k.Plan
+	if vp.Grouped != re.Grouped || vp.Join != re.Join || vp.Positional != re.Positional {
+		v.report("vector-operator", f.Pos(), "vector plan Grouped=%v Join=%v Positional=%v but the FLWOR compiles to %v/%v/%v",
+			vp.Grouped, vp.Join, vp.Positional, re.Grouped, re.Join, re.Positional)
+	}
+	if vp.OrderBy != re.OrderBy {
+		v.report("vector-topk", f.Pos(), "vector plan's OrderBy is not the order-by clause the FLWOR compiles to sort")
+	}
+	if vp.TopK != re.TopK {
+		v.report("vector-topk", f.Pos(), "vector plan TopK=%d but the FLWOR compiles to %d", vp.TopK, re.TopK)
+	}
+	// An extra or altered prune predicate could skip a segment holding rows
+	// the query keeps.
+	if !slices.EqualFunc(vp.Prune, re.Prune, func(p, d PrunePred) bool {
+		return p.Field == d.Field && p.Op == d.Op &&
+			p.Lit != nil && p.Lit.Kind() == d.Lit.Kind() && item.DeepEqual(p.Lit, d.Lit)
+	}) {
+		v.report("vector-prune", f.Pos(), "vector plan's %d prune predicate(s) are not the %d the FLWOR compiles to", len(vp.Prune), len(re.Prune))
+	}
+	// A missing column would make the lane scan skip lanes the pipeline
+	// reads, and a spuriously clear AllColumns would run whole-row
+	// consumers against projected batches.
+	if vp.AllColumns != re.AllColumns || !slices.Equal(vp.Columns, re.Columns) {
+		v.report("vector-columns", f.Pos(), "vector plan AllColumns=%v Columns %v but the FLWOR compiles to AllColumns=%v Columns %v",
+			vp.AllColumns, vp.Columns, re.AllColumns, re.Columns)
 	}
 }

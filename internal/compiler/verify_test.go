@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rumble/internal/ast"
+	"rumble/internal/item"
 	"rumble/internal/parser"
 )
 
@@ -55,6 +56,12 @@ for $b in parallelize(({"k": 2, "w": "p"}))
 where $a.k eq $b.k
 return $a.v || $b.w`
 
+// vectorJoinQuery is joinQuery with a return the vector backend compiles.
+const vectorJoinQuery = `for $a in parallelize(({"k": 1, "v": "x"}, {"k": 2, "v": "y"}))
+for $b in parallelize(({"k": 2, "w": "p"}))
+where $a.k eq $b.k
+return {"v": $a.v, "w": $b.w}`
+
 // TestVerifyCleanPlans pins that Verify accepts what Analyze produces
 // across every backend the compiler can choose.
 func TestVerifyCleanPlans(t *testing.T) {
@@ -76,6 +83,7 @@ func TestVerifyCleanPlans(t *testing.T) {
 		{"vector grand aggregate", `sum(for $x in (1 to 50) where $x gt 10 return $x)`, Options{Vectorize: true}},
 		{"vector count zero", `count(for $x in (1 to 50) where $x gt 100 return $x) eq 0`, Options{Vectorize: true}},
 		{"vector join", joinQuery, Options{Cluster: true, Vectorize: true}},
+		{"vector hash join", vectorJoinQuery, Options{Cluster: true, Vectorize: true}},
 		{"udf and globals", `declare variable $n := 3; declare function local:sq($x) { $x * $x }; local:sq($n)`, Options{}},
 	}
 	for _, tc := range queries {
@@ -97,6 +105,9 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 		opts     Options
 		corrupt  func(t *testing.T, m *ast.Module, info *Info)
 		wantCode string
+		// wantAt, when set, names the expression the diagnostic must point
+		// at, not only its code.
+		wantAt func(t *testing.T, m *ast.Module) ast.Expr
 	}{
 		{
 			name: "erased mode annotation",
@@ -325,6 +336,94 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 			wantCode: "scan-columns",
 		},
 		{
+			name: "join plan on a vector scan",
+			q:    `for $x in (1 to 50) where $x gt 2 return $x`,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				info.Joins[body(t, m)] = &JoinPlan{}
+			},
+			wantCode: "join-head",
+		},
+		{
+			name: "vector plan and top-k bound on a sort that ends no pipeline",
+			q:    `for $x in (1 to 100) order by $x let $y := 1 where $y eq 1 return $x`,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				f := body(t, m)
+				if info.VectorPlans[f] != nil {
+					t.Fatal("a sort followed by let/where must not vectorize")
+				}
+				info.Modes[f] = ModeVector
+				info.VectorPlans[f] = &VectorPlan{OrderBy: orderBy(t, f), TopK: 1, AllColumns: true}
+				info.TopK[orderBy(t, f)] = 1
+			},
+			wantCode: "vector-operator",
+		},
+		{
+			name: "prune operator altered",
+			q:    pruneQuery,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				pruneOf(t, info, body(t, m)).Op = "lt"
+			},
+			wantCode: "vector-prune",
+		},
+		{
+			name: "prune literal kind altered",
+			q:    pruneQuery,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				pruneOf(t, info, body(t, m)).Lit = item.Double(1)
+			},
+			wantCode: "vector-prune",
+		},
+		{
+			name: "positional flag set on a scan without positions",
+			q:    `for $x in (1 to 50) where $x gt 2 return $x`,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				info.VectorPlans[body(t, m)].Positional = true
+			},
+			wantCode: "vector-operator",
+		},
+		{
+			name: "join flag cleared on a vector join",
+			q:    vectorJoinQuery,
+			opts: Options{Cluster: true, Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				vp := info.VectorPlans[body(t, m)]
+				if vp == nil || !vp.Join {
+					t.Fatalf("expected a vector join plan, got %+v", vp)
+				}
+				vp.Join = false
+			},
+			wantCode: "vector-operator",
+		},
+		{
+			name: "order by pointed at another clause",
+			q:    vectorTopKQuery,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				info.VectorPlans[body(t, m)].OrderBy = &ast.OrderByClause{Specs: orderBy(t, body(t, m)).Specs}
+			},
+			wantCode: "vector-topk",
+		},
+		{
+			name: "value comparison in a where turned general",
+			q: `for $x in (1 to 50)
+where $x gt 0 and $x eq 2
+return $x`,
+			opts: Options{Vectorize: true},
+			corrupt: func(t *testing.T, m *ast.Module, info *Info) {
+				cmp := whereEq(t, m)
+				cmp.Op, cmp.General = "=", true
+			},
+			wantCode: "vector-operator",
+			wantAt: func(t *testing.T, m *ast.Module) ast.Expr {
+				return whereEq(t, m)
+			},
+		},
+		{
 			name: "vector agg over grouped pipeline",
 			q:    `sum(for $x in (1 to 50) where $x gt 10 return $x)`,
 			opts: Options{Vectorize: true},
@@ -352,9 +451,12 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 			}
 			found := false
 			for _, d := range ve.Diags {
-				if d.Code == tc.wantCode {
+				if d.Code == tc.wantCode && (tc.wantAt == nil || d.Pos == tc.wantAt(t, m).Pos()) {
 					found = true
 				}
+			}
+			if !found && tc.wantAt != nil {
+				t.Fatalf("no %q diagnostic at %s in: %v", tc.wantCode, tc.wantAt(t, m).Pos(), err)
 			}
 			if !found {
 				t.Fatalf("no %q diagnostic in: %v", tc.wantCode, err)
@@ -364,6 +466,31 @@ func TestVerifyCorruptedPlans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pruneQuery is a vector scan whose where pushes one zone-map predicate.
+const pruneQuery = `for $o in ({"a": 1}, {"a": 3}) where $o.a gt 1 return $o.a`
+
+// pruneOf returns the single prune predicate recorded for f.
+func pruneOf(t *testing.T, info *Info, f *ast.FLWOR) *PrunePred {
+	t.Helper()
+	vp := info.VectorPlans[f]
+	if vp == nil || len(vp.Prune) != 1 {
+		t.Fatalf("expected one prune predicate, got %+v", vp)
+	}
+	return &vp.Prune[0]
+}
+
+// whereEq returns the second conjunct of the body's where clause, the
+// comparison on line 2 after the and.
+func whereEq(t *testing.T, m *ast.Module) *ast.Comparison {
+	t.Helper()
+	where := body(t, m).Clauses[1].(*ast.WhereClause)
+	cmp := where.Cond.(*ast.Logic).R.(*ast.Comparison)
+	if cmp.Pos().Line != 2 || cmp.Pos() == body(t, m).Pos() {
+		t.Fatalf("comparison at %s, want line 2 apart from the FLWOR", cmp.Pos())
+	}
+	return cmp
 }
 
 // scanCall returns the json-file/collection call heading f.

@@ -97,7 +97,7 @@ type Config struct {
 	// cluster.
 	Vectorize bool
 	// VerifyPlans checks every compiled plan's invariants (mode
-	// annotations, vector operator whitelist, join legality) before
+	// annotations, vector plans recompiled, join legality) before
 	// execution, surfacing compiler bugs as structured errors instead of
 	// wrong results. Also enabled by RUMBLE_VERIFY_PLANS=1.
 	VerifyPlans bool
