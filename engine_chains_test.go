@@ -409,14 +409,14 @@ func writeSubredditRows(tb testing.TB) string {
 // checked on them.
 var joinedEngines = []string{"cluster", "vector", "vector x1", "vector x8", "vector+segments"}
 
-// joinEngines returns the nested-loop reference (DisableJoin) and the
+// joinEngines returns the nested-loop reference (nestedLoop) and the
 // joined engines a generated join must agree with: the cluster engine,
 // whose statement runs the DataFrame join on Collect and the local join on
 // Stream, and the vector engine over the raw file (at 4, 1 and 8 morsel
 // workers) and over segments.
 func joinEngines() (nested *Engine, joined map[string]*Engine) {
 	cfg := Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10}
-	nested = New(Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10, DisableJoin: true})
+	nested = nestedLoop(New(Config{Parallelism: 4, Executors: 4, SplitSize: 16 << 10}))
 	vcfg, scfg := cfg, cfg
 	vcfg.Vectorize = true
 	scfg.Vectorize, scfg.Segments = true, true

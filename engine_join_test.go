@@ -10,6 +10,14 @@ import (
 	"rumble/internal/item"
 )
 
+// nestedLoop turns off e's static equi-join detection, so nested "for ...
+// for ... where" queries keep their nested-loop evaluation: the reference a
+// detected join must agree with.
+func nestedLoop(e *Engine) *Engine {
+	e.env.NoJoin = true
+	return e
+}
+
 // joinTestEngine returns an engine loaded with two small collections that
 // exercise matches, multiplicity, misses, null keys and missing keys.
 func joinTestEngine(t *testing.T, cfg Config) *Engine {
@@ -61,12 +69,12 @@ func sortedRun(t *testing.T, e *Engine, q string) []string {
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	joined := joinTestEngine(t, Config{Parallelism: 4, Executors: 4})
-	nested := joinTestEngine(t, Config{Parallelism: 4, Executors: 4, DisableJoin: true})
+	nested := nestedLoop(joinTestEngine(t, Config{Parallelism: 4, Executors: 4}))
 	if plan := mustExplain(t, joined, joinQuery); !strings.Contains(plan, "Join[hash]") {
 		t.Fatalf("hash join not chosen:\n%s", plan)
 	}
 	if plan := mustExplain(t, nested, joinQuery); strings.Contains(plan, "Join[") {
-		t.Fatalf("DisableJoin engine still joins:\n%s", plan)
+		t.Fatalf("nested-loop engine still joins:\n%s", plan)
 	}
 	got := sortedRun(t, joined, joinQuery)
 	want := sortedRun(t, nested, joinQuery)
@@ -87,7 +95,7 @@ func TestBroadcastJoinMatchesNestedLoop(t *testing.T) {
 		where $o.cust eq $c.cid
 		return { "oid": $o.oid, "name": $c.name }`
 	joined := joinTestEngine(t, Config{Parallelism: 4, Executors: 4})
-	nested := joinTestEngine(t, Config{Parallelism: 4, Executors: 4, DisableJoin: true})
+	nested := nestedLoop(joinTestEngine(t, Config{Parallelism: 4, Executors: 4}))
 	if plan := mustExplain(t, joined, q); !strings.Contains(plan, "Join[broadcast]") {
 		t.Fatalf("broadcast join not chosen:\n%s", plan)
 	}
@@ -122,7 +130,7 @@ func TestJoinResidualPredicateAndMultipleKeys(t *testing.T) {
 		where $c.cid eq $o.cust and $o.amount gt 5
 		return { "oid": $o.oid, "name": $c.name }`
 	joined := joinTestEngine(t, Config{Parallelism: 4, Executors: 4})
-	nested := joinTestEngine(t, Config{Parallelism: 4, Executors: 4, DisableJoin: true})
+	nested := nestedLoop(joinTestEngine(t, Config{Parallelism: 4, Executors: 4}))
 	got := sortedRun(t, joined, q)
 	want := sortedRun(t, nested, q)
 	if !reflect.DeepEqual(got, want) {
@@ -192,7 +200,7 @@ func TestJoinHeterogeneousKeyTypesError(t *testing.T) {
 	if _, err := e.Query(q); err == nil {
 		t.Error("mixed string/number join keys must error like the nested loop's eq")
 	}
-	nested := New(Config{Parallelism: 2, Executors: 2, DisableJoin: true})
+	nested := nestedLoop(New(Config{Parallelism: 2, Executors: 2}))
 	nested.RegisterItems("l", mustItems(t, e, "l"))
 	nested.RegisterItems("r", mustItems(t, e, "r"))
 	if _, err := nested.Query(q); err == nil {
@@ -235,7 +243,7 @@ func TestJoinFallbackStillWorks(t *testing.T) {
 	if plan := mustExplain(t, e, q); strings.Contains(plan, "Join[") {
 		t.Fatalf("disjunctive predicate should not join:\n%s", plan)
 	}
-	nested := joinTestEngine(t, Config{Parallelism: 4, Executors: 4, DisableJoin: true})
+	nested := nestedLoop(joinTestEngine(t, Config{Parallelism: 4, Executors: 4}))
 	if !reflect.DeepEqual(sortedRun(t, e, q), sortedRun(t, nested, q)) {
 		t.Error("fallback results diverge from nested loop")
 	}
@@ -252,7 +260,7 @@ func TestJoinDownstreamClausesStillApply(t *testing.T) {
 		count $i
 		return { "i": $i, "name": $n, "orders": count($o) }`
 	e := joinTestEngine(t, Config{Parallelism: 4, Executors: 4})
-	nested := joinTestEngine(t, Config{Parallelism: 4, Executors: 4, DisableJoin: true})
+	nested := nestedLoop(joinTestEngine(t, Config{Parallelism: 4, Executors: 4}))
 	got := run(t, e, q)
 	want := run(t, nested, q)
 	if !reflect.DeepEqual(got, want) {
@@ -289,7 +297,8 @@ func TestJoinNonIntegerDecimalKeyDoesNotMatchInteger(t *testing.T) {
 		where $a.k eq $b.k
 		return $a.v`
 	for _, disable := range []bool{false, true} {
-		e := New(Config{Parallelism: 2, Executors: 2, DisableJoin: disable})
+		e := New(Config{Parallelism: 2, Executors: 2})
+		e.env.NoJoin = disable
 		got, err := e.Query(q)
 		if err != nil {
 			t.Fatalf("disable=%v: %v", disable, err)
@@ -392,7 +401,7 @@ func joinOutcome(items []Item, err error) string {
 }
 
 // TestJoinProbeFilterConformance holds every probe-filter case to the
-// nested loop (DisableJoin) on the Spark-less engine and, at Executors 1, 2
+// nested loop (nestedLoop) on the Spark-less engine and, at Executors 1, 2
 // and 8, the cluster engine (Collect runs the DataFrame join, Stream the
 // local one), the vector engine and the vector engine over segments:
 // the same items, or the same error text. The one rewording is the key
@@ -404,7 +413,7 @@ func TestJoinProbeFilterConformance(t *testing.T) {
 		segmentConformanceData(t, e, dir)
 		return e
 	}
-	nested := engine(Config{Parallelism: 2, Executors: 2, DisableJoin: true})
+	nested := nestedLoop(engine(Config{Parallelism: 2, Executors: 2}))
 	type named struct {
 		name   string
 		eng    *Engine
@@ -422,7 +431,7 @@ func TestJoinProbeFilterConformance(t *testing.T) {
 	for _, tc := range joinProbeFilterCases {
 		t.Run(tc.name, func(t *testing.T) {
 			if plan := mustExplain(t, nested, tc.query); strings.Contains(plan, "Join[") {
-				t.Fatalf("DisableJoin engine still joins:\n%s", plan)
+				t.Fatalf("nested-loop engine still joins:\n%s", plan)
 			}
 			want := joinOutcome(nested.Query(tc.query))
 			if tc.wantErr != strings.HasPrefix(want, "error: ") || want == "" {

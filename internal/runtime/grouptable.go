@@ -129,15 +129,21 @@ func (tb *groupTable) fold(id int32, fresh bool, member [][]item.Item, partial b
 func (tb *groupTable) emit(yield func(key string, t tuple) error) error {
 	g := tb.g
 	nf, nk, nc := len(g.frame), len(g.specs), len(g.carry)
-	boxes := make([]item.Item, len(tb.counts)) // the count-only sums, boxed
+	counted := 0 // count-only carries: the only ones boxed
+	for _, c := range g.carry {
+		if c.countOnly {
+			counted++
+		}
+	}
+	keys := tb.ids.Keys()
+	boxes := make([]item.Item, len(keys)*counted) // the count-only sums, boxed
 	//rumble:ctxpoll-ok emits the groups folded from checkpointing sources, at most one per row; a cancelled sink's yield error aborts it
-	for id, key := range tb.ids.Keys() {
+	for id, key := range keys {
 		vals := tb.vals[id*nf : (id+1)*nf : (id+1)*nf]
 		for j, c := range g.carry {
 			if c.countOnly {
-				b := id*nc + j
-				boxes[b] = item.Int(tb.counts[b])
-				vals[nk+j] = boxes[b : b+1 : b+1]
+				boxes[0] = item.Int(tb.counts[id*nc+j])
+				vals[nk+j], boxes = boxes[:1:1], boxes[1:]
 			}
 		}
 		if err := yield(key, tuple{names: g.frame, values: vals}); err != nil {

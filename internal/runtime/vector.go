@@ -233,7 +233,7 @@ func (v *vectorIter) run(dc *DynamicContext, yield func(item.Item) error, rows f
 	ctx := dc.GoContext()
 	st := v.newMergeState()
 	workers := make([]vworker, v.workers)
-	err = sched.Ordered(ctx, v.workers,
+	err = sched.Ordered(ctx, v.workers, 4*v.workers,
 		func(emit func(vmorsel) error) error {
 			return v.scanMorsels(dc, func(m vmorsel) error {
 				hook("scan", m.idx)

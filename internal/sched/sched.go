@@ -2,10 +2,10 @@
 // internal/ that starts goroutines (the gosafe analyzer enforces it).
 // Ordered runs an indexed task stream under the contract every parallel
 // loop's answers rest on, so the schedule never shows in a result or an
-// error: spark stages and vector morsels run on it. Go starts the
-// goroutines of pipelines with a topology of their own (segment ingest).
-// Both contain panics: a panic becomes a *PanicError for the caller, never
-// a crashed process.
+// error: spark stages, vector morsels and segment ingest run on it. Go
+// starts only the segment store's background rebuild. Both contain
+// panics: a panic becomes a *PanicError for the caller, never a crashed
+// process.
 package sched
 
 import (
@@ -76,7 +76,7 @@ type outcome[R any] struct {
 // Tasks are claimed in index order and no task past a known failure
 // starts, so the error returned is the lowest-indexed task's — its own, a
 // panic, or ctx's (polled before each task; nil means none) — else
-// produce's, placed after its last task. At most 4*workers tasks are
+// produce's, placed after its last task. At most window (>= 1) tasks are
 // emitted and not yet merged, so a slow task cannot let the source run
 // ahead. prof, if non-nil, receives the workers' busy and wait time.
 //
@@ -84,7 +84,7 @@ type outcome[R any] struct {
 // Otherwise produce runs beside the workers, and all of them are joined
 // before Ordered returns; each call owns its goroutines, so a run nested
 // inside another run's task cannot deadlock.
-func Ordered[T, R any](ctx context.Context, workers int, produce func(emit func(T) error) error,
+func Ordered[T, R any](ctx context.Context, workers, window int, produce func(emit func(T) error) error,
 	work func(w int, t T) (R, error), merge func(idx int, r R) (stop bool, err error), prof *profile.Profile) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -92,7 +92,6 @@ func Ordered[T, R any](ctx context.Context, workers int, produce func(emit func(
 	if workers <= 1 {
 		return inline(ctx, produce, work, merge)
 	}
-	window := 4 * workers
 	var (
 		queue   = make(chan task[T], workers)   // one claim ready per worker
 		results = make(chan outcome[R], window) // never blocks: window bounds the tasks in flight

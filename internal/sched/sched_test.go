@@ -55,7 +55,7 @@ func TestOrderedMergesInIndexOrder(t *testing.T) {
 		const n = 300
 		seen := make([]atomic.Int32, workers)
 		next := 0
-		err := Ordered(context.Background(), workers, upTo(n),
+		err := Ordered(context.Background(), workers, 4*workers, upTo(n),
 			func(w int, v int) (int, error) {
 				seen[w].Add(1)
 				time.Sleep(time.Duration(rand.Intn(200)) * time.Microsecond)
@@ -88,7 +88,7 @@ func TestOrderedLowestFailureWins(t *testing.T) {
 	for _, workers := range workerCounts {
 		for run := 0; run < 20; run++ {
 			five := make(chan struct{})
-			err := Ordered(context.Background(), workers, upTo(50),
+			err := Ordered(context.Background(), workers, 4*workers, upTo(50),
 				func(_ int, v int) (int, error) {
 					switch v {
 					case 2:
@@ -120,7 +120,7 @@ func TestOrderedSkipsPastFailure(t *testing.T) {
 		var mu sync.Mutex
 		var started []int
 		queued, three := make(chan struct{}), make(chan struct{})
-		err := Ordered(context.Background(), workers,
+		err := Ordered(context.Background(), workers, 4*workers,
 			func(emit func(int) error) error {
 				for i := 0; ; i++ {
 					if err := emit(i); err != nil {
@@ -163,39 +163,42 @@ func TestOrderedSkipsPastFailure(t *testing.T) {
 }
 
 // TestOrderedBoundsInFlight: with a slow merge, the producer runs exactly
-// 4*workers tasks ahead of it and no further.
+// window tasks ahead of it and no further, at windows below, at and above
+// the worker count.
 func TestOrderedBoundsInFlight(t *testing.T) {
 	noLeaks(t)
 	for _, workers := range workerCounts {
-		var emitted atomic.Int64
-		peak := int64(0)
-		err := Ordered(context.Background(), workers,
-			func(emit func(int) error) error {
-				for i := 0; i < 60; i++ {
-					if err := emit(i); err != nil {
-						return err
+		for _, window := range []int{1, workers, 4 * workers} {
+			var emitted atomic.Int64
+			peak := int64(0)
+			err := Ordered(context.Background(), workers, window,
+				func(emit func(int) error) error {
+					for i := 0; i < 60; i++ {
+						if err := emit(i); err != nil {
+							return err
+						}
+						emitted.Add(1)
 					}
-					emitted.Add(1)
-				}
-				return nil
-			},
-			func(_ int, v int) (int, error) { return v, nil },
-			func(idx, _ int) (bool, error) {
-				// Tasks idx.. are emitted and not yet merged; the pause
-				// lets the producer fill whatever window it is allowed.
-				time.Sleep(2 * time.Millisecond)
-				peak = max(peak, emitted.Load()-int64(idx))
-				return false, nil
-			}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := int64(4 * workers)
-		if workers == 1 {
-			want = 0 // inline: each task merges before the next is emitted
-		}
-		if peak != want {
-			t.Fatalf("workers=%d: peak in flight %d, want %d", workers, peak, want)
+					return nil
+				},
+				func(_ int, v int) (int, error) { return v, nil },
+				func(idx, _ int) (bool, error) {
+					// Tasks idx.. are emitted and not yet merged; the pause
+					// lets the producer fill whatever window it is allowed.
+					time.Sleep(2 * time.Millisecond)
+					peak = max(peak, emitted.Load()-int64(idx))
+					return false, nil
+				}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(window)
+			if workers == 1 {
+				want = 0 // inline: each task merges before the next is emitted
+			}
+			if peak != want {
+				t.Fatalf("workers=%d window=%d: peak in flight %d, want %d", workers, window, peak, want)
+			}
 		}
 	}
 }
@@ -204,7 +207,7 @@ func TestOrderedStopJoins(t *testing.T) {
 	noLeaks(t)
 	for _, workers := range workerCounts {
 		merged := 0
-		err := Ordered(context.Background(), workers, upTo(-1),
+		err := Ordered(context.Background(), workers, 4*workers, upTo(-1),
 			func(_ int, v int) (int, error) { return v, nil },
 			func(idx, _ int) (bool, error) {
 				merged++
@@ -220,7 +223,7 @@ func TestOrderedCancelJoins(t *testing.T) {
 	noLeaks(t)
 	for _, workers := range workerCounts {
 		ctx, cancel := context.WithCancel(context.Background())
-		err := Ordered(ctx, workers, upTo(-1),
+		err := Ordered(ctx, workers, 4*workers, upTo(-1),
 			func(_ int, v int) (int, error) { return v, nil },
 			func(idx, _ int) (bool, error) {
 				if idx == 10 {
@@ -242,7 +245,7 @@ func TestOrderedInlineStartsNoGoroutine(t *testing.T) {
 			t.Errorf("%s: %d goroutines, want %d", where, n, before)
 		}
 	}
-	err := Ordered(context.Background(), 1,
+	err := Ordered(context.Background(), 1, 4,
 		func(emit func(int) error) error {
 			check("produce")
 			return upTo(5)(emit)
@@ -271,7 +274,7 @@ func TestOrderedContainsPanics(t *testing.T) {
 	}
 	for _, workers := range workerCounts {
 		for _, site := range []string{"work", "produce", "merge"} {
-			err := Ordered(context.Background(), workers,
+			err := Ordered(context.Background(), workers, 4*workers,
 				func(emit func(int) error) error {
 					for i := 0; i < 20; i++ {
 						if site == "produce" {
@@ -305,7 +308,7 @@ func TestOrderedContainsPanics(t *testing.T) {
 
 func TestOrderedMetersWorkers(t *testing.T) {
 	prof := profile.New(nil)
-	err := Ordered(context.Background(), 2, upTo(20),
+	err := Ordered(context.Background(), 2, 8, upTo(20),
 		func(_ int, v int) (int, error) {
 			time.Sleep(100 * time.Microsecond)
 			return v, nil

@@ -25,7 +25,7 @@ func Encode(rows []item.Item) ([]byte, []ColZone, error) {
 	}
 	b := newBuilder(rows)
 	var img memImage
-	_, _, zones, err := b.finish([]*laneGroup{b.lanes(0, 1)}, &img)
+	_, _, zones, err := b.finish(b.lanes(), &img)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -37,11 +37,9 @@ func Encode(rows []item.Item) ([]byte, []ColZone, error) {
 // order, which fixes the column dictionary. lanes then visits each value of
 // the plain rows, appending it to its column's tag and value lanes and
 // folding it into the column's zone map; each string value becomes the id of
-// its first occurrence in the lane group. The columns split into any number
-// of groups, one lanes call each, that share nothing and may run
-// concurrently. finish ranks the strings the groups collected into the
-// segment dictionary and streams the image, string codes patched in, to its
-// writer. The bytes depend on the rows alone, never on the grouping.
+// its first occurrence in the segment. finish ranks the strings lanes
+// collected into the segment dictionary and streams the image, string codes
+// patched in, to its writer.
 type builder struct {
 	rows   []item.Item
 	shape  []int32       // per row: index into shapes, -1 for an overflow row
@@ -104,56 +102,38 @@ type lane struct {
 	zone zoneAcc
 }
 
-// laneGroup is the output of one lanes call: the lanes of the columns whose
-// id is congruent to g modulo n, the distinct strings those columns hold in
-// first-seen order (a string's id is its index), and the ids listed in
-// string order.
+// laneGroup is the output of lanes: the lane of every column, by column
+// id, the distinct strings the lanes hold in first-seen order (a string's
+// id is its index), and the ids listed in string order.
 type laneGroup struct {
-	lanes  []lane // lanes[i] is column g + i*n
+	lanes  []lane
 	strs   []string
 	sorted []uint32
 }
 
-// lanes builds the lanes of column group g of n in two passes over the
-// rows' values. The first counts each lane's string values, so every id
-// lane and the group's id table are allocated once, at their final size;
-// the second fills the lanes. Overflow rows (non-objects, duplicate-key
-// objects) reconstruct wholesale and stay absent in every lane, exactly like
-// vector's Lookup over them.
-func (b *builder) lanes(g, n int) *laneGroup {
-	lg := &laneGroup{}
-	if ncols := len(b.cols); ncols > g {
-		lg.lanes = make([]lane, (ncols-g+n-1)/n)
-	}
+// lanes builds the lanes of every column in two passes over the rows'
+// values. The first counts each lane's string values, so every id lane and
+// the id table are allocated once, at their final size; the second fills
+// the lanes. Overflow rows (non-objects, duplicate-key objects) reconstruct
+// wholesale and stay absent in every lane, exactly like vector's Lookup
+// over them.
+func (b *builder) lanes() *laneGroup {
+	lg := &laneGroup{lanes: make([]lane, len(b.cols))}
 	tags := make([]byte, len(lg.lanes)*len(b.rows))
 	for i := range lg.lanes {
 		lg.lanes[i].tags = tags[i*len(b.rows) : (i+1)*len(b.rows) : (i+1)*len(b.rows)]
 	}
-	// slot is one value of a shape that belongs to this group: the key's
-	// position in the row and the index of the lane it feeds.
-	type slot struct {
-		key, lane int
-	}
-	slots := make([][]slot, b.shapes.Len())
 	counts := make([]int, len(lg.lanes))
-	total := 0 // string values in the group
+	total := 0 // string values in the segment's lanes
 	for ri, r := range b.rows {
 		si := b.shape[ri]
 		if si < 0 {
 			continue
 		}
-		if slots[si] == nil {
-			slots[si] = []slot{}
-			for ki, id := range b.keyIDs[si] {
-				if id%n == g {
-					slots[si] = append(slots[si], slot{key: ki, lane: id / n})
-				}
-			}
-		}
 		o := r.(*item.Object)
-		for _, s := range slots[si] {
-			if _, ok := o.ValueAt(s.key).(item.Str); ok {
-				counts[s.lane]++
+		for ki, id := range b.keyIDs[si] {
+			if _, ok := o.ValueAt(ki).(item.Str); ok {
+				counts[id]++
 				total++
 			}
 		}
@@ -171,10 +151,10 @@ func (b *builder) lanes(g, n int) *laneGroup {
 			continue
 		}
 		o := r.(*item.Object)
-		for _, s := range slots[si] {
-			l := &lg.lanes[s.lane]
+		for ki, id := range b.keyIDs[si] {
+			l := &lg.lanes[id]
 			l.zone.present++
-			switch v := o.ValueAt(s.key).(type) {
+			switch v := o.ValueAt(ki).(type) {
 			case item.Null:
 				l.tags[ri] = tagNull
 				l.zone.nulls++
@@ -267,15 +247,12 @@ const imageBuffer = 64 << 10
 // the payload CRC-32.
 const headerSize = len(Magic) + 1 + 4 + 4 + 4
 
-// finish streams the segment image built from the lane groups of one
-// grouping (groups[g] = lanes(g, len(groups))) to w, and returns its size,
-// its payload CRC and the zone maps. The body goes out through one bounded
-// buffer, its CRC accumulating as it goes; the header, which records that
-// CRC, is written last, in place. The first error of w is returned.
-func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc uint32, zones []ColZone, err error) {
-	n := len(groups)
-	laneOf := func(id int) *lane { return &groups[id%n].lanes[id/n] }
-
+// finish streams the segment image built from lg, the builder's lanes, to
+// w, and returns its size, its payload CRC and the zone maps. The body goes
+// out through one bounded buffer, its CRC accumulating as it goes; the
+// header, which records that CRC, is written last, in place. The first
+// error of w is returned.
+func (b *builder) finish(lg *laneGroup, w imageWriter) (size int64, crc uint32, zones []ColZone, err error) {
 	// Overflow rows reconstruct from their exact encoding. A duplicate-key
 	// object among them still answers field lookups, so every top-level
 	// string it holds resolves through the dictionary too, and its first
@@ -297,7 +274,7 @@ func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc ui
 			}
 		}
 	}
-	table, codes := mergeDictionary(groups, dupStrs)
+	table, codes := mergeDictionary(lg, dupStrs)
 
 	out := &stream{w: w, buf: make([]byte, headerSize, imageBuffer), body: headerSize}
 	out.uvarint(uint64(len(b.cols)))
@@ -323,11 +300,10 @@ func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc ui
 	// the block's byte length so a projecting reader skips a whole column
 	// without parsing it.
 	for id := range b.cols {
-		l := laneOf(id)
-		c := codes[id%n]
-		out.uvarint(uint64(len(l.tags) + l.valuesLen(c)))
+		l := &lg.lanes[id]
+		out.uvarint(uint64(len(l.tags) + l.valuesLen(codes)))
 		out.write(l.tags)
-		l.writeValues(out, c)
+		l.writeValues(out, codes)
 	}
 	out.flush()
 	if out.err != nil {
@@ -349,8 +325,8 @@ func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc ui
 	byName := make(map[string]*zoneAcc, len(b.cols))
 	names := slices.Clone(b.cols)
 	for id, name := range b.cols {
-		l := laneOf(id)
-		l.zone.addStrings(l.strs, codes[id%n], table)
+		l := &lg.lanes[id]
+		l.zone.addStrings(l.strs, codes, table)
 		byName[name] = &l.zone
 	}
 	for _, o := range dupRows {
@@ -375,45 +351,32 @@ func (b *builder) finish(groups []*laneGroup, w imageWriter) (size int64, crc ui
 }
 
 // mergeDictionary builds the segment dictionary — every distinct string of
-// the lane groups and of the duplicate-key rows (extra), sorted, so that
+// the lanes and of the duplicate-key rows (extra), sorted, so that
 // comparison kernels can rank a literal against it by binary search — and
-// returns with it the code of every string a group interned, by group and
-// interned id. Each group's strings arrive sorted; one merge ranks them all.
-func mergeDictionary(groups []*laneGroup, extra []string) (table []string, codes [][]uint32) {
+// returns with it the code of every string the lanes interned, by interned
+// id. The lanes' strings arrive distinct and sorted; one merge with the
+// sorted extra ranks them all.
+func mergeDictionary(lg *laneGroup, extra []string) (table []string, codes []uint32) {
 	slices.Sort(extra)
-	n, total := len(groups), len(extra)
-	codes = make([][]uint32, n)
-	for g, lg := range groups {
-		codes[g] = make([]uint32, len(lg.strs))
-		total += len(lg.strs)
+	codes = make([]uint32, len(lg.strs))
+	table = make([]string, 0, len(lg.strs)+len(extra))
+	add := func(s string) {
+		if len(table) == 0 || table[len(table)-1] != s {
+			table = append(table, s)
+		}
 	}
-	table = make([]string, 0, total)
-	heads := make([]int, n) // per group: how many of its sorted strings are merged
-	for {
-		best, from := "", -1
-		for g, lg := range groups {
-			if heads[g] < len(lg.sorted) {
-				if s := lg.strs[lg.sorted[heads[g]]]; from < 0 || s < best {
-					best, from = s, g
-				}
-			}
+	for _, id := range lg.sorted {
+		s := lg.strs[id]
+		for ; len(extra) > 0 && extra[0] < s; extra = extra[1:] {
+			add(extra[0])
 		}
-		if len(extra) > 0 && (from < 0 || extra[0] < best) {
-			best, from = extra[0], n
-		}
-		if from < 0 {
-			return table, codes
-		}
-		if len(table) == 0 || table[len(table)-1] != best {
-			table = append(table, best)
-		}
-		if from == n {
-			extra = extra[1:]
-			continue
-		}
-		codes[from][groups[from].sorted[heads[from]]] = uint32(len(table) - 1)
-		heads[from]++
+		add(s)
+		codes[id] = uint32(len(table) - 1)
 	}
+	for _, s := range extra {
+		add(s)
+	}
+	return table, codes
 }
 
 // uvarintLen is the encoded size of n as a uvarint.

@@ -31,28 +31,25 @@ func decodeLines(t *testing.T, data []byte) []item.Item {
 	return rows
 }
 
-// encodeGrouped encodes rows with their columns split into n lane groups.
-func encodeGrouped(t *testing.T, rows []item.Item, n int) (*builder, []*laneGroup, []byte, []ColZone) {
+// encodeLanes encodes rows, returning their lanes beside the image.
+func encodeLanes(t *testing.T, rows []item.Item) (*builder, *laneGroup, []byte, []ColZone) {
 	t.Helper()
 	b := newBuilder(rows)
-	groups := make([]*laneGroup, n)
-	for g := range groups {
-		groups[g] = b.lanes(g, n)
-	}
+	lg := b.lanes()
 	var img memImage
-	size, crc, zones, err := b.finish(groups, &img)
+	size, crc, zones, err := b.finish(lg, &img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != int64(len(img)) || crc != headerCRC(img) || crc != crc32.ChecksumIEEE(img[headerSize:]) {
 		t.Fatalf("finish returned size %d crc %08x for a %d-byte image with header crc %08x", size, crc, len(img), headerCRC(img))
 	}
-	return b, groups, img, zones
+	return b, lg, img, zones
 }
 
-// TestEncodeDedupesStrings: every lane group numbers each of its distinct
-// strings once, every string value's id names that very string, and the
-// image and zone maps match the oracle's at every lane grouping.
+// TestEncodeDedupesStrings: the lanes number each distinct string once,
+// every string value's id names that very string, and the image and zone
+// maps match the oracle's.
 func TestEncodeDedupesStrings(t *testing.T) {
 	var many strings.Builder
 	for i := 0; i < 80; i++ { // five times keytab's smallest index
@@ -60,8 +57,7 @@ func TestEncodeDedupesStrings(t *testing.T) {
 	}
 	cases := map[string]string{
 		"one string in every row": strings.Repeat("{\"s\": \"only\", \"n\": 1}\n", 300),
-		// Columns a..h: with two or more groups, a and b land in different
-		// ones, as do a and c at three.
+		// One string shared by columns a..h, met first in a, last in h.
 		"one string in columns of different groups": strings.Repeat("{\"a\": \"x\", \"b\": \"x\", \"c\": \"x\", \"d\": 1, \"e\": \"y\", \"f\": \"x\", \"g\": \"x\", \"h\": \"x\"}\n", 5) +
 			"{\"h\": \"x\", \"a\": \"y\"}\n",
 		"a lane string in a duplicate-key row": "{\"a\": \"x\", \"b\": \"dup only\"}\n" +
@@ -78,35 +74,30 @@ func TestEncodeDedupesStrings(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantZones, _ := json.Marshal(oracleZoneMaps(rows))
-			for _, n := range []int{1, 2, 3, 8} {
-				b, groups, img, zones := encodeGrouped(t, rows, n)
-				if !bytes.Equal(img, want) {
-					t.Fatalf("%d groups: image differs from the oracle's (%d vs %d bytes)", n, len(img), len(want))
-				}
-				if got, _ := json.Marshal(zones); !bytes.Equal(got, wantZones) {
-					t.Fatalf("%d groups: zone maps differ:\n got %s\nwant %s", n, got, wantZones)
-				}
-				for g, lg := range groups {
-					seen := map[string]bool{}
-					for _, s := range lg.strs {
-						if seen[s] {
-							t.Fatalf("%d groups: group %d numbers %q twice", n, g, s)
-						}
-						seen[s] = true
-					}
-					checkStringIDs(t, b, lg, g, n)
-				}
+			b, lg, img, zones := encodeLanes(t, rows)
+			if !bytes.Equal(img, want) {
+				t.Fatalf("image differs from the oracle's (%d vs %d bytes)", len(img), len(want))
 			}
+			if got, _ := json.Marshal(zones); !bytes.Equal(got, wantZones) {
+				t.Fatalf("zone maps differ:\n got %s\nwant %s", got, wantZones)
+			}
+			seen := map[string]bool{}
+			for _, s := range lg.strs {
+				if seen[s] {
+					t.Fatalf("%q numbered twice", s)
+				}
+				seen[s] = true
+			}
+			checkStringIDs(t, b, lg)
 		})
 	}
 }
 
-// checkStringIDs checks that every string value of lane group g of n is
-// listed under the id its lane holds for it, in row order.
-func checkStringIDs(t *testing.T, b *builder, lg *laneGroup, g, n int) {
+// checkStringIDs checks that every string value of the lanes is listed
+// under the id its lane holds for it, in row order.
+func checkStringIDs(t *testing.T, b *builder, lg *laneGroup) {
 	t.Helper()
-	for i := range lg.lanes {
-		col := b.cols[g+i*n]
+	for i, col := range b.cols {
 		ids := lg.lanes[i].strs
 		for ri, r := range b.rows {
 			if b.shape[ri] < 0 {
@@ -161,7 +152,7 @@ func TestFinishReturnsWriteErrors(t *testing.T) {
 	rows := decodeLines(t, generated(datagen.NewRedditGenerator(5), Rows))
 	b := newBuilder(rows)
 	var whole memImage
-	if _, _, _, err := b.finish([]*laneGroup{b.lanes(0, 1)}, &whole); err != nil {
+	if _, _, _, err := b.finish(b.lanes(), &whole); err != nil {
 		t.Fatal(err)
 	}
 	flushes := (len(whole) + imageBuffer - 1) / imageBuffer
@@ -174,7 +165,7 @@ func TestFinishReturnsWriteErrors(t *testing.T) {
 		{okWrites: -1, failWriteAt: true},
 	} {
 		w.imageWriter = &memImage{}
-		_, _, zones, err := b.finish([]*laneGroup{b.lanes(0, 1)}, w)
+		_, _, zones, err := b.finish(b.lanes(), w)
 		if !errors.Is(err, errDiskFull) || zones != nil {
 			t.Fatalf("writes ok %d, header fails %v: finish returned %v, %d zone maps; want the write error",
 				w.okWrites, w.failWriteAt, err, len(zones))
@@ -205,7 +196,7 @@ func TestEncodeAllocCeiling(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		_, _, _, err := b.finish([]*laneGroup{b.lanes(0, 1)}, discardImage{})
+		_, _, _, err := b.finish(b.lanes(), discardImage{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -2,10 +2,10 @@ package segment
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rumble/internal/dfs"
@@ -49,9 +48,9 @@ func (st IngestStats) String() string {
 		float64(st.Duration)/1e6, st.Rows, st.Segments, st.Workers)
 }
 
-// testHook, set only by tests, observes the pipeline: stages "parse",
+// testHook, set only by tests, observes an ingest: stages "parse",
 // "assemble", "encode" and "rebuild" as that step starts for chunk or
-// segment n, and "rows" with the change in parsed rows the pipeline holds.
+// segment n, and "rows" with the change in parsed rows the ingest holds.
 var testHook func(event string, n int)
 
 func hook(event string, n int) {
@@ -64,8 +63,8 @@ func hook(event string, n int) {
 // written to.
 var testWriter func(imageWriter) imageWriter
 
-// named turns a panic contained by sched.Safely or sched.Go into a
-// structured error naming the source; other errors pass through.
+// named turns a panic contained by sched.Safely, sched.Ordered or sched.Go
+// into a structured error naming the source; other errors pass through.
 func named(source string, err error) error {
 	if p, ok := err.(*sched.PanicError); ok {
 		return errf(source, "%v", p)
@@ -93,96 +92,18 @@ func IngestDataset(source string) (*Dataset, error) {
 	return ds, err
 }
 
-// chunk is one parse task: whole lines of one source file, and what came of
-// parsing them. rows and err are the parsing worker's until done is closed.
+// chunk is one parse task: whole lines of one source file.
 type chunk struct {
 	idx  int
 	path string
 	data []byte
-	rows []item.Item
-	err  error
-	done chan struct{}
 }
 
-// segTask is one segment on its way to disk. The workers that build its
-// lane groups share it; whichever finishes last lays out the image, writes
-// the file and frees the pipeline slot.
+// segTask is one segment's rows, assembled and resolved to their shapes,
+// on their way to the segment file idx.
 type segTask struct {
-	idx     int
-	b       *builder
-	groups  []*laneGroup
-	pending atomic.Int32
-
-	mu   sync.Mutex // guards err
-	err  error
-	meta Meta // written by the finishing worker, read after the workers exit
-}
-
-func (s *segTask) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-func (s *segTask) failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != nil
-}
-
-// pipeline is one ingest in flight. A single reader walks the source once,
-// hashing every chunk it cuts and queueing it for the workers; the workers
-// parse chunks and build segments; the caller's goroutine assembles parsed
-// rows, in scan order, into segments. Back-pressure bounds what is in
-// flight to workers+1 chunks and workers segments beside the one being
-// assembled, whatever the source's size.
-type pipeline struct {
-	source    string
-	tmp       string
-	workers   int
-	chunkSize int
-
-	tasks chan func()   // parse and lane-group tasks, run by the workers
-	order chan *chunk   // every chunk read, in scan order
-	stop  chan struct{} // closed on the first failure: pending work is skipped
-	busy  atomic.Int32  // tasks queued or running
-
-	chunkSlots chan struct{} // held from a chunk's read until its rows are assembled
-	segSlots   chan struct{} // held from a segment's dispatch until it is written
-
-	// decoders holds one JSON decoder per worker, taken by a parse task for
-	// its chunk: a worker's rows share shapes and boxed strings across its
-	// chunks. No more parse tasks run than there are workers, so a take
-	// never waits.
-	decoders chan *jparse.Decoder
-
-	segs []*segTask
-
-	// The reader's results, valid once order is closed.
-	hash    string
-	bytes   int64
-	readErr error
-}
-
-func (p *pipeline) stopped() bool {
-	select {
-	case <-p.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// submit queues a task for the workers. The queue may be full; workers never
-// submit, so it always drains.
-func (p *pipeline) submit(task func()) {
-	p.busy.Add(1)
-	p.tasks <- func() {
-		defer p.busy.Add(-1)
-		task()
-	}
+	idx int
+	b   *builder
 }
 
 // readSource walks the data files of source once, in scan order, cutting
@@ -227,161 +148,104 @@ func readSource(source, op string, chunkSize int, buf []byte, take func(path str
 	return hex.EncodeToString(h.Sum(nil)), total, nil
 }
 
-var errStopped = errors.New("ingest stopped")
-
 // chunkBuffers recycles chunk byte buffers, across ingests too: a chunk's
 // bytes are dead once it is parsed.
 var chunkBuffers = sync.Pool{New: func() any { return []byte(nil) }}
 
-// read is the reader goroutine: one pass over the source, every chunk
-// hashed, then queued for parsing and listed in order.
-func (p *pipeline) read() error {
-	// A chunk needs a slot before it is read, so a stalled assembler stops
-	// the reader, not just the parsing.
-	nextBuffer := func() ([]byte, error) {
-		select {
-		case p.chunkSlots <- struct{}{}:
+// parseSource is the producer of an ingest's outer run, itself an ordered
+// run over the source's chunks: readSource reads and hashes each on the
+// run's producer, a worker parses it, and the merge assembles the parsed
+// rows in scan order — so the first error it meets is the first in scan
+// order, whichever task failed first — into segments, each handed to emit
+// as soon as it is full, then the partial tail. It returns readSource's
+// hash and byte count. The window of workers chunks, with the one being
+// read, bounds the chunk buffers in flight to workers+1.
+func parseSource(source string, workers, chunkSize int, emit func(segTask) error) (hash string, size int64, err error) {
+	// One decoder per worker, made on its first chunk: a worker's rows share
+	// item.Shapes across its chunks, which the builder keys its per-shape
+	// work by.
+	decs := make([]*jparse.Decoder, workers)
+	var rows []item.Item // allocated once the segment has a row
+	segs := 0
+	flush := func() error {
+		hook("assemble", segs)
+		s := segTask{idx: segs, b: newBuilder(rows)}
+		segs, rows = segs+1, nil
+		return emit(s)
+	}
+	err = sched.Ordered(context.Background(), workers, workers, func(emitChunk func(chunk) error) error {
+		var err error
+		next := 0
+		hash, size, err = readSource(source, "ingest", chunkSize, chunkBuffers.Get().([]byte), func(path string, data []byte) ([]byte, error) {
+			if err := emitChunk(chunk{idx: next, path: path, data: data}); err != nil {
+				return nil, err
+			}
+			next++
 			return chunkBuffers.Get().([]byte), nil
-		case <-p.stop:
-			return nil, errStopped
-		}
-	}
-	buf, err := nextBuffer()
-	if err != nil {
+		})
 		return err
-	}
-	next := 0
-	p.hash, p.bytes, err = readSource(p.source, "ingest", p.chunkSize, buf, func(path string, data []byte) ([]byte, error) {
-		c := &chunk{idx: next, path: path, data: data, done: make(chan struct{})}
-		next++
-		p.order <- c // never blocks: the chunk holds a slot
-		p.submit(func() { p.parse(c) })
-		return nextBuffer()
-	})
-	return err
-}
-
-// parse decodes the lines of c with a worker's decoder: the rows it decodes
-// share item.Shapes, which the segment builder keys its per-shape work by.
-func (p *pipeline) parse(c *chunk) {
-	defer close(c.done)
-	c.err = named(p.source, sched.Safely(func() error {
-		if p.stopped() {
-			return errStopped
-		}
+	}, func(w int, c chunk) ([]item.Item, error) {
 		hook("parse", c.idx)
-		dec := <-p.decoders
-		defer func() { p.decoders <- dec }()
+		if decs[w] == nil {
+			decs[w] = jparse.NewDecoder()
+		}
+		var parsed []item.Item
 		err := dfs.Lines(c.data, func(line []byte) error {
-			it, err := dec.Decode(line)
+			it, err := decs[w].Decode(line)
 			if err != nil {
 				return errf(c.path, "ingest: %v", err)
 			}
-			c.rows = append(c.rows, it)
+			parsed = append(parsed, it)
 			return nil
 		})
-		hook("rows", len(c.rows))
-		return err
-	}))
-	chunkBuffers.Put(c.data[:0])
-	c.data = nil
-}
-
-// assemble runs on the ingesting goroutine: it takes the parsed chunks in
-// scan order — so the first error it meets is the first in scan order,
-// whichever task failed first — and cuts their rows into segments, each
-// dispatched to the workers as soon as it is full.
-func (p *pipeline) assemble() error {
-	rows := make([]item.Item, 0, Rows)
-	for c := range p.order {
-		<-c.done
-		<-p.chunkSlots
-		if c.err != nil {
-			return c.err
-		}
-		for rest := c.rows; len(rest) > 0; {
-			n := min(Rows-len(rows), len(rest))
-			rows = append(rows, rest[:n]...)
-			rest = rest[n:]
-			if len(rows) == Rows {
-				p.dispatch(rows)
+		hook("rows", len(parsed))
+		chunkBuffers.Put(c.data[:0])
+		return parsed, err
+	}, func(_ int, parsed []item.Item) (bool, error) {
+		for len(parsed) > 0 {
+			if rows == nil {
 				rows = make([]item.Item, 0, Rows)
 			}
+			n := min(Rows-len(rows), len(parsed))
+			rows, parsed = append(rows, parsed[:n]...), parsed[n:]
+			if len(rows) == Rows {
+				if err := flush(); err != nil {
+					return false, err
+				}
+			}
 		}
+		return false, nil
+	}, nil)
+	if err == nil && len(rows) > 0 {
+		err = flush()
 	}
-	if p.readErr != nil {
-		return p.readErr
-	}
-	if len(rows) > 0 {
-		p.dispatch(rows)
-	}
-	return nil
+	return hash, size, err
 }
 
-// dispatch hands one segment's rows to the workers. A segment is normally
-// one task; when workers sit idle as it is dispatched — the source has
-// nothing left to parse, or never had enough to go round — its columns
-// split into one lane group per idle worker.
-func (p *pipeline) dispatch(rows []item.Item) {
-	hook("assemble", len(p.segs))
-	p.segSlots <- struct{}{}
-	s := &segTask{idx: len(p.segs), b: newBuilder(rows)}
-	p.segs = append(p.segs, s)
-	n := max(1, p.workers-int(p.busy.Load()))
-	s.groups = make([]*laneGroup, n)
-	s.pending.Store(int32(n))
-	for g := 0; g < n; g++ {
-		p.submit(func() { p.encode(s, g) })
-	}
-}
-
-// encode builds lane group g of s; the worker that completes the last group
-// finishes the segment.
-func (p *pipeline) encode(s *segTask, g int) {
-	err := named(p.source, sched.Safely(func() error {
-		if p.stopped() || s.failed() {
-			return nil
-		}
-		hook("encode", s.idx)
-		s.groups[g] = s.b.lanes(g, len(s.groups))
-		return nil
-	}))
+// writeSegment lays out the image of s and writes it to its segment file in
+// the staging directory tmp.
+func writeSegment(source, tmp string, s segTask) (Meta, error) {
+	defer hook("rows", -len(s.b.rows))
+	hook("encode", s.idx)
+	lg := s.b.lanes()
+	name := fmt.Sprintf("seg-%05d.rseg", s.idx)
+	f, err := os.OpenFile(filepath.Join(tmp, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		s.fail(err)
+		return Meta{}, errf(source, "ingest: %v", err)
 	}
-	if s.pending.Add(-1) > 0 {
-		return
+	defer f.Close() // after a panic; the checked Close is below
+	var w imageWriter = f
+	if testWriter != nil {
+		w = testWriter(f)
 	}
-	err = named(p.source, sched.Safely(func() error {
-		if p.stopped() || s.failed() {
-			return nil
-		}
-		name := fmt.Sprintf("seg-%05d.rseg", s.idx)
-		f, err := os.OpenFile(filepath.Join(p.tmp, name), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return errf(p.source, "ingest: %v", err)
-		}
-		defer f.Close() // after a panic; the checked Close is below
-		var w imageWriter = f
-		if testWriter != nil {
-			w = testWriter(f)
-		}
-		size, crc, zones, err := s.b.finish(s.groups, w)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return errf(p.source, "ingest: %v", err)
-		}
-		s.meta = Meta{File: name, Rows: len(s.b.rows), Bytes: size, CRC: crc, Cols: zones}
-		return nil
-	}))
+	size, crc, zones, err := s.b.finish(lg, w)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		s.fail(err)
+		return Meta{}, errf(source, "ingest: %v", err)
 	}
-	hook("rows", -len(s.b.rows))
-	s.b, s.groups = nil, nil
-	<-p.segSlots
+	return Meta{File: name, Rows: len(s.b.rows), Bytes: size, CRC: crc, Cols: zones}, nil
 }
 
 // ingest is the one ingest loop: Ingest, a store's first touch and its
@@ -432,64 +296,24 @@ func runIngest(source string, workers, chunkSize int) (*Dataset, IngestStats, er
 	fp := settle(statSource(source), probe)
 	probe.Close()
 
-	p := &pipeline{
-		source: source, tmp: tmp, workers: workers, chunkSize: chunkSize,
-		// Every queued task is a parse of a chunk holding a slot or a lane
-		// group of a segment holding one; at this size a submit only blocks
-		// when a fully fanned-out segment meets a full set of chunks.
-		tasks:      make(chan func(), 2*workers+1),
-		order:      make(chan *chunk, workers+1), // one per chunk slot
-		stop:       make(chan struct{}),
-		chunkSlots: make(chan struct{}, workers+1),
-		segSlots:   make(chan struct{}, workers),
-		decoders:   make(chan *jparse.Decoder, workers),
-	}
-	for i := 0; i < workers; i++ {
-		p.decoders <- jparse.NewDecoder()
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		sched.Go(&wg, func() error {
-			for task := range p.tasks {
-				task() // a task contains its own panics: its result must resolve
-			}
-			return nil
-		}, func(error) {})
-	}
-	sched.Go(&wg, p.read, func(err error) {
-		if err != errStopped {
-			p.readErr = named(source, err)
-		}
-		close(p.order)
-	})
-
-	// A panic while assembling is one more failure: the reader and the
-	// workers are still joined below.
-	err = named(source, sched.Safely(p.assemble))
-	if err != nil {
-		close(p.stop)
-		for range p.order {
-			// Let the reader run into the stop.
-		}
-	}
-	close(p.tasks)
-	wg.Wait()
-	// Every segment dispatched precedes, in scan order, the chunk whose
-	// error stopped the assembly: a segment's failure comes first.
-	for _, s := range p.segs {
-		if s.err != nil {
-			err = s.err
-			break
-		}
-	}
+	// Two nested ordered runs: the outer one's producer is parseSource's
+	// run, its workers encode and write segments, and its merge lists them
+	// in the manifest. Its window of workers segments, with the one being
+	// assembled, bounds the parsed rows in flight.
+	m := Manifest{Version: Version}
+	err = sched.Ordered(context.Background(), workers, workers, func(emit func(segTask) error) error {
+		var err error
+		m.SourceHash, m.SourceBytes, err = parseSource(source, workers, chunkSize, emit)
+		return err
+	}, func(_ int, s segTask) (Meta, error) {
+		return writeSegment(source, tmp, s)
+	}, func(_ int, meta Meta) (bool, error) {
+		m.Segments = append(m.Segments, meta)
+		m.Rows += int64(meta.Rows)
+		return false, nil
+	}, nil)
 	if err != nil {
 		return nil, IngestStats{}, err
-	}
-
-	m := Manifest{Version: Version, SourceHash: p.hash, SourceBytes: p.bytes}
-	for _, s := range p.segs {
-		m.Segments = append(m.Segments, s.meta)
-		m.Rows += int64(s.meta.Rows)
 	}
 	m.Checksum = m.checksum()
 	mdata, err := json.MarshalIndent(m, "", " ")

@@ -345,7 +345,7 @@ func TestColdFetchDoesNotAliasReadBuffer(t *testing.T) {
 		datasets = append(datasets, ds)
 	}
 	var got []*ColumnSet
-	err := sched.Ordered(context.Background(), 4, func(emit func(fetch) error) error {
+	err := sched.Ordered(context.Background(), 4, 16, func(emit func(fetch) error) error {
 		for round := 0; round < 3; round++ {
 			for seg := 0; seg < datasets[0].NumSegments(); seg++ {
 				for _, ds := range datasets {

@@ -253,7 +253,8 @@ func (c *Context) SimulateIO(blocks int) {
 // evaluating its parent) cannot deadlock the pool.
 func (c *Context) runStage(parts int, task func(p int) error) error {
 	c.metrics.StagesRun.Add(1)
-	return sched.Ordered(context.Background(), min(c.conf.Executors, parts),
+	workers := min(c.conf.Executors, parts)
+	return sched.Ordered(context.Background(), workers, 4*workers,
 		func(emit func(int) error) error {
 			for p := 0; p < parts; p++ {
 				if err := emit(p); err != nil {

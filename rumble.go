@@ -85,10 +85,6 @@ type Config struct {
 	// IOLatency, when positive, simulates storage latency per 64 KiB
 	// block read, for cluster-scalability experiments.
 	IOLatency time.Duration
-	// DisableJoin turns off the compiler's static equi-join detection so
-	// nested "for ... for ... where" queries keep their nested-loop
-	// evaluation; only tests set it, to compare the two.
-	DisableJoin bool
 	// Vectorize enables the columnar local backend: eligible FLWOR
 	// pipelines (scan → filter → project → group/aggregate, order-by
 	// with fused top-k, positional/count clauses, and detected hash
@@ -142,7 +138,6 @@ func New(cfg Config) *Engine {
 			Collections: map[string]string{},
 			InMemory:    map[string][]item.Item{},
 			SplitSize:   cfg.SplitSize,
-			NoJoin:      cfg.DisableJoin,
 			Vectorize:   cfg.Vectorize,
 			VerifyPlans: cfg.VerifyPlans || os.Getenv("RUMBLE_VERIFY_PLANS") == "1",
 			Segments:    segs,
