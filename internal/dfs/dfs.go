@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // DefaultSplitSize is the split granularity for single large files,
@@ -85,11 +84,13 @@ func fileSplits(path string, size, splitSize int64) []Split {
 	return splits
 }
 
-// readerSize is the buffer of the pooled split readers; a line up to this
+// readerSize is the buffer of the recycled split readers; a line up to this
 // long is yielded as a view of the buffer.
 const readerSize = 256 << 10
 
-var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readerSize) }}
+// readers recycles split readers, so a ReadLines call reuses a released
+// reader's buffer instead of allocating one.
+var readers = FreeList[*bufio.Reader]{New: func() *bufio.Reader { return bufio.NewReaderSize(nil, readerSize) }}
 
 // ReadLines streams the lines belonging to split through yield. Boundary
 // handling follows Hadoop: skip a partial first line unless at offset 0,
@@ -101,7 +102,7 @@ var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, reader
 // report I/O at all, making latency simulation (and the cluster speedups
 // it demonstrates) silently disappear for fine-grained splits.
 //
-// The line is valid only until yield returns: it is a view of a pooled
+// The line is valid only until yield returns: it is a view of a recycled
 // reader's buffer (of an owned buffer, reused the same way, for a line
 // longer than the reader) that the next line overwrites. A caller that
 // keeps a line past its yield must copy it.
@@ -116,7 +117,7 @@ func ReadLines(split Split, blockObserver func(blocks int), yield func(line []by
 			return fmt.Errorf("dfs: %w", err)
 		}
 	}
-	r := readers.Get().(*bufio.Reader)
+	r := readers.Get()
 	r.Reset(countedFile{f})
 	defer func() {
 		r.Reset(nil) // an idle reader must not pin the closed file

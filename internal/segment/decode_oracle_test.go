@@ -10,8 +10,10 @@ import (
 
 // The row decoder: the independent oracle FuzzSegmentDecode,
 // TestDecodeTorture and the round-trip tests check the lane decoder and
-// ColumnSet.Row against. It shares only the image check and prefix parse
-// with them; lanes decode to items and rows assemble row-at-a-time.
+// ColumnSet.Row against. It shares only the image check and the column
+// names and row shapes of the prefix parse with them; the string table is
+// read entry by entry, lanes decode to items and rows assemble
+// row-at-a-time.
 
 // Decoded is one segment's decoded contents: the materialized rows and
 // the column dictionary.
@@ -30,6 +32,10 @@ func Decode(path string, data []byte) (*Decoded, error) {
 		return nil, err
 	}
 	p, err := parsePrefix(img)
+	if err != nil {
+		return nil, err
+	}
+	table, err := readTable(img)
 	if err != nil {
 		return nil, err
 	}
@@ -74,10 +80,10 @@ func Decode(path string, data []byte) (*Decoded, error) {
 				if err != nil {
 					return nil, err
 				}
-				if code >= uint64(len(p.Dict)) {
+				if code >= uint64(len(table)) {
 					return nil, errf(path, "column %q row %d: string code %d out of range", cols[ci], ri, code)
 				}
-				lane[ri] = item.Str(p.Dict[code])
+				lane[ri] = item.Str(table[code])
 			case tagDec:
 				s, err := lr.str()
 				if err != nil {
@@ -131,4 +137,33 @@ func Decode(path string, data []byte) (*Decoded, error) {
 		out[ri] = item.NewObject(keys, values)
 	}
 	return &Decoded{Rows: out, Cols: cols}, nil
+}
+
+// readTable reads the string table of a validated image as one string per
+// entry, skipping the column names before it.
+func readTable(img image) ([]string, error) {
+	r := &reader{path: img.path, data: img.payload}
+	ncols, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	for ; ncols > 0; ncols-- {
+		if _, err := r.sized(); err != nil {
+			return nil, err
+		}
+	}
+	nstr, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nstr > uint64(len(img.payload)) {
+		return nil, errf(img.path, "string table lists %d entries in %d payload bytes", nstr, len(img.payload))
+	}
+	table := make([]string, nstr)
+	for i := range table {
+		if table[i], err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	return table, nil
 }

@@ -19,7 +19,7 @@ import (
 	"math"
 	"math/big"
 	"slices"
-	"sort"
+	"strings"
 
 	"rumble/internal/item"
 	"rumble/internal/keytab"
@@ -88,23 +88,23 @@ func errf(path, format string, args ...any) error {
 // ColumnSet is the decoded form of one segment, and the only one: the row
 // shapes (parsed on every decode, so whole rows can be assembled late, for
 // just the rows that survive a pipeline) plus one full-segment-length
-// vector.Col per resident field, built straight from the tag and value
-// lanes without materializing row items. String lanes stay
-// dictionary-encoded (codes in the Ints lane, the shared sorted table in
-// Col.Dict). Overflow rows — non-objects, duplicate-key objects —
-// contribute their field values through the same item lookup rule Row's
+// vector.Col per resident field, built straight from the tag and value lanes
+// without materializing row items. String lanes stay dictionary-encoded
+// (codes in the Ints lane, the shared sorted table, one string for all its
+// entries, in Col.Dict). Overflow rows — non-objects, duplicate-key objects
+// — contribute their field values through the same item lookup rule Row's
 // items answer, so a column is row-for-row identical to vector's Lookup over
 // the assembled rows. A ColumnSet is immutable: grow returns a new snapshot
 // sharing the shapes, the dictionary and every lane already decoded.
 type ColumnSet struct {
 	NumRows int
-	Dict    []string // the segment string table, shared by every lane
 
-	names    []string    // column dictionary, first-seen order
-	shapes   []rowShape  // the distinct plain-object row shapes
-	shapeOf  []int32     // per row: index into shapes, or ^index into overflow
-	overflow []item.Item // whole values of non-object and duplicate-key rows
-	laneOff  int         // payload offset of the first column lane block
+	dict     *vector.Dict // the segment string table, shared by every lane
+	names    []string     // column dictionary, first-seen order
+	shapes   []rowShape   // the distinct plain-object row shapes
+	shapeOf  []int32      // per row: index into shapes, or ^index into overflow
+	overflow []item.Item  // whole values of non-object and duplicate-key rows
+	laneOff  int          // payload offset of the first column lane block
 	cols     map[string]*vector.Col
 	byID     []*vector.Col // resident lanes by column id, nil when not resident
 	bytes    int64
@@ -202,7 +202,7 @@ func openImage(path string, data []byte) (image, error) {
 	// is the only header bound the format actually implies — anything
 	// tighter falsely rejects sparse/wide data (a short tail segment with
 	// many distinct keys). The CRC above guards corruption and the
-	// dictionary loop in parsePrefix is bounds-checked.
+	// dictionary loop in readDict is bounds-checked.
 	if img.ncols < 0 || img.ncols > len(img.payload) {
 		return image{}, errf(path, "column count %d exceeds %d payload bytes", img.ncols, len(img.payload))
 	}
@@ -239,14 +239,12 @@ func parsePrefix(img image) (*ColumnSet, error) {
 	if nstr > uint64(len(payload)) {
 		return nil, errf(path, "string table lists %d entries in %d payload bytes", nstr, len(payload))
 	}
-	table := make([]string, nstr)
-	for i := range table {
-		if table[i], err = r.str(); err != nil {
-			return nil, err
-		}
+	dict, err := readDict(r, int(nstr))
+	if err != nil {
+		return nil, err
 	}
 	cs := &ColumnSet{
-		NumRows: rows, Dict: table, names: names,
+		NumRows: rows, dict: dict, names: names,
 		shapeOf: make([]int32, rows),
 		cols:    map[string]*vector.Col{},
 		byID:    make([]*vector.Col, ncols),
@@ -303,10 +301,7 @@ func parsePrefix(img image) (*ColumnSet, error) {
 		cs.shapeOf[ri] = si
 	}
 	cs.laneOff = r.off
-	cs.bytes = int64(len(cs.shapeOf)) * 4
-	for _, s := range table {
-		cs.bytes += stringBytes + int64(len(s))
-	}
+	cs.bytes = int64(len(cs.shapeOf))*4 + dict.Bytes()
 	for _, shape := range cs.shapes {
 		cs.bytes += int64(len(shape.ids)) * (8 + stringBytes)
 	}
@@ -314,6 +309,34 @@ func parsePrefix(img image) (*ColumnSet, error) {
 		cs.bytes += ifaceBytes + itemCost(v)
 	}
 	return cs, nil
+}
+
+// readDict reads the nstr entries of the string table at r into one
+// vector.Dict, in two passes over the table: the first checks every entry's
+// bounds and records its end offset, the second copies the entry bytes into
+// one exactly sized string. That is two allocations per segment, not one
+// per entry.
+func readDict(r *reader, nstr int) (*vector.Dict, error) {
+	start := r.off
+	off := make([]uint32, nstr+1)
+	for i := 1; i <= nstr; i++ {
+		b, err := r.sized()
+		if err != nil {
+			return nil, err
+		}
+		end := uint64(off[i-1]) + uint64(len(b))
+		if end > math.MaxUint32 {
+			return nil, errf(r.path, "string table exceeds %d bytes", uint64(math.MaxUint32))
+		}
+		off[i] = uint32(end)
+	}
+	var sb strings.Builder
+	sb.Grow(int(off[nstr]))
+	for tr := (reader{data: r.data, off: start}); tr.off < r.off; {
+		b, _ := tr.sized() // validated by the first pass
+		sb.Write(b)
+	}
+	return vector.NewDict(sb.String(), off), nil
 }
 
 // laneBlock reads one column's length-prefixed lane block at r and returns
@@ -352,7 +375,7 @@ func laneBytes(c *vector.Col) int64 {
 
 // newLaneCol returns a full-length, all-absent column sharing the segment
 // dictionary: only its tag lane is allocated.
-func newLaneCol(rows int, dict []string) *vector.Col {
+func newLaneCol(rows int, dict *vector.Dict) *vector.Col {
 	return &vector.Col{Tags: make([]vector.Tag, rows), Dict: dict}
 }
 
@@ -365,7 +388,7 @@ func materializeStrings(c *vector.Col) {
 	c.Dict = nil
 	for i, tg := range c.Tags {
 		if tg == vector.TagString {
-			c.SetItem(i, item.Str(dict[c.Ints[i]]))
+			c.SetItem(i, item.Str(dict.At(int(c.Ints[i]))))
 		}
 	}
 }
@@ -375,8 +398,8 @@ func materializeStrings(c *vector.Col) {
 // lists becomes its code.
 func setLaneValue(c *vector.Col, ri int, v item.Item) {
 	if t, ok := v.(item.Str); ok && c.Dict != nil {
-		i := sort.SearchStrings(c.Dict, string(t))
-		if i < len(c.Dict) && c.Dict[i] == string(t) {
+		i := c.Dict.Search(string(t))
+		if i < c.Dict.Len() && c.Dict.At(i) == string(t) {
 			c.SetItem(ri, item.Int(i)) // the code rides the Ints lane
 			c.Tags[ri] = vector.TagString
 			return
@@ -389,13 +412,13 @@ func setLaneValue(c *vector.Col, ri int, v item.Item) {
 // decodeLaneCol parses one column's lane block into a vector column:
 // dense tags first, then the sparse value lane, with string values as
 // dictionary codes.
-func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*vector.Col, error) {
+func decodeLaneCol(path, name string, lr *reader, rows int, dict *vector.Dict) (*vector.Col, error) {
 	if len(lr.data) < rows {
 		return nil, errf(path, "column %q: truncated tag lane", name)
 	}
 	tags := lr.data[:rows]
 	lr.off = rows
-	c := newLaneCol(rows, table)
+	c := newLaneCol(rows, dict)
 	// Allocate only the lanes some row's tag names (strings are codes in
 	// Ints); an invalid tag fails in the loop below.
 	var ints, nums, items bool
@@ -446,7 +469,7 @@ func decodeLaneCol(path, name string, lr *reader, rows int, table []string) (*ve
 			if err != nil {
 				return nil, err
 			}
-			if code >= uint64(len(table)) {
+			if code >= uint64(dict.Len()) {
 				return nil, errf(path, "column %q row %d: string code %d out of range", name, ri, code)
 			}
 			c.Tags[ri] = vector.TagString
@@ -533,7 +556,7 @@ func (cs *ColumnSet) grow(img image, fields []string) (*ColumnSet, error) {
 		if lr == nil {
 			continue
 		}
-		c, err := decodeLaneCol(path, name, lr, cs.NumRows, cs.Dict)
+		c, err := decodeLaneCol(path, name, lr, cs.NumRows, cs.dict)
 		if err != nil {
 			return nil, err
 		}
@@ -546,7 +569,7 @@ func (cs *ColumnSet) grow(img image, fields []string) (*ColumnSet, error) {
 	// overflow rows below may populate.
 	for _, f := range missing {
 		if next.cols[f] == nil {
-			next.cols[f] = newLaneCol(cs.NumRows, cs.Dict)
+			next.cols[f] = newLaneCol(cs.NumRows, cs.dict)
 		}
 	}
 	for ri, s := range cs.shapeOf {

@@ -310,6 +310,34 @@ func TestKernelOutputsOwnOnlyTheirLanes(t *testing.T) {
 	}
 }
 
+// TestColdFetchAllocsIndependentOfDictionary pins a cold projected fetch
+// to no allocation per dictionary entry: decoding one int field of a full
+// segment costs the same allocations whether its string field holds 10
+// distinct values or 4,000.
+func TestColdFetchAllocsIndependentOfDictionary(t *testing.T) {
+	var allocs []float64
+	for _, distinct := range []int{10, 4000} {
+		rows := make([]item.Item, Rows)
+		for i := range rows {
+			rows[i] = obj("v", item.Int(i), "s", item.Str(fmt.Sprintf("string %d", i%distinct)))
+		}
+		data, _, err := Encode(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeColumns("s.rseg", data, []string{"v"}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d distinct strings: %v allocations", distinct, n)
+		allocs = append(allocs, n)
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("decoding an int field allocates %v times beside 10 distinct strings and %v beside 4,000: the dictionary allocates per entry", allocs[0], allocs[1])
+	}
+}
+
 func TestEncodeRejectsOverCapacity(t *testing.T) {
 	rows := make([]item.Item, Rows+1)
 	for i := range rows {

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"rumble/internal/dfs"
@@ -150,7 +149,7 @@ func readSource(source, op string, chunkSize int, buf []byte, take func(path str
 
 // chunkBuffers recycles chunk byte buffers, across ingests too: a chunk's
 // bytes are dead once it is parsed.
-var chunkBuffers = sync.Pool{New: func() any { return []byte(nil) }}
+var chunkBuffers = dfs.FreeList[[]byte]{New: func() []byte { return nil }}
 
 // parseSource is the producer of an ingest's outer run, itself an ordered
 // run over the source's chunks: readSource reads and hashes each on the
@@ -176,13 +175,20 @@ func parseSource(source string, workers, chunkSize int, emit func(segTask) error
 	err = sched.Ordered(context.Background(), workers, workers, func(emitChunk func(chunk) error) error {
 		var err error
 		next := 0
-		hash, size, err = readSource(source, "ingest", chunkSize, chunkBuffers.Get().([]byte), func(path string, data []byte) ([]byte, error) {
+		// spare is the buffer the next chunk is read into; the one left
+		// when the source ends held no chunk and goes back to the list.
+		spare := chunkBuffers.Get()
+		hash, size, err = readSource(source, "ingest", chunkSize, spare, func(path string, data []byte) ([]byte, error) {
 			if err := emitChunk(chunk{idx: next, path: path, data: data}); err != nil {
 				return nil, err
 			}
 			next++
-			return chunkBuffers.Get().([]byte), nil
+			spare = chunkBuffers.Get()
+			return spare, nil
 		})
+		if err == nil {
+			chunkBuffers.Put(spare[:0])
+		}
 		return err
 	}, func(w int, c chunk) ([]item.Item, error) {
 		hook("parse", c.idx)

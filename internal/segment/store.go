@@ -130,8 +130,9 @@ func (d *Dataset) FetchBatch(i int, fields []string) (cs *ColumnSet, coldBlocks 
 
 // readBuffers recycles the buffers segment files are read into: a decode
 // never aliases its image, so a buffer is free again once load returns.
-// There is at most one per concurrent load.
-var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// There is at most one per concurrent load, and the free list keeps at
+// most dfs.FreeListMax of them, each as large as the largest file it read.
+var readBuffers = dfs.FreeList[*bytes.Buffer]{New: func() *bytes.Buffer { return new(bytes.Buffer) }}
 
 // load reads segment i's file and decodes the lanes of fields that cur (nil
 // when nothing is resident) does not hold yet, reporting the read's I/O
@@ -141,7 +142,7 @@ var readBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func (d *Dataset) load(i int, cur *ColumnSet, fields []string) (*ColumnSet, int, error) {
 	meta := d.Manifest.Segments[i]
 	path := filepath.Join(d.Dir, meta.File)
-	buf := readBuffers.Get().(*bytes.Buffer)
+	buf := readBuffers.Get()
 	defer readBuffers.Put(buf)
 	if err := readFile(buf, path); err != nil {
 		return nil, 0, errf(path, "read: %v", err)

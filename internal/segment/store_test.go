@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rumble/internal/dfs"
 	"rumble/internal/item"
 	"rumble/internal/sched"
 	"rumble/internal/vector"
@@ -324,7 +325,7 @@ func TestStoreRebuildsRefusedManifests(t *testing.T) {
 // TestColdFetchDoesNotAliasReadBuffer: segment files are read into recycled
 // buffers, so a decoded segment must not point into the buffer it was read
 // from. Cold fetches of two datasets run concurrently and reuse each other's
-// buffers, the pooled buffers are then scribbled over, and every snapshot
+// buffers, the free list's buffers are then scribbled over, and every snapshot
 // must still hold its source's rows.
 func TestColdFetchDoesNotAliasReadBuffer(t *testing.T) {
 	noLeaks(t)
@@ -366,8 +367,10 @@ func TestColdFetchDoesNotAliasReadBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		buf := readBuffers.Get().(*bytes.Buffer)
+	// Drain the free list — every buffer a load released — and scribble
+	// over each.
+	for i := 0; i < dfs.FreeListMax; i++ {
+		buf := readBuffers.Get()
 		b := buf.Bytes()[:buf.Cap()]
 		for j := range b {
 			b[j] = 0xFF
@@ -639,13 +642,17 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newPool(12 << 10) // room for one decoded entry, not two
+	one, err := (*ColumnSet)(nil).grow(img, []string{"s"}) // decoded ≈ 5.8 KiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPool(one.MemBytes() * 3 / 2) // room for one decoded entry, not two
 	loads := map[string]int{}
 	get := func(key string) {
 		t.Helper()
 		_, _, err := p.get(key, 10, []string{"s"}, func(cur *ColumnSet) (*ColumnSet, int, error) {
 			loads[key]++
-			cs, err := cur.grow(img, []string{"s"}) // decoded ≈ 6.4 KiB, nominal cost 10
+			cs, err := cur.grow(img, []string{"s"}) // nominal cost 10
 			return cs, 1, err
 		})
 		if err != nil {
@@ -654,7 +661,7 @@ func TestBufferPoolCostsDecodedSize(t *testing.T) {
 	}
 	get("a")
 	if p.bytes <= 4096 {
-		t.Fatalf("pool accounts %d bytes for a ~6.4 KiB entry", p.bytes)
+		t.Fatalf("pool accounts %d bytes for a ~5.8 KiB entry", p.bytes)
 	}
 	get("b")
 	get("a")

@@ -3,7 +3,6 @@ package vector
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rumble/internal/functions"
 	"rumble/internal/item"
@@ -97,9 +96,9 @@ type dictProbe struct {
 	exact bool
 }
 
-func probeDict(dict []string, lit string) *dictProbe {
-	lo := sort.SearchStrings(dict, lit)
-	return &dictProbe{lo: int64(lo), exact: lo < len(dict) && dict[lo] == lit}
+func probeDict(dict *Dict, lit string) *dictProbe {
+	lo := dict.Search(lit)
+	return &dictProbe{lo: int64(lo), exact: lo < dict.Len() && dict.At(lo) == lit}
 }
 
 func (p *dictProbe) cmp(code int64) int {

@@ -280,7 +280,7 @@ func TestGatherDictionaryColumn(t *testing.T) {
 		Tags: []Tag{TagString, TagInt, TagAbsent, TagString, TagDouble, TagString},
 		Ints: []int64{2, 40, 0, 0, 0, 1},
 		Nums: []float64{0, 0, 0, 0, 0.5},
-		Dict: []string{"a", "b", "c"},
+		Dict: dictOf("a", "b", "c"),
 	}
 	idx := []int32{5, 0, 0, 3, 1, 2, 4, 5}
 	src := make([]item.Item, dict.Len())
@@ -288,7 +288,7 @@ func TestGatherDictionaryColumn(t *testing.T) {
 		src[i] = dict.Item(i)
 	}
 	got := heap.Gather(dict, idx)
-	if &got.Dict[0] != &dict.Dict[0] || len(got.Dict) != len(dict.Dict) {
+	if got.Dict != dict.Dict {
 		t.Fatalf("Gather did not keep the source Dict: %v", got.Dict)
 	}
 	if got.Strs != nil {
@@ -313,7 +313,7 @@ func TestGatherAllocations(t *testing.T) {
 	for _, rows := range []int{BatchSize, 4 * BatchSize} {
 		idx := make([]int32, rows)
 		ints, strs := NewCol(rows), NewCol(rows)
-		dict := &Col{Tags: make([]Tag, rows), Ints: make([]int64, rows), Dict: []string{"x", "y"}}
+		dict := &Col{Tags: make([]Tag, rows), Ints: make([]int64, rows), Dict: dictOf("x", "y")}
 		for i := range idx {
 			idx[i] = int32(rows - 1 - i)
 			ints.AppendInt(int64(i))

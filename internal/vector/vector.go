@@ -103,12 +103,14 @@ type Col struct {
 
 	// Dict, when non-nil, makes this a dictionary string column: every
 	// TagString row stores a code into Dict in the Ints lane instead of a
-	// materialized string in Strs. Dict is sorted ascending and shared by
-	// every column decoded from the same segment, so comparison kernels can
-	// translate a literal once and compare codes. Dictionary columns are
-	// read-only views produced by the segment decoder; append methods must
-	// not be used on them.
-	Dict []string
+	// materialized string in Strs, and reads back as Dict.At(code). The
+	// dictionary is one sorted span shared by every column decoded from the
+	// same segment, so comparison kernels translate a literal once
+	// (Dict.Search) and compare codes, and slicing, compacting or gathering
+	// a column copies the pointer. Dictionary columns are read-only views
+	// produced by the segment decoder; append methods must not be used on
+	// them.
+	Dict *Dict
 
 	// s is the scratch the column's lanes come from, nil for the heap.
 	s *Scratch
@@ -149,7 +151,7 @@ func (c *Col) idx(i int) int {
 // otherwise.
 func (c *Col) str(i int) string {
 	if c.Dict != nil {
-		return c.Dict[c.Ints[i]]
+		return c.Dict.At(int(c.Ints[i]))
 	}
 	return c.Strs[i]
 }
